@@ -27,6 +27,8 @@ import (
 	"os"
 	"strings"
 	"sync"
+
+	"powerdiv/internal/rng"
 )
 
 // ErrInjected marks a transient read error produced by an Injector.
@@ -61,7 +63,7 @@ type Injector struct {
 // per-read transient-error probability.
 func NewInjector(seed int64, errorRate float64) *Injector {
 	return &Injector{
-		rng:       rand.New(rand.NewSource(seed)),
+		rng:       rng.New(seed),
 		read:      os.ReadFile,
 		errorRate: errorRate,
 		burstLen:  1,

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"math/rand"
 	"runtime"
 	"sort"
 	"time"
@@ -37,6 +36,7 @@ import (
 	"powerdiv/internal/machine"
 	"powerdiv/internal/models"
 	"powerdiv/internal/protocol"
+	"powerdiv/internal/rng"
 	"powerdiv/internal/traffic"
 	"powerdiv/internal/units"
 )
@@ -187,10 +187,10 @@ func NodeID(i int) string { return fmt.Sprintf("node-%05d", i) }
 // growable without disturbing existing nodes.
 func NewNode(cfg Config, i int) Node {
 	id := NodeID(i)
-	rng := rand.New(rand.NewSource(seedFor(cfg.Seed, "node", id)))
-	cl := nodeClasses[rng.Intn(len(nodeClasses))]
-	skew := 1 + (2*rng.Float64()-1)*cfg.FreqSkewFrac
-	noiseScale := 1 + rng.Float64()*cfg.NoiseJitterFrac
+	gen := rng.New(seedFor(cfg.Seed, "node", id))
+	cl := nodeClasses[gen.Intn(len(nodeClasses))]
+	skew := 1 + (2*gen.Float64()-1)*cfg.FreqSkewFrac
+	noiseScale := 1 + gen.Float64()*cfg.NoiseJitterFrac
 	base := machine.Config{
 		Spec:           cl.base(),
 		Hyperthreading: cfg.Production,

@@ -274,7 +274,8 @@ func StreamSegments(cfg Config, procs []Proc, maxDur time.Duration, yield func(s
 		return nil, err
 	}
 	cur := newSegCursor(cfg, ordered, maxDur)
-	rng := newNoiseRNG(cfg.NoiseStddev, cfg.Seed)
+	noise := newNoiseRNG(cfg.NoiseStddev, cfg.Seed)
+	defer noise.release()
 	seg := Segment{Rec: &cur.rec, Interval: cur.tick}
 	var emitted int64
 	for !cur.done {
@@ -286,7 +287,7 @@ func StreamSegments(cfg Config, procs []Proc, maxDur time.Duration, yield func(s
 		seg.Powers = growPowers(seg.Powers, n)
 		base := cur.rec.TruePower
 		for i := int64(0); i < n; i++ {
-			seg.Powers[i] = rng.sample(base)
+			seg.Powers[i] = noise.sample(base)
 		}
 		seg.StartTick = int(startK)
 		cur.rec.At = time.Duration(startK) * cur.tick

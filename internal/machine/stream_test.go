@@ -2,7 +2,10 @@ package machine
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -117,5 +120,65 @@ func TestStreamScratchColumnReused(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNoisePoolConcurrentRuns runs noisy simulations on several goroutines
+// at once, so pooled noise registers pass between runs of different seeds,
+// and some runs abort early through their yield. Every run's measured
+// powers must still be its true powers plus math/rand's own normal stream
+// for its seed, draw for draw.
+func TestNoisePoolConcurrentRuns(t *testing.T) {
+	cfg := prodConfig(cpumodel.SmallIntel())
+	cfg.NoiseStddev = 0.5
+	procs := []Proc{stressProc("a", "matrixprod", 2), stressProc("b", "queens", 1)}
+	procs[1].Start = 700 * time.Millisecond
+	const dur = 3 * time.Second
+	errStop := errors.New("stop")
+
+	check := func(seed int64, abortAt int) string {
+		run := cfg
+		run.Seed = seed
+		want := rand.New(rand.NewSource(seed))
+		n := 0
+		_, err := StreamSegments(run, procs, dur, func(seg *Segment) error {
+			for _, p := range seg.Powers {
+				w := float64(seg.Rec.TruePower) + want.NormFloat64()*float64(cfg.NoiseStddev)
+				if math.Float64bits(float64(p)) != math.Float64bits(w) {
+					return fmt.Errorf("seed %d tick %d: power %v, want %v", seed, n, p, w)
+				}
+				n++
+			}
+			if abortAt > 0 && n >= abortAt {
+				return errStop
+			}
+			return nil
+		})
+		if err != nil && !errors.Is(err, errStop) {
+			return err.Error()
+		}
+		return ""
+	}
+
+	const workers, rounds = 4, 40
+	var wg sync.WaitGroup
+	failures := make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				seed := int64(w*rounds + i)
+				if msg := check(seed, (i%3)*5); msg != "" {
+					failures <- msg
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(failures)
+	for msg := range failures {
+		t.Error(msg)
 	}
 }

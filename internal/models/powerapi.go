@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"time"
 
+	"powerdiv/internal/rng"
 	"powerdiv/internal/units"
 )
 
@@ -54,10 +55,11 @@ func DefaultPowerAPIConfig() PowerAPIConfig {
 // every scenario — the "estimation drops" the paper works around.
 type PowerAPI struct {
 	cfg PowerAPIConfig
-	// seed defers RNG construction to the first draw: seeding math/rand's
-	// 607-word source costs more than a whole scenario's estimates, and
-	// below ManyCoreThreshold no draw ever happens. Laziness cannot shift
-	// the sequence — the source is a pure function of the seed.
+	// seed defers RNG construction to the first draw: below
+	// ManyCoreThreshold no draw ever happens, so most models never
+	// allocate the source's 4.9 kB register. Laziness cannot shift the
+	// sequence — the source (rng.Source, bit-identical to math/rand's) is
+	// a pure function of the seed.
 	seed int64
 	rng  *rand.Rand
 
@@ -118,7 +120,7 @@ func (m *PowerAPI) Name() string { return "powerapi" }
 // rand returns the model's seeded RNG, constructing it on first use.
 func (m *PowerAPI) rand() *rand.Rand {
 	if m.rng == nil {
-		m.rng = rand.New(rand.NewSource(m.seed))
+		m.rng = rng.New(m.seed)
 	}
 	return m.rng
 }

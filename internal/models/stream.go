@@ -117,14 +117,18 @@ func NewStreamReplay(roster *machine.Roster, ms []Model, capTicks int) *StreamRe
 // allocations and are unaffected. Releasing is optional — an unreleased
 // arena is simply garbage-collected.
 func (r *StreamReplay) Release() {
-	if r.arena == nil {
+	a := r.arena
+	if a == nil {
 		return
 	}
-	arenaPool.Put(r.arena)
+	// r.ests aliases the arena's pointer array, so it must be cleared
+	// before the Put: afterwards the arena may already belong to another
+	// replay.
 	r.arena = nil
 	for i := range r.ests {
 		r.ests[i] = nil
 	}
+	arenaPool.Put(a)
 }
 
 // Observe feeds one tick to every model, appending a column to each

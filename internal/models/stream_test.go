@@ -1,7 +1,9 @@
 package models
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -86,5 +88,46 @@ func TestStreamReplayEmpty(t *testing.T) {
 	idle := NewStreamReplay(run.Roster, []Model{NewScaphandre().New(1)}, 0)
 	if idle.Ticks() != 0 || idle.Estimates(0).Ticks() != 0 {
 		t.Error("unfed replay reports ticks")
+	}
+}
+
+// TestStreamReplayReleaseConcurrent runs replay lifecycles on several
+// goroutines at once, so pooled arenas pass between them. Release must be
+// done with the arena before another replay can take it: a replay whose
+// estimate pointers were cleared by a late Release of the arena's previous
+// owner panics on its next observation (and go test -race reports the
+// write).
+func TestStreamReplayReleaseConcurrent(t *testing.T) {
+	run := simulateRun(t, cpumodel.SmallIntel(), pairProcs(t, "int64", "rand", 1), 2*time.Second)
+	ticks := RunTicksDense(run)
+	factories := []Factory{NewScaphandre(), NewOracle()}
+	const workers, rounds = 4, 300
+	var wg sync.WaitGroup
+	errs := make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				ms := make([]Model, len(factories))
+				for m, f := range factories {
+					ms[m] = f.New(int64(i))
+				}
+				replay := NewStreamReplay(run.Roster, ms, len(ticks))
+				streamThroughScratch(replay, ticks, run.Roster.Len())
+				for m := range ms {
+					if got := replay.Estimates(m).Ticks(); got != len(ticks) {
+						errs <- fmt.Sprintf("model %d holds %d ticks, want %d", m, got, len(ticks))
+						return
+					}
+				}
+				replay.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
 	}
 }

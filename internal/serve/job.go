@@ -77,6 +77,7 @@ type Job struct {
 
 	mu        sync.Mutex
 	cond      *sync.Cond
+	persistMu sync.Mutex // serializes snapshot writes; see saveSnapshot
 	state     State
 	rows      []*ResultRow // indexed by unit; nil until the unit completes
 	completed int

@@ -142,7 +142,7 @@ func (s *Server) persist(job *Job) {
 	if s.opts.SnapshotDir == "" {
 		return
 	}
-	if err := writeSnapshot(s.opts.SnapshotDir, snapshotOf(job)); err == nil {
+	if err := job.saveSnapshot(s.opts.SnapshotDir); err == nil {
 		obsSnapshots.Inc()
 	}
 }

@@ -45,6 +45,10 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	}
 	hs := httptest.NewServer(s.Handler())
 	t.Cleanup(hs.Close)
+	// Stop the runners before the test's temp dirs are removed: a job
+	// still running, or still writing its terminal snapshot, when the test
+	// returns would otherwise write into a directory being deleted.
+	t.Cleanup(s.Kill)
 	return s, hs
 }
 

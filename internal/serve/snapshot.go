@@ -52,6 +52,17 @@ func snapshotOf(j *Job) Snapshot {
 	return snap
 }
 
+// saveSnapshot captures the job's state and commits it to dir. Workers
+// persist one job concurrently, and every write of a job goes through the
+// same temp file, so the capture and the write happen under the job's
+// persist lock: snapshots commit whole and in capture order, and a later
+// snapshot never holds fewer rows than an earlier one.
+func (j *Job) saveSnapshot(dir string) error {
+	j.persistMu.Lock()
+	defer j.persistMu.Unlock()
+	return writeSnapshot(dir, snapshotOf(j))
+}
+
 // writeSnapshot persists atomically: temp file in the same directory, fsync
 // semantics via rename. A crash mid-write leaves the previous snapshot
 // intact; a crash between snapshots loses at most SnapshotEvery rows of

@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"powerdiv/internal/protocol"
+	"powerdiv/internal/rng"
 	"powerdiv/internal/workload"
 )
 
@@ -264,14 +265,14 @@ func (c Config) ScenarioKind(idx int) Kind {
 // its kernel/threads/lifetime draws even when rejected for capacity — so
 // the schedule is a pure function of (cfg, idx).
 func generateScenario(cfg Config, idx int) protocol.Scenario {
-	rng := rand.New(rand.NewSource(seedFor(cfg.Seed, "scenario", fmt.Sprint(idx))))
+	gen := rng.New(seedFor(cfg.Seed, "scenario", fmt.Sprint(idx)))
 	kind := cfg.ScenarioKind(idx)
 	apps := make([]protocol.AppSpec, 0, cfg.Baseload+8)
 
 	// Baseload: always-on single-thread anchors. Generated first so every
 	// arrival's capacity check already accounts for them.
 	for b := 0; b < cfg.Baseload; b++ {
-		apps = append(apps, newInstance(cfg.Kernels[rng.Intn(len(cfg.Kernels))], 1, len(apps), 0, 0))
+		apps = append(apps, newInstance(cfg.Kernels[gen.Intn(len(cfg.Kernels))], 1, len(apps), 0, 0))
 	}
 
 	aliveThreads := func(t time.Duration) int {
@@ -284,10 +285,10 @@ func generateScenario(cfg Config, idx int) protocol.Scenario {
 		return n
 	}
 
-	for _, at := range arrivalTimes(cfg, kind, rng) {
-		kernel := cfg.Kernels[rng.Intn(len(cfg.Kernels))]
-		threads := 1 + rng.Intn(cfg.MaxThreads)
-		life := time.Duration(rng.ExpFloat64() * float64(cfg.MeanLifetime))
+	for _, at := range arrivalTimes(cfg, kind, gen) {
+		kernel := cfg.Kernels[gen.Intn(len(cfg.Kernels))]
+		threads := 1 + gen.Intn(cfg.MaxThreads)
+		life := time.Duration(gen.ExpFloat64() * float64(cfg.MeanLifetime))
 		if life < minLifetime {
 			life = minLifetime
 		}
