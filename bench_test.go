@@ -300,14 +300,6 @@ func BenchmarkLabErrorTable(b *testing.B) {
 	benchLabErrorTable(b, experiments.LabEvaluationStreaming, true)
 }
 
-// BenchmarkLabErrorTableMaterialized is the same campaign through the
-// materialized pipeline: full runs are simulated, retained and replayed
-// from the memoization cache (warmed before the timer starts). It pins the
-// cost of the run-retaining path that timeline and profile consumers use.
-func BenchmarkLabErrorTableMaterialized(b *testing.B) {
-	benchLabErrorTable(b, experiments.LabEvaluation, true)
-}
-
 // BenchmarkLabErrorTableCold is the streaming campaign with every cache
 // tier dropped before each iteration: each pass re-simulates every solo and
 // pair run from scratch. This is the raw-speed rung — the number that can
@@ -435,10 +427,12 @@ func startHeapWatermark() (stop func() float64) {
 }
 
 // BenchmarkCampaignParallel measures the scenario-parallel campaign at a
-// ladder of worker counts (EvaluateCampaignParallel hands scenarios to a
-// GOMAXPROCS-wide pool). On a single-core runner the ladder still
-// exercises the pool dispatch path at width 2; on wider machines it shows
-// the scaling headroom.
+// ladder of worker counts (EvaluateCampaign hands scenarios to a
+// GOMAXPROCS-wide pool). Every cache tier is dropped before each
+// iteration, so each rung re-simulates and re-scores every scenario rather
+// than replaying the evaluation digests the previous rung stored. On a
+// single-core runner the ladder still exercises the pool dispatch path at
+// width 2; on wider machines it shows the scaling headroom.
 func BenchmarkCampaignParallel(b *testing.B) {
 	ctx := experiments.LabContext(cpumodel.SmallIntel(), benchSeed)
 	scenarios, err := protocol.StressPairs(workload.StressNames(), protocol.SizesFor(ctx.Machine))
@@ -456,7 +450,8 @@ func BenchmarkCampaignParallel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := protocol.EvaluateCampaignParallel(ctx, scenarios, models.NewScaphandre(), protocol.ObjectiveActive, 0); err != nil {
+				protocol.ResetMemoization()
+				if _, err := protocol.EvaluateCampaign(ctx, scenarios, models.NewScaphandre(), protocol.ObjectiveActive, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -486,13 +481,14 @@ func labScenarioCount(b *testing.B, ctx protocol.Context) int {
 	return len(scenarios)
 }
 
-// BenchmarkCampaignMemoization isolates the solo/pair run cache's effect on
-// the all-pairs lab campaign. The cache is dropped before every iteration,
-// so "on" measures only intra-campaign sharing (each pair scenario
-// simulated once instead of once per model, solo baselines measured once)
-// and "off" the former behaviour of re-simulating per model. The ratio of
-// the two ns/op values is the memoization speedup; a campaign test asserts
-// the two configurations produce identical error tables.
+// BenchmarkCampaignMemoization isolates the cache tiers' effect on the
+// all-pairs lab campaign. The cache is dropped before every iteration, so
+// "on" measures only intra-campaign sharing (solo baselines measured once
+// through the summary tier, scored rows stored as digests) and "off"
+// bypasses every tier. Every model observes one simulator pass per
+// scenario either way, so the ratio of the two ns/op values — the
+// memoization speedup — stays near 1; a campaign test asserts the two
+// configurations produce identical error tables.
 func BenchmarkCampaignMemoization(b *testing.B) {
 	ctx := experiments.LabContext(cpumodel.SmallIntel(), benchSeed)
 	nScenarios := labScenarioCount(b, ctx)
@@ -506,7 +502,7 @@ func BenchmarkCampaignMemoization(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				protocol.ResetMemoization()
-				if _, err := experiments.LabEvaluation(ctx, models.NewKepler(), models.NewOracle()); err != nil {
+				if _, err := experiments.LabEvaluationStreaming(ctx, models.NewKepler(), models.NewOracle()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -31,7 +31,7 @@ import (
 )
 
 // defaultBench selects the campaign-speed benchmarks: the §IV-A error-table
-// regeneration (streaming, plus its materialized counterpart via the
+// regeneration (warm, plus its cold and disk-warm counterparts via the
 // substring match), the worker-width sweep, the memoization on/off
 // comparison, the production-shaped traffic campaign, the fleet-scale
 // campaign across its worker ladder, the raw simulator stepping cost, and

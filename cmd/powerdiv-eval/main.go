@@ -97,7 +97,6 @@ func main() {
 	csvDir := flag.String("csv-dir", "", "write per-model point CSVs into this directory")
 	asJSON := flag.Bool("json", false, "emit the results as JSON instead of tables")
 	memo := flag.Bool("memo", true, "memoize solo/pair simulation runs")
-	streaming := flag.Bool("streaming", true, "run the fused streaming pipeline (bounded memory, bit-identical results)")
 	memoStats := flag.Bool("memo-stats", false, "print run cache statistics after the campaign")
 	cacheDir := flag.String("cache-dir", "", "persistent solo-run summary cache directory (empty = memory only)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "on-disk cache cap in bytes (0 = default 256 MB)")
@@ -178,11 +177,7 @@ func main() {
 		fmt.Printf("protocol campaign on %s (%s context), sizes %v\n\n",
 			spec.Name, *context, protocol.SizesFor(ctx.Machine))
 	}
-	evaluate := experiments.LabEvaluation
-	if *streaming {
-		evaluate = experiments.LabEvaluationStreaming
-	}
-	results, err := evaluate(ctx, models.NewKepler(), models.NewOracle())
+	results, err := experiments.LabEvaluationStreaming(ctx, models.NewKepler(), models.NewOracle())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)

@@ -28,7 +28,6 @@ var (
 	quick   = flag.Bool("quick", false, "reduced scenario sets (fast smoke run)")
 	seed    = flag.Int64("seed", 1, "campaign seed")
 	memo    = flag.Bool("memo", true, "memoize solo/pair simulation runs across experiments")
-	stream  = flag.Bool("streaming", true, "run the §IV-A campaigns on the fused streaming pipeline (bounded memory, bit-identical results)")
 	metrics = flag.Bool("metrics", false, "print the internal metrics summary after the run")
 )
 
@@ -63,13 +62,9 @@ func main() {
 	emit(t, "fig2-eq1")
 
 	section("Fig 4–7 + §IV-A — ratio campaigns")
-	labEval := experiments.LabEvaluation
-	if *stream {
-		labEval = experiments.LabEvaluationStreaming
-	}
 	for _, spec := range cpumodel.Specs() {
 		ctx := experiments.LabContext(spec, *seed)
-		results, err := labEval(ctx, models.NewKepler(), models.NewOracle())
+		results, err := experiments.LabEvaluationStreaming(ctx, models.NewKepler(), models.NewOracle())
 		check(err)
 		emit(experiments.ErrorTable(spec.Name, results), fmt.Sprintf("errors-%s", slug(spec.Name)))
 		if *outDir != "" {

@@ -21,7 +21,7 @@ func main() {
 	ctx := experiments.LabContext(cpumodel.SmallIntel(), 1)
 	fmt.Println("running the full §IV-A campaign on SMALL INTEL (lab context)…")
 
-	results, err := experiments.LabEvaluation(ctx)
+	results, err := experiments.LabEvaluationStreaming(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

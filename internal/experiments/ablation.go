@@ -226,7 +226,7 @@ func PowerAPIDeterminismAblation(ctx protocol.Context) (withPathology, without f
 	run := func(deterministic bool) (float64, error) {
 		cfg := models.DefaultPowerAPIConfig()
 		cfg.Deterministic = deterministic
-		evs, err := protocol.EvaluateCampaignParallel(ctx, scenarios, models.NewPowerAPI(cfg), protocol.ObjectiveActive, 0)
+		evs, err := protocol.EvaluateCampaign(ctx, scenarios, models.NewPowerAPI(cfg), protocol.ObjectiveActive, 0)
 		if err != nil {
 			return 0, err
 		}

@@ -157,7 +157,7 @@ func TestLabEvaluationModelsOrdering(t *testing.T) {
 	// On SMALL INTEL (no pathology), PowerAPI ≈ Scaphandre (paper: 3.12 %
 	// vs 3.15 %); the F2 reference and the oracle are far better.
 	ctx := LabContext(cpumodel.SmallIntel(), 1)
-	results, err := LabEvaluation(ctx, models.NewOracle())
+	results, err := LabEvaluationStreaming(ctx, models.NewOracle())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,12 +135,12 @@ func ProfileF2Evaluation(ctx protocol.Context) (ProfileResult, error) {
 	if err != nil {
 		return res, err
 	}
-	profEvs, err := protocol.EvaluateCampaignParallel(ctx, scenarios, isoest.NewProfileF2(est), protocol.ObjectiveActive, 0)
+	profEvs, err := protocol.EvaluateCampaign(ctx, scenarios, isoest.NewProfileF2(est), protocol.ObjectiveActive, 0)
 	if err != nil {
 		return res, err
 	}
 	res.ProfileF2 = scatterFromEvaluations("profile-f2", res.Machine, profEvs)
-	scEvs, err := protocol.EvaluateCampaignParallel(ctx, scenarios, models.NewScaphandre(), protocol.ObjectiveActive, 0)
+	scEvs, err := protocol.EvaluateCampaign(ctx, scenarios, models.NewScaphandre(), protocol.ObjectiveActive, 0)
 	if err != nil {
 		return res, err
 	}

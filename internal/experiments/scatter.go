@@ -105,24 +105,12 @@ func RatioScatter(ctx protocol.Context, factory models.Factory) (ScatterResult, 
 	return scatterFromEvaluations(factory.Name, ctx.Machine.Spec.Name, evs), nil
 }
 
-// LabEvaluation reproduces the §IV-A error table: all paper models (plus
-// any extras passed in) on one machine's stress campaign, sharing the
-// phase 1 baselines. It returns one ScatterResult per model, keyed by
-// model name.
-func LabEvaluation(ctx protocol.Context, extra ...models.Factory) (map[string]ScatterResult, error) {
-	return labEvaluation(ctx, false, extra...)
-}
-
-// LabEvaluationStreaming is LabEvaluation on the fused streaming pipeline
-// (protocol.EvaluateModelsStreaming): bit-identical error tables with
-// bounded memory — each scenario is simulated once and never materialized.
-// The CLIs default to it; the materialized form remains for callers that
-// also want the cached runs (timelines, profiles).
+// LabEvaluationStreaming reproduces the §IV-A error table: all paper
+// models (plus any extras passed in) on one machine's stress campaign,
+// sharing the phase 1 baselines. Each scenario is simulated once and
+// observed by every model in the same pass, never materialized. It returns
+// one ScatterResult per model, keyed by model name.
 func LabEvaluationStreaming(ctx protocol.Context, extra ...models.Factory) (map[string]ScatterResult, error) {
-	return labEvaluation(ctx, true, extra...)
-}
-
-func labEvaluation(ctx protocol.Context, streaming bool, extra ...models.Factory) (map[string]ScatterResult, error) {
 	scenarios, err := protocol.StressPairs(stressNames(), protocol.SizesFor(ctx.Machine))
 	if err != nil {
 		return nil, err
@@ -137,11 +125,7 @@ func labEvaluation(ctx protocol.Context, streaming bool, extra ...models.Factory
 		fs = append(fs, models.NewF2(perCore))
 		return fs
 	}
-	evaluate := protocol.EvaluateModels
-	if streaming {
-		evaluate = protocol.EvaluateModelsStreaming
-	}
-	byModel, err := evaluate(ctx, scenarios, factories, protocol.ObjectiveActive, 0)
+	byModel, err := protocol.EvaluateModelsStreaming(ctx, scenarios, factories, protocol.ObjectiveActive, 0)
 	if err != nil {
 		return nil, err
 	}

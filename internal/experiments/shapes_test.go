@@ -82,7 +82,7 @@ func TestScatterShapeRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs, err := protocol.EvaluateCampaignParallel(ctx, scenarios, models.NewScaphandre(), protocol.ObjectiveActive, 0)
+	evs, err := protocol.EvaluateCampaign(ctx, scenarios, models.NewScaphandre(), protocol.ObjectiveActive, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package machine
 import (
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -24,24 +23,20 @@ import (
 // consumption — and with it every yielded float — stays bit-identical to
 // the per-tick loop.
 //
-// segmented gates the engine. It exists so the equivalence tests can pin
-// the segment path against the per-tick reference loop; it is on by
-// default. POWERDIV_NO_SEGMENTS=1 in the environment disables it at
-// process start — an operational escape hatch (and an A/B lever for
-// benchmarks), since both paths produce bit-identical results.
-var segmented atomic.Bool
-
-func init() { segmented.Store(os.Getenv("POWERDIV_NO_SEGMENTS") != "1") }
+// perTick gates the engine off. It exists so the equivalence tests can pin
+// the segment path against the per-tick reference loop; its zero value
+// leaves the engine on.
+var perTick atomic.Bool
 
 // SetSegmented toggles the segment engine and reports the previous
 // setting. With the engine off, Stream, StreamBatch and the segment-level
 // entry points step every tick individually (each tick becomes its own
 // one-tick segment), which is the reference behaviour the golden tests
 // compare against.
-func SetSegmented(on bool) bool { return segmented.Swap(on) }
+func SetSegmented(on bool) bool { return !perTick.Swap(!on) }
 
 // Segmented reports whether the segment engine is enabled.
-func Segmented() bool { return segmented.Load() }
+func Segmented() bool { return !perTick.Load() }
 
 // Segment is a maximal run of consecutive ticks over which the simulator's
 // dynamics are constant: one stepTick evaluation covers every tick of the
@@ -177,7 +172,7 @@ func newSegCursor(cfg Config, ordered []Proc, maxDur time.Duration) *segCursor {
 	for i := range c.ends {
 		c.ends[i] = endUnset
 	}
-	if segmented.Load() {
+	if !perTick.Load() {
 		if cps, _, ok := changePointTicks(ordered, tick, maxDur, c.totalTicks, nil, nil); ok {
 			c.cps = cps
 		}

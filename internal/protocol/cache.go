@@ -423,8 +423,8 @@ func (c *runCache) summaryCached(cfg machine.Config, procs []machine.Proc, maxDu
 // between delimiters. The encoding only needs to be deterministic and
 // injective per field position — it is a cache key, not a display string —
 // and the strconv appends run an order of magnitude faster than the
-// fmt-based formatting they replaced, which profiles showed dominating the
-// warm materialized pipeline.
+// fmt-based formatting they replaced, which profiles showed dominating
+// warm campaigns.
 
 func keyF(b []byte, f float64) []byte { return strconv.AppendUint(b, math.Float64bits(f), 36) }
 func keyI(b []byte, v int64) []byte   { return strconv.AppendInt(b, v, 10) }

@@ -67,15 +67,16 @@ func TestMemoizationStressUnderEvictions(t *testing.T) {
 		}
 	}()
 
-	// Two campaign flavours race against each other: the materialized one
-	// exercises simulateCached for pairs, the streaming one re-reads the
-	// summary tier for baselines while evictions churn it.
+	// Two campaign flavours race against each other: the single-model one
+	// and the multi-model one key different evaluation digests for the same
+	// scenarios, and both re-read the summary tier for baselines while
+	// evictions churn it.
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := EvaluateCampaignParallel(ctx, scenarios, models.NewScaphandre(), ObjectiveActive, 0); err != nil {
+			if _, err := EvaluateCampaign(ctx, scenarios, models.NewScaphandre(), ObjectiveActive, 0); err != nil {
 				t.Error(err)
 			}
 		}()

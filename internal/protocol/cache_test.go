@@ -39,33 +39,38 @@ func smallCampaign(t *testing.T) (Context, []Scenario, func(map[string]division.
 // TestMemoizationIdenticalErrorTable proves the memoization cache is
 // invisible to results: the same campaign with the cache on and off yields
 // deeply equal evaluations for every model — same AEs, truth and estimated
-// shares, scatter points, scored tick counts.
+// shares, scatter points, scored tick counts. The memoized campaign runs
+// twice: the first fills the cache tiers, the second is served from the
+// evaluation-digest tier.
 func TestMemoizationIdenticalErrorTable(t *testing.T) {
 	ctx, scenarios, factories := smallCampaign(t)
 
 	EnableMemoization(false)
-	cold, err := EvaluateModels(ctx, scenarios, factories, ObjectiveActive, 0)
+	cold, err := EvaluateModelsStreaming(ctx, scenarios, factories, ObjectiveActive, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	EnableMemoization(true)
 	defer EnableMemoization(true)
 	ResetMemoization()
-	warm, err := EvaluateModels(ctx, scenarios, factories, ObjectiveActive, 0)
-	if err != nil {
-		t.Fatal(err)
+	var warm map[string][]Evaluation
+	for pass := 0; pass < 2; pass++ {
+		warm, err = EvaluateModelsStreaming(ctx, scenarios, factories, ObjectiveActive, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cold) != len(warm) {
+			t.Fatalf("pass %d: model sets differ: %d vs %d", pass, len(cold), len(warm))
+		}
+		for name, evs := range cold {
+			if !reflect.DeepEqual(evs, warm[name]) {
+				t.Errorf("pass %d: model %s: memoized evaluations differ from unmemoized", pass, name)
+			}
+		}
 	}
 
 	if st := MemoizationStats(); st.Hits == 0 {
 		t.Errorf("memoized campaign recorded no cache hits: %+v", st)
-	}
-	if len(cold) != len(warm) {
-		t.Fatalf("model sets differ: %d vs %d", len(cold), len(warm))
-	}
-	for name, evs := range cold {
-		if !reflect.DeepEqual(evs, warm[name]) {
-			t.Errorf("model %s: memoized evaluations differ from unmemoized", name)
-		}
 	}
 	// Rendering the table from either result must give identical bytes.
 	sumCold := Summarize("kepler", cold["kepler"])

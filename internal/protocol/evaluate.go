@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -101,24 +102,21 @@ func EvaluatePair(ctx Context, s Scenario, factory models.Factory, baselines map
 }
 
 // EvaluatePairMulti is EvaluatePair scoring several objectives from a
-// single simulated run (the run and the model replay are identical across
-// objectives; only the truth construction differs). The returned slice is
-// index-aligned with objectives.
+// single simulator pass (the run and the model's observations are
+// identical across objectives; only the truth construction differs). The
+// returned slice is index-aligned with objectives.
 func EvaluatePairMulti(ctx Context, s Scenario, factory models.Factory, baselines map[string]division.Baseline, objectives []Objective, r0 units.Watts) ([]Evaluation, error) {
 	done := observeScenario()
 	truths, err := scenarioTruths(s, baselines, objectives, r0)
 	if err != nil {
 		return nil, err
 	}
-	run, err := scenarioRun(ctx, s)
+	rows, err := evaluateScenarioCached(context.Background(), ctx, s, []models.Factory{factory}, truths)
 	if err != nil {
 		return nil, err
 	}
-	evs, err := scoreRun(ctx, s, run, models.RunTicksDense(run), factory, truths)
-	if err == nil {
-		done()
-	}
-	return evs, err
+	done()
+	return rows[0], nil
 }
 
 // scenarioTruths resolves the objective shares a scenario is scored
@@ -162,43 +160,12 @@ func scenarioTruths(s Scenario, baselines map[string]division.Baseline, objectiv
 	return truths, nil
 }
 
-// scenarioRun simulates the scenario's parallel phase (protocol phase 2)
-// through the memoization cache, so that every model evaluating the same
-// scenario shares one simulated run. The returned run is read-only.
-func scenarioRun(ctx Context, s Scenario) (*machine.Run, error) {
-	cfg := ctx.Machine
-	cfg.Seed = deriveSeed(ctx.Seed, "pair", s.Label())
-	procs := make([]machine.Proc, len(s.Apps))
-	for i, a := range s.Apps {
-		procs[i] = a.proc()
-	}
-	run, err := ctx.memo().simulateCached(cfg, procs, ctx.RunFor)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: scenario %q: %w", s.Label(), err)
-	}
-	return run, nil
-}
-
 // tickSeries is the compact per-tick view phase 3 scoring needs — tick
 // times and measured machine power, index-aligned with a model's estimate
-// matrix. The materialized path projects it out of a run once per scenario;
-// the streaming path accumulates it directly as the ticks arrive.
+// matrix, accumulated as the ticks stream in.
 type tickSeries struct {
 	at    []time.Duration
 	power []units.Watts
-}
-
-// runSeries projects a run down to the scoring view.
-func runSeries(run *machine.Run) tickSeries {
-	ts := tickSeries{
-		at:    make([]time.Duration, len(run.Ticks)),
-		power: make([]units.Watts, len(run.Ticks)),
-	}
-	for i := range run.Ticks {
-		ts.at[i] = run.Ticks[i].At
-		ts.power[i] = run.Ticks[i].Power
-	}
-	return ts
 }
 
 // scoreScratch holds the scoring tail's reusable buffers, so one worker
@@ -209,9 +176,8 @@ type scoreScratch struct {
 	scored      *trace.Series
 	scoredEsts  [][]units.Watts
 	scoredPower []units.Watts
-	// at/power back the streaming pipeline's per-scenario tickSeries, so
-	// the scoring view rides the same recycled scratch as the rest of the
-	// tail.
+	// at/power back the per-scenario tickSeries, so the scoring view
+	// rides the same recycled scratch as the rest of the tail.
 	at    []time.Duration
 	power []units.Watts
 	// meanEst and truthVec are roster-width accumulators reused across the
@@ -229,63 +195,28 @@ func rosterVec(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-func newScoreScratch() *scoreScratch {
-	return &scoreScratch{scored: trace.New()}
-}
-
 // scoreScratchPool recycles scoring scratch across scenarios: the scratch
 // holds the only scoring-side buffers whose size is O(run ticks), and a
 // campaign's workers score hundreds of scenarios back to back. Pooled
 // buffers are always resliced to zero length before reuse, so recycling
 // cannot change a single accumulation.
-var scoreScratchPool = sync.Pool{New: func() any { return newScoreScratch() }}
+var scoreScratchPool = sync.Pool{New: func() any { return &scoreScratch{scored: trace.New()} }}
 
 func getScoreScratch() *scoreScratch  { return scoreScratchPool.Get().(*scoreScratch) }
 func putScoreScratch(s *scoreScratch) { scoreScratchPool.Put(s) }
 
-// scoreRun is protocol phase 3 for one model on an already-simulated
-// scenario run: the model replays the run's observations (ticks, the run's
-// pre-converted dense model inputs — shared across models scoring the same
-// run) and Eq 5 scores its estimates against each objective's truth shares
-// (index-aligned with the returned evaluations).
-func scoreRun(ctx Context, s Scenario, run *machine.Run, ticks []models.Tick, factory models.Factory, truths []division.Shares) ([]Evaluation, error) {
-	return scoreRunSeries(ctx, s, runSeries(run), ticks, factory, truths, nil)
-}
-
-// scoreRunSeries is scoreRun over a pre-projected scoring view (shared
-// across the models scoring one scenario). scr may be nil for one-shot
-// callers.
-func scoreRunSeries(ctx Context, s Scenario, ts tickSeries, ticks []models.Tick, factory models.Factory, truths []division.Shares, scr *scoreScratch) ([]Evaluation, error) {
-	model := factory.New(deriveSeed(ctx.Seed, "model", factory.Name, s.Label()))
-	est := models.ReplayDense(model, ticks)
-	return scoreEstimates(ctx, s, ts, factory.Name, est, truths, scr)
-}
-
-// scoreEstimates is the scoring tail shared by the materialized and the
-// streaming pipelines: Eq 5 over an already-accumulated estimate matrix and
-// the matching tick series. Because both pipelines call exactly this code
-// over identically-accumulated inputs, their error tables are bit-identical
-// by construction (the streaming golden test pins it).
+// scoreEstimatesWindow is protocol phase 3's scoring tail: Eq 5 over an
+// accumulated estimate matrix and the matching tick series, inside the
+// scoring window [from, to). The window is a pure function of (ctx, ts,
+// est.OK), so callers scoring several models over one scenario compute it
+// once per distinct OK vector (models with full estimate coverage — most of
+// them — share one) instead of once per model.
 //
 // The whole phase is columnar: the scored ticks are column views of the
 // estimate slab, and the truths are projected onto the roster once per
 // objective. Slot order is sorted-ID order, so every floating-point
-// accumulation matches the map pipeline bit for bit (the golden
-// equivalence test pins this too).
-func scoreEstimates(ctx Context, s Scenario, ts tickSeries, modelName string, est *models.DenseEstimates, truths []division.Shares, scr *scoreScratch) ([]Evaluation, error) {
-	if scr == nil {
-		scr = newScoreScratch()
-	}
-	from, to := stableScoringWindow(ctx, ts, est.OK, scr.scored)
-	return scoreEstimatesWindow(ctx, s, ts, modelName, est, truths, scr, from, to)
-}
-
-// scoreEstimatesWindow is scoreEstimates with the scoring window already
-// resolved. The window is a pure function of (ctx, ts, est.OK), so callers
-// scoring several models over one scenario compute it once per distinct OK
-// vector (models with full estimate coverage — most of them — share one)
-// instead of once per model; the scored ticks and every accumulation are
-// unchanged, so the split cannot move a result bit.
+// accumulation matches the map pipeline bit for bit (the map-reference
+// test pins this).
 func scoreEstimatesWindow(ctx Context, s Scenario, ts tickSeries, modelName string, est *models.DenseEstimates, truths []division.Shares, scr *scoreScratch, from, to time.Duration) ([]Evaluation, error) {
 	if to <= from {
 		return nil, fmt.Errorf("protocol: scenario %q: model %s produced no estimates", s.Label(), modelName)
@@ -519,94 +450,17 @@ func BaselineAppsOf(scenarios []Scenario) []AppSpec {
 
 // EvaluateCampaign runs the full protocol for one model over a scenario
 // list: phase 1 on every distinct application, then phases 2–3 per
-// scenario. It returns the per-scenario evaluations in scenario order.
+// scenario across the worker pool. It returns the per-scenario evaluations
+// in scenario order — a single-model collector over
+// EvaluateModelsStreaming.
 func EvaluateCampaign(ctx Context, scenarios []Scenario, factory models.Factory, obj Objective, r0 units.Watts) ([]Evaluation, error) {
-	baselines, err := MeasureBaselines(ctx, AppsOf(scenarios))
+	byModel, err := EvaluateModelsStreaming(ctx, scenarios, func(map[string]division.Baseline) []models.Factory {
+		return []models.Factory{factory}
+	}, obj, r0)
 	if err != nil {
 		return nil, err
 	}
-	evs := make([]Evaluation, 0, len(scenarios))
-	for _, s := range scenarios {
-		ev, err := EvaluatePair(ctx, s, factory, baselines, obj, r0)
-		if err != nil {
-			return nil, err
-		}
-		evs = append(evs, ev)
-	}
-	return evs, nil
-}
-
-// EvaluateModels runs the full protocol for several models over one
-// scenario list, measuring the phase 1 baselines once. The factories
-// function receives the baselines so that models needing them (F2) can be
-// constructed; it returns the model factories to evaluate.
-//
-// With memoization enabled (the default) each scenario is simulated exactly
-// once and every model replays that shared cached run — the simulation is
-// the expensive part of the hot path and is identical across models (its
-// seed derives from the scenario label, never from the model). Scenarios
-// are evaluated concurrently across the worker pool; results are
-// deterministic regardless of scheduling or cache state.
-func EvaluateModels(ctx Context, scenarios []Scenario, factories func(map[string]division.Baseline) []models.Factory, obj Objective, r0 units.Watts) (map[string][]Evaluation, error) {
-	baselines, err := MeasureBaselinesParallel(ctx, AppsOf(scenarios))
-	if err != nil {
-		return nil, err
-	}
-	fs := factories(baselines)
-	objectives := []Objective{obj}
-	// perScenario[i][m] is model m's evaluation of scenario i; each worker
-	// writes only its own scenario row.
-	perScenario := make([][]Evaluation, len(scenarios))
-	err = forEachIndexed(len(scenarios), func(i int) error {
-		s := scenarios[i]
-		done := observeScenario()
-		truths, err := scenarioTruths(s, baselines, objectives, r0)
-		if err != nil {
-			return err
-		}
-		row := make([]Evaluation, len(fs))
-		var ticks []models.Tick
-		var ts tickSeries
-		scr := getScoreScratch()
-		defer putScoreScratch(scr)
-		for m, f := range fs {
-			// Every model asks for the scenario run through the cache:
-			// with memoization on the first model simulates and the rest
-			// share that run; with it off each model re-simulates (the
-			// results are identical either way — the run's seed derives
-			// from the scenario label, never from the model). The model
-			// inputs and the scoring view are converted once per scenario
-			// regardless.
-			run, err := scenarioRun(ctx, s)
-			if err != nil {
-				return err
-			}
-			if ticks == nil {
-				ticks = models.RunTicksDense(run)
-				ts = runSeries(run)
-			}
-			evs, err := scoreRunSeries(ctx, s, ts, ticks, f, truths, scr)
-			if err != nil {
-				return err
-			}
-			row[m] = evs[0]
-		}
-		perScenario[i] = row
-		done()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := map[string][]Evaluation{}
-	for m, f := range fs {
-		evs := make([]Evaluation, len(scenarios))
-		for i := range scenarios {
-			evs[i] = perScenario[i][m]
-		}
-		out[f.Name] = evs
-	}
-	return out, nil
+	return byModel[factory.Name], nil
 }
 
 // MaxThreadsWithoutContention returns the largest per-application thread

@@ -18,10 +18,11 @@ type CampaignKind string
 
 const (
 	// PairCampaign is the static pair/combination campaign family
-	// (EvaluatePair*, EvaluateModels*).
+	// (EvaluatePair*, EvaluateCampaign, EvaluateModelsStreaming*,
+	// EvaluateScenarioStreaming).
 	PairCampaign CampaignKind = "pair"
 	// TrafficCampaign is the timed-roster campaign family
-	// (EvaluateTraffic*).
+	// (EvaluateTrafficStreaming*, EvaluateTrafficScenarioStreaming).
 	TrafficCampaign CampaignKind = "traffic"
 )
 

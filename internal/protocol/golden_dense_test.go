@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -16,8 +17,8 @@ import (
 
 // scoreRunMapReference is the pre-columnar phase 3 pipeline, kept verbatim
 // as the golden reference: map-view replay, nil-map coverage, map-keyed
-// mean estimates and division.AbsoluteError over map shares. The dense
-// scoreRun must reproduce it bit for bit.
+// mean estimates and division.AbsoluteError over map shares. The streaming
+// evaluator must reproduce it bit for bit.
 func scoreRunMapReference(ctx Context, s Scenario, run *machine.Run, factory models.Factory, truths []division.Shares) ([]Evaluation, error) {
 	model := factory.New(deriveSeed(ctx.Seed, "model", factory.Name, s.Label()))
 	ests := models.ReplayTicks(model, models.RunTicks(run))
@@ -76,6 +77,19 @@ func scoreRunMapReference(ctx Context, s Scenario, run *machine.Run, factory mod
 	return out, nil
 }
 
+// runSeries projects a materialized run down to the scoring view.
+func runSeries(run *machine.Run) tickSeries {
+	ts := tickSeries{
+		at:    make([]time.Duration, len(run.Ticks)),
+		power: make([]units.Watts, len(run.Ticks)),
+	}
+	for i := range run.Ticks {
+		ts.at[i] = run.Ticks[i].At
+		ts.power[i] = run.Ticks[i].Power
+	}
+	return ts
+}
+
 func goldenContext(spec cpumodel.Spec, hyperthreading bool) Context {
 	cfg := machine.Config{Spec: spec, NoiseStddev: 0.25, Hyperthreading: hyperthreading, Turbo: hyperthreading}
 	ctx := DefaultContext(cfg)
@@ -101,9 +115,12 @@ func goldenFactories(baselines map[string]division.Baseline, spec cpumodel.Spec)
 	}
 }
 
-// TestDenseScoringMatchesMapReference pins the tentpole equivalence: on
-// both machines, every model's evaluation from the columnar pipeline is
-// bit-identical (not merely close) to the retired map pipeline's.
+// TestDenseScoringMatchesMapReference pins the columnar pipeline against
+// the retired map pipeline: on both machines, every model's evaluation from
+// EvaluateScenarioStreaming is bit-identical (not merely close) to the map
+// reference scoring a run materialized with machine.Simulate under the
+// same derived seed. Each model is evaluated on its own, so a model that
+// produces no estimates must fail on both sides without masking the rest.
 func TestDenseScoringMatchesMapReference(t *testing.T) {
 	specs := []struct {
 		spec cpumodel.Spec
@@ -142,21 +159,27 @@ func TestDenseScoringMatchesMapReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				run, err := scenarioRun(ctx, s)
+				cfg := ctx.Machine
+				cfg.Seed = deriveSeed(ctx.Seed, "pair", s.Label())
+				procs := make([]machine.Proc, len(s.Apps))
+				for i, a := range s.Apps {
+					procs[i] = a.proc()
+				}
+				run, err := machine.Simulate(cfg, procs, ctx.RunFor)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, f := range goldenFactories(baselines, sp.spec) {
 					want, wantErr := scoreRunMapReference(ctx, s, run, f, truths)
-					got, gotErr := scoreRun(ctx, s, run, models.RunTicksDense(run), f, truths)
-					if (wantErr == nil) != (gotErr == nil) {
-						t.Fatalf("%s on %q: map err %v, dense err %v", f.Name, s.Label(), wantErr, gotErr)
-					}
-					if wantErr != nil {
-						continue
-					}
-					for i := range want {
-						compareEvaluations(t, f.Name, s, want[i], got[i])
+					for i, obj := range objectives {
+						got, gotErr := EvaluateScenarioStreaming(context.Background(), ctx, s, []models.Factory{f}, baselines, obj, 0)
+						if (wantErr == nil) != (gotErr == nil) {
+							t.Fatalf("%s on %q: map err %v, streaming err %v", f.Name, s.Label(), wantErr, gotErr)
+						}
+						if wantErr != nil {
+							continue
+						}
+						compareEvaluations(t, f.Name, s, want[i], got[0])
 					}
 				}
 			}
@@ -190,5 +213,21 @@ func compareEvaluations(t *testing.T, model string, s Scenario, want, got Evalua
 	if math.Float64bits(want.Point.X) != math.Float64bits(got.Point.X) ||
 		math.Float64bits(want.Point.Y) != math.Float64bits(got.Point.Y) {
 		t.Errorf("%s: Point (%v,%v) != (%v,%v)", label, want.Point.X, want.Point.Y, got.Point.X, got.Point.Y)
+	}
+}
+
+// compareStreamingEvaluations requires full bit-identity — unlike the
+// dense-vs-map comparison, both sides come from the dense scorer, so every
+// field including EstShare's zero entries must agree exactly.
+func compareStreamingEvaluations(t *testing.T, model string, want, got Evaluation) {
+	t.Helper()
+	compareEvaluations(t, model, want.Scenario, want, got)
+	if len(want.EstShare) != len(got.EstShare) {
+		t.Errorf("%s on %q: EstShare sizes %d != %d", model, want.Scenario.Label(), len(want.EstShare), len(got.EstShare))
+	}
+	for id, tw := range want.Truth {
+		if math.Float64bits(tw) != math.Float64bits(got.Truth[id]) {
+			t.Errorf("%s on %q: Truth[%s] %v != %v", model, want.Scenario.Label(), id, tw, got.Truth[id])
+		}
 	}
 }

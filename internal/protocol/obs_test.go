@@ -9,10 +9,11 @@ import (
 	"powerdiv/internal/obs"
 )
 
-// TestObsCountersMatchMemoStats runs a memoized multi-model campaign with
-// the metrics registry enabled and asserts the exported cache counters agree
-// exactly with MemoizationStats — both are incremented at the same sites in
-// simulateCached, and this test pins them there. It also checks the scenario
+// TestObsCountersMatchMemoStats runs a memoized multi-model campaign twice
+// (cold, then served from the evaluation-digest tier) with the metrics
+// registry enabled and asserts the exported cache counters agree exactly
+// with MemoizationStats — both are incremented at the same sites in every
+// cache tier, and this test pins them there. It also checks the scenario
 // lifecycle metrics: every started scenario completes, each completion lands
 // one latency observation, and the worker-occupancy gauge reads zero once
 // the pool drains.
@@ -37,12 +38,15 @@ func TestObsCountersMatchMemoStats(t *testing.T) {
 	factories := func(map[string]division.Baseline) []models.Factory {
 		return []models.Factory{models.NewScaphandre(), models.NewKepler()}
 	}
-	results, err := EvaluateModels(ctx, scenarios, factories, ObjectiveActive, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("got %d models, want 2", len(results))
+	const passes = 2
+	for pass := 0; pass < passes; pass++ {
+		results, err := EvaluateModelsStreaming(ctx, scenarios, factories, ObjectiveActive, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != 2 {
+			t.Fatalf("got %d models, want 2", len(results))
+		}
 	}
 
 	st := MemoizationStats()
@@ -60,10 +64,10 @@ func TestObsCountersMatchMemoStats(t *testing.T) {
 	}
 
 	started, completed := obsScenariosStarted.Value(), obsScenariosCompleted.Value()
-	// EvaluateModels scores all models inside one evaluation per scenario.
-	// Baseline solo runs go through the cache but are not scenario
-	// evaluations.
-	want := uint64(len(scenarios))
+	// EvaluateModelsStreaming scores all models inside one evaluation per
+	// scenario, whether computed or served from a digest. Baseline solo
+	// runs go through the cache but are not scenario evaluations.
+	want := uint64(passes * len(scenarios))
 	if started != want || completed != want {
 		t.Errorf("scenarios started/completed = %d/%d, want %d/%d", started, completed, want, want)
 	}
@@ -94,7 +98,7 @@ func TestObsDisabledCampaignRecordsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EvaluateCampaignParallel(ctx, scenarios, models.NewScaphandre(), ObjectiveActive, 0); err != nil {
+	if _, err := EvaluateCampaign(ctx, scenarios, models.NewScaphandre(), ObjectiveActive, 0); err != nil {
 		t.Fatal(err)
 	}
 	if st := MemoizationStats(); st.Misses == 0 {

@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 
 	"powerdiv/internal/division"
-	"powerdiv/internal/models"
-	"powerdiv/internal/units"
 )
 
 // parallelism is the worker count for campaign evaluation: scenarios are
@@ -148,51 +146,21 @@ func forEachIndexed(n int, fn func(i int) error) error {
 	return nil
 }
 
-// EvaluateCampaignParallel is EvaluateCampaign with scenarios evaluated
-// concurrently across CPU cores. Results are identical to the sequential
-// version (every simulation and model seed derives from the scenario
-// label, not from execution order).
-func EvaluateCampaignParallel(ctx Context, scenarios []Scenario, factory models.Factory, obj Objective, r0 units.Watts) ([]Evaluation, error) {
-	baselines, err := MeasureBaselinesParallel(ctx, AppsOf(scenarios))
-	if err != nil {
-		return nil, err
-	}
-	evs := make([]Evaluation, len(scenarios))
-	err = forEachIndexed(len(scenarios), func(i int) error {
-		ev, err := EvaluatePair(ctx, scenarios[i], factory, baselines, obj, r0)
-		if err != nil {
-			return err
-		}
-		evs[i] = ev
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return evs, nil
-}
-
 // MeasureBaselinesParallel is MeasureBaselines with solo runs executed
 // concurrently. Like the serial form it goes through the byte-capped
 // summary tier, so phase 1 keeps compact digests instead of full runs.
 func MeasureBaselinesParallel(ctx Context, apps []AppSpec) (map[string]division.Baseline, error) {
-	return measureBaselinesParallelCtx(context.Background(), ctx, apps)
+	return MeasureBaselinesParallelCtx(context.Background(), ctx, apps)
 }
 
 // MeasureBaselinesParallelCtx is MeasureBaselinesParallel with the
 // cancellation seam of the Ctx campaign entry points — the phase 1 the
-// campaign service runs before sharding a job into scenarios.
-func MeasureBaselinesParallelCtx(cctx context.Context, ctx Context, apps []AppSpec) (map[string]division.Baseline, error) {
-	return measureBaselinesParallelCtx(cctx, ctx, apps)
-}
-
-// measureBaselinesParallelCtx is MeasureBaselinesParallel with the
-// cancellation seam of the Ctx campaign entry points. Cancellation is
-// checked before each solo run, not inside it: solo digests are shared
+// campaign service runs before sharding a job into scenarios. Cancellation
+// is checked before each solo run, not inside it: solo digests are shared
 // through the (possibly job-scoped) summary cache, and a compute owned by
 // one singleflight caller must not be aborted by another caller's deadline.
 // Solo runs are short, so the drain latency is one run, not one campaign.
-func measureBaselinesParallelCtx(cctx context.Context, ctx Context, apps []AppSpec) (map[string]division.Baseline, error) {
+func MeasureBaselinesParallelCtx(cctx context.Context, ctx Context, apps []AppSpec) (map[string]division.Baseline, error) {
 	results := make([]division.Baseline, len(apps))
 	err := forEachIndexed(len(apps), func(i int) error {
 		if err := cctx.Err(); err != nil {

@@ -116,11 +116,20 @@ func TestParallelCampaignMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := EvaluateCampaign(ctx, scenarios, models.NewScaphandre(), ObjectiveActive, 0)
+	// The sequential reference: serial phase 1, then one EvaluatePair per
+	// scenario in order, with no worker pool involved.
+	baselines, err := MeasureBaselines(ctx, AppsOf(scenarios))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := EvaluateCampaignParallel(ctx, scenarios, models.NewScaphandre(), ObjectiveActive, 0)
+	seq := make([]Evaluation, len(scenarios))
+	for i, s := range scenarios {
+		if seq[i], err = EvaluatePair(ctx, s, models.NewScaphandre(), baselines, ObjectiveActive, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ResetMemoization()
+	par, err := EvaluateCampaign(ctx, scenarios, models.NewScaphandre(), ObjectiveActive, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +183,7 @@ func TestParallelCampaignPropagatesErrors(t *testing.T) {
 		mustStressApp(t, "fibonacci", 1),
 		mustStressApp(t, "matrixprod", 1),
 	}}
-	_, err := EvaluateCampaignParallel(ctx, []Scenario{small, big}, models.NewScaphandre(), ObjectiveActive, 0)
+	_, err := EvaluateCampaign(ctx, []Scenario{small, big}, models.NewScaphandre(), ObjectiveActive, 0)
 	if err == nil {
 		t.Error("oversubscribed scenario did not fail")
 	}

@@ -445,14 +445,16 @@ func TestEvaluateTripleScenario(t *testing.T) {
 func TestCampaignBitReproducible(t *testing.T) {
 	// The README claims bit-for-bit reproducibility: two runs of the same
 	// campaign (same seed) must agree exactly, including the parallel
-	// runner.
+	// runner. The caches are dropped between runs so the second run
+	// recomputes every scenario instead of replaying stored digests.
 	ctx := labSmall()
 	scenarios, err := StressPairs([]string{"fibonacci", "jmp", "rand"}, []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func() []Evaluation {
-		evs, err := EvaluateCampaignParallel(ctx, scenarios, models.NewPowerAPI(models.DefaultPowerAPIConfig()), ObjectiveActive, 0)
+		ResetMemoization()
+		evs, err := EvaluateCampaign(ctx, scenarios, models.NewPowerAPI(models.DefaultPowerAPIConfig()), ObjectiveActive, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

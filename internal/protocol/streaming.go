@@ -11,21 +11,22 @@ import (
 	"powerdiv/internal/units"
 )
 
-// This file is the fused streaming pipeline: simulate → observe → score in
-// one pass per scenario, with O(ticks-in-flight) simulator state. The
-// materialized path (evaluate.go) simulates a scenario into a full
-// machine.Run, converts it to a dense tick slice, and replays every model
-// over it; here the models observe each tick as the simulator produces it,
-// so per scenario the only O(ticks) state kept is what phase 3 scoring
-// needs anyway — the per-model estimate matrices and the power/time
-// scoring view. Pair runs are never materialized and never cached, which
-// is where the memory goes: the byte-capped summary cache (cache.go) keeps
-// only the compact phase 1 solo-run digests.
+// This file is protocol phases 2–3: simulate → observe → score in one
+// pass per scenario, with O(ticks-in-flight) simulator state. The models
+// observe each segment as the simulator produces it, so per scenario the
+// only O(ticks) state kept is what scoring needs anyway — the per-model
+// estimate matrices and the power/time scoring view. Pair runs are never
+// materialized and never cached, which is where the memory goes: the
+// byte-capped summary cache (cache.go) keeps only the compact phase 1
+// solo-run digests, and the evaluation-digest tier (cache_eval.go) only
+// the scored rows.
 //
-// Results are bit-identical to the materialized path (the streaming golden
-// test pins this on both machines): the simulator yields the very records
-// Simulate would store, StreamReplay accumulates the very matrix
-// ReplayDense would, and scoring is literally the same scoreEstimates call.
+// Every campaign entry point — EvaluatePair, EvaluateCampaign,
+// EvaluateModelsStreaming and the per-scenario units the campaign service
+// shards jobs into — runs through evaluateScenarioCached. The golden
+// corpus (internal/experiments/testdata) pins their tables bit for bit,
+// and the map-reference test pins the columnar scoring against the
+// original per-tick map pipeline.
 
 // evaluateScenarioStreaming runs phases 2–3 for one scenario in a single
 // simulator pass, scoring every factory: the scenario is simulated exactly
@@ -282,22 +283,6 @@ func boolsEqual(a, b []bool) bool {
 	return true
 }
 
-// EvaluatePairStreaming is EvaluatePair on the streaming pipeline: same
-// evaluation bit for bit, without materializing or caching the pair run.
-func EvaluatePairStreaming(ctx Context, s Scenario, factory models.Factory, baselines map[string]division.Baseline, obj Objective, r0 units.Watts) (Evaluation, error) {
-	done := observeScenario()
-	truths, err := scenarioTruths(s, baselines, []Objective{obj}, r0)
-	if err != nil {
-		return Evaluation{Scenario: s, Model: factory.Name}, err
-	}
-	rows, err := evaluateScenarioCached(context.Background(), ctx, s, []models.Factory{factory}, truths)
-	if err != nil {
-		return Evaluation{Scenario: s, Model: factory.Name}, err
-	}
-	done()
-	return rows[0][0], nil
-}
-
 // EvaluateScenarioStreaming scores every factory over one scenario on the
 // fused streaming pipeline — the per-scenario unit the campaign service
 // shards jobs into. The returned slice is index-aligned with fs, and each
@@ -324,14 +309,16 @@ func EvaluateScenarioStreaming(cctx context.Context, ctx Context, s Scenario, fs
 	return out, nil
 }
 
-// EvaluateModelsStreaming is EvaluateModels on the streaming pipeline.
-// Phase 1 baselines come from the byte-capped summary cache; each scenario
-// is then simulated exactly once per campaign — regardless of cache state
-// or model count, because all models ride the same stream — and scored with
-// the shared scoring tail. Peak memory per worker is the estimate matrices
-// of one scenario instead of a full cached run per scenario, which is what
-// lets combinatorial sweeps scale. Scenarios run concurrently across the
-// worker pool; results are deterministic regardless of scheduling.
+// EvaluateModelsStreaming runs the full protocol for several models over
+// one scenario list. The factories function receives the phase 1
+// baselines (from the byte-capped summary cache) so that models needing
+// them (F2) can be constructed. Each scenario is then simulated exactly
+// once per campaign — regardless of cache state or model count, because
+// all models ride the same stream — and scored by every model. Peak memory
+// per worker is the estimate matrices of one scenario instead of a full
+// cached run per scenario, which is what lets combinatorial sweeps scale.
+// Scenarios run concurrently across the worker pool; results are
+// deterministic regardless of scheduling.
 func EvaluateModelsStreaming(ctx Context, scenarios []Scenario, factories func(map[string]division.Baseline) []models.Factory, obj Objective, r0 units.Watts) (map[string][]Evaluation, error) {
 	return EvaluateModelsStreamingCtx(context.Background(), ctx, scenarios, factories, obj, r0)
 }
@@ -343,31 +330,16 @@ func EvaluateModelsStreaming(ctx Context, scenarios []Scenario, factories func(m
 // full. The error then unwraps to cctx's cause. An uncancelled cctx changes
 // nothing: results are bit-identical to EvaluateModelsStreaming.
 func EvaluateModelsStreamingCtx(cctx context.Context, ctx Context, scenarios []Scenario, factories func(map[string]division.Baseline) []models.Factory, obj Objective, r0 units.Watts) (map[string][]Evaluation, error) {
-	baselines, err := measureBaselinesParallelCtx(cctx, ctx, AppsOf(scenarios))
+	baselines, err := MeasureBaselinesParallelCtx(cctx, ctx, AppsOf(scenarios))
 	if err != nil {
 		return nil, err
 	}
 	fs := factories(baselines)
-	objectives := []Objective{obj}
 	perScenario := make([][]Evaluation, len(scenarios))
 	err = forEachIndexed(len(scenarios), func(i int) error {
-		s := scenarios[i]
-		done := observeScenario()
-		truths, err := scenarioTruths(s, baselines, objectives, r0)
-		if err != nil {
-			return err
-		}
-		rows, err := evaluateScenarioCached(cctx, ctx, s, fs, truths)
-		if err != nil {
-			return err
-		}
-		row := make([]Evaluation, len(fs))
-		for m := range fs {
-			row[m] = rows[m][0]
-		}
+		row, err := EvaluateScenarioStreaming(cctx, ctx, scenarios[i], fs, baselines, obj, r0)
 		perScenario[i] = row
-		done()
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err

@@ -18,12 +18,10 @@ import (
 // instances actually present (as in EvaluateTimeline): churn transitions
 // are exactly what is under test, so no stable-window selection applies.
 //
-// Two pipelines produce bit-identical results (the traffic golden test pins
-// it): the materialized reference simulates the full run then replays the
-// models, and the streaming path fuses simulate → observe into one pass
-// with O(ticks-in-flight) simulator state. Both accumulate the same
-// scoring view (tick series + per-slot presence columns) and share the
-// scoring tail verbatim.
+// Each scenario is one fused simulate → observe pass with
+// O(ticks-in-flight) simulator state, accumulating exactly the scoring view
+// (tick series + per-slot presence columns) the per-tick objective needs.
+// The golden corpus (internal/experiments/testdata) pins the tables.
 
 // TrafficEvaluation is the scored outcome of one model on one traffic
 // scenario.
@@ -73,10 +71,10 @@ func SummarizeTraffic(model string, evs []TrafficEvaluation) TrafficSummary {
 	return s
 }
 
-// trafficView is the scoring view both pipelines accumulate: the tick
+// trafficView is the scoring view a traffic scenario accumulates: the tick
 // series plus a dense presence slab (ticks × roster slots). It is exactly
-// the O(ticks) state phase 3 needs and nothing more — the streaming path's
-// only per-scenario growth besides the estimate matrices.
+// the O(ticks) state phase 3 needs and nothing more — the only
+// per-scenario growth besides the estimate matrices.
 type trafficView struct {
 	ts       tickSeries
 	presence []bool
@@ -94,19 +92,9 @@ func newTrafficView(n, capTicks int) *trafficView {
 	}
 }
 
-// observe appends one tick's scoring state.
-func (v *trafficView) observe(rec *machine.TickRecord) {
-	v.ts.at = append(v.ts.at, rec.At)
-	v.ts.power = append(v.ts.power, rec.Power)
-	for slot := 0; slot < v.n; slot++ {
-		v.presence = append(v.presence, rec.Procs[slot].Present())
-	}
-}
-
 // observeSegment appends a constant segment's scoring state: the presence
 // column repeats unchanged for every covered tick while time and power
-// advance tick by tick — exactly what observe would have appended had the
-// segment streamed per tick.
+// advance tick by tick.
 func (v *trafficView) observeSegment(seg *machine.Segment) {
 	for i := range seg.Powers {
 		v.ts.at = append(v.ts.at, seg.At(i))
@@ -173,9 +161,8 @@ func trafficTruths(view *trafficView, rosterIDs []string, slotBase []division.Ba
 	return truths, busy
 }
 
-// scoreTrafficModel is the scoring tail shared verbatim by the streaming
-// and materialized pipelines — which is what makes their error tables
-// bit-identical by construction.
+// scoreTrafficModel is the scoring tail for one model: Eq 5 over the
+// ticks the model estimated, against the per-tick objective shares.
 func scoreTrafficModel(s Scenario, modelName string, view *trafficView, truths [][]float64, busy int, est *models.DenseEstimates) (TrafficEvaluation, error) {
 	ev := TrafficEvaluation{Scenario: s, Model: modelName, BusyTicks: busy}
 	if busy == 0 {
@@ -204,25 +191,6 @@ func scoreTrafficModel(s Scenario, modelName string, view *trafficView, truths [
 	return ev, nil
 }
 
-// trafficScenarioSetup is the per-scenario state both pipelines derive the
-// same way: config seed, sorted procs, roster and model instances.
-func trafficScenarioSetup(ctx Context, s Scenario, fs []models.Factory) (machine.Config, []machine.Proc, *machine.Roster, []models.Model) {
-	cfg := ctx.Machine
-	cfg.Seed = deriveSeed(ctx.Seed, "traffic", s.Label())
-	procs := make([]machine.Proc, len(s.Apps))
-	ids := make([]string, len(s.Apps))
-	for i, a := range s.Apps {
-		procs[i] = a.proc()
-		ids[i] = a.ID
-	}
-	roster := machine.NewRoster(ids)
-	ms := make([]models.Model, len(fs))
-	for m, f := range fs {
-		ms[m] = f.New(deriveSeed(ctx.Seed, "model", f.Name, s.Label()))
-	}
-	return cfg, procs, roster, ms
-}
-
 // EvaluateTrafficScenarioStreaming scores every factory over one traffic
 // scenario on the fused streaming pipeline — the per-scenario unit the
 // campaign service shards traffic jobs into. Rows are index-aligned with fs
@@ -242,10 +210,22 @@ func EvaluateTrafficScenarioStreaming(cctx context.Context, ctx Context, s Scena
 
 // evaluateTrafficScenarioStreaming scores every factory over one traffic
 // scenario in a single fused simulator pass: the scenario is simulated
-// exactly once, all models observe the stream tick by tick, and the run is
-// never materialized or cached.
+// exactly once, all models observe the stream segment by segment, and the
+// run is never materialized or cached.
 func evaluateTrafficScenarioStreaming(cctx context.Context, ctx Context, s Scenario, fs []models.Factory, baselines map[string]division.Baseline, window time.Duration) ([]TrafficEvaluation, error) {
-	cfg, procs, roster, ms := trafficScenarioSetup(ctx, s, fs)
+	cfg := ctx.Machine
+	cfg.Seed = deriveSeed(ctx.Seed, "traffic", s.Label())
+	procs := make([]machine.Proc, len(s.Apps))
+	ids := make([]string, len(s.Apps))
+	for i, a := range s.Apps {
+		procs[i] = a.proc()
+		ids[i] = a.ID
+	}
+	roster := machine.NewRoster(ids)
+	ms := make([]models.Model, len(fs))
+	for m, f := range fs {
+		ms[m] = f.New(deriveSeed(ctx.Seed, "model", f.Name, s.Label()))
+	}
 	tick := cfg.TickInterval()
 	maxTicks := int(window/tick) + 1
 	if maxTicks < 0 {
@@ -292,38 +272,7 @@ func evaluateTrafficScenarioStreaming(cctx context.Context, ctx Context, s Scena
 	if err != nil {
 		return nil, fmt.Errorf("protocol: traffic scenario %q: %w", s.Label(), err)
 	}
-	return scoreTrafficScenario(s, fs, view, roster.IDs(), baselines, func(m int) *models.DenseEstimates {
-		return replay.Estimates(m)
-	})
-}
-
-// evaluateTrafficScenarioMaterialized is the reference pipeline: simulate
-// the scenario into a full run, replay every model over its dense ticks,
-// then score through the very same tail as the streaming path. It has no
-// mid-run cancellation seam (Simulate owns its loop); cctx is honoured
-// between scenarios by the campaign driver.
-func evaluateTrafficScenarioMaterialized(_ context.Context, ctx Context, s Scenario, fs []models.Factory, baselines map[string]division.Baseline, window time.Duration) ([]TrafficEvaluation, error) {
-	cfg, procs, roster, ms := trafficScenarioSetup(ctx, s, fs)
-	run, err := machine.Simulate(cfg, procs, window)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: traffic scenario %q: %w", s.Label(), err)
-	}
-	ticks := models.RunTicksDense(run)
-	view := newTrafficView(roster.Len(), len(run.Ticks))
-	for i := range run.Ticks {
-		view.observe(&run.Ticks[i])
-	}
-	ests := make([]*models.DenseEstimates, len(ms))
-	for m, model := range ms {
-		ests[m] = models.ReplayDense(model, ticks)
-	}
-	return scoreTrafficScenario(s, fs, view, roster.IDs(), baselines, func(m int) *models.DenseEstimates {
-		return ests[m]
-	})
-}
-
-// scoreTrafficScenario runs the shared scoring tail for every factory.
-func scoreTrafficScenario(s Scenario, fs []models.Factory, view *trafficView, rosterIDs []string, baselines map[string]division.Baseline, est func(int) *models.DenseEstimates) ([]TrafficEvaluation, error) {
+	rosterIDs := roster.IDs()
 	slotBase, err := trafficSlotBaselines(s, rosterIDs, baselines)
 	if err != nil {
 		return nil, err
@@ -331,52 +280,11 @@ func scoreTrafficScenario(s Scenario, fs []models.Factory, view *trafficView, ro
 	truths, busy := trafficTruths(view, rosterIDs, slotBase)
 	out := make([]TrafficEvaluation, len(fs))
 	for m, f := range fs {
-		ev, err := scoreTrafficModel(s, f.Name, view, truths, busy, est(m))
+		ev, err := scoreTrafficModel(s, f.Name, view, truths, busy, replay.Estimates(m))
 		if err != nil {
 			return nil, err
 		}
 		out[m] = ev
-	}
-	return out, nil
-}
-
-// evaluateTrafficCampaign factors the campaign shape shared by both
-// pipelines: phase 1 over the distinct application types, then the given
-// per-scenario evaluator across the worker pool.
-func evaluateTrafficCampaign(cctx context.Context, ctx Context, scenarios []Scenario, factories func(map[string]division.Baseline) []models.Factory, window time.Duration,
-	eval func(context.Context, Context, Scenario, []models.Factory, map[string]division.Baseline, time.Duration) ([]TrafficEvaluation, error)) (map[string][]TrafficEvaluation, error) {
-	if window <= 0 {
-		return nil, fmt.Errorf("protocol: non-positive traffic window %v", window)
-	}
-	baselines, err := measureBaselinesParallelCtx(cctx, ctx, BaselineAppsOf(scenarios))
-	if err != nil {
-		return nil, err
-	}
-	fs := factories(baselines)
-	perScenario := make([][]TrafficEvaluation, len(scenarios))
-	err = forEachIndexed(len(scenarios), func(i int) error {
-		if err := cctx.Err(); err != nil {
-			return err
-		}
-		done := observeScenario()
-		row, err := eval(cctx, ctx, scenarios[i], fs, baselines, window)
-		if err != nil {
-			return err
-		}
-		perScenario[i] = row
-		done()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := map[string][]TrafficEvaluation{}
-	for m, f := range fs {
-		evs := make([]TrafficEvaluation, len(scenarios))
-		for i := range scenarios {
-			evs[i] = perScenario[i][m]
-		}
-		out[f.Name] = evs
 	}
 	return out, nil
 }
@@ -400,12 +308,36 @@ func EvaluateTrafficStreaming(ctx Context, scenarios []Scenario, factories func(
 // returns the shared budget to full; the error unwraps to cctx's cause. An
 // uncancelled cctx changes nothing — results stay bit-identical.
 func EvaluateTrafficStreamingCtx(cctx context.Context, ctx Context, scenarios []Scenario, factories func(map[string]division.Baseline) []models.Factory, window time.Duration) (map[string][]TrafficEvaluation, error) {
-	return evaluateTrafficCampaign(cctx, ctx, scenarios, factories, window, evaluateTrafficScenarioStreaming)
-}
-
-// EvaluateTraffic is the materialized reference pipeline for traffic
-// campaigns — same results as EvaluateTrafficStreaming bit for bit (the
-// golden test pins it), at the cost of materializing each churn run.
-func EvaluateTraffic(ctx Context, scenarios []Scenario, factories func(map[string]division.Baseline) []models.Factory, window time.Duration) (map[string][]TrafficEvaluation, error) {
-	return evaluateTrafficCampaign(context.Background(), ctx, scenarios, factories, window, evaluateTrafficScenarioMaterialized)
+	if window <= 0 {
+		return nil, fmt.Errorf("protocol: non-positive traffic window %v", window)
+	}
+	baselines, err := MeasureBaselinesParallelCtx(cctx, ctx, BaselineAppsOf(scenarios))
+	if err != nil {
+		return nil, err
+	}
+	fs := factories(baselines)
+	perScenario := make([][]TrafficEvaluation, len(scenarios))
+	err = forEachIndexed(len(scenarios), func(i int) error {
+		if err := cctx.Err(); err != nil {
+			return err
+		}
+		row, err := EvaluateTrafficScenarioStreaming(cctx, ctx, scenarios[i], fs, baselines, window)
+		if err != nil {
+			return err
+		}
+		perScenario[i] = row
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := map[string][]TrafficEvaluation{}
+	for m, f := range fs {
+		evs := make([]TrafficEvaluation, len(scenarios))
+		for i := range scenarios {
+			evs[i] = perScenario[i][m]
+		}
+		out[f.Name] = evs
+	}
+	return out, nil
 }

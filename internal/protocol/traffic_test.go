@@ -91,41 +91,6 @@ func compareTrafficEvaluations(t *testing.T, model string, want, got TrafficEval
 	}
 }
 
-// TestTrafficStreamingMatchesMaterialized is the churn golden test: the
-// fused streaming pipeline and the materialized reference score every model
-// on every timed scenario bit-identically — AE and Coverage compared via
-// Float64bits, tick counts exactly.
-func TestTrafficStreamingMatchesMaterialized(t *testing.T) {
-	ctx, scenarios, factories := trafficGoldenSetup(t)
-
-	ResetMemoization()
-	want, err := EvaluateTraffic(ctx, scenarios, factories, trafficTestWindow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ResetMemoization()
-	got, err := EvaluateTrafficStreaming(ctx, scenarios, factories, trafficTestWindow)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(want) == 0 || len(want) != len(got) {
-		t.Fatalf("model sets differ: %d materialized, %d streaming", len(want), len(got))
-	}
-	for model, wevs := range want {
-		gevs, ok := got[model]
-		if !ok {
-			t.Fatalf("streaming campaign lost model %s", model)
-		}
-		if len(wevs) != len(gevs) {
-			t.Fatalf("%s: %d materialized evaluations, %d streaming", model, len(wevs), len(gevs))
-		}
-		for i := range wevs {
-			compareTrafficEvaluations(t, model, wevs[i], gevs[i])
-		}
-	}
-}
-
 // TestTrafficStreamingDeterministic runs the same campaign twice through
 // the streaming pipeline: per-model error tables must be bit-identical —
 // the worker pool and factory scheduling must not leak into results.
@@ -224,7 +189,7 @@ func TestTrafficRejectsBadInput(t *testing.T) {
 	if _, err := EvaluateTrafficStreaming(ctx, scenarios, factories, 0); err == nil {
 		t.Error("EvaluateTrafficStreaming accepted a zero window")
 	}
-	if _, err := EvaluateTraffic(ctx, scenarios, factories, -time.Second); err == nil {
-		t.Error("EvaluateTraffic accepted a negative window")
+	if _, err := EvaluateTrafficStreaming(ctx, scenarios, factories, -time.Second); err == nil {
+		t.Error("EvaluateTrafficStreaming accepted a negative window")
 	}
 }

@@ -165,7 +165,7 @@ func EvaluatePair(ctx Context, s Scenario, f ModelFactory, baselines map[string]
 // EvaluateCampaign evaluates a model over many scenarios (in parallel
 // across CPU cores; results are deterministic).
 func EvaluateCampaign(ctx Context, scenarios []Scenario, f ModelFactory, obj Objective, r0 Watts) ([]Evaluation, error) {
-	return protocol.EvaluateCampaignParallel(ctx, scenarios, f, obj, r0)
+	return protocol.EvaluateCampaign(ctx, scenarios, f, obj, r0)
 }
 
 // StressPairs generates the paper's pair campaign scenario list.
