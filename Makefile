@@ -80,10 +80,13 @@ bench-diff:
 		-rate-gate '^BenchmarkLabErrorTableCold' -rate-threshold $(BENCH_RATE_THRESHOLD) \
 		-require-scaling 1.0 -benchtime 1x -out ''
 
-# pprof captures CPU and heap profiles of the hot campaign rung for
-# `go tool pprof cpu.prof` / `go tool pprof mem.prof` (both gitignored).
+# pprof captures CPU and heap profiles of the cold campaign rung — the one
+# the bench-diff rate gate polices, where every scenario simulates, observes
+# and scores (the warm rung serves everything from the evaluation-digest
+# tier) — for `go tool pprof cpu.prof` / `go tool pprof mem.prof` (both
+# gitignored).
 pprof:
-	$(GO) test -run '^$$' -bench 'BenchmarkLabErrorTable$$/small-intel' \
+	$(GO) test -run '^$$' -bench 'BenchmarkLabErrorTableCold/small-intel' \
 		-benchtime 20x -cpuprofile cpu.prof -memprofile mem.prof .
 
 fuzz-smoke:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -244,6 +245,13 @@ func (c *segCursor) finish(info *StreamInfo, emitted int64) {
 	obsSegments.Add(c.segments)
 }
 
+// segPowers recycles StreamSegments' per-tick power buffers across runs: a
+// campaign streams one run per scenario, and the buffer — scratch valid
+// only during the yield — would otherwise be a fresh allocation each time.
+// Every entry is written before it is yielded, so reuse cannot change a
+// single yielded value.
+var segPowers = sync.Pool{New: func() any { return new([]units.Watts) }}
+
 // growPowers returns a power buffer with length n, reusing buf's storage
 // when it is large enough.
 func growPowers(buf []units.Watts, n int64) []units.Watts {
@@ -262,7 +270,8 @@ func growPowers(buf []units.Watts, n int64) []units.Watts {
 // of (At(i), Powers[i], Rec) triples is bit-identical to the records
 // Stream would yield: the same stepTick values are reused and the noise
 // RNG is consumed once per tick in tick order. Like Stream, the record and
-// power buffer are scratch valid only during the yield.
+// power buffer are scratch valid only during the yield: the power buffer
+// goes back to a pool when the call returns, on every exit path.
 func StreamSegments(cfg Config, procs []Proc, maxDur time.Duration, yield func(seg *Segment) error) (*StreamInfo, error) {
 	ordered, info, err := streamSetup(cfg, procs, maxDur)
 	if err != nil {
@@ -271,7 +280,12 @@ func StreamSegments(cfg Config, procs []Proc, maxDur time.Duration, yield func(s
 	cur := newSegCursor(cfg, ordered, maxDur)
 	noise := newNoiseRNG(cfg.NoiseStddev, cfg.Seed)
 	defer noise.release()
-	seg := Segment{Rec: &cur.rec, Interval: cur.tick}
+	buf := segPowers.Get().(*[]units.Watts)
+	seg := Segment{Rec: &cur.rec, Interval: cur.tick, Powers: *buf}
+	defer func() {
+		*buf, seg.Powers = seg.Powers[:0], nil
+		segPowers.Put(buf)
+	}()
 	var emitted int64
 	for !cur.done {
 		startK, endK, err := cur.next()

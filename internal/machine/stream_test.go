@@ -182,3 +182,78 @@ func TestNoisePoolConcurrentRuns(t *testing.T) {
 		t.Error(msg)
 	}
 }
+
+// TestSegmentPowerPoolConcurrentAborts runs StreamSegments on several
+// goroutines at once, most of them aborting from the yield partway
+// through, so pooled power buffers are handed back on the error exit and
+// taken by other runs mid-flight. Every run's yielded powers must be
+// bit-identical to the same seed's clean, serial run up to where it
+// stopped.
+func TestSegmentPowerPoolConcurrentAborts(t *testing.T) {
+	cfg := prodConfig(cpumodel.SmallIntel())
+	cfg.NoiseStddev = 0.5
+	procs := []Proc{stressProc("a", "matrixprod", 2), stressProc("b", "queens", 1)}
+	procs[1].Start = 700 * time.Millisecond
+	procs[1].Stop = 2300 * time.Millisecond
+	const dur = 3 * time.Second
+	const seeds = 12
+	errStop := errors.New("stop")
+
+	collect := func(seed int64, abortAt int) ([]uint64, error) {
+		run := cfg
+		run.Seed = seed
+		var bits []uint64
+		_, err := StreamSegments(run, procs, dur, func(seg *Segment) error {
+			for _, p := range seg.Powers {
+				bits = append(bits, math.Float64bits(float64(p)))
+			}
+			if abortAt > 0 && len(bits) >= abortAt {
+				return errStop
+			}
+			return nil
+		})
+		return bits, err
+	}
+	want := make([][]uint64, seeds)
+	for seed := range want {
+		bits, err := collect(int64(seed), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[seed] = bits
+	}
+
+	const workers, rounds = 4, 30
+	var wg sync.WaitGroup
+	failures := make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				seed := (w + i) % seeds
+				abortAt := (i % 4) * 7 // 0 runs to the end
+				got, err := collect(int64(seed), abortAt)
+				if abortAt > 0 && !errors.Is(err, errStop) || abortAt == 0 && err != nil {
+					failures <- fmt.Sprintf("seed %d abort %d: err %v", seed, abortAt, err)
+					return
+				}
+				if abortAt == 0 && len(got) != len(want[seed]) || len(got) > len(want[seed]) {
+					failures <- fmt.Sprintf("seed %d abort %d: %d ticks, clean run %d", seed, abortAt, len(got), len(want[seed]))
+					return
+				}
+				for k := range got {
+					if got[k] != want[seed][k] {
+						failures <- fmt.Sprintf("seed %d abort %d tick %d: power bits %x, want %x", seed, abortAt, k, got[k], want[seed][k])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(failures)
+	for msg := range failures {
+		t.Error(msg)
+	}
+}

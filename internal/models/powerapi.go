@@ -2,6 +2,7 @@ package models
 
 import (
 	"math/rand"
+	"sync"
 	"time"
 
 	"powerdiv/internal/rng"
@@ -66,8 +67,11 @@ type PowerAPI struct {
 	keys       keyCache
 	learnStart time.Duration
 	started    bool
-	rows       [][4]float64
-	targets    []float64
+	// rows/targets are the learning window, borrowed from learnWindows by
+	// reset and handed back by fit; win is the borrowed holder.
+	win     *learnWindow
+	rows    [][4]float64
+	targets []float64
 
 	fitted     bool
 	weights    [4]float64
@@ -125,19 +129,32 @@ func (m *PowerAPI) rand() *rand.Rand {
 	return m.rng
 }
 
+// learnWindow is a learning window's backing storage. A window is only
+// live from a context change until its calibration, and a campaign builds
+// a fresh model per scenario, so windows are recycled through
+// learnWindows instead of allocated per model.
+type learnWindow struct {
+	rows    [][4]float64
+	targets []float64
+}
+
+// learnWindows recycles learning windows across models. A window at the
+// default tick rate collects ~100 rows; reserving 128 up front replaces the
+// append-doubling ladder. Reuse changes where the rows live, never their
+// values or order, so calibrations are bit-identical to fresh windows.
+var learnWindows = sync.Pool{New: func() any {
+	return &learnWindow{rows: make([][4]float64, 0, 128), targets: make([]float64, 0, 128)}
+}}
+
 // reset restarts the learning window after a context change (§IV-A).
 func (m *PowerAPI) reset(at time.Duration) {
 	m.started = true
 	m.learnStart = at
-	if cap(m.rows) == 0 {
-		// A learning window at the default tick rate collects ~100 rows;
-		// reserving up front replaces the append-doubling ladder (and its
-		// garbage) with one allocation per model.
-		m.rows = make([][4]float64, 0, 128)
-		m.targets = make([]float64, 0, 128)
+	if m.win == nil {
+		m.win = learnWindows.Get().(*learnWindow)
 	}
-	m.rows = m.rows[:0]
-	m.targets = m.targets[:0]
+	m.rows = m.win.rows[:0]
+	m.targets = m.win.targets[:0]
 	m.fitted = false
 	m.degenerate = false
 	m.favored = ""
@@ -237,9 +254,21 @@ func (m *PowerAPI) fit(logicalCPUs int) {
 		// MATRIXPROD/FLOAT64 runs attributed ≈90 % to opposite processes.
 		// The favored process is drawn (seeded) at first estimation.
 		m.degenerate = true
-		return
+	} else {
+		m.weights, m.scales = RidgeFit4(m.rows, m.targets, m.cfg.Ridge)
 	}
-	m.weights, m.scales = RidgeFit4(m.rows, m.targets, m.cfg.Ridge)
+	m.releaseWindow()
+}
+
+// releaseWindow hands the calibrated window back to learnWindows, keeping
+// any growth. Every fit follows a reset (an empty window never fits), so a
+// window is always borrowed here. The model drops its references first, so
+// the storage is never reachable from this model once another can take it.
+func (m *PowerAPI) releaseWindow() {
+	w := m.win
+	w.rows, w.targets = m.rows[:0], m.targets[:0]
+	m.win, m.rows, m.targets = nil, nil, nil
+	learnWindows.Put(w)
 }
 
 // estimate divides the tick's power by fitted-weight shares.

@@ -1,0 +1,117 @@
+package models
+
+import (
+	"fmt"
+	"math"
+	"sync"
+	"testing"
+	"time"
+
+	"powerdiv/internal/cpumodel"
+	"powerdiv/internal/machine"
+)
+
+// TestPowerAPIWindowPoolConcurrentModels runs PowerAPI models on several
+// goroutines at once over a churned roster, so learning windows pass
+// between models through the pool mid-campaign: every context change takes
+// a window, every calibration (ridge or degenerate) hands it back. Each
+// model's estimates must be bit-identical to the same model fed the same
+// ticks serially before any pooling traffic.
+func TestPowerAPIWindowPoolConcurrentModels(t *testing.T) {
+	spec := cpumodel.Dahu()
+	if spec.Topology.LogicalCPUs() < 32 {
+		t.Fatalf("%s has %d logical CPUs; the degenerate path needs >= 32", spec.Name, spec.Topology.LogicalCPUs())
+	}
+	mk := func(id, fn string, start, stop time.Duration) machine.Proc {
+		p := pairProcs(t, fn, fn, 2)[0]
+		p.ID, p.Start, p.Stop = id, start, stop
+		return p
+	}
+	// Five context changes, each followed by more than a learning window.
+	procs := []machine.Proc{
+		mk("a", "fibonacci", 0, 0),
+		mk("b", "matrixprod", 1500*time.Millisecond, 6*time.Second),
+		mk("c", "int64", 3*time.Second, 0),
+		mk("d", "rand", 4500*time.Millisecond, 8*time.Second),
+	}
+	run, err := machine.Simulate(machine.Config{Spec: spec, NoiseStddev: 0.25, Seed: 3}, procs, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ticks := RunTicksDense(run)
+
+	ridge := DefaultPowerAPIConfig()
+	ridge.LearnWindow = time.Second
+	forced := ridge
+	forced.InstabilityProb = 1
+	factories := []Factory{NewPowerAPI(ridge), NewPowerAPI(forced)}
+	type job struct {
+		f    int
+		seed int64
+	}
+	var jobs []job
+	for f := range factories {
+		for seed := int64(0); seed < 6; seed++ {
+			jobs = append(jobs, job{f, seed})
+		}
+	}
+
+	want := make([]*DenseEstimates, len(jobs))
+	degenerate := 0
+	for i, j := range jobs {
+		m := factories[j.f].New(j.seed)
+		want[i] = ReplayDense(m, ticks)
+		if m.(*PowerAPI).Degenerate() {
+			degenerate++
+		}
+		fits := 0
+		for k := 1; k < len(want[i].OK); k++ {
+			if want[i].OK[k] && !want[i].OK[k-1] {
+				fits++
+			}
+		}
+		if fits < 4 {
+			t.Fatalf("job %+v: %d calibrations, want several reset/fit cycles", j, fits)
+		}
+	}
+	if degenerate == 0 {
+		t.Fatal("no model ended on a degenerate calibration")
+	}
+
+	check := func(i int) string {
+		j := jobs[i]
+		got := ReplayDense(factories[j.f].New(j.seed), ticks)
+		for k := range want[i].OK {
+			if got.OK[k] != want[i].OK[k] {
+				return fmt.Sprintf("job %+v tick %d: ok %v, want %v", j, k, got.OK[k], want[i].OK[k])
+			}
+			g, w := got.Row(k), want[i].Row(k)
+			for slot := range w {
+				if math.Float64bits(float64(g[slot])) != math.Float64bits(float64(w[slot])) {
+					return fmt.Sprintf("job %+v tick %d slot %d: %v, want %v", j, k, slot, g[slot], w[slot])
+				}
+			}
+		}
+		return ""
+	}
+	const workers, rounds = 8, 6
+	var wg sync.WaitGroup
+	failures := make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if msg := check((w*rounds + r) % len(jobs)); msg != "" {
+					failures <- msg
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(failures)
+	for msg := range failures {
+		t.Error(msg)
+	}
+}

@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"math"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -66,8 +65,8 @@ type runCache struct {
 
 	evalByteLimit int64
 	evalBytes     int64
-	evals         map[string]*evalEntry
-	evalOrder     []string
+	evals         map[evalSum]*evalEntry
+	evalOrder     []evalSum
 
 	hits      uint64
 	misses    uint64
@@ -102,7 +101,7 @@ func newRunCache(limit int, byteLimit int64) *runCache {
 		byteLimit:     byteLimit,
 		summaries:     map[string]*summaryEntry{},
 		evalByteLimit: DefaultEvalMemoBytes,
-		evals:         map[string]*evalEntry{},
+		evals:         map[evalSum]*evalEntry{},
 	}
 }
 
@@ -210,7 +209,7 @@ func (c *runCache) dropLocked() {
 	for _, e := range c.evals {
 		e.evicted = true
 	}
-	c.evals = map[string]*evalEntry{}
+	c.evals = map[evalSum]*evalEntry{}
 	c.evalOrder = nil
 	c.evalBytes = 0
 }
@@ -433,9 +432,17 @@ func keyI(b []byte, v int64) []byte   { return strconv.AppendInt(b, v, 10) }
 // machine calibration and performance settings (seed included), the full
 // process list (workload definition included), and the duration. Process
 // order is normalised away — the simulator schedules in ID order, so
-// permutations produce identical runs.
+// permutations produce identical runs. The summary tier and DiskCache key
+// by this exact string; the evaluation-digest tier hashes the same bytes
+// (appendRunKey) into a fixed-size digest.
 func runKey(cfg machine.Config, procs []machine.Proc, maxDur time.Duration) string {
-	b := make([]byte, 0, 512)
+	return string(appendRunKey(make([]byte, 0, 512), cfg, procs, maxDur))
+}
+
+// appendRunKey appends runKey's encoding to b. Besides the growth of b, the
+// only allocation is the residual curve's Points copy (and an order buffer
+// for rosters wider than keyStackProcs).
+func appendRunKey(b []byte, cfg machine.Config, procs []machine.Proc, maxDur time.Duration) []byte {
 	spec := cfg.Spec
 	b = append(b, "spec:"...)
 	b = append(b, spec.Name...)
@@ -483,9 +490,20 @@ func runKey(cfg machine.Config, procs []machine.Proc, maxDur time.Duration) stri
 	b = append(b, "|dur:"...)
 	b = keyI(b, int64(maxDur))
 
-	ordered := append([]machine.Proc(nil), procs...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
-	for _, p := range ordered {
+	// Index insertion sort into ID order: rosters are small, and the
+	// machine rejects duplicate IDs, so the order is unambiguous.
+	var stack [keyStackProcs]int
+	order := stack[:0]
+	for i := range procs {
+		j := len(order)
+		order = append(order, i)
+		for ; j > 0 && procs[order[j-1]].ID > procs[i].ID; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = i
+	}
+	for _, i := range order {
+		p := &procs[i]
 		b = append(b, "|proc:"...)
 		b = append(b, p.ID...)
 		b = append(b, "|thr:"...)
@@ -508,8 +526,12 @@ func runKey(cfg machine.Config, procs []machine.Proc, maxDur time.Duration) stri
 		b = append(b, '|')
 		b = workloadKey(b, p.Workload)
 	}
-	return string(b)
+	return b
 }
+
+// keyStackProcs is the roster width appendRunKey orders without a heap
+// buffer; wider traffic rosters spill to one allocation.
+const keyStackProcs = 32
 
 // workloadKey fingerprints a workload definition. Two workloads sharing a
 // name but differing in calibration or script must not collide.
@@ -525,12 +547,8 @@ func workloadKey(b []byte, w workload.Workload) []byte {
 	b = append(b, '/')
 	b = keyF(b, w.Mix.BranchesPerKiloInstr)
 	b = append(b, "|cost:"...)
-	names := make([]string, 0, len(w.Cost))
-	for n := range w.Cost {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	var stack [8]string
+	for _, n := range sortedKeys(stack[:0], w.Cost) {
 		b = append(b, n...)
 		b = append(b, '=')
 		b = keyF(b, float64(w.Cost[n]))
@@ -550,4 +568,19 @@ func workloadKey(b []byte, w workload.Workload) []byte {
 		b = append(b, ';')
 	}
 	return b
+}
+
+// sortedKeys appends m's keys to buf in ascending order. An insertion sort
+// suffices for the small maps keys are built from, and a stack-backed buf
+// keeps it allocation-free.
+func sortedKeys[V any](buf []string, m map[string]V) []string {
+	for k := range m {
+		j := len(buf)
+		buf = append(buf, k)
+		for ; j > 0 && buf[j-1] > k; j-- {
+			buf[j] = buf[j-1]
+		}
+		buf[j] = k
+	}
+	return buf
 }

@@ -2,7 +2,8 @@ package protocol
 
 import (
 	"context"
-	"sort"
+	"crypto/sha256"
+	"sync"
 
 	"powerdiv/internal/division"
 	"powerdiv/internal/machine"
@@ -30,12 +31,27 @@ import (
 // factory with an empty fingerprint disables the tier for that scenario
 // rather than risking a collision between differently-configured models
 // sharing a name.
+//
+// The tier keys by the SHA-256 of the canonical encoding (evalKey), not by
+// the encoding itself. The encoding is ~1.8 kB per scenario — mostly the
+// machine spec and F2's per-app fingerprint, constant within a campaign —
+// and a cold campaign builds one per scenario only to miss on it, then
+// keeps it alive as the table key. A 32-byte digest makes a miss cheap and
+// an entry small. Equal digests of different encodings would need a
+// SHA-256 collision, and the digest only ever addresses this one
+// in-memory tier, so exactness of the stored rows rests on collision
+// resistance rather than on string equality; nothing persistent is keyed
+// by it. The summary tier and DiskCache keep the exact runKey string.
 
 // DefaultEvalMemoBytes caps the evaluation-digest tier's estimated
 // footprint. Digests are ~100 bytes per factory plus the key, so the
 // default holds every scenario×factory combination of any campaign in this
 // repository many times over.
 const DefaultEvalMemoBytes int64 = 32 << 20
+
+// evalSum is the evaluation-digest tier's key: the SHA-256 of evalKey's
+// canonical encoding.
+type evalSum [sha256.Size]byte
 
 // evalEntry is one memoized scenario evaluation with the singleflight shape
 // of the other tiers. Unlike them it never stores errors: a failed or
@@ -74,9 +90,9 @@ type evalRow struct {
 }
 
 // estimatedBytes is the digest's ledger charge: slice payloads plus a fixed
-// per-entry overhead for the table cell and key.
-func (d *evalDigest) estimatedBytes(keyLen int) int64 {
-	n := int64(keyLen) + 128
+// per-entry overhead for the table cell and the 32-byte key.
+func (d *evalDigest) estimatedBytes() int64 {
+	n := int64(sha256.Size) + 128
 	for _, f := range d.perFactory {
 		n += int64(len(f.estShare))*8 + int64(len(f.rows))*16 + 64
 	}
@@ -108,7 +124,7 @@ func digestOf(rows [][]Evaluation, rosterIDs []string) *evalDigest {
 // fresh per call, and the ratio point is recomputed from the same pure
 // function over the same inputs scoring used, so the result is
 // bit-identical to a cold evaluation.
-func (d *evalDigest) materialize(s Scenario, fs []models.Factory, truths []division.Shares, rosterIDs []string) [][]Evaluation {
+func (d *evalDigest) materialize(s Scenario, label string, fs []models.Factory, truths []division.Shares, rosterIDs []string) [][]Evaluation {
 	out := make([][]Evaluation, len(d.perFactory))
 	for m, fd := range d.perFactory {
 		estShare := division.Shares{}
@@ -132,7 +148,7 @@ func (d *evalDigest) materialize(s Scenario, fs []models.Factory, truths []divis
 				ev.Point = division.RatioPoint{
 					X:     division.RatioPercent(truths[i][id0], truths[i][id1]),
 					Y:     division.RatioPercent(estShare[id0], estShare[id1]),
-					Label: s.Label(),
+					Label: label,
 				}
 			}
 			evs[i] = ev
@@ -143,19 +159,21 @@ func (d *evalDigest) materialize(s Scenario, fs []models.Factory, truths []divis
 }
 
 // evalKey fingerprints everything a scenario evaluation depends on: the
-// exact simulated run (runKey over the derived pair config), the campaign
-// seed (model seeds derive from it), the stable-window setting, the ordered
-// factory configurations, and the truth shares. ok is false — and the tier
-// is bypassed — when any factory lacks a fingerprint.
-func evalKey(ctx Context, cfg machine.Config, procs []machine.Proc, fs []models.Factory, truths []division.Shares) (string, bool) {
+// exact simulated run (runKey's encoding of the derived pair config), the
+// campaign seed (model seeds derive from it), the stable-window setting,
+// the ordered factory configurations, and the truth shares. The encoding
+// is built in a pooled buffer and returned as its SHA-256, so a lookup
+// allocates nothing beyond the residual curve's Points copy. ok is false —
+// and the tier is bypassed — when any factory lacks a fingerprint.
+func evalKey(ctx Context, cfg machine.Config, procs []machine.Proc, fs []models.Factory, truths []division.Shares) (evalSum, bool) {
 	for _, f := range fs {
 		if f.Fingerprint == "" {
-			return "", false
+			return evalSum{}, false
 		}
 	}
-	b := make([]byte, 0, 1024)
-	b = append(b, "eval1|"...)
-	b = append(b, runKey(cfg, procs, ctx.RunFor)...)
+	bp := evalKeyBufs.Get().(*[]byte)
+	b := append((*bp)[:0], "eval1|"...)
+	b = appendRunKey(b, cfg, procs, ctx.RunFor)
 	b = append(b, "|cseed:"...)
 	b = keyI(b, ctx.Seed)
 	b = append(b, "|sw:"...)
@@ -168,20 +186,25 @@ func evalKey(ctx Context, cfg machine.Config, procs []machine.Proc, fs []models.
 	}
 	for _, truth := range truths {
 		b = append(b, "|truth:"...)
-		ids := make([]string, 0, len(truth))
-		for id := range truth {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
+		var stack [keyStackProcs]string
+		for _, id := range sortedKeys(stack[:0], truth) {
 			b = append(b, id...)
 			b = append(b, '=')
 			b = keyF(b, truth[id])
 			b = append(b, ';')
 		}
 	}
-	return string(b), true
+	sum := evalSum(sha256.Sum256(b))
+	*bp = b
+	evalKeyBufs.Put(bp)
+	return sum, true
 }
+
+// evalKeyBufs recycles evalKey's encoding buffers across scenarios.
+var evalKeyBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 2048)
+	return &b
+}}
 
 // evictEvalsLocked enforces the digest tier's byte cap, oldest first, with
 // the same still-computing accounting as the summary tier.
@@ -202,7 +225,7 @@ func (c *runCache) evictEvalsLocked() {
 }
 
 // removeEvalLocked detaches a failed entry so later lookups recompute.
-func (c *runCache) removeEvalLocked(key string, e *evalEntry) {
+func (c *runCache) removeEvalLocked(key evalSum, e *evalEntry) {
 	if cur, ok := c.evals[key]; ok && cur == e {
 		delete(c.evals, key)
 		for i, k := range c.evalOrder {
@@ -225,22 +248,13 @@ func evaluateScenarioCached(cctx context.Context, ctx Context, s Scenario, fs []
 	c.mu.Lock()
 	enabled := c.enabled
 	c.mu.Unlock()
+	run := newPairRun(ctx, s)
 	if !enabled {
-		return evaluateScenarioStreaming(cctx, ctx, s, fs, truths)
+		return evaluateScenarioStreaming(cctx, ctx, s, run, fs, truths)
 	}
-
-	cfg := ctx.Machine
-	cfg.Seed = deriveSeed(ctx.Seed, "pair", s.Label())
-	procs := make([]machine.Proc, len(s.Apps))
-	ids := make([]string, len(s.Apps))
-	for i, a := range s.Apps {
-		procs[i] = a.proc()
-		ids[i] = a.ID
-	}
-	sort.Strings(ids)
-	key, ok := evalKey(ctx, cfg, procs, fs, truths)
+	key, ok := evalKey(ctx, run.cfg, run.procs, fs, truths)
 	if !ok {
-		return evaluateScenarioStreaming(cctx, ctx, s, fs, truths)
+		return evaluateScenarioStreaming(cctx, ctx, s, run, fs, truths)
 	}
 
 	c.mu.Lock()
@@ -254,9 +268,9 @@ func evaluateScenarioCached(cctx context.Context, ctx Context, s Scenario, fs []
 			// The compute we waited on failed (possibly another job's
 			// cancellation); evaluate independently rather than inheriting
 			// its error.
-			return evaluateScenarioStreaming(cctx, ctx, s, fs, truths)
+			return evaluateScenarioStreaming(cctx, ctx, s, run, fs, truths)
 		}
-		return e.d.materialize(s, fs, truths, ids), nil
+		return e.d.materialize(s, run.label, fs, truths, run.roster.IDs()), nil
 	}
 	e := &evalEntry{done: make(chan struct{})}
 	c.evals[key] = e
@@ -265,15 +279,15 @@ func evaluateScenarioCached(cctx context.Context, ctx Context, s Scenario, fs []
 	obsCacheMisses.Inc()
 	c.mu.Unlock()
 
-	rows, err := evaluateScenarioStreaming(cctx, ctx, s, fs, truths)
+	rows, err := evaluateScenarioStreaming(cctx, ctx, s, run, fs, truths)
 	c.mu.Lock()
 	if err != nil {
 		e.err = err
 		c.removeEvalLocked(key, e)
 	} else {
-		e.d = digestOf(rows, ids)
+		e.d = digestOf(rows, run.roster.IDs())
 		if !e.evicted {
-			e.size = e.d.estimatedBytes(len(key))
+			e.size = e.d.estimatedBytes()
 			e.sized = true
 			c.evalBytes += e.size
 			c.evictEvalsLocked()

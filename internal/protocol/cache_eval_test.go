@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"maps"
 	"testing"
 
 	"powerdiv/internal/cpumodel"
@@ -103,45 +104,72 @@ func TestEvalDigestBypassWithoutFingerprint(t *testing.T) {
 }
 
 // TestEvalKeySeparatesConfigurations pins the key itself: equal inputs
-// collide, while changing the campaign seed, a factory fingerprint, a
-// factory name, or a truth share must separate keys — and any factory
-// without a fingerprint disables the tier.
+// collide, as do permutations of the process list, while changing the
+// campaign seed, the derived config seed, the run duration, a workload's
+// cost table, a factory fingerprint, a factory name, or a truth share must
+// separate keys — and any factory without a fingerprint disables the tier.
 func TestEvalKeySeparatesConfigurations(t *testing.T) {
 	ctx := goldenContext(cpumodel.SmallIntel(), false)
 	app, err := StressApp("fibonacci", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	other, err := StressApp("matrixprod", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := ctx.Machine
-	procs := []machine.Proc{app.proc()}
+	procs := []machine.Proc{app.proc(), other.proc()}
 	fs := []models.Factory{{Name: "m", Fingerprint: "m/v1"}}
 	truths := []division.Shares{{"a": 0.5, "b": 0.5}}
 
 	base, ok := evalKey(ctx, cfg, procs, fs, truths)
-	if !ok || base == "" {
+	if !ok || base == (evalSum{}) {
 		t.Fatal("base key not built")
 	}
 	if again, _ := evalKey(ctx, cfg, procs, fs, truths); again != base {
 		t.Fatal("equal inputs produced different keys")
 	}
-	variants := map[string]func() (string, bool){
-		"seed": func() (string, bool) {
+	swapped := []machine.Proc{procs[1], procs[0]}
+	if perm, _ := evalKey(ctx, cfg, swapped, fs, truths); perm != base {
+		t.Fatal("permuted process list produced a different key")
+	}
+	variants := map[string]func() (evalSum, bool){
+		"seed": func() (evalSum, bool) {
 			c2 := ctx
 			c2.Seed++
 			return evalKey(c2, cfg, procs, fs, truths)
 		},
-		"stable-window": func() (string, bool) {
+		"config-seed": func() (evalSum, bool) {
+			c2 := cfg
+			c2.Seed = deriveSeed(ctx.Seed, "pair", "other")
+			return evalKey(ctx, c2, procs, fs, truths)
+		},
+		"run-for": func() (evalSum, bool) {
+			c2 := ctx
+			c2.RunFor += ctx.Machine.TickInterval()
+			return evalKey(c2, cfg, procs, fs, truths)
+		},
+		"workload-cost": func() (evalSum, bool) {
+			p := app.proc()
+			p.Workload.Cost = maps.Clone(p.Workload.Cost)
+			for name, w := range p.Workload.Cost {
+				p.Workload.Cost[name] = w + 1
+			}
+			return evalKey(ctx, cfg, []machine.Proc{p, other.proc()}, fs, truths)
+		},
+		"stable-window": func() (evalSum, bool) {
 			c2 := ctx
 			c2.StableWindow *= 2
 			return evalKey(c2, cfg, procs, fs, truths)
 		},
-		"fingerprint": func() (string, bool) {
+		"fingerprint": func() (evalSum, bool) {
 			return evalKey(ctx, cfg, procs, []models.Factory{{Name: "m", Fingerprint: "m/v2"}}, truths)
 		},
-		"factory-name": func() (string, bool) {
+		"factory-name": func() (evalSum, bool) {
 			return evalKey(ctx, cfg, procs, []models.Factory{{Name: "n", Fingerprint: "m/v1"}}, truths)
 		},
-		"truth-share": func() (string, bool) {
+		"truth-share": func() (evalSum, bool) {
 			return evalKey(ctx, cfg, procs, fs, []division.Shares{{"a": 0.25, "b": 0.75}})
 		},
 	}
@@ -156,5 +184,31 @@ func TestEvalKeySeparatesConfigurations(t *testing.T) {
 	}
 	if _, ok := evalKey(ctx, cfg, procs, []models.Factory{{Name: "m"}}, truths); ok {
 		t.Fatal("fingerprint-less factory did not disable the tier")
+	}
+}
+
+// TestEvalKeyAllocs pins the cost of a lookup key: the encoding goes
+// through a pooled buffer and comes back as a fixed-size digest, so the
+// only allocation left is the residual curve's Points copy.
+func TestEvalKeyAllocs(t *testing.T) {
+	ctx := goldenContext(cpumodel.SmallIntel(), false)
+	a, err := StressApp("fibonacci", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := StressApp("matrixprod", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs := []machine.Proc{b.proc(), a.proc()}
+	fs := goldenFactories(nil, ctx.Machine.Spec)
+	truths := []division.Shares{{a.ID: 0.25, b.ID: 0.75}, {a.ID: 0.5, b.ID: 0.5}}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := evalKey(ctx, ctx.Machine, procs, fs, truths); !ok {
+			t.Fatal("key not built")
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("evalKey allocated %v times per call, want <= 1", allocs)
 	}
 }

@@ -216,10 +216,10 @@ func putScoreScratch(s *scoreScratch) { scoreScratchPool.Put(s) }
 // estimate slab, and the truths are projected onto the roster once per
 // objective. Slot order is sorted-ID order, so every floating-point
 // accumulation matches the map pipeline bit for bit (the map-reference
-// test pins this).
-func scoreEstimatesWindow(ctx Context, s Scenario, ts tickSeries, modelName string, est *models.DenseEstimates, truths []division.Shares, scr *scoreScratch, from, to time.Duration) ([]Evaluation, error) {
+// test pins this). label is s.Label(), formatted once by the caller.
+func scoreEstimatesWindow(ctx Context, s Scenario, label string, ts tickSeries, modelName string, est *models.DenseEstimates, truths []division.Shares, scr *scoreScratch, from, to time.Duration) ([]Evaluation, error) {
 	if to <= from {
-		return nil, fmt.Errorf("protocol: scenario %q: model %s produced no estimates", s.Label(), modelName)
+		return nil, fmt.Errorf("protocol: scenario %q: model %s produced no estimates", label, modelName)
 	}
 	rosterIDs := est.Roster.IDs()
 	scoredEsts := scr.scoredEsts[:0]
@@ -257,7 +257,7 @@ func scoreEstimatesWindow(ctx Context, s Scenario, ts tickSeries, modelName stri
 		tv := truth.VectorInto(scr.truthVec, rosterIDs)
 		ae, err := division.AbsoluteErrorColumnsConst(scoredEsts, scoredPower, tv)
 		if err != nil {
-			return nil, fmt.Errorf("protocol: scenario %q: %w", s.Label(), err)
+			return nil, fmt.Errorf("protocol: scenario %q: %w", label, err)
 		}
 		ev.AE = ae
 		ev.ScoredTicks = len(scoredEsts)
@@ -266,7 +266,7 @@ func scoreEstimatesWindow(ctx Context, s Scenario, ts tickSeries, modelName stri
 			ev.Point = division.RatioPoint{
 				X:     division.RatioPercent(truth[id0], truth[id1]),
 				Y:     division.RatioPercent(estShare[id0], estShare[id1]),
-				Label: s.Label(),
+				Label: label,
 			}
 		}
 		out[i] = ev

@@ -3,7 +3,6 @@ package protocol
 import (
 	"fmt"
 	"hash/fnv"
-	"io"
 	"time"
 
 	"powerdiv/internal/machine"
@@ -38,15 +37,17 @@ const (
 func CampaignFingerprint(ctx Context, scenarios []Scenario, kind CampaignKind, runFor time.Duration) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "kind:%s|stable:%d|n:%d", kind, int64(ctx.StableWindow), len(scenarios))
+	var key []byte
+	var procs []machine.Proc
 	for _, s := range scenarios {
 		cfg := ctx.Machine
 		cfg.Seed = deriveSeed(ctx.Seed, string(kind), s.Label())
-		procs := make([]machine.Proc, len(s.Apps))
-		for i, a := range s.Apps {
-			procs[i] = a.proc()
+		procs = procs[:0]
+		for _, a := range s.Apps {
+			procs = append(procs, a.proc())
 		}
-		h.Write([]byte{0})
-		io.WriteString(h, runKey(cfg, procs, runFor))
+		key = appendRunKey(append(key[:0], 0), cfg, procs, runFor)
+		h.Write(key)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }

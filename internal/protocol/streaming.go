@@ -28,6 +28,30 @@ import (
 // and the map-reference test pins the columnar scoring against the
 // original per-tick map pipeline.
 
+// pairRun is one pair scenario's phase 2 inputs, derived once per scenario
+// and shared by the digest key and the evaluation: the label seeds and
+// messages name the scenario by, the machine config under the derived
+// pair seed, the simulator processes, and the roster — the sorted app-ID
+// order, exactly the slot order the simulator streams its columns in.
+type pairRun struct {
+	label  string
+	cfg    machine.Config
+	procs  []machine.Proc
+	roster *machine.Roster
+}
+
+func newPairRun(ctx Context, s Scenario) pairRun {
+	r := pairRun{label: s.Label(), cfg: ctx.Machine, procs: make([]machine.Proc, len(s.Apps))}
+	r.cfg.Seed = deriveSeed(ctx.Seed, "pair", r.label)
+	ids := make([]string, len(s.Apps))
+	for i, a := range s.Apps {
+		r.procs[i] = a.proc()
+		ids[i] = a.ID
+	}
+	r.roster = machine.NewRoster(ids)
+	return r
+}
+
 // evaluateScenarioStreaming runs phases 2–3 for one scenario in a single
 // simulator pass, scoring every factory: the scenario is simulated exactly
 // once and all models observe the stream tick by tick. The result is
@@ -45,21 +69,11 @@ import (
 // the scenario — the error unwraps to cctx's cause via errors.Is.
 // Cancellation only ever aborts; it cannot perturb the float accumulation
 // order of a run that completes.
-func evaluateScenarioStreaming(cctx context.Context, ctx Context, s Scenario, fs []models.Factory, truths []division.Shares) ([][]Evaluation, error) {
-	cfg := ctx.Machine
-	cfg.Seed = deriveSeed(ctx.Seed, "pair", s.Label())
-	procs := make([]machine.Proc, len(s.Apps))
-	ids := make([]string, len(s.Apps))
-	for i, a := range s.Apps {
-		procs[i] = a.proc()
-		ids[i] = a.ID
-	}
-	// The roster is the sorted app-ID order — exactly the slot order the
-	// simulator streams its columns in.
-	roster := machine.NewRoster(ids)
+func evaluateScenarioStreaming(cctx context.Context, ctx Context, s Scenario, run pairRun, fs []models.Factory, truths []division.Shares) ([][]Evaluation, error) {
+	cfg, roster := run.cfg, run.roster
 	ms := make([]models.Model, len(fs))
 	for m, f := range fs {
-		ms[m] = f.New(deriveSeed(ctx.Seed, "model", f.Name, s.Label()))
+		ms[m] = f.New(deriveSeed(ctx.Seed, "model", f.Name, run.label))
 	}
 	tick := cfg.TickInterval()
 	maxTicks := int(ctx.RunFor/tick) + 1
@@ -81,7 +95,7 @@ func evaluateScenarioStreaming(cctx context.Context, ctx Context, s Scenario, fs
 		Roster:      roster,
 		Samples:     scratch,
 	}}
-	_, err := machine.StreamSegments(cfg, procs, ctx.RunFor, func(seg *machine.Segment) error {
+	_, err := machine.StreamSegments(cfg, run.procs, ctx.RunFor, func(seg *machine.Segment) error {
 		rec := seg.Rec
 		for slot := range scratch {
 			pt := rec.Procs[slot]
@@ -108,7 +122,7 @@ func evaluateScenarioStreaming(cctx context.Context, ctx Context, s Scenario, fs
 	})
 	scr.at, scr.power = ts.at, ts.power
 	if err != nil {
-		return nil, fmt.Errorf("protocol: scenario %q: %w", s.Label(), err)
+		return nil, fmt.Errorf("protocol: scenario %q: %w", run.label, err)
 	}
 	out := make([][]Evaluation, len(fs))
 	// The scoring window depends on the model only through its OK vector,
@@ -118,7 +132,7 @@ func evaluateScenarioStreaming(cctx context.Context, ctx Context, s Scenario, fs
 	for m, f := range fs {
 		est := replay.Estimates(m)
 		from, to := windowFor(ctx, ts, est.OK, scr, &windows)
-		evs, err := scoreEstimatesWindow(ctx, s, ts, f.Name, est, truths, scr, from, to)
+		evs, err := scoreEstimatesWindow(ctx, s, run.label, ts, f.Name, est, truths, scr, from, to)
 		if err != nil {
 			return nil, err
 		}
@@ -149,14 +163,10 @@ func EvaluateScenarioRepsStreaming(cctx context.Context, ctx Context, s Scenario
 	if len(seeds) == 0 {
 		return nil, nil
 	}
-	cfg := ctx.Machine
-	procs := make([]machine.Proc, len(s.Apps))
-	ids := make([]string, len(s.Apps))
-	for i, a := range s.Apps {
-		procs[i] = a.proc()
-		ids[i] = a.ID
-	}
-	roster := machine.NewRoster(ids)
+	// The batch overlays each repetition's own noise seed, so the config
+	// keeps the context's seed rather than the pair-derived one.
+	run := newPairRun(ctx, s)
+	cfg, label, roster := ctx.Machine, run.label, run.roster
 	tick := cfg.TickInterval()
 	maxTicks := int(ctx.RunFor/tick) + 1
 	if maxTicks < 0 {
@@ -168,10 +178,10 @@ func EvaluateScenarioRepsStreaming(cctx context.Context, ctx Context, s Scenario
 	replays := make([]*models.StreamReplay, len(seeds))
 	series := make([]tickSeries, len(seeds))
 	for r, seed := range seeds {
-		noiseSeeds[r] = deriveSeed(seed, "pair", s.Label())
+		noiseSeeds[r] = deriveSeed(seed, "pair", label)
 		ms := make([]models.Model, len(fs))
 		for m, f := range fs {
-			ms[m] = f.New(deriveSeed(seed, "model", f.Name, s.Label()))
+			ms[m] = f.New(deriveSeed(seed, "model", f.Name, label))
 		}
 		replays[r] = models.NewStreamReplay(roster, ms, maxTicks)
 		series[r] = tickSeries{
@@ -195,7 +205,7 @@ func EvaluateScenarioRepsStreaming(cctx context.Context, ctx Context, s Scenario
 		Roster:      roster,
 		Samples:     scratch,
 	}}
-	_, err := machine.StreamBatchSegments(cfg, procs, ctx.RunFor, noiseSeeds, func(rep int, seg *machine.Segment) error {
+	_, err := machine.StreamBatchSegments(cfg, run.procs, ctx.RunFor, noiseSeeds, func(rep int, seg *machine.Segment) error {
 		rec := seg.Rec
 		if rep == 0 {
 			for slot := range scratch {
@@ -225,7 +235,7 @@ func EvaluateScenarioRepsStreaming(cctx context.Context, ctx Context, s Scenario
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("protocol: scenario %q: %w", s.Label(), err)
+		return nil, fmt.Errorf("protocol: scenario %q: %w", label, err)
 	}
 
 	out := make([][][]Evaluation, len(seeds))
@@ -239,7 +249,7 @@ func EvaluateScenarioRepsStreaming(cctx context.Context, ctx Context, s Scenario
 		for m, f := range fs {
 			est := replays[r].Estimates(m)
 			from, to := windowFor(repCtx, series[r], est.OK, scr, &windows)
-			evs, err := scoreEstimatesWindow(repCtx, s, series[r], f.Name, est, truths[r], scr, from, to)
+			evs, err := scoreEstimatesWindow(repCtx, s, label, series[r], f.Name, est, truths[r], scr, from, to)
 			if err != nil {
 				return nil, err
 			}

@@ -69,7 +69,7 @@ func TestRepsStreamingMatchesUnbatched(t *testing.T) {
 			for r, seed := range seeds {
 				repCtx := ctx
 				repCtx.Seed = seed
-				want, err := evaluateScenarioStreaming(context.Background(), repCtx, s, fs, truths[r])
+				want, err := evaluateScenarioStreaming(context.Background(), repCtx, s, newPairRun(repCtx, s), fs, truths[r])
 				if err != nil {
 					t.Fatal(err)
 				}
