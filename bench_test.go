@@ -786,9 +786,16 @@ func benchPairRun(b *testing.B) *machine.Run {
 func BenchmarkSimulatorTick(b *testing.B) {
 	w, _ := workload.StressByName("float64")
 	cfg := experiments.LabConfig(cpumodel.Dahu(), benchSeed)
+	procs := []machine.Proc{{ID: "p", Workload: w, Threads: 32}}
+	// One untimed run fills the simulator's scratch pools, so a
+	// one-iteration run (the bench-diff smoke) measures the same
+	// steady-state per-run cost as the committed multi-iteration baseline.
+	if _, err := machine.Simulate(cfg, procs, time.Second); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := machine.Simulate(cfg, []machine.Proc{{ID: "p", Workload: w, Threads: 32}}, time.Second); err != nil {
+		if _, err := machine.Simulate(cfg, procs, time.Second); err != nil {
 			b.Fatal(err)
 		}
 	}

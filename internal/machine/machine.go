@@ -279,10 +279,11 @@ type procDemand struct {
 	unpinned int
 }
 
-// tickScratch holds the per-tick working buffers that Simulate reuses
-// across ticks, so the hot loop only allocates what escapes into the
-// TickRecord. Each Simulate call owns its own scratch; nothing here is
-// shared between runs.
+// tickScratch holds the per-tick working buffers that a run reuses across
+// ticks, so the hot loop only allocates what escapes into the TickRecord.
+// A scratch serves one run at a time; the segment cursor that owns it is
+// pooled, so its storage passes from run to run, and beginRun refills the
+// per-run state at the start of each.
 type tickScratch struct {
 	demands    []procDemand
 	placements []threadPlacement
@@ -292,7 +293,7 @@ type tickScratch struct {
 	perCore    []units.Watts
 	// costOn caches float64(Workload.CostOn(spec)) per roster slot — the
 	// value is constant for the whole run, and the map lookup behind CostOn
-	// is too hot to repeat every tick. Filled once on the run's first tick.
+	// is too hot to repeat every tick. Filled by beginRun.
 	costOn []float64
 	// synth/synthSet memoise perfcnt.Synthesize per slot within one tick:
 	// every placement of a process shares the same util (hence CPU time)
@@ -310,6 +311,18 @@ type tickScratch struct {
 	// Simulate flushes it to the obs counters once per run, keeping the
 	// tick loop free of atomics.
 	grownTicks uint64
+}
+
+// beginRun readies the scratch for a run of procs on cfg: it refills the
+// per-slot cost cache, sizes the counter memo, and zeroes the growth
+// count. Every other buffer is reset per tick by resetTick.
+func (sc *tickScratch) beginRun(cfg Config, procs []Proc) {
+	sc.costOn = resize(sc.costOn, len(procs))
+	for i := range procs {
+		sc.costOn[i] = float64(procs[i].Workload.CostOn(cfg.Spec.Name))
+	}
+	sc.synth = resize(sc.synth, len(procs))
+	sc.grownTicks = 0
 }
 
 // resetTick readies the buffers for one step on nCPU logical CPUs and phys
@@ -356,13 +369,6 @@ func resetBools(b []bool, n int) []bool {
 // last process in ID order.
 func stepTick(cfg Config, procs []Proc, t, tick time.Duration, phys, nCPU int, ends []time.Duration, sc *tickScratch, col []ProcTick, rec *TickRecord) (bool, error) {
 	sc.resetTick(nCPU, phys)
-	if sc.costOn == nil {
-		sc.costOn = make([]float64, len(procs))
-		for i := range procs {
-			sc.costOn[i] = float64(procs[i].Workload.CostOn(cfg.Spec.Name))
-		}
-		sc.synth = make([]perfcnt.Counters, len(procs))
-	}
 	sc.synthSet = resetBools(sc.synthSet, len(procs))
 
 	// Gather each running process's demand for this tick. procs is in

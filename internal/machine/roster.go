@@ -3,7 +3,7 @@ package machine
 import "sort"
 
 // Roster is the stable process index of one run: the scenario's process IDs
-// in sorted order, with an ID→slot lookup built once. Every dense per-tick
+// in sorted order; Slot finds an ID by binary search. Every dense per-tick
 // column in the run (TickRecord.Procs, the models package's sample and
 // estimate columns) is indexed by roster slot, so the hot loops index
 // slices instead of hashing strings into per-tick maps.
@@ -12,8 +12,7 @@ import "sort"
 // goroutines; the memoization cache shares one roster among every consumer
 // of a cached run.
 type Roster struct {
-	ids   []string
-	index map[string]int
+	ids []string
 }
 
 // NewRoster builds a roster from a set of process IDs. The IDs are copied
@@ -27,12 +26,12 @@ func NewRoster(ids []string) *Roster {
 			out = append(out, id)
 		}
 	}
-	r := &Roster{ids: out, index: make(map[string]int, len(out))}
-	for i, id := range out {
-		r.index[id] = i
-	}
-	return r
+	return newSortedRoster(out)
 }
+
+// newSortedRoster builds a roster over ids, which must already be sorted
+// and duplicate-free; the roster takes ownership of the slice.
+func newSortedRoster(ids []string) *Roster { return &Roster{ids: ids} }
 
 // Len returns the number of roster slots.
 func (r *Roster) Len() int {
@@ -59,6 +58,8 @@ func (r *Roster) Slot(id string) (int, bool) {
 	if r == nil {
 		return 0, false
 	}
-	i, ok := r.index[id]
-	return i, ok
+	if i := sort.SearchStrings(r.ids, id); i < len(r.ids) && r.ids[i] == id {
+		return i, true
+	}
+	return 0, false
 }

@@ -156,29 +156,63 @@ type segCursor struct {
 	ends     []time.Duration
 	segments uint64
 	done     bool
+	// cpsBuf/boundsBuf are changePointTicks' buffers, kept across runs.
+	cpsBuf    []int64
+	boundsBuf []time.Duration
 }
+
+// segCursors recycles cursors across runs: a campaign streams one run per
+// scenario, and a cursor's scratch (placements, demands, per-CPU loads,
+// the ProcTick column, change-points) would otherwise be rebuilt for every
+// one. newSegCursor resets every per-run field and tickScratch.beginRun
+// refills the per-run caches, so a recycled cursor computes exactly what a
+// fresh one does. It is a pointer so a test can compare against cursors
+// from an empty pool.
+var segCursors = &sync.Pool{New: func() any { return new(segCursor) }}
 
 func newSegCursor(cfg Config, ordered []Proc, maxDur time.Duration) *segCursor {
 	tick := cfg.tick()
-	c := &segCursor{
-		cfg:        cfg,
-		ordered:    ordered,
-		tick:       tick,
-		phys:       cfg.Spec.Topology.PhysicalCores(),
-		nCPU:       cfg.schedulableCPUs(),
-		totalTicks: (int64(maxDur) + int64(tick) - 1) / int64(tick),
-		col:        make([]ProcTick, len(ordered)),
-		ends:       make([]time.Duration, len(ordered)),
-	}
+	c := segCursors.Get().(*segCursor)
+	c.cfg, c.ordered, c.tick = cfg, ordered, tick
+	c.phys = cfg.Spec.Topology.PhysicalCores()
+	c.nCPU = cfg.schedulableCPUs()
+	c.totalTicks = (int64(maxDur) + int64(tick) - 1) / int64(tick)
+	c.j, c.k, c.segments, c.done = 0, 0, 0, false
+	c.sc.beginRun(cfg, ordered)
+	c.col = resize(c.col, len(ordered))
+	c.ends = resize(c.ends, len(ordered))
 	for i := range c.ends {
 		c.ends[i] = endUnset
 	}
+	c.cps = nil
 	if !perTick.Load() {
-		if cps, _, ok := changePointTicks(ordered, tick, maxDur, c.totalTicks, nil, nil); ok {
+		cps, bounds, ok := changePointTicks(ordered, tick, maxDur, c.totalTicks, c.cpsBuf, c.boundsBuf)
+		c.cpsBuf, c.boundsBuf = cps, bounds
+		if ok {
 			c.cps = cps
 		}
 	}
 	return c
+}
+
+// release hands the cursor back to segCursors once its stream has
+// returned. The caller's process slice and the scratch record are dropped
+// first, so a pooled cursor pins no caller memory and nothing of this run
+// is reachable from it once another run takes it.
+func (c *segCursor) release() {
+	c.ordered = nil
+	c.cfg = Config{}
+	c.rec = TickRecord{}
+	segCursors.Put(c)
+}
+
+// resize returns buf with length n, reusing its storage when it is large
+// enough; the contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // next advances to the following segment. It evaluates stepTick at the
@@ -252,15 +286,6 @@ func (c *segCursor) finish(info *StreamInfo, emitted int64) {
 // single yielded value.
 var segPowers = sync.Pool{New: func() any { return new([]units.Watts) }}
 
-// growPowers returns a power buffer with length n, reusing buf's storage
-// when it is large enough.
-func growPowers(buf []units.Watts, n int64) []units.Watts {
-	if int64(cap(buf)) < n {
-		return make([]units.Watts, n)
-	}
-	return buf[:n]
-}
-
 // StreamSegments runs the scenario like Stream but hands whole segments to
 // yield instead of individual ticks: seg.Rec (breakdown, frequency, dense
 // Procs column) is shared by all seg.Ticks() ticks, and seg.Powers carries
@@ -271,13 +296,15 @@ func growPowers(buf []units.Watts, n int64) []units.Watts {
 // Stream would yield: the same stepTick values are reused and the noise
 // RNG is consumed once per tick in tick order. Like Stream, the record and
 // power buffer are scratch valid only during the yield: the power buffer
-// goes back to a pool when the call returns, on every exit path.
+// and the cursor behind the record go back to their pools when the call
+// returns, on every exit path.
 func StreamSegments(cfg Config, procs []Proc, maxDur time.Duration, yield func(seg *Segment) error) (*StreamInfo, error) {
 	ordered, info, err := streamSetup(cfg, procs, maxDur)
 	if err != nil {
 		return nil, err
 	}
 	cur := newSegCursor(cfg, ordered, maxDur)
+	defer cur.release()
 	noise := newNoiseRNG(cfg.NoiseStddev, cfg.Seed)
 	defer noise.release()
 	buf := segPowers.Get().(*[]units.Watts)
@@ -293,7 +320,7 @@ func StreamSegments(cfg Config, procs []Proc, maxDur time.Duration, yield func(s
 			return nil, err
 		}
 		n := endK - startK
-		seg.Powers = growPowers(seg.Powers, n)
+		seg.Powers = resize(seg.Powers, int(n))
 		base := cur.rec.TruePower
 		for i := int64(0); i < n; i++ {
 			seg.Powers[i] = noise.sample(base)

@@ -105,6 +105,7 @@ func Stream(cfg Config, procs []Proc, maxDur time.Duration, yield func(rec *Tick
 		return nil, err
 	}
 	cur := newSegCursor(cfg, ordered, maxDur)
+	defer cur.release()
 	noise := newNoiseRNG(cfg.NoiseStddev, cfg.Seed)
 	defer noise.release()
 	var emitted int64
@@ -130,7 +131,10 @@ func Stream(cfg Config, procs []Proc, maxDur time.Duration, yield func(rec *Tick
 
 // streamSetup validates a streamed simulation's inputs and builds the
 // shared prologue: the sorted scheduling order and the info skeleton whose
-// roster indexes the yielded columns.
+// roster indexes the yielded columns. Processes that already arrive in
+// strictly ascending ID order — how the protocol hands them over — are
+// scheduled in place, with no copy, no sort and no duplicate-ID map; the
+// stream only reads them.
 func streamSetup(cfg Config, procs []Proc, maxDur time.Duration) ([]Proc, *StreamInfo, error) {
 	if err := cfg.Spec.Validate(); err != nil {
 		return nil, nil, err
@@ -138,26 +142,40 @@ func streamSetup(cfg Config, procs []Proc, maxDur time.Duration) ([]Proc, *Strea
 	if maxDur <= 0 {
 		return nil, nil, fmt.Errorf("machine: non-positive duration %v", maxDur)
 	}
-	ids := map[string]bool{}
-	for _, p := range procs {
+	// While the IDs ascend strictly, no earlier ID can repeat the current
+	// one; the first out-of-order ID switches to a set of every ID seen.
+	var seen map[string]bool
+	for i := range procs {
+		p := &procs[i]
 		if err := p.Validate(cfg); err != nil {
 			return nil, nil, err
 		}
-		if ids[p.ID] {
-			return nil, nil, fmt.Errorf("machine: duplicate process ID %q", p.ID)
+		if seen == nil && i > 0 && procs[i-1].ID >= p.ID {
+			seen = make(map[string]bool, len(procs))
+			for _, q := range procs[:i] {
+				seen[q.ID] = true
+			}
 		}
-		ids[p.ID] = true
+		if seen != nil {
+			if seen[p.ID] {
+				return nil, nil, fmt.Errorf("machine: duplicate process ID %q", p.ID)
+			}
+			seen[p.ID] = true
+		}
 	}
 	// Deterministic scheduling order regardless of caller's slice order.
-	ordered := append([]Proc(nil), procs...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
+	ordered := procs
+	if seen != nil {
+		ordered = append([]Proc(nil), procs...)
+		sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
+	}
 	// The roster's slot order is the sorted scheduling order, so a
 	// process's slot is its index in ordered.
 	rosterIDs := make([]string, len(ordered))
 	for i, p := range ordered {
 		rosterIDs[i] = p.ID
 	}
-	info := &StreamInfo{Config: cfg, Roster: NewRoster(rosterIDs), ProcEnd: map[string]time.Duration{}}
+	info := &StreamInfo{Config: cfg, Roster: newSortedRoster(rosterIDs), ProcEnd: make(map[string]time.Duration, len(ordered))}
 	return ordered, info, nil
 }
 
@@ -184,6 +202,7 @@ func StreamBatch(cfg Config, procs []Proc, maxDur time.Duration, seeds []int64, 
 	}
 	defer releaseAll(noise)
 	cur := newSegCursor(cfg, ordered, maxDur)
+	defer cur.release()
 	var emitted int64
 	for !cur.done {
 		startK, endK, err := cur.next()
@@ -241,6 +260,7 @@ func StreamBatchSegments(cfg Config, procs []Proc, maxDur time.Duration, seeds [
 	}
 	defer releaseAll(noise)
 	cur := newSegCursor(cfg, ordered, maxDur)
+	defer cur.release()
 	seg := Segment{Rec: &cur.rec, Interval: cur.tick}
 	powers := make([][]units.Watts, len(seeds))
 	var emitted int64
@@ -252,7 +272,7 @@ func StreamBatchSegments(cfg Config, procs []Proc, maxDur time.Duration, seeds [
 		n := endK - startK
 		base := cur.rec.TruePower
 		for rep := range seeds {
-			powers[rep] = growPowers(powers[rep], n)
+			powers[rep] = resize(powers[rep], int(n))
 			for i := int64(0); i < n; i++ {
 				powers[rep][i] = noise[rep].sample(base)
 			}

@@ -57,10 +57,12 @@ func DefaultPowerAPIConfig() PowerAPIConfig {
 type PowerAPI struct {
 	cfg PowerAPIConfig
 	// seed defers RNG construction to the first draw: below
-	// ManyCoreThreshold no draw ever happens, so most models never
-	// allocate the source's 4.9 kB register. Laziness cannot shift the
-	// sequence — the source (rng.Source, bit-identical to math/rand's) is
-	// a pure function of the seed.
+	// ManyCoreThreshold no draw ever happens, so most models never touch a
+	// register. Laziness cannot shift the sequence — the source
+	// (rng.Source, bit-identical to math/rand's) is a pure function of the
+	// seed. The register comes from registers and goes back through
+	// release, never at a fit: a churned roster refits and must continue
+	// the same stream.
 	seed int64
 	rng  *rand.Rand
 
@@ -121,12 +123,33 @@ func NewPowerAPI(cfg PowerAPIConfig) Factory {
 // Name returns "powerapi".
 func (m *PowerAPI) Name() string { return "powerapi" }
 
-// rand returns the model's seeded RNG, constructing it on first use.
+// registers recycles PowerAPI's RNG registers across models: a campaign
+// builds a fresh model per scenario, and on a many-core machine each one
+// draws, which would otherwise cost a 4.9 kB register apiece. Re-seeding
+// a used rng.Source in place allocates nothing and yields exactly a fresh
+// source's stream.
+var registers = sync.Pool{New: func() any { return rand.New(new(rng.Source)) }}
+
+// rand returns the model's seeded RNG, taking a register on first use.
 func (m *PowerAPI) rand() *rand.Rand {
 	if m.rng == nil {
-		m.rng = rng.New(m.seed)
+		m.rng = registers.Get().(*rand.Rand)
+		m.rng.Seed(m.seed)
 	}
 	return m.rng
+}
+
+// release hands the register back to registers once the model is done
+// (StreamReplay.Release); the model must not observe afterwards. The
+// model's pointer is cleared before the Put, so the register is never
+// reachable from this model once another can take it.
+func (m *PowerAPI) release() {
+	r := m.rng
+	if r == nil {
+		return
+	}
+	m.rng = nil
+	registers.Put(r)
 }
 
 // learnWindow is a learning window's backing storage. A window is only

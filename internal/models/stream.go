@@ -110,16 +110,26 @@ func NewStreamReplay(roster *machine.Roster, ms []Model, capTicks int) *StreamRe
 	return r
 }
 
-// Release returns the replay's backing store to the pool. The replay and
-// every DenseEstimates it handed out become invalid; call it only after
-// scoring has consumed the estimates. Slabs that outgrew their arena
-// region (a stream longer than capTicks) migrated to their own
-// allocations and are unaffected. Releasing is optional — an unreleased
-// arena is simply garbage-collected.
+// releaser is implemented by models holding pooled state that outlives
+// their calibrations (PowerAPI's RNG register). release ends the model.
+type releaser interface{ release() }
+
+// Release returns the replay's backing store to the pool, and the pooled
+// state of its models to theirs. The replay, its models and every
+// DenseEstimates it handed out become invalid; call it only after scoring
+// has consumed the estimates. Slabs that outgrew their arena region (a
+// stream longer than capTicks) migrated to their own allocations and are
+// unaffected. Releasing is optional — unreleased memory is simply
+// garbage-collected.
 func (r *StreamReplay) Release() {
 	a := r.arena
 	if a == nil {
 		return
+	}
+	for _, m := range r.models {
+		if rm, ok := m.(releaser); ok {
+			rm.release()
+		}
 	}
 	// r.ests aliases the arena's pointer array, so it must be cleared
 	// before the Put: afterwards the arena may already belong to another

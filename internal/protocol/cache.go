@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -433,16 +434,30 @@ func keyI(b []byte, v int64) []byte   { return strconv.AppendInt(b, v, 10) }
 // process list (workload definition included), and the duration. Process
 // order is normalised away — the simulator schedules in ID order, so
 // permutations produce identical runs. The summary tier and DiskCache key
-// by this exact string; the evaluation-digest tier hashes the same bytes
-// (appendRunKey) into a fixed-size digest.
+// by this exact string (TestRunKeyEncodingPinned freezes it); the
+// evaluation-digest tier hashes the same machine and process encodings
+// (appendMachineKey, appendProcKey) in its own layout (campaignPlan.evalKey).
 func runKey(cfg machine.Config, procs []machine.Proc, maxDur time.Duration) string {
 	return string(appendRunKey(make([]byte, 0, 512), cfg, procs, maxDur))
 }
 
-// appendRunKey appends runKey's encoding to b. Besides the growth of b, the
-// only allocation is the residual curve's Points copy (and an order buffer
-// for rosters wider than keyStackProcs).
+// appendRunKey appends runKey's encoding to b: the machine key, the seed
+// and duration, then the process list. Besides the growth of b, the only
+// allocation is the residual curve's Points copy (and an order buffer for
+// rosters wider than keyStackProcs).
 func appendRunKey(b []byte, cfg machine.Config, procs []machine.Proc, maxDur time.Duration) []byte {
+	b = appendMachineKey(b, cfg)
+	b = append(b, "|seed:"...)
+	b = keyI(b, cfg.Seed)
+	b = append(b, "|dur:"...)
+	b = keyI(b, int64(maxDur))
+	return appendProcsKey(b, procs)
+}
+
+// appendMachineKey appends the machine's calibration and performance
+// settings — everything of cfg but its seed, which a campaign derives per
+// scenario.
+func appendMachineKey(b []byte, cfg machine.Config) []byte {
 	spec := cfg.Spec
 	b = append(b, "spec:"...)
 	b = append(b, spec.Name...)
@@ -485,11 +500,11 @@ func appendRunKey(b []byte, cfg machine.Config, procs []machine.Proc, maxDur tim
 	b = keyI(b, int64(cfg.Tick))
 	b = append(b, "|noise:"...)
 	b = keyF(b, float64(cfg.NoiseStddev))
-	b = append(b, "|seed:"...)
-	b = keyI(b, cfg.Seed)
-	b = append(b, "|dur:"...)
-	b = keyI(b, int64(maxDur))
+	return b
+}
 
+// appendProcsKey appends every process's fragment in ID order.
+func appendProcsKey(b []byte, procs []machine.Proc) []byte {
 	// Index insertion sort into ID order: rosters are small, and the
 	// machine rejects duplicate IDs, so the order is unambiguous.
 	var stack [keyStackProcs]int
@@ -503,33 +518,73 @@ func appendRunKey(b []byte, cfg machine.Config, procs []machine.Proc, maxDur tim
 		order[j] = i
 	}
 	for _, i := range order {
-		p := &procs[i]
-		b = append(b, "|proc:"...)
-		b = append(b, p.ID...)
-		b = append(b, "|thr:"...)
-		b = keyI(b, int64(p.Threads))
-		b = append(b, "|quota:"...)
-		b = keyF(b, p.CPUQuota)
-		b = append(b, "|start:"...)
-		b = keyI(b, int64(p.Start))
-		b = append(b, "|stop:"...)
-		b = keyI(b, int64(p.Stop))
-		b = append(b, "|pin:"...)
-		if p.Pinned == nil {
-			b = append(b, "nil"...)
-		} else {
-			for _, pin := range p.Pinned {
-				b = keyI(b, int64(pin))
-				b = append(b, ',')
-			}
-		}
-		b = append(b, '|')
-		b = workloadKey(b, p.Workload)
+		b = appendProcKey(b, &procs[i])
 	}
 	return b
 }
 
-// keyStackProcs is the roster width appendRunKey orders without a heap
+// appendProcKey appends one process's fragment: its ID, threads, quota,
+// lifetime, pins and workload definition. procKeyEqual must compare
+// exactly the fields encoded here.
+func appendProcKey(b []byte, p *machine.Proc) []byte {
+	b = append(b, "|proc:"...)
+	b = append(b, p.ID...)
+	b = append(b, "|thr:"...)
+	b = keyI(b, int64(p.Threads))
+	b = append(b, "|quota:"...)
+	b = keyF(b, p.CPUQuota)
+	b = append(b, "|start:"...)
+	b = keyI(b, int64(p.Start))
+	b = append(b, "|stop:"...)
+	b = keyI(b, int64(p.Stop))
+	b = append(b, "|pin:"...)
+	if p.Pinned == nil {
+		b = append(b, "nil"...)
+	} else {
+		for _, pin := range p.Pinned {
+			b = keyI(b, int64(pin))
+			b = append(b, ',')
+		}
+	}
+	b = append(b, '|')
+	return workloadKey(b, p.Workload)
+}
+
+// procKeyEqual reports whether a and b have the same appendProcKey
+// fragment, comparing every encoded field (floats by their bits, as keyF
+// encodes them) without building either.
+func procKeyEqual(a, b *machine.Proc) bool {
+	if a.ID != b.ID || a.Threads != b.Threads || !sameBits(a.CPUQuota, b.CPUQuota) ||
+		a.Start != b.Start || a.Stop != b.Stop ||
+		(a.Pinned == nil) != (b.Pinned == nil) || !slices.Equal(a.Pinned, b.Pinned) {
+		return false
+	}
+	wa, wb := &a.Workload, &b.Workload
+	if wa.Name != wb.Name || wa.Kind != wb.Kind ||
+		!sameBits(wa.Mix.IPC, wb.Mix.IPC) ||
+		!sameBits(wa.Mix.CacheRefsPerKiloInstr, wb.Mix.CacheRefsPerKiloInstr) ||
+		!sameBits(wa.Mix.BranchesPerKiloInstr, wb.Mix.BranchesPerKiloInstr) ||
+		len(wa.Cost) != len(wb.Cost) || len(wa.Script) != len(wb.Script) {
+		return false
+	}
+	for n, w := range wa.Cost {
+		if v, ok := wb.Cost[n]; !ok || !sameBits(float64(v), float64(w)) {
+			return false
+		}
+	}
+	for i, ph := range wa.Script {
+		o := wb.Script[i]
+		if ph.Duration != o.Duration || ph.Threads != o.Threads ||
+			!sameBits(ph.Intensity, o.Intensity) || !sameBits(ph.Util, o.Util) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// keyStackProcs is the roster width appendProcsKey orders without a heap
 // buffer; wider traffic rosters spill to one allocation.
 const keyStackProcs = 32
 

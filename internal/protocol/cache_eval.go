@@ -3,10 +3,8 @@ package protocol
 import (
 	"context"
 	"crypto/sha256"
-	"sync"
 
 	"powerdiv/internal/division"
-	"powerdiv/internal/machine"
 	"powerdiv/internal/models"
 )
 
@@ -32,16 +30,19 @@ import (
 // rather than risking a collision between differently-configured models
 // sharing a name.
 //
-// The tier keys by the SHA-256 of the canonical encoding (evalKey), not by
-// the encoding itself. The encoding is ~1.8 kB per scenario — mostly the
-// machine spec and F2's per-app fingerprint, constant within a campaign —
-// and a cold campaign builds one per scenario only to miss on it, then
-// keeps it alive as the table key. A 32-byte digest makes a miss cheap and
-// an entry small. Equal digests of different encodings would need a
-// SHA-256 collision, and the digest only ever addresses this one
-// in-memory tier, so exactness of the stored rows rests on collision
-// resistance rather than on string equality; nothing persistent is keyed
-// by it. The summary tier and DiskCache keep the exact runKey string.
+// The tier keys by a SHA-256 digest (campaignPlan.evalKey), not by a
+// canonical string. Most of what the key covers — the machine spec, the
+// run length, the campaign seed, the stable window and F2's per-app
+// fingerprint — is constant within a campaign, so the plan hashes it once
+// into a 32-byte prefix, and each scenario hashes only the prefix, its
+// derived seed, its memoized process digests and its truths (~100 bytes
+// for a pair) on the stack. A 32-byte key makes a cold miss cheap and an
+// entry small. Equal digests of different inputs would need a SHA-256
+// collision, and the digest only ever addresses this one in-memory tier,
+// so exactness of the stored rows rests on collision resistance rather
+// than on string equality; nothing persistent is keyed by it, so its
+// layout is free to change. The summary tier and DiskCache keep the exact
+// runKey string.
 
 // DefaultEvalMemoBytes caps the evaluation-digest tier's estimated
 // footprint. Digests are ~100 bytes per factory plus the key, so the
@@ -49,8 +50,8 @@ import (
 // repository many times over.
 const DefaultEvalMemoBytes int64 = 32 << 20
 
-// evalSum is the evaluation-digest tier's key: the SHA-256 of evalKey's
-// canonical encoding.
+// evalSum is the evaluation-digest tier's key (campaignPlan.evalKey), and
+// the digest of a process-key fragment.
 type evalSum [sha256.Size]byte
 
 // evalEntry is one memoized scenario evaluation with the singleflight shape
@@ -158,54 +159,6 @@ func (d *evalDigest) materialize(s Scenario, label string, fs []models.Factory, 
 	return out
 }
 
-// evalKey fingerprints everything a scenario evaluation depends on: the
-// exact simulated run (runKey's encoding of the derived pair config), the
-// campaign seed (model seeds derive from it), the stable-window setting,
-// the ordered factory configurations, and the truth shares. The encoding
-// is built in a pooled buffer and returned as its SHA-256, so a lookup
-// allocates nothing beyond the residual curve's Points copy. ok is false —
-// and the tier is bypassed — when any factory lacks a fingerprint.
-func evalKey(ctx Context, cfg machine.Config, procs []machine.Proc, fs []models.Factory, truths []division.Shares) (evalSum, bool) {
-	for _, f := range fs {
-		if f.Fingerprint == "" {
-			return evalSum{}, false
-		}
-	}
-	bp := evalKeyBufs.Get().(*[]byte)
-	b := append((*bp)[:0], "eval1|"...)
-	b = appendRunKey(b, cfg, procs, ctx.RunFor)
-	b = append(b, "|cseed:"...)
-	b = keyI(b, ctx.Seed)
-	b = append(b, "|sw:"...)
-	b = keyI(b, int64(ctx.StableWindow))
-	for _, f := range fs {
-		b = append(b, "|f:"...)
-		b = append(b, f.Name...)
-		b = append(b, '=')
-		b = append(b, f.Fingerprint...)
-	}
-	for _, truth := range truths {
-		b = append(b, "|truth:"...)
-		var stack [keyStackProcs]string
-		for _, id := range sortedKeys(stack[:0], truth) {
-			b = append(b, id...)
-			b = append(b, '=')
-			b = keyF(b, truth[id])
-			b = append(b, ';')
-		}
-	}
-	sum := evalSum(sha256.Sum256(b))
-	*bp = b
-	evalKeyBufs.Put(bp)
-	return sum, true
-}
-
-// evalKeyBufs recycles evalKey's encoding buffers across scenarios.
-var evalKeyBufs = sync.Pool{New: func() any {
-	b := make([]byte, 0, 2048)
-	return &b
-}}
-
 // evictEvalsLocked enforces the digest tier's byte cap, oldest first, with
 // the same still-computing accounting as the summary tier.
 func (c *runCache) evictEvalsLocked() {
@@ -243,18 +196,18 @@ func (c *runCache) removeEvalLocked(key evalSum, e *evalEntry) {
 // the stored digest; misses compute, store, and return the freshly computed
 // rows. The tier is bypassed — plain streaming evaluation — when
 // memoization is off or a factory has no fingerprint.
-func evaluateScenarioCached(cctx context.Context, ctx Context, s Scenario, fs []models.Factory, truths []division.Shares) ([][]Evaluation, error) {
-	c := ctx.memo()
+func evaluateScenarioCached(cctx context.Context, p *campaignPlan, s Scenario, truths []division.Shares) ([][]Evaluation, error) {
+	c := p.ctx.memo()
 	c.mu.Lock()
 	enabled := c.enabled
 	c.mu.Unlock()
-	run := newPairRun(ctx, s)
+	run := p.pairRun(s)
 	if !enabled {
-		return evaluateScenarioStreaming(cctx, ctx, s, run, fs, truths)
+		return evaluateScenarioStreaming(cctx, p, s, &run, truths)
 	}
-	key, ok := evalKey(ctx, run.cfg, run.procs, fs, truths)
+	key, ok := p.evalKey(&run, truths)
 	if !ok {
-		return evaluateScenarioStreaming(cctx, ctx, s, run, fs, truths)
+		return evaluateScenarioStreaming(cctx, p, s, &run, truths)
 	}
 
 	c.mu.Lock()
@@ -268,9 +221,9 @@ func evaluateScenarioCached(cctx context.Context, ctx Context, s Scenario, fs []
 			// The compute we waited on failed (possibly another job's
 			// cancellation); evaluate independently rather than inheriting
 			// its error.
-			return evaluateScenarioStreaming(cctx, ctx, s, run, fs, truths)
+			return evaluateScenarioStreaming(cctx, p, s, &run, truths)
 		}
-		return e.d.materialize(s, run.label, fs, truths, run.roster.IDs()), nil
+		return e.d.materialize(s, run.label, p.fs, truths, run.roster.IDs()), nil
 	}
 	e := &evalEntry{done: make(chan struct{})}
 	c.evals[key] = e
@@ -279,7 +232,7 @@ func evaluateScenarioCached(cctx context.Context, ctx Context, s Scenario, fs []
 	obsCacheMisses.Inc()
 	c.mu.Unlock()
 
-	rows, err := evaluateScenarioStreaming(cctx, ctx, s, run, fs, truths)
+	rows, err := evaluateScenarioStreaming(cctx, p, s, &run, truths)
 	c.mu.Lock()
 	if err != nil {
 		e.err = err

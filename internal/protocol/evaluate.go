@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -51,15 +52,26 @@ type Scenario struct {
 
 // Label identifies the scenario, e.g. "fibonacci-3 || matrixprod-3".
 func (s Scenario) Label() string {
-	out := ""
+	if len(s.Apps) == 1 {
+		return s.Apps[0].ID
+	}
+	n := 0
+	for _, a := range s.Apps {
+		n += len(a.ID) + len(labelSep)
+	}
+	var b strings.Builder
+	b.Grow(n)
 	for i, a := range s.Apps {
 		if i > 0 {
-			out += " || "
+			b.WriteString(labelSep)
 		}
-		out += a.ID
+		b.WriteString(a.ID)
 	}
-	return out
+	return b.String()
 }
+
+// labelSep separates app IDs in a scenario label.
+const labelSep = " || "
 
 // SameSize reports whether all applications have the same thread count.
 func (s Scenario) SameSize() bool {
@@ -111,7 +123,7 @@ func EvaluatePairMulti(ctx Context, s Scenario, factory models.Factory, baseline
 	if err != nil {
 		return nil, err
 	}
-	rows, err := evaluateScenarioCached(context.Background(), ctx, s, []models.Factory{factory}, truths)
+	rows, err := evaluateScenarioCached(context.Background(), newCampaignPlan(ctx, []models.Factory{factory}, nil), s, truths)
 	if err != nil {
 		return nil, err
 	}
@@ -321,20 +333,25 @@ func Filter(evs []Evaluation, keep func(Evaluation) bool) []Evaluation {
 func StressPairs(fns []string, sizes []int) ([]Scenario, error) {
 	sorted := append([]int(nil), sizes...)
 	sort.Ints(sorted)
+	// Resolve every (function, size) app once; the scenarios share them.
+	apps := make([][]AppSpec, len(sorted))
+	for si, n := range sorted {
+		apps[si] = make([]AppSpec, len(fns))
+		for i, fn := range fns {
+			a, err := StressApp(fn, n)
+			if err != nil {
+				return nil, err
+			}
+			apps[si][i] = a
+		}
+	}
 	var out []Scenario
+	pair := func(a, b AppSpec) { out = append(out, Scenario{Apps: []AppSpec{a, b}}) }
 	// Same size, distinct functions.
-	for _, n := range sorted {
+	for si := range sorted {
 		for i := 0; i < len(fns); i++ {
 			for j := i + 1; j < len(fns); j++ {
-				a, err := StressApp(fns[i], n)
-				if err != nil {
-					return nil, err
-				}
-				b, err := StressApp(fns[j], n)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, Scenario{Apps: []AppSpec{a, b}})
+				pair(apps[si][i], apps[si][j])
 			}
 		}
 	}
@@ -343,15 +360,7 @@ func StressPairs(fns []string, sizes []int) ([]Scenario, error) {
 		for sj := si + 1; sj < len(sorted); sj++ {
 			for i := 0; i < len(fns); i++ {
 				for j := 0; j < len(fns); j++ {
-					a, err := StressApp(fns[i], sorted[si])
-					if err != nil {
-						return nil, err
-					}
-					b, err := StressApp(fns[j], sorted[sj])
-					if err != nil {
-						return nil, err
-					}
-					out = append(out, Scenario{Apps: []AppSpec{a, b}})
+					pair(apps[si][i], apps[sj][j])
 				}
 			}
 		}

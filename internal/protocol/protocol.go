@@ -18,7 +18,6 @@ package protocol
 
 import (
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"powerdiv/internal/division"
@@ -264,13 +263,11 @@ func EstimateResidual(ctx Context, probe workload.Workload) (units.Watts, error)
 // deriveSeed produces a deterministic per-run seed from the campaign seed
 // and a label.
 func deriveSeed(seed int64, parts ...string) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d", seed)
+	h := newSeedHash(seed)
 	for _, p := range parts {
-		h.Write([]byte{0})
-		h.Write([]byte(p))
+		h = h.part(p)
 	}
-	return int64(h.Sum64())
+	return h.seed()
 }
 
 // stableScoringWindow picks the scoring window: the least-extreme

@@ -28,30 +28,6 @@ import (
 // and the map-reference test pins the columnar scoring against the
 // original per-tick map pipeline.
 
-// pairRun is one pair scenario's phase 2 inputs, derived once per scenario
-// and shared by the digest key and the evaluation: the label seeds and
-// messages name the scenario by, the machine config under the derived
-// pair seed, the simulator processes, and the roster — the sorted app-ID
-// order, exactly the slot order the simulator streams its columns in.
-type pairRun struct {
-	label  string
-	cfg    machine.Config
-	procs  []machine.Proc
-	roster *machine.Roster
-}
-
-func newPairRun(ctx Context, s Scenario) pairRun {
-	r := pairRun{label: s.Label(), cfg: ctx.Machine, procs: make([]machine.Proc, len(s.Apps))}
-	r.cfg.Seed = deriveSeed(ctx.Seed, "pair", r.label)
-	ids := make([]string, len(s.Apps))
-	for i, a := range s.Apps {
-		r.procs[i] = a.proc()
-		ids[i] = a.ID
-	}
-	r.roster = machine.NewRoster(ids)
-	return r
-}
-
 // evaluateScenarioStreaming runs phases 2–3 for one scenario in a single
 // simulator pass, scoring every factory: the scenario is simulated exactly
 // once and all models observe the stream tick by tick. The result is
@@ -69,12 +45,10 @@ func newPairRun(ctx Context, s Scenario) pairRun {
 // the scenario — the error unwraps to cctx's cause via errors.Is.
 // Cancellation only ever aborts; it cannot perturb the float accumulation
 // order of a run that completes.
-func evaluateScenarioStreaming(cctx context.Context, ctx Context, s Scenario, run pairRun, fs []models.Factory, truths []division.Shares) ([][]Evaluation, error) {
+func evaluateScenarioStreaming(cctx context.Context, p *campaignPlan, s Scenario, run *scenarioRun, truths []division.Shares) ([][]Evaluation, error) {
+	ctx, fs := p.ctx, p.fs
 	cfg, roster := run.cfg, run.roster
-	ms := make([]models.Model, len(fs))
-	for m, f := range fs {
-		ms[m] = f.New(deriveSeed(ctx.Seed, "model", f.Name, run.label))
-	}
+	ms := p.newModels(run.label)
 	tick := cfg.TickInterval()
 	maxTicks := int(ctx.RunFor/tick) + 1
 	if maxTicks < 0 {
@@ -165,7 +139,7 @@ func EvaluateScenarioRepsStreaming(cctx context.Context, ctx Context, s Scenario
 	}
 	// The batch overlays each repetition's own noise seed, so the config
 	// keeps the context's seed rather than the pair-derived one.
-	run := newPairRun(ctx, s)
+	run := newCampaignPlan(ctx, fs, nil).pairRun(s)
 	cfg, label, roster := ctx.Machine, run.label, run.roster
 	tick := cfg.TickInterval()
 	maxTicks := int(ctx.RunFor/tick) + 1
@@ -300,19 +274,26 @@ func boolsEqual(a, b []bool) bool {
 // EvaluateModelsStreaming call would produce: the simulation and model
 // seeds derive from the scenario label alone, so per-scenario results do
 // not depend on which other scenarios run, in what order, or on which
-// process. cctx cancellation aborts the simulator mid-run.
+// process. It compiles a one-shot campaign plan, whose evaluation-digest
+// key equals the campaign plan's, so both share cached digests. cctx
+// cancellation aborts the simulator mid-run.
 func EvaluateScenarioStreaming(cctx context.Context, ctx Context, s Scenario, fs []models.Factory, baselines map[string]division.Baseline, obj Objective, r0 units.Watts) ([]Evaluation, error) {
+	return newCampaignPlan(ctx, fs, nil).evaluate(cctx, s, baselines, obj, r0)
+}
+
+// evaluate is EvaluateScenarioStreaming under the plan.
+func (p *campaignPlan) evaluate(cctx context.Context, s Scenario, baselines map[string]division.Baseline, obj Objective, r0 units.Watts) ([]Evaluation, error) {
 	done := observeScenario()
 	truths, err := scenarioTruths(s, baselines, []Objective{obj}, r0)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := evaluateScenarioCached(cctx, ctx, s, fs, truths)
+	rows, err := evaluateScenarioCached(cctx, p, s, truths)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Evaluation, len(fs))
-	for m := range fs {
+	out := make([]Evaluation, len(rows))
+	for m := range rows {
 		out[m] = rows[m][0]
 	}
 	done()
@@ -345,9 +326,10 @@ func EvaluateModelsStreamingCtx(cctx context.Context, ctx Context, scenarios []S
 		return nil, err
 	}
 	fs := factories(baselines)
+	plan := newCampaignPlan(ctx, fs, scenarios)
 	perScenario := make([][]Evaluation, len(scenarios))
 	err = forEachIndexed(len(scenarios), func(i int) error {
-		row, err := EvaluateScenarioStreaming(cctx, ctx, scenarios[i], fs, baselines, obj, r0)
+		row, err := plan.evaluate(cctx, scenarios[i], baselines, obj, r0)
 		perScenario[i] = row
 		return err
 	})

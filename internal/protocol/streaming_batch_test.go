@@ -69,7 +69,9 @@ func TestRepsStreamingMatchesUnbatched(t *testing.T) {
 			for r, seed := range seeds {
 				repCtx := ctx
 				repCtx.Seed = seed
-				want, err := evaluateScenarioStreaming(context.Background(), repCtx, s, newPairRun(repCtx, s), fs, truths[r])
+				plan := newCampaignPlan(repCtx, fs, nil)
+				run := plan.pairRun(s)
+				want, err := evaluateScenarioStreaming(context.Background(), plan, s, &run, truths[r])
 				if err != nil {
 					t.Fatal(err)
 				}

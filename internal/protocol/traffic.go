@@ -196,36 +196,22 @@ func scoreTrafficModel(s Scenario, modelName string, view *trafficView, truths [
 // campaign service shards traffic jobs into. Rows are index-aligned with fs
 // and bit-identical to the corresponding rows of a whole-campaign
 // EvaluateTrafficStreaming call: every seed derives from the scenario label
-// alone. cctx cancellation aborts the simulator mid-run (polled once per
-// tick); the error then unwraps to cctx's cause.
+// alone, through a one-shot campaign plan. cctx cancellation aborts the
+// simulator mid-run (polled once per tick); the error then unwraps to
+// cctx's cause.
 func EvaluateTrafficScenarioStreaming(cctx context.Context, ctx Context, s Scenario, fs []models.Factory, baselines map[string]division.Baseline, window time.Duration) ([]TrafficEvaluation, error) {
-	done := observeScenario()
-	row, err := evaluateTrafficScenarioStreaming(cctx, ctx, s, fs, baselines, window)
-	if err != nil {
-		return nil, err
-	}
-	done()
-	return row, nil
+	return newCampaignPlan(ctx, fs, nil).evaluateTraffic(cctx, s, baselines, window)
 }
 
-// evaluateTrafficScenarioStreaming scores every factory over one traffic
-// scenario in a single fused simulator pass: the scenario is simulated
-// exactly once, all models observe the stream segment by segment, and the
-// run is never materialized or cached.
-func evaluateTrafficScenarioStreaming(cctx context.Context, ctx Context, s Scenario, fs []models.Factory, baselines map[string]division.Baseline, window time.Duration) ([]TrafficEvaluation, error) {
-	cfg := ctx.Machine
-	cfg.Seed = deriveSeed(ctx.Seed, "traffic", s.Label())
-	procs := make([]machine.Proc, len(s.Apps))
-	ids := make([]string, len(s.Apps))
-	for i, a := range s.Apps {
-		procs[i] = a.proc()
-		ids[i] = a.ID
-	}
-	roster := machine.NewRoster(ids)
-	ms := make([]models.Model, len(fs))
-	for m, f := range fs {
-		ms[m] = f.New(deriveSeed(ctx.Seed, "model", f.Name, s.Label()))
-	}
+// evaluateTraffic is EvaluateTrafficScenarioStreaming under the plan: one
+// fused simulator pass per scenario — the scenario is simulated exactly
+// once, all models observe the stream segment by segment, and the run is
+// never materialized or cached.
+func (p *campaignPlan) evaluateTraffic(cctx context.Context, s Scenario, baselines map[string]division.Baseline, window time.Duration) ([]TrafficEvaluation, error) {
+	done := observeScenario()
+	run := p.trafficRun(s)
+	cfg, roster, fs := run.cfg, run.roster, p.fs
+	ms := p.newModels(run.label)
 	tick := cfg.TickInterval()
 	maxTicks := int(window/tick) + 1
 	if maxTicks < 0 {
@@ -242,7 +228,7 @@ func evaluateTrafficScenarioStreaming(cctx context.Context, ctx Context, s Scena
 		Roster:      roster,
 		Samples:     scratch,
 	}}
-	_, err := machine.StreamSegments(cfg, procs, window, func(seg *machine.Segment) error {
+	_, err := machine.StreamSegments(cfg, run.procs, window, func(seg *machine.Segment) error {
 		// One poll per covered tick keeps the cancellation granularity (and
 		// the deterministic poll count the ctx tests pin) of the per-tick
 		// engine.
@@ -270,7 +256,7 @@ func evaluateTrafficScenarioStreaming(cctx context.Context, ctx Context, s Scena
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("protocol: traffic scenario %q: %w", s.Label(), err)
+		return nil, fmt.Errorf("protocol: traffic scenario %q: %w", run.label, err)
 	}
 	rosterIDs := roster.IDs()
 	slotBase, err := trafficSlotBaselines(s, rosterIDs, baselines)
@@ -286,6 +272,7 @@ func evaluateTrafficScenarioStreaming(cctx context.Context, ctx Context, s Scena
 		}
 		out[m] = ev
 	}
+	done()
 	return out, nil
 }
 
@@ -316,12 +303,13 @@ func EvaluateTrafficStreamingCtx(cctx context.Context, ctx Context, scenarios []
 		return nil, err
 	}
 	fs := factories(baselines)
+	plan := newCampaignPlan(ctx, fs, scenarios)
 	perScenario := make([][]TrafficEvaluation, len(scenarios))
 	err = forEachIndexed(len(scenarios), func(i int) error {
 		if err := cctx.Err(); err != nil {
 			return err
 		}
-		row, err := EvaluateTrafficScenarioStreaming(cctx, ctx, scenarios[i], fs, baselines, window)
+		row, err := plan.evaluateTraffic(cctx, scenarios[i], baselines, window)
 		if err != nil {
 			return err
 		}
