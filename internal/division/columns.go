@@ -34,6 +34,81 @@ func (s Shares) VectorInto(out []float64, ids []string) []float64 {
 	return out
 }
 
+// TruthVectorInto is Equation 3 over a dense roster, written into out:
+// baselines[i] is the isolated baseline of roster slot i, present[i] puts
+// slot i in the objective, and out[i] becomes that slot's share of the
+// present active power, or AbsentShare when the slot is absent (out,
+// baselines and present have one entry per slot). It returns nil when no
+// present weight is positive — the tick is not scorable — and out
+// otherwise.
+//
+// The result is bit-identical to TruthShares(present baselines).Vector(ids)
+// when ids is the roster (sort.Strings order, each baseline keyed by its
+// slot's ID): normalize sums the positive weights in sorted-ID order,
+// which is slot order, clamps negative weights to 0 and divides each by
+// the same total — the same operations in the same order, without the
+// weights map, sorted key slice and Shares map.
+func TruthVectorInto(out []float64, baselines []Baseline, present []bool) []float64 {
+	var total float64
+	for slot, b := range baselines {
+		if w := float64(b.Active()); present[slot] && w > 0 {
+			total += w
+		}
+	}
+	if total <= 0 {
+		return nil
+	}
+	for slot, b := range baselines {
+		if !present[slot] {
+			out[slot] = AbsentShare
+			continue
+		}
+		w := float64(b.Active())
+		if w < 0 {
+			w = 0
+		}
+		out[slot] = w / total
+	}
+	return out
+}
+
+// ErrorSum accumulates Equation 5 one tick at a time: the running sum of
+// |Ce/C − share| over the scored slots and the number of terms. Adding
+// ticks in order and taking Mean is exactly AbsoluteErrorColumns over the
+// same ticks — each term joins the one running total in the same order —
+// without collecting the scored columns first. The zero value is empty.
+type ErrorSum struct {
+	sum float64
+	n   int
+}
+
+// Add scores one tick: est is the model's estimate column (nil = no
+// estimate), power the measured machine power and truth the objective
+// share vector (nil = not scorable; AbsentShare entries are not scored).
+// Ticks with a nil column or non-positive power add nothing.
+func (a *ErrorSum) Add(est []units.Watts, power units.Watts, truth []float64) {
+	if est == nil || truth == nil || power <= 0 {
+		return
+	}
+	for slot, share := range truth {
+		if share < 0 {
+			continue
+		}
+		ce := est[slot] // a zero column entry counts as 0, an attribution error
+		a.sum += absf(float64(ce)/float64(power) - share)
+		a.n++
+	}
+}
+
+// Mean returns the absolute error over every term added, or
+// ErrEmptyScoring when none was.
+func (a *ErrorSum) Mean() (float64, error) {
+	if a.n == 0 {
+		return 0, ErrEmptyScoring
+	}
+	return a.sum / float64(a.n), nil
+}
+
 // AbsoluteErrorColumns is Equation 5 over roster-indexed columns: ests[i]
 // is the model's estimate column at scored tick i (nil = no estimate,
 // skipped), power[i] the measured machine power, truths[i] the objective
@@ -45,25 +120,11 @@ func AbsoluteErrorColumns(ests [][]units.Watts, power []units.Watts, truths [][]
 	if len(ests) != len(power) || len(ests) != len(truths) {
 		return 0, fmt.Errorf("division: mismatched lengths %d/%d/%d", len(ests), len(power), len(truths))
 	}
-	var sum float64
-	var n int
+	var acc ErrorSum
 	for i, est := range ests {
-		if est == nil || truths[i] == nil || power[i] <= 0 {
-			continue
-		}
-		for slot, share := range truths[i] {
-			if share < 0 {
-				continue
-			}
-			ce := est[slot] // a zero column entry counts as 0, an attribution error
-			sum += absf(float64(ce)/float64(power[i]) - share)
-			n++
-		}
+		acc.Add(est, power[i], truths[i])
 	}
-	if n == 0 {
-		return 0, ErrEmptyScoring
-	}
-	return sum / float64(n), nil
+	return acc.Mean()
 }
 
 // AbsoluteErrorColumnsConst is AbsoluteErrorColumns with the same truth
@@ -76,25 +137,11 @@ func AbsoluteErrorColumnsConst(ests [][]units.Watts, power []units.Watts, truth 
 	if len(ests) != len(power) {
 		return 0, fmt.Errorf("division: mismatched lengths %d/%d/%d", len(ests), len(power), len(ests))
 	}
-	var sum float64
-	var n int
+	var acc ErrorSum
 	for i, est := range ests {
-		if est == nil || truth == nil || power[i] <= 0 {
-			continue
-		}
-		for slot, share := range truth {
-			if share < 0 {
-				continue
-			}
-			ce := est[slot] // a zero column entry counts as 0, an attribution error
-			sum += absf(float64(ce)/float64(power[i]) - share)
-			n++
-		}
+		acc.Add(est, power[i], truth)
 	}
-	if n == 0 {
-		return 0, ErrEmptyScoring
-	}
-	return sum / float64(n), nil
+	return acc.Mean()
 }
 
 // ConstVectors replicates one truth vector across n ticks — the dense

@@ -2,8 +2,10 @@ package division
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"powerdiv/internal/units"
@@ -98,6 +100,93 @@ func TestAbsoluteErrorColumnsMatchesMapForm(t *testing.T) {
 		}
 		if math.Float64bits(want) != math.Float64bits(got) {
 			t.Fatalf("trial %d: map AE %v != columnar AE %v", trial, want, got)
+		}
+	}
+}
+
+// TestDenseTruthAndErrorSumMatchMapForms is the property behind per-segment
+// traffic scoring: over random rosters whose baselines include zero and
+// negative active power, and random presence columns, TruthVectorInto
+// equals TruthShares(present).Vector(ids) Float64bits for Float64bits
+// (nil exactly when the map form is nil), and an ErrorSum fed tick by tick
+// equals both AbsoluteErrorColumns and the map-form AbsoluteError bit for
+// bit, ticks with non-positive power and missing estimates included.
+func TestDenseTruthAndErrorSumMatchMapForms(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(7)
+		ids := make([]string, n)
+		for slot := range ids {
+			ids[slot] = fmt.Sprintf("%s-%d.%03d", []string{"fib", "int64", "matrixprod"}[rng.Intn(3)], 1+rng.Intn(2), slot)
+		}
+		sort.Strings(ids)
+		base := make([]Baseline, n)
+		for slot, id := range ids {
+			residual := 5 + 40*rng.Float64()
+			active := 0.5 + 120*rng.Float64()
+			switch rng.Intn(5) {
+			case 0:
+				active = 0
+			case 1:
+				active = -active
+			}
+			base[slot] = Baseline{ID: id, Total: units.Watts(residual + active), Residual: units.Watts(residual)}
+		}
+
+		ticks := 1 + rng.Intn(12)
+		colEsts := make([][]units.Watts, ticks)
+		mapEsts := make([]map[string]units.Watts, ticks)
+		power := make([]units.Watts, ticks)
+		colTruths := make([][]float64, ticks)
+		mapTruths := make([]Shares, ticks)
+		var acc ErrorSum
+		for i := 0; i < ticks; i++ {
+			present := make([]bool, n)
+			var bs []Baseline
+			for slot := range present {
+				if present[slot] = rng.Float64() < 0.6; present[slot] {
+					bs = append(bs, base[slot])
+				}
+			}
+			want := TruthShares(bs)
+			got := TruthVectorInto(make([]float64, n), base, present)
+			if (want == nil) != (got == nil) {
+				t.Fatalf("trial %d tick %d: map truth %v, dense truth %v", trial, i, want, got)
+			}
+			if want != nil {
+				for slot, v := range want.Vector(ids) {
+					if math.Float64bits(v) != math.Float64bits(got[slot]) {
+						t.Fatalf("trial %d tick %d slot %d: map share %v, dense share %v", trial, i, slot, v, got[slot])
+					}
+				}
+			}
+			switch rng.Intn(6) {
+			case 0:
+				power[i] = 0
+			case 1:
+				power[i] = units.Watts(-rng.Float64() * 5)
+			default:
+				power[i] = units.Watts(rng.Float64() * 50)
+			}
+			colTruths[i], mapTruths[i] = got, want
+			if rng.Float64() < 0.8 {
+				colEsts[i] = make([]units.Watts, n)
+				mapEsts[i] = map[string]units.Watts{}
+				for slot, id := range ids {
+					w := units.Watts(rng.Float64() * 20)
+					colEsts[i][slot], mapEsts[i][id] = w, w
+				}
+			}
+			acc.Add(colEsts[i], power[i], colTruths[i])
+		}
+		got, gotErr := acc.Mean()
+		cols, colsErr := AbsoluteErrorColumns(colEsts, power, colTruths)
+		maps, mapsErr := AbsoluteError(mapEsts, power, mapTruths)
+		if !errors.Is(gotErr, colsErr) || !errors.Is(gotErr, mapsErr) {
+			t.Fatalf("trial %d: errors %v / %v / %v", trial, gotErr, colsErr, mapsErr)
+		}
+		if math.Float64bits(got) != math.Float64bits(cols) || math.Float64bits(got) != math.Float64bits(maps) {
+			t.Fatalf("trial %d: ErrorSum %v, columns %v, map form %v", trial, got, cols, maps)
 		}
 	}
 }

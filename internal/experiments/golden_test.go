@@ -94,6 +94,10 @@ func goldenTables(t *testing.T) map[string]any {
 	tr, err := TrafficCampaign(ctx, TrafficConfig(ctx, traffic.Poisson, 24, 15*time.Second))
 	check(err)
 	out["traffic-poisson"] = tr
+	// serve-traffic's job shape: bursty and diurnal churn besides Poisson.
+	mixed, err := TrafficCampaign(ctx, TrafficConfig(ctx, traffic.Mixed, 48, 10*time.Second))
+	check(err)
+	out["traffic-mixed"] = mixed
 	return out
 }
 

@@ -7,7 +7,6 @@ import (
 	"powerdiv/internal/division"
 	"powerdiv/internal/machine"
 	"powerdiv/internal/models"
-	"powerdiv/internal/units"
 )
 
 // TimelineApp is an application with a lifetime inside a dynamic scenario —
@@ -66,42 +65,46 @@ func EvaluateTimeline(ctx Context, apps []TimelineApp, factory models.Factory, b
 	est := models.ReplayDense(model, models.RunTicksDense(run))
 
 	rosterIDs := run.Roster.IDs()
-	var scoredEsts [][]units.Watts
-	var scoredPower []units.Watts
-	var truths [][]float64
-	bs := make([]division.Baseline, 0, len(rosterIDs))
+	n := len(rosterIDs)
+	slotBase := make([]division.Baseline, n)
+	for slot, id := range rosterIDs {
+		slotBase[slot] = baselines[id]
+	}
+	// The per-tick objective covers exactly the applications present. It
+	// only changes when the presence column does, so the truth vector is
+	// recomputed at those ticks alone; Eq 5 is one running sum.
+	present := make([]bool, n)
+	buf := make([]float64, n)
+	var truth []float64 // nil until some application runs
+	var acc division.ErrorSum
 	for i := range run.Ticks {
 		rec := &run.Ticks[i]
-		// The per-tick objective covers exactly the applications present;
-		// roster order keeps the baseline list deterministic.
-		bs = bs[:0]
-		for slot, id := range rosterIDs {
-			if rec.Procs[slot].Present() {
-				bs = append(bs, baselines[id])
-			}
+		busy, changed := false, false
+		for slot := range present {
+			p := rec.Procs[slot].Present()
+			busy = busy || p
+			changed = changed || p != present[slot]
+			present[slot] = p
 		}
-		if len(bs) == 0 {
+		if changed {
+			truth = division.TruthVectorInto(buf, slotBase, present)
+		}
+		if !busy {
 			continue
 		}
 		res.BusyTicks++
-		if !est.OK[i] {
+		if !est.OK[i] || truth == nil {
 			continue
 		}
-		truth := division.TruthShares(bs)
-		if truth == nil {
-			continue
-		}
-		scoredEsts = append(scoredEsts, est.Row(i))
-		scoredPower = append(scoredPower, rec.Power)
-		truths = append(truths, truth.Vector(rosterIDs))
+		res.ScoredTicks++
+		acc.Add(est.Row(i), rec.Power, truth)
 	}
 	if res.BusyTicks == 0 {
 		return res, fmt.Errorf("protocol: timeline never ran any application")
 	}
-	res.ScoredTicks = len(scoredEsts)
 	res.Coverage = float64(res.ScoredTicks) / float64(res.BusyTicks)
 	if res.ScoredTicks > 0 {
-		ae, err := division.AbsoluteErrorColumns(scoredEsts, scoredPower, truths)
+		ae, err := acc.Mean()
 		if err != nil {
 			return res, err
 		}

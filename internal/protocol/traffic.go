@@ -3,6 +3,7 @@ package protocol
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"powerdiv/internal/division"
@@ -20,7 +21,9 @@ import (
 //
 // Each scenario is one fused simulate → observe pass with
 // O(ticks-in-flight) simulator state, accumulating exactly the scoring view
-// (tick series + per-slot presence columns) the per-tick objective needs.
+// (per-tick power + one presence column per presence run) the objective
+// needs: presence changes only at segment boundaries, so the Eq 3 truth is
+// computed once per run and Eq 5 is one running sum per model.
 // The golden corpus (internal/experiments/testdata) pins the tables.
 
 // TrafficEvaluation is the scored outcome of one model on one traffic
@@ -71,45 +74,62 @@ func SummarizeTraffic(model string, evs []TrafficEvaluation) TrafficSummary {
 	return s
 }
 
-// trafficView is the scoring view a traffic scenario accumulates: the tick
-// series plus a dense presence slab (ticks × roster slots). It is exactly
-// the O(ticks) state phase 3 needs and nothing more — the only
-// per-scenario growth besides the estimate matrices.
+// trafficView is the scoring view a traffic scenario accumulates: the
+// per-tick machine power plus one presence column per presence run — a
+// maximal stretch of consecutive segments with the same instances present.
+// Presence only changes at segment boundaries, so the view holds a handful
+// of columns however long the window, and the objective is computed once
+// per run rather than once per tick.
 type trafficView struct {
-	ts       tickSeries
+	power []units.Watts
+	// runStart[r] is run r's first tick; run r ends where run r+1 starts
+	// (the last run at len(power)).
+	runStart []int
+	// presence holds run r's column at [r*n, (r+1)*n).
 	presence []bool
 	n        int
 }
 
 func newTrafficView(n, capTicks int) *trafficView {
-	return &trafficView{
-		ts: tickSeries{
-			at:    make([]time.Duration, 0, capTicks),
-			power: make([]units.Watts, 0, capTicks),
-		},
-		presence: make([]bool, 0, capTicks*n),
-		n:        n,
-	}
+	return &trafficView{power: make([]units.Watts, 0, capTicks), n: n}
 }
 
-// observeSegment appends a constant segment's scoring state: the presence
-// column repeats unchanged for every covered tick while time and power
-// advance tick by tick.
+// observeSegment appends a constant segment's scoring state: its per-tick
+// power, and its presence column when that differs from the current run's.
 func (v *trafficView) observeSegment(seg *machine.Segment) {
-	for i := range seg.Powers {
-		v.ts.at = append(v.ts.at, seg.At(i))
-		v.ts.power = append(v.ts.power, seg.Powers[i])
-		for slot := 0; slot < v.n; slot++ {
-			v.presence = append(v.presence, seg.Rec.Procs[slot].Present())
+	procs := seg.Rec.Procs
+	same := len(v.runStart) > 0
+	if same {
+		last := v.column(len(v.runStart) - 1)
+		for slot := range last {
+			if last[slot] != procs[slot].Present() {
+				same = false
+				break
+			}
 		}
 	}
+	if !same {
+		v.runStart = append(v.runStart, len(v.power))
+		for slot := 0; slot < v.n; slot++ {
+			v.presence = append(v.presence, procs[slot].Present())
+		}
+	}
+	v.power = append(v.power, seg.Powers...)
 }
 
-// row returns tick i's presence column.
-func (v *trafficView) row(i int) []bool { return v.presence[i*v.n : (i+1)*v.n] }
+// column returns run r's presence column.
+func (v *trafficView) column(r int) []bool { return v.presence[r*v.n : (r+1)*v.n] }
 
-// trafficSlotBaselines resolves each roster slot's baseline, re-keyed to
-// the instance ID so per-tick truth shares key by the roster.
+// runEnd returns the tick one past run r's last.
+func (v *trafficView) runEnd(r int) int {
+	if r+1 < len(v.runStart) {
+		return v.runStart[r+1]
+	}
+	return len(v.power)
+}
+
+// trafficSlotBaselines resolves each roster slot's baseline: the shared
+// baseline of the instance's application type.
 func trafficSlotBaselines(s Scenario, rosterIDs []string, baselines map[string]division.Baseline) ([]division.Baseline, error) {
 	byID := make(map[string]AppSpec, len(s.Apps))
 	for _, a := range s.Apps {
@@ -125,70 +145,78 @@ func trafficSlotBaselines(s Scenario, rosterIDs []string, baselines map[string]d
 		if !ok {
 			return nil, fmt.Errorf("protocol: no baseline for %s (run phase 1 first)", a.baselineID())
 		}
-		b.ID = id
 		out[slot] = b
 	}
 	return out, nil
 }
 
-// trafficTruths computes the per-tick objective: Equation 3 shares over the
-// instances present at each tick, projected onto the roster (AbsentShare
-// marks slots outside a tick's objective). truths[i] is nil for idle or
-// degenerate ticks; busy counts ticks with at least one instance present.
+// trafficTruths computes the objective: Equation 3 shares over the
+// instances present, in roster-slot order (AbsentShare marks slots outside
+// the objective), once per presence run. truths[r] is nil for idle or
+// degenerate runs; busy counts ticks with at least one instance present.
 // The truth is model-independent, so each scenario computes it once and
-// every model scores against the same vectors.
-func trafficTruths(view *trafficView, rosterIDs []string, slotBase []division.Baseline) (truths [][]float64, busy int) {
-	truths = make([][]float64, len(view.ts.at))
-	bs := make([]division.Baseline, 0, len(rosterIDs))
-	for i := range view.ts.at {
-		row := view.row(i)
-		bs = bs[:0]
-		for slot := range rosterIDs {
-			if row[slot] {
-				bs = append(bs, slotBase[slot])
-			}
-		}
-		if len(bs) == 0 {
+// every model scores against the same vectors; all runs share one slab.
+func trafficTruths(view *trafficView, slotBase []division.Baseline) (truths [][]float64, busy int) {
+	runs, n := len(view.runStart), view.n
+	truths = make([][]float64, runs)
+	slab := make([]float64, runs*n)
+	for r := range truths {
+		col := view.column(r)
+		if !slices.Contains(col, true) {
 			continue
 		}
-		busy++
-		truth := division.TruthShares(bs)
-		if truth == nil {
-			continue
-		}
-		truths[i] = truth.Vector(rosterIDs)
+		busy += view.runEnd(r) - view.runStart[r]
+		truths[r] = division.TruthVectorInto(slab[r*n:(r+1)*n], slotBase, col)
 	}
 	return truths, busy
 }
 
 // scoreTrafficModel is the scoring tail for one model: Eq 5 over the
-// ticks the model estimated, against the per-tick objective shares.
+// ticks the model estimated, against each run's objective shares, summed
+// tick by tick into one running total.
 func scoreTrafficModel(s Scenario, modelName string, view *trafficView, truths [][]float64, busy int, est *models.DenseEstimates) (TrafficEvaluation, error) {
 	ev := TrafficEvaluation{Scenario: s, Model: modelName, BusyTicks: busy}
 	if busy == 0 {
 		return ev, fmt.Errorf("protocol: traffic scenario %q never ran any instance", s.Label())
 	}
-	var scoredEsts [][]units.Watts
-	var scoredPower []units.Watts
-	var scoredTruths [][]float64
-	for i := range view.ts.at {
-		if truths[i] == nil || !est.OK[i] {
+	var acc division.ErrorSum
+	for r, truth := range truths {
+		if truth == nil {
 			continue
 		}
-		scoredEsts = append(scoredEsts, est.Row(i))
-		scoredPower = append(scoredPower, view.ts.power[i])
-		scoredTruths = append(scoredTruths, truths[i])
+		for i, end := view.runStart[r], view.runEnd(r); i < end; i++ {
+			if !est.OK[i] {
+				continue
+			}
+			ev.ScoredTicks++
+			acc.Add(est.Row(i), view.power[i], truth)
+		}
 	}
-	ev.ScoredTicks = len(scoredEsts)
 	ev.Coverage = float64(ev.ScoredTicks) / float64(busy)
 	if ev.ScoredTicks > 0 {
-		ae, err := division.AbsoluteErrorColumns(scoredEsts, scoredPower, scoredTruths)
+		ae, err := acc.Mean()
 		if err != nil {
 			return ev, fmt.Errorf("protocol: traffic scenario %q: %w", s.Label(), err)
 		}
 		ev.AE = ae
 	}
 	return ev, nil
+}
+
+// scoreTraffic is the scenario's scoring tail: the objective once per
+// presence run, then every model's Eq 5. Its allocations do not depend on
+// the window length.
+func scoreTraffic(s Scenario, fs []models.Factory, view *trafficView, slotBase []division.Baseline, replay *models.StreamReplay) ([]TrafficEvaluation, error) {
+	truths, busy := trafficTruths(view, slotBase)
+	out := make([]TrafficEvaluation, len(fs))
+	for m, f := range fs {
+		ev, err := scoreTrafficModel(s, f.Name, view, truths, busy, replay.Estimates(m))
+		if err != nil {
+			return nil, err
+		}
+		out[m] = ev
+	}
+	return out, nil
 }
 
 // EvaluateTrafficScenarioStreaming scores every factory over one traffic
@@ -209,8 +237,29 @@ func EvaluateTrafficScenarioStreaming(cctx context.Context, ctx Context, s Scena
 // never materialized or cached.
 func (p *campaignPlan) evaluateTraffic(cctx context.Context, s Scenario, baselines map[string]division.Baseline, window time.Duration) ([]TrafficEvaluation, error) {
 	done := observeScenario()
+	roster, view, replay, err := p.streamTraffic(cctx, s, window)
+	if err != nil {
+		return nil, err
+	}
+	defer replay.Release()
+	slotBase, err := trafficSlotBaselines(s, roster.IDs(), baselines)
+	if err != nil {
+		return nil, err
+	}
+	out, err := scoreTraffic(s, p.fs, view, slotBase, replay)
+	if err != nil {
+		return nil, err
+	}
+	done()
+	return out, nil
+}
+
+// streamTraffic simulates the scenario once while every model observes it
+// segment by segment, accumulating the scoring view alongside. The caller
+// releases the replay.
+func (p *campaignPlan) streamTraffic(cctx context.Context, s Scenario, window time.Duration) (*machine.Roster, *trafficView, *models.StreamReplay, error) {
 	run := p.trafficRun(s)
-	cfg, roster, fs := run.cfg, run.roster, p.fs
+	cfg, roster := run.cfg, run.roster
 	ms := p.newModels(run.label)
 	tick := cfg.TickInterval()
 	maxTicks := int(window/tick) + 1
@@ -219,7 +268,6 @@ func (p *campaignPlan) evaluateTraffic(cctx context.Context, s Scenario, baselin
 	}
 	logical := cfg.Spec.Topology.LogicalCPUs()
 	replay := models.NewStreamReplay(roster, ms, maxTicks)
-	defer replay.Release()
 	view := newTrafficView(roster.Len(), maxTicks)
 	scratch := make([]models.ProcSample, roster.Len())
 	segTicks := models.SegmentTicks{Tick: models.Tick{
@@ -256,24 +304,10 @@ func (p *campaignPlan) evaluateTraffic(cctx context.Context, s Scenario, baselin
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("protocol: traffic scenario %q: %w", run.label, err)
+		replay.Release()
+		return nil, nil, nil, fmt.Errorf("protocol: traffic scenario %q: %w", run.label, err)
 	}
-	rosterIDs := roster.IDs()
-	slotBase, err := trafficSlotBaselines(s, rosterIDs, baselines)
-	if err != nil {
-		return nil, err
-	}
-	truths, busy := trafficTruths(view, rosterIDs, slotBase)
-	out := make([]TrafficEvaluation, len(fs))
-	for m, f := range fs {
-		ev, err := scoreTrafficModel(s, f.Name, view, truths, busy, replay.Estimates(m))
-		if err != nil {
-			return nil, err
-		}
-		out[m] = ev
-	}
-	done()
-	return out, nil
+	return roster, view, replay, nil
 }
 
 // EvaluateTrafficStreaming scores every factory over a traffic campaign on

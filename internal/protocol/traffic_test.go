@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -191,5 +192,44 @@ func TestTrafficRejectsBadInput(t *testing.T) {
 	}
 	if _, err := EvaluateTrafficStreaming(ctx, scenarios, factories, -time.Second); err == nil {
 		t.Error("EvaluateTrafficStreaming accepted a negative window")
+	}
+}
+
+// TestTrafficScoringTailAllocsIndependentOfWindow pins the per-run
+// objective and the running Eq 5 sum: the scoring tail of one roster
+// allocates the same number of times over a 10 s and a 60 s window, so
+// nothing in it allocates per tick.
+func TestTrafficScoringTailAllocsIndependentOfWindow(t *testing.T) {
+	ctx, scenarios, factories := trafficGoldenSetup(t)
+	s := scenarios[0]
+	baselines, err := MeasureBaselines(ctx, BaselineAppsOf([]Scenario{s}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newCampaignPlan(ctx, factories(baselines), nil)
+	var allocs, ticks []float64
+	for _, window := range []time.Duration{10 * time.Second, 60 * time.Second} {
+		roster, view, replay, err := p.streamTraffic(context.Background(), s, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slotBase, err := trafficSlotBaselines(s, roster.IDs(), baselines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := scoreTraffic(s, p.fs, view, slotBase, replay); err != nil {
+			t.Fatal(err)
+		}
+		allocs = append(allocs, testing.AllocsPerRun(20, func() {
+			scoreTraffic(s, p.fs, view, slotBase, replay)
+		}))
+		ticks = append(ticks, float64(len(view.power)))
+		replay.Release()
+	}
+	if ticks[1] < 5*ticks[0] {
+		t.Fatalf("windows scored %v ticks, want the 60 s window ≥5× the 10 s one", ticks)
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("scoring tail allocs: %v at 10 s, %v at 60 s; want equal", allocs[0], allocs[1])
 	}
 }

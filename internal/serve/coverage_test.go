@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -215,5 +216,39 @@ func TestCompileFleetRejections(t *testing.T) {
 	}
 	if rn.units != 3 || rn.fingerprint == "" {
 		t.Fatalf("fleet compile: %d units, fingerprint %q", rn.units, rn.fingerprint)
+	}
+}
+
+// TestServeStreamAdmitsBeforeFirstRow pins that a streamed submission sees
+// its 200 headers as soon as the job is admitted, not when row 0 lands:
+// with no runners the job stays queued forever, yet the POST returns. The
+// submitter closing the body then cancels the job.
+func TestServeStreamAdmitsBeforeFirstRow(t *testing.T) {
+	s, hs := newTestServer(t, Options{Runners: -1})
+	spec := testSpec(2)
+	spec.Stream = true
+	body, _ := json.Marshal(spec)
+	req, err := http.NewRequestWithContext(contextWithTimeout(t, 10*time.Second), http.MethodPost, hs.URL+"/v1/jobs", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("streamed submit did not return headers while queued: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("streamed submit: status %d", resp.StatusCode)
+	}
+	jobs := s.Jobs()
+	if len(jobs) != 1 || jobs[0].State() != StateQueued {
+		t.Fatalf("jobs after admission: %+v", jobs)
+	}
+	resp.Body.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for jobs[0].cancelReason() != "client disconnected" {
+		if time.Now().After(deadline) {
+			t.Fatal("closing the stream did not cancel the queued job")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -411,6 +411,12 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, job *Job) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
+	if flusher != nil {
+		// Admission is visible at once: the headers do not wait for row 0,
+		// which comes only after the job is queued, compiled and through
+		// phase 1.
+		flusher.Flush()
+	}
 	enc := json.NewEncoder(w)
 	streamed := 0
 	for i := 0; i < job.Units; i++ {

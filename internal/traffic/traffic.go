@@ -32,6 +32,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"powerdiv/internal/protocol"
@@ -245,8 +246,12 @@ func Generate(cfg Config) ([]protocol.Scenario, error) {
 		return nil, err
 	}
 	out := make([]protocol.Scenario, cfg.Scenarios)
+	// One generator serves every scenario: re-seeding it in place gives
+	// exactly rng.New's stream for the scenario's seed without allocating
+	// a fresh 607-word register each time.
+	gen := rng.New(0)
 	for i := range out {
-		out[i] = generateScenario(cfg, i)
+		out[i] = generateScenario(cfg, i, gen)
 	}
 	return out, nil
 }
@@ -263,9 +268,10 @@ func (c Config) ScenarioKind(idx int) Kind {
 // generateScenario builds one scenario. Draw order is fixed — baseload
 // instances first, then arrival candidates in time order, each consuming
 // its kernel/threads/lifetime draws even when rejected for capacity — so
-// the schedule is a pure function of (cfg, idx).
-func generateScenario(cfg Config, idx int) protocol.Scenario {
-	gen := rng.New(seedFor(cfg.Seed, "scenario", fmt.Sprint(idx)))
+// the schedule is a pure function of (cfg, idx). gen is re-seeded first,
+// so whatever it drew before does not matter.
+func generateScenario(cfg Config, idx int, gen *rand.Rand) protocol.Scenario {
+	gen.Seed(seedFor(cfg.Seed, "scenario", strconv.Itoa(idx)))
 	kind := cfg.ScenarioKind(idx)
 	apps := make([]protocol.AppSpec, 0, cfg.Baseload+8)
 
