@@ -44,7 +44,10 @@ BENCH_THRESHOLD ?= 300
 # enumeration silently declining — is a ~65% collapse and trips this gate.
 BENCH_RATE_THRESHOLD ?= 60
 
-.PHONY: build test vet fmt-check race cover bench bench-check bench-diff pprof fuzz-smoke serve-smoke verify
+# Packages `make loc` counts: the ones ROADMAP's line-count targets name.
+LOC_PKGS = internal/protocol internal/models internal/machine
+
+.PHONY: build test vet fmt-check race cover bench bench-check bench-diff pprof fuzz-smoke serve-smoke loc verify
 
 build:
 	$(GO) build ./...
@@ -101,5 +104,14 @@ fuzz-smoke:
 # drains — the end-to-end gate for cmd/powerdiv-serve.
 serve-smoke:
 	$(GO) run ./cmd/powerdiv-serve -smoke
+
+# loc prints the non-test Go line count (wc -l) of each LOC_PKGS package
+# and their total, so line-count targets are measured the same way in
+# every change.
+loc:
+	@total=0; for d in $(LOC_PKGS); do \
+		n=$$(cat $$(ls $$d/*.go | grep -v '_test\.go$$') | wc -l); \
+		printf '%-20s %6d\n' $$d $$n; total=$$((total + n)); done; \
+		printf '%-20s %6d\n' total $$total
 
 verify: build vet fmt-check test race bench-check bench-diff fuzz-smoke serve-smoke

@@ -12,6 +12,7 @@ import (
 
 	"powerdiv/internal/cpumodel"
 	"powerdiv/internal/models"
+	"powerdiv/internal/trace"
 	"powerdiv/internal/traffic"
 	"powerdiv/internal/workload"
 )
@@ -98,7 +99,50 @@ func goldenTables(t *testing.T) map[string]any {
 	mixed, err := TrafficCampaign(ctx, TrafficConfig(ctx, traffic.Mixed, 48, 10*time.Second))
 	check(err)
 	out["traffic-mixed"] = mixed
+
+	// Fig 8, Fig 11 and §V: the per-tick and replayed-run consumers, with
+	// the report command's arguments.
+	for spec, threads := range map[*cpumodel.Spec]int{&small: 3, &dahu: 8} {
+		inst, err := Instability(LabConfig(*spec, seed), "matrixprod", "float64", threads, 6, seed+6)
+		check(err)
+		out["fig8-"+goldenSlug(spec.Name)] = inst
+	}
+	for _, f := range PaperModels() {
+		res, err := ContextIllustration(LabConfig(small, seed), f, "int64", 2, 20*time.Second, seed)
+		check(err)
+		out["context-"+f.Name] = goldenContext(res)
+		div, err := EnergyDivision(ProdConfig(small, seed), f, "build2", "dacapo", 6, seed)
+		check(err)
+		out["energy-division-"+f.Name] = goldenEnergy(div)
+	}
+	sweep, err := ColocationSweep(ProdConfig(dahu, seed), models.NewScaphandre(), "cloverleaf", 6, []int{0, 4, 9}, seed)
+	check(err)
+	out["colocation-sweep"] = sweep
 	return out
+}
+
+// goldenContext and goldenEnergy replace the results' *trace.Series
+// fields with their samples, so the digest covers values, not addresses.
+func goldenContext(r ContextResult) any {
+	est := map[string][]trace.Sample{}
+	for id, s := range r.Estimates {
+		est[id] = s.Samples()
+	}
+	return struct {
+		Machine, Model string
+		Estimates      map[string][]trace.Sample
+		MachinePower   []trace.Sample
+		Windows        []time.Duration
+	}{r.Machine, r.Model, est, r.MachinePower.Samples(), r.Windows}
+}
+
+func goldenEnergy(r EnergyDivisionResult) any {
+	flat := r
+	flat.Est0, flat.Est1, flat.PairMachine = nil, nil, nil
+	return struct {
+		Result                  EnergyDivisionResult
+		Est0, Est1, PairMachine []trace.Sample
+	}{flat, r.Est0.Samples(), r.Est1.Samples(), r.PairMachine.Samples()}
 }
 
 func goldenSlug(name string) string {

@@ -65,11 +65,12 @@ func (r InstabilityResult) Table() *report.Table {
 // between runs.
 //
 // The repetitions differ only in the sensor-noise seed, so all of them ride
-// one machine.StreamBatch pass: the scheduling/power dynamics simulate
-// once, and each repetition's PowerAPI instance observes the shared stream
-// under its own noise overlay. Every attribution is bit-identical to the
-// one `repeats` independent simulations produce (the batch equivalence test
-// pins this); only the wall-clock cost changes.
+// one machine.StreamBatchSegments pass: the scheduling/power dynamics
+// simulate once per constant segment, and each repetition's PowerAPI
+// instance observes the shared segment under its own noise overlay. Every
+// attribution is bit-identical to the one `repeats` independent
+// simulations produce (the batch equivalence test pins this); only the
+// wall-clock cost changes.
 func Instability(cfg machine.Config, fn0, fn1 string, threads, repeats int, seed int64) (InstabilityResult, error) {
 	res := InstabilityResult{Machine: cfg.Spec.Name, Fn0: fn0, Fn1: fn1}
 	w0, ok := workload.StressByName(fn0)
@@ -104,10 +105,17 @@ func Instability(cfg machine.Config, fn0, fn1 string, threads, repeats int, seed
 		replays[rep] = models.NewStreamReplay(roster, []models.Model{model}, maxTicks)
 	}
 
-	// One sample column per tick, shared by every repetition: the noise
+	// One sample column per segment, shared by every repetition: the noise
 	// overlay never touches the per-process columns.
 	scratch := make([]models.ProcSample, roster.Len())
-	_, err := machine.StreamBatch(cfg, procs, runFor, seeds, func(rep int, rec *machine.TickRecord) error {
+	segTicks := models.SegmentTicks{Tick: models.Tick{
+		Interval:    tick,
+		LogicalCPUs: logical,
+		Roster:      roster,
+		Samples:     scratch,
+	}}
+	_, err := machine.StreamBatchSegments(cfg, procs, runFor, seeds, func(rep int, seg *machine.Segment) error {
+		rec := seg.Rec
 		if rep == 0 {
 			for slot := range scratch {
 				pt := rec.Procs[slot]
@@ -119,15 +127,11 @@ func Instability(cfg machine.Config, fn0, fn1 string, threads, repeats int, seed
 				}
 			}
 		}
-		replays[rep].Observe(models.Tick{
-			At:           rec.At,
-			Interval:     tick,
-			MachinePower: rec.Power,
-			LogicalCPUs:  logical,
-			Freq:         rec.Freq,
-			Roster:       roster,
-			Samples:      scratch,
-		})
+		segTicks.Tick.At = rec.At
+		segTicks.Tick.MachinePower = seg.Powers[0]
+		segTicks.Tick.Freq = rec.Freq
+		segTicks.Powers = seg.Powers
+		replays[rep].ObserveSegment(&segTicks)
 		return nil
 	})
 	if err != nil {

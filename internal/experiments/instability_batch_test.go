@@ -9,12 +9,14 @@ import (
 	"powerdiv/internal/cpumodel"
 	"powerdiv/internal/machine"
 	"powerdiv/internal/models"
+	"powerdiv/internal/units"
 	"powerdiv/internal/workload"
 )
 
 // unbatchedInstability is the pre-batch reference: `repeats` fully
-// independent simulations, one machine.Stream pass each, with the same
-// seed derivations Instability uses. It exists only to pin the batch
+// independent simulations, one per-tick machine.Stream pass each with
+// every tick observed as a one-tick segment, under the same seed
+// derivations Instability uses. It exists only to pin the batch
 // equivalence.
 func unbatchedInstability(t *testing.T, cfg machine.Config, fn0, fn1 string, threads, repeats int, seed int64) InstabilityResult {
 	t.Helper()
@@ -39,6 +41,7 @@ func unbatchedInstability(t *testing.T, cfg machine.Config, fn0, fn1 string, thr
 		model := factory.New(seed + int64(rep)*7919)
 		replay := models.NewStreamReplay(roster, []models.Model{model}, maxTicks)
 		scratch := make([]models.ProcSample, roster.Len())
+		power := make([]units.Watts, 1)
 		_, err := machine.Stream(run, procs, runFor, func(rec *machine.TickRecord) error {
 			for slot := range scratch {
 				pt := rec.Procs[slot]
@@ -49,7 +52,8 @@ func unbatchedInstability(t *testing.T, cfg machine.Config, fn0, fn1 string, thr
 					TrueActive: pt.ActivePower,
 				}
 			}
-			replay.Observe(models.Tick{
+			power[0] = rec.Power
+			replay.ObserveSegment(&models.SegmentTicks{Tick: models.Tick{
 				At:           rec.At,
 				Interval:     tick,
 				MachinePower: rec.Power,
@@ -57,7 +61,7 @@ func unbatchedInstability(t *testing.T, cfg machine.Config, fn0, fn1 string, thr
 				Freq:         rec.Freq,
 				Roster:       roster,
 				Samples:      scratch,
-			})
+			}, Powers: power})
 			return nil
 		})
 		if err != nil {
@@ -88,7 +92,7 @@ func unbatchedInstability(t *testing.T, cfg machine.Config, fn0, fn1 string, thr
 }
 
 // TestInstabilityBatchedMatchesUnbatched pins the Fig 8 batching: riding
-// every repetition on one StreamBatch pass must leave each repetition's
+// every repetition on one StreamBatchSegments pass must leave each repetition's
 // attribution bit-identical to a fully independent simulation with the
 // same seeds, on both machines.
 func TestInstabilityBatchedMatchesUnbatched(t *testing.T) {

@@ -30,8 +30,8 @@ import (
 var perTick atomic.Bool
 
 // SetSegmented toggles the segment engine and reports the previous
-// setting. With the engine off, Stream, StreamBatch and the segment-level
-// entry points step every tick individually (each tick becomes its own
+// setting. With the engine off, Stream and the segment-level entry points
+// step every tick individually (each tick becomes its own
 // one-tick segment), which is the reference behaviour the golden tests
 // compare against.
 func SetSegmented(on bool) bool { return !perTick.Swap(!on) }

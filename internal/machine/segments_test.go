@@ -218,58 +218,23 @@ func TestSegmentEngineMatchesPerTick(t *testing.T) {
 	}
 }
 
-// TestStreamBatchSegmentsMatchesPerTick pins the batched entry points: for
-// every repetition, StreamBatch and StreamBatchSegments under the compiled
-// engine match the per-tick reference batch bit for bit, with yields
-// arriving rep-ascending within each tick/segment.
+// TestStreamBatchSegmentsMatchesPerTick pins the batched entry point: for
+// every repetition, StreamBatchSegments under the compiled engine matches
+// the per-tick reference batch (the engine off, one segment per tick) bit
+// for bit, with yields arriving rep-ascending within each segment.
 func TestStreamBatchSegmentsMatchesPerTick(t *testing.T) {
 	defer SetSegmented(SetSegmented(true))
 	seeds := []int64{3, 41, 59}
 	for _, sc := range segScenarios(t) {
 		t.Run(sc.name, func(t *testing.T) {
-			capture := func() [][]TickRecord {
-				reps := make([][]TickRecord, len(seeds))
-				_, err := StreamBatch(sc.cfg, sc.procs, sc.dur, seeds, func(rep int, rec *TickRecord) error {
-					r := *rec
-					r.Procs = append([]ProcTick(nil), rec.Procs...)
-					reps[rep] = append(reps[rep], r)
-					return nil
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return reps
-			}
 			SetSegmented(false)
-			want := capture()
+			want, _ := captureBatch(t, sc.cfg, sc.procs, sc.dur, seeds)
 			SetSegmented(true)
-			got := capture()
-			segGot := make([][]TickRecord, len(seeds))
-			lastRep := -1
-			_, err := StreamBatchSegments(sc.cfg, sc.procs, sc.dur, seeds, func(rep int, seg *Segment) error {
-				wantRep := (lastRep + 1) % len(seeds)
-				if rep != wantRep {
-					t.Fatalf("rep %d yielded after %d, want %d", rep, lastRep, wantRep)
-				}
-				lastRep = rep
-				for i := range seg.Powers {
-					r := *seg.Rec
-					r.At = seg.At(i)
-					r.Power = seg.Powers[i]
-					r.Procs = append([]ProcTick(nil), seg.Rec.Procs...)
-					segGot[rep] = append(segGot[rep], r)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			got, _ := captureBatch(t, sc.cfg, sc.procs, sc.dur, seeds)
 			for rep := range seeds {
-				w := tickCapture{want[rep], &StreamInfo{ProcEnd: map[string]time.Duration{}}}
-				requireIdentical(t, "batch compiled", w,
+				requireIdentical(t, "batch segments",
+					tickCapture{want[rep], &StreamInfo{ProcEnd: map[string]time.Duration{}}},
 					tickCapture{got[rep], &StreamInfo{ProcEnd: map[string]time.Duration{}}})
-				requireIdentical(t, "batch segments", w,
-					tickCapture{segGot[rep], &StreamInfo{ProcEnd: map[string]time.Duration{}}})
 			}
 		})
 	}

@@ -179,55 +179,8 @@ func streamSetup(cfg Config, procs []Proc, maxDur time.Duration) ([]Proc, *Strea
 	return ordered, info, nil
 }
 
-// StreamBatch runs one scenario under several noise seeds in a single
-// simulator pass. The deterministic dynamics — scheduling, frequency,
-// utilization, true power — never depend on Config.Seed (the seed feeds
-// only the sensor-noise overlay), so repetitions of a run that differ only
-// in seed share every stepTick computation; only the per-tick noise draw is
-// per-repetition. Each tick, yield is called once per seed in slice order
-// with the repetition index and a record whose Power carries that seed's
-// noise; every other field (including the shared scratch Procs column) is
-// identical across the K calls. The sequence of records seen for rep k is
-// bit-identical to what Stream(cfg with Seed=seeds[k], ...) would yield —
-// the batch golden test pins this — because each repetition's rng is
-// seeded identically and advanced exactly once per tick, in tick order.
-//
-// The returned info is shared across repetitions (ticks, duration and
-// ProcEnd are seed-independent); its Config is the input cfg, whose own
-// Seed is unused.
-func StreamBatch(cfg Config, procs []Proc, maxDur time.Duration, seeds []int64, yield func(rep int, rec *TickRecord) error) (*StreamInfo, error) {
-	ordered, info, noise, err := streamBatchSetup(cfg, procs, maxDur, seeds)
-	if err != nil {
-		return nil, err
-	}
-	defer releaseAll(noise)
-	cur := newSegCursor(cfg, ordered, maxDur)
-	defer cur.release()
-	var emitted int64
-	for !cur.done {
-		startK, endK, err := cur.next()
-		if err != nil {
-			return nil, err
-		}
-		rec := &cur.rec
-		base := rec.TruePower
-		for k := startK; k < endK; k++ {
-			rec.At = time.Duration(k) * cur.tick
-			for rep := range seeds {
-				rec.Power = noise[rep].sample(base)
-				if err := yield(rep, rec); err != nil {
-					return nil, err
-				}
-			}
-		}
-		emitted = endK
-	}
-	cur.finish(info, emitted)
-	return info, nil
-}
-
-// streamBatchSetup extends streamSetup with the per-repetition noise
-// sources shared by StreamBatch and StreamBatchSegments.
+// streamBatchSetup extends streamSetup with StreamBatchSegments'
+// per-repetition noise sources.
 func streamBatchSetup(cfg Config, procs []Proc, maxDur time.Duration, seeds []int64) ([]Proc, *StreamInfo, []noiseRNG, error) {
 	if len(seeds) == 0 {
 		return nil, nil, nil, fmt.Errorf("machine: batch needs at least one seed")
@@ -243,16 +196,23 @@ func streamBatchSetup(cfg Config, procs []Proc, maxDur time.Duration, seeds []in
 	return ordered, info, noise, nil
 }
 
-// StreamBatchSegments is StreamBatch at segment granularity: for every
-// constant segment of the run, yield is called once per seed in slice
-// order with the repetition index and the segment carrying that
-// repetition's per-tick noisy powers. Within one segment every repetition
-// shares Rec (and its Procs column); only Powers differs. Each
-// repetition's noise source is advanced once per tick in tick order, so
-// for rep k the flattened (At(i), Powers[i], Rec) sequence is
-// bit-identical to Stream with Seed=seeds[k] — and to StreamBatch's
-// per-tick yields. The record and power buffers are scratch valid only
+// StreamBatchSegments runs one scenario under several noise seeds in a
+// single simulator pass. The deterministic dynamics — scheduling,
+// frequency, utilization, true power — never depend on Config.Seed (the
+// seed feeds only the sensor-noise overlay), so repetitions of a run that
+// differ only in seed share every stepTick computation. For every constant
+// segment of the run, yield is called once per seed in slice order with
+// the repetition index and the segment carrying that repetition's
+// per-tick noisy powers. Within one segment every repetition shares Rec
+// (and its Procs column); only Powers differs. Each repetition's noise
+// source is advanced once per tick in tick order, so for rep k the
+// flattened (At(i), Powers[i], Rec) sequence is bit-identical to Stream
+// with Seed=seeds[k]. The record and power buffers are scratch valid only
 // during the yield.
+//
+// The returned info is shared across repetitions (ticks, duration and
+// ProcEnd are seed-independent); its Config is the input cfg, whose own
+// Seed is unused.
 func StreamBatchSegments(cfg Config, procs []Proc, maxDur time.Duration, seeds []int64, yield func(rep int, seg *Segment) error) (*StreamInfo, error) {
 	ordered, info, noise, err := streamBatchSetup(cfg, procs, maxDur, seeds)
 	if err != nil {

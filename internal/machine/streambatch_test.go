@@ -9,9 +9,37 @@ import (
 	"powerdiv/internal/units"
 )
 
+// captureBatch runs a StreamBatchSegments pass and flattens each
+// repetition's segments into per-tick records, checking that yields
+// arrive rep-ascending within each segment.
+func captureBatch(t *testing.T, cfg Config, procs []Proc, dur time.Duration, seeds []int64) ([][]TickRecord, *StreamInfo) {
+	t.Helper()
+	reps := make([][]TickRecord, len(seeds))
+	lastRep := -1
+	info, err := StreamBatchSegments(cfg, procs, dur, seeds, func(rep int, seg *Segment) error {
+		if want := (lastRep + 1) % len(seeds); rep != want {
+			t.Fatalf("rep %d yielded after %d, want %d", rep, lastRep, want)
+		}
+		lastRep = rep
+		for i := range seg.Powers {
+			r := *seg.Rec
+			r.At = seg.At(i)
+			r.Power = seg.Powers[i]
+			r.Procs = append([]ProcTick(nil), seg.Rec.Procs...)
+			reps[rep] = append(reps[rep], r)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reps, info
+}
+
 // TestStreamBatchMatchesStream pins the batch contract: repetition k of a
-// StreamBatch pass is bit-identical — every tick field, every proc column,
-// and the StreamInfo — to a standalone Stream run with Seed = seeds[k].
+// StreamBatchSegments pass, flattened to ticks, is bit-identical — every
+// tick field, every proc column, and the StreamInfo — to a standalone
+// Stream run with Seed = seeds[k].
 // The scenario is noisy with staggered starts and an early finisher so the
 // noise overlay, early-exit and ProcEnd paths are all exercised.
 func TestStreamBatchMatchesStream(t *testing.T) {
@@ -48,24 +76,14 @@ func TestStreamBatchMatchesStream(t *testing.T) {
 			want[k] = capture{ticks, info}
 		}
 
-		got := make([]capture, len(seeds))
-		info, err := StreamBatch(cfg, procs, dur, seeds, func(rep int, rec *TickRecord) error {
-			r := *rec
-			r.Procs = append([]ProcTick(nil), rec.Procs...)
-			got[rep].ticks = append(got[rep].ticks, r)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-
+		got, info := captureBatch(t, cfg, procs, dur, seeds)
 		for k := range seeds {
 			w := want[k]
-			if len(got[k].ticks) != len(w.ticks) {
-				t.Fatalf("noise=%v rep %d: %d ticks batched, %d solo", noise, k, len(got[k].ticks), len(w.ticks))
+			if len(got[k]) != len(w.ticks) {
+				t.Fatalf("noise=%v rep %d: %d ticks batched, %d solo", noise, k, len(got[k]), len(w.ticks))
 			}
 			for i, wr := range w.ticks {
-				gr := got[k].ticks[i]
+				gr := got[k][i]
 				if gr.At != wr.At || gr.Freq != wr.Freq {
 					t.Fatalf("noise=%v rep %d tick %d header mismatch", noise, k, i)
 				}
@@ -108,7 +126,7 @@ func TestStreamBatchMatchesStream(t *testing.T) {
 func TestStreamBatchNoSeeds(t *testing.T) {
 	cfg := prodConfig(cpumodel.Dahu())
 	procs := []Proc{stressProc("a", "fibonacci", 1)}
-	if _, err := StreamBatch(cfg, procs, time.Second, nil, func(int, *TickRecord) error { return nil }); err == nil {
-		t.Fatal("StreamBatch with no seeds succeeded")
+	if _, err := StreamBatchSegments(cfg, procs, time.Second, nil, func(int, *Segment) error { return nil }); err == nil {
+		t.Fatal("StreamBatchSegments with no seeds succeeded")
 	}
 }

@@ -32,9 +32,9 @@ type F2 struct {
 	// bit-reproducible.
 	mean float64
 
-	keys keyCache
-	// roster/perSlot cache the baseline lookup in roster-slot order for
-	// the dense path; rebuilt only when the roster changes.
+	ticks *tickAdapter
+	// roster/perSlot cache the baseline lookup in roster-slot order;
+	// rebuilt only when the roster changes.
 	roster  *machine.Roster
 	perSlot []float64
 }
@@ -84,48 +84,46 @@ func (m *F2) per(id string) float64 {
 // Name returns "f2".
 func (m *F2) Name() string { return "f2" }
 
-// Observe divides the tick's power by isolated-baseline × CPU-usage shares.
-// Processes without a baseline weigh in with the mean baseline, so the
-// model degrades to CPU-time shares rather than ignoring them.
-func (m *F2) Observe(t Tick) map[string]units.Watts {
-	procs := t.ProcsView()
-	if len(procs) == 0 {
-		return nil
-	}
-	ids, _ := m.keys.sorted(procs)
-	weights := make(map[string]float64, len(procs))
-	for _, id := range ids {
-		weights[id] = m.per(id) * procs[id].CPUTime.Seconds()
-	}
-	return ShareOutOrdered(t.MachinePower, ids, weights)
+// Observe divides one tick as a one-tick segment.
+func (m *F2) Observe(t Tick) map[string]units.Watts { return adapter(&m.ticks).observe(m, t) }
+
+// ObserveInto divides one dense tick as a one-tick segment.
+func (m *F2) ObserveInto(t Tick, out []units.Watts) bool {
+	return adapter(&m.ticks).observeInto(m, t, out)
 }
 
-// ObserveInto divides a dense tick by isolated-baseline × CPU-usage shares.
-func (m *F2) ObserveInto(t Tick, out []units.Watts) bool {
-	if m.roster != t.Roster {
-		m.roster = t.Roster
-		ids := t.Roster.IDs()
-		if cap(m.perSlot) < len(ids) {
-			m.perSlot = make([]float64, len(ids))
-		}
-		m.perSlot = m.perSlot[:len(ids)]
+// ObserveSegmentInto divides every tick by the segment's constant
+// baseline × CPU-usage shares. Processes without a baseline weigh in with
+// the mean baseline, so the model degrades to CPU-time shares rather than
+// ignoring them.
+func (m *F2) ObserveSegmentInto(seg *SegmentTicks, out []units.Watts, ok []bool) {
+	if m.roster != seg.Roster {
+		m.roster = seg.Roster
+		ids := seg.Roster.IDs()
+		m.perSlot = sized(m.perSlot, len(ids))
 		for i, id := range ids {
 			m.perSlot[i] = m.per(id)
 		}
 	}
+	n := len(seg.Samples)
+	w := out[:n]
 	any := false
-	for i, p := range t.Samples {
-		out[i] = 0
+	for i, p := range seg.Samples {
+		w[i] = 0
 		if !p.Present() {
 			continue
 		}
 		any = true
-		out[i] = units.Watts(m.perSlot[i] * p.CPUTime.Seconds())
+		w[i] = units.Watts(m.perSlot[i] * p.CPUTime.Seconds())
 	}
 	if !any {
-		return false
+		clear(w)
+		for k := range ok {
+			ok[k] = false
+		}
+		return
 	}
-	return ShareOutInto(t.MachinePower, out)
+	shareOutSegment(seg.Powers, w, out, ok)
 }
 
 // Oracle divides power by the simulator's ground-truth per-process active
@@ -133,7 +131,7 @@ func (m *F2) ObserveInto(t Tick, out []units.Watts) bool {
 // consumption split by the true active ratio. Only meaningful on simulated
 // input; on real sensor input (TrueActive == 0) it returns nil.
 type Oracle struct {
-	keys keyCache
+	ticks *tickAdapter
 }
 
 // NewOracle returns an Oracle-model factory.
@@ -144,21 +142,21 @@ func NewOracle() Factory {
 // Name returns "oracle".
 func (m *Oracle) Name() string { return "oracle" }
 
-// Observe divides the tick's power by true active power shares.
-func (m *Oracle) Observe(t Tick) map[string]units.Watts {
-	procs := t.ProcsView()
-	ids, _ := m.keys.sorted(procs)
-	weights := make(map[string]float64, len(procs))
-	for _, id := range ids {
-		weights[id] = float64(procs[id].TrueActive)
-	}
-	return ShareOutOrdered(t.MachinePower, ids, weights)
+// Observe divides one tick as a one-tick segment.
+func (m *Oracle) Observe(t Tick) map[string]units.Watts { return adapter(&m.ticks).observe(m, t) }
+
+// ObserveInto divides one dense tick as a one-tick segment.
+func (m *Oracle) ObserveInto(t Tick, out []units.Watts) bool {
+	return adapter(&m.ticks).observeInto(m, t, out)
 }
 
-// ObserveInto divides a dense tick by true active power shares.
-func (m *Oracle) ObserveInto(t Tick, out []units.Watts) bool {
-	for i, p := range t.Samples {
-		out[i] = p.TrueActive
+// ObserveSegmentInto divides every tick by the segment's constant
+// true-active shares.
+func (m *Oracle) ObserveSegmentInto(seg *SegmentTicks, out []units.Watts, ok []bool) {
+	n := len(seg.Samples)
+	w := out[:n]
+	for i, p := range seg.Samples {
+		w[i] = p.TrueActive
 	}
-	return ShareOutInto(t.MachinePower, out)
+	shareOutSegment(seg.Powers, w, out, ok)
 }

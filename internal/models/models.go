@@ -16,14 +16,24 @@
 // split the measured machine power C_{S,t} among the running processes (the
 // estimates sum to C_{S,t} whenever they produce estimates at all).
 //
-// Ticks come in two representations. The map view (Tick.Procs) is what live
-// backends with a churning PID set produce. The dense view (Tick.Roster +
-// Tick.Samples) is a roster-indexed column shared with the simulator's
-// columnar storage; models implementing DenseModel divide it without any
-// per-tick map allocation or key sorting, writing estimates into a
-// caller-owned slab (ReplayDense). Both views produce bit-identical
-// estimates: every floating-point sum runs in sorted-ID order, which is
-// exactly roster-slot order.
+// Each model writes its division rule once, as ObserveSegmentInto: a run
+// of ticks whose samples are constant (SegmentTicks), divided into
+// roster-indexed estimate rows. The per-tick entry points are adapters
+// over it:
+//
+//   - ObserveInto divides a dense tick (Tick.Roster + Tick.Samples) as a
+//     one-tick segment, after clearing its output column;
+//   - Observe divides a map tick (Tick.Procs, what live backends with a
+//     churning PID set produce) as a one-tick segment over a roster of the
+//     map's sorted IDs, rebuilt only when the ID set changes. A map entry
+//     is present by definition, so an entry with an unknown thread count
+//     (Threads == 0) joins the column with one thread. An empty map is
+//     still observed, over an empty roster, so models that learn from idle
+//     ticks (WattScope's floor) see it. The result holds every present
+//     process.
+//
+// Every floating-point sum runs in roster-slot order, which is sorted-ID
+// order, so all three entry points produce bit-identical estimates.
 package models
 
 import (
@@ -91,7 +101,7 @@ type Tick struct {
 
 // ProcsView returns the tick's samples as a map, materialising one from
 // the dense column when the tick carries no map (only present processes
-// get an entry). Map-path models use it to accept both representations.
+// get an entry). Map-only models use it to accept both representations.
 func (t Tick) ProcsView() map[string]ProcSample {
 	if t.Procs != nil || t.Samples == nil {
 		return t.Procs
@@ -115,12 +125,11 @@ type Model interface {
 	Observe(t Tick) map[string]units.Watts
 }
 
-// DenseModel is the columnar fast path of Model. ObserveInto divides a
-// dense tick (Tick.Samples != nil) into out, a caller-owned roster-indexed
+// DenseModel is the columnar form of Model. ObserveInto divides a dense
+// tick (Tick.Samples != nil) into out, a caller-owned roster-indexed
 // column — typically one slice of a replay-owned slab. On true, out[slot]
 // holds every roster slot's estimate (absent processes 0); on false the
-// model has no estimate for the tick and out's contents are unspecified
-// (the caller re-zeroes the column).
+// model has no estimate for the tick and out is zero.
 //
 // ObserveInto advances the same calibration state as Observe, so a model
 // instance must be driven through exactly one of the two entry points for
@@ -272,30 +281,32 @@ func (d *DenseEstimates) Row(i int) []units.Watts {
 }
 
 // ReplayDense feeds dense ticks (RunTicksDense) to the model and collects
-// the estimates into one slab-backed matrix. Models implementing
-// DenseModel run without any per-tick allocation; others fall back to
-// Observe on a materialised map view, with the result scattered into the
-// column.
+// the estimates into one slab-backed matrix. Segment models observe each
+// tick as a one-tick segment without any per-tick allocation; others fall
+// back to Observe on a materialised map view, with the result scattered
+// into the column.
 func ReplayDense(m Model, ticks []Tick) *DenseEstimates {
 	var roster *machine.Roster
 	if len(ticks) > 0 {
 		roster = ticks[0].Roster
 	}
 	n := roster.Len()
-	d := &DenseEstimates{
+	// The result and a one-tick adapter share one allocation, so replaying
+	// a fresh model never allocates the model's own adapter.
+	r := &struct {
+		DenseEstimates
+		tick tickAdapter
+	}{DenseEstimates: DenseEstimates{
 		Roster: roster,
 		Slab:   make([]units.Watts, len(ticks)*n),
 		OK:     make([]bool, len(ticks)),
-	}
-	dm, dense := m.(DenseModel)
+	}}
+	d := &r.DenseEstimates
+	sm, isSeg := m.(SegmentModel)
 	for i, t := range ticks {
-		out := d.Slab[i*n : (i+1)*n]
-		if dense && t.Samples != nil {
-			if dm.ObserveInto(t, out) {
-				d.OK[i] = true
-			} else {
-				clear(out)
-			}
+		out := d.Row(i)
+		if isSeg && t.Samples != nil {
+			d.OK[i] = r.tick.observeInto(sm, t, out)
 			continue
 		}
 		t.Procs = t.ProcsView()
@@ -321,13 +332,6 @@ func ShareOut(power units.Watts, weights map[string]float64) map[string]units.Wa
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	return ShareOutOrdered(power, ids, weights)
-}
-
-// ShareOutOrdered is ShareOut with a caller-supplied sorted key order, so
-// streaming models that already hold a sorted ID slice (keyCache) divide
-// without re-sorting on every tick. ids must hold exactly weights' keys.
-func ShareOutOrdered(power units.Watts, ids []string, weights map[string]float64) map[string]units.Watts {
 	var total float64
 	for _, id := range ids {
 		if w := weights[id]; w > 0 {
@@ -374,35 +378,116 @@ func ShareOutInto(power units.Watts, out []units.Watts) bool {
 	return true
 }
 
-// keyCache caches the sorted key slice of successive map-view ticks. The
-// process set of consecutive ticks rarely changes, and set equality is an
-// O(n) membership check, so steady-state map-path division neither
-// allocates nor sorts per tick.
-type keyCache struct {
-	ids []string
+// tickAdapter serves a model's per-tick entry points over its segment
+// method: a tick is a one-tick segment. Models hold it as a lazily
+// allocated pointer (see adapter), so models driven only through segments
+// never pay for it.
+type tickAdapter struct {
+	seg   SegmentTicks
+	power [1]units.Watts
+	ok    [1]bool
+	// roster is the map path's roster over the sorted IDs of the last
+	// non-empty map tick; ids is scratch for rebuilding it. samples and est
+	// are the one-tick sample and estimate columns of Observe.
+	roster  *machine.Roster
+	ids     []string
+	samples []ProcSample
+	est     []units.Watts
 }
 
-// sorted returns procs' keys in sorted order, reusing the previous call's
-// slice when the key set is unchanged. changed reports whether the set
-// differs from the previous call — streaming models use it as their
-// context-change signal.
-func (c *keyCache) sorted(procs map[string]ProcSample) (ids []string, changed bool) {
-	if len(c.ids) == len(procs) {
-		same := true
-		for _, id := range c.ids {
-			if _, ok := procs[id]; !ok {
-				same = false
-				break
+// emptyRoster is the roster of every empty map tick. Sharing it keeps the
+// map path's own roster (and with it PowerAPI's context) untouched by
+// process-free ticks.
+var emptyRoster = machine.NewRoster(nil)
+
+// adapter returns *p, allocating it on first use.
+func adapter(p **tickAdapter) *tickAdapter {
+	if *p == nil {
+		*p = new(tickAdapter)
+	}
+	return *p
+}
+
+// observeInto divides one dense tick as a one-tick segment. out is
+// cleared first: ObserveInto callers may pass a dirty column, and the
+// segment contract promises a zeroed one.
+func (a *tickAdapter) observeInto(sm SegmentModel, t Tick, out []units.Watts) bool {
+	clear(out)
+	a.power[0] = t.MachinePower
+	a.ok[0] = false
+	a.seg = SegmentTicks{Tick: t, Powers: a.power[:]}
+	sm.ObserveSegmentInto(&a.seg, out, a.ok[:])
+	// Drop the references to the caller's tick.
+	a.seg.Tick = Tick{}
+	return a.ok[0]
+}
+
+// observe divides one tick, dense or map, and returns the estimates of its
+// present processes (nil when the model has none).
+func (a *tickAdapter) observe(sm SegmentModel, t Tick) map[string]units.Watts {
+	if t.Procs != nil || t.Samples == nil {
+		t = a.denseView(t)
+	}
+	a.est = sized(a.est, len(t.Samples))
+	if !a.observeInto(sm, t, a.est) {
+		return nil
+	}
+	est := make(map[string]units.Watts, len(t.Samples))
+	for slot, p := range t.Samples {
+		if p.Present() {
+			est[t.Roster.ID(slot)] = a.est[slot]
+		}
+	}
+	return est
+}
+
+// denseView returns a map tick as a dense tick over the map's roster,
+// rebuilding the roster only when the ID set changed. An empty map maps to
+// emptyRoster and leaves the map roster alone.
+func (a *tickAdapter) denseView(t Tick) Tick {
+	roster := emptyRoster
+	if len(t.Procs) > 0 {
+		if !sameIDs(a.roster, t.Procs) {
+			a.ids = a.ids[:0]
+			for id := range t.Procs {
+				a.ids = append(a.ids, id)
 			}
+			a.roster = machine.NewRoster(a.ids)
 		}
-		if same {
-			return c.ids, false
+		roster = a.roster
+	}
+	a.samples = sized(a.samples, roster.Len())
+	for i, id := range roster.IDs() {
+		p := t.Procs[id]
+		// A map entry is present by definition, even when the backend
+		// could not count its threads.
+		if p.Threads < 1 {
+			p.Threads = 1
+		}
+		a.samples[i] = p
+	}
+	t.Procs, t.Roster, t.Samples = nil, roster, a.samples
+	return t
+}
+
+// sameIDs reports whether procs holds exactly the roster's IDs — an O(n)
+// membership check, so a steady ID set neither sorts nor allocates.
+func sameIDs(r *machine.Roster, procs map[string]ProcSample) bool {
+	if r == nil || r.Len() != len(procs) {
+		return false
+	}
+	for _, id := range r.IDs() {
+		if _, ok := procs[id]; !ok {
+			return false
 		}
 	}
-	c.ids = c.ids[:0]
-	for id := range procs {
-		c.ids = append(c.ids, id)
+	return true
+}
+
+// sized returns s resliced to n elements, reallocating only on growth.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	sort.Strings(c.ids)
-	return c.ids, true
+	return s[:n]
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"powerdiv/internal/machine"
 	"powerdiv/internal/rng"
 	"powerdiv/internal/units"
 )
@@ -66,9 +67,8 @@ type PowerAPI struct {
 	seed int64
 	rng  *rand.Rand
 
-	keys       keyCache
+	ticks      *tickAdapter
 	learnStart time.Duration
-	started    bool
 	// rows/targets are the learning window, borrowed from learnWindows by
 	// reset and handed back by fit; win is the borrowed holder.
 	win     *learnWindow
@@ -79,16 +79,16 @@ type PowerAPI struct {
 	weights    [4]float64
 	scales     [4]float64
 	degenerate bool
-	favored    string
 
-	// Dense-path state: the present set of the previous tick (the context
-	// signature), a scratch copy for the current tick, and the favored
-	// slot of a degenerate calibration.
+	// The context signature — the roster and the present set of the last
+	// segment with running processes — a scratch present set for the
+	// current segment, and the favored slot of a degenerate calibration.
+	roster      *machine.Roster
 	prevPresent []bool
 	curPresent  []bool
 	favSlot     int
-	// segW is the segment path's cached weight column (weights are
-	// constant between calibrations within a segment).
+	// segW is the cached weight column (weights are constant between
+	// calibrations within a segment).
 	segW []units.Watts
 }
 
@@ -171,7 +171,6 @@ var learnWindows = sync.Pool{New: func() any {
 
 // reset restarts the learning window after a context change (§IV-A).
 func (m *PowerAPI) reset(at time.Duration) {
-	m.started = true
 	m.learnStart = at
 	if m.win == nil {
 		m.win = learnWindows.Get().(*learnWindow)
@@ -180,88 +179,16 @@ func (m *PowerAPI) reset(at time.Duration) {
 	m.targets = m.win.targets[:0]
 	m.fitted = false
 	m.degenerate = false
-	m.favored = ""
 	m.favSlot = -1
 }
 
-// Observe ingests one tick. During learning it returns nil.
-func (m *PowerAPI) Observe(t Tick) map[string]units.Watts {
-	t.Procs = t.ProcsView()
-	if len(t.Procs) == 0 {
-		return nil
-	}
-	ids, changed := m.keys.sorted(t.Procs)
-	if changed {
-		m.reset(t.At)
-	}
-	if !m.fitted {
-		// Degraded intervals (coalesced dropped ticks, missing zones) are
-		// excluded from calibration: their rows are mis-scaled relative to
-		// clean ones and would corrupt the fit for every later estimate.
-		if !t.Degraded {
-			var agg [4]float64
-			for _, id := range ids {
-				v := t.Procs[id].Counters.Rate(t.Interval).Vector()
-				for d := range agg {
-					agg[d] += v[d]
-				}
-			}
-			m.rows = append(m.rows, agg)
-			m.targets = append(m.targets, float64(t.MachinePower))
-		}
-		if t.At-m.learnStart < m.cfg.LearnWindow || len(m.rows) == 0 {
-			return nil
-		}
-		m.fit(t.LogicalCPUs)
-	}
-	return m.estimate(t, ids)
-}
+// Observe ingests one tick as a one-tick segment. During learning it
+// returns nil.
+func (m *PowerAPI) Observe(t Tick) map[string]units.Watts { return adapter(&m.ticks).observe(m, t) }
 
-// ObserveInto is Observe on a dense tick: the present set replaces the ID
-// signature as the context-change signal, and estimates go to the
-// roster-indexed column.
+// ObserveInto ingests one dense tick as a one-tick segment.
 func (m *PowerAPI) ObserveInto(t Tick, out []units.Watts) bool {
-	n := len(t.Samples)
-	if cap(m.curPresent) < n {
-		m.curPresent = make([]bool, n)
-	}
-	m.curPresent = m.curPresent[:n]
-	running := 0
-	for i, p := range t.Samples {
-		pr := p.Present()
-		m.curPresent[i] = pr
-		if pr {
-			running++
-		}
-	}
-	if running == 0 {
-		return false
-	}
-	if !boolsEqual(m.prevPresent, m.curPresent) {
-		m.prevPresent = append(m.prevPresent[:0], m.curPresent...)
-		m.reset(t.At)
-	}
-	if !m.fitted {
-		if !t.Degraded {
-			var agg [4]float64
-			for i, p := range t.Samples {
-				if !m.curPresent[i] {
-					continue
-				}
-				v := p.Counters.Rate(t.Interval).Vector()
-				for d := range agg {
-					agg[d] += v[d]
-				}
-			}
-			m.rows = append(m.rows, agg)
-			m.targets = append(m.targets, float64(t.MachinePower))
-		}
-		if t.At-m.learnStart < m.cfg.LearnWindow || len(m.rows) == 0 {
-			return false
-		}
-		m.fit(t.LogicalCPUs)
-	}
-	return m.estimateInto(t, running, out)
+	return adapter(&m.ticks).observeInto(m, t, out)
 }
 
 // fit calibrates the counter weights from the collected window.
@@ -294,164 +221,6 @@ func (m *PowerAPI) releaseWindow() {
 	learnWindows.Put(w)
 }
 
-// estimate divides the tick's power by fitted-weight shares.
-func (m *PowerAPI) estimate(t Tick, ids []string) map[string]units.Watts {
-	if m.degenerate {
-		return m.estimateDegenerate(t, ids)
-	}
-	// Attribution follows the cycles-family counters: with aggregate
-	// features the calibration's predictive power collapses onto active
-	// cycles (the other counters are nearly collinear with them at machine
-	// level), which is why the paper finds that for PowerAPI, exactly as
-	// for Scaphandre, "only CPU time ... seems to have an impact on the
-	// results" — same-thread-count applications split near 50/50 whatever
-	// their instruction mix.
-	raw := make(map[string]float64, len(t.Procs))
-	var total float64
-	for _, id := range ids {
-		v := t.Procs[id].Counters.Rate(t.Interval).Vector()
-		s := m.weights[0] * v[0] / m.scales[0]
-		if s < 0 {
-			s = 0
-		}
-		raw[id] = s
-		total += s
-	}
-	if total <= 0 {
-		// The fit assigns nothing; fall back to CPU-time shares, as the
-		// real implementation's static component does.
-		weights := make(map[string]float64, len(t.Procs))
-		for _, id := range ids {
-			weights[id] = t.Procs[id].CPUTime.Seconds()
-		}
-		return ShareOutOrdered(t.MachinePower, ids, weights)
-	}
-	return ShareOutOrdered(t.MachinePower, ids, raw)
-}
-
-// estimateInto is estimate for the dense path, writing shares by slot.
-func (m *PowerAPI) estimateInto(t Tick, running int, out []units.Watts) bool {
-	if m.degenerate {
-		return m.estimateDegenerateInto(t, running, out)
-	}
-	var total float64
-	for i, p := range t.Samples {
-		out[i] = 0
-		if !m.curPresent[i] {
-			continue
-		}
-		v := p.Counters.Rate(t.Interval).Vector()
-		s := m.weights[0] * v[0] / m.scales[0]
-		if s < 0 {
-			s = 0
-		}
-		out[i] = units.Watts(s)
-		total += s
-	}
-	if total <= 0 {
-		for i, p := range t.Samples {
-			out[i] = 0
-			if m.curPresent[i] {
-				out[i] = units.Watts(p.CPUTime.Seconds())
-			}
-		}
-	}
-	return ShareOutInto(t.MachinePower, out)
-}
-
-// estimateDegenerate models the miscalibrated attribution: the favored
-// process's share is inflated well beyond its CPU-time share (by 0.4,
-// capped at 0.9 — two equal processes split 90/10, exactly the Fig 8
-// flip-flop), with the remainder divided among the others by CPU time. The
-// model's static component keeps losing processes above zero, which is why
-// the paper observes 90/10 rather than 100/0.
-func (m *PowerAPI) estimateDegenerate(t Tick, ids []string) map[string]units.Watts {
-	var totalCPU float64
-	for _, id := range ids {
-		totalCPU += t.Procs[id].CPUTime.Seconds()
-	}
-	if totalCPU <= 0 {
-		return nil
-	}
-	if m.favored == "" || !hasProc(t.Procs, m.favored) {
-		m.favored = ids[m.rand().Intn(len(ids))]
-	}
-	if len(t.Procs) == 1 {
-		return map[string]units.Watts{m.favored: t.MachinePower}
-	}
-	favShare := t.Procs[m.favored].CPUTime.Seconds()/totalCPU + 0.4
-	if favShare > 0.9 {
-		favShare = 0.9
-	}
-	restCPU := totalCPU - t.Procs[m.favored].CPUTime.Seconds()
-	shares := make(map[string]float64, len(t.Procs))
-	shares[m.favored] = favShare
-	for _, id := range ids {
-		if id == m.favored {
-			continue
-		}
-		if restCPU > 0 {
-			shares[id] = (1 - favShare) * t.Procs[id].CPUTime.Seconds() / restCPU
-		}
-	}
-	return ShareOut(t.MachinePower, shares)
-}
-
-// estimateDegenerateInto is estimateDegenerate for the dense path. The
-// favored process is drawn with the same seeded RNG call over the sorted
-// present set, so dense and map replays favor the same process.
-func (m *PowerAPI) estimateDegenerateInto(t Tick, running int, out []units.Watts) bool {
-	var totalCPU float64
-	for i, p := range t.Samples {
-		if m.curPresent[i] {
-			totalCPU += p.CPUTime.Seconds()
-		}
-	}
-	if totalCPU <= 0 {
-		return false
-	}
-	if m.favSlot < 0 || !m.curPresent[m.favSlot] {
-		k := m.rand().Intn(running)
-		for i, pr := range m.curPresent {
-			if !pr {
-				continue
-			}
-			if k == 0 {
-				m.favSlot = i
-				break
-			}
-			k--
-		}
-	}
-	if running == 1 {
-		clear(out)
-		out[m.favSlot] = t.MachinePower
-		return true
-	}
-	favCPU := t.Samples[m.favSlot].CPUTime.Seconds()
-	favShare := favCPU/totalCPU + 0.4
-	if favShare > 0.9 {
-		favShare = 0.9
-	}
-	restCPU := totalCPU - favCPU
-	for i, p := range t.Samples {
-		out[i] = 0
-		if !m.curPresent[i] || i == m.favSlot {
-			continue
-		}
-		if restCPU > 0 {
-			out[i] = units.Watts((1 - favShare) * p.CPUTime.Seconds() / restCPU)
-		}
-	}
-	out[m.favSlot] = units.Watts(favShare)
-	return ShareOutInto(t.MachinePower, out)
-}
-
-func hasProc(procs map[string]ProcSample, id string) bool {
-	_, ok := procs[id]
-	return ok
-}
-
 // boolsEqual reports whether two bool slices are element-wise equal.
 func boolsEqual(a, b []bool) bool {
 	if len(a) != len(b) {
@@ -463,6 +232,178 @@ func boolsEqual(a, b []bool) bool {
 		}
 	}
 	return true
+}
+
+// ObserveSegmentInto runs PowerAPI over a segment. The context — the
+// roster and the present set — is constant within a segment, so a context
+// change (which restarts the learning window) can only fire at the
+// segment head; the learning window then fills with the segment's
+// constant aggregate row and per-tick targets, the fit (and a degenerate
+// calibration's favored-slot draw) fires at the tick where the window
+// closes, and estimation stamps the cached post-fit weight column across
+// the remaining ticks. During learning, ticks have no estimate.
+func (m *PowerAPI) ObserveSegmentInto(seg *SegmentTicks, out []units.Watts, ok []bool) {
+	n := len(seg.Samples)
+	nt := len(seg.Powers)
+	m.curPresent = sized(m.curPresent, n)
+	running := 0
+	for i, p := range seg.Samples {
+		pr := p.Present()
+		m.curPresent[i] = pr
+		if pr {
+			running++
+		}
+	}
+	if running == 0 {
+		// Process-free ticks neither update the context nor restart the
+		// window.
+		for k := 0; k < nt; k++ {
+			ok[k] = false
+		}
+		return
+	}
+	if seg.Roster != m.roster || !boolsEqual(m.prevPresent, m.curPresent) {
+		m.roster = seg.Roster
+		m.prevPresent = append(m.prevPresent[:0], m.curPresent...)
+		m.reset(seg.Tick.At)
+	}
+	k := 0
+	if !m.fitted {
+		var agg [4]float64
+		// Degraded intervals (coalesced dropped ticks, missing zones) are
+		// excluded from calibration: their rows are mis-scaled relative to
+		// clean ones and would corrupt the fit for every later estimate.
+		if !seg.Degraded {
+			for i, p := range seg.Samples {
+				if !m.curPresent[i] {
+					continue
+				}
+				v := p.Counters.Rate(seg.Interval).Vector()
+				for d := range agg {
+					agg[d] += v[d]
+				}
+			}
+		}
+		for ; k < nt; k++ {
+			if !seg.Degraded {
+				m.rows = append(m.rows, agg)
+				m.targets = append(m.targets, float64(seg.Powers[k]))
+			}
+			if seg.At(k)-m.learnStart < m.cfg.LearnWindow || len(m.rows) == 0 {
+				ok[k] = false
+				continue
+			}
+			// The window closed at this tick: fit, then estimate this same
+			// tick onward.
+			m.fit(seg.LogicalCPUs)
+			break
+		}
+		if k == nt {
+			return
+		}
+	}
+	if m.degenerate {
+		m.estimateDegenerateSegment(seg, k, running, out, ok)
+		return
+	}
+	// Attribution follows the cycles-family counters: with aggregate
+	// features the calibration's predictive power collapses onto active
+	// cycles (the other counters are nearly collinear with them at machine
+	// level), which is why the paper finds that for PowerAPI, exactly as
+	// for Scaphandre, "only CPU time ... seems to have an impact on the
+	// results" — same-thread-count applications split near 50/50 whatever
+	// their instruction mix.
+	m.segW = sized(m.segW, n)
+	w := m.segW
+	var total float64
+	for i, p := range seg.Samples {
+		w[i] = 0
+		if !m.curPresent[i] {
+			continue
+		}
+		v := p.Counters.Rate(seg.Interval).Vector()
+		s := m.weights[0] * v[0] / m.scales[0]
+		if s < 0 {
+			s = 0
+		}
+		w[i] = units.Watts(s)
+		total += s
+	}
+	if total <= 0 {
+		// The fit assigns nothing; fall back to CPU-time shares, as the
+		// real implementation's static component does.
+		for i, p := range seg.Samples {
+			w[i] = 0
+			if m.curPresent[i] {
+				w[i] = units.Watts(p.CPUTime.Seconds())
+			}
+		}
+	}
+	shareOutSegment(seg.Powers[k:], w, out[k*n:], ok[k:])
+}
+
+// estimateDegenerateSegment stamps the miscalibrated attribution over
+// ticks k..end of the segment: the favored process's share is inflated
+// well beyond its CPU-time share (by 0.4, capped at 0.9 — two equal
+// processes split 90/10, exactly the Fig 8 flip-flop), with the remainder
+// divided among the others by CPU time. The model's static component keeps
+// losing processes above zero, which is why the paper observes 90/10
+// rather than 100/0. The favored slot is drawn (seeded) at the first
+// estimate of a calibration, over the present slots in roster order.
+func (m *PowerAPI) estimateDegenerateSegment(seg *SegmentTicks, k, running int, out []units.Watts, ok []bool) {
+	n := len(seg.Samples)
+	var totalCPU float64
+	for i, p := range seg.Samples {
+		if m.curPresent[i] {
+			totalCPU += p.CPUTime.Seconds()
+		}
+	}
+	if totalCPU <= 0 {
+		for ; k < len(ok); k++ {
+			ok[k] = false
+		}
+		return
+	}
+	if m.favSlot < 0 || !m.curPresent[m.favSlot] {
+		kk := m.rand().Intn(running)
+		for i, pr := range m.curPresent {
+			if !pr {
+				continue
+			}
+			if kk == 0 {
+				m.favSlot = i
+				break
+			}
+			kk--
+		}
+	}
+	if running == 1 {
+		for ; k < len(seg.Powers); k++ {
+			row := out[k*n : (k+1)*n]
+			row[m.favSlot] = seg.Powers[k]
+			ok[k] = true
+		}
+		return
+	}
+	favCPU := seg.Samples[m.favSlot].CPUTime.Seconds()
+	favShare := favCPU/totalCPU + 0.4
+	if favShare > 0.9 {
+		favShare = 0.9
+	}
+	restCPU := totalCPU - favCPU
+	m.segW = sized(m.segW, n)
+	w := m.segW
+	for i, p := range seg.Samples {
+		w[i] = 0
+		if !m.curPresent[i] || i == m.favSlot {
+			continue
+		}
+		if restCPU > 0 {
+			w[i] = units.Watts((1 - favShare) * p.CPUTime.Seconds() / restCPU)
+		}
+	}
+	w[m.favSlot] = units.Watts(favShare)
+	shareOutSegment(seg.Powers[k:], w, out[k*n:], ok[k:])
 }
 
 // Degenerate reports whether the current calibration is degenerate; it is

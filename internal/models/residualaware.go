@@ -31,10 +31,9 @@ type ResidualAware struct {
 	residual cpumodel.ResidualCurve
 	baseFreq units.Hertz
 
-	keys keyCache
-	// slotDuties is the dense path's per-slot duty scratch, reused across
-	// ticks; slotShares/slotResid are the segment path's cached per-slot
-	// CPU shares and residual-excess terms.
+	ticks *tickAdapter
+	// slotDuties, slotShares and slotResid are the per-slot duty, CPU share
+	// and residual-excess scratch, reused across segments.
 	slotDuties []float64
 	slotShares []float64
 	slotResid  []float64
@@ -84,74 +83,30 @@ func duty(p ProcSample, interval units.CPUTime) float64 {
 	return util
 }
 
-// activeResidual decomposes a tick's measured power into the allocatable
-// active part and the residual rate R(f) at the tick's frequency.
-func (m *ResidualAware) activeResidual(t Tick, maxDuty float64) (active, r units.Watts) {
-	freq := t.Freq
-	if freq <= 0 {
-		freq = m.baseFreq
-	}
-	r = m.residual.At(freq)
-	drawnResidual := units.Watts(float64(r) * maxDuty)
-	active = t.MachinePower - m.idle - drawnResidual
-	if active < 0 {
-		active = 0
-	}
-	return active, r
-}
-
-// Observe decomposes and allocates the tick's power.
+// Observe divides one tick as a one-tick segment.
 func (m *ResidualAware) Observe(t Tick) map[string]units.Watts {
-	t.Procs = t.ProcsView()
-	ids, _ := m.keys.sorted(t.Procs)
-	interval := units.CPUTime(t.Interval)
-
-	var totalCPU float64
-	maxDuty := 0.0
-	duties := make(map[string]float64, len(t.Procs))
-	for _, id := range ids {
-		p := t.Procs[id]
-		totalCPU += p.CPUTime.Seconds()
-		d := duty(p, interval)
-		duties[id] = d
-		if d > maxDuty {
-			maxDuty = d
-		}
-	}
-	if totalCPU <= 0 {
-		return nil
-	}
-
-	active, r := m.activeResidual(t, maxDuty)
-
-	minDuty := maxDuty
-	for _, d := range duties {
-		if d < minDuty {
-			minDuty = d
-		}
-	}
-	weights := make(map[string]float64, len(t.Procs))
-	for _, id := range ids {
-		p := t.Procs[id]
-		cpuShare := p.CPUTime.Seconds() / totalCPU
-		// Estimated active power plus the residual excess this process
-		// causes beyond the scenario's least-demanding one.
-		weights[id] = float64(active)*cpuShare + float64(r)*(duties[id]-minDuty)
-	}
-	return ShareOutOrdered(t.MachinePower, ids, weights)
+	return adapter(&m.ticks).observe(m, t)
 }
 
-// ObserveInto decomposes and allocates a dense tick's power by roster slot.
+// ObserveInto divides one dense tick as a one-tick segment.
 func (m *ResidualAware) ObserveInto(t Tick, out []units.Watts) bool {
-	interval := units.CPUTime(t.Interval)
-	if cap(m.slotDuties) < len(t.Samples) {
-		m.slotDuties = make([]float64, len(t.Samples))
-	}
-	duties := m.slotDuties[:len(t.Samples)]
+	return adapter(&m.ticks).observeInto(m, t, out)
+}
+
+// ObserveSegmentInto decomposes every tick with the segment's constant
+// duties, CPU shares and residual-excess terms; only the allocatable
+// active part varies with the tick's power.
+func (m *ResidualAware) ObserveSegmentInto(seg *SegmentTicks, out []units.Watts, ok []bool) {
+	n := len(seg.Samples)
+	interval := units.CPUTime(seg.Interval)
+	m.slotDuties = sized(m.slotDuties, n)
+	m.slotShares = sized(m.slotShares, n)
+	m.slotResid = sized(m.slotResid, n)
+	duties, shares, resid := m.slotDuties, m.slotShares, m.slotResid
 
 	var totalCPU float64
 	maxDuty := 0.0
-	for i, p := range t.Samples {
+	for i, p := range seg.Samples {
 		duties[i] = 0
 		if !p.Present() {
 			continue
@@ -164,24 +119,52 @@ func (m *ResidualAware) ObserveInto(t Tick, out []units.Watts) bool {
 		}
 	}
 	if totalCPU <= 0 {
-		return false
+		for k := range ok {
+			ok[k] = false
+		}
+		return
 	}
-
-	active, r := m.activeResidual(t, maxDuty)
-
 	minDuty := maxDuty
-	for i, p := range t.Samples {
+	for i, p := range seg.Samples {
 		if p.Present() && duties[i] < minDuty {
 			minDuty = duties[i]
 		}
 	}
-	for i, p := range t.Samples {
-		out[i] = 0
+	freq := seg.Freq
+	if freq <= 0 {
+		freq = m.baseFreq
+	}
+	r := m.residual.At(freq)
+	for i, p := range seg.Samples {
+		shares[i], resid[i] = 0, 0
 		if !p.Present() {
 			continue
 		}
-		cpuShare := p.CPUTime.Seconds() / totalCPU
-		out[i] = units.Watts(float64(active)*cpuShare + float64(r)*(duties[i]-minDuty))
+		// Estimated active power plus the residual excess this process
+		// causes beyond the scenario's least-demanding one.
+		shares[i] = p.CPUTime.Seconds() / totalCPU
+		resid[i] = float64(r) * (duties[i] - minDuty)
 	}
-	return ShareOutInto(t.MachinePower, out)
+	drawnResidual := units.Watts(float64(r) * maxDuty)
+	for k, pw := range seg.Powers {
+		active := pw - m.idle - drawnResidual
+		if active < 0 {
+			active = 0
+		}
+		activeF := float64(active)
+		row := out[k*n : (k+1)*n]
+		for i, p := range seg.Samples {
+			row[i] = 0
+			if !p.Present() {
+				continue
+			}
+			row[i] = units.Watts(activeF*shares[i] + resid[i])
+		}
+		if ShareOutInto(pw, row) {
+			ok[k] = true
+		} else {
+			clear(row)
+			ok[k] = false
+		}
+	}
 }

@@ -10,7 +10,7 @@ import "powerdiv/internal/units"
 // with the same ratio as active consumption, because the division simply
 // does not distinguish them.
 type Scaphandre struct {
-	keys keyCache
+	ticks *tickAdapter
 }
 
 // NewScaphandre returns a Scaphandre-model factory.
@@ -21,23 +21,23 @@ func NewScaphandre() Factory {
 // Name returns "scaphandre".
 func (m *Scaphandre) Name() string { return "scaphandre" }
 
-// Observe divides the tick's machine power by CPU-time share.
-func (m *Scaphandre) Observe(t Tick) map[string]units.Watts {
-	procs := t.ProcsView()
-	ids, _ := m.keys.sorted(procs)
-	weights := make(map[string]float64, len(procs))
-	for _, id := range ids {
-		weights[id] = procs[id].CPUTime.Seconds()
-	}
-	return ShareOutOrdered(t.MachinePower, ids, weights)
+// Observe divides one tick as a one-tick segment.
+func (m *Scaphandre) Observe(t Tick) map[string]units.Watts { return adapter(&m.ticks).observe(m, t) }
+
+// ObserveInto divides one dense tick as a one-tick segment.
+func (m *Scaphandre) ObserveInto(t Tick, out []units.Watts) bool {
+	return adapter(&m.ticks).observeInto(m, t, out)
 }
 
-// ObserveInto divides a dense tick by CPU-time share.
-func (m *Scaphandre) ObserveInto(t Tick, out []units.Watts) bool {
-	for i, p := range t.Samples {
-		out[i] = units.Watts(p.CPUTime.Seconds())
+// ObserveSegmentInto divides every tick by the segment's constant
+// CPU-time shares.
+func (m *Scaphandre) ObserveSegmentInto(seg *SegmentTicks, out []units.Watts, ok []bool) {
+	n := len(seg.Samples)
+	w := out[:n]
+	for i, p := range seg.Samples {
+		w[i] = units.Watts(p.CPUTime.Seconds())
 	}
-	return ShareOutInto(t.MachinePower, out)
+	shareOutSegment(seg.Powers, w, out, ok)
 }
 
 // Kepler divides the measured machine power among processes by their share
@@ -47,7 +47,7 @@ func (m *Scaphandre) ObserveInto(t Tick, out []units.Watts) bool {
 // and that its conclusions transfer; the instruction basis differs from the
 // CPU-time basis exactly by the workloads' IPC ratios.
 type Kepler struct {
-	keys keyCache
+	ticks *tickAdapter
 }
 
 // NewKepler returns a Kepler-model factory.
@@ -58,21 +58,21 @@ func NewKepler() Factory {
 // Name returns "kepler".
 func (m *Kepler) Name() string { return "kepler" }
 
-// Observe divides the tick's machine power by instruction share.
-func (m *Kepler) Observe(t Tick) map[string]units.Watts {
-	procs := t.ProcsView()
-	ids, _ := m.keys.sorted(procs)
-	weights := make(map[string]float64, len(procs))
-	for _, id := range ids {
-		weights[id] = procs[id].Counters.Instructions
-	}
-	return ShareOutOrdered(t.MachinePower, ids, weights)
+// Observe divides one tick as a one-tick segment.
+func (m *Kepler) Observe(t Tick) map[string]units.Watts { return adapter(&m.ticks).observe(m, t) }
+
+// ObserveInto divides one dense tick as a one-tick segment.
+func (m *Kepler) ObserveInto(t Tick, out []units.Watts) bool {
+	return adapter(&m.ticks).observeInto(m, t, out)
 }
 
-// ObserveInto divides a dense tick by instruction share.
-func (m *Kepler) ObserveInto(t Tick, out []units.Watts) bool {
-	for i, p := range t.Samples {
-		out[i] = units.Watts(p.Counters.Instructions)
+// ObserveSegmentInto divides every tick by the segment's constant
+// instruction shares.
+func (m *Kepler) ObserveSegmentInto(seg *SegmentTicks, out []units.Watts, ok []bool) {
+	n := len(seg.Samples)
+	w := out[:n]
+	for i, p := range seg.Samples {
+		w[i] = units.Watts(p.Counters.Instructions)
 	}
-	return ShareOutInto(t.MachinePower, out)
+	shareOutSegment(seg.Powers, w, out, ok)
 }

@@ -43,19 +43,18 @@ func (s *SegmentTicks) tickAt(i int) Tick {
 	return t
 }
 
-// SegmentModel is the segment-level fast path of DenseModel.
-// ObserveSegmentInto observes every tick of seg in order, writing tick
-// i's roster-indexed estimate row to out[i*n:(i+1)*n] (n = len(
-// seg.Samples)) and its estimate flag to ok[i]. out arrives zeroed and
-// rows of not-OK ticks must be left (or restored to) zero, exactly like
-// the cleared columns of the per-tick path.
+// SegmentModel is the division itself: every built-in model implements
+// only this method, and its per-tick entry points are one-tick segments
+// over it. ObserveSegmentInto observes every tick of seg in order, writing
+// tick i's roster-indexed estimate row to out[i*n:(i+1)*n] (n = len(
+// seg.Samples)) and its estimate flag to ok[i]. out arrives zeroed and ok
+// false; rows of not-OK ticks must be left (or restored to) zero.
 //
-// The results — estimates, flags, and any calibration state the model
-// carries across ticks — must be bit-identical to calling ObserveInto
-// once per tick with only At and MachinePower substituted; the
-// equivalence tests pin this for every built-in model. Like ObserveInto,
-// a model instance must be driven through exactly one entry-point style
-// for its whole lifetime, in tick order.
+// Observing a segment must be bit-identical — estimates, flags, and any
+// calibration state the model carries across ticks — to observing its
+// ticks one by one as one-tick segments; the equivalence tests pin this
+// for every built-in model. A model instance must be driven in tick order
+// through exactly one entry-point style for its whole lifetime.
 type SegmentModel interface {
 	DenseModel
 	ObserveSegmentInto(seg *SegmentTicks, out []units.Watts, ok []bool)
@@ -101,445 +100,4 @@ func shareOutSegment(powers []units.Watts, w []units.Watts, out []units.Watts, o
 		ok[k] = true
 	}
 	return true
-}
-
-// ObserveSegmentInto divides every tick by the segment's constant
-// CPU-time shares.
-func (m *Scaphandre) ObserveSegmentInto(seg *SegmentTicks, out []units.Watts, ok []bool) {
-	n := len(seg.Samples)
-	w := out[:n]
-	for i, p := range seg.Samples {
-		w[i] = units.Watts(p.CPUTime.Seconds())
-	}
-	shareOutSegment(seg.Powers, w, out, ok)
-}
-
-// ObserveSegmentInto divides every tick by the segment's constant
-// instruction shares.
-func (m *Kepler) ObserveSegmentInto(seg *SegmentTicks, out []units.Watts, ok []bool) {
-	n := len(seg.Samples)
-	w := out[:n]
-	for i, p := range seg.Samples {
-		w[i] = units.Watts(p.Counters.Instructions)
-	}
-	shareOutSegment(seg.Powers, w, out, ok)
-}
-
-// ObserveSegmentInto divides every tick by the segment's constant
-// true-active shares.
-func (m *Oracle) ObserveSegmentInto(seg *SegmentTicks, out []units.Watts, ok []bool) {
-	n := len(seg.Samples)
-	w := out[:n]
-	for i, p := range seg.Samples {
-		w[i] = p.TrueActive
-	}
-	shareOutSegment(seg.Powers, w, out, ok)
-}
-
-// ObserveSegmentInto divides every tick by the segment's constant
-// baseline × CPU-usage shares.
-func (m *F2) ObserveSegmentInto(seg *SegmentTicks, out []units.Watts, ok []bool) {
-	if m.roster != seg.Roster {
-		m.roster = seg.Roster
-		ids := seg.Roster.IDs()
-		if cap(m.perSlot) < len(ids) {
-			m.perSlot = make([]float64, len(ids))
-		}
-		m.perSlot = m.perSlot[:len(ids)]
-		for i, id := range ids {
-			m.perSlot[i] = m.per(id)
-		}
-	}
-	n := len(seg.Samples)
-	w := out[:n]
-	any := false
-	for i, p := range seg.Samples {
-		w[i] = 0
-		if !p.Present() {
-			continue
-		}
-		any = true
-		w[i] = units.Watts(m.perSlot[i] * p.CPUTime.Seconds())
-	}
-	if !any {
-		clear(w)
-		for k := range ok {
-			ok[k] = false
-		}
-		return
-	}
-	shareOutSegment(seg.Powers, w, out, ok)
-}
-
-// ObserveSegmentInto divides every tick with the segment's constant
-// coarse-utilization shares; only the running-minimum floor advances per
-// tick, in tick order, exactly as the per-tick path learns it.
-func (m *WattScope) ObserveSegmentInto(seg *SegmentTicks, out []units.Watts, ok []bool) {
-	n := len(seg.Samples)
-	if cap(m.slotUtils) < n {
-		m.slotUtils = make([]float64, n)
-	}
-	utils := m.slotUtils[:n]
-	present := 0
-	var totalUtil float64
-	for i, p := range seg.Samples {
-		utils[i] = 0
-		if p.Present() {
-			present++
-			u := m.coarseUtil(p.CPUTime, seg.Tick)
-			utils[i] = u
-			totalUtil += u
-		}
-	}
-	if present == 0 {
-		// The per-tick path learns the floor before the present check, so
-		// idle ticks still feed it.
-		for k := range seg.Powers {
-			m.learnFloorPower(seg.Degraded, float64(seg.Powers[k]))
-			ok[k] = false
-		}
-		return
-	}
-	for k, pw := range seg.Powers {
-		power := float64(pw)
-		m.learnFloorPower(seg.Degraded, power)
-		static := m.staticPower(power)
-		dynamic := power - static
-		if totalUtil <= 0 {
-			static, dynamic = power, 0
-		}
-		perProc := static / float64(present)
-		row := out[k*n : (k+1)*n]
-		for i, p := range seg.Samples {
-			if !p.Present() {
-				row[i] = 0
-				continue
-			}
-			est := perProc
-			if dynamic > 0 {
-				est += dynamic * utils[i] / totalUtil
-			}
-			row[i] = units.Watts(est)
-		}
-		ok[k] = true
-	}
-}
-
-// ObserveSegmentInto decomposes every tick with the segment's constant
-// duties, CPU shares and residual-excess terms; only the allocatable
-// active part varies with the tick's power.
-func (m *ResidualAware) ObserveSegmentInto(seg *SegmentTicks, out []units.Watts, ok []bool) {
-	n := len(seg.Samples)
-	interval := units.CPUTime(seg.Interval)
-	if cap(m.slotDuties) < n {
-		m.slotDuties = make([]float64, n)
-	}
-	if cap(m.slotShares) < n {
-		m.slotShares = make([]float64, n)
-		m.slotResid = make([]float64, n)
-	}
-	duties := m.slotDuties[:n]
-	shares := m.slotShares[:n]
-	resid := m.slotResid[:n]
-
-	var totalCPU float64
-	maxDuty := 0.0
-	for i, p := range seg.Samples {
-		duties[i] = 0
-		if !p.Present() {
-			continue
-		}
-		totalCPU += p.CPUTime.Seconds()
-		d := duty(p, interval)
-		duties[i] = d
-		if d > maxDuty {
-			maxDuty = d
-		}
-	}
-	if totalCPU <= 0 {
-		for k := range ok {
-			ok[k] = false
-		}
-		return
-	}
-	minDuty := maxDuty
-	for i, p := range seg.Samples {
-		if p.Present() && duties[i] < minDuty {
-			minDuty = duties[i]
-		}
-	}
-	freq := seg.Freq
-	if freq <= 0 {
-		freq = m.baseFreq
-	}
-	r := m.residual.At(freq)
-	for i, p := range seg.Samples {
-		shares[i], resid[i] = 0, 0
-		if !p.Present() {
-			continue
-		}
-		shares[i] = p.CPUTime.Seconds() / totalCPU
-		resid[i] = float64(r) * (duties[i] - minDuty)
-	}
-	drawnResidual := units.Watts(float64(r) * maxDuty)
-	for k, pw := range seg.Powers {
-		active := pw - m.idle - drawnResidual
-		if active < 0 {
-			active = 0
-		}
-		activeF := float64(active)
-		row := out[k*n : (k+1)*n]
-		for i, p := range seg.Samples {
-			row[i] = 0
-			if !p.Present() {
-				continue
-			}
-			row[i] = units.Watts(activeF*shares[i] + resid[i])
-		}
-		if ShareOutInto(pw, row) {
-			ok[k] = true
-		} else {
-			clear(row)
-			ok[k] = false
-		}
-	}
-}
-
-// ObserveSegmentInto runs PowerAPI over a segment. Presence — the
-// context-change signal — is constant within a segment, so a reset can
-// only fire at the segment head; the learning window then fills with the
-// segment's constant aggregate row and per-tick targets, the fit (and a
-// degenerate calibration's favored-slot draw) fires at exactly the tick
-// where the per-tick path would fire it, and estimation stamps the cached
-// post-fit weight column across the remaining ticks.
-func (m *PowerAPI) ObserveSegmentInto(seg *SegmentTicks, out []units.Watts, ok []bool) {
-	n := len(seg.Samples)
-	nt := len(seg.Powers)
-	if cap(m.curPresent) < n {
-		m.curPresent = make([]bool, n)
-	}
-	m.curPresent = m.curPresent[:n]
-	running := 0
-	for i, p := range seg.Samples {
-		pr := p.Present()
-		m.curPresent[i] = pr
-		if pr {
-			running++
-		}
-	}
-	if running == 0 {
-		// The per-tick path bails before the context check: process-free
-		// ticks neither update prevPresent nor restart the window.
-		for k := 0; k < nt; k++ {
-			ok[k] = false
-		}
-		return
-	}
-	if !boolsEqual(m.prevPresent, m.curPresent) {
-		m.prevPresent = append(m.prevPresent[:0], m.curPresent...)
-		m.reset(seg.Tick.At)
-	}
-	k := 0
-	if !m.fitted {
-		var agg [4]float64
-		if !seg.Degraded {
-			for i, p := range seg.Samples {
-				if !m.curPresent[i] {
-					continue
-				}
-				v := p.Counters.Rate(seg.Interval).Vector()
-				for d := range agg {
-					agg[d] += v[d]
-				}
-			}
-		}
-		for ; k < nt; k++ {
-			if !seg.Degraded {
-				m.rows = append(m.rows, agg)
-				m.targets = append(m.targets, float64(seg.Powers[k]))
-			}
-			if seg.At(k)-m.learnStart < m.cfg.LearnWindow || len(m.rows) == 0 {
-				ok[k] = false
-				continue
-			}
-			// The window closed at this tick: fit, then estimate this same
-			// tick onward, exactly like the per-tick path.
-			m.fit(seg.LogicalCPUs)
-			break
-		}
-		if k == nt {
-			return
-		}
-	}
-	if m.degenerate {
-		m.estimateDegenerateSegment(seg, k, running, out, ok)
-		return
-	}
-	if cap(m.segW) < n {
-		m.segW = make([]units.Watts, n)
-	}
-	w := m.segW[:n]
-	var total float64
-	for i, p := range seg.Samples {
-		w[i] = 0
-		if !m.curPresent[i] {
-			continue
-		}
-		v := p.Counters.Rate(seg.Interval).Vector()
-		s := m.weights[0] * v[0] / m.scales[0]
-		if s < 0 {
-			s = 0
-		}
-		w[i] = units.Watts(s)
-		total += s
-	}
-	if total <= 0 {
-		// The fit assigns nothing; fall back to CPU-time shares, as the
-		// per-tick estimate does.
-		for i, p := range seg.Samples {
-			w[i] = 0
-			if m.curPresent[i] {
-				w[i] = units.Watts(p.CPUTime.Seconds())
-			}
-		}
-	}
-	shareOutSegment(seg.Powers[k:], w, out[k*n:], ok[k:])
-}
-
-// estimateDegenerateSegment stamps the degenerate attribution over ticks
-// k..end of the segment: the favored slot (drawn here if needed, with the
-// same seeded call the per-tick path would make) takes its inflated
-// constant share, the rest split by CPU time.
-func (m *PowerAPI) estimateDegenerateSegment(seg *SegmentTicks, k, running int, out []units.Watts, ok []bool) {
-	n := len(seg.Samples)
-	var totalCPU float64
-	for i, p := range seg.Samples {
-		if m.curPresent[i] {
-			totalCPU += p.CPUTime.Seconds()
-		}
-	}
-	if totalCPU <= 0 {
-		for ; k < len(ok); k++ {
-			ok[k] = false
-		}
-		return
-	}
-	if m.favSlot < 0 || !m.curPresent[m.favSlot] {
-		kk := m.rand().Intn(running)
-		for i, pr := range m.curPresent {
-			if !pr {
-				continue
-			}
-			if kk == 0 {
-				m.favSlot = i
-				break
-			}
-			kk--
-		}
-	}
-	if running == 1 {
-		for ; k < len(seg.Powers); k++ {
-			row := out[k*n : (k+1)*n]
-			row[m.favSlot] = seg.Powers[k]
-			ok[k] = true
-		}
-		return
-	}
-	favCPU := seg.Samples[m.favSlot].CPUTime.Seconds()
-	favShare := favCPU/totalCPU + 0.4
-	if favShare > 0.9 {
-		favShare = 0.9
-	}
-	restCPU := totalCPU - favCPU
-	if cap(m.segW) < n {
-		m.segW = make([]units.Watts, n)
-	}
-	w := m.segW[:n]
-	for i, p := range seg.Samples {
-		w[i] = 0
-		if !m.curPresent[i] || i == m.favSlot {
-			continue
-		}
-		if restCPU > 0 {
-			w[i] = units.Watts((1 - favShare) * p.CPUTime.Seconds() / restCPU)
-		}
-	}
-	w[m.favSlot] = units.Watts(favShare)
-	shareOutSegment(seg.Powers[k:], w, out[k*n:], ok[k:])
-}
-
-// ObserveSegmentInto runs SmartWatts over a segment: the bin and the
-// aggregate calibration row are constant, every covered tick still feeds
-// the bin in order (refits fire at exactly the per-tick cadence), and the
-// cached estimate weights are rebuilt whenever a refit lands.
-func (m *SmartWatts) ObserveSegmentInto(seg *SegmentTicks, out []units.Watts, ok []bool) {
-	n := len(seg.Samples)
-	running := 0
-	for i := range seg.Samples {
-		if seg.Samples[i].Present() {
-			running++
-		}
-	}
-	if running == 0 {
-		for k := range ok {
-			ok[k] = false
-		}
-		return
-	}
-	b := m.bin(seg.Freq)
-	var agg [4]float64
-	for i := range seg.Samples {
-		if !seg.Samples[i].Present() {
-			continue
-		}
-		v := seg.Samples[i].Counters.Rate(seg.Interval).Vector()
-		for d := range agg {
-			agg[d] += v[d]
-		}
-	}
-	if cap(m.segW) < n {
-		m.segW = make([]units.Watts, n)
-	}
-	w := m.segW[:n]
-	wValid := false
-	for k, pw := range seg.Powers {
-		warm, refitted := m.calibrateTick(b, agg, seg.Degraded, pw)
-		if !warm {
-			ok[k] = false
-			continue
-		}
-		if refitted || !wValid {
-			wValid = true
-			var total float64
-			for i, p := range seg.Samples {
-				w[i] = 0
-				if !p.Present() {
-					continue
-				}
-				v := p.Counters.Rate(seg.Interval).Vector()
-				s := b.weights[0] * v[0] / b.scales[0]
-				if s < 0 {
-					s = 0
-				}
-				w[i] = units.Watts(s)
-				total += s
-			}
-			if total <= 0 {
-				for i, p := range seg.Samples {
-					w[i] = 0
-					if p.Present() {
-						w[i] = units.Watts(p.CPUTime.Seconds())
-					}
-				}
-			}
-		}
-		row := out[k*n : (k+1)*n]
-		copy(row, w)
-		if ShareOutInto(pw, row) {
-			ok[k] = true
-		} else {
-			clear(row)
-			ok[k] = false
-		}
-	}
 }

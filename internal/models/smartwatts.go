@@ -40,11 +40,10 @@ func DefaultSmartWattsConfig() SmartWattsConfig {
 // Attribution within a tick follows the cycles-family counters, as for
 // PowerAPI (the paper finds both models divide by CPU time in practice).
 type SmartWatts struct {
-	cfg  SmartWattsConfig
-	bins map[int64]*swBin
-	keys keyCache
-	// segW is the segment path's cached weight column, rebuilt after each
-	// refit.
+	cfg   SmartWattsConfig
+	bins  map[int64]*swBin
+	ticks *tickAdapter
+	// segW is the cached estimate weight column, rebuilt after each refit.
 	segW []units.Watts
 }
 
@@ -95,60 +94,17 @@ func (m *SmartWatts) bin(freq units.Hertz) *swBin {
 	return b
 }
 
-// Observe ingests one tick: it always feeds the current frequency bin's
-// calibration, and produces estimates as soon as that bin is warm.
-func (m *SmartWatts) Observe(t Tick) map[string]units.Watts {
-	t.Procs = t.ProcsView()
-	if len(t.Procs) == 0 {
-		return nil
-	}
-	ids, _ := m.keys.sorted(t.Procs)
-	b := m.bin(t.Freq)
+// Observe ingests one tick as a one-tick segment.
+func (m *SmartWatts) Observe(t Tick) map[string]units.Watts { return adapter(&m.ticks).observe(m, t) }
 
-	var agg [4]float64
-	for _, id := range ids {
-		v := t.Procs[id].Counters.Rate(t.Interval).Vector()
-		for d := range agg {
-			agg[d] += v[d]
-		}
-	}
-	if !m.calibrate(b, agg, t) {
-		return nil
-	}
-
-	raw := make(map[string]float64, len(t.Procs))
-	var total float64
-	for _, id := range ids {
-		v := t.Procs[id].Counters.Rate(t.Interval).Vector()
-		s := b.weights[0] * v[0] / b.scales[0]
-		if s < 0 {
-			s = 0
-		}
-		raw[id] = s
-		total += s
-	}
-	if total <= 0 {
-		weights := make(map[string]float64, len(t.Procs))
-		for _, id := range ids {
-			weights[id] = t.Procs[id].CPUTime.Seconds()
-		}
-		return ShareOutOrdered(t.MachinePower, ids, weights)
-	}
-	return ShareOutOrdered(t.MachinePower, ids, raw)
+// ObserveInto ingests one dense tick as a one-tick segment.
+func (m *SmartWatts) ObserveInto(t Tick, out []units.Watts) bool {
+	return adapter(&m.ticks).observeInto(m, t, out)
 }
 
-// calibrate feeds one aggregate row into the bin and reports whether the
-// bin is warm enough to estimate.
-func (m *SmartWatts) calibrate(b *swBin, agg [4]float64, t Tick) bool {
-	warm, _ := m.calibrateTick(b, agg, t.Degraded, t.MachinePower)
-	return warm
-}
-
-// calibrateTick is calibrate with the tick unpacked (the segment path
-// calls it once per covered tick) and additionally reports whether this
-// tick's row triggered a refit, so cached estimate weights can be
-// invalidated exactly when the per-tick path would recompute different
-// ones.
+// calibrateTick feeds one tick's aggregate row into the bin and reports
+// whether the bin is warm enough to estimate, and whether this tick's row
+// triggered a refit (which invalidates the cached estimate weights).
 func (m *SmartWatts) calibrateTick(b *swBin, agg [4]float64, degraded bool, power units.Watts) (warm, refitted bool) {
 	// Degraded intervals are divided but never calibrated on: a coalesced
 	// or zone-incomplete row would poison the bin's fit (see Tick.Degraded).
@@ -168,58 +124,6 @@ func (m *SmartWatts) calibrateTick(b *swBin, agg [4]float64, degraded bool, powe
 	return true, refitted
 }
 
-// ObserveInto is Observe on a dense tick, writing shares by roster slot.
-func (m *SmartWatts) ObserveInto(t Tick, out []units.Watts) bool {
-	running := 0
-	for i := range t.Samples {
-		if t.Samples[i].Present() {
-			running++
-		}
-	}
-	if running == 0 {
-		return false
-	}
-	b := m.bin(t.Freq)
-
-	var agg [4]float64
-	for i := range t.Samples {
-		if !t.Samples[i].Present() {
-			continue
-		}
-		v := t.Samples[i].Counters.Rate(t.Interval).Vector()
-		for d := range agg {
-			agg[d] += v[d]
-		}
-	}
-	if !m.calibrate(b, agg, t) {
-		return false
-	}
-
-	var total float64
-	for i, p := range t.Samples {
-		out[i] = 0
-		if !p.Present() {
-			continue
-		}
-		v := p.Counters.Rate(t.Interval).Vector()
-		s := b.weights[0] * v[0] / b.scales[0]
-		if s < 0 {
-			s = 0
-		}
-		out[i] = units.Watts(s)
-		total += s
-	}
-	if total <= 0 {
-		for i, p := range t.Samples {
-			out[i] = 0
-			if p.Present() {
-				out[i] = units.Watts(p.CPUTime.Seconds())
-			}
-		}
-	}
-	return ShareOutInto(t.MachinePower, out)
-}
-
 // WarmBins reports how many frequency bins have usable calibrations —
 // exported for white-box assertions.
 func (m *SmartWatts) WarmBins() int {
@@ -230,4 +134,79 @@ func (m *SmartWatts) WarmBins() int {
 		}
 	}
 	return n
+}
+
+// ObserveSegmentInto runs SmartWatts over a segment: the bin and the
+// aggregate calibration row are constant, every covered tick feeds the bin
+// in order (so refits fire at the per-tick cadence), and the cached
+// estimate weights are rebuilt whenever a refit lands. A tick estimates as
+// soon as its bin is warm.
+func (m *SmartWatts) ObserveSegmentInto(seg *SegmentTicks, out []units.Watts, ok []bool) {
+	n := len(seg.Samples)
+	running := 0
+	for i := range seg.Samples {
+		if seg.Samples[i].Present() {
+			running++
+		}
+	}
+	if running == 0 {
+		for k := range ok {
+			ok[k] = false
+		}
+		return
+	}
+	b := m.bin(seg.Freq)
+	var agg [4]float64
+	for i := range seg.Samples {
+		if !seg.Samples[i].Present() {
+			continue
+		}
+		v := seg.Samples[i].Counters.Rate(seg.Interval).Vector()
+		for d := range agg {
+			agg[d] += v[d]
+		}
+	}
+	m.segW = sized(m.segW, n)
+	w := m.segW
+	wValid := false
+	for k, pw := range seg.Powers {
+		warm, refitted := m.calibrateTick(b, agg, seg.Degraded, pw)
+		if !warm {
+			ok[k] = false
+			continue
+		}
+		if refitted || !wValid {
+			wValid = true
+			var total float64
+			for i, p := range seg.Samples {
+				w[i] = 0
+				if !p.Present() {
+					continue
+				}
+				v := p.Counters.Rate(seg.Interval).Vector()
+				s := b.weights[0] * v[0] / b.scales[0]
+				if s < 0 {
+					s = 0
+				}
+				w[i] = units.Watts(s)
+				total += s
+			}
+			if total <= 0 {
+				for i, p := range seg.Samples {
+					w[i] = 0
+					if p.Present() {
+						w[i] = units.Watts(p.CPUTime.Seconds())
+					}
+				}
+			}
+		}
+		row := out[k*n : (k+1)*n]
+		copy(row, w)
+		if ShareOutInto(pw, row) {
+			ok[k] = true
+		} else {
+			clear(row)
+			ok[k] = false
+		}
+	}
 }

@@ -7,26 +7,23 @@ import (
 	"powerdiv/internal/units"
 )
 
-// StreamReplay drives several models tick by tick as a simulation streams,
-// accumulating each model's estimates into the same slab-backed
+// StreamReplay drives several models segment by segment as a simulation
+// streams, accumulating each model's estimates into the same slab-backed
 // DenseEstimates that ReplayDense produces — without a machine.Run or a
-// dense tick slice ever being materialised. Per-tick state is one estimate
-// column per model; the accumulated matrices grow O(roster × ticks), which
-// is all phase-3 scoring needs.
+// dense tick slice ever being materialised. The accumulated matrices grow
+// O(roster × ticks), which is all phase-3 scoring needs.
 //
 // Feeding order is the stream's tick order, and each model instance must be
-// driven only through this replay (ObserveInto/Observe advance calibration
+// driven only through this replay (observation advances calibration
 // state). Estimates are bit-identical to ReplayDense over the same ticks:
-// the dense path calls the same ObserveInto, and the map fallback
-// materialises the same ProcsView and scatters by the same roster slots.
+// segment models divide the same samples (a tick is a one-tick segment),
+// and the map fallback materialises the same ProcsView and scatters by the
+// same roster slots.
 type StreamReplay struct {
 	roster *machine.Roster
 	models []Model
-	// dense is index-aligned with models; nil where the model has no
-	// columnar fast path.
-	dense []DenseModel
-	ests  []*DenseEstimates
-	n     int
+	ests   []*DenseEstimates
+	n      int
 	// arena is the pooled backing store the per-model slabs were carved
 	// from; nil once released (or when the replay was built before pooling
 	// existed in a test helper).
@@ -43,23 +40,21 @@ type StreamReplay struct {
 type replayArena struct {
 	slab []units.Watts
 	ok   []bool
-	// dense/ests/estStructs recycle the replay's per-model bookkeeping
-	// (interface table, estimate pointers and the pointed-to structs), so
-	// a released replay costs one allocation to rebuild.
-	dense      []DenseModel
+	// ests/estStructs recycle the replay's per-model bookkeeping (estimate
+	// pointers and the pointed-to structs), so a released replay costs one
+	// allocation to rebuild.
 	ests       []*DenseEstimates
 	estStructs []DenseEstimates
 }
 
 // perModel returns the arena's per-model slices resized for n models,
 // reallocating only on growth. Contents are overwritten by the caller.
-func (a *replayArena) perModel(n int) ([]DenseModel, []*DenseEstimates, []DenseEstimates) {
-	if cap(a.dense) < n {
-		a.dense = make([]DenseModel, n)
+func (a *replayArena) perModel(n int) ([]*DenseEstimates, []DenseEstimates) {
+	if cap(a.ests) < n {
 		a.ests = make([]*DenseEstimates, n)
 		a.estStructs = make([]DenseEstimates, n)
 	}
-	return a.dense[:n], a.ests[:n], a.estStructs[:n]
+	return a.ests[:n], a.estStructs[:n]
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(replayArena) }}
@@ -72,11 +67,10 @@ func NewStreamReplay(roster *machine.Roster, ms []Model, capTicks int) *StreamRe
 		capTicks = 0
 	}
 	a := arenaPool.Get().(*replayArena)
-	dense, ests, estStructs := a.perModel(len(ms))
+	ests, estStructs := a.perModel(len(ms))
 	r := &StreamReplay{
 		roster: roster,
 		models: ms,
-		dense:  dense,
 		ests:   ests,
 		n:      roster.Len(),
 	}
@@ -95,11 +89,7 @@ func NewStreamReplay(roster *machine.Roster, ms []Model, capTicks int) *StreamRe
 		a.ok = a.ok[:okTotal]
 	}
 	r.arena = a
-	for i, m := range ms {
-		dense[i] = nil
-		if dm, ok := m.(DenseModel); ok {
-			dense[i] = dm
-		}
+	for i := range ms {
 		estStructs[i] = DenseEstimates{
 			Roster: roster,
 			Slab:   a.slab[i*colCap : i*colCap : (i+1)*colCap],
@@ -141,51 +131,13 @@ func (r *StreamReplay) Release() {
 	arenaPool.Put(a)
 }
 
-// Observe feeds one tick to every model, appending a column to each
-// model's estimate matrix. The tick's Samples column may be caller-owned
-// scratch reused between ticks: dense models copy what they keep
-// (ObserveInto's contract) and the map fallback materialises its own view.
-func (r *StreamReplay) Observe(t Tick) {
-	// The map view is materialised at most once per tick and shared by all
-	// map-fallback models, which treat it as read-only.
-	var procs map[string]ProcSample
-	for m, model := range r.models {
-		d := r.ests[m]
-		col := extendColumn(d, r.n)
-		if dm := r.dense[m]; dm != nil && t.Samples != nil {
-			if dm.ObserveInto(t, col) {
-				d.OK = append(d.OK, true)
-			} else {
-				clear(col)
-				d.OK = append(d.OK, false)
-			}
-			continue
-		}
-		mt := t
-		if procs == nil {
-			procs = t.ProcsView()
-		}
-		mt.Procs = procs
-		est := model.Observe(mt)
-		if est == nil {
-			d.OK = append(d.OK, false)
-			continue
-		}
-		d.OK = append(d.OK, true)
-		for slot, id := range r.roster.IDs() {
-			col[slot] = est[id]
-		}
-	}
-}
-
 // ObserveSegment feeds a run of constant ticks (see SegmentTicks) to
 // every model in one call, appending seg.TickCount() columns to each
-// model's estimate matrix. Models implementing SegmentModel observe the
-// whole segment at once; the rest fall back to per-tick ObserveInto (or
-// the map path) over the segment's materialised ticks. Either way the
-// appended estimates and OK flags are bit-identical to TickCount()
-// successive Observe calls — segments only batch the work, never change
-// it.
+// model's estimate matrix. Segment models observe the whole segment at
+// once; foreign map-only models fall back to Observe once per tick, on a
+// map view materialised once per segment and shared by all of them. The
+// segment's Samples column may be caller-owned scratch reused between
+// segments: models copy what they keep.
 func (r *StreamReplay) ObserveSegment(seg *SegmentTicks) {
 	nt := seg.TickCount()
 	if nt == 0 {
@@ -200,26 +152,18 @@ func (r *StreamReplay) ObserveSegment(seg *SegmentTicks) {
 			sm.ObserveSegmentInto(seg, rows, ok)
 			continue
 		}
+		if procs == nil {
+			procs = seg.Tick.ProcsView()
+		}
 		for k := 0; k < nt; k++ {
 			t := seg.tickAt(k)
-			col := rows[k*r.n : (k+1)*r.n]
-			if dm := r.dense[m]; dm != nil && t.Samples != nil {
-				if dm.ObserveInto(t, col) {
-					ok[k] = true
-				} else {
-					clear(col)
-				}
-				continue
-			}
-			if procs == nil {
-				procs = seg.Tick.ProcsView()
-			}
 			t.Procs = procs
 			est := model.Observe(t)
 			if est == nil {
 				continue
 			}
 			ok[k] = true
+			col := rows[k*r.n : (k+1)*r.n]
 			for slot, id := range r.roster.IDs() {
 				col[slot] = est[id]
 			}
@@ -236,7 +180,7 @@ func (r *StreamReplay) Ticks() int {
 }
 
 // Estimates returns model m's accumulated matrix. It stays valid (and
-// keeps growing) across further Observe calls.
+// keeps growing) across further ObserveSegment calls.
 func (r *StreamReplay) Estimates(m int) *DenseEstimates {
 	return r.ests[m]
 }

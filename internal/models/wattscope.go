@@ -39,8 +39,8 @@ type WattScope struct {
 	// non-degraded tick has seeded it yet.
 	floor  float64
 	primed bool
-	keys   keyCache
-	// slotUtils is the segment path's per-slot coarse-utilization scratch.
+	ticks  *tickAdapter
+	// slotUtils is the per-slot coarse-utilization scratch.
 	slotUtils []float64
 }
 
@@ -59,10 +59,8 @@ func NewWattScope() Factory {
 // Name returns "wattscope".
 func (m *WattScope) Name() string { return "wattscope" }
 
-// learnFloor advances the static-power estimate with one tick's machine
-// reading. Called exactly once per tick from every entry point.
-func (m *WattScope) learnFloor(t Tick) { m.learnFloorPower(t.Degraded, float64(t.MachinePower)) }
-
+// learnFloorPower advances the static-power estimate with one tick's
+// machine reading. Called exactly once per tick, idle ticks included.
 func (m *WattScope) learnFloorPower(degraded bool, p float64) {
 	if degraded {
 		return
@@ -102,73 +100,65 @@ func (m *WattScope) coarseUtil(cpu units.CPUTime, t Tick) float64 {
 	return math.Round(u/m.quantum) * m.quantum
 }
 
-// Observe divides the tick's machine power: floor split evenly, the rest
-// by coarse-utilization share.
-func (m *WattScope) Observe(t Tick) map[string]units.Watts {
-	m.learnFloor(t)
-	procs := t.ProcsView()
-	if len(procs) == 0 {
-		return nil
-	}
-	ids, _ := m.keys.sorted(procs)
-	power := float64(t.MachinePower)
-	static := m.staticPower(power)
-	dynamic := power - static
-	var totalUtil float64
-	for _, id := range ids {
-		totalUtil += m.coarseUtil(procs[id].CPUTime, t)
-	}
-	if totalUtil <= 0 {
-		// Every present process quantized to zero utilization: nothing to
-		// apportion the dynamic part by, so the whole reading is split
-		// evenly like the floor.
-		static, dynamic = power, 0
-	}
-	perProc := static / float64(len(ids))
-	out := make(map[string]units.Watts, len(ids))
-	for _, id := range ids {
-		est := perProc
-		if dynamic > 0 {
-			est += dynamic * m.coarseUtil(procs[id].CPUTime, t) / totalUtil
-		}
-		out[id] = units.Watts(est)
-	}
-	return out
+// Observe divides one tick as a one-tick segment.
+func (m *WattScope) Observe(t Tick) map[string]units.Watts { return adapter(&m.ticks).observe(m, t) }
+
+// ObserveInto divides one dense tick as a one-tick segment.
+func (m *WattScope) ObserveInto(t Tick, out []units.Watts) bool {
+	return adapter(&m.ticks).observeInto(m, t, out)
 }
 
-// ObserveInto is the dense path of Observe. Present slots appear in
-// roster order — sorted-ID order — so the utilization total accumulates
-// exactly as the map path's and the two are bit-identical.
-func (m *WattScope) ObserveInto(t Tick, out []units.Watts) bool {
-	m.learnFloor(t)
+// ObserveSegmentInto divides every tick's machine power: the floor split
+// evenly among the present processes, the rest by the segment's constant
+// coarse-utilization shares. Only the running-minimum floor advances per
+// tick, in tick order.
+func (m *WattScope) ObserveSegmentInto(seg *SegmentTicks, out []units.Watts, ok []bool) {
+	n := len(seg.Samples)
+	m.slotUtils = sized(m.slotUtils, n)
+	utils := m.slotUtils
 	present := 0
 	var totalUtil float64
-	for _, p := range t.Samples {
+	for i, p := range seg.Samples {
+		utils[i] = 0
 		if p.Present() {
 			present++
-			totalUtil += m.coarseUtil(p.CPUTime, t)
+			u := m.coarseUtil(p.CPUTime, seg.Tick)
+			utils[i] = u
+			totalUtil += u
 		}
 	}
 	if present == 0 {
-		return false
-	}
-	power := float64(t.MachinePower)
-	static := m.staticPower(power)
-	dynamic := power - static
-	if totalUtil <= 0 {
-		static, dynamic = power, 0
-	}
-	perProc := static / float64(present)
-	for i, p := range t.Samples {
-		if !p.Present() {
-			out[i] = 0
-			continue
+		// Idle ticks still feed the floor.
+		for k := range seg.Powers {
+			m.learnFloorPower(seg.Degraded, float64(seg.Powers[k]))
+			ok[k] = false
 		}
-		est := perProc
-		if dynamic > 0 {
-			est += dynamic * m.coarseUtil(p.CPUTime, t) / totalUtil
-		}
-		out[i] = units.Watts(est)
+		return
 	}
-	return true
+	for k, pw := range seg.Powers {
+		power := float64(pw)
+		m.learnFloorPower(seg.Degraded, power)
+		static := m.staticPower(power)
+		dynamic := power - static
+		if totalUtil <= 0 {
+			// Every present process quantized to zero utilization: nothing
+			// to apportion the dynamic part by, so the whole reading is
+			// split evenly like the floor.
+			static, dynamic = power, 0
+		}
+		perProc := static / float64(present)
+		row := out[k*n : (k+1)*n]
+		for i, p := range seg.Samples {
+			if !p.Present() {
+				row[i] = 0
+				continue
+			}
+			est := perProc
+			if dynamic > 0 {
+				est += dynamic * utils[i] / totalUtil
+			}
+			row[i] = units.Watts(est)
+		}
+		ok[k] = true
+	}
 }

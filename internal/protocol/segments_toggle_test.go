@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"context"
 	"testing"
 
 	"powerdiv/internal/cpumodel"
@@ -11,8 +10,8 @@ import (
 )
 
 // TestSegmentToggleInvariance pins the whole-protocol acceptance bar for
-// the segment engine: the lab error table, the batched-repetition rows and
-// the traffic error table are Float64bits-identical with the engine on and
+// the segment engine: the lab error table and the traffic error table are
+// Float64bits-identical with the engine on and
 // off. Memoization is disabled so both runs actually simulate; the
 // comparison therefore spans the simulator, the model observers and the
 // scoring tail.
@@ -64,50 +63,6 @@ func TestSegmentToggleInvariance(t *testing.T) {
 			}
 			for i := range wantEvs {
 				compareStreamingEvaluations(t, name, wantEvs[i], gotEvs[i])
-			}
-		}
-	})
-
-	t.Run("reps", func(t *testing.T) {
-		s := scenarios[0]
-		seeds := []int64{11, 42}
-		truths := make([][]division.Shares, len(seeds))
-		var fs []models.Factory
-		for r, seed := range seeds {
-			repCtx := ctx
-			repCtx.Seed = seed
-			baselines := map[string]division.Baseline{}
-			for _, app := range s.Apps {
-				b, err := MeasureBaselineSummary(repCtx, app)
-				if err != nil {
-					t.Fatal(err)
-				}
-				baselines[app.ID] = b
-			}
-			truths[r], err = scenarioTruths(s, baselines, []Objective{ObjectiveActive, ObjectiveResidualAware}, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fs == nil {
-				fs = goldenFactories(baselines, spec)
-			}
-		}
-		run := func() [][][]Evaluation {
-			out, err := EvaluateScenarioRepsStreaming(context.Background(), ctx, s, fs, truths, seeds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return out
-		}
-		machine.SetSegmented(false)
-		want := run()
-		machine.SetSegmented(true)
-		got := run()
-		for r := range want {
-			for f := range want[r] {
-				for o := range want[r][f] {
-					compareStreamingEvaluations(t, fs[f].Name, want[r][f][o], got[r][f][o])
-				}
 			}
 		}
 	})

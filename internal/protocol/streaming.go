@@ -30,7 +30,7 @@ import (
 
 // evaluateScenarioStreaming runs phases 2–3 for one scenario in a single
 // simulator pass, scoring every factory: the scenario is simulated exactly
-// once and all models observe the stream tick by tick. The result is
+// once and all models observe the stream as it runs. The result is
 // indexed [factory][objective], matching truths.
 //
 // The scenario streams segment by segment (machine.StreamSegments): the
@@ -111,125 +111,6 @@ func evaluateScenarioStreaming(cctx context.Context, p *campaignPlan, s Scenario
 			return nil, err
 		}
 		out[m] = evs
-	}
-	return out, nil
-}
-
-// EvaluateScenarioRepsStreaming evaluates one scenario under several
-// campaign seeds in a single simulator pass — the batched counterpart of
-// calling EvaluateScenarioStreaming once per seed with Context.Seed set to
-// each element of seeds. Repetitions of a scenario differ only in their
-// noise and model seeds (the machine dynamics are seed-independent), so the
-// expensive deterministic simulation runs once via machine.StreamBatch and
-// each repetition's models observe the shared stream under that
-// repetition's noise overlay.
-//
-// truths is indexed [rep][objective]: phase 1 baselines may differ across
-// campaign seeds, so each repetition scores against its own truth shares.
-// The result is indexed [rep][factory][objective] and each repetition's
-// rows are bit-identical to the unbatched evaluation at that seed (the
-// batch golden test pins this). The digest cache is not consulted: the
-// batch is itself the dedup.
-func EvaluateScenarioRepsStreaming(cctx context.Context, ctx Context, s Scenario, fs []models.Factory, truths [][]division.Shares, seeds []int64) ([][][]Evaluation, error) {
-	if len(truths) != len(seeds) {
-		return nil, fmt.Errorf("protocol: %d truth sets for %d seeds", len(truths), len(seeds))
-	}
-	if len(seeds) == 0 {
-		return nil, nil
-	}
-	// The batch overlays each repetition's own noise seed, so the config
-	// keeps the context's seed rather than the pair-derived one.
-	run := newCampaignPlan(ctx, fs, nil).pairRun(s)
-	cfg, label, roster := ctx.Machine, run.label, run.roster
-	tick := cfg.TickInterval()
-	maxTicks := int(ctx.RunFor/tick) + 1
-	if maxTicks < 0 {
-		maxTicks = 0
-	}
-	logical := cfg.Spec.Topology.LogicalCPUs()
-
-	noiseSeeds := make([]int64, len(seeds))
-	replays := make([]*models.StreamReplay, len(seeds))
-	series := make([]tickSeries, len(seeds))
-	for r, seed := range seeds {
-		noiseSeeds[r] = deriveSeed(seed, "pair", label)
-		ms := make([]models.Model, len(fs))
-		for m, f := range fs {
-			ms[m] = f.New(deriveSeed(seed, "model", f.Name, label))
-		}
-		replays[r] = models.NewStreamReplay(roster, ms, maxTicks)
-		series[r] = tickSeries{
-			at:    make([]time.Duration, 0, maxTicks),
-			power: make([]units.Watts, 0, maxTicks),
-		}
-	}
-	defer func() {
-		for _, r := range replays {
-			r.Release()
-		}
-	}()
-
-	// Segments arrive once per repetition (in repetition order) with that
-	// repetition's noise overlay; the shared sample column is copied on the
-	// first repetition of each segment, before any model observes it.
-	scratch := make([]models.ProcSample, roster.Len())
-	segTicks := models.SegmentTicks{Tick: models.Tick{
-		Interval:    tick,
-		LogicalCPUs: logical,
-		Roster:      roster,
-		Samples:     scratch,
-	}}
-	_, err := machine.StreamBatchSegments(cfg, run.procs, ctx.RunFor, noiseSeeds, func(rep int, seg *machine.Segment) error {
-		rec := seg.Rec
-		if rep == 0 {
-			for slot := range scratch {
-				pt := rec.Procs[slot]
-				scratch[slot] = models.ProcSample{
-					CPUTime:    pt.CPUTime,
-					Counters:   pt.Counters,
-					Threads:    pt.Threads,
-					TrueActive: pt.ActivePower,
-				}
-			}
-		}
-		segTicks.Tick.At = rec.At
-		segTicks.Tick.MachinePower = seg.Powers[0]
-		segTicks.Tick.Freq = rec.Freq
-		segTicks.Powers = seg.Powers
-		replays[rep].ObserveSegment(&segTicks)
-		for i := range seg.Powers {
-			if rep == 0 {
-				if err := cctx.Err(); err != nil {
-					return err
-				}
-			}
-			series[rep].at = append(series[rep].at, seg.At(i))
-			series[rep].power = append(series[rep].power, seg.Powers[i])
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("protocol: scenario %q: %w", label, err)
-	}
-
-	out := make([][][]Evaluation, len(seeds))
-	scr := getScoreScratch()
-	defer putScoreScratch(scr)
-	for r := range seeds {
-		repCtx := ctx
-		repCtx.Seed = seeds[r]
-		rows := make([][]Evaluation, len(fs))
-		var windows []scoringWindow
-		for m, f := range fs {
-			est := replays[r].Estimates(m)
-			from, to := windowFor(repCtx, series[r], est.OK, scr, &windows)
-			evs, err := scoreEstimatesWindow(repCtx, s, label, series[r], f.Name, est, truths[r], scr, from, to)
-			if err != nil {
-				return nil, err
-			}
-			rows[m] = evs
-		}
-		out[r] = rows
 	}
 	return out, nil
 }
