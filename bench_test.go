@@ -484,7 +484,7 @@ func labScenarioCount(b *testing.B, ctx protocol.Context) int {
 // BenchmarkCampaignMemoization isolates the cache tiers' effect on the
 // all-pairs lab campaign. The cache is dropped before every iteration, so
 // "on" measures only intra-campaign sharing (solo baselines measured once
-// through the summary tier, scored rows stored as digests) and "off"
+// through the baseline tier, scored rows stored as digests) and "off"
 // bypasses every tier. Every model observes one simulator pass per
 // scenario either way, so the ratio of the two ns/op values — the
 // memoization speedup — stays near 1; a campaign test asserts the two
@@ -533,6 +533,40 @@ func BenchmarkTrafficCampaign(b *testing.B) {
 	b.ReportMetric(stopWatermark(), "peak-heap-bytes")
 	reportScenariosPerSec(b, cfg.Scenarios)
 	writeResult(b, res.Table(), "traffic-campaign")
+}
+
+// BenchmarkTrafficPhase1DiskWarm is the campaign service's per-job phase 1:
+// the baselines of a 48-scenario mixed traffic job measured in a fresh
+// cache scope over a disk tier the untimed warm-up primed, as every job a
+// running daemon admits does. Each iteration is all disk hits — file read,
+// record check, no simulation — so B/op pins what the disk tier costs per
+// job and bench-diff's B/op gate polices it.
+func BenchmarkTrafficPhase1DiskWarm(b *testing.B) {
+	ctx := experiments.LabContext(cpumodel.SmallIntel(), benchSeed)
+	scenarios, err := traffic.Generate(experiments.TrafficConfig(ctx, traffic.Mixed, 48, 10*time.Second))
+	if err != nil {
+		b.Fatal(err)
+	}
+	apps := protocol.AppsOf(scenarios)
+	disk, err := protocol.OpenDiskCache(b.TempDir(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	phase1 := func() {
+		c := ctx
+		c.Cache = protocol.NewCacheScope(0)
+		c.Cache.AttachDisk(disk)
+		defer c.Cache.Drop()
+		if _, err := protocol.MeasureBaselinesParallel(c, apps); err != nil {
+			b.Fatal(err)
+		}
+	}
+	phase1() // primes the disk tier
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		phase1()
+	}
 }
 
 // BenchmarkFleetCampaign measures the fleet-scale campaign: a

@@ -33,10 +33,11 @@ import (
 // defaultBench selects the campaign-speed benchmarks: the §IV-A error-table
 // regeneration (warm, plus its cold and disk-warm counterparts via the
 // substring match), the worker-width sweep, the memoization on/off
-// comparison, the production-shaped traffic campaign, the fleet-scale
-// campaign across its worker ladder, the raw simulator stepping cost, and
-// the allocation-pinning columnar-pipeline benchmarks.
-const defaultBench = "BenchmarkLabErrorTable|BenchmarkCampaignParallel|BenchmarkCampaignMemoization|BenchmarkTrafficCampaign|BenchmarkFleetCampaign|BenchmarkSimulatorTick|BenchmarkRunTicks|BenchmarkReplayDense|BenchmarkShareOut"
+// comparison, the production-shaped traffic campaign, the campaign
+// service's disk-warm phase 1, the fleet-scale campaign across its worker
+// ladder, the raw simulator stepping cost, and the allocation-pinning
+// columnar-pipeline benchmarks.
+const defaultBench = "BenchmarkLabErrorTable|BenchmarkCampaignParallel|BenchmarkCampaignMemoization|BenchmarkTrafficCampaign|BenchmarkTrafficPhase1|BenchmarkFleetCampaign|BenchmarkSimulatorTick|BenchmarkRunTicks|BenchmarkReplayDense|BenchmarkShareOut"
 
 // Result is one parsed benchmark line.
 type Result struct {

@@ -98,7 +98,7 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit the results as JSON instead of tables")
 	memo := flag.Bool("memo", true, "memoize solo/pair simulation runs")
 	memoStats := flag.Bool("memo-stats", false, "print run cache statistics after the campaign")
-	cacheDir := flag.String("cache-dir", "", "persistent solo-run summary cache directory (empty = memory only)")
+	cacheDir := flag.String("cache-dir", "", "persistent phase-1 baseline cache directory (empty = memory only)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "on-disk cache cap in bytes (0 = default 256 MB)")
 	metrics := flag.Bool("metrics", false, "print the internal metrics summary after the campaign")
 	trafficOn := flag.Bool("traffic", false, "run a production-shaped traffic campaign instead of the pair campaign")
@@ -203,7 +203,7 @@ func main() {
 	if *memoStats {
 		st := protocol.MemoizationStats()
 		fmt.Printf("\nrun cache: %d hits, %d misses, %d entries\n", st.Hits, st.Misses, st.Entries)
-		fmt.Printf("summary tier: %d entries, %d/%d bytes, %d evictions\n",
+		fmt.Printf("baseline tier: %d entries, %d/%d bytes, %d evictions\n",
 			st.SummaryEntries, st.SummaryBytes, st.SummaryByteLimit, st.Evictions)
 		fmt.Printf("eval-digest tier: %d entries, %d/%d bytes\n",
 			st.EvalEntries, st.EvalBytes, st.EvalByteLimit)

@@ -46,7 +46,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	snapshotDir := flag.String("snapshot-dir", "", "job snapshot directory (empty = no durability)")
-	cacheDir := flag.String("cache-dir", "", "persistent solo-run summary cache directory (empty = memory only)")
+	cacheDir := flag.String("cache-dir", "", "persistent phase-1 baseline cache directory (empty = memory only)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "on-disk cache cap in bytes (0 = default 256 MB)")
 	queueCap := flag.Int("queue", 8, "bounded job queue capacity (admission 429s past it)")
 	runners := flag.Int("runners", 2, "concurrent jobs (simulation work shares GOMAXPROCS regardless)")

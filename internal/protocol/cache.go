@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"powerdiv/internal/division"
 	"powerdiv/internal/machine"
 	"powerdiv/internal/workload"
 )
@@ -32,15 +33,15 @@ type runCacheEntry struct {
 	err  error
 }
 
-// summaryEntry is one memoized run digest in the byte-capped tier, with
-// the same singleflight shape as runCacheEntry. size/sized carry the byte
-// accounting: an entry is charged against the cap only once its compute
-// finishes (sized), and an entry evicted while still computing (evicted)
-// is never charged — the flag keeps the bytes ledger exact under
+// baselineEntry is one memoized phase 1 baseline record in the byte-capped
+// tier, with the same singleflight shape as runCacheEntry. size/sized carry
+// the byte accounting: an entry is charged against the cap only once its
+// compute finishes (sized), and an entry evicted while still computing
+// (evicted) is never charged — the flag keeps the bytes ledger exact under
 // concurrent insert/evict interleavings.
-type summaryEntry struct {
+type baselineEntry struct {
 	done    chan struct{}
-	sum     *RunSummary
+	b       division.Baseline
 	err     error
 	size    int64
 	sized   bool
@@ -50,8 +51,8 @@ type summaryEntry struct {
 // runCache is a bounded memoization table for simulator runs, in two
 // tiers: full *machine.Run values under an entry-count FIFO (kept for the
 // callers that need tick series — timeline, profiling, experiments), and
-// compact RunSummary digests under a byte-capped FIFO (the streaming
-// pipeline's phase 1 tier).
+// phase 1 baseline records under a byte-capped FIFO (the streaming
+// pipeline's phase 1 tier: the three floats phases 2–3 use per solo run).
 type runCache struct {
 	mu      sync.Mutex
 	enabled bool
@@ -61,8 +62,8 @@ type runCache struct {
 
 	byteLimit int64
 	bytes     int64
-	summaries map[string]*summaryEntry
-	sumOrder  []string
+	baselines map[string]*baselineEntry
+	baseOrder []string
 
 	evalByteLimit int64
 	evalBytes     int64
@@ -84,11 +85,11 @@ type runCache struct {
 // baseline, without letting long-lived processes grow without bound.
 const DefaultMemoLimit = 2048
 
-// DefaultMemoBytes is the default cap on the summary tier's estimated
-// footprint. Solo-run digests are a few KB each, so 64 MB holds every
-// baseline of any campaign this repository runs by orders of magnitude;
-// the cap exists so unbounded sweeps degrade to recomputation instead of
-// memory growth.
+// DefaultMemoBytes is the default cap on the baseline tier's estimated
+// footprint. A baseline record is charged its key plus a few dozen bytes
+// (well under 1 KB), so 64 MB holds every baseline of any campaign this
+// repository runs by orders of magnitude; the cap exists so unbounded
+// sweeps degrade to recomputation instead of memory growth.
 const DefaultMemoBytes int64 = 64 << 20
 
 var memo = newRunCache(DefaultMemoLimit, DefaultMemoBytes)
@@ -100,7 +101,7 @@ func newRunCache(limit int, byteLimit int64) *runCache {
 		limit:         limit,
 		entries:       map[string]*runCacheEntry{},
 		byteLimit:     byteLimit,
-		summaries:     map[string]*summaryEntry{},
+		baselines:     map[string]*baselineEntry{},
 		evalByteLimit: DefaultEvalMemoBytes,
 		evals:         map[evalSum]*evalEntry{},
 	}
@@ -108,10 +109,10 @@ func newRunCache(limit int, byteLimit int64) *runCache {
 
 // CacheScope is an isolated memoization tier with its own byte budget — the
 // unit of cache isolation the campaign service hands each job. A scope has
-// the same two-tier structure and singleflight semantics as the process
-// cache but shares nothing with it: a job's solo-run digests are charged
-// against the job's budget, evicted within the job, and released wholesale
-// when the scope is dropped, so one tenant's sweep can never evict another
+// the same tier structure and singleflight semantics as the process cache
+// but shares nothing with it: a job's baseline records are charged against
+// the job's budget, evicted within the job, and released wholesale when
+// the scope is dropped, so one tenant's sweep can never evict another
 // tenant's baselines (or grow the process past its admission-time budget).
 // Campaigns select a scope through Context.Cache; a nil scope means the
 // process-wide cache, which keeps every existing caller's behaviour.
@@ -120,9 +121,9 @@ type CacheScope struct {
 }
 
 // NewCacheScope returns an isolated cache tier capped at byteLimit bytes of
-// summary digests (non-positive means DefaultMemoBytes). The full-run tier
-// keeps the default entry bound; jobs on the streaming pipeline only touch
-// the summary tier.
+// baseline records and evaluation digests (non-positive means
+// DefaultMemoBytes). The full-run tier keeps the default entry bound; jobs
+// on the streaming pipeline never touch it.
 func NewCacheScope(byteLimit int64) *CacheScope {
 	if byteLimit <= 0 {
 		byteLimit = DefaultMemoBytes
@@ -138,8 +139,9 @@ func (s *CacheScope) Stats() MemoStats {
 	return s.c.statsLocked()
 }
 
-// AttachDisk gives the scope a persistent summary tier: memory misses are
-// looked up on disk before simulating, and fresh digests are written back.
+// AttachDisk gives the scope a persistent baseline tier: memory misses are
+// looked up on disk before simulating, and fresh baselines are written
+// back, so a scope opened per job still starts phase 1 warm.
 // Several scopes may share one DiskCache — its writes are atomic and its
 // counters are lock-protected. A nil disk detaches.
 func (s *CacheScope) AttachDisk(d *DiskCache) {
@@ -166,7 +168,7 @@ func (ctx Context) memo() *runCache {
 	return memo
 }
 
-// AttachDiskCache attaches a persistent summary cache to the process-wide
+// AttachDiskCache attaches a persistent baseline cache to the process-wide
 // memoization tier (nil detaches). Campaign contexts using scoped caches
 // attach through CacheScope.AttachDisk instead.
 func AttachDiskCache(d *DiskCache) {
@@ -187,7 +189,7 @@ func EnableMemoization(on bool) {
 	}
 }
 
-// ResetMemoization drops every cached run and summary and zeroes the
+// ResetMemoization drops every cached run and baseline and zeroes the
 // statistics, leaving the enabled state and limits unchanged.
 func ResetMemoization() {
 	memo.mu.Lock()
@@ -201,11 +203,11 @@ func ResetMemoization() {
 func (c *runCache) dropLocked() {
 	c.entries = map[string]*runCacheEntry{}
 	c.order = nil
-	for _, e := range c.summaries {
+	for _, e := range c.baselines {
 		e.evicted = true
 	}
-	c.summaries = map[string]*summaryEntry{}
-	c.sumOrder = nil
+	c.baselines = map[string]*baselineEntry{}
+	c.baseOrder = nil
 	c.bytes = 0
 	for _, e := range c.evals {
 		e.evicted = true
@@ -227,7 +229,7 @@ func SetMemoizationLimit(n int) {
 	memo.evictLocked()
 }
 
-// SetMemoizationByteLimit caps the summary tier's estimated footprint
+// SetMemoizationByteLimit caps the baseline tier's estimated footprint
 // (FIFO eviction). Non-positive limits restore the default.
 func SetMemoizationByteLimit(n int64) {
 	memo.mu.Lock()
@@ -236,7 +238,7 @@ func SetMemoizationByteLimit(n int64) {
 		n = DefaultMemoBytes
 	}
 	memo.byteLimit = n
-	memo.evictSummariesLocked()
+	memo.evictBaselinesLocked()
 }
 
 // MemoStats reports the cache's activity since the last reset. Both tiers
@@ -249,8 +251,10 @@ type MemoStats struct {
 	Misses  uint64
 	Lookups uint64
 	// Entries counts the full-run tier; SummaryEntries/SummaryBytes the
-	// byte-capped summary tier (estimated footprint, completed entries
-	// only), under SummaryByteLimit.
+	// byte-capped phase 1 tier, under SummaryByteLimit. That tier holds
+	// baseline records (one per solo run and stable window), not run
+	// digests; the Summary names are kept for the tools that read them.
+	// SummaryBytes is the estimated footprint of completed entries only.
 	Entries          int
 	SummaryEntries   int
 	SummaryBytes     int64
@@ -263,7 +267,7 @@ type MemoStats struct {
 	// Evictions counts entries dropped by any tier's bound since the
 	// last reset.
 	Evictions uint64
-	// DiskHits/DiskMisses/DiskWrites count the persistent summary cache's
+	// DiskHits/DiskMisses/DiskWrites count the persistent baseline cache's
 	// activity (zero when no disk cache is attached).
 	DiskHits   uint64
 	DiskMisses uint64
@@ -284,7 +288,7 @@ func (c *runCache) statsLocked() MemoStats {
 		Misses:           c.misses,
 		Lookups:          c.lookups,
 		Entries:          len(c.entries),
-		SummaryEntries:   len(c.summaries),
+		SummaryEntries:   len(c.baselines),
 		SummaryBytes:     c.bytes,
 		SummaryByteLimit: c.byteLimit,
 		EvalEntries:      len(c.evals),
@@ -309,16 +313,16 @@ func (c *runCache) evictLocked() {
 	}
 }
 
-// evictSummariesLocked enforces the byte cap, oldest first. A still-
+// evictBaselinesLocked enforces the byte cap, oldest first. A still-
 // computing entry has no size yet; marking it evicted makes its compute
 // skip the charge, so bytes only ever counts completed, table-resident
 // entries.
-func (c *runCache) evictSummariesLocked() {
-	for c.bytes > c.byteLimit && len(c.sumOrder) > 0 {
-		key := c.sumOrder[0]
-		c.sumOrder = c.sumOrder[1:]
-		if e, ok := c.summaries[key]; ok {
-			delete(c.summaries, key)
+func (c *runCache) evictBaselinesLocked() {
+	for c.bytes > c.byteLimit && len(c.baseOrder) > 0 {
+		key := c.baseOrder[0]
+		c.baseOrder = c.baseOrder[1:]
+		if e, ok := c.baselines[key]; ok {
+			delete(c.baselines, key)
 			e.evicted = true
 			if e.sized {
 				c.bytes -= e.size
@@ -362,60 +366,81 @@ func (c *runCache) simulateCached(cfg machine.Config, procs []machine.Proc, maxD
 	return e.run, e.err
 }
 
-// summaryCached is newRunSummary behind the receiver's byte-capped summary
-// tier, with the same singleflight semantics as simulateCached. The
-// returned summary is shared between callers and must be treated as
-// read-only.
-func (c *runCache) summaryCached(cfg machine.Config, procs []machine.Proc, maxDur time.Duration) (*RunSummary, error) {
+// baselineCached is soloBaseline behind the receiver's byte-capped
+// baseline tier, with the same singleflight semantics as simulateCached.
+// A record is keyed by the solo run's runKey plus the stable window it was
+// extracted over; the run's digest never outlives the compute. A memory
+// miss consults the persistent tier before simulating, and a fresh compute
+// is written back so the next scope or process starts warm. Disk records
+// carry the floats' bit patterns, so a disk hit is indistinguishable from
+// a memory hit downstream.
+func (c *runCache) baselineCached(cfg machine.Config, procs []machine.Proc, maxDur, stable time.Duration, id string) (division.Baseline, error) {
 	c.mu.Lock()
 	enabled := c.enabled
 	c.mu.Unlock()
 	if !enabled {
-		return newRunSummary(cfg, procs, maxDur)
+		return soloBaseline(cfg, procs, maxDur, stable, id)
 	}
-	key := runKey(cfg, procs, maxDur)
+	kb := appendRunKey(make([]byte, 0, recordKeyBytes), cfg, procs, maxDur)
+	nRun := len(kb)
+	kb = appendWindowKey(kb, stable)
 	c.mu.Lock()
 	c.lookups++
-	if e, ok := c.summaries[key]; ok {
+	if e, ok := c.baselines[string(kb)]; ok {
 		c.hits++
 		obsCacheHits.Inc()
 		c.mu.Unlock()
 		<-e.done
-		return e.sum, e.err
+		return e.b, e.err
 	}
-	e := &summaryEntry{done: make(chan struct{})}
-	c.summaries[key] = e
-	c.sumOrder = append(c.sumOrder, key)
+	key := string(kb)
+	e := &baselineEntry{done: make(chan struct{})}
+	c.baselines[key] = e
+	c.baseOrder = append(c.baseOrder, key)
 	c.misses++
 	obsCacheMisses.Inc()
 	disk := c.disk
 	c.mu.Unlock()
 
-	// A memory miss consults the persistent tier before simulating; a fresh
-	// compute is written back so the next process starts warm. Disk entries
-	// round-trip the summary exactly (float bits included), so a disk hit is
-	// indistinguishable from a memory hit downstream.
+	runKey := key[:nRun]
+	var hit bool
 	if disk != nil {
-		if sum, ok := disk.load(key); ok {
-			e.sum = sum
-		}
+		e.b, hit = disk.load(runKey, stable, id)
 	}
-	if e.sum == nil {
-		e.sum, e.err = newRunSummary(cfg, procs, maxDur)
+	if !hit {
+		e.b, e.err = soloBaseline(cfg, procs, maxDur, stable, id)
 		if e.err == nil && disk != nil {
-			disk.store(key, e.sum)
+			disk.store(runKey, stable, e.b)
 		}
 	}
 	c.mu.Lock()
 	if !e.evicted {
-		e.size = e.sum.EstimatedBytes()
+		e.size = int64(len(key)+len(id)) + baselineRecordBytes
 		e.sized = true
 		c.bytes += e.size
-		c.evictSummariesLocked()
+		c.evictBaselinesLocked()
 	}
 	c.mu.Unlock()
 	close(e.done)
-	return e.sum, e.err
+	return e.b, e.err
+}
+
+// baselineRecordBytes is a baseline record's charge beyond its key and ID:
+// the three floats and the entry's bookkeeping, roughly.
+const baselineRecordBytes = 32
+
+// recordKeyBytes is the initial capacity of a record key's buffer: the
+// record keys of the lab pair campaign and of generated traffic fit it
+// (the longest is ~570 bytes), so the buffer stays on the stack and only
+// the table's copy of a missed key is allocated. A longer key still works;
+// it only moves the buffer to the heap. TestRecordKeyFitsBuffer holds it.
+const recordKeyBytes = 768
+
+// appendWindowKey completes a baseline record's key: the solo run's
+// runKey, then the stable window the baseline was extracted over.
+func appendWindowKey(b []byte, stable time.Duration) []byte {
+	b = append(b, "|sw:"...)
+	return keyI(b, int64(stable))
 }
 
 // Key-building primitives: floats are encoded as their IEEE bit patterns
@@ -433,8 +458,9 @@ func keyI(b []byte, v int64) []byte   { return strconv.AppendInt(b, v, 10) }
 // machine calibration and performance settings (seed included), the full
 // process list (workload definition included), and the duration. Process
 // order is normalised away — the simulator schedules in ID order, so
-// permutations produce identical runs. The summary tier and DiskCache key
-// by this exact string (TestRunKeyEncodingPinned freezes it); the
+// permutations produce identical runs. DiskCache names and echoes its
+// records by this exact string, and the baseline tier's record keys extend
+// it (TestRunKeyEncodingPinned freezes it); the
 // evaluation-digest tier hashes the same machine and process encodings
 // (appendMachineKey, appendProcKey) in its own layout (campaignPlan.evalKey).
 func runKey(cfg machine.Config, procs []machine.Proc, maxDur time.Duration) string {

@@ -41,7 +41,7 @@ import (
 // collision, and the digest only ever addresses this one in-memory tier,
 // so exactness of the stored rows rests on collision resistance rather
 // than on string equality; nothing persistent is keyed by it, so its
-// layout is free to change. The summary tier and DiskCache keep the exact
+// layout is free to change. The baseline tier and DiskCache keep the exact
 // runKey string.
 
 // DefaultEvalMemoBytes caps the evaluation-digest tier's estimated
@@ -160,7 +160,7 @@ func (d *evalDigest) materialize(s Scenario, label string, fs []models.Factory, 
 }
 
 // evictEvalsLocked enforces the digest tier's byte cap, oldest first, with
-// the same still-computing accounting as the summary tier.
+// the same still-computing accounting as the baseline tier.
 func (c *runCache) evictEvalsLocked() {
 	for c.evalBytes > c.evalByteLimit && len(c.evalOrder) > 0 {
 		key := c.evalOrder[0]

@@ -11,7 +11,7 @@ import (
 )
 
 // TestMemoizationStressUnderEvictions hammers both cache tiers from
-// concurrent campaign workers while the summary tier's byte cap is squeezed
+// concurrent campaign workers while the baseline tier's byte cap is squeezed
 // small enough to evict continuously, with a poller asserting the stats
 // invariants on every snapshot:
 //
@@ -22,14 +22,16 @@ import (
 // cache mutex (a torn counter or a byte refund outside the lock shows up
 // here as an invariant violation or a race report).
 func TestMemoizationStressUnderEvictions(t *testing.T) {
+	const stressByteLimit = 1200
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 
 	EnableMemoization(true)
 	ResetMemoization()
-	// Roughly two solo-run digests: every phase 1 summary insert evicts an
-	// older one, including entries still being computed by another worker.
-	SetMemoizationByteLimit(4 << 10)
+	// Roughly two baseline records (each charged its ~500-byte key, its ID
+	// and 32 bytes): every phase 1 insert evicts an older one, including
+	// entries still being computed by another worker.
+	SetMemoizationByteLimit(stressByteLimit)
 	defer func() {
 		SetMemoizationByteLimit(0)
 		ResetMemoization()
@@ -55,7 +57,7 @@ func TestMemoizationStressUnderEvictions(t *testing.T) {
 				return
 			}
 			if st.SummaryBytes > st.SummaryByteLimit {
-				t.Errorf("summary tier over cap: %d > %d bytes", st.SummaryBytes, st.SummaryByteLimit)
+				t.Errorf("baseline tier over cap: %d > %d bytes", st.SummaryBytes, st.SummaryByteLimit)
 				return
 			}
 			select {
@@ -69,7 +71,7 @@ func TestMemoizationStressUnderEvictions(t *testing.T) {
 
 	// Two campaign flavours race against each other: the single-model one
 	// and the multi-model one key different evaluation digests for the same
-	// scenarios, and both re-read the summary tier for baselines while
+	// scenarios, and both re-read the baseline tier for baselines while
 	// evictions churn it.
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -100,9 +102,9 @@ func TestMemoizationStressUnderEvictions(t *testing.T) {
 		t.Error("stress run recorded no cache lookups")
 	}
 	if st.Evictions == 0 {
-		t.Errorf("byte cap of %d never evicted: %+v", 4<<10, st)
+		t.Errorf("byte cap of %d never evicted: %+v", stressByteLimit, st)
 	}
 	if st.SummaryBytes > st.SummaryByteLimit {
-		t.Errorf("final summary tier over cap: %d > %d", st.SummaryBytes, st.SummaryByteLimit)
+		t.Errorf("final baseline tier over cap: %d > %d", st.SummaryBytes, st.SummaryByteLimit)
 	}
 }

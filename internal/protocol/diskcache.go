@@ -12,25 +12,33 @@ import (
 	"sync"
 	"time"
 
-	"powerdiv/internal/machine"
+	"powerdiv/internal/division"
 	"powerdiv/internal/units"
 )
 
-// DiskCache is the persistent tier under the in-memory summary cache: solo
-// run digests, content-addressed by the same runKey the memory tiers use,
-// survive process restarts. A cold process (a fresh benchmark iteration, a
-// restarted campaign service, a re-invoked CLI) replays phase 1 from disk
-// instead of re-simulating every baseline.
+// DiskCache is the persistent tier under the in-memory baseline tier:
+// phase 1 baseline records, content-addressed by the solo run's runKey,
+// survive process restarts and outlive the per-job cache scopes of the
+// campaign service. A cold scope (a fresh benchmark iteration, a new
+// service job, a re-invoked CLI) reads phase 1 from disk instead of
+// re-simulating every baseline.
 //
-// Layout: one file per digest under dir, named by the FNV-64a hash of the
-// full runKey. Each file carries a magic+version header, an echo of the
-// full key (hash collisions and stale keys read as misses, never as wrong
-// data), the binary summary payload, and a trailing FNV-64a checksum of
-// everything before it. Files are written to a temp name and renamed into
-// place — the same atomicity idiom as the campaign service's snapshots —
-// so readers never observe a partial write. Any file that fails validation
-// is deleted and treated as a miss: the cache self-heals from truncation,
-// corruption, or format changes at the cost of one re-simulation.
+// Layout: one file per solo run under dir, named by the FNV-64a hash of
+// the full runKey. Each file (diskVersion 2) carries a magic+version
+// header, an echo of the full runKey (hash collisions and stale keys read
+// as misses, never as wrong data), the stable window the baseline was
+// extracted over, the app ID, the baseline's three floats as IEEE-754 bit
+// patterns, and a trailing FNV-64a checksum of everything before it. A
+// record for another stable window is a miss, and the fresh compute
+// overwrites it. Files are written to a temp name and renamed into place —
+// the same atomicity idiom as the campaign service's snapshots — so readers
+// never observe a partial write. Any file that fails validation is deleted
+// and treated as a miss: the cache self-heals from truncation, corruption,
+// or format changes at the cost of one re-simulation.
+//
+// The record is the output of the simulator, the stable-window search and
+// the baseline extraction; bump diskVersion on any change to one of them,
+// so no process reads a baseline an older build computed.
 type DiskCache struct {
 	dir      string
 	maxBytes int64
@@ -43,14 +51,14 @@ type DiskCache struct {
 
 const (
 	diskMagic   = "PDSC"
-	diskVersion = uint32(1)
+	diskVersion = uint32(2)
 )
 
-// DefaultDiskCacheBytes caps the on-disk footprint at 256 MB — thousands of
-// solo digests — unless the caller picks a budget.
+// DefaultDiskCacheBytes caps the on-disk footprint at 256 MB — hundreds of
+// thousands of baseline records — unless the caller picks a budget.
 const DefaultDiskCacheBytes int64 = 256 << 20
 
-// OpenDiskCache opens (creating if needed) a persistent summary cache
+// OpenDiskCache opens (creating if needed) a persistent baseline cache
 // rooted at dir, evicting oldest files when the directory exceeds maxBytes
 // (non-positive means DefaultDiskCacheBytes).
 func OpenDiskCache(dir string, maxBytes int64) (*DiskCache, error) {
@@ -85,28 +93,28 @@ func (d *DiskCache) path(key string) string {
 	return filepath.Join(d.dir, strconv.FormatUint(h.Sum64(), 16)+".pds")
 }
 
-// load reads and validates the digest stored for key. Every failure mode —
-// missing file, short read, bad magic, version or key mismatch, checksum
-// mismatch, malformed payload — is a miss; invalid files are deleted so
-// they are not re-parsed on every lookup.
-func (d *DiskCache) load(key string) (*RunSummary, bool) {
+// load reads and validates the baseline record stored for key. Every
+// failure mode — missing file, short read, bad magic, version, key, window
+// or ID mismatch, checksum mismatch — is a miss; invalid files are deleted
+// so they are not re-parsed on every lookup.
+func (d *DiskCache) load(key string, stable time.Duration, id string) (division.Baseline, bool) {
 	p := d.path(key)
 	raw, err := os.ReadFile(p)
 	if err != nil {
 		d.miss()
-		return nil, false
+		return division.Baseline{}, false
 	}
-	sum, err := decodeSummary(raw, key)
+	b, err := decodeRecord(raw, key, stable, id)
 	if err != nil {
 		os.Remove(p)
 		d.miss()
-		return nil, false
+		return division.Baseline{}, false
 	}
 	d.mu.Lock()
 	d.hits++
 	d.mu.Unlock()
 	obsDiskHits.Inc()
-	return sum, true
+	return b, true
 }
 
 func (d *DiskCache) miss() {
@@ -116,11 +124,11 @@ func (d *DiskCache) miss() {
 	obsDiskMisses.Inc()
 }
 
-// store writes the digest for key atomically and enforces the byte cap.
-// Failures are silent by design: the disk tier is an accelerator, and a
-// full or read-only disk must never fail a campaign.
-func (d *DiskCache) store(key string, sum *RunSummary) {
-	raw := encodeSummary(key, sum)
+// store writes the baseline record for key atomically and enforces the
+// byte cap. Failures are silent by design: the disk tier is an
+// accelerator, and a full or read-only disk must never fail a campaign.
+func (d *DiskCache) store(key string, stable time.Duration, b division.Baseline) {
+	raw := encodeRecord(key, stable, b)
 	tmp, err := os.CreateTemp(d.dir, "pds-*.tmp")
 	if err != nil {
 		return
@@ -195,57 +203,25 @@ func appendStr(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func encodeSummary(key string, s *RunSummary) []byte {
-	b := make([]byte, 0, 256+len(key)+8*(len(s.Power)*3+len(s.CPUTime)+len(s.TotalCPU)+len(s.TotalActive)))
+// encodeRecord lays out a version-2 record: magic, version, the runKey
+// echo, the stable window, the app ID, Total, Residual and Cores, then the
+// checksum of all of it.
+func encodeRecord(key string, stable time.Duration, r division.Baseline) []byte {
+	b := make([]byte, 0, len(diskMagic)+4+4+len(key)+8+4+len(r.ID)+4*8)
 	b = append(b, diskMagic...)
 	b = appendU32(b, diskVersion)
 	b = appendStr(b, key)
-
-	ids := s.Roster.IDs()
-	b = appendU32(b, uint32(len(ids)))
-	for _, id := range ids {
-		b = appendStr(b, id)
-	}
-	b = appendU64(b, uint64(s.Tick))
-	b = appendU64(b, uint64(s.Ticks))
-	b = appendU64(b, uint64(s.Duration))
-	// ProcEnd in sorted-key order: the encoding is deterministic, so equal
-	// summaries produce byte-equal files.
-	ends := make([]string, 0, len(s.ProcEnd))
-	for id := range s.ProcEnd {
-		ends = append(ends, id)
-	}
-	sort.Strings(ends)
-	b = appendU32(b, uint32(len(ends)))
-	for _, id := range ends {
-		b = appendStr(b, id)
-		b = appendU64(b, uint64(s.ProcEnd[id]))
-	}
-	for _, fs := range [][]float64{s.Power, s.TruePower, s.ResidIdle} {
-		b = appendU32(b, uint32(len(fs)))
-		for _, f := range fs {
-			b = appendU64(b, math.Float64bits(f))
-		}
-	}
-	b = appendU32(b, uint32(len(s.CPUTime)))
-	for _, c := range s.CPUTime {
-		b = appendU64(b, uint64(c))
-	}
-	b = appendU32(b, uint32(len(s.TotalCPU)))
-	for _, c := range s.TotalCPU {
-		b = appendU64(b, uint64(c))
-	}
-	b = appendU32(b, uint32(len(s.TotalActive)))
-	for _, f := range s.TotalActive {
-		b = appendU64(b, math.Float64bits(f))
-	}
-
+	b = appendU64(b, uint64(stable))
+	b = appendStr(b, r.ID)
+	b = appendU64(b, math.Float64bits(float64(r.Total)))
+	b = appendU64(b, math.Float64bits(float64(r.Residual)))
+	b = appendU64(b, math.Float64bits(r.Cores))
 	h := fnv.New64a()
 	h.Write(b)
 	return appendU64(b, h.Sum64())
 }
 
-// decoder is a bounds-checked cursor over an encoded summary.
+// decoder is a bounds-checked cursor over an encoded record.
 type decoder struct {
 	b   []byte
 	off int
@@ -272,13 +248,15 @@ func (d *decoder) u64() uint64 {
 	return v
 }
 
-func (d *decoder) str() string {
+// str returns the next length-prefixed string's bytes, aliasing the
+// record, so comparing them to a key allocates nothing.
+func (d *decoder) str() []byte {
 	n := int(d.u32())
 	if d.err != nil || n < 0 || d.off+n > len(d.b) {
 		d.fail()
-		return ""
+		return nil
 	}
-	s := string(d.b[d.off : d.off+n])
+	s := d.b[d.off : d.off+n]
 	d.off += n
 	return s
 }
@@ -289,96 +267,46 @@ func (d *decoder) fail() {
 	}
 }
 
-// checkedLen validates a slice-length prefix against the bytes actually
-// remaining (elemSize bytes per element), so a corrupted length cannot
-// drive a huge allocation.
-func (d *decoder) checkedLen(elemSize int) int {
-	n := int(d.u32())
-	if d.err != nil {
-		return 0
-	}
-	if n < 0 || d.off+n*elemSize > len(d.b) {
-		d.fail()
-		return 0
-	}
-	return n
-}
-
-func decodeSummary(raw []byte, key string) (*RunSummary, error) {
+// decodeRecord validates raw as the record of key's solo run of app id
+// over the stable window, and returns its baseline.
+func decodeRecord(raw []byte, key string, stable time.Duration, id string) (division.Baseline, error) {
 	if len(raw) < len(diskMagic)+4+8 {
-		return nil, fmt.Errorf("protocol: disk cache entry too short")
+		return division.Baseline{}, fmt.Errorf("protocol: disk cache entry too short")
 	}
 	body, sumBytes := raw[:len(raw)-8], raw[len(raw)-8:]
 	h := fnv.New64a()
 	h.Write(body)
 	if h.Sum64() != binary.LittleEndian.Uint64(sumBytes) {
-		return nil, fmt.Errorf("protocol: disk cache checksum mismatch")
+		return division.Baseline{}, fmt.Errorf("protocol: disk cache checksum mismatch")
 	}
 	if string(body[:len(diskMagic)]) != diskMagic {
-		return nil, fmt.Errorf("protocol: disk cache bad magic")
+		return division.Baseline{}, fmt.Errorf("protocol: disk cache bad magic")
 	}
 	d := &decoder{b: body, off: len(diskMagic)}
 	if v := d.u32(); v != diskVersion {
-		return nil, fmt.Errorf("protocol: disk cache version %d (want %d)", v, diskVersion)
+		return division.Baseline{}, fmt.Errorf("protocol: disk cache version %d (want %d)", v, diskVersion)
 	}
-	if echo := d.str(); d.err != nil || echo != key {
+	if echo := d.str(); d.err != nil || string(echo) != key {
 		// Hash collision or stale key: not this run's data.
-		return nil, fmt.Errorf("protocol: disk cache key mismatch")
+		return division.Baseline{}, fmt.Errorf("protocol: disk cache key mismatch")
 	}
-
-	nIDs := d.checkedLen(4)
-	ids := make([]string, nIDs)
-	for i := range ids {
-		ids[i] = d.str()
+	if w := time.Duration(d.u64()); d.err != nil || w != stable {
+		return division.Baseline{}, fmt.Errorf("protocol: disk cache record for another stable window")
 	}
-	s := &RunSummary{}
-	s.Tick = time.Duration(d.u64())
-	s.Ticks = int(int64(d.u64()))
-	s.Duration = time.Duration(d.u64())
-	nEnds := d.checkedLen(12)
-	procEnd := make(map[string]time.Duration, nEnds)
-	for i := 0; i < nEnds; i++ {
-		id := d.str()
-		procEnd[id] = time.Duration(d.u64())
+	if rid := d.str(); d.err != nil || string(rid) != id {
+		return division.Baseline{}, fmt.Errorf("protocol: disk cache ID mismatch")
 	}
-	s.ProcEnd = procEnd
-	for _, dst := range []*[]float64{&s.Power, &s.TruePower, &s.ResidIdle} {
-		n := d.checkedLen(8)
-		fs := make([]float64, n)
-		for i := range fs {
-			fs[i] = math.Float64frombits(d.u64())
-		}
-		*dst = fs
+	b := division.Baseline{
+		ID:       id,
+		Total:    units.Watts(math.Float64frombits(d.u64())),
+		Residual: units.Watts(math.Float64frombits(d.u64())),
+		Cores:    math.Float64frombits(d.u64()),
 	}
-	n := d.checkedLen(8)
-	cpu := make([]units.CPUTime, n)
-	for i := range cpu {
-		cpu[i] = units.CPUTime(d.u64())
-	}
-	s.CPUTime = cpu
-	n = d.checkedLen(8)
-	tot := make([]units.CPUTime, n)
-	for i := range tot {
-		tot[i] = units.CPUTime(d.u64())
-	}
-	s.TotalCPU = tot
-	n = d.checkedLen(8)
-	ta := make([]float64, n)
-	for i := range ta {
-		ta[i] = math.Float64frombits(d.u64())
-	}
-	s.TotalActive = ta
 	if d.err != nil {
-		return nil, d.err
+		return division.Baseline{}, d.err
 	}
 	if d.off != len(body) {
-		return nil, fmt.Errorf("protocol: disk cache trailing bytes")
+		return division.Baseline{}, fmt.Errorf("protocol: disk cache trailing bytes")
 	}
-	if s.Ticks < 0 || len(s.CPUTime) != s.Ticks*len(ids) ||
-		len(s.TotalCPU) != len(ids) || len(s.TotalActive) != len(ids) ||
-		len(s.Power) != s.Ticks || len(s.TruePower) != s.Ticks || len(s.ResidIdle) != s.Ticks {
-		return nil, fmt.Errorf("protocol: disk cache inconsistent shape")
-	}
-	s.Roster = machine.NewRoster(ids)
-	return s, nil
+	return b, nil
 }

@@ -14,9 +14,18 @@ import (
 	"powerdiv/internal/models"
 )
 
-// diskTestRun builds one real solo-run summary plus the runKey the caches
-// would file it under — the fixture every disk-cache test round-trips.
-func diskTestRun(t *testing.T) (string, *RunSummary) {
+// diskFixture is one real solo-run baseline record plus the runKey, stable
+// window and app ID the caches would file it under — the fixture every
+// disk-cache test round-trips.
+type diskFixture struct {
+	key    string
+	stable time.Duration
+	b      division.Baseline
+}
+
+func (f diskFixture) raw() []byte { return encodeRecord(f.key, f.stable, f.b) }
+
+func diskTestRun(t *testing.T) diskFixture {
 	t.Helper()
 	ctx := goldenContext(cpumodel.SmallIntel(), false)
 	app, err := StressApp("fibonacci", 2)
@@ -26,77 +35,41 @@ func diskTestRun(t *testing.T) (string, *RunSummary) {
 	cfg := ctx.Machine
 	cfg.Seed = deriveSeed(ctx.Seed, "solo", app.ID)
 	procs := []machine.Proc{app.proc()}
-	sum, err := newRunSummary(cfg, procs, ctx.RunFor)
+	b, err := soloBaseline(cfg, procs, ctx.RunFor, ctx.StableWindow, app.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return runKey(cfg, procs, ctx.RunFor), sum
+	return diskFixture{key: runKey(cfg, procs, ctx.RunFor), stable: ctx.StableWindow, b: b}
+}
+
+// sameBaseline reports whether two baselines agree on the ID and on every
+// float's bit pattern.
+func sameBaseline(a, b division.Baseline) bool {
+	return a.ID == b.ID &&
+		math.Float64bits(float64(a.Total)) == math.Float64bits(float64(b.Total)) &&
+		math.Float64bits(float64(a.Residual)) == math.Float64bits(float64(b.Residual)) &&
+		math.Float64bits(a.Cores) == math.Float64bits(b.Cores)
 }
 
 // TestDiskCacheRoundTrip pins the persistent tier's exactness: a stored
-// summary loads back with every float bit-identical and every shape field
-// equal, so a warm-from-disk campaign cannot diverge from a cold one.
+// record loads back with every float bit-identical, so a warm-from-disk
+// campaign cannot diverge from a cold one.
 func TestDiskCacheRoundTrip(t *testing.T) {
 	d, err := OpenDiskCache(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, sum := diskTestRun(t)
-	if _, ok := d.load(key); ok {
+	f := diskTestRun(t)
+	if _, ok := d.load(f.key, f.stable, f.b.ID); ok {
 		t.Fatal("load before store hit")
 	}
-	d.store(key, sum)
-	got, ok := d.load(key)
+	d.store(f.key, f.stable, f.b)
+	got, ok := d.load(f.key, f.stable, f.b.ID)
 	if !ok {
 		t.Fatal("load after store missed")
 	}
-	if got.Ticks != sum.Ticks || got.Tick != sum.Tick || got.Duration != sum.Duration {
-		t.Fatalf("shape: got %d/%v/%v want %d/%v/%v",
-			got.Ticks, got.Tick, got.Duration, sum.Ticks, sum.Tick, sum.Duration)
-	}
-	if got.Roster.Len() != sum.Roster.Len() {
-		t.Fatalf("roster %d slots, want %d", got.Roster.Len(), sum.Roster.Len())
-	}
-	for i, id := range sum.Roster.IDs() {
-		if got.Roster.IDs()[i] != id {
-			t.Fatalf("roster slot %d: %q != %q", i, got.Roster.IDs()[i], id)
-		}
-	}
-	if len(got.ProcEnd) != len(sum.ProcEnd) {
-		t.Fatalf("ProcEnd %d entries, want %d", len(got.ProcEnd), len(sum.ProcEnd))
-	}
-	for id, end := range sum.ProcEnd {
-		if got.ProcEnd[id] != end {
-			t.Fatalf("ProcEnd[%s] %v != %v", id, got.ProcEnd[id], end)
-		}
-	}
-	for name, pair := range map[string][2][]float64{
-		"Power":       {got.Power, sum.Power},
-		"TruePower":   {got.TruePower, sum.TruePower},
-		"ResidIdle":   {got.ResidIdle, sum.ResidIdle},
-		"TotalActive": {got.TotalActive, sum.TotalActive},
-	} {
-		if len(pair[0]) != len(pair[1]) {
-			t.Fatalf("%s length %d != %d", name, len(pair[0]), len(pair[1]))
-		}
-		for i := range pair[1] {
-			if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
-				t.Fatalf("%s[%d] bits differ", name, i)
-			}
-		}
-	}
-	if len(got.CPUTime) != len(sum.CPUTime) || len(got.TotalCPU) != len(sum.TotalCPU) {
-		t.Fatalf("CPU slab lengths differ")
-	}
-	for i := range sum.CPUTime {
-		if got.CPUTime[i] != sum.CPUTime[i] {
-			t.Fatalf("CPUTime[%d] %v != %v", i, got.CPUTime[i], sum.CPUTime[i])
-		}
-	}
-	for i := range sum.TotalCPU {
-		if got.TotalCPU[i] != sum.TotalCPU[i] {
-			t.Fatalf("TotalCPU[%d] %v != %v", i, got.TotalCPU[i], sum.TotalCPU[i])
-		}
+	if !sameBaseline(got, f.b) {
+		t.Fatalf("round trip %+v, stored %+v", got, f.b)
 	}
 	if h, m, w := d.Stats(); h != 1 || m != 1 || w != 1 {
 		t.Fatalf("stats %d/%d/%d, want 1 hit, 1 miss, 1 write", h, m, w)
@@ -109,8 +82,8 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 // Every one must read as a miss — never as wrong data — and the damaged
 // file must be deleted so it is not re-parsed forever.
 func TestDiskCacheRejectsDamage(t *testing.T) {
-	key, sum := diskTestRun(t)
-	raw := encodeSummary(key, sum)
+	f := diskTestRun(t)
+	raw := f.raw()
 	flip := func(at int) func([]byte) []byte {
 		return func(b []byte) []byte {
 			c := append([]byte(nil), b...)
@@ -130,7 +103,7 @@ func TestDiskCacheRejectsDamage(t *testing.T) {
 		{"flip-magic", flip(0)},
 		{"flip-version", flip(4)},
 		{"flip-key-echo", flip(len(diskMagic) + 4 + 4)},
-		{"flip-payload", flip(len(raw) / 2)},
+		{"flip-payload", flip(len(raw) - 8 - 12)},
 		{"flip-checksum", flip(len(raw) - 1)},
 		{"extra-trailing-bytes", func(b []byte) []byte { return append(append([]byte(nil), b...), 0) }},
 	}
@@ -140,19 +113,19 @@ func TestDiskCacheRejectsDamage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := d.path(key)
+			p := d.path(f.key)
 			if err := os.WriteFile(p, tc.mangle(raw), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := d.load(key); ok {
+			if _, ok := d.load(f.key, f.stable, f.b.ID); ok {
 				t.Fatal("damaged entry loaded as a hit")
 			}
 			if _, err := os.Stat(p); !os.IsNotExist(err) {
 				t.Fatalf("damaged entry not deleted: %v", err)
 			}
 			// A fresh store over the healed slot must work again.
-			d.store(key, sum)
-			if _, ok := d.load(key); !ok {
+			d.store(f.key, f.stable, f.b)
+			if _, ok := d.load(f.key, f.stable, f.b.ID); !ok {
 				t.Fatal("store after healing missed")
 			}
 		})
@@ -167,18 +140,18 @@ func TestDiskCacheVersionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, sum := diskTestRun(t)
-	raw := encodeSummary(key, sum)
+	f := diskTestRun(t)
+	raw := f.raw()
 	body := append([]byte(nil), raw[:len(raw)-8]...)
-	body[len(diskMagic)]++ // version 1 -> 2, little-endian low byte
+	body[len(diskMagic)]++ // version 2 -> 3, little-endian low byte
 	withSum := appendChecksum(body)
-	if err := os.WriteFile(d.path(key), withSum, 0o644); err != nil {
+	if err := os.WriteFile(d.path(f.key), withSum, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := d.load(key); ok {
+	if _, ok := d.load(f.key, f.stable, f.b.ID); ok {
 		t.Fatal("future-version entry loaded as a hit")
 	}
-	if _, err := os.Stat(d.path(key)); !os.IsNotExist(err) {
+	if _, err := os.Stat(d.path(f.key)); !os.IsNotExist(err) {
 		t.Fatal("future-version entry not deleted")
 	}
 }
@@ -191,13 +164,13 @@ func TestDiskCacheKeyMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, sum := diskTestRun(t)
-	d.store(key, sum)
-	other := key + "|other"
-	if err := os.Rename(d.path(key), d.path(other)); err != nil {
+	f := diskTestRun(t)
+	d.store(f.key, f.stable, f.b)
+	other := f.key + "|other"
+	if err := os.Rename(d.path(f.key), d.path(other)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := d.load(other); ok {
+	if _, ok := d.load(other, f.stable, f.b.ID); ok {
 		t.Fatal("entry with mismatched key echo loaded as a hit")
 	}
 }
@@ -205,27 +178,28 @@ func TestDiskCacheKeyMismatch(t *testing.T) {
 // TestDiskCacheEviction stores entries past a tiny byte cap and requires
 // the oldest-modified files to be removed first while the newest survives.
 func TestDiskCacheEviction(t *testing.T) {
-	key, sum := diskTestRun(t)
-	one := int64(len(encodeSummary(key, sum)))
+	f := diskTestRun(t)
+	// The |x suffixes add two bytes to each key's echo.
+	one := int64(len(f.raw())) + 2
 	d, err := OpenDiskCache(t.TempDir(), 2*one+one/2) // room for two entries
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := []string{key + "|a", key + "|b", key + "|c"}
+	keys := []string{f.key + "|a", f.key + "|b", f.key + "|c"}
 	base := time.Now().Add(-time.Hour)
 	for i, k := range keys {
-		d.store(k, sum)
+		d.store(k, f.stable, f.b)
 		// Pin distinct, increasing mtimes so eviction order is deterministic
 		// even on coarse filesystem clocks.
 		if err := os.Chtimes(d.path(k), base, base.Add(time.Duration(i)*time.Minute)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	d.store(key+"|d", sum) // pushes past the cap; |a and |b are oldest
+	d.store(f.key+"|d", f.stable, f.b) // pushes past the cap; |a and |b are oldest
 	if _, err := os.Stat(d.path(keys[0])); !os.IsNotExist(err) {
 		t.Fatal("oldest entry survived eviction")
 	}
-	if _, ok := d.load(key + "|d"); !ok {
+	if _, ok := d.load(f.key+"|d", f.stable, f.b.ID); !ok {
 		t.Fatal("newest entry evicted")
 	}
 	var total int64
@@ -319,5 +293,124 @@ func TestDiskCacheWarmBitIdentical(t *testing.T) {
 		for i := range wantEvs {
 			compareStreamingEvaluations(t, name, wantEvs[i], gotEvs[i])
 		}
+	}
+}
+
+// TestDiskCacheRecomputes is "the right answer or a recompute" for the
+// version-2 tier: each file below, written at a record's path, must read as
+// a miss through phase 1, recompute a Float64bits-identical baseline, and
+// be overwritten by a valid record that the next fresh scope hits.
+func TestDiskCacheRecomputes(t *testing.T) {
+	f := diskTestRun(t)
+	ctx := goldenContext(cpumodel.SmallIntel(), false)
+	app, err := StressApp("fibonacci", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := f.raw()
+	// v1 stored the whole solo-run digest after the same magic and key
+	// echo; the reader must stop at its version field.
+	v1 := append([]byte(diskMagic), 1, 0, 0, 0)
+	v1 = appendStr(v1, f.key)
+	v1 = append(v1, make([]byte, 96)...)
+	v1 = appendChecksum(v1)
+	flipped := append([]byte(nil), raw...)
+	flipped[len(flipped)/2] ^= 0x01
+	cases := map[string][]byte{
+		"v1-summary":   v1,
+		"truncated":    raw[:len(raw)-5],
+		"bit-flipped":  flipped,
+		"key-mismatch": encodeRecord(f.key+"|collision", f.stable, f.b),
+		"other-window": encodeRecord(f.key, f.stable+time.Second, f.b),
+	}
+	for name, file := range cases {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			phase1 := func() (division.Baseline, MemoStats) {
+				t.Helper()
+				d, err := OpenDiskCache(dir, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := ctx
+				c.Cache = NewCacheScope(0)
+				c.Cache.AttachDisk(d)
+				b, err := MeasureBaselineSummary(c, app)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b, c.Cache.Stats()
+			}
+			if err := os.WriteFile((&DiskCache{dir: dir}).path(f.key), file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			b, st := phase1()
+			if !sameBaseline(b, f.b) {
+				t.Fatalf("recomputed %+v, want %+v", b, f.b)
+			}
+			if st.DiskHits != 0 || st.DiskMisses != 1 || st.DiskWrites != 1 {
+				t.Fatalf("over the bad file: %d hits, %d misses, %d writes; want a miss and a rewrite",
+					st.DiskHits, st.DiskMisses, st.DiskWrites)
+			}
+			b, st = phase1()
+			if !sameBaseline(b, f.b) || st.DiskHits != 1 || st.DiskWrites != 0 {
+				t.Fatalf("after the rewrite: %+v, %d hits, %d writes", b, st.DiskHits, st.DiskWrites)
+			}
+		})
+	}
+}
+
+// TestDiskCacheStoreDegrades pins the silent failure of a store that cannot
+// write: phase 1 still returns the right baseline, nothing panics, and no
+// write is counted.
+func TestDiskCacheStoreDegrades(t *testing.T) {
+	f := diskTestRun(t)
+	ctx := goldenContext(cpumodel.SmallIntel(), false)
+	app, err := StressApp("fibonacci", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, breakDir := range map[string]func(t *testing.T, dir string){
+		"read-only-dir": func(t *testing.T, dir string) {
+			if err := os.Chmod(dir, 0o555); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { os.Chmod(dir, 0o755) })
+			if probe, err := os.CreateTemp(dir, "probe-*"); err == nil {
+				probe.Close()
+				os.Remove(probe.Name())
+				t.Skip("directory permissions are not enforced for this user")
+			}
+		},
+		"dir-replaced-by-file": func(t *testing.T, dir string) {
+			if err := os.RemoveAll(dir); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(dir, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "cache")
+			d, err := OpenDiskCache(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			breakDir(t, dir)
+			c := ctx
+			c.Cache = NewCacheScope(0)
+			c.Cache.AttachDisk(d)
+			b, err := MeasureBaselineSummary(c, app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBaseline(b, f.b) {
+				t.Fatalf("baseline %+v, want %+v", b, f.b)
+			}
+			if _, _, w := d.Stats(); w != 0 {
+				t.Fatalf("%d writes counted into an unwritable directory", w)
+			}
+		})
 	}
 }

@@ -1,0 +1,13 @@
+package protocol
+
+import "powerdiv/internal/machine"
+
+// RecordKeyLen reports the length of app's phase 1 record key under ctx and
+// the buffer capacity baselineCached builds it in, for the external tests.
+func RecordKeyLen(ctx Context, app AppSpec) (n, buf int) {
+	app = app.baselineSpec()
+	cfg := ctx.Machine
+	cfg.Seed = deriveSeed(ctx.Seed, "solo", app.ID)
+	kb := appendRunKey(make([]byte, 0, recordKeyBytes), cfg, []machine.Proc{app.proc()}, ctx.RunFor)
+	return len(appendWindowKey(kb, ctx.StableWindow)), recordKeyBytes
+}

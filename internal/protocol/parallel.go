@@ -148,7 +148,7 @@ func forEachIndexed(n int, fn func(i int) error) error {
 
 // MeasureBaselinesParallel is MeasureBaselines with solo runs executed
 // concurrently. Like the serial form it goes through the byte-capped
-// summary tier, so phase 1 keeps compact digests instead of full runs.
+// baseline tier, so phase 1 keeps baseline records instead of full runs.
 func MeasureBaselinesParallel(ctx Context, apps []AppSpec) (map[string]division.Baseline, error) {
 	return MeasureBaselinesParallelCtx(context.Background(), ctx, apps)
 }

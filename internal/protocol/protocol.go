@@ -125,10 +125,10 @@ func StressApp(fn string, threads int) (AppSpec, error) {
 }
 
 // MeasureIdle returns the machine's idle power (mean over a short empty
-// run). It goes through the byte-capped summary tier: an idle run's digest
-// is all the mean needs.
+// run). It simulates into an uncached digest: the baseline tier keeps only
+// phase 1 records.
 func MeasureIdle(ctx Context) (units.Watts, error) {
-	sum, err := ctx.memo().summaryCached(ctx.Machine, nil, 5*time.Second)
+	sum, err := newRunSummary(ctx.Machine, nil, 5*time.Second)
 	if err != nil {
 		return 0, err
 	}
@@ -189,18 +189,14 @@ func MeasureBaseline(ctx Context, app AppSpec) (division.Baseline, *machine.Run,
 }
 
 // MeasureBaselineSummary is MeasureBaseline through the byte-capped
-// summary cache: the same Baseline bit for bit, computed from a compact
+// baseline tier: the same Baseline bit for bit, computed from a transient
 // RunSummary instead of a retained *machine.Run. The campaign paths use it
-// so phase 1 pins digests, not full solo runs.
+// so phase 1 keeps three floats per solo run, in memory and on disk.
 func MeasureBaselineSummary(ctx Context, app AppSpec) (division.Baseline, error) {
 	app = app.baselineSpec()
 	cfg := ctx.Machine
 	cfg.Seed = deriveSeed(ctx.Seed, "solo", app.ID)
-	sum, err := ctx.memo().summaryCached(cfg, []machine.Proc{app.proc()}, ctx.RunFor)
-	if err != nil {
-		return division.Baseline{}, fmt.Errorf("protocol: solo run of %s: %w", app.ID, err)
-	}
-	return sum.baseline(ctx, app.ID)
+	return ctx.memo().baselineCached(cfg, []machine.Proc{app.proc()}, ctx.RunFor, ctx.StableWindow, app.ID)
 }
 
 // MeasureBaselines runs phase 1 for a list of applications. Results are
@@ -233,7 +229,7 @@ func EstimateResidual(ctx Context, probe workload.Workload) (units.Watts, error)
 	for n := 1; n <= phys; n++ {
 		cfg := ctx.Machine
 		cfg.Seed = deriveSeed(ctx.Seed, "residual-probe", fmt.Sprint(n))
-		sum, err := ctx.memo().summaryCached(cfg, []machine.Proc{{
+		sum, err := newRunSummary(cfg, []machine.Proc{{
 			ID: "probe", Workload: probe, Threads: n,
 		}}, 5*time.Second)
 		if err != nil {

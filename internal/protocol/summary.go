@@ -10,13 +10,11 @@ import (
 	"powerdiv/internal/units"
 )
 
-// RunSummary is the compact digest of a simulated run that the streaming
-// protocol keeps instead of a *machine.Run: the per-tick power traces
-// phase 1 needs (measured, noise-free, idle+residual), the per-tick
-// CPU-time column of each roster process, per-process totals, and the
-// run's shape. For the paper's 30 s solo runs that is a few KB against the
-// hundreds of KB of a full run with counters — small enough to memoize
-// thousands of digests under a byte cap.
+// RunSummary is the per-tick digest of a simulated solo run that phase 1
+// extracts a baseline from: the machine power traces (measured,
+// noise-free, idle+residual), the per-tick CPU-time column of each roster
+// process, and the run's shape. It is built, reduced and dropped; what the
+// caches keep is the extracted division.Baseline (see baselineCached).
 //
 // The values are stored exactly as the materialized accessors would compute
 // them (float64(rec.TruePower), float64(rec.Idle+rec.Residual), ...), so
@@ -29,7 +27,6 @@ type RunSummary struct {
 	Tick     time.Duration
 	Ticks    int
 	Duration time.Duration
-	ProcEnd  map[string]time.Duration
 	// Power / TruePower / ResidIdle are per-tick machine traces (watts):
 	// the sensor reading, the noise-free total, and idle+residual.
 	Power     []float64
@@ -38,10 +35,6 @@ type RunSummary struct {
 	// CPUTime is a Ticks × Roster.Len() slab: tick i, slot s is
 	// CPUTime[i*Roster.Len()+s]. Absent processes hold zero.
 	CPUTime []units.CPUTime
-	// TotalCPU / TotalActive are per-slot run totals (the streaming
-	// pipeline's per-proc bookkeeping: CPU time and summed active watts).
-	TotalCPU    []units.CPUTime
-	TotalActive []float64
 }
 
 // newRunSummary streams a simulation directly into its digest; no
@@ -52,25 +45,19 @@ func newRunSummary(cfg machine.Config, procs []machine.Proc, maxDur time.Duratio
 	if maxTicks < 0 {
 		maxTicks = 0
 	}
-	n := len(procs)
 	s := &RunSummary{
-		Tick:        tick,
-		Power:       make([]float64, 0, maxTicks),
-		TruePower:   make([]float64, 0, maxTicks),
-		ResidIdle:   make([]float64, 0, maxTicks),
-		CPUTime:     make([]units.CPUTime, 0, maxTicks*n),
-		TotalCPU:    make([]units.CPUTime, n),
-		TotalActive: make([]float64, n),
+		Tick:      tick,
+		Power:     make([]float64, 0, maxTicks),
+		TruePower: make([]float64, 0, maxTicks),
+		ResidIdle: make([]float64, 0, maxTicks),
+		CPUTime:   make([]units.CPUTime, 0, maxTicks*len(procs)),
 	}
 	info, err := machine.Stream(cfg, procs, maxDur, func(rec *machine.TickRecord) error {
 		s.Power = append(s.Power, float64(rec.Power))
 		s.TruePower = append(s.TruePower, float64(rec.TruePower))
 		s.ResidIdle = append(s.ResidIdle, float64(rec.Idle+rec.Residual))
 		for slot := range rec.Procs {
-			pt := &rec.Procs[slot]
-			s.CPUTime = append(s.CPUTime, pt.CPUTime)
-			s.TotalCPU[slot] += pt.CPUTime
-			s.TotalActive[slot] += float64(pt.ActivePower)
+			s.CPUTime = append(s.CPUTime, rec.Procs[slot].CPUTime)
 		}
 		return nil
 	})
@@ -80,7 +67,6 @@ func newRunSummary(cfg machine.Config, procs []machine.Proc, maxDur time.Duratio
 	s.Roster = info.Roster
 	s.Ticks = info.Ticks
 	s.Duration = info.Duration
-	s.ProcEnd = info.ProcEnd
 	return s, nil
 }
 
@@ -95,35 +81,16 @@ func (s *RunSummary) TruePowerSeries() *trace.Series {
 	return trace.FromValues(s.Tick, s.TruePower...)
 }
 
-// EstimatedBytes approximates the summary's memory footprint for the byte
-// cap: the slices dominate; fixed overhead and the roster/ProcEnd strings
-// are charged with a small constant each.
-func (s *RunSummary) EstimatedBytes() int64 {
-	if s == nil {
-		return 0
-	}
-	const (
-		fixed    = 256
-		perProc  = 64
-		f64Bytes = 8
-	)
-	b := int64(fixed)
-	b += int64(len(s.Power)+len(s.TruePower)+len(s.ResidIdle)+len(s.TotalActive)) * f64Bytes
-	b += int64(len(s.CPUTime)+len(s.TotalCPU)) * f64Bytes
-	b += int64(s.Roster.Len()+len(s.ProcEnd)) * perProc
-	return b
-}
-
 // baseline extracts the phase 1 baseline of app from the digest, exactly
 // as MeasureBaseline extracts it from a full run: mean noise-free power,
 // mean idle+residual and mean busy cores over the least-extreme stable
-// window of the noise-free trace. Bit-identical to the run path — the
-// trace has the same samples and the accumulations run in the same order
-// (adding an absent slot's zero CPU time is bit-neutral: utilization is
-// non-negative).
-func (s *RunSummary) baseline(ctx Context, appID string) (division.Baseline, error) {
+// window (of length stable) of the noise-free trace. Bit-identical to the
+// run path — the trace has the same samples and the accumulations run in
+// the same order (adding an absent slot's zero CPU time is bit-neutral:
+// utilization is non-negative).
+func (s *RunSummary) baseline(stable time.Duration, appID string) (division.Baseline, error) {
 	power := s.TruePowerSeries()
-	window, err := power.StableWindow(ctx.StableWindow)
+	window, err := power.StableWindow(stable)
 	if err != nil {
 		window = power
 	}
@@ -152,4 +119,15 @@ func (s *RunSummary) baseline(ctx Context, appID string) (division.Baseline, err
 		Residual: units.Watts(residIdle / float64(n)),
 		Cores:    cores / float64(n),
 	}, nil
+}
+
+// soloBaseline simulates a solo run into its digest and extracts id's
+// baseline over the stable window; the digest is dropped on return. It is
+// the compute behind every baseline-tier miss.
+func soloBaseline(cfg machine.Config, procs []machine.Proc, maxDur, stable time.Duration, id string) (division.Baseline, error) {
+	sum, err := newRunSummary(cfg, procs, maxDur)
+	if err != nil {
+		return division.Baseline{}, fmt.Errorf("protocol: solo run of %s: %w", id, err)
+	}
+	return sum.baseline(stable, id)
 }

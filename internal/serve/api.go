@@ -120,9 +120,11 @@ func checkDurations(spec SubmitRequest) *APIError {
 }
 
 // runnable is a compiled submission: everything a runner needs to evaluate
-// shards, plus the fingerprint binding snapshots to the spec. It is rebuilt
-// from the spec on resume — never serialized — so a snapshot is valid
-// exactly when its spec still compiles to the same fingerprint.
+// shards, plus the fingerprint binding snapshots to the spec. A job's spec
+// compiles once — at admission, or when its snapshot loads — and the Job
+// carries the runnable to its runner. It is never serialized, so a
+// snapshot is valid exactly when its spec still compiles to the same
+// fingerprint.
 type runnable struct {
 	kind        string
 	units       int

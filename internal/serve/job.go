@@ -86,6 +86,10 @@ type Job struct {
 	cancel    context.CancelFunc
 	cancelMsg string
 	started   time.Time
+	// rn is the runnable admission (or snapshot loading) compiled, handed
+	// to the runner once; takeRunnable clears it, so a job retains its
+	// scenarios only while queued.
+	rn *runnable
 }
 
 // newJob builds a queued job over a compiled runnable.
@@ -98,9 +102,20 @@ func newJob(id string, spec SubmitRequest, rn *runnable) *Job {
 		Kind:        rn.kind,
 		state:       StateQueued,
 		rows:        make([]*ResultRow, rn.units),
+		rn:          rn,
 	}
 	j.cond = sync.NewCond(&j.mu)
 	return j
+}
+
+// takeRunnable hands the job's compiled runnable to its runner and drops
+// the job's reference to it.
+func (j *Job) takeRunnable() *runnable {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	rn := j.rn
+	j.rn = nil
+	return rn
 }
 
 // JobStatus is the GET /v1/jobs/{id} body.

@@ -25,6 +25,7 @@ func (s *Server) runner() {
 // the outside in: the server root (Kill cancels it), the job's own cancel
 // hook (DELETE and stream-disconnect call it), and the optional deadline.
 func (s *Server) runJob(job *Job) {
+	rn := job.takeRunnable()
 	if reason := job.cancelReason(); reason != "" {
 		// Cancelled while queued: never ran, still snapshots its terminal
 		// state so a restart doesn't resurrect it.
@@ -50,15 +51,6 @@ func (s *Server) runJob(job *Job) {
 		obsJobSeconds.Observe(time.Since(start).Seconds())
 	}()
 
-	rn, aerr := compile(job.Spec, s.opts)
-	if aerr != nil {
-		// Admission validated the spec, so this is unreachable unless the
-		// binary changed under a resumed snapshot; fail it cleanly.
-		job.setState(StateFailed, aerr.Error())
-		obsFailed.Inc()
-		s.persist(job)
-		return
-	}
 	err := s.evaluate(cctx, job, rn)
 	switch {
 	case err == nil:

@@ -61,8 +61,8 @@ type Options struct {
 	// MaxCacheBytes caps each job's private memoization budget. Default
 	// protocol.DefaultMemoBytes.
 	MaxCacheBytes int64
-	// CacheDir, when set, backs every job's summary cache with one shared
-	// persistent tier: solo-run digests survive restarts, so resumed and
+	// CacheDir, when set, backs every job's baseline tier with one shared
+	// persistent tier: baseline records survive restarts, so resumed and
 	// repeated jobs skip their phase 1 simulations. Jobs stay isolated in
 	// memory (each keeps its own CacheScope); the disk tier is shared,
 	// content-addressed and safe across jobs because entries are keyed by
@@ -122,7 +122,7 @@ type Server struct {
 	depth atomic.Int64 // queued jobs, admission-checked against QueueCap
 	wg    sync.WaitGroup
 
-	// disk is the shared persistent summary cache (nil without CacheDir).
+	// disk is the shared persistent baseline cache (nil without CacheDir).
 	disk *protocol.DiskCache
 
 	mux *http.ServeMux

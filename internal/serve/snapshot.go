@@ -158,6 +158,7 @@ func jobFromSnapshot(snap Snapshot, rn *runnable) *Job {
 		if snap.State == StateDone && j.summary == nil {
 			j.summary = summarize(rn, j.rows)
 		}
+		j.rn = nil // never queued: nothing will take it
 	}
 	return j
 }
