@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"powerdiv/internal/cpumodel"
+	"powerdiv/internal/fleet"
 	"powerdiv/internal/models"
 	"powerdiv/internal/trace"
 	"powerdiv/internal/traffic"
@@ -118,6 +119,20 @@ func goldenTables(t *testing.T) map[string]any {
 	sweep, err := ColocationSweep(ProdConfig(dahu, seed), models.NewScaphandre(), "cloverleaf", 6, []int{0, 4, 9}, seed)
 	check(err)
 	out["colocation-sweep"] = sweep
+
+	// A few-node fleet, shaped like the fleet package's fast test config:
+	// heterogeneous node specs, per-node traffic shards and noise grades.
+	fl, err := FleetCampaign(fleet.Config{
+		Nodes:            4,
+		Seed:             seed,
+		ScenariosPerNode: 1,
+		Window:           2 * time.Second,
+		RunFor:           3 * time.Second,
+		StableWindow:     time.Second,
+		Kernels:          []string{"fibonacci", "matrixprod", "queens"},
+	})
+	check(err)
+	out["fleet-4-nodes"] = fl
 	return out
 }
 
