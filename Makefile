@@ -98,6 +98,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzParseCurveCSV -fuzztime 2s ./internal/cpumodel
 	$(GO) test -run=^$$ -fuzz=FuzzSubmitJSON -fuzztime 3s ./internal/serve
 	$(GO) test -run=^$$ -fuzz=FuzzSnapshotJSON -fuzztime 3s ./internal/serve
+	$(GO) test -run=^$$ -fuzz=FuzzStreamHorizon -fuzztime 3s ./internal/machine
 
 # serve-smoke boots the campaign daemon in-process, runs a 5-scenario
 # streamed job over loopback HTTP, checks the NDJSON stream's shape, and

@@ -14,7 +14,7 @@ import (
 )
 
 // unbatchedInstability is the pre-batch reference: `repeats` fully
-// independent simulations, one per-tick machine.Stream pass each with
+// independent simulations, one machine.StreamSegments pass each with
 // every tick observed as a one-tick segment, under the same seed
 // derivations Instability uses. It exists only to pin the batch
 // equivalence.
@@ -42,7 +42,8 @@ func unbatchedInstability(t *testing.T, cfg machine.Config, fn0, fn1 string, thr
 		replay := models.NewStreamReplay(roster, []models.Model{model}, maxTicks)
 		scratch := make([]models.ProcSample, roster.Len())
 		power := make([]units.Watts, 1)
-		_, err := machine.Stream(run, procs, runFor, func(rec *machine.TickRecord) error {
+		_, err := machine.StreamSegments(run, procs, runFor, func(seg *machine.Segment) error {
+			rec := seg.Rec
 			for slot := range scratch {
 				pt := rec.Procs[slot]
 				scratch[slot] = models.ProcSample{
@@ -52,16 +53,18 @@ func unbatchedInstability(t *testing.T, cfg machine.Config, fn0, fn1 string, thr
 					TrueActive: pt.ActivePower,
 				}
 			}
-			power[0] = rec.Power
-			replay.ObserveSegment(&models.SegmentTicks{Tick: models.Tick{
-				At:           rec.At,
-				Interval:     tick,
-				MachinePower: rec.Power,
-				LogicalCPUs:  logical,
-				Freq:         rec.Freq,
-				Roster:       roster,
-				Samples:      scratch,
-			}, Powers: power})
+			for i, p := range seg.Powers {
+				power[0] = p
+				replay.ObserveSegment(&models.SegmentTicks{Tick: models.Tick{
+					At:           seg.At(i),
+					Interval:     tick,
+					MachinePower: p,
+					LogicalCPUs:  logical,
+					Freq:         rec.Freq,
+					Roster:       roster,
+					Samples:      scratch,
+				}, Powers: power})
+			}
 			return nil
 		})
 		if err != nil {

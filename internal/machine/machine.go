@@ -163,8 +163,8 @@ type TickRecord struct {
 	Freq units.Hertz
 	// Procs is the tick's dense activity column, indexed by the run's
 	// roster slot. Processes not yet started or already finished have a
-	// zero record (Present() == false). All columns of one run are slices
-	// of a single slab allocated up front by Simulate.
+	// zero record (Present() == false). Simulate carves the columns of one
+	// run from a shared slab.
 	Procs []ProcTick
 }
 
@@ -209,27 +209,24 @@ func (r *Run) ProcAt(i int, id string) (ProcTick, bool) {
 // ErrContention (wrapped) if at any tick the processes demand more logical
 // CPUs than the machine exposes.
 //
-// Simulate is a collector over Stream: it preallocates the whole run up
-// front (one TickRecord slice and one ProcTick slab that every tick's
-// column is carved from) and copies each streamed tick in, so callers that
-// need the full series keep the columnar layout while streaming consumers
-// skip the materialisation entirely.
+// Simulate is a collector over StreamSegments: it expands each segment
+// into one TickRecord per tick, with every tick's column carved from one
+// ProcTick slab. Both are reserved up front for the horizon's tick count,
+// capped at maxReservedTicks; a longer run grows them by append.
 func Simulate(cfg Config, procs []Proc, maxDur time.Duration) (*Run, error) {
 	run := &Run{Config: cfg}
 	n := len(procs)
-	maxTicks := int(maxDur/cfg.tick()) + 1
-	if maxTicks < 0 {
-		maxTicks = 0
-	}
-	run.Ticks = make([]TickRecord, 0, maxTicks)
-	slab := make([]ProcTick, maxTicks*n)
-	info, err := Stream(cfg, procs, maxDur, func(rec *TickRecord) error {
-		col := slab[:n:n]
-		slab = slab[n:]
-		copy(col, rec.Procs)
-		r := *rec
-		r.Procs = col
-		run.Ticks = append(run.Ticks, r)
+	reserve := int(max(min(maxDur/cfg.tick(), maxReservedTicks-1)+1, 0))
+	run.Ticks = make([]TickRecord, 0, reserve)
+	slab := make([]ProcTick, 0, reserve*n)
+	info, err := StreamSegments(cfg, procs, maxDur, func(seg *Segment) error {
+		for i, p := range seg.Powers {
+			slab = append(slab, seg.Rec.Procs...)
+			r := *seg.Rec
+			r.At, r.Power = seg.At(i), p
+			r.Procs = slab[len(slab)-n : len(slab) : len(slab)]
+			run.Ticks = append(run.Ticks, r)
+		}
 		return nil
 	})
 	if err != nil {
@@ -240,6 +237,12 @@ func Simulate(cfg Config, procs []Proc, maxDur time.Duration) (*Run, error) {
 	run.ProcEnd = info.ProcEnd
 	return run, nil
 }
+
+// maxReservedTicks caps Simulate's up-front reservation. It lies well
+// above the protocol's runs (30 s at the 100 ms tick is 301 ticks), so
+// they reserve exactly once, while a horizon near math.MaxInt64 reserves
+// a bounded amount instead of failing to allocate.
+const maxReservedTicks = 1 << 14
 
 // allStarted reports whether every process's start time has passed.
 func allStarted(procs []Proc, t time.Duration) bool {
@@ -308,7 +311,7 @@ type tickScratch struct {
 	// revisit earlier indices.
 	pickCore, pickAny int
 	// grownTicks counts ticks where a fixed-size buffer had to allocate.
-	// Simulate flushes it to the obs counters once per run, keeping the
+	// The cursor flushes it to the obs counters once per run, keeping the
 	// tick loop free of atomics.
 	grownTicks uint64
 }
@@ -359,7 +362,7 @@ func resetBools(b []bool, n int) []bool {
 }
 
 // stepTick computes one simulation step into rec (an out-parameter so the
-// per-tick loop never copies the record struct). It reports whether any
+// segment loop never copies the record struct). It reports whether any
 // process was active this tick, and ErrContention on oversubscription.
 //
 // Unpinned threads are placed fairly: one thread per running process in

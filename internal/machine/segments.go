@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"powerdiv/internal/units"
@@ -22,22 +21,7 @@ import (
 // therefore runs stepTick once per segment and stamps the cached record
 // across the segment's ticks, drawing noise in tick order so the RNG
 // consumption — and with it every yielded float — stays bit-identical to
-// the per-tick loop.
-//
-// perTick gates the engine off. It exists so the equivalence tests can pin
-// the segment path against the per-tick reference loop; its zero value
-// leaves the engine on.
-var perTick atomic.Bool
-
-// SetSegmented toggles the segment engine and reports the previous
-// setting. With the engine off, Stream and the segment-level entry points
-// step every tick individually (each tick becomes its own
-// one-tick segment), which is the reference behaviour the golden tests
-// compare against.
-func SetSegmented(on bool) bool { return !perTick.Swap(!on) }
-
-// Segmented reports whether the segment engine is enabled.
-func Segmented() bool { return !perTick.Load() }
+// stepping every tick.
 
 // Segment is a maximal run of consecutive ticks over which the simulator's
 // dynamics are constant: one stepTick evaluation covers every tick of the
@@ -62,9 +46,8 @@ type Segment struct {
 // Ticks returns the number of ticks the segment covers.
 func (s *Segment) Ticks() int { return len(s.Powers) }
 
-// At returns the timestamp of the segment's i-th tick. Tick timestamps
-// are exact integer multiples of the interval, so this matches the
-// per-tick loop's accumulated time bit for bit.
+// At returns the timestamp of the segment's i-th tick: the exact integer
+// multiple of the interval for its global tick index.
 func (s *Segment) At(i int) time.Duration {
 	return time.Duration(int64(s.StartTick)+int64(i)) * s.Interval
 }
@@ -133,29 +116,36 @@ func changePointTicks(procs []Proc, tick, maxDur time.Duration, totalTicks int64
 // segCursor walks one run segment by segment. Each next call evaluates
 // stepTick at the head of the following segment and reports the tick range
 // it covers; the evaluated record and column stay valid until the next
-// call. When the engine is disabled (or the change-point enumeration
-// declined), every segment is a single tick — the reference per-tick loop
-// expressed in the same shape.
+// call. When the change-point enumeration declines, every segment is a
+// single tick: stepping tick by tick needs no proof of constancy.
 type segCursor struct {
 	cfg        Config
 	ordered    []Proc
 	tick       time.Duration
 	phys, nCPU int
 	totalTicks int64
-	// cps holds the change-point tick indices when the engine is active;
-	// nil means per-tick fallback.
+	// cps holds the change-point tick indices; nil means the per-tick
+	// fallback.
 	cps []int64
 	j   int   // index into cps of the next unentered change-point
 	k   int64 // next tick index to cover
 	sc  tickScratch
 	col []ProcTick
 	rec TickRecord
+	// seg is the segment handed to yield; it points at rec.
+	seg Segment
 	// ends records each process's observed finish time by roster slot
 	// (endUnset until seen) — the slot-indexed replacement for the old
 	// per-tick map.
 	ends     []time.Duration
 	segments uint64
 	done     bool
+	// noise holds one sensor-noise source per repetition, and powers each
+	// repetition's per-tick power buffer for the current segment. The
+	// buffers are scratch valid only during a yield and keep their storage
+	// across runs; every entry is written before it is yielded.
+	noise  []noiseRNG
+	powers [][]units.Watts
 	// cpsBuf/boundsBuf are changePointTicks' buffers, kept across runs.
 	cpsBuf    []int64
 	boundsBuf []time.Duration
@@ -163,20 +153,25 @@ type segCursor struct {
 
 // segCursors recycles cursors across runs: a campaign streams one run per
 // scenario, and a cursor's scratch (placements, demands, per-CPU loads,
-// the ProcTick column, change-points) would otherwise be rebuilt for every
-// one. newSegCursor resets every per-run field and tickScratch.beginRun
-// refills the per-run caches, so a recycled cursor computes exactly what a
-// fresh one does. It is a pointer so a test can compare against cursors
+// the ProcTick column, change-points, power buffers) would otherwise be
+// rebuilt for every one. newSegCursor resets every per-run field and
+// tickScratch.beginRun refills the per-run caches, so a recycled cursor
+// computes exactly what a fresh one does. It is a pointer so a test can compare against cursors
 // from an empty pool.
 var segCursors = &sync.Pool{New: func() any { return new(segCursor) }}
 
-func newSegCursor(cfg Config, ordered []Proc, maxDur time.Duration) *segCursor {
+func newSegCursor(cfg Config, ordered []Proc, maxDur time.Duration, seeds []int64) *segCursor {
 	tick := cfg.tick()
 	c := segCursors.Get().(*segCursor)
 	c.cfg, c.ordered, c.tick = cfg, ordered, tick
 	c.phys = cfg.Spec.Topology.PhysicalCores()
 	c.nCPU = cfg.schedulableCPUs()
-	c.totalTicks = (int64(maxDur) + int64(tick) - 1) / int64(tick)
+	// ceil(maxDur/tick) by quotient and remainder: the (maxDur+tick-1)/tick
+	// form overflows for horizons within a tick of math.MaxInt64.
+	c.totalTicks = int64(maxDur / tick)
+	if maxDur%tick != 0 {
+		c.totalTicks++
+	}
 	c.j, c.k, c.segments, c.done = 0, 0, 0, false
 	c.sc.beginRun(cfg, ordered)
 	c.col = resize(c.col, len(ordered))
@@ -184,25 +179,32 @@ func newSegCursor(cfg Config, ordered []Proc, maxDur time.Duration) *segCursor {
 	for i := range c.ends {
 		c.ends[i] = endUnset
 	}
-	c.cps = nil
-	if !perTick.Load() {
-		cps, bounds, ok := changePointTicks(ordered, tick, maxDur, c.totalTicks, c.cpsBuf, c.boundsBuf)
-		c.cpsBuf, c.boundsBuf = cps, bounds
-		if ok {
-			c.cps = cps
-		}
+	c.noise = resize(c.noise, len(seeds))
+	for i, seed := range seeds {
+		c.noise[i] = newNoiseRNG(cfg.NoiseStddev, seed)
+	}
+	c.powers = resize(c.powers, len(seeds))
+	cps, bounds, ok := changePointTicks(ordered, tick, maxDur, c.totalTicks, c.cpsBuf, c.boundsBuf)
+	c.cpsBuf, c.boundsBuf, c.cps = cps, bounds, nil
+	if ok {
+		c.cps = cps
 	}
 	return c
 }
 
 // release hands the cursor back to segCursors once its stream has
-// returned. The caller's process slice and the scratch record are dropped
-// first, so a pooled cursor pins no caller memory and nothing of this run
-// is reachable from it once another run takes it.
+// returned. The noise registers go back to their pool, and the caller's
+// process slice and the scratch record are dropped, so a pooled cursor
+// pins no caller memory and nothing of this run is reachable from it once
+// another run takes it.
 func (c *segCursor) release() {
+	for i := range c.noise {
+		c.noise[i].release()
+	}
 	c.ordered = nil
 	c.cfg = Config{}
 	c.rec = TickRecord{}
+	c.seg = Segment{}
 	segCursors.Put(c)
 }
 
@@ -218,9 +220,8 @@ func resize[T any](buf []T, n int) []T {
 // next advances to the following segment. It evaluates stepTick at the
 // segment's first tick into c.rec/c.col and returns the half-open tick
 // range [startK, endK) the evaluation covers. A terminal segment — every
-// process started and none active, where the per-tick loop breaks after
-// one yield — covers exactly one tick and ends the run. next must not be
-// called after c.done is set.
+// process started and none active — covers exactly one tick and ends the
+// run. next must not be called after c.done is set.
 func (c *segCursor) next() (startK, endK int64, err error) {
 	startK = c.k
 	t := time.Duration(startK) * c.tick
@@ -244,8 +245,8 @@ func (c *segCursor) next() (startK, endK int64, err error) {
 	// The early-exit condition is constant within a segment: demands (and
 	// hence active) only change at change-points, and allStarted flips at
 	// per-process start ticks, which are change-points too. A terminal
-	// segment therefore emits exactly one tick, like the per-tick loop's
-	// post-yield break.
+	// segment emits exactly one tick: the first idle tick after the last
+	// process finished.
 	if !active && allStarted(c.ordered, t) {
 		endK = startK + 1
 		c.done = true
@@ -260,7 +261,8 @@ func (c *segCursor) next() (startK, endK int64, err error) {
 // finish folds the cursor's bookkeeping into info once the stream ends:
 // tick count, covered duration, the per-process end times (processes never
 // observed finished end with the run), and the machine-level obs counters.
-func (c *segCursor) finish(info *StreamInfo, emitted int64) {
+func (c *segCursor) finish(info *StreamInfo) {
+	emitted := c.k
 	info.Ticks = int(emitted)
 	info.Duration = time.Duration(emitted) * c.tick
 	for i := range c.ordered {
@@ -277,62 +279,4 @@ func (c *segCursor) finish(info *StreamInfo, emitted int64) {
 		obsScratchReused.Add(n - c.sc.grownTicks)
 	}
 	obsSegments.Add(c.segments)
-}
-
-// segPowers recycles StreamSegments' per-tick power buffers across runs: a
-// campaign streams one run per scenario, and the buffer — scratch valid
-// only during the yield — would otherwise be a fresh allocation each time.
-// Every entry is written before it is yielded, so reuse cannot change a
-// single yielded value.
-var segPowers = sync.Pool{New: func() any { return new([]units.Watts) }}
-
-// StreamSegments runs the scenario like Stream but hands whole segments to
-// yield instead of individual ticks: seg.Rec (breakdown, frequency, dense
-// Procs column) is shared by all seg.Ticks() ticks, and seg.Powers carries
-// each tick's noisy machine power. Consuming segments instead of ticks
-// lets observers that are themselves piecewise-constant (see
-// models.SegmentModel) skip per-tick recomputation entirely. The sequence
-// of (At(i), Powers[i], Rec) triples is bit-identical to the records
-// Stream would yield: the same stepTick values are reused and the noise
-// RNG is consumed once per tick in tick order. Like Stream, the record and
-// power buffer are scratch valid only during the yield: the power buffer
-// and the cursor behind the record go back to their pools when the call
-// returns, on every exit path.
-func StreamSegments(cfg Config, procs []Proc, maxDur time.Duration, yield func(seg *Segment) error) (*StreamInfo, error) {
-	ordered, info, err := streamSetup(cfg, procs, maxDur)
-	if err != nil {
-		return nil, err
-	}
-	cur := newSegCursor(cfg, ordered, maxDur)
-	defer cur.release()
-	noise := newNoiseRNG(cfg.NoiseStddev, cfg.Seed)
-	defer noise.release()
-	buf := segPowers.Get().(*[]units.Watts)
-	seg := Segment{Rec: &cur.rec, Interval: cur.tick, Powers: *buf}
-	defer func() {
-		*buf, seg.Powers = seg.Powers[:0], nil
-		segPowers.Put(buf)
-	}()
-	var emitted int64
-	for !cur.done {
-		startK, endK, err := cur.next()
-		if err != nil {
-			return nil, err
-		}
-		n := endK - startK
-		seg.Powers = resize(seg.Powers, int(n))
-		base := cur.rec.TruePower
-		for i := int64(0); i < n; i++ {
-			seg.Powers[i] = noise.sample(base)
-		}
-		seg.StartTick = int(startK)
-		cur.rec.At = time.Duration(startK) * cur.tick
-		cur.rec.Power = seg.Powers[0]
-		emitted = endK
-		if err := yield(&seg); err != nil {
-			return nil, err
-		}
-	}
-	cur.finish(info, emitted)
-	return info, nil
 }

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -108,17 +109,48 @@ type tickCapture struct {
 	info *StreamInfo
 }
 
-func captureStream(t *testing.T, cfg Config, procs []Proc, dur time.Duration) tickCapture {
+// perTickReference is the simulator loop as it was before segments, kept
+// as the reference the segment engine is pinned against: stepTick once per
+// tick into a fresh column, one math/rand noise draw per tick in tick
+// order, and an early end after the first tick on which every process has
+// started and none is running.
+func perTickReference(t *testing.T, cfg Config, procs []Proc, dur time.Duration) tickCapture {
 	t.Helper()
-	var recs []TickRecord
-	info, err := Stream(cfg, procs, dur, func(rec *TickRecord) error {
-		r := *rec
-		r.Procs = append([]ProcTick(nil), rec.Procs...)
-		recs = append(recs, r)
-		return nil
-	})
+	ordered, info, err := streamSetup(cfg, procs, dur)
 	if err != nil {
 		t.Fatal(err)
+	}
+	tick := cfg.tick()
+	phys, nCPU := cfg.Spec.Topology.PhysicalCores(), cfg.schedulableCPUs()
+	var sc tickScratch
+	sc.beginRun(cfg, ordered)
+	ends := make([]time.Duration, len(ordered))
+	for i := range ends {
+		ends[i] = endUnset
+	}
+	noise := rand.New(rand.NewSource(cfg.Seed))
+	var recs []TickRecord
+	for at := time.Duration(0); at < dur; at += tick {
+		var rec TickRecord
+		active, err := stepTick(cfg, ordered, at, tick, phys, nCPU, ends, &sc, make([]ProcTick, len(ordered)), &rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.NoiseStddev > 0 {
+			rec.Power = units.Watts(float64(rec.TruePower) + noise.NormFloat64()*float64(cfg.NoiseStddev))
+		}
+		recs = append(recs, rec)
+		if !active && allStarted(ordered, at) {
+			break
+		}
+	}
+	info.Ticks = len(recs)
+	info.Duration = time.Duration(len(recs)) * tick
+	for i, p := range ordered {
+		info.ProcEnd[p.ID] = info.Duration
+		if ends[i] != endUnset {
+			info.ProcEnd[p.ID] = ends[i]
+		}
 	}
 	return tickCapture{recs, info}
 }
@@ -188,53 +220,37 @@ func requireIdentical(t *testing.T, label string, want, got tickCapture) {
 	}
 }
 
-// TestSegmentEngineMatchesPerTick is the tentpole golden suite: across the
-// edge-case scenario table, the segment-compiled Stream and StreamSegments
-// are Float64bits-identical to the per-tick reference loop (the engine
-// disabled), and the compiled runs actually coalesce ticks into fewer
-// segments wherever the scenario is longer than its change-point count.
+// TestSegmentEngineMatchesPerTick is the engine's golden suite: across
+// the edge-case scenario table, StreamSegments flattened to ticks and
+// Simulate are Float64bits-identical to the per-tick reference loop, and
+// the runs actually coalesce ticks into fewer segments.
 func TestSegmentEngineMatchesPerTick(t *testing.T) {
-	defer SetSegmented(SetSegmented(true))
 	for _, sc := range segScenarios(t) {
 		t.Run(sc.name, func(t *testing.T) {
-			SetSegmented(false)
-			want := captureStream(t, sc.cfg, sc.procs, sc.dur)
-			refSegs, perTick := captureSegments(t, sc.cfg, sc.procs, sc.dur)
-			SetSegmented(true)
-			got := captureStream(t, sc.cfg, sc.procs, sc.dur)
-			gotSegs, compiled := captureSegments(t, sc.cfg, sc.procs, sc.dur)
-
-			requireIdentical(t, "per-tick segments vs reference", want, refSegs)
-			requireIdentical(t, "compiled stream vs reference", want, got)
-			requireIdentical(t, "compiled segments vs reference", want, gotSegs)
-			if perTick != len(want.recs) {
-				t.Errorf("disabled engine emitted %d segments over %d ticks, want one per tick",
-					perTick, len(want.recs))
-			}
-			if compiled >= perTick && perTick > 1 {
-				t.Errorf("compiled run used %d segments over %d ticks — no coalescing", compiled, perTick)
+			want := perTickReference(t, sc.cfg, sc.procs, sc.dur)
+			got, segments := captureSegments(t, sc.cfg, sc.procs, sc.dur)
+			requireIdentical(t, "segments vs reference", want, got)
+			requireIdentical(t, "Simulate vs reference", want, simulateCapture(t, sc.cfg, sc.procs, sc.dur))
+			if segments >= len(want.recs) && len(want.recs) > 1 {
+				t.Errorf("run used %d segments over %d ticks — no coalescing", segments, len(want.recs))
 			}
 		})
 	}
 }
 
 // TestStreamBatchSegmentsMatchesPerTick pins the batched entry point: for
-// every repetition, StreamBatchSegments under the compiled engine matches
-// the per-tick reference batch (the engine off, one segment per tick) bit
-// for bit, with yields arriving rep-ascending within each segment.
+// every repetition, StreamBatchSegments flattened to ticks matches the
+// per-tick reference loop under that repetition's seed bit for bit, with
+// yields arriving rep-ascending within each segment.
 func TestStreamBatchSegmentsMatchesPerTick(t *testing.T) {
-	defer SetSegmented(SetSegmented(true))
 	seeds := []int64{3, 41, 59}
 	for _, sc := range segScenarios(t) {
 		t.Run(sc.name, func(t *testing.T) {
-			SetSegmented(false)
-			want, _ := captureBatch(t, sc.cfg, sc.procs, sc.dur, seeds)
-			SetSegmented(true)
-			got, _ := captureBatch(t, sc.cfg, sc.procs, sc.dur, seeds)
-			for rep := range seeds {
-				requireIdentical(t, "batch segments",
-					tickCapture{want[rep], &StreamInfo{ProcEnd: map[string]time.Duration{}}},
-					tickCapture{got[rep], &StreamInfo{ProcEnd: map[string]time.Duration{}}})
+			got, info := captureBatch(t, sc.cfg, sc.procs, sc.dur, seeds)
+			for rep, seed := range seeds {
+				solo := sc.cfg
+				solo.Seed = seed
+				requireIdentical(t, "batch segments", perTickReference(t, solo, sc.procs, sc.dur), tickCapture{got[rep], info})
 			}
 		})
 	}

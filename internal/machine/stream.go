@@ -32,10 +32,9 @@ type StreamInfo struct {
 // noiseRNG draws the per-tick sensor-noise overlay. The generator is a
 // pooled register (see noisePool) taken and seeded on the first draw, so
 // noise-free runs (stddev <= 0) never touch it, and handed back by
-// release when the run ends. Noisy runs consume the source exactly as the
-// historical per-tick loop did — one NormFloat64 per emitted tick, in tick
-// order — and rng.Source is bit-identical to math/rand's, so sampled
-// powers are bit-identical.
+// release when the run ends. Noisy runs draw one NormFloat64 per emitted
+// tick, in tick order, and rng.Source is bit-identical to math/rand's, so
+// the sampled powers are those of a math/rand source with the same seed.
 type noiseRNG struct {
 	stddev float64
 	seed   int64
@@ -74,59 +73,6 @@ func (n *noiseRNG) release() {
 	}
 	n.rng = nil
 	noisePool.Put(r)
-}
-
-// releaseAll releases every repetition's register of a batch.
-func releaseAll(noise []noiseRNG) {
-	for i := range noise {
-		noise[i].release()
-	}
-}
-
-// Stream runs the scenario for at most maxDur, handing each tick to yield
-// as it is produced instead of materialising a Run — the O(ticks-in-flight)
-// entry point of the streaming campaign pipeline. The record passed to
-// yield, including its Procs column, is scratch owned by Stream and valid
-// only during the call; consumers must copy whatever they keep. Ticks
-// arrive in time order and are bit-identical to the records Simulate would
-// store (Simulate is a collector over Stream). A non-nil error from yield
-// aborts the run and is returned unwrapped; like Simulate, the run ends
-// early once every process has started and finished, and oversubscription
-// returns ErrContention (wrapped, with the tick time).
-//
-// Internally Stream walks the run segment by segment (see segments.go):
-// stepTick runs once per constant segment and the cached record is
-// restamped per tick with only the timestamp and the noise overlay
-// varying, which is what makes cold simulation cheap for scenarios whose
-// segments are much rarer than their ticks.
-func Stream(cfg Config, procs []Proc, maxDur time.Duration, yield func(rec *TickRecord) error) (*StreamInfo, error) {
-	ordered, info, err := streamSetup(cfg, procs, maxDur)
-	if err != nil {
-		return nil, err
-	}
-	cur := newSegCursor(cfg, ordered, maxDur)
-	defer cur.release()
-	noise := newNoiseRNG(cfg.NoiseStddev, cfg.Seed)
-	defer noise.release()
-	var emitted int64
-	for !cur.done {
-		startK, endK, err := cur.next()
-		if err != nil {
-			return nil, err
-		}
-		rec := &cur.rec
-		base := rec.TruePower
-		for k := startK; k < endK; k++ {
-			rec.At = time.Duration(k) * cur.tick
-			rec.Power = noise.sample(base)
-			if err := yield(rec); err != nil {
-				return nil, err
-			}
-		}
-		emitted = endK
-	}
-	cur.finish(info, emitted)
-	return info, nil
 }
 
 // streamSetup validates a streamed simulation's inputs and builds the
@@ -179,75 +125,78 @@ func streamSetup(cfg Config, procs []Proc, maxDur time.Duration) ([]Proc, *Strea
 	return ordered, info, nil
 }
 
-// streamBatchSetup extends streamSetup with StreamBatchSegments'
-// per-repetition noise sources.
-func streamBatchSetup(cfg Config, procs []Proc, maxDur time.Duration, seeds []int64) ([]Proc, *StreamInfo, []noiseRNG, error) {
-	if len(seeds) == 0 {
-		return nil, nil, nil, fmt.Errorf("machine: batch needs at least one seed")
-	}
-	ordered, info, err := streamSetup(cfg, procs, maxDur)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	noise := make([]noiseRNG, len(seeds))
-	for i, seed := range seeds {
-		noise[i] = newNoiseRNG(cfg.NoiseStddev, seed)
-	}
-	return ordered, info, noise, nil
+// StreamSegments runs the scenario for at most maxDur and hands it to
+// yield one constant segment at a time: seg.Rec (breakdown, frequency,
+// dense Procs column) is shared by all seg.Ticks() ticks, and seg.Powers
+// carries each tick's noisy machine power, drawn from Config.Seed in tick
+// order. Consuming segments instead of ticks lets observers that are
+// themselves piecewise-constant (see models.SegmentModel) skip per-tick
+// recomputation entirely. The record and power buffer are scratch valid
+// only during the yield; they go back to their pools when the call
+// returns, on every exit path. A non-nil error from yield aborts the run
+// and is returned unwrapped. The run ends early once every process has
+// started and finished, and oversubscription returns ErrContention
+// (wrapped, with the tick time).
+//
+// StreamSegments is the one-seed call of StreamBatchSegments.
+func StreamSegments(cfg Config, procs []Proc, maxDur time.Duration, yield func(seg *Segment) error) (*StreamInfo, error) {
+	return StreamBatchSegments(cfg, procs, maxDur, []int64{cfg.Seed}, func(_ int, seg *Segment) error {
+		return yield(seg)
+	})
 }
 
 // StreamBatchSegments runs one scenario under several noise seeds in a
-// single simulator pass. The deterministic dynamics — scheduling,
-// frequency, utilization, true power — never depend on Config.Seed (the
-// seed feeds only the sensor-noise overlay), so repetitions of a run that
-// differ only in seed share every stepTick computation. For every constant
-// segment of the run, yield is called once per seed in slice order with
-// the repetition index and the segment carrying that repetition's
-// per-tick noisy powers. Within one segment every repetition shares Rec
-// (and its Procs column); only Powers differs. Each repetition's noise
-// source is advanced once per tick in tick order, so for rep k the
-// flattened (At(i), Powers[i], Rec) sequence is bit-identical to Stream
-// with Seed=seeds[k]. The record and power buffers are scratch valid only
-// during the yield.
+// single simulator pass; it is the simulator's one stepping loop. The
+// deterministic dynamics — scheduling, frequency, utilization, true power
+// — never depend on Config.Seed (the seed feeds only the sensor-noise
+// overlay), so repetitions of a run that differ only in seed share every
+// stepTick computation. For every constant segment of the run, yield is
+// called once per seed in slice order with the repetition index and the
+// segment carrying that repetition's per-tick noisy powers. Within one
+// segment every repetition shares Rec (and its Procs column); only Powers
+// differs. Each repetition's noise source is advanced once per tick in
+// tick order, so for rep k the segments are bit-identical to
+// StreamSegments with Seed=seeds[k]. The record and the pooled power
+// buffers are scratch valid only during the yield.
 //
 // The returned info is shared across repetitions (ticks, duration and
 // ProcEnd are seed-independent); its Config is the input cfg, whose own
 // Seed is unused.
 func StreamBatchSegments(cfg Config, procs []Proc, maxDur time.Duration, seeds []int64, yield func(rep int, seg *Segment) error) (*StreamInfo, error) {
-	ordered, info, noise, err := streamBatchSetup(cfg, procs, maxDur, seeds)
+	if len(seeds) == 0 {
+		return nil, fmt.Errorf("machine: batch needs at least one seed")
+	}
+	ordered, info, err := streamSetup(cfg, procs, maxDur)
 	if err != nil {
 		return nil, err
 	}
-	defer releaseAll(noise)
-	cur := newSegCursor(cfg, ordered, maxDur)
+	cur := newSegCursor(cfg, ordered, maxDur, seeds)
 	defer cur.release()
-	seg := Segment{Rec: &cur.rec, Interval: cur.tick}
-	powers := make([][]units.Watts, len(seeds))
-	var emitted int64
+	seg := &cur.seg
+	*seg = Segment{Rec: &cur.rec, Interval: cur.tick}
 	for !cur.done {
 		startK, endK, err := cur.next()
 		if err != nil {
 			return nil, err
 		}
-		n := endK - startK
 		base := cur.rec.TruePower
-		for rep := range seeds {
-			powers[rep] = resize(powers[rep], int(n))
-			for i := int64(0); i < n; i++ {
-				powers[rep][i] = noise[rep].sample(base)
+		for rep := range cur.noise {
+			powers := resize(cur.powers[rep], int(endK-startK))
+			for i := range powers {
+				powers[i] = cur.noise[rep].sample(base)
 			}
+			cur.powers[rep] = powers
 		}
 		seg.StartTick = int(startK)
 		cur.rec.At = time.Duration(startK) * cur.tick
-		for rep := range seeds {
-			seg.Powers = powers[rep]
-			cur.rec.Power = seg.Powers[0]
-			if err := yield(rep, &seg); err != nil {
+		for rep, powers := range cur.powers {
+			seg.Powers = powers
+			cur.rec.Power = powers[0]
+			if err := yield(rep, seg); err != nil {
 				return nil, err
 			}
 		}
-		emitted = endK
 	}
-	cur.finish(info, emitted)
+	cur.finish(info)
 	return info, nil
 }

@@ -12,10 +12,11 @@ import (
 	"powerdiv/internal/cpumodel"
 )
 
-// TestStreamMatchesSimulate pins the collector contract: the ticks Stream
-// yields are bit-identical to the records Simulate stores, on a noisy
-// scenario with staggered starts and an early finisher (so the early-exit
-// and ProcEnd paths are exercised too).
+// TestStreamMatchesSimulate pins the collector contract: the segments
+// StreamSegments yields, flattened to ticks, are bit-identical to the
+// records Simulate stores, on a noisy scenario with staggered starts and
+// an early finisher (so the early-exit and ProcEnd paths are exercised
+// too), and both carry the same roster.
 func TestStreamMatchesSimulate(t *testing.T) {
 	cfg := prodConfig(cpumodel.Dahu())
 	cfg.NoiseStddev = 0.25
@@ -32,67 +33,30 @@ func TestStreamMatchesSimulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var streamed []TickRecord
-	info, err := Stream(cfg, procs, dur, func(rec *TickRecord) error {
-		r := *rec
-		r.Procs = append([]ProcTick(nil), rec.Procs...)
-		streamed = append(streamed, r)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if info.Ticks != len(run.Ticks) || len(streamed) != len(run.Ticks) {
-		t.Fatalf("stream yielded %d ticks (info %d), run has %d", len(streamed), info.Ticks, len(run.Ticks))
-	}
-	if info.Duration != run.Duration {
-		t.Errorf("duration %v != %v", info.Duration, run.Duration)
-	}
-	if got, want := info.Roster.IDs(), run.Roster.IDs(); len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+	streamed, _ := captureSegments(t, cfg, procs, dur)
+	requireIdentical(t, "Simulate vs StreamSegments", streamed, runCapture(run))
+	if got, want := streamed.info.Roster.IDs(), run.Roster.IDs(); len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 		t.Errorf("roster %v != %v", got, want)
 	}
-	if len(info.ProcEnd) != len(run.ProcEnd) {
-		t.Fatalf("ProcEnd %v != %v", info.ProcEnd, run.ProcEnd)
-	}
-	for id, at := range run.ProcEnd {
-		if info.ProcEnd[id] != at {
-			t.Errorf("ProcEnd[%s] %v != %v", id, info.ProcEnd[id], at)
-		}
-	}
-	for i, want := range run.Ticks {
-		got := streamed[i]
-		if got.At != want.At || got.Freq != want.Freq {
-			t.Fatalf("tick %d header mismatch: %+v vs %+v", i, got, want)
-		}
-		for _, p := range [][2]float64{
-			{float64(got.Power), float64(want.Power)},
-			{float64(got.TruePower), float64(want.TruePower)},
-			{float64(got.Idle), float64(want.Idle)},
-			{float64(got.Residual), float64(want.Residual)},
-			{float64(got.Active), float64(want.Active)},
-		} {
-			if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
-				t.Fatalf("tick %d power field mismatch: %v vs %v", i, p[0], p[1])
-			}
-		}
-		for slot := range want.Procs {
-			if got.Procs[slot] != want.Procs[slot] {
-				t.Fatalf("tick %d slot %d: %+v vs %+v", i, slot, got.Procs[slot], want.Procs[slot])
-			}
-		}
-	}
+}
+
+// staggered is a three-process roster whose arrivals split a run into
+// several segments.
+func staggered() []Proc {
+	procs := []Proc{stressProc("p0", "fibonacci", 1), stressProc("p1", "int64", 1), stressProc("p2", "rand", 1)}
+	procs[1].Start = time.Second
+	procs[2].Start = 2 * time.Second
+	return procs
 }
 
 // TestStreamYieldError proves a consumer error aborts the run and surfaces
 // unwrapped.
 func TestStreamYieldError(t *testing.T) {
 	sentinel := errors.New("stop here")
-	ticks := 0
-	_, err := Stream(labConfig(cpumodel.SmallIntel()), []Proc{stressProc("p0", "fibonacci", 1)}, 5*time.Second, func(*TickRecord) error {
-		ticks++
-		if ticks == 3 {
+	segments := 0
+	_, err := StreamSegments(labConfig(cpumodel.SmallIntel()), staggered(), 5*time.Second, func(*Segment) error {
+		segments++
+		if segments == 2 {
 			return sentinel
 		}
 		return nil
@@ -100,26 +64,32 @@ func TestStreamYieldError(t *testing.T) {
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
 	}
-	if ticks != 3 {
-		t.Fatalf("yield ran %d times after error, want 3", ticks)
+	if segments != 2 {
+		t.Fatalf("yield ran %d times after error, want 2", segments)
 	}
 }
 
-// TestStreamScratchColumnReused documents the scratch contract: the Procs
-// slice handed to yield is reused between ticks, so a consumer that keeps
-// it sees later ticks' data.
+// TestStreamScratchColumnReused documents the scratch contract: the
+// segment and the Procs slice handed to yield are reused between
+// segments, so a consumer that keeps them sees later segments' data.
 func TestStreamScratchColumnReused(t *testing.T) {
-	var first []ProcTick
-	_, err := Stream(labConfig(cpumodel.SmallIntel()), []Proc{stressProc("p0", "matrixprod", 1)}, time.Second, func(rec *TickRecord) error {
+	var first *Segment
+	var col []ProcTick
+	segments := 0
+	_, err := StreamSegments(labConfig(cpumodel.SmallIntel()), staggered(), 3*time.Second, func(seg *Segment) error {
+		segments++
 		if first == nil {
-			first = rec.Procs
-		} else if &first[0] != &rec.Procs[0] {
-			t.Fatal("expected the scratch column to be reused across ticks")
+			first, col = seg, seg.Rec.Procs
+		} else if seg != first || &col[0] != &seg.Rec.Procs[0] {
+			t.Fatal("expected the scratch segment and column to be reused across segments")
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if segments < 2 {
+		t.Fatalf("%d segments, want several", segments)
 	}
 }
 

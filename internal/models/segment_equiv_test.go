@@ -20,7 +20,6 @@ import (
 // alternate segments are marked Degraded to pin the learning-window skips
 // (PowerAPI, SmartWatts, WattScope floors) on both paths.
 func TestObserveSegmentMatchesPerTick(t *testing.T) {
-	defer machine.SetSegmented(machine.SetSegmented(true))
 	for _, spec := range []cpumodel.Spec{cpumodel.SmallIntel(), cpumodel.Dahu()} {
 		t.Run(spec.Name, func(t *testing.T) {
 			cfg := machine.Config{Spec: spec, NoiseStddev: 0.25, Seed: 42}

@@ -13,7 +13,8 @@ import (
 // RunSummary is the per-tick digest of a simulated solo run that phase 1
 // extracts a baseline from: the machine power traces (measured,
 // noise-free, idle+residual), the per-tick CPU-time column of each roster
-// process, and the run's shape. It is built, reduced and dropped; what the
+// process, and the run's shape. It is filled from the run's segments,
+// expanded to one entry per tick, then reduced and dropped; what the
 // caches keep is the extracted division.Baseline (see baselineCached).
 //
 // The values are stored exactly as the materialized accessors would compute
@@ -37,27 +38,34 @@ type RunSummary struct {
 	CPUTime []units.CPUTime
 }
 
-// newRunSummary streams a simulation directly into its digest; no
-// machine.Run is materialized.
+// maxReservedTicks caps the per-tick traces newRunSummary reserves up
+// front. It lies well above phase 1's runs (30 s at the 100 ms tick is 301
+// ticks), so they reserve exactly once, while a horizon near
+// math.MaxInt64 reserves a bounded amount and grows by append.
+const maxReservedTicks = 1 << 14
+
+// newRunSummary streams a simulation's segments directly into its digest;
+// no machine.Run is materialized.
 func newRunSummary(cfg machine.Config, procs []machine.Proc, maxDur time.Duration) (*RunSummary, error) {
 	tick := cfg.TickInterval()
-	maxTicks := int(maxDur/tick) + 1
-	if maxTicks < 0 {
-		maxTicks = 0
-	}
+	reserve := int(max(min(maxDur/tick, maxReservedTicks-1)+1, 0))
 	s := &RunSummary{
 		Tick:      tick,
-		Power:     make([]float64, 0, maxTicks),
-		TruePower: make([]float64, 0, maxTicks),
-		ResidIdle: make([]float64, 0, maxTicks),
-		CPUTime:   make([]units.CPUTime, 0, maxTicks*len(procs)),
+		Power:     make([]float64, 0, reserve),
+		TruePower: make([]float64, 0, reserve),
+		ResidIdle: make([]float64, 0, reserve),
+		CPUTime:   make([]units.CPUTime, 0, reserve*len(procs)),
 	}
-	info, err := machine.Stream(cfg, procs, maxDur, func(rec *machine.TickRecord) error {
-		s.Power = append(s.Power, float64(rec.Power))
-		s.TruePower = append(s.TruePower, float64(rec.TruePower))
-		s.ResidIdle = append(s.ResidIdle, float64(rec.Idle+rec.Residual))
-		for slot := range rec.Procs {
-			s.CPUTime = append(s.CPUTime, rec.Procs[slot].CPUTime)
+	info, err := machine.StreamSegments(cfg, procs, maxDur, func(seg *machine.Segment) error {
+		rec := seg.Rec
+		truePower, residIdle := float64(rec.TruePower), float64(rec.Idle+rec.Residual)
+		for _, p := range seg.Powers {
+			s.Power = append(s.Power, float64(p))
+			s.TruePower = append(s.TruePower, truePower)
+			s.ResidIdle = append(s.ResidIdle, residIdle)
+			for slot := range rec.Procs {
+				s.CPUTime = append(s.CPUTime, rec.Procs[slot].CPUTime)
+			}
 		}
 		return nil
 	})

@@ -3,9 +3,12 @@ package protocol
 import (
 	"math"
 	"testing"
+	"time"
 
 	"powerdiv/internal/cpumodel"
 	"powerdiv/internal/machine"
+	"powerdiv/internal/units"
+	"powerdiv/internal/workload"
 )
 
 // TestBaselineSummaryMatchesFull pins the digest path of phase 1: the
@@ -79,5 +82,41 @@ func TestRunSummaryShape(t *testing.T) {
 		if sum.CPUTime[i*sum.Roster.Len()+slot] != rec.Procs[slot].CPUTime {
 			t.Fatalf("tick %d CPU time differs", i)
 		}
+	}
+}
+
+// TestBaselineSummaryHorizonMaxInt64 pins phase 1 at the top of the int64
+// time line: an application whose script ends at 2.0 s has the same
+// baseline whether the solo run's horizon is an hour or math.MaxInt64. A
+// digest reserved by the horizon's tick count cannot be allocated.
+func TestBaselineSummaryHorizonMaxInt64(t *testing.T) {
+	app := AppSpec{ID: "scripted-2", Threads: 2, Workload: workload.Workload{
+		Name: "scripted",
+		Kind: workload.App,
+		Mix:  workload.CounterMix{IPC: 1},
+		Cost: map[string]units.Watts{"SMALL INTEL": 6},
+		Script: []workload.Phase{
+			{Duration: 250 * time.Millisecond, Threads: 2, Intensity: 1, Util: 1},
+			{Duration: 1050 * time.Millisecond, Threads: 1, Intensity: 0.5, Util: 0.7},
+			{Duration: 700 * time.Millisecond, Threads: 2, Intensity: 0.8, Util: 1},
+		},
+	}}
+	ctx := goldenContext(cpumodel.SmallIntel(), false)
+	ctx.StableWindow = time.Second
+	ctx.RunFor = time.Hour
+	want, err := MeasureBaselineSummary(ctx, app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx.RunFor = math.MaxInt64
+	got, err := MeasureBaselineSummary(ctx, app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ID != want.ID ||
+		math.Float64bits(float64(got.Total)) != math.Float64bits(float64(want.Total)) ||
+		math.Float64bits(float64(got.Residual)) != math.Float64bits(float64(want.Residual)) ||
+		math.Float64bits(got.Cores) != math.Float64bits(want.Cores) {
+		t.Errorf("baseline at MaxInt64 %+v, at an hour %+v", got, want)
 	}
 }
