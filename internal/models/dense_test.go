@@ -196,7 +196,7 @@ func TestShareOutInto(t *testing.T) {
 // the shared slab, not a copy.
 func TestDenseEstimatesRowIsView(t *testing.T) {
 	run := simulateRun(t, cpumodel.SmallIntel(), pairProcs(t, "int64", "rand", 1), time.Second)
-	dense := ReplayDense(NewScaphandre().New(1), RunTicksDense(run))
+	dense := replayDense(NewScaphandre().New(1), run, denseTicks(run))
 	if dense.Ticks() == 0 {
 		t.Fatal("no ticks")
 	}

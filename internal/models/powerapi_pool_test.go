@@ -40,7 +40,7 @@ func TestPowerAPIWindowPoolConcurrentModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ticks := RunTicksDense(run)
+	ticks := denseTicks(run)
 
 	ridge := DefaultPowerAPIConfig()
 	ridge.LearnWindow = time.Second
@@ -62,7 +62,7 @@ func TestPowerAPIWindowPoolConcurrentModels(t *testing.T) {
 	degenerate := 0
 	for i, j := range jobs {
 		m := factories[j.f].New(j.seed)
-		want[i] = ReplayDense(m, ticks)
+		want[i] = replayDense(m, run, ticks)
 		if m.(*PowerAPI).Degenerate() {
 			degenerate++
 		}
@@ -82,7 +82,7 @@ func TestPowerAPIWindowPoolConcurrentModels(t *testing.T) {
 
 	check := func(i int) string {
 		j := jobs[i]
-		got := ReplayDense(factories[j.f].New(j.seed), ticks)
+		got := replayDense(factories[j.f].New(j.seed), run, ticks)
 		for k := range want[i].OK {
 			if got.OK[k] != want[i].OK[k] {
 				return fmt.Sprintf("job %+v tick %d: ok %v, want %v", j, k, got.OK[k], want[i].OK[k])
@@ -143,7 +143,7 @@ func TestPowerAPIRegisterPoolConcurrentReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ticks := RunTicksDense(run)
+	ticks := denseTicks(run)
 	cfg := DefaultPowerAPIConfig()
 	cfg.LearnWindow = time.Second
 	cfg.InstabilityProb = 1

@@ -24,12 +24,15 @@ func streamThroughScratch(r *StreamReplay, ticks []Tick, n int) {
 	}
 }
 
-// TestStreamReplayMatchesReplayDense drives every model (plus a map-only
+// TestStreamReplayMatchesReplay drives every model (plus a map-only
 // fallback model) tick by tick through StreamReplay — via a reused scratch
 // column and an undersized initial slab, so both the copy-out contract and
 // slab growth are exercised — and requires the accumulated matrices to be
-// bit-identical to ReplayDense over the same ticks, on both machines.
-func TestStreamReplayMatchesReplayDense(t *testing.T) {
+// bit-identical to Replay's per-tick map estimates over the same run, on
+// both machines: OK flags match non-nil maps, every present process's
+// column entry equals its map estimate, and absent or estimate-free
+// entries are zero.
+func TestStreamReplayMatchesReplay(t *testing.T) {
 	factories := []Factory{
 		NewScaphandre(),
 		NewKepler(),
@@ -40,37 +43,35 @@ func TestStreamReplayMatchesReplayDense(t *testing.T) {
 		NewOracle(),
 		{Name: "maponly", New: func(int64) Model { return mapOnlyModel{} }},
 	}
-	const seed = int64(7)
 	for _, spec := range []cpumodel.Spec{cpumodel.SmallIntel(), cpumodel.Dahu()} {
 		run := simulateRun(t, spec, pairProcs(t, "fibonacci", "matrixprod", 3), 12*time.Second)
-		ticks := RunTicksDense(run)
-
-		ms := make([]Model, len(factories))
-		for i, f := range factories {
-			ms[i] = f.New(seed)
-		}
-		// Undersize the slab (capTicks 4) to force the growth path.
-		replay := NewStreamReplay(run.Roster, ms, 4)
-		streamThroughScratch(replay, ticks, run.Roster.Len())
-
-		if replay.Ticks() != len(ticks) {
-			t.Fatalf("%s: replay saw %d ticks, want %d", spec.Name, replay.Ticks(), len(ticks))
-		}
-		for m, f := range factories {
-			want := ReplayDense(f.New(seed), ticks)
-			got := replay.Estimates(m)
-			if got.Ticks() != want.Ticks() || len(got.Slab) != len(want.Slab) {
-				t.Fatalf("%s/%s: matrix shape %d×%d, want %d×%d",
-					spec.Name, f.Name, got.Ticks(), len(got.Slab), want.Ticks(), len(want.Slab))
+		ticks := denseTicks(run)
+		for seed := int64(1); seed <= 3; seed++ {
+			ms := make([]Model, len(factories))
+			for i, f := range factories {
+				ms[i] = f.New(seed)
 			}
-			for i := range want.OK {
-				if got.OK[i] != want.OK[i] {
-					t.Fatalf("%s/%s: tick %d OK %v, want %v", spec.Name, f.Name, i, got.OK[i], want.OK[i])
+			// Undersize the slab (capTicks 4) to force the growth path.
+			replay := NewStreamReplay(run.Roster, ms, 4)
+			streamThroughScratch(replay, ticks, run.Roster.Len())
+			if replay.Ticks() != len(ticks) {
+				t.Fatalf("%s: replay saw %d ticks, want %d", spec.Name, replay.Ticks(), len(ticks))
+			}
+			for m, f := range factories {
+				want := Replay(f.New(seed), run)
+				got := replay.Estimates(m)
+				if got.Ticks() != len(want) || len(got.Slab) != len(want)*run.Roster.Len() {
+					t.Fatalf("%s/%s: matrix shape %d×%d, want %d ticks", spec.Name, f.Name, got.Ticks(), len(got.Slab), len(want))
 				}
-			}
-			for i := range want.Slab {
-				if math.Float64bits(float64(got.Slab[i])) != math.Float64bits(float64(want.Slab[i])) {
-					t.Fatalf("%s/%s: slab[%d] = %v, want %v", spec.Name, f.Name, i, got.Slab[i], want.Slab[i])
+				for i, est := range want {
+					if got.OK[i] != (est != nil) {
+						t.Fatalf("%s/%s seed %d: tick %d OK %v, map estimate %v", spec.Name, f.Name, seed, i, got.OK[i], est)
+					}
+					for slot, id := range run.Roster.IDs() {
+						if math.Float64bits(float64(got.Row(i)[slot])) != math.Float64bits(float64(est[id])) {
+							t.Fatalf("%s/%s seed %d: tick %d %s = %v, map %v", spec.Name, f.Name, seed, i, id, got.Row(i)[slot], est[id])
+						}
+					}
 				}
 			}
 		}
@@ -99,7 +100,7 @@ func TestStreamReplayEmpty(t *testing.T) {
 // write).
 func TestStreamReplayReleaseConcurrent(t *testing.T) {
 	run := simulateRun(t, cpumodel.SmallIntel(), pairProcs(t, "int64", "rand", 1), 2*time.Second)
-	ticks := RunTicksDense(run)
+	ticks := denseTicks(run)
 	factories := []Factory{NewScaphandre(), NewOracle()}
 	const workers, rounds = 4, 300
 	var wg sync.WaitGroup

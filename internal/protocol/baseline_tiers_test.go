@@ -34,7 +34,7 @@ func tierCampaigns(t *testing.T, ctx protocol.Context) map[string][]protocol.App
 
 // TestBaselineTiersAgree reaches every baseline four ways — a memory hit,
 // a disk hit in a fresh scope, the process cache with memoization off, and
-// MeasureBaseline's full-run path — and requires Float64bits equality. The
+// the test-local full-run reference — and requires Float64bits equality. The
 // fresh scope over the primed directory must be served entirely by disk:
 // one disk hit per app and no write.
 func TestBaselineTiersAgree(t *testing.T) {
@@ -86,7 +86,7 @@ func TestBaselineTiersAgree(t *testing.T) {
 				unmemo := measure(ctx)
 
 				for i, app := range apps {
-					full, _, err := protocol.MeasureBaseline(ctx, app)
+					full, err := protocol.FullRunBaseline(ctx, app)
 					if err != nil {
 						t.Fatal(err)
 					}

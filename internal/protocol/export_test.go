@@ -1,6 +1,9 @@
 package protocol
 
-import "powerdiv/internal/machine"
+import (
+	"powerdiv/internal/division"
+	"powerdiv/internal/machine"
+)
 
 // RecordKeyLen reports the length of app's phase 1 record key under ctx and
 // the buffer capacity baselineCached builds it in, for the external tests.
@@ -10,4 +13,11 @@ func RecordKeyLen(ctx Context, app AppSpec) (n, buf int) {
 	cfg.Seed = deriveSeed(ctx.Seed, "solo", app.ID)
 	kb := appendRunKey(make([]byte, 0, recordKeyBytes), cfg, []machine.Proc{app.proc()}, ctx.RunFor)
 	return len(appendWindowKey(kb, ctx.StableWindow)), recordKeyBytes
+}
+
+// FullRunBaseline is the test-local whole-run phase 1 reference
+// (fullRunBaseline), for the external tests.
+func FullRunBaseline(ctx Context, app AppSpec) (division.Baseline, error) {
+	b, _, err := fullRunBaseline(ctx, app)
+	return b, err
 }

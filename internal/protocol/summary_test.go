@@ -1,19 +1,68 @@
 package protocol
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
 
 	"powerdiv/internal/cpumodel"
+	"powerdiv/internal/division"
 	"powerdiv/internal/machine"
 	"powerdiv/internal/units"
 	"powerdiv/internal/workload"
 )
 
+// fullRunBaseline is the reference phase 1 extraction: simulate app's solo
+// run into a whole machine.Run, bypassing every cache tier, and average the
+// noise-free power, idle+residual and busy cores over the least-extreme
+// stable window of the noise-free trace, tick by tick. The digest path
+// (RunSummary.baseline) must agree with it bit for bit.
+func fullRunBaseline(ctx Context, app AppSpec) (division.Baseline, *machine.Run, error) {
+	app = app.baselineSpec()
+	cfg := ctx.Machine
+	cfg.Seed = deriveSeed(ctx.Seed, "solo", app.ID)
+	run, err := machine.Simulate(cfg, []machine.Proc{app.proc()}, ctx.RunFor)
+	if err != nil {
+		return division.Baseline{}, nil, err
+	}
+	power := run.TruePowerSeries()
+	window, err := power.StableWindow(ctx.StableWindow)
+	if err != nil {
+		window = power
+	}
+	from, to := window.Start(), window.End()+1
+	var total, residIdle, cores float64
+	var n int
+	tick := run.Tick()
+	slot, hasSlot := run.Roster.Slot(app.ID)
+	for _, rec := range run.Ticks {
+		if rec.At < from || rec.At >= to {
+			continue
+		}
+		total += float64(rec.TruePower)
+		residIdle += float64(rec.Idle + rec.Residual)
+		if hasSlot {
+			if pt := rec.Procs[slot]; pt.Present() {
+				cores += pt.CPUTime.Utilization(tick)
+			}
+		}
+		n++
+	}
+	if n == 0 {
+		return division.Baseline{}, nil, fmt.Errorf("empty stable window for %s", app.ID)
+	}
+	return division.Baseline{
+		ID:       app.ID,
+		Total:    units.Watts(total / float64(n)),
+		Residual: units.Watts(residIdle / float64(n)),
+		Cores:    cores / float64(n),
+	}, run, nil
+}
+
 // TestBaselineSummaryMatchesFull pins the digest path of phase 1: the
 // Baseline computed from a RunSummary must be bit-identical to the one
-// MeasureBaseline extracts from the full run, on both machines (noise on,
+// fullRunBaseline extracts from the full run, on both machines (noise on,
 // so the stable-window selection is non-trivial).
 func TestBaselineSummaryMatchesFull(t *testing.T) {
 	for _, sp := range []struct {
@@ -29,7 +78,7 @@ func TestBaselineSummaryMatchesFull(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := MeasureBaseline(ctx, app)
+			want, _, err := fullRunBaseline(ctx, app)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +107,7 @@ func TestRunSummaryShape(t *testing.T) {
 	}
 	cfg := ctx.Machine
 	cfg.Seed = deriveSeed(ctx.Seed, "solo", app.ID)
-	_, run, err := MeasureBaseline(ctx, app)
+	_, run, err := fullRunBaseline(ctx, app)
 	if err != nil {
 		t.Fatal(err)
 	}
