@@ -717,56 +717,6 @@ func BenchmarkAblationSamplePeriod(b *testing.B) {
 	}
 }
 
-// BenchmarkRunTicks pins the cost of converting a simulated run into model
-// inputs: the dense roster-indexed columns against the map view they
-// replace. The dense conversion allocates one sample slab per run instead
-// of one map per tick.
-func BenchmarkRunTicks(b *testing.B) {
-	run := benchPairRun(b)
-	b.Run("dense", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if ticks := models.RunTicksDense(run); len(ticks) != len(run.Ticks) {
-				b.Fatal("tick count mismatch")
-			}
-		}
-	})
-	b.Run("map", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if ticks := models.RunTicks(run); len(ticks) != len(run.Ticks) {
-				b.Fatal("tick count mismatch")
-			}
-		}
-	})
-}
-
-// BenchmarkReplayDense pins the per-model replay cost over pre-converted
-// dense ticks: the slab-writing ObserveInto path against the map-returning
-// Observe path on the same model.
-func BenchmarkReplayDense(b *testing.B) {
-	run := benchPairRun(b)
-	dense := models.RunTicksDense(run)
-	b.Run("dense", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			est := models.ReplayDense(models.NewScaphandre().New(benchSeed), dense)
-			if len(est.OK) != len(run.Ticks) {
-				b.Fatal("estimate count mismatch")
-			}
-		}
-	})
-	b.Run("map", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ests := models.ReplayTicks(models.NewScaphandre().New(benchSeed), dense)
-			if len(ests) != len(run.Ticks) {
-				b.Fatal("estimate count mismatch")
-			}
-		}
-	})
-}
-
 // BenchmarkShareOut pins the division kernel itself: the in-place column
 // form against the map form (which allocates the result map and, in the
 // wrapper, sorts the keys every call).
@@ -796,23 +746,6 @@ func BenchmarkShareOut(b *testing.B) {
 			}
 		}
 	})
-}
-
-// benchPairRun simulates one lab pair scenario — the shape every campaign
-// replay consumes.
-func benchPairRun(b *testing.B) *machine.Run {
-	b.Helper()
-	fib, _ := workload.StressByName("fibonacci")
-	mat, _ := workload.StressByName("matrixprod")
-	cfg := experiments.LabConfig(cpumodel.SmallIntel(), benchSeed)
-	run, err := machine.Simulate(cfg, []machine.Proc{
-		{ID: "fibonacci-3", Workload: fib, Threads: 3},
-		{ID: "matrixprod-3", Workload: mat, Threads: 3},
-	}, 30*time.Second)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return run
 }
 
 // BenchmarkSimulatorTick measures the raw simulator stepping cost on DAHU

@@ -37,7 +37,7 @@ import (
 // service's disk-warm phase 1, the fleet-scale campaign across its worker
 // ladder, the raw simulator stepping cost, and the allocation-pinning
 // columnar-pipeline benchmarks.
-const defaultBench = "BenchmarkLabErrorTable|BenchmarkCampaignParallel|BenchmarkCampaignMemoization|BenchmarkTrafficCampaign|BenchmarkTrafficPhase1|BenchmarkFleetCampaign|BenchmarkSimulatorTick|BenchmarkRunTicks|BenchmarkReplayDense|BenchmarkShareOut"
+const defaultBench = "BenchmarkLabErrorTable|BenchmarkCampaignParallel|BenchmarkCampaignMemoization|BenchmarkTrafficCampaign|BenchmarkTrafficPhase1|BenchmarkFleetCampaign|BenchmarkSimulatorTick|BenchmarkShareOut"
 
 // Result is one parsed benchmark line.
 type Result struct {
@@ -248,10 +248,12 @@ func diffReports(baseline, current Report, cfg gateConfig) []diffLine {
 		base[r.Name] = r
 	}
 	var out []diffLine
+	ran := map[string]bool{}
 	for _, r := range current.Benchmarks {
+		ran[r.Name] = true
 		b, ok := base[r.Name]
 		if !ok {
-			out = append(out, diffLine{bench: r.Name, metric: "(not in baseline)"})
+			out = append(out, diffLine{bench: r.Name, metric: notInBaseline})
 			continue
 		}
 		costs := []struct {
@@ -298,15 +300,26 @@ func diffReports(baseline, current Report, cfg gateConfig) []diffLine {
 			})
 		}
 	}
+	for _, b := range baseline.Benchmarks {
+		if !ran[b.Name] {
+			out = append(out, diffLine{bench: b.Name, metric: notInCurrent})
+		}
+	}
 	return out
 }
+
+// The metric placeholders of benchmarks present on only one side.
+const (
+	notInBaseline = "(not in baseline)"
+	notInCurrent  = "(not in current run)"
+)
 
 // printDiff renders the comparison and returns how many lines regressed.
 func printDiff(baseline string, lines []diffLine) int {
 	fmt.Printf("\ncomparison against %s:\n", baseline)
 	regressions := 0
 	for _, l := range lines {
-		if l.metric == "(not in baseline)" {
+		if l.metric == notInBaseline || l.metric == notInCurrent {
 			fmt.Printf("  %-60s %s\n", l.bench, l.metric)
 			continue
 		}

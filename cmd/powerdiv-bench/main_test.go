@@ -1,6 +1,7 @@
 package main
 
 import (
+	"reflect"
 	"regexp"
 	"runtime"
 	"testing"
@@ -168,5 +169,24 @@ func TestDiffReportsRateGate(t *testing.T) {
 	allocBlowup := rateReport("BenchmarkLabErrorTableCold/small-intel-4", 1000, 50*10)
 	if !regressed(diffReports(base, allocBlowup, gated)) {
 		t.Fatal("alloc explosion passed the alloc gate")
+	}
+}
+
+// TestDiffReportsOneSided pins the one-sided rungs: a benchmark only in the
+// current run is reported as not in the baseline, one only in the baseline
+// as not in the current run, and neither fails the diff.
+func TestDiffReportsOneSided(t *testing.T) {
+	base := rateReport("BenchmarkGone/small-intel-4", 1000, 50)
+	cur := rateReport("BenchmarkNew/small-intel-4", 1000, 50)
+	lines := diffReports(base, cur, gateConfig{thresholdPct: 25})
+	want := []diffLine{
+		{bench: "BenchmarkNew/small-intel-4", metric: notInBaseline},
+		{bench: "BenchmarkGone/small-intel-4", metric: notInCurrent},
+	}
+	if !reflect.DeepEqual(lines, want) {
+		t.Errorf("diff lines %+v, want %+v", lines, want)
+	}
+	if n := printDiff("base.json", lines); n != 0 {
+		t.Errorf("one-sided rungs counted %d regressions", n)
 	}
 }

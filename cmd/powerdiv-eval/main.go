@@ -202,7 +202,7 @@ func main() {
 	}
 	if *memoStats {
 		st := protocol.MemoizationStats()
-		fmt.Printf("\nrun cache: %d hits, %d misses, %d entries\n", st.Hits, st.Misses, st.Entries)
+		fmt.Printf("\nrun cache: %d hits, %d misses, %d baseline + %d eval-digest entries\n", st.Hits, st.Misses, st.SummaryEntries, st.EvalEntries)
 		fmt.Printf("baseline tier: %d entries, %d/%d bytes, %d evictions\n",
 			st.SummaryEntries, st.SummaryBytes, st.SummaryByteLimit, st.Evictions)
 		fmt.Printf("eval-digest tier: %d entries, %d/%d bytes\n",

@@ -158,7 +158,7 @@ func main() {
 	emit(experiments.AblationTable(props), "ablation-families")
 
 	if st := protocol.MemoizationStats(); st.Hits+st.Misses > 0 {
-		fmt.Printf("\nrun cache: %d hits, %d misses, %d entries\n", st.Hits, st.Misses, st.Entries)
+		fmt.Printf("\nrun cache: %d hits, %d misses, %d baseline + %d eval-digest entries\n", st.Hits, st.Misses, st.SummaryEntries, st.EvalEntries)
 	}
 	if *metrics {
 		fmt.Print("\n" + obs.Default().Summary())

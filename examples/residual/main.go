@@ -37,11 +37,11 @@ func main() {
 	}
 	uncapped.Pinned = []int{3, 4, 5}
 
-	bCapped, _, err := protocol.MeasureBaseline(ctx, capped)
+	bCapped, err := protocol.MeasureBaseline(ctx, capped)
 	if err != nil {
 		log.Fatal(err)
 	}
-	bUncapped, _, err := protocol.MeasureBaseline(ctx, uncapped)
+	bUncapped, err := protocol.MeasureBaseline(ctx, uncapped)
 	if err != nil {
 		log.Fatal(err)
 	}

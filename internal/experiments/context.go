@@ -88,32 +88,32 @@ func ContextIllustration(cfg machine.Config, factory models.Factory, fn string, 
 		{ID: "P1", Workload: w, Threads: threads, Start: window, Stop: 2 * window},
 		{ID: "P2", Workload: w, Threads: threads, Start: 2 * window},
 	}
-	run, err := machine.Simulate(cfg, procs, 3*window)
-	if err != nil {
-		return res, err
-	}
-	res.MachinePower = run.PowerSeries()
+	res.MachinePower = trace.New()
 	res.Windows = []time.Duration{window, 2 * window}
-	est := models.ReplayDense(factory.New(seed), models.RunTicksDense(run))
-	rosterIDs := run.Roster.IDs()
-	for i, rec := range run.Ticks {
-		if !est.OK[i] {
-			continue
-		}
-		row := est.Row(i)
-		for slot, id := range rosterIDs {
-			// Absent processes hold a zero column entry; only processes in
-			// the tick's context belong on the attribution trace.
-			if !rec.Procs[slot].Present() {
+	err := replaySegments(cfg, procs, 3*window, factory.New(seed), func(seg *machine.Segment, est *models.DenseEstimates) {
+		for i, p := range seg.Powers {
+			at := seg.At(i)
+			res.MachinePower.Append(at, float64(p))
+			k := seg.StartTick + i
+			if !est.OK[k] {
 				continue
 			}
-			s, ok := res.Estimates[id]
-			if !ok {
-				s = trace.New()
-				res.Estimates[id] = s
+			row := est.Row(k)
+			for slot, pt := range seg.Rec.Procs {
+				// Absent processes hold a zero column entry; only processes
+				// in the tick's context belong on the attribution trace.
+				if !pt.Present() {
+					continue
+				}
+				id := est.Roster.ID(slot)
+				s, ok := res.Estimates[id]
+				if !ok {
+					s = trace.New()
+					res.Estimates[id] = s
+				}
+				s.Append(at, float64(row[slot]))
 			}
-			s.Append(rec.At, float64(row[slot]))
 		}
-	}
-	return res, nil
+	})
+	return res, err
 }

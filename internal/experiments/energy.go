@@ -113,36 +113,42 @@ func EnergyDivision(cfg machine.Config, factory models.Factory, app0, app1 strin
 
 	pairCfg := cfg
 	pairCfg.Seed = seed + 3
-	run, err := vm.SimulateColocation(pairCfg, []vm.VM{
+	procs, err := vm.Host(pairCfg, []vm.VM{
 		{Name: app0, VCPUs: vcpus, App: w0},
 		{Name: app1, VCPUs: vcpus, App: w1},
-	}, maxDur)
+	})
 	if err != nil {
 		return res, err
 	}
-	res.PairTotal = run.Energy()
-	res.PairMachine = run.PowerSeries()
-	est := models.ReplayDense(factory.New(seed), models.RunTicksDense(run))
-	res.Est0, res.Est1 = trace.New(), trace.New()
-	tick := run.Tick()
-	slot0, ok0 := run.Roster.Slot(app0)
-	slot1, ok1 := run.Roster.Slot(app1)
-	for i, rec := range run.Ticks {
-		if !est.OK[i] {
-			continue
+	res.PairMachine, res.Est0, res.Est1 = trace.New(), trace.New(), trace.New()
+	tick := pairCfg.TickInterval()
+	err = replaySegments(pairCfg, procs, maxDur, factory.New(seed), func(seg *machine.Segment, est *models.DenseEstimates) {
+		slot0, ok0 := est.Roster.Slot(app0)
+		slot1, ok1 := est.Roster.Slot(app1)
+		ok0 = ok0 && seg.Rec.Procs[slot0].Present()
+		ok1 = ok1 && seg.Rec.Procs[slot1].Present()
+		for i, p := range seg.Powers {
+			at := seg.At(i)
+			res.PairMachine.Append(at, float64(p))
+			k := seg.StartTick + i
+			if !est.OK[k] {
+				continue
+			}
+			row := est.Row(k)
+			if ok0 {
+				res.Est0.Append(at, float64(row[slot0]))
+				res.PairEnergy0 += row[slot0].Energy(tick)
+			}
+			if ok1 {
+				res.Est1.Append(at, float64(row[slot1]))
+				res.PairEnergy1 += row[slot1].Energy(tick)
+			}
 		}
-		row := est.Row(i)
-		if ok0 && rec.Procs[slot0].Present() {
-			p := row[slot0]
-			res.Est0.Append(rec.At, float64(p))
-			res.PairEnergy0 += p.Energy(tick)
-		}
-		if ok1 && rec.Procs[slot1].Present() {
-			p := row[slot1]
-			res.Est1.Append(rec.At, float64(p))
-			res.PairEnergy1 += p.Energy(tick)
-		}
+	})
+	if err != nil {
+		return res, err
 	}
+	res.PairTotal = res.PairMachine.Energy(tick)
 	return res, nil
 }
 
@@ -164,20 +170,26 @@ func ColocationSweep(cfg machine.Config, factory models.Factory, app string, vcp
 		}
 		runCfg := cfg
 		runCfg.Seed = seed + int64(n)
-		run, err := vm.SimulateColocation(runCfg, vms, w.Duration()+time.Minute)
+		procs, err := vm.Host(runCfg, vms)
 		if err != nil {
 			return nil, fmt.Errorf("colocation with %d neighbours: %w", n, err)
 		}
-		est := models.ReplayDense(factory.New(seed+int64(n)), models.RunTicksDense(run))
 		var e units.Joules
-		tick := run.Tick()
-		if slot, ok := run.Roster.Slot(app); ok {
-			for i := range run.Ticks {
-				if est.OK[i] {
-					// Absent slots hold zero, so no presence check is needed.
-					e += est.Row(i)[slot].Energy(tick)
+		tick := runCfg.TickInterval()
+		err = replaySegments(runCfg, procs, w.Duration()+time.Minute, factory.New(seed+int64(n)), func(seg *machine.Segment, est *models.DenseEstimates) {
+			slot, ok := est.Roster.Slot(app)
+			if !ok {
+				return
+			}
+			for i := range seg.Powers {
+				// Absent slots hold zero, so no presence check is needed.
+				if k := seg.StartTick + i; est.OK[k] {
+					e += est.Row(k)[slot].Energy(tick)
 				}
 			}
+		})
+		if err != nil {
+			return nil, fmt.Errorf("colocation with %d neighbours: %w", n, err)
 		}
 		out[n] = e
 	}

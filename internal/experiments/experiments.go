@@ -65,3 +65,25 @@ func PaperModels() []models.Factory {
 func stressRun(cfg machine.Config, procs []machine.Proc, d time.Duration) (*machine.Run, error) {
 	return machine.Simulate(cfg, procs, d)
 }
+
+// replaySegments simulates procs on cfg for at most maxDur while m observes
+// the stream segment by segment. yield receives each segment together with
+// m's estimate matrix, grown to cover it: the segment's tick i is the
+// matrix's tick seg.StartTick+i, and the matrix's roster indexes both the
+// estimate rows and seg.Rec.Procs. Both are valid only during the yield.
+func replaySegments(cfg machine.Config, procs []machine.Proc, maxDur time.Duration, m models.Model, yield func(seg *machine.Segment, est *models.DenseEstimates)) error {
+	ids := make([]string, len(procs))
+	for i, p := range procs {
+		ids[i] = p.ID
+	}
+	roster := machine.NewRoster(ids)
+	replay := models.NewStreamReplay(roster, []models.Model{m}, cfg.ReservedTicks(maxDur))
+	defer replay.Release()
+	load := models.SegmentLoader(cfg, roster)
+	_, err := machine.StreamSegments(cfg, procs, maxDur, func(seg *machine.Segment) error {
+		replay.ObserveSegment(load(seg))
+		yield(seg, replay.Estimates(0))
+		return nil
+	})
+	return err
+}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"powerdiv/internal/isoest"
+	"powerdiv/internal/machine"
 	"powerdiv/internal/models"
 	"powerdiv/internal/perfcnt"
 	"powerdiv/internal/protocol"
@@ -83,22 +84,28 @@ func CollectProfileTraining(ctx protocol.Context, fns []string, threads int) ([]
 		if err != nil {
 			return nil, err
 		}
-		baseline, run, err := protocol.MeasureBaseline(ctx, app)
+		baseline, err := protocol.MeasureBaseline(ctx, app)
 		if err != nil {
 			return nil, err
 		}
-		// Aggregate counters and CPU time over the whole run; the loads
-		// are stationary, so rates equal the stable-window rates.
+		// Aggregate counters and CPU time over the whole solo run, tick by
+		// tick; the loads are stationary, so rates equal the stable-window
+		// rates. Neither depends on the noise seed, so the walk runs under
+		// ctx's machine config as is.
 		var counters perfcnt.Counters
 		var cpuSeconds float64
-		slot, hasSlot := run.Roster.Slot(app.ID)
-		if hasSlot {
-			for _, rec := range run.Ticks {
-				if pt := rec.Procs[slot]; pt.Present() {
+		solo := []machine.Proc{{ID: app.ID, Workload: app.Workload, Threads: app.Threads}}
+		_, err = machine.StreamSegments(ctx.Machine, solo, ctx.RunFor, func(seg *machine.Segment) error {
+			if pt := seg.Rec.Procs[0]; pt.Present() {
+				for range seg.Powers {
 					counters = counters.Add(pt.Counters)
 					cpuSeconds += pt.CPUTime.Seconds()
 				}
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		if cpuSeconds <= 0 {
 			return nil, fmt.Errorf("experiments: %s consumed no CPU", fn)

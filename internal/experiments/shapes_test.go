@@ -122,11 +122,11 @@ func TestCappingResidualDirection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bu, _, err := protocol.MeasureBaseline(ctx, uncapped)
+	bu, err := protocol.MeasureBaseline(ctx, uncapped)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc, _, err := protocol.MeasureBaseline(ctx, capped)
+	bc, err := protocol.MeasureBaseline(ctx, capped)
 	if err != nil {
 		t.Fatal(err)
 	}

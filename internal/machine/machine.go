@@ -211,12 +211,12 @@ func (r *Run) ProcAt(i int, id string) (ProcTick, bool) {
 //
 // Simulate is a collector over StreamSegments: it expands each segment
 // into one TickRecord per tick, with every tick's column carved from one
-// ProcTick slab. Both are reserved up front for the horizon's tick count,
-// capped at maxReservedTicks; a longer run grows them by append.
+// ProcTick slab. Both are reserved up front (ReservedTicks) and grow by
+// append past the reservation.
 func Simulate(cfg Config, procs []Proc, maxDur time.Duration) (*Run, error) {
 	run := &Run{Config: cfg}
 	n := len(procs)
-	reserve := int(max(min(maxDur/cfg.tick(), maxReservedTicks-1)+1, 0))
+	reserve := cfg.ReservedTicks(maxDur)
 	run.Ticks = make([]TickRecord, 0, reserve)
 	slab := make([]ProcTick, 0, reserve*n)
 	info, err := StreamSegments(cfg, procs, maxDur, func(seg *Segment) error {
@@ -237,12 +237,6 @@ func Simulate(cfg Config, procs []Proc, maxDur time.Duration) (*Run, error) {
 	run.ProcEnd = info.ProcEnd
 	return run, nil
 }
-
-// maxReservedTicks caps Simulate's up-front reservation. It lies well
-// above the protocol's runs (30 s at the 100 ms tick is 301 ticks), so
-// they reserve exactly once, while a horizon near math.MaxInt64 reserves
-// a bounded amount instead of failing to allocate.
-const maxReservedTicks = 1 << 14
 
 // allStarted reports whether every process's start time has passed.
 func allStarted(procs []Proc, t time.Duration) bool {

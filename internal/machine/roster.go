@@ -9,8 +9,7 @@ import "sort"
 // slices instead of hashing strings into per-tick maps.
 //
 // A roster is immutable after construction and safe to share across
-// goroutines; the memoization cache shares one roster among every consumer
-// of a cached run.
+// goroutines.
 type Roster struct {
 	ids []string
 }

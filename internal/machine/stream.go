@@ -16,6 +16,20 @@ import (
 // agree with the simulator on the tick count.
 func (c Config) TickInterval() time.Duration { return c.tick() }
 
+// ReservedTicks is how many ticks a consumer of a run of at most maxDur
+// should reserve per-tick buffers for up front: the horizon's tick count
+// maxDur/tick+1, capped at maxReservedTicks and never negative. Buffers
+// grow by append past it.
+func (c Config) ReservedTicks(maxDur time.Duration) int {
+	return int(max(min(maxDur/c.tick(), maxReservedTicks-1)+1, 0))
+}
+
+// maxReservedTicks caps every up-front per-tick reservation. It lies well
+// above the protocol's runs (30 s at the 100 ms tick is 301 ticks), so
+// they reserve exactly once, while a horizon near math.MaxInt64 reserves
+// a bounded amount instead of failing to allocate.
+const maxReservedTicks = 1 << 14
+
 // StreamInfo summarises a streamed simulation: the roster the yielded
 // columns are indexed by, how many ticks ran, the covered duration, and
 // when each process finished (the paper's T_S^{P_i}).

@@ -1,7 +1,6 @@
 package models
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -33,121 +32,6 @@ func pairProcs(t *testing.T, fn0, fn1 string, threads int) []machine.Proc {
 	return []machine.Proc{
 		{ID: "p0", Workload: w0, Threads: threads},
 		{ID: "p1", Workload: w1, Threads: threads},
-	}
-}
-
-// TestRunTicksDenseMatchesRunTicks pins the two run converters against each
-// other: same tick metadata, and the dense columns materialise to exactly
-// the map view's samples.
-func TestRunTicksDenseMatchesRunTicks(t *testing.T) {
-	run := simulateRun(t, cpumodel.SmallIntel(), pairProcs(t, "fibonacci", "matrixprod", 2), 5*time.Second)
-	mapTicks := RunTicks(run)
-	denseTicks := RunTicksDense(run)
-	if len(mapTicks) != len(denseTicks) {
-		t.Fatalf("%d map ticks, %d dense", len(mapTicks), len(denseTicks))
-	}
-	for i := range denseTicks {
-		mt, dt := mapTicks[i], denseTicks[i]
-		if dt.At != mt.At || dt.Interval != mt.Interval || dt.MachinePower != mt.MachinePower ||
-			dt.LogicalCPUs != mt.LogicalCPUs || dt.Freq != mt.Freq {
-			t.Fatalf("tick %d metadata differs: %+v vs %+v", i, dt, mt)
-		}
-		if dt.Procs != nil {
-			t.Fatalf("tick %d: dense tick carries a map", i)
-		}
-		if dt.Roster != run.Roster || len(dt.Samples) != run.Roster.Len() {
-			t.Fatalf("tick %d: bad roster/column", i)
-		}
-		view := dt.ProcsView()
-		if len(view) != len(mt.Procs) {
-			t.Fatalf("tick %d: %d dense procs, %d map", i, len(view), len(mt.Procs))
-		}
-		for id, p := range mt.Procs {
-			if view[id] != p {
-				t.Fatalf("tick %d: %s differs: %+v vs %+v", i, id, view[id], p)
-			}
-		}
-	}
-}
-
-// denseEquivalenceRun checks ReplayDense against ReplayTicks for one model
-// over one run: OK flags match nil-map ticks, and every estimate is
-// bit-identical.
-func denseEquivalenceRun(t *testing.T, run *machine.Run, f Factory, seed int64) *DenseEstimates {
-	t.Helper()
-	mapEsts := ReplayTicks(f.New(seed), RunTicks(run))
-	dense := ReplayDense(f.New(seed), RunTicksDense(run))
-	if dense.Ticks() != len(run.Ticks) || len(mapEsts) != len(run.Ticks) {
-		t.Fatalf("%s: replay lengths %d/%d, want %d", f.Name, dense.Ticks(), len(mapEsts), len(run.Ticks))
-	}
-	ids := run.Roster.IDs()
-	for i, est := range mapEsts {
-		if (est == nil) == dense.OK[i] {
-			t.Fatalf("%s: tick %d coverage differs (map nil=%v, dense ok=%v)", f.Name, i, est == nil, dense.OK[i])
-		}
-		row := dense.Row(i)
-		if est == nil {
-			for slot, w := range row {
-				if w != 0 {
-					t.Fatalf("%s: tick %d slot %d: %v on an estimate-free tick", f.Name, i, slot, w)
-				}
-			}
-			continue
-		}
-		for slot, id := range ids {
-			if math.Float64bits(float64(est[id])) != math.Float64bits(float64(row[slot])) {
-				t.Fatalf("%s: tick %d %s: map %v != dense %v", f.Name, i, id, est[id], row[slot])
-			}
-		}
-	}
-	return dense
-}
-
-// TestReplayDenseMatchesReplayTicks runs every model over simulated pairs
-// on both machines and requires the columnar replay to be bit-identical to
-// the map replay — including PowerAPI's fitted estimates (SMALL INTEL) and
-// its many-core degenerate calibration (DAHU).
-func TestReplayDenseMatchesReplayTicks(t *testing.T) {
-	factories := []Factory{
-		NewScaphandre(),
-		NewKepler(),
-		NewPowerAPI(DefaultPowerAPIConfig()),
-		NewSmartWatts(DefaultSmartWattsConfig()),
-		NewF2(map[string]units.Watts{"p0": 3, "p1": 5}),
-		NewResidualAwareFromSpec(cpumodel.SmallIntel()),
-		NewOracle(),
-	}
-	for _, spec := range []cpumodel.Spec{cpumodel.SmallIntel(), cpumodel.Dahu()} {
-		run := simulateRun(t, spec, pairProcs(t, "fibonacci", "matrixprod", 3), 30*time.Second)
-		for _, f := range factories {
-			for seed := int64(1); seed <= 3; seed++ {
-				denseEquivalenceRun(t, run, f, seed)
-			}
-		}
-	}
-}
-
-// TestReplayDenseMapFallback replays a map-only model (no ObserveInto)
-// through ReplayDense: the fallback must materialise the map view, scatter
-// the estimates by roster slot, and zero the columns of nil-map ticks.
-func TestReplayDenseMapFallback(t *testing.T) {
-	run := simulateRun(t, cpumodel.SmallIntel(), pairProcs(t, "int64", "rand", 2), 5*time.Second)
-	f := Factory{Name: "maponly", New: func(int64) Model { return mapOnlyModel{} }}
-	dense := ReplayDense(f.New(1), RunTicksDense(run))
-	mapEsts := ReplayTicks(f.New(1), RunTicks(run))
-	ids := run.Roster.IDs()
-	for i, est := range mapEsts {
-		if (est == nil) == dense.OK[i] {
-			t.Fatalf("tick %d coverage differs", i)
-		}
-		if est == nil {
-			continue
-		}
-		for slot, id := range ids {
-			if dense.Row(i)[slot] != est[id] {
-				t.Fatalf("tick %d %s: %v != %v", i, id, dense.Row(i)[slot], est[id])
-			}
-		}
 	}
 }
 

@@ -191,70 +191,16 @@ func TickFromRecord(rec machine.TickRecord, roster *machine.Roster, interval tim
 	return t
 }
 
-// RunTicks converts every record of a simulator run into map-view model
-// inputs, index-aligned with run.Ticks. Prefer RunTicksDense for replay
-// pipelines: the map view exists for callers that inspect samples by ID.
-func RunTicks(run *machine.Run) []Tick {
-	ticks := make([]Tick, len(run.Ticks))
-	logical := run.Config.Spec.Topology.LogicalCPUs()
-	interval := run.Tick()
-	for i, rec := range run.Ticks {
-		ticks[i] = TickFromRecord(rec, run.Roster, interval, logical)
-	}
-	return ticks
-}
-
-// RunTicksDense converts a simulator run into dense model inputs sharing
-// the run's roster, index-aligned with run.Ticks. All sample columns are
-// slices of a single slab, so the conversion costs O(1) allocations
-// however long the run; all models treat the columns as read-only, so one
-// conversion serves every model scored against the run.
-func RunTicksDense(run *machine.Run) []Tick {
-	logical := run.Config.Spec.Topology.LogicalCPUs()
-	interval := run.Tick()
-	n := run.Roster.Len()
-	ticks := make([]Tick, len(run.Ticks))
-	slab := make([]ProcSample, len(run.Ticks)*n)
-	for i, rec := range run.Ticks {
-		col := slab[i*n : (i+1)*n : (i+1)*n]
-		for s := range col {
-			pt := rec.Procs[s]
-			col[s] = ProcSample{
-				CPUTime:    pt.CPUTime,
-				Counters:   pt.Counters,
-				Threads:    pt.Threads,
-				TrueActive: pt.ActivePower,
-			}
-		}
-		ticks[i] = Tick{
-			At:           rec.At,
-			Interval:     interval,
-			MachinePower: rec.Power,
-			LogicalCPUs:  logical,
-			Freq:         rec.Freq,
-			Roster:       run.Roster,
-			Samples:      col,
-		}
-	}
-	return ticks
-}
-
-// ReplayTicks feeds pre-converted ticks to the model and returns the
-// per-tick estimates, index-aligned. Ticks where the model produced no
-// estimate hold a nil map.
-func ReplayTicks(m Model, ticks []Tick) []map[string]units.Watts {
-	out := make([]map[string]units.Watts, len(ticks))
-	for i, t := range ticks {
-		out[i] = m.Observe(t)
-	}
-	return out
-}
-
 // Replay feeds every tick of a simulator run to the model and returns the
 // per-tick estimates, index-aligned with run.Ticks. Ticks where the model
 // produced no estimate hold a nil map.
 func Replay(m Model, run *machine.Run) []map[string]units.Watts {
-	return ReplayTicks(m, RunTicks(run))
+	out := make([]map[string]units.Watts, len(run.Ticks))
+	logical := run.Config.Spec.Topology.LogicalCPUs()
+	for i, rec := range run.Ticks {
+		out[i] = m.Observe(TickFromRecord(rec, run.Roster, run.Tick(), logical))
+	}
+	return out
 }
 
 // DenseEstimates is a replay's roster-indexed estimate matrix: one
@@ -278,48 +224,6 @@ func (d *DenseEstimates) Ticks() int { return len(d.OK) }
 func (d *DenseEstimates) Row(i int) []units.Watts {
 	n := d.Roster.Len()
 	return d.Slab[i*n : (i+1)*n]
-}
-
-// ReplayDense feeds dense ticks (RunTicksDense) to the model and collects
-// the estimates into one slab-backed matrix. Segment models observe each
-// tick as a one-tick segment without any per-tick allocation; others fall
-// back to Observe on a materialised map view, with the result scattered
-// into the column.
-func ReplayDense(m Model, ticks []Tick) *DenseEstimates {
-	var roster *machine.Roster
-	if len(ticks) > 0 {
-		roster = ticks[0].Roster
-	}
-	n := roster.Len()
-	// The result and a one-tick adapter share one allocation, so replaying
-	// a fresh model never allocates the model's own adapter.
-	r := &struct {
-		DenseEstimates
-		tick tickAdapter
-	}{DenseEstimates: DenseEstimates{
-		Roster: roster,
-		Slab:   make([]units.Watts, len(ticks)*n),
-		OK:     make([]bool, len(ticks)),
-	}}
-	d := &r.DenseEstimates
-	sm, isSeg := m.(SegmentModel)
-	for i, t := range ticks {
-		out := d.Row(i)
-		if isSeg && t.Samples != nil {
-			d.OK[i] = r.tick.observeInto(sm, t, out)
-			continue
-		}
-		t.Procs = t.ProcsView()
-		est := m.Observe(t)
-		if est == nil {
-			continue
-		}
-		d.OK[i] = true
-		for slot, id := range roster.IDs() {
-			out[slot] = est[id]
-		}
-	}
-	return d
 }
 
 // ShareOut distributes power among processes proportionally to weights.

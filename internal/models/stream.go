@@ -8,14 +8,15 @@ import (
 )
 
 // StreamReplay drives several models segment by segment as a simulation
-// streams, accumulating each model's estimates into the same slab-backed
-// DenseEstimates that ReplayDense produces — without a machine.Run or a
-// dense tick slice ever being materialised. The accumulated matrices grow
+// streams (see SegmentLoader), accumulating each model's estimates into one
+// slab-backed DenseEstimates matrix per model — without a machine.Run or
+// a per-tick slice ever being materialised. The accumulated matrices grow
 // O(roster × ticks), which is all phase-3 scoring needs.
 //
 // Feeding order is the stream's tick order, and each model instance must be
 // driven only through this replay (observation advances calibration
-// state). Estimates are bit-identical to ReplayDense over the same ticks:
+// state). Estimates are bit-identical to observing the same ticks one by
+// one (Replay's per-tick map estimates, scattered by roster slot):
 // segment models divide the same samples (a tick is a one-tick segment),
 // and the map fallback materialises the same ProcsView and scatters by the
 // same roster slots.

@@ -47,7 +47,7 @@ func TestBaselineTiersAgree(t *testing.T) {
 					t.Helper()
 					out := make([]division.Baseline, len(apps))
 					for i, app := range apps {
-						b, err := protocol.MeasureBaselineSummary(c, app)
+						b, err := protocol.MeasureBaseline(c, app)
 						if err != nil {
 							t.Fatal(err)
 						}

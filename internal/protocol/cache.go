@@ -12,33 +12,24 @@ import (
 	"powerdiv/internal/workload"
 )
 
-// The campaign hot path re-simulates identical runs constantly: every model
-// in a multi-model campaign replays the same pair scenarios, every
-// ablation re-measures the same phase-1 solo baselines, and benchmark
-// iterations repeat whole campaigns. Simulation is deterministic — a run is
-// fully determined by the machine config (calibration included), the
-// process list and the duration — so those repeats are pure waste. The run
-// cache memoizes Simulate behind a key derived from exactly those inputs
-// and is shared safely across the parallel.go worker pool.
-//
-// Cached *machine.Run values are shared between callers and MUST be treated
-// as read-only; every consumer in this repository only reads them.
-
-// runCacheEntry is one memoized simulation. done is closed once run/err are
-// populated, giving concurrent requesters of the same key singleflight
-// semantics: the first computes, the rest wait.
-type runCacheEntry struct {
-	done chan struct{}
-	run  *machine.Run
-	err  error
-}
+// The campaign hot path re-measures identical phase 1 baselines
+// constantly: every campaign over the same applications, every ablation
+// and every benchmark iteration repeats the same solo runs. Simulation is
+// deterministic — a run is fully determined by the machine config
+// (calibration included), the process list and the duration — so those
+// repeats are pure waste. The run cache memoizes each solo run's baseline
+// record behind a key derived from exactly those inputs (plus the stable
+// window) and is shared safely across the parallel.go worker pool. Whole
+// runs are never cached: every phase 2–3 consumer streams its scenario.
 
 // baselineEntry is one memoized phase 1 baseline record in the byte-capped
-// tier, with the same singleflight shape as runCacheEntry. size/sized carry
-// the byte accounting: an entry is charged against the cap only once its
-// compute finishes (sized), and an entry evicted while still computing
-// (evicted) is never charged — the flag keeps the bytes ledger exact under
-// concurrent insert/evict interleavings.
+// tier. done is closed once b/err are populated, giving concurrent
+// requesters of the same key singleflight semantics: the first computes,
+// the rest wait. size/sized carry the byte accounting: an entry is charged
+// against the cap only once its compute finishes (sized), and an entry
+// evicted while still computing (evicted) is never charged — the flag
+// keeps the bytes ledger exact under concurrent insert/evict
+// interleavings.
 type baselineEntry struct {
 	done    chan struct{}
 	b       division.Baseline
@@ -48,17 +39,12 @@ type baselineEntry struct {
 	evicted bool
 }
 
-// runCache is a bounded memoization table for simulator runs, in two
-// tiers: full *machine.Run values under an entry-count FIFO (kept for the
-// callers that need tick series — timeline, profiling, experiments), and
-// phase 1 baseline records under a byte-capped FIFO (the streaming
-// pipeline's phase 1 tier: the three floats phases 2–3 use per solo run).
+// runCache is a bounded memoization table in two byte-capped FIFO tiers:
+// phase 1 baseline records (the three floats phases 2–3 use per solo run)
+// and evaluation digests (cache_eval.go).
 type runCache struct {
 	mu      sync.Mutex
 	enabled bool
-	limit   int
-	entries map[string]*runCacheEntry
-	order   []string
 
 	byteLimit int64
 	bytes     int64
@@ -78,13 +64,6 @@ type runCache struct {
 	disk *DiskCache
 }
 
-// DefaultMemoLimit is the default number of memoized runs kept. A 30 s
-// stress run holds ~300 ticks (~a few hundred KB with per-tick process
-// maps), so the default bounds the cache to roughly a few hundred MB —
-// enough for the all-pairs lab campaigns on both machines plus every solo
-// baseline, without letting long-lived processes grow without bound.
-const DefaultMemoLimit = 2048
-
 // DefaultMemoBytes is the default cap on the baseline tier's estimated
 // footprint. A baseline record is charged its key plus a few dozen bytes
 // (well under 1 KB), so 64 MB holds every baseline of any campaign this
@@ -92,14 +71,13 @@ const DefaultMemoLimit = 2048
 // sweeps degrade to recomputation instead of memory growth.
 const DefaultMemoBytes int64 = 64 << 20
 
-var memo = newRunCache(DefaultMemoLimit, DefaultMemoBytes)
+var memo = newRunCache(DefaultMemoBytes)
 
-// newRunCache builds an enabled two-tier cache with the given bounds.
-func newRunCache(limit int, byteLimit int64) *runCache {
+// newRunCache builds an enabled two-tier cache whose baseline tier is
+// capped at byteLimit.
+func newRunCache(byteLimit int64) *runCache {
 	return &runCache{
 		enabled:       true,
-		limit:         limit,
-		entries:       map[string]*runCacheEntry{},
 		byteLimit:     byteLimit,
 		baselines:     map[string]*baselineEntry{},
 		evalByteLimit: DefaultEvalMemoBytes,
@@ -122,13 +100,12 @@ type CacheScope struct {
 
 // NewCacheScope returns an isolated cache tier capped at byteLimit bytes of
 // baseline records and evaluation digests (non-positive means
-// DefaultMemoBytes). The full-run tier keeps the default entry bound; jobs
-// on the streaming pipeline never touch it.
+// DefaultMemoBytes).
 func NewCacheScope(byteLimit int64) *CacheScope {
 	if byteLimit <= 0 {
 		byteLimit = DefaultMemoBytes
 	}
-	return &CacheScope{c: newRunCache(DefaultMemoLimit, byteLimit)}
+	return &CacheScope{c: newRunCache(byteLimit)}
 }
 
 // Stats reports the scope's activity since creation, with the same
@@ -177,8 +154,8 @@ func AttachDiskCache(d *DiskCache) {
 	memo.disk = d
 }
 
-// EnableMemoization turns solo/pair run memoization on or off globally.
-// It is on by default; turning it off also drops all cached runs. Tests
+// EnableMemoization turns memoization on or off globally. It is on by
+// default; turning it off also drops every cached record. Tests
 // use it to prove memoized and unmemoized campaigns agree byte for byte.
 func EnableMemoization(on bool) {
 	memo.mu.Lock()
@@ -189,7 +166,7 @@ func EnableMemoization(on bool) {
 	}
 }
 
-// ResetMemoization drops every cached run and baseline and zeroes the
+// ResetMemoization drops every cached baseline and digest and zeroes the
 // statistics, leaving the enabled state and limits unchanged.
 func ResetMemoization() {
 	memo.mu.Lock()
@@ -201,8 +178,6 @@ func ResetMemoization() {
 // dropLocked empties every tier. Entries still computing are detached from
 // the table (their waiters still get results) and never charge the ledger.
 func (c *runCache) dropLocked() {
-	c.entries = map[string]*runCacheEntry{}
-	c.order = nil
 	for _, e := range c.baselines {
 		e.evicted = true
 	}
@@ -215,18 +190,6 @@ func (c *runCache) dropLocked() {
 	c.evals = map[evalSum]*evalEntry{}
 	c.evalOrder = nil
 	c.evalBytes = 0
-}
-
-// SetMemoizationLimit bounds the number of cached runs (FIFO eviction).
-// Non-positive limits restore the default.
-func SetMemoizationLimit(n int) {
-	memo.mu.Lock()
-	defer memo.mu.Unlock()
-	if n <= 0 {
-		n = DefaultMemoLimit
-	}
-	memo.limit = n
-	memo.evictLocked()
 }
 
 // SetMemoizationByteLimit caps the baseline tier's estimated footprint
@@ -250,12 +213,11 @@ type MemoStats struct {
 	Hits    uint64
 	Misses  uint64
 	Lookups uint64
-	// Entries counts the full-run tier; SummaryEntries/SummaryBytes the
-	// byte-capped phase 1 tier, under SummaryByteLimit. That tier holds
-	// baseline records (one per solo run and stable window), not run
-	// digests; the Summary names are kept for the tools that read them.
-	// SummaryBytes is the estimated footprint of completed entries only.
-	Entries          int
+	// SummaryEntries/SummaryBytes describe the byte-capped phase 1 tier,
+	// under SummaryByteLimit. That tier holds baseline records (one per
+	// solo run and stable window), not run digests; the Summary names are
+	// kept for the tools that read them. SummaryBytes is the estimated
+	// footprint of completed entries only.
 	SummaryEntries   int
 	SummaryBytes     int64
 	SummaryByteLimit int64
@@ -287,7 +249,6 @@ func (c *runCache) statsLocked() MemoStats {
 		Hits:             c.hits,
 		Misses:           c.misses,
 		Lookups:          c.lookups,
-		Entries:          len(c.entries),
 		SummaryEntries:   len(c.baselines),
 		SummaryBytes:     c.bytes,
 		SummaryByteLimit: c.byteLimit,
@@ -300,17 +261,6 @@ func (c *runCache) statsLocked() MemoStats {
 		st.DiskHits, st.DiskMisses, st.DiskWrites = c.disk.counters()
 	}
 	return st
-}
-
-// evictLocked enforces the entry limit. Oldest entries go first; waiters
-// holding an evicted entry pointer still receive its result.
-func (c *runCache) evictLocked() {
-	for len(c.order) > c.limit {
-		delete(c.entries, c.order[0])
-		c.order = c.order[1:]
-		c.evictions++
-		obsCacheEvictions.Inc()
-	}
 }
 
 // evictBaselinesLocked enforces the byte cap, oldest first. A still-
@@ -333,42 +283,8 @@ func (c *runCache) evictBaselinesLocked() {
 	}
 }
 
-// simulateCached is machine.Simulate behind the receiver's memoization
-// tier. The returned run is shared with other callers and must not be
-// mutated.
-func (c *runCache) simulateCached(cfg machine.Config, procs []machine.Proc, maxDur time.Duration) (*machine.Run, error) {
-	c.mu.Lock()
-	enabled := c.enabled
-	c.mu.Unlock()
-	if !enabled {
-		return machine.Simulate(cfg, procs, maxDur)
-	}
-	key := runKey(cfg, procs, maxDur)
-	c.mu.Lock()
-	c.lookups++
-	if e, ok := c.entries[key]; ok {
-		c.hits++
-		obsCacheHits.Inc()
-		c.mu.Unlock()
-		<-e.done
-		return e.run, e.err
-	}
-	e := &runCacheEntry{done: make(chan struct{})}
-	c.entries[key] = e
-	c.order = append(c.order, key)
-	c.misses++
-	obsCacheMisses.Inc()
-	c.evictLocked()
-	c.mu.Unlock()
-
-	e.run, e.err = machine.Simulate(cfg, procs, maxDur)
-	close(e.done)
-	return e.run, e.err
-}
-
 // baselineCached is soloBaseline behind the receiver's byte-capped
-// baseline tier, with the same singleflight semantics as simulateCached.
-// A record is keyed by the solo run's runKey plus the stable window it was
+// baseline tier, with singleflight semantics (see baselineEntry). A record is keyed by the solo run's runKey plus the stable window it was
 // extracted over; the run's digest never outlives the compute. A memory
 // miss consults the persistent tier before simulating, and a fresh compute
 // is written back so the next scope or process starts warm. Disk records

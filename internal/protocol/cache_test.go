@@ -111,16 +111,13 @@ func TestMemoizationIdenticalTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Second memoized evaluation hits the cache and must agree as well.
+	// A second memoized evaluation must agree as well.
 	warm2, err := EvaluateTimeline(ctx, apps, models.NewScaphandre(), baselines, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold != warm1 || warm1 != warm2 {
 		t.Errorf("timeline results differ: cold %+v, warm %+v, cached %+v", cold, warm1, warm2)
-	}
-	if st := MemoizationStats(); st.Hits == 0 {
-		t.Errorf("second evaluation did not hit the cache: %+v", st)
 	}
 }
 
@@ -198,9 +195,9 @@ func TestRunKeyDiscriminates(t *testing.T) {
 	}
 }
 
-// TestMemoizationSingleflight hammers one key from many goroutines: all
-// callers must receive the same *machine.Run and the simulation must have
-// run exactly once (one miss, the rest hits).
+// TestMemoizationSingleflight hammers one baseline key from many
+// goroutines: all callers must receive the same baseline and the solo run
+// must have been simulated exactly once (one miss, the rest hits).
 func TestMemoizationSingleflight(t *testing.T) {
 	EnableMemoization(true)
 	ResetMemoization()
@@ -209,24 +206,24 @@ func TestMemoizationSingleflight(t *testing.T) {
 	app := mustStressApp(t, "int64", 1)
 
 	const n = 16
-	runs := make([]*machine.Run, n)
+	got := make([]division.Baseline, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			run, err := memo.simulateCached(cfg, []machine.Proc{app.proc()}, 3*time.Second)
+			b, err := memo.baselineCached(cfg, []machine.Proc{app.proc()}, 3*time.Second, time.Second, app.ID)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			runs[i] = run
+			got[i] = b
 		}(i)
 	}
 	wg.Wait()
 	for i := 1; i < n; i++ {
-		if runs[i] != runs[0] {
-			t.Fatalf("caller %d received a different run pointer", i)
+		if got[i] != got[0] {
+			t.Fatalf("caller %d received %+v, caller 0 %+v", i, got[i], got[0])
 		}
 	}
 	st := MemoizationStats()
@@ -235,38 +232,47 @@ func TestMemoizationSingleflight(t *testing.T) {
 	}
 }
 
-// TestMemoizationLimit checks FIFO eviction keeps the table bounded and
-// evicted keys recompute correctly.
+// TestMemoizationLimit checks the baseline tier's byte cap keeps the table
+// bounded under FIFO eviction and that evicted keys recompute correctly.
 func TestMemoizationLimit(t *testing.T) {
 	EnableMemoization(true)
 	ResetMemoization()
-	SetMemoizationLimit(2)
+	// Two records of int64-1's ~500-byte key fit; a third evicts the oldest.
+	const limit = 1200
+	SetMemoizationByteLimit(limit)
 	defer func() {
-		SetMemoizationLimit(0) // restore the default
+		SetMemoizationByteLimit(0) // restore the default
 		ResetMemoization()
 	}()
 	app := mustStressApp(t, "int64", 1)
-	for seed := int64(1); seed <= 4; seed++ {
+	measure := func(seed int64) division.Baseline {
+		t.Helper()
 		cfg := machine.Config{Spec: cpumodel.SmallIntel(), Seed: seed}
-		if _, err := memo.simulateCached(cfg, []machine.Proc{app.proc()}, time.Second); err != nil {
+		b, err := memo.baselineCached(cfg, []machine.Proc{app.proc()}, time.Second, 500*time.Millisecond, app.ID)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return b
 	}
-	if st := MemoizationStats(); st.Entries > 2 {
-		t.Errorf("cache holds %d entries, limit is 2", st.Entries)
+	for seed := int64(1); seed <= 4; seed++ {
+		measure(seed)
 	}
-	// Seed 1 was evicted; asking again recomputes and still agrees with a
-	// direct simulation.
+	st := MemoizationStats()
+	if st.SummaryEntries != 2 || st.SummaryBytes > limit || st.Evictions != 2 {
+		t.Errorf("after 4 records under a %d-byte cap: %+v, want 2 entries and 2 evictions", limit, st)
+	}
+	// Seed 1 was evicted; asking again recomputes (a miss) and still
+	// agrees with a direct, uncached extraction.
+	got := measure(1)
+	if st2 := MemoizationStats(); st2.Misses != st.Misses+1 {
+		t.Errorf("evicted key served from the cache: %+v", st2)
+	}
 	cfg := machine.Config{Spec: cpumodel.SmallIntel(), Seed: 1}
-	got, err := memo.simulateCached(cfg, []machine.Proc{app.proc()}, time.Second)
+	want, err := soloBaseline(cfg, []machine.Proc{app.proc()}, time.Second, 500*time.Millisecond, app.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := machine.Simulate(cfg, []machine.Proc{app.proc()}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Ticks, want.Ticks) {
-		t.Error("recomputed run differs from direct simulation")
+	if got != want {
+		t.Errorf("recomputed baseline %+v differs from direct extraction %+v", got, want)
 	}
 }

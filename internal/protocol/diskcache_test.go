@@ -335,7 +335,7 @@ func TestDiskCacheRecomputes(t *testing.T) {
 				c := ctx
 				c.Cache = NewCacheScope(0)
 				c.Cache.AttachDisk(d)
-				b, err := MeasureBaselineSummary(c, app)
+				b, err := MeasureBaseline(c, app)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -401,7 +401,7 @@ func TestDiskCacheStoreDegrades(t *testing.T) {
 			c := ctx
 			c.Cache = NewCacheScope(0)
 			c.Cache.AttachDisk(d)
-			b, err := MeasureBaselineSummary(c, app)
+			b, err := MeasureBaseline(c, app)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -21,7 +21,7 @@ import (
 // evaluator must reproduce it bit for bit.
 func scoreRunMapReference(ctx Context, s Scenario, run *machine.Run, factory models.Factory, truths []division.Shares) ([]Evaluation, error) {
 	model := factory.New(deriveSeed(ctx.Seed, "model", factory.Name, s.Label()))
-	ests := models.ReplayTicks(model, models.RunTicks(run))
+	ests := models.Replay(model, run)
 
 	ok := make([]bool, len(ests))
 	for i, est := range ests {

@@ -166,7 +166,7 @@ func MeasureBaselinesParallelCtx(cctx context.Context, ctx Context, apps []AppSp
 		if err := cctx.Err(); err != nil {
 			return err
 		}
-		b, err := MeasureBaselineSummary(ctx, apps[i])
+		b, err := MeasureBaseline(ctx, apps[i])
 		if err != nil {
 			return err
 		}

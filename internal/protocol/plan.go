@@ -96,14 +96,16 @@ type scenarioRun struct {
 }
 
 // pairRun derives a pair-campaign scenario's run.
-func (p *campaignPlan) pairRun(s Scenario) scenarioRun { return p.run(s, p.pairSeed) }
+func (p *campaignPlan) pairRun(s Scenario) scenarioRun { return p.run(s, s.Label(), p.pairSeed) }
 
 // trafficRun derives a traffic-campaign scenario's run.
-func (p *campaignPlan) trafficRun(s Scenario) scenarioRun { return p.run(s, p.trafficSeed) }
+func (p *campaignPlan) trafficRun(s Scenario) scenarioRun { return p.run(s, s.Label(), p.trafficSeed) }
 
-func (p *campaignPlan) run(s Scenario, kind seedHash) scenarioRun {
-	r := scenarioRun{label: s.Label(), cfg: p.ctx.Machine, procs: make([]machine.Proc, len(s.Apps))}
-	r.cfg.Seed = kind.part(r.label).seed()
+// run derives s's run under label, seeding the simulator from kind's state
+// folded with the label.
+func (p *campaignPlan) run(s Scenario, label string, kind seedHash) scenarioRun {
+	r := scenarioRun{label: label, cfg: p.ctx.Machine, procs: make([]machine.Proc, len(s.Apps))}
+	r.cfg.Seed = kind.part(label).seed()
 	for i, a := range s.Apps {
 		r.procs[i] = a.proc()
 	}

@@ -136,63 +136,17 @@ func MeasureIdle(ctx Context) (units.Watts, error) {
 }
 
 // MeasureBaseline is protocol phase 1 for one application: run it alone
-// and extract its baseline. Residual follows the paper's definition and
-// includes idle consumption.
-//
-// The returned run is shared with the memoization cache (see cache.go) and
-// must be treated as read-only.
+// and extract its baseline — mean noise-free power, mean idle+residual
+// and mean busy cores over the least-extreme stable window. Residual
+// follows the paper's definition and includes idle consumption. The
+// baseline comes from the byte-capped baseline tier (memory, then disk),
+// so phase 1 keeps three floats per solo run; a miss simulates into a
+// transient per-tick digest.
 //
 // Traffic instances are measured as their application type: the lifetime
 // offsets are stripped and the baseline is keyed by the spec's baselineID,
 // so every instance of a type shares one solo run.
-func MeasureBaseline(ctx Context, app AppSpec) (division.Baseline, *machine.Run, error) {
-	app = app.baselineSpec()
-	cfg := ctx.Machine
-	cfg.Seed = deriveSeed(ctx.Seed, "solo", app.ID)
-	run, err := ctx.memo().simulateCached(cfg, []machine.Proc{app.proc()}, ctx.RunFor)
-	if err != nil {
-		return division.Baseline{}, nil, fmt.Errorf("protocol: solo run of %s: %w", app.ID, err)
-	}
-	power := run.TruePowerSeries()
-	window, err := power.StableWindow(ctx.StableWindow)
-	if err != nil {
-		window = power
-	}
-	from, to := window.Start(), window.End()+1
-	var total, residIdle, cores float64
-	var n int
-	tick := run.Tick()
-	slot, hasSlot := run.Roster.Slot(app.ID)
-	for _, rec := range run.Ticks {
-		if rec.At < from || rec.At >= to {
-			continue
-		}
-		total += float64(rec.TruePower)
-		residIdle += float64(rec.Idle + rec.Residual)
-		if hasSlot {
-			if pt := rec.Procs[slot]; pt.Present() {
-				cores += pt.CPUTime.Utilization(tick)
-			}
-		}
-		n++
-	}
-	if n == 0 {
-		return division.Baseline{}, nil, fmt.Errorf("protocol: empty stable window for %s", app.ID)
-	}
-	b := division.Baseline{
-		ID:       app.ID,
-		Total:    units.Watts(total / float64(n)),
-		Residual: units.Watts(residIdle / float64(n)),
-		Cores:    cores / float64(n),
-	}
-	return b, run, nil
-}
-
-// MeasureBaselineSummary is MeasureBaseline through the byte-capped
-// baseline tier: the same Baseline bit for bit, computed from a transient
-// RunSummary instead of a retained *machine.Run. The campaign paths use it
-// so phase 1 keeps three floats per solo run, in memory and on disk.
-func MeasureBaselineSummary(ctx Context, app AppSpec) (division.Baseline, error) {
+func MeasureBaseline(ctx Context, app AppSpec) (division.Baseline, error) {
 	app = app.baselineSpec()
 	cfg := ctx.Machine
 	cfg.Seed = deriveSeed(ctx.Seed, "solo", app.ID)
@@ -204,7 +158,7 @@ func MeasureBaselineSummary(ctx Context, app AppSpec) (division.Baseline, error)
 func MeasureBaselines(ctx Context, apps []AppSpec) (map[string]division.Baseline, error) {
 	out := make(map[string]division.Baseline, len(apps))
 	for _, app := range apps {
-		b, err := MeasureBaselineSummary(ctx, app)
+		b, err := MeasureBaseline(ctx, app)
 		if err != nil {
 			return nil, err
 		}

@@ -49,12 +49,9 @@ func TestMeasureIdle(t *testing.T) {
 func TestMeasureBaselineDecomposition(t *testing.T) {
 	ctx := labSmall()
 	app := mustStressApp(t, "matrixprod", 3)
-	b, run, err := MeasureBaseline(ctx, app)
+	b, err := MeasureBaseline(ctx, app)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if run == nil {
-		t.Fatal("nil run")
 	}
 	// Total = idle 8 + residual 28 + 3×7.1 = 57.3; paper-R = 36.
 	if math.Abs(float64(b.Total)-57.3) > 0.01 {
@@ -79,7 +76,7 @@ func TestMeasureBaselineCapped(t *testing.T) {
 	app.CPUQuota = 0.5
 	app.Pinned = []int{0, 1}
 	app.ID = "int64-2-capped"
-	b, _, err := MeasureBaseline(ctx, app)
+	b, err := MeasureBaseline(ctx, app)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,44 +47,14 @@ import (
 // order of a run that completes.
 func evaluateScenarioStreaming(cctx context.Context, p *campaignPlan, s Scenario, run *scenarioRun, truths []division.Shares) ([][]Evaluation, error) {
 	ctx, fs := p.ctx, p.fs
-	cfg, roster := run.cfg, run.roster
-	ms := p.newModels(run.label)
-	tick := cfg.TickInterval()
-	maxTicks := int(ctx.RunFor/tick) + 1
-	if maxTicks < 0 {
-		maxTicks = 0
-	}
-	logical := cfg.Spec.Topology.LogicalCPUs()
-	replay := models.NewStreamReplay(roster, ms, maxTicks)
+	replay := models.NewStreamReplay(run.roster, p.newModels(run.label), run.cfg.ReservedTicks(ctx.RunFor))
 	defer replay.Release()
 	scr := getScoreScratch()
 	defer putScoreScratch(scr)
 	ts := tickSeries{at: scr.at[:0], power: scr.power[:0]}
-	// One sample column is reused for every segment; models copy what they
-	// keep (StreamReplay's contract).
-	scratch := make([]models.ProcSample, roster.Len())
-	segTicks := models.SegmentTicks{Tick: models.Tick{
-		Interval:    tick,
-		LogicalCPUs: logical,
-		Roster:      roster,
-		Samples:     scratch,
-	}}
-	_, err := machine.StreamSegments(cfg, run.procs, ctx.RunFor, func(seg *machine.Segment) error {
-		rec := seg.Rec
-		for slot := range scratch {
-			pt := rec.Procs[slot]
-			scratch[slot] = models.ProcSample{
-				CPUTime:    pt.CPUTime,
-				Counters:   pt.Counters,
-				Threads:    pt.Threads,
-				TrueActive: pt.ActivePower,
-			}
-		}
-		segTicks.Tick.At = rec.At
-		segTicks.Tick.MachinePower = seg.Powers[0]
-		segTicks.Tick.Freq = rec.Freq
-		segTicks.Powers = seg.Powers
-		replay.ObserveSegment(&segTicks)
+	load := models.SegmentLoader(run.cfg, run.roster)
+	_, err := machine.StreamSegments(run.cfg, run.procs, ctx.RunFor, func(seg *machine.Segment) error {
+		replay.ObserveSegment(load(seg))
 		for i := range seg.Powers {
 			if err := cctx.Err(); err != nil {
 				return err
@@ -187,8 +157,8 @@ func (p *campaignPlan) evaluate(cctx context.Context, s Scenario, baselines map[
 // them (F2) can be constructed. Each scenario is then simulated exactly
 // once per campaign — regardless of cache state or model count, because
 // all models ride the same stream — and scored by every model. Peak memory
-// per worker is the estimate matrices of one scenario instead of a full
-// cached run per scenario, which is what lets combinatorial sweeps scale.
+// per worker is the estimate matrices of one scenario, never a whole run,
+// which is what lets combinatorial sweeps scale.
 // Scenarios run concurrently across the worker pool; results are
 // deterministic regardless of scheduling.
 func EvaluateModelsStreaming(ctx Context, scenarios []Scenario, factories func(map[string]division.Baseline) []models.Factory, obj Objective, r0 units.Watts) (map[string][]Evaluation, error) {

@@ -38,19 +38,12 @@ type RunSummary struct {
 	CPUTime []units.CPUTime
 }
 
-// maxReservedTicks caps the per-tick traces newRunSummary reserves up
-// front. It lies well above phase 1's runs (30 s at the 100 ms tick is 301
-// ticks), so they reserve exactly once, while a horizon near
-// math.MaxInt64 reserves a bounded amount and grows by append.
-const maxReservedTicks = 1 << 14
-
 // newRunSummary streams a simulation's segments directly into its digest;
 // no machine.Run is materialized.
 func newRunSummary(cfg machine.Config, procs []machine.Proc, maxDur time.Duration) (*RunSummary, error) {
-	tick := cfg.TickInterval()
-	reserve := int(max(min(maxDur/tick, maxReservedTicks-1)+1, 0))
+	reserve := cfg.ReservedTicks(maxDur)
 	s := &RunSummary{
-		Tick:      tick,
+		Tick:      cfg.TickInterval(),
 		Power:     make([]float64, 0, reserve),
 		TruePower: make([]float64, 0, reserve),
 		ResidIdle: make([]float64, 0, reserve),
@@ -89,11 +82,11 @@ func (s *RunSummary) TruePowerSeries() *trace.Series {
 	return trace.FromValues(s.Tick, s.TruePower...)
 }
 
-// baseline extracts the phase 1 baseline of app from the digest, exactly
-// as MeasureBaseline extracts it from a full run: mean noise-free power,
-// mean idle+residual and mean busy cores over the least-extreme stable
-// window (of length stable) of the noise-free trace. Bit-identical to the
-// run path — the trace has the same samples and the accumulations run in
+// baseline extracts the phase 1 baseline of app from the digest: mean
+// noise-free power, mean idle+residual and mean busy cores over the
+// least-extreme stable window (of length stable) of the noise-free trace.
+// Bit-identical to the same extraction over a whole machine.Run (the
+// tests' reference) — the trace has the same samples and the accumulations run in
 // the same order (adding an absent slot's zero CPU time is bit-neutral:
 // utilization is non-negative).
 func (s *RunSummary) baseline(stable time.Duration, appID string) (division.Baseline, error) {

@@ -10,7 +10,6 @@ import (
 	"powerdiv/internal/division"
 	"powerdiv/internal/machine"
 	"powerdiv/internal/units"
-	"powerdiv/internal/workload"
 )
 
 // fullRunBaseline is the reference phase 1 extraction: simulate app's solo
@@ -82,7 +81,7 @@ func TestBaselineSummaryMatchesFull(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := MeasureBaselineSummary(ctx, app)
+			got, err := MeasureBaseline(ctx, app)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,26 +138,16 @@ func TestRunSummaryShape(t *testing.T) {
 // baseline whether the solo run's horizon is an hour or math.MaxInt64. A
 // digest reserved by the horizon's tick count cannot be allocated.
 func TestBaselineSummaryHorizonMaxInt64(t *testing.T) {
-	app := AppSpec{ID: "scripted-2", Threads: 2, Workload: workload.Workload{
-		Name: "scripted",
-		Kind: workload.App,
-		Mix:  workload.CounterMix{IPC: 1},
-		Cost: map[string]units.Watts{"SMALL INTEL": 6},
-		Script: []workload.Phase{
-			{Duration: 250 * time.Millisecond, Threads: 2, Intensity: 1, Util: 1},
-			{Duration: 1050 * time.Millisecond, Threads: 1, Intensity: 0.5, Util: 0.7},
-			{Duration: 700 * time.Millisecond, Threads: 2, Intensity: 0.8, Util: 1},
-		},
-	}}
+	app := scriptedApp("scripted-2", 0.5)
 	ctx := goldenContext(cpumodel.SmallIntel(), false)
 	ctx.StableWindow = time.Second
 	ctx.RunFor = time.Hour
-	want, err := MeasureBaselineSummary(ctx, app)
+	want, err := MeasureBaseline(ctx, app)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx.RunFor = math.MaxInt64
-	got, err := MeasureBaselineSummary(ctx, app)
+	got, err := MeasureBaseline(ctx, app)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,11 @@
 package protocol
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"powerdiv/internal/division"
-	"powerdiv/internal/machine"
 	"powerdiv/internal/models"
 )
 
@@ -36,79 +36,38 @@ type TimelineResult struct {
 
 // EvaluateTimeline runs a dynamic scenario and scores the model against a
 // per-tick objective: at each tick, Equation 3 shares are computed over
-// the applications actually running (from their phase 1 baselines). No
-// stable-window selection applies — dynamic contexts are scored whole,
-// since transitions are exactly what is under test.
+// the applications actually running (from their phase 1 baselines, looked
+// up by application type as MeasureBaselines keys them). No stable-window
+// selection applies — dynamic contexts are scored whole, since transitions
+// are exactly what is under test.
+//
+// The timeline is a one-model traffic scenario whose lifetimes come from
+// Start/Stop, labelled "timeline: <IDs in input order>": it streams and
+// scores on the traffic pipeline, and its simulator and model seeds derive
+// from that label.
 func EvaluateTimeline(ctx Context, apps []TimelineApp, factory models.Factory, baselines map[string]division.Baseline, maxDur time.Duration) (TimelineResult, error) {
-	var res TimelineResult
 	if len(apps) == 0 {
-		return res, fmt.Errorf("protocol: empty timeline")
+		return TimelineResult{}, fmt.Errorf("protocol: empty timeline")
 	}
+	s := Scenario{Apps: make([]AppSpec, len(apps))}
 	label := "timeline:"
-	procs := make([]machine.Proc, len(apps))
 	for i, ta := range apps {
-		if _, ok := baselines[ta.App.ID]; !ok {
-			return res, fmt.Errorf("protocol: no baseline for %s", ta.App.ID)
-		}
-		p := ta.App.proc()
-		p.Start, p.Stop = ta.Start, ta.Stop
-		procs[i] = p
+		s.Apps[i] = ta.App
+		s.Apps[i].StartAt, s.Apps[i].StopAt = ta.Start, ta.Stop
 		label += " " + ta.App.ID
 	}
-	cfg := ctx.Machine
-	cfg.Seed = deriveSeed(ctx.Seed, "timeline", label)
-	run, err := ctx.memo().simulateCached(cfg, procs, maxDur)
+	p := newCampaignPlan(ctx, []models.Factory{factory}, nil)
+	run := p.run(s, label, newSeedHash(ctx.Seed).part("timeline"))
+	slotBase, err := trafficSlotBaselines(s, run.roster.IDs(), baselines)
 	if err != nil {
-		return res, fmt.Errorf("protocol: timeline: %w", err)
+		return TimelineResult{}, err
 	}
-	model := factory.New(deriveSeed(ctx.Seed, "model", factory.Name, label))
-	est := models.ReplayDense(model, models.RunTicksDense(run))
-
-	rosterIDs := run.Roster.IDs()
-	n := len(rosterIDs)
-	slotBase := make([]division.Baseline, n)
-	for slot, id := range rosterIDs {
-		slotBase[slot] = baselines[id]
+	view, replay, err := p.streamTraffic(context.Background(), &run, maxDur)
+	if err != nil {
+		return TimelineResult{}, err
 	}
-	// The per-tick objective covers exactly the applications present. It
-	// only changes when the presence column does, so the truth vector is
-	// recomputed at those ticks alone; Eq 5 is one running sum.
-	present := make([]bool, n)
-	buf := make([]float64, n)
-	var truth []float64 // nil until some application runs
-	var acc division.ErrorSum
-	for i := range run.Ticks {
-		rec := &run.Ticks[i]
-		busy, changed := false, false
-		for slot := range present {
-			p := rec.Procs[slot].Present()
-			busy = busy || p
-			changed = changed || p != present[slot]
-			present[slot] = p
-		}
-		if changed {
-			truth = division.TruthVectorInto(buf, slotBase, present)
-		}
-		if !busy {
-			continue
-		}
-		res.BusyTicks++
-		if !est.OK[i] || truth == nil {
-			continue
-		}
-		res.ScoredTicks++
-		acc.Add(est.Row(i), rec.Power, truth)
-	}
-	if res.BusyTicks == 0 {
-		return res, fmt.Errorf("protocol: timeline never ran any application")
-	}
-	res.Coverage = float64(res.ScoredTicks) / float64(res.BusyTicks)
-	if res.ScoredTicks > 0 {
-		ae, err := acc.Mean()
-		if err != nil {
-			return res, err
-		}
-		res.AE = ae
-	}
-	return res, nil
+	defer replay.Release()
+	truths, busy := trafficTruths(view, slotBase)
+	ev, err := scoreTrafficModel(s, factory.Name, view, truths, busy, replay.Estimates(0))
+	return TimelineResult{AE: ev.AE, Coverage: ev.Coverage, BusyTicks: ev.BusyTicks, ScoredTicks: ev.ScoredTicks}, err
 }

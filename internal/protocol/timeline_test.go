@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -109,5 +110,44 @@ func TestEvaluateTimelineErrors(t *testing.T) {
 	apps := fig11Timeline(t)
 	if _, err := EvaluateTimeline(ctx, apps, models.NewScaphandre(), map[string]division.Baseline{}, time.Minute); err == nil {
 		t.Error("missing baselines accepted")
+	}
+}
+
+// TestEvaluateTimelineSharedBaseline scores two instances of one
+// application type (BaseID "web") against the map MeasureBaselines returns,
+// which holds one entry under the type. The result must equal the same
+// timeline whose instances carry no BaseID, with the type's baseline
+// listed under each instance ID: the BaseID only names the baseline.
+func TestEvaluateTimelineSharedBaseline(t *testing.T) {
+	ctx := labSmall()
+	web := mustStressApp(t, "int64", 2)
+	web.ID = "web"
+	shared := make([]TimelineApp, 2)
+	byID := make([]TimelineApp, 2)
+	for i, start := range []time.Duration{0, 15 * time.Second} {
+		inst := web
+		inst.ID = fmt.Sprintf("web-%d", i+1)
+		byID[i] = TimelineApp{App: inst, Start: start}
+		inst.BaseID = web.ID
+		shared[i] = TimelineApp{App: inst, Start: start}
+	}
+	baselines, err := MeasureBaselines(ctx, []AppSpec{shared[0].App, shared[1].App})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(baselines) != 1 {
+		t.Fatalf("MeasureBaselines keyed %d entries, want the one type", len(baselines))
+	}
+	got, err := EvaluateTimeline(ctx, shared, models.NewScaphandre(), baselines, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perInstance := map[string]division.Baseline{"web-1": baselines["web"], "web-2": baselines["web"]}
+	want, err := EvaluateTimeline(ctx, byID, models.NewScaphandre(), perInstance, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || got.ScoredTicks == 0 {
+		t.Errorf("shared-type timeline %+v, per-instance %+v", got, want)
 	}
 }

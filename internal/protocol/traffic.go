@@ -16,8 +16,9 @@ import (
 // whose instances arrive (AppSpec.StartAt), burst and exit (StopAt) while
 // the scenario runs — the paper's "production context" shape that the
 // static pair campaigns cannot reach. The objective is per tick, over the
-// instances actually present (as in EvaluateTimeline): churn transitions
-// are exactly what is under test, so no stable-window selection applies.
+// instances actually present: churn transitions are exactly what is under
+// test, so no stable-window selection applies. EvaluateTimeline scores its
+// dynamic scenarios on the same pipeline, as one-model traffic scenarios.
 //
 // Each scenario is one fused simulate → observe pass with
 // O(ticks-in-flight) simulator state, accumulating exactly the scoring view
@@ -237,12 +238,13 @@ func EvaluateTrafficScenarioStreaming(cctx context.Context, ctx Context, s Scena
 // never materialized or cached.
 func (p *campaignPlan) evaluateTraffic(cctx context.Context, s Scenario, baselines map[string]division.Baseline, window time.Duration) ([]TrafficEvaluation, error) {
 	done := observeScenario()
-	roster, view, replay, err := p.streamTraffic(cctx, s, window)
+	run := p.trafficRun(s)
+	view, replay, err := p.streamTraffic(cctx, &run, window)
 	if err != nil {
 		return nil, err
 	}
 	defer replay.Release()
-	slotBase, err := trafficSlotBaselines(s, roster.IDs(), baselines)
+	slotBase, err := trafficSlotBaselines(s, run.roster.IDs(), baselines)
 	if err != nil {
 		return nil, err
 	}
@@ -254,29 +256,15 @@ func (p *campaignPlan) evaluateTraffic(cctx context.Context, s Scenario, baselin
 	return out, nil
 }
 
-// streamTraffic simulates the scenario once while every model observes it
+// streamTraffic simulates the run once while every model observes it
 // segment by segment, accumulating the scoring view alongside. The caller
 // releases the replay.
-func (p *campaignPlan) streamTraffic(cctx context.Context, s Scenario, window time.Duration) (*machine.Roster, *trafficView, *models.StreamReplay, error) {
-	run := p.trafficRun(s)
-	cfg, roster := run.cfg, run.roster
-	ms := p.newModels(run.label)
-	tick := cfg.TickInterval()
-	maxTicks := int(window/tick) + 1
-	if maxTicks < 0 {
-		maxTicks = 0
-	}
-	logical := cfg.Spec.Topology.LogicalCPUs()
-	replay := models.NewStreamReplay(roster, ms, maxTicks)
-	view := newTrafficView(roster.Len(), maxTicks)
-	scratch := make([]models.ProcSample, roster.Len())
-	segTicks := models.SegmentTicks{Tick: models.Tick{
-		Interval:    tick,
-		LogicalCPUs: logical,
-		Roster:      roster,
-		Samples:     scratch,
-	}}
-	_, err := machine.StreamSegments(cfg, run.procs, window, func(seg *machine.Segment) error {
+func (p *campaignPlan) streamTraffic(cctx context.Context, run *scenarioRun, window time.Duration) (*trafficView, *models.StreamReplay, error) {
+	reserve := run.cfg.ReservedTicks(window)
+	replay := models.NewStreamReplay(run.roster, p.newModels(run.label), reserve)
+	view := newTrafficView(run.roster.Len(), reserve)
+	load := models.SegmentLoader(run.cfg, run.roster)
+	_, err := machine.StreamSegments(run.cfg, run.procs, window, func(seg *machine.Segment) error {
 		// One poll per covered tick keeps the cancellation granularity (and
 		// the deterministic poll count the ctx tests pin) of the per-tick
 		// engine.
@@ -285,29 +273,15 @@ func (p *campaignPlan) streamTraffic(cctx context.Context, s Scenario, window ti
 				return err
 			}
 		}
-		rec := seg.Rec
-		for slot := range scratch {
-			pt := rec.Procs[slot]
-			scratch[slot] = models.ProcSample{
-				CPUTime:    pt.CPUTime,
-				Counters:   pt.Counters,
-				Threads:    pt.Threads,
-				TrueActive: pt.ActivePower,
-			}
-		}
-		segTicks.Tick.At = rec.At
-		segTicks.Tick.MachinePower = seg.Powers[0]
-		segTicks.Tick.Freq = rec.Freq
-		segTicks.Powers = seg.Powers
-		replay.ObserveSegment(&segTicks)
+		replay.ObserveSegment(load(seg))
 		view.observeSegment(seg)
 		return nil
 	})
 	if err != nil {
 		replay.Release()
-		return nil, nil, nil, fmt.Errorf("protocol: traffic scenario %q: %w", run.label, err)
+		return nil, nil, fmt.Errorf("protocol: traffic scenario %q: %w", run.label, err)
 	}
-	return roster, view, replay, nil
+	return view, replay, nil
 }
 
 // EvaluateTrafficStreaming scores every factory over a traffic campaign on

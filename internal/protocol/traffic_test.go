@@ -209,11 +209,12 @@ func TestTrafficScoringTailAllocsIndependentOfWindow(t *testing.T) {
 	p := newCampaignPlan(ctx, factories(baselines), nil)
 	var allocs, ticks []float64
 	for _, window := range []time.Duration{10 * time.Second, 60 * time.Second} {
-		roster, view, replay, err := p.streamTraffic(context.Background(), s, window)
+		run := p.trafficRun(s)
+		view, replay, err := p.streamTraffic(context.Background(), &run, window)
 		if err != nil {
 			t.Fatal(err)
 		}
-		slotBase, err := trafficSlotBaselines(s, roster.IDs(), baselines)
+		slotBase, err := trafficSlotBaselines(s, run.roster.IDs(), baselines)
 		if err != nil {
 			t.Fatal(err)
 		}
