@@ -19,6 +19,11 @@
 # service (internal/serve) — the packages whose behaviour the paper's
 # numbers depend on most directly.
 #
+# `make shuffle` runs the internal packages' tests twice in a shuffled
+# order, so a test that leans on state an earlier test left behind (a
+# shared cache, a registry entry, a worker-budget reading) fails here
+# rather than only under some future test order.
+#
 # `make fuzz-smoke` runs each fuzz target briefly (seed corpus plus a few
 # seconds of mutation) so verify catches parser panics without a long
 # fuzzing session.
@@ -47,7 +52,7 @@ BENCH_RATE_THRESHOLD ?= 60
 # Packages `make loc` counts: the ones ROADMAP's line-count targets name.
 LOC_PKGS = internal/protocol internal/models internal/machine
 
-.PHONY: build test vet fmt-check race cover bench bench-check bench-diff pprof fuzz-smoke serve-smoke loc verify
+.PHONY: build test vet fmt-check race shuffle cover bench bench-check bench-diff pprof fuzz-smoke serve-smoke loc verify
 
 build:
 	$(GO) build ./...
@@ -71,6 +76,9 @@ cover:
 
 race:
 	$(GO) test -race ./...
+
+shuffle:
+	$(GO) test -shuffle=on -count=2 ./internal/...
 
 bench:
 	$(GO) run ./cmd/powerdiv-bench -out BENCH_campaign.json
@@ -115,4 +123,4 @@ loc:
 		printf '%-20s %6d\n' $$d $$n; total=$$((total + n)); done; \
 		printf '%-20s %6d\n' total $$total
 
-verify: build vet fmt-check test race bench-check bench-diff fuzz-smoke serve-smoke
+verify: build vet fmt-check test race shuffle bench-check bench-diff fuzz-smoke serve-smoke

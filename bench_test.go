@@ -300,9 +300,9 @@ func BenchmarkLabErrorTable(b *testing.B) {
 	benchLabErrorTable(b, experiments.LabEvaluationStreaming, true)
 }
 
-// BenchmarkLabErrorTableCold is the streaming campaign with every cache
-// tier dropped before each iteration: each pass re-simulates every solo and
-// pair run from scratch. This is the raw-speed rung — the number that can
+// BenchmarkLabErrorTableCold is the streaming campaign in a fresh cache
+// scope each iteration: each pass re-simulates every solo and pair run
+// from scratch. This is the raw-speed rung — the number that can
 // only improve through the simulator and scoring kernels, never through
 // caching — and the one the bench-diff rate gate polices (cold iterations
 // do identical work, so their scenarios/sec is comparable across runs even
@@ -310,25 +310,24 @@ func BenchmarkLabErrorTable(b *testing.B) {
 // peak is GC-pacing noise, not a retention signal.
 func BenchmarkLabErrorTableCold(b *testing.B) {
 	benchLabErrorTableSegs(b, func(ctx protocol.Context, extra ...models.Factory) (map[string]experiments.ScatterResult, error) {
-		protocol.ResetMemoization()
+		ctx.Cache = protocol.NewCacheScope(0)
 		return experiments.LabEvaluationStreaming(ctx, extra...)
 	}, false)
 }
 
 // BenchmarkLabErrorTableDiskWarm is the cold campaign with a warm
-// persistent summary cache attached: memory tiers are dropped before each
-// iteration (a fresh process, in effect), so phase 1 baselines load from
-// disk while pair runs still simulate. The untimed warm-up pass primes the
+// persistent summary cache attached to each iteration's fresh scope (a
+// fresh process, in effect), so phase 1 baselines load from disk while pair
+// runs still simulate. The untimed warm-up pass primes the
 // disk tier; the gap to Cold is what the tier buys a restarted process.
 func BenchmarkLabErrorTableDiskWarm(b *testing.B) {
 	disk, err := protocol.OpenDiskCache(b.TempDir(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	protocol.AttachDiskCache(disk)
-	defer protocol.AttachDiskCache(nil)
 	benchLabErrorTableSegs(b, func(ctx protocol.Context, extra ...models.Factory) (map[string]experiments.ScatterResult, error) {
-		protocol.ResetMemoization()
+		ctx.Cache = protocol.NewCacheScope(0)
+		ctx.Cache.AttachDisk(disk)
 		return experiments.LabEvaluationStreaming(ctx, extra...)
 	}, false)
 }
@@ -428,8 +427,8 @@ func startHeapWatermark() (stop func() float64) {
 
 // BenchmarkCampaignParallel measures the scenario-parallel campaign at a
 // ladder of worker counts (EvaluateCampaign hands scenarios to a
-// GOMAXPROCS-wide pool). Every cache tier is dropped before each
-// iteration, so each rung re-simulates and re-scores every scenario rather
+// GOMAXPROCS-wide pool). Each iteration runs in a fresh cache scope, so
+// each rung re-simulates and re-scores every scenario rather
 // than replaying the evaluation digests the previous rung stored. On a
 // single-core runner the ladder still exercises the pool dispatch path at
 // width 2; on wider machines it shows the scaling headroom.
@@ -450,7 +449,7 @@ func BenchmarkCampaignParallel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				protocol.ResetMemoization()
+				ctx.Cache = protocol.NewCacheScope(0)
 				if _, err := protocol.EvaluateCampaign(ctx, scenarios, models.NewScaphandre(), protocol.ObjectiveActive, 0); err != nil {
 					b.Fatal(err)
 				}
@@ -482,10 +481,10 @@ func labScenarioCount(b *testing.B, ctx protocol.Context) int {
 }
 
 // BenchmarkCampaignMemoization isolates the cache tiers' effect on the
-// all-pairs lab campaign. The cache is dropped before every iteration, so
-// "on" measures only intra-campaign sharing (solo baselines measured once
-// through the baseline tier, scored rows stored as digests) and "off"
-// bypasses every tier. Every model observes one simulator pass per
+// all-pairs lab campaign. "on" runs each iteration in a fresh cache scope,
+// so it measures only intra-campaign sharing (solo baselines measured once
+// through the baseline tier, scored rows stored as digests), and "off"
+// runs with no scope, bypassing every tier. Every model observes one simulator pass per
 // scenario either way, so the ratio of the two ns/op values — the
 // memoization speedup — stays near 1; a campaign test asserts the two
 // configurations produce identical error tables.
@@ -497,11 +496,11 @@ func BenchmarkCampaignMemoization(b *testing.B) {
 		on   bool
 	}{{"on", true}, {"off", false}} {
 		b.Run(mode.name, func(b *testing.B) {
-			protocol.EnableMemoization(mode.on)
-			defer protocol.EnableMemoization(true)
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				protocol.ResetMemoization()
+				ctx.Cache = nil
+				if mode.on {
+					ctx.Cache = protocol.NewCacheScope(0)
+				}
 				if _, err := experiments.LabEvaluationStreaming(ctx, models.NewKepler(), models.NewOracle()); err != nil {
 					b.Fatal(err)
 				}
@@ -588,6 +587,9 @@ func BenchmarkFleetCampaign(b *testing.B) {
 		StableWindow:     time.Second,
 		Kernels:          []string{"fibonacci", "matrixprod", "queens"},
 	}
+	// One scope serves every rung and iteration, so later ones start with
+	// warm phase 1 baselines.
+	cache := protocol.NewCacheScope(0)
 	widths := []int{1, 2}
 	if n := runtime.NumCPU(); n > 2 {
 		widths = append(widths, n)
@@ -602,7 +604,7 @@ func BenchmarkFleetCampaign(b *testing.B) {
 			var res fleet.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = experiments.FleetCampaign(cfg)
+				res, err = fleet.Campaign(cfg, cache)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -98,7 +98,7 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit the results as JSON instead of tables")
 	memo := flag.Bool("memo", true, "memoize solo/pair simulation runs")
 	memoStats := flag.Bool("memo-stats", false, "print run cache statistics after the campaign")
-	cacheDir := flag.String("cache-dir", "", "persistent phase-1 baseline cache directory (empty = memory only)")
+	cacheDir := flag.String("cache-dir", "", "persistent phase-1 baseline cache directory (empty = memory only; unused with -memo=false)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "on-disk cache cap in bytes (0 = default 256 MB)")
 	metrics := flag.Bool("metrics", false, "print the internal metrics summary after the campaign")
 	trafficOn := flag.Bool("traffic", false, "run a production-shaped traffic campaign instead of the pair campaign")
@@ -113,15 +113,19 @@ func main() {
 	fleetWindow := flag.Duration("fleet-window", 10*time.Second, "duration of each fleet scenario")
 	fleetKind := flag.String("fleet-kind", "mixed", `fleet arrival process: "poisson", "bursty", "diurnal" or "mixed"`)
 	flag.Parse()
-	protocol.EnableMemoization(*memo)
 	obs.Enable(*metrics)
-	if *cacheDir != "" {
+	// The campaign's one cache scope; -memo=false runs without one.
+	var cache *protocol.CacheScope
+	if *memo {
+		cache = protocol.NewCacheScope(0)
+	}
+	if *cacheDir != "" && cache != nil {
 		disk, err := protocol.OpenDiskCache(*cacheDir, *cacheBytes)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(2)
 		}
-		protocol.AttachDiskCache(disk)
+		cache.AttachDisk(disk)
 	}
 
 	if *fleetOn {
@@ -140,6 +144,7 @@ func main() {
 			production: *context == "prod",
 			asJSON:     *asJSON,
 			metrics:    *metrics,
+			cache:      cache,
 		})
 		return
 	}
@@ -159,6 +164,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown context %q (want lab or prod)\n", *context)
 		os.Exit(2)
 	}
+	ctx.Cache = cache
 
 	if *trafficOn || *trafficReplay != "" {
 		runTraffic(ctx, *context, trafficOptions{
@@ -200,8 +206,10 @@ func main() {
 			}
 		}
 	}
-	if *memoStats {
-		st := protocol.MemoizationStats()
+	if *memoStats && cache == nil {
+		fmt.Println("\nrun cache: off")
+	} else if *memoStats {
+		st := cache.Stats()
 		fmt.Printf("\nrun cache: %d hits, %d misses, %d baseline + %d eval-digest entries\n", st.Hits, st.Misses, st.SummaryEntries, st.EvalEntries)
 		fmt.Printf("baseline tier: %d entries, %d/%d bytes, %d evictions\n",
 			st.SummaryEntries, st.SummaryBytes, st.SummaryByteLimit, st.Evictions)
@@ -302,6 +310,7 @@ type fleetOptions struct {
 	production bool
 	asJSON     bool
 	metrics    bool
+	cache      *protocol.CacheScope
 }
 
 // jsonFleetReport is the machine-readable fleet campaign output.
@@ -362,7 +371,7 @@ func runFleet(opt fleetOptions) {
 		Window:           opt.window,
 		Production:       opt.production,
 	}
-	res, err := experiments.FleetCampaign(cfg)
+	res, err := fleet.Campaign(cfg, opt.cache)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)

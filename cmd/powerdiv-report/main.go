@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	powerdiv-report [-seed 1] [-out out/] [-quick] [-memo=false]
+//	powerdiv-report [-seed 1] [-out out/] [-quick]
 package main
 
 import (
@@ -27,14 +27,12 @@ var (
 	outDir  = flag.String("out", "", "write CSV artefacts into this directory")
 	quick   = flag.Bool("quick", false, "reduced scenario sets (fast smoke run)")
 	seed    = flag.Int64("seed", 1, "campaign seed")
-	memo    = flag.Bool("memo", true, "memoize solo/pair simulation runs across experiments")
 	metrics = flag.Bool("metrics", false, "print the internal metrics summary after the run")
 )
 
 func main() {
 	flag.Parse()
 	start := time.Now()
-	protocol.EnableMemoization(*memo)
 	obs.Enable(*metrics)
 
 	section("Fig 1 & Fig 3 — machine power curves")
@@ -157,7 +155,7 @@ func main() {
 	check(err)
 	emit(experiments.AblationTable(props), "ablation-families")
 
-	if st := protocol.MemoizationStats(); st.Hits+st.Misses > 0 {
+	if st := protocol.DefaultScope().Stats(); st.Hits+st.Misses > 0 {
 		fmt.Printf("\nrun cache: %d hits, %d misses, %d baseline + %d eval-digest entries\n", st.Hits, st.Misses, st.SummaryEntries, st.EvalEntries)
 	}
 	if *metrics {

@@ -11,6 +11,7 @@ import (
 )
 
 func TestFamilyAblationProperties(t *testing.T) {
+	t.Parallel()
 	props, err := FamilyAblation(cpumodel.SmallIntel(), "fibonacci", "matrixprod", 3, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -45,6 +46,7 @@ func TestFamilyAblationProperties(t *testing.T) {
 }
 
 func TestStableWindowAblation(t *testing.T) {
+	t.Parallel()
 	with, without, err := StableWindowAblation(cpumodel.SmallIntel(), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -60,6 +62,7 @@ func TestStableWindowAblation(t *testing.T) {
 }
 
 func TestLearningWindowAblation(t *testing.T) {
+	t.Parallel()
 	windows := []time.Duration{2 * time.Second, 10 * time.Second, 20 * time.Second}
 	res, err := LearningWindowAblation(cpumodel.SmallIntel(), windows, 1)
 	if err != nil {
@@ -82,6 +85,7 @@ func TestLearningWindowAblation(t *testing.T) {
 }
 
 func TestSamplePeriodAblation(t *testing.T) {
+	t.Parallel()
 	periods := []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 500 * time.Millisecond}
 	res, err := SamplePeriodAblation(cpumodel.SmallIntel(), periods, 1)
 	if err != nil {
@@ -100,6 +104,7 @@ func TestSamplePeriodAblation(t *testing.T) {
 }
 
 func TestHTEfficiencyAblation(t *testing.T) {
+	t.Parallel()
 	factors := []float64{0.2, 0.45, 0.7}
 	res, err := HTEfficiencyAblation(cpumodel.SmallIntel(), factors, 1)
 	if err != nil {
@@ -113,6 +118,7 @@ func TestHTEfficiencyAblation(t *testing.T) {
 }
 
 func TestPowerAPIDeterminismAblation(t *testing.T) {
+	t.Parallel()
 	ctx := LabContext(cpumodel.Dahu(), 1)
 	with, without, err := PowerAPIDeterminismAblation(ctx)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 )
 
 func TestBehaviorCorrelationCloverleafMirrored(t *testing.T) {
+	t.Parallel()
 	// §V-A / Fig 13: CLOVERLEAF's attributed curve against COMPRESS-7ZIP
 	// is "entirely contextual": it tracks the co-runner's behaviour (with
 	// troughs mistaken for peaks — anti-correlation) far more than its
@@ -31,6 +32,7 @@ func TestBehaviorCorrelationCloverleafMirrored(t *testing.T) {
 }
 
 func TestBehaviorCorrelationDacapoContextual(t *testing.T) {
+	t.Parallel()
 	// BUILD2 vs DACAPO: both attributed curves pick up a strong
 	// co-runner component (the §V-A context dependence), even where the
 	// own-signal still dominates.
@@ -58,6 +60,7 @@ func TestBehaviorCorrelationDacapoContextual(t *testing.T) {
 }
 
 func TestBehaviorCorrelationErrors(t *testing.T) {
+	t.Parallel()
 	cfg := ProdConfig(cpumodel.SmallIntel(), 1)
 	if _, err := BehaviorCorrelation(cfg, models.NewScaphandre(), "nosuch", "dacapo", 6, 1); err == nil {
 		t.Error("unknown app0 accepted")

@@ -13,6 +13,7 @@ import (
 )
 
 func TestPowerCurveFig1SmallIntel(t *testing.T) {
+	t.Parallel()
 	res, err := PowerCurve(LabConfig(cpumodel.SmallIntel(), 1))
 	if err != nil {
 		t.Fatal(err)
@@ -40,6 +41,7 @@ func TestPowerCurveFig1SmallIntel(t *testing.T) {
 }
 
 func TestPowerCurveFig1Dahu(t *testing.T) {
+	t.Parallel()
 	res, err := PowerCurve(LabConfig(cpumodel.Dahu(), 1))
 	if err != nil {
 		t.Fatal(err)
@@ -60,6 +62,7 @@ func TestPowerCurveFig1Dahu(t *testing.T) {
 }
 
 func TestPowerCurveFig3Concave(t *testing.T) {
+	t.Parallel()
 	// Fig 3: with HT/turbo the curve is concave ("logarithmic").
 	for _, spec := range cpumodel.Specs() {
 		res, err := PowerCurve(ProdConfig(spec, 1))
@@ -87,6 +90,7 @@ func TestPowerCurveFig3Concave(t *testing.T) {
 }
 
 func TestCurveTableRendering(t *testing.T) {
+	t.Parallel()
 	res, err := PowerCurve(LabConfig(cpumodel.SmallIntel(), 1))
 	if err != nil {
 		t.Fatal(err)
@@ -98,6 +102,7 @@ func TestCurveTableRendering(t *testing.T) {
 }
 
 func TestEq1UndershootFig2(t *testing.T) {
+	t.Parallel()
 	res, err := Eq1Undershoot(LabConfig(cpumodel.SmallIntel(), 1), "fibonacci", "matrixprod", 3)
 	if err != nil {
 		t.Fatal(err)
@@ -116,6 +121,7 @@ func TestEq1UndershootFig2(t *testing.T) {
 }
 
 func TestRatioScatterHeadlineSmallIntel(t *testing.T) {
+	t.Parallel()
 	// §IV-A on SMALL INTEL: Scaphandre ≈3.15 % mean, ≈11.7 % max, worst
 	// pairs involving FIBONACCI.
 	ctx := LabContext(cpumodel.SmallIntel(), 1)
@@ -138,6 +144,7 @@ func TestRatioScatterHeadlineSmallIntel(t *testing.T) {
 }
 
 func TestRatioScatterHeadlineDahu(t *testing.T) {
+	t.Parallel()
 	// §IV-A on DAHU: Scaphandre ≈2.7 % mean, 17.4 % max between QUEENS
 	// and FLOAT64.
 	ctx := LabContext(cpumodel.Dahu(), 1)
@@ -154,6 +161,7 @@ func TestRatioScatterHeadlineDahu(t *testing.T) {
 }
 
 func TestLabEvaluationModelsOrdering(t *testing.T) {
+	t.Parallel()
 	// On SMALL INTEL (no pathology), PowerAPI ≈ Scaphandre (paper: 3.12 %
 	// vs 3.15 %); the F2 reference and the oracle are far better.
 	ctx := LabContext(cpumodel.SmallIntel(), 1)
@@ -180,6 +188,7 @@ func TestLabEvaluationModelsOrdering(t *testing.T) {
 }
 
 func TestPowerAPIDahuPathologyNumbers(t *testing.T) {
+	t.Parallel()
 	// §IV-A: PowerAPI on DAHU averages 16.23 % with a 49.1 % max.
 	ctx := LabContext(cpumodel.Dahu(), 1)
 	res, err := RatioScatter(ctx, models.NewPowerAPI(models.DefaultPowerAPIConfig()))
@@ -195,6 +204,7 @@ func TestPowerAPIDahuPathologyNumbers(t *testing.T) {
 }
 
 func TestInstabilityFig8(t *testing.T) {
+	t.Parallel()
 	res, err := Instability(LabConfig(cpumodel.Dahu(), 1), "matrixprod", "float64", 8, 6, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -222,6 +232,7 @@ func TestInstabilityFig8(t *testing.T) {
 }
 
 func TestInstabilityStableOnSmallIntel(t *testing.T) {
+	t.Parallel()
 	// Below the many-core threshold the attribution never flips.
 	res, err := Instability(LabConfig(cpumodel.SmallIntel(), 1), "matrixprod", "float64", 3, 4, 7)
 	if err != nil {
@@ -233,6 +244,7 @@ func TestInstabilityStableOnSmallIntel(t *testing.T) {
 }
 
 func TestResidualCappingSection4B(t *testing.T) {
+	t.Parallel()
 	// Reduced function set for test speed; the full set runs in the bench.
 	ctx := LabContext(cpumodel.SmallIntel(), 1)
 	fns := []string{"fibonacci", "int64", "matrixprod"}
@@ -264,6 +276,7 @@ func TestResidualCappingSection4B(t *testing.T) {
 }
 
 func TestCappingScenariosComposition(t *testing.T) {
+	t.Parallel()
 	scenarios, err := CappingScenarios([]string{"int64", "rand"}, []int{1, 2}, 6)
 	if err != nil {
 		t.Fatal(err)
@@ -302,6 +315,7 @@ func TestCappingScenariosComposition(t *testing.T) {
 }
 
 func TestPhoronixReferenceTableV(t *testing.T) {
+	t.Parallel()
 	cfg := ProdConfig(cpumodel.SmallIntel(), 1)
 	refs, err := PhoronixReference(cfg, 6, 3, 1)
 	if err != nil {
@@ -346,6 +360,7 @@ func TestPhoronixReferenceTableV(t *testing.T) {
 }
 
 func TestPhoronixReferenceErrors(t *testing.T) {
+	t.Parallel()
 	cfg := ProdConfig(cpumodel.SmallIntel(), 1)
 	if _, err := PhoronixReference(cfg, 6, 0, 1); err == nil {
 		t.Error("zero repeats accepted")
@@ -353,6 +368,7 @@ func TestPhoronixReferenceErrors(t *testing.T) {
 }
 
 func TestContextIllustrationFig11(t *testing.T) {
+	t.Parallel()
 	res, err := ContextIllustration(LabConfig(cpumodel.SmallIntel(), 1), models.NewScaphandre(), "int64", 2, 20*time.Second, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -377,6 +393,7 @@ func TestContextIllustrationFig11(t *testing.T) {
 }
 
 func TestEnergyDivisionSectionV(t *testing.T) {
+	t.Parallel()
 	cfg := ProdConfig(cpumodel.SmallIntel(), 1)
 	res, err := EnergyDivision(cfg, models.NewScaphandre(), "build2", "dacapo", 6, 1)
 	if err != nil {
@@ -403,6 +420,7 @@ func TestEnergyDivisionSectionV(t *testing.T) {
 }
 
 func TestColocationSweepSectionV(t *testing.T) {
+	t.Parallel()
 	// CLOVERLEAF on DAHU with neighbours: attributed energy collapses.
 	sweep, err := ColocationSweep(ProdConfig(cpumodel.Dahu(), 1), models.NewScaphandre(), "cloverleaf", 6, []int{0, 9}, 1)
 	if err != nil {
@@ -415,6 +433,7 @@ func TestColocationSweepSectionV(t *testing.T) {
 }
 
 func TestEnergyDivisionErrors(t *testing.T) {
+	t.Parallel()
 	cfg := ProdConfig(cpumodel.SmallIntel(), 1)
 	if _, err := EnergyDivision(cfg, models.NewScaphandre(), "nosuch", "dacapo", 6, 1); err == nil {
 		t.Error("unknown app accepted")
@@ -425,6 +444,7 @@ func TestEnergyDivisionErrors(t *testing.T) {
 }
 
 func TestErrorTableRendering(t *testing.T) {
+	t.Parallel()
 	results := map[string]ScatterResult{
 		"scaphandre": {Model: "scaphandre", Machine: "SMALL INTEL", MeanAE: 0.0315, MaxAE: 0.117, WorstPair: "fibonacci-3 || matrixprod-3"},
 	}
@@ -435,6 +455,7 @@ func TestErrorTableRendering(t *testing.T) {
 }
 
 func TestScatterDiagonality(t *testing.T) {
+	t.Parallel()
 	pt := func(x, y float64) division.RatioPoint { return division.RatioPoint{X: x, Y: y} }
 	res := ScatterResult{}
 	res.SameSize = append(res.SameSize, pt(10, 10), pt(-20, -20))
@@ -448,6 +469,7 @@ func TestScatterDiagonality(t *testing.T) {
 }
 
 func TestPaperModelsList(t *testing.T) {
+	t.Parallel()
 	fs := PaperModels()
 	if len(fs) != 2 || fs[0].Name != "scaphandre" || fs[1].Name != "powerapi" {
 		t.Errorf("PaperModels = %v", fs)
@@ -455,12 +477,14 @@ func TestPaperModelsList(t *testing.T) {
 }
 
 func TestStressNamesComplete(t *testing.T) {
+	t.Parallel()
 	if len(stressNames()) != len(workload.StressNames()) {
 		t.Error("stressNames out of sync")
 	}
 }
 
 func TestResidualAwareModelFixesC3(t *testing.T) {
+	t.Parallel()
 	// The residual-aware model (calibrated R(f) + duty-based causation)
 	// must beat CPU-time division on the §IV-B campaign while matching it
 	// on the uniform-duty campaign.

@@ -9,16 +9,6 @@ import (
 	"powerdiv/internal/report"
 )
 
-// FleetCampaign runs the evaluation protocol fleet-wide: cfg.Nodes
-// heterogeneous machines, each with its own deterministic traffic shard,
-// scored by the six intrusive model families plus the WattScope-style
-// non-intrusive model on the fused streaming pipeline, reduced to
-// per-model error distributions in sorted-node order. Reruns of the same
-// config are bit-identical.
-func FleetCampaign(cfg fleet.Config) (fleet.Result, error) {
-	return fleet.Campaign(cfg)
-}
-
 // FleetTable renders the fleet campaign's aggregate error table: one row
 // per model family with the fleet-wide error distribution.
 func FleetTable(r fleet.Result) *report.Table {

@@ -122,7 +122,7 @@ func goldenTables(t *testing.T) map[string]any {
 
 	// A few-node fleet, shaped like the fleet package's fast test config:
 	// heterogeneous node specs, per-node traffic shards and noise grades.
-	fl, err := FleetCampaign(fleet.Config{
+	fl, err := fleet.Campaign(fleet.Config{
 		Nodes:            4,
 		Seed:             seed,
 		ScenariosPerNode: 1,
@@ -130,7 +130,7 @@ func goldenTables(t *testing.T) map[string]any {
 		RunFor:           3 * time.Second,
 		StableWindow:     time.Second,
 		Kernels:          []string{"fibonacci", "matrixprod", "queens"},
-	})
+	}, nil)
 	check(err)
 	out["fleet-4-nodes"] = fl
 	return out
@@ -168,6 +168,7 @@ func goldenSlug(name string) string {
 // frozen corpus. There is no update flag: on a mismatch the test logs the
 // recomputed file, so re-baselining is a deliberate, reviewable hand edit.
 func TestGoldenCorpus(t *testing.T) {
+	t.Parallel()
 	tables := goldenTables(t)
 	names := make([]string, 0, len(tables))
 	for name := range tables {

@@ -99,6 +99,7 @@ func unbatchedInstability(t *testing.T, cfg machine.Config, fn0, fn1 string, thr
 // attribution bit-identical to a fully independent simulation with the
 // same seeds, on both machines.
 func TestInstabilityBatchedMatchesUnbatched(t *testing.T) {
+	t.Parallel()
 	for _, sp := range []cpumodel.Spec{cpumodel.Dahu(), cpumodel.SmallIntel()} {
 		cfg := machine.Config{Spec: sp, NoiseStddev: 0.25, Hyperthreading: true, Turbo: true}
 		const repeats = 3

@@ -9,6 +9,7 @@ import (
 )
 
 func TestMultiAppEvaluation(t *testing.T) {
+	t.Parallel()
 	ctx := LabContext(cpumodel.SmallIntel(), 1)
 	fns := []string{"fibonacci", "queens", "int64", "float64", "jmp", "matrixprod"}
 	res, err := MultiAppEvaluation(ctx, models.NewScaphandre(), fns, []int{2, 3}, 2)
@@ -35,6 +36,7 @@ func TestMultiAppEvaluation(t *testing.T) {
 }
 
 func TestMultiAppEvaluationErrors(t *testing.T) {
+	t.Parallel()
 	ctx := LabContext(cpumodel.SmallIntel(), 1)
 	if _, err := MultiAppEvaluation(ctx, models.NewScaphandre(), []string{"int64"}, []int{2}, 1); err == nil {
 		t.Error("2-way combos of 1 function accepted")

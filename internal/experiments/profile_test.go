@@ -8,6 +8,7 @@ import (
 )
 
 func TestCollectProfileTraining(t *testing.T) {
+	t.Parallel()
 	ctx := LabContext(cpumodel.SmallIntel(), 1)
 	samples, err := CollectProfileTraining(ctx, []string{"fibonacci", "matrixprod", "jmp"}, 2)
 	if err != nil {
@@ -38,6 +39,7 @@ func TestCollectProfileTraining(t *testing.T) {
 }
 
 func TestProfileF2EvaluationBeatsScaphandre(t *testing.T) {
+	t.Parallel()
 	// The §VI result: the profile-driven F2 model outperforms CPU-time
 	// division on the full campaign (measured: ≈2.5 % vs ≈3.7 % mean,
 	// ≈7.5 % vs ≈11.8 % max on SMALL INTEL).

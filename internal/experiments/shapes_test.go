@@ -31,6 +31,7 @@ func shortCtx(spec cpumodel.Spec) protocol.Context {
 // band is well-ordered (min ≤ max) everywhere, the max curve never goes
 // down when load is added, and the idle point is a single value.
 func TestCurveShapeMonotone(t *testing.T) {
+	t.Parallel()
 	for _, spec := range cpumodel.Specs() {
 		for _, prod := range []bool{false, true} {
 			cfg := LabConfig(spec, 1)
@@ -77,6 +78,7 @@ func TestCurveShapeMonotone(t *testing.T) {
 // row is well-formed: both panels populated, finite coordinates, labelled
 // points, and error statistics that are ordered and attained.
 func TestScatterShapeRows(t *testing.T) {
+	t.Parallel()
 	ctx := shortCtx(cpumodel.SmallIntel())
 	scenarios, err := protocol.StressPairs([]string{"fibonacci", "matrixprod", "int64"}, []int{1, 2})
 	if err != nil {
@@ -113,6 +115,7 @@ func TestScatterShapeRows(t *testing.T) {
 // run shows strictly less residual and less total power than the same
 // application uncapped — the invisible difference that breaks the models.
 func TestCappingResidualDirection(t *testing.T) {
+	t.Parallel()
 	ctx := shortCtx(cpumodel.SmallIntel())
 	uncapped, err := cappingApp("matrixprod", 2, false, 0)
 	if err != nil {
@@ -161,6 +164,7 @@ func TestCappingResidualDirection(t *testing.T) {
 // every instability run must be a probability split — two shares in [0,1]
 // summing to 1 — and the result must hold exactly `repeats` runs.
 func TestInstabilityShareConservation(t *testing.T) {
+	t.Parallel()
 	const repeats = 3
 	res, err := Instability(LabConfig(cpumodel.SmallIntel(), 1), "matrixprod", "float64", 2, repeats, 11)
 	if err != nil {
@@ -185,6 +189,7 @@ func TestInstabilityShareConservation(t *testing.T) {
 // little to model warm-up but can never create energy — and the attribution
 // traces must span the run.
 func TestEnergyDivisionBookkeeping(t *testing.T) {
+	t.Parallel()
 	res, err := EnergyDivision(ProdConfig(cpumodel.SmallIntel(), 1), models.NewScaphandre(), "build2", "dacapo", 6, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -23,6 +23,7 @@ func smallTrafficConfig(ctx protocol.Context) traffic.Config {
 // the result surface: every model summarized, the trace replayable, the
 // capacity cap derived from the context's topology.
 func TestTrafficCampaignShape(t *testing.T) {
+	t.Parallel()
 	ctx := LabContext(cpumodel.SmallIntel(), 17)
 	cfg := smallTrafficConfig(ctx)
 	if cfg.MaxCPUs != cpumodel.SmallIntel().Topology.PhysicalCores() {
@@ -105,6 +106,7 @@ func summaryNames(res TrafficResult) []string {
 // TestTrafficCampaignDeterministic reruns the same campaign: results must
 // be bit-identical (the acceptance criterion behind the -traffic CLI).
 func TestTrafficCampaignDeterministic(t *testing.T) {
+	t.Parallel()
 	ctx := LabContext(cpumodel.SmallIntel(), 23)
 	cfg := smallTrafficConfig(ctx)
 	a, err := TrafficCampaign(ctx, cfg)

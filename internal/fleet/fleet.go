@@ -240,13 +240,15 @@ func NodeScenarios(cfg Config, n Node) ([]protocol.Scenario, error) {
 	return traffic.Generate(NodeTrafficConfig(cfg, n))
 }
 
-// nodeContext is node n's protocol evaluation context.
-func nodeContext(cfg Config, n Node) protocol.Context {
+// nodeContext is node n's protocol evaluation context, memoized in the
+// campaign's cache scope.
+func nodeContext(cfg Config, n Node, cache *protocol.CacheScope) protocol.Context {
 	return protocol.Context{
 		Machine:      n.Machine,
 		RunFor:       cfg.RunFor,
 		StableWindow: cfg.StableWindow,
 		Seed:         seedFor(cfg.Seed, "ctx", n.ID),
+		Cache:        cache,
 	}
 }
 
@@ -302,12 +304,13 @@ type NodeDigest struct {
 // streaming pipeline — and reduces the result immediately. cctx is the
 // cancellation seam: a cancelled context aborts the node's in-flight
 // simulator at the next tick (see protocol.EvaluateTrafficStreamingCtx).
-func EvaluateNode(cctx context.Context, cfg Config, n Node) (NodeDigest, error) {
+// cache is the campaign's memoization scope; nil means no memoization.
+func EvaluateNode(cctx context.Context, cfg Config, n Node, cache *protocol.CacheScope) (NodeDigest, error) {
 	scenarios, err := NodeScenarios(cfg, n)
 	if err != nil {
 		return NodeDigest{}, fmt.Errorf("fleet: %s: %w", n.ID, err)
 	}
-	byModel, err := protocol.EvaluateTrafficStreamingCtx(cctx, nodeContext(cfg, n), scenarios, nodeFactories(scenarios), cfg.Window)
+	byModel, err := protocol.EvaluateTrafficStreamingCtx(cctx, nodeContext(cfg, n, cache), scenarios, nodeFactories(scenarios), cfg.Window)
 	if err != nil {
 		return NodeDigest{}, fmt.Errorf("fleet: %s: %w", n.ID, err)
 	}
@@ -371,8 +374,9 @@ type Result struct {
 // from one GOMAXPROCS pool), and the per-node reductions are folded into
 // fleet aggregates strictly in node index order — zero-padded IDs make
 // that sorted-node order — so float accumulation never depends on
-// scheduling or map iteration.
-func Campaign(cfg Config) (Result, error) {
+// scheduling or map iteration. cache is the campaign's memoization scope,
+// shared by every node; nil means no memoization.
+func Campaign(cfg Config, cache *protocol.CacheScope) (Result, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -394,7 +398,7 @@ func Campaign(cfg Config) (Result, error) {
 			hi = len(nodes)
 		}
 		for i := lo; i < hi; i++ {
-			out, err := EvaluateNode(context.Background(), cfg, nodes[i])
+			out, err := EvaluateNode(context.Background(), cfg, nodes[i], cache)
 			if err != nil {
 				return err
 			}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"powerdiv/internal/protocol"
 	"powerdiv/internal/traffic"
 )
 
@@ -28,14 +29,17 @@ func testFleet(nodes int, seed int64) Config {
 // reproducibility over a 200-node heterogeneous fleet: two runs of the
 // same config must agree on every aggregate float to the last bit, which
 // fails if any cross-node reduction runs in scheduling or map order
-// instead of sorted-node order.
+// instead of sorted-node order. The first run has no cache scope and the
+// second a fresh one, so the cache is proven invisible to the aggregates
+// too.
 func TestCampaignDeterministic(t *testing.T) {
+	t.Parallel()
 	cfg := testFleet(200, 42)
-	a, err := Campaign(cfg)
+	a, err := Campaign(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Campaign(cfg)
+	b, err := Campaign(cfg, protocol.NewCacheScope(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,6 +78,7 @@ func TestCampaignDeterministic(t *testing.T) {
 // fleet never changes existing nodes' specs or scenario shards — each
 // derives from (seed, node ID) alone.
 func TestShardingStableUnderGrowth(t *testing.T) {
+	t.Parallel()
 	for _, seed := range []int64{1, 7, 99} {
 		small := testFleet(40, seed).WithDefaults()
 		large := testFleet(55, seed).WithDefaults()
@@ -101,6 +106,7 @@ func TestShardingStableUnderGrowth(t *testing.T) {
 // several spec classes, distinct capacities, per-node clock skew and
 // independent noise seeds.
 func TestFleetHeterogeneity(t *testing.T) {
+	t.Parallel()
 	cfg := testFleet(200, 3).WithDefaults()
 	nodes := Nodes(cfg)
 	classes := map[string]int{}
@@ -137,7 +143,8 @@ func TestFleetHeterogeneity(t *testing.T) {
 // table: present alongside the six intrusive families, finite, and no
 // more accurate than the oracle's ground-truth division.
 func TestWattScopeFleetSanity(t *testing.T) {
-	res, err := Campaign(testFleet(30, 11))
+	t.Parallel()
+	res, err := Campaign(testFleet(30, 11), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,13 +176,14 @@ func TestWattScopeFleetSanity(t *testing.T) {
 
 // TestConfigValidate covers the fleet config's guard rails.
 func TestConfigValidate(t *testing.T) {
-	if _, err := Campaign(Config{Nodes: maxNodes + 1}); err == nil {
+	t.Parallel()
+	if _, err := Campaign(Config{Nodes: maxNodes + 1}, nil); err == nil {
 		t.Error("accepted a fleet larger than the ID space")
 	}
-	if _, err := Campaign(Config{Nodes: 1, RunFor: time.Second, StableWindow: 2 * time.Second}); err == nil {
+	if _, err := Campaign(Config{Nodes: 1, RunFor: time.Second, StableWindow: 2 * time.Second}, nil); err == nil {
 		t.Error("accepted a stable window longer than the run")
 	}
-	if _, err := Campaign(Config{Nodes: 1, FreqSkewFrac: 1.5}); err == nil {
+	if _, err := Campaign(Config{Nodes: 1, FreqSkewFrac: 1.5}, nil); err == nil {
 		t.Error("accepted a frequency skew of 150%")
 	}
 	cfg := Config{}.WithDefaults()
@@ -187,6 +195,7 @@ func TestConfigValidate(t *testing.T) {
 // TestNoBaseloadPassthrough checks the fleet honours the traffic
 // package's explicit zero-baseload sentinel.
 func TestNoBaseloadPassthrough(t *testing.T) {
+	t.Parallel()
 	cfg := testFleet(3, 5)
 	cfg.Baseload = traffic.NoBaseload
 	cfg = cfg.WithDefaults()

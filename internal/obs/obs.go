@@ -185,7 +185,7 @@ func (r *Registry) Get(name string) Metric {
 }
 
 // Reset zeroes every registered metric. It is a test hook: assertions that
-// compare counters against an independent source (MemoizationStats, a
+// compare counters against an independent source (a cache scope's Stats, a
 // meter's Health) reset first so earlier tests in the same binary don't
 // leak into the comparison.
 func (r *Registry) Reset() {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -18,7 +19,23 @@ func withEnabled(t *testing.T, fn func()) {
 	fn()
 }
 
+// scratchMetrics removes the named test metrics from the Default registry
+// when t ends: registration panics on a duplicate name, and without the
+// removal a second run of the same test (-count=2) would re-register them.
+func scratchMetrics(t *testing.T, names ...string) {
+	t.Cleanup(func() {
+		r := Default()
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		for _, n := range names {
+			delete(r.metrics, n)
+			r.names = slices.DeleteFunc(r.names, func(m string) bool { return m == n })
+		}
+	})
+}
+
 func TestCounterDisabledIsNoOp(t *testing.T) {
+	scratchMetrics(t, "test_disabled_total")
 	c := NewCounter("test_disabled_total", "disabled counter")
 	Enable(false)
 	c.Inc()
@@ -36,6 +53,7 @@ func TestCounterDisabledIsNoOp(t *testing.T) {
 }
 
 func TestGaugeSetAdd(t *testing.T) {
+	scratchMetrics(t, "test_gauge")
 	g := NewGauge("test_gauge", "gauge")
 	withEnabled(t, func() {
 		g.Set(2.5)
@@ -48,6 +66,7 @@ func TestGaugeSetAdd(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
+	scratchMetrics(t, "test_hist_seconds")
 	h := NewHistogram("test_hist_seconds", "latencies", 0.1, 1, 10)
 	withEnabled(t, func() {
 		for _, v := range []float64{0.05, 0.1, 0.5, 2, 100} {
@@ -75,6 +94,7 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 func TestDuplicateRegistrationPanics(t *testing.T) {
+	scratchMetrics(t, "test_dup_total")
 	NewCounter("test_dup_total", "first")
 	defer func() {
 		if recover() == nil {
@@ -85,6 +105,7 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 }
 
 func TestResetZeroesEverything(t *testing.T) {
+	scratchMetrics(t, "test_reset_total", "test_reset_gauge", "test_reset_seconds")
 	c := NewCounter("test_reset_total", "c")
 	g := NewGauge("test_reset_gauge", "g")
 	h := NewHistogram("test_reset_seconds", "h", 1)
@@ -106,6 +127,7 @@ func TestResetZeroesEverything(t *testing.T) {
 // metric kind from many goroutines while snapshotting, then check the
 // totals once the writers quiesce.
 func TestConcurrentWritersAndSnapshots(t *testing.T) {
+	scratchMetrics(t, "test_conc_total", "test_conc_gauge", "test_conc_seconds")
 	c := NewCounter("test_conc_total", "c")
 	g := NewGauge("test_conc_gauge", "g")
 	h := NewHistogram("test_conc_seconds", "h", 0.5, 1)
@@ -152,6 +174,7 @@ func TestConcurrentWritersAndSnapshots(t *testing.T) {
 }
 
 func TestPrometheusExposition(t *testing.T) {
+	scratchMetrics(t, "test_expo_total", "test_expo_seconds")
 	c := NewCounter("test_expo_total", "an exposed counter")
 	h := NewHistogram("test_expo_seconds", "an exposed histogram", 1)
 	withEnabled(t, func() {
@@ -181,6 +204,7 @@ func TestPrometheusExposition(t *testing.T) {
 }
 
 func TestJSONAndHandler(t *testing.T) {
+	scratchMetrics(t, "test_http_total")
 	c := NewCounter("test_http_total", "served counter")
 	withEnabled(t, func() { c.Add(9) })
 
@@ -216,6 +240,7 @@ func TestJSONAndHandler(t *testing.T) {
 }
 
 func TestSummarySkipsZeroMetrics(t *testing.T) {
+	scratchMetrics(t, "test_summary_zero_total", "test_summary_live_total")
 	NewCounter("test_summary_zero_total", "never incremented")
 	c := NewCounter("test_summary_live_total", "incremented")
 	withEnabled(t, func() { c.Inc() })

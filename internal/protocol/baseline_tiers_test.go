@@ -33,11 +33,12 @@ func tierCampaigns(t *testing.T, ctx protocol.Context) map[string][]protocol.App
 }
 
 // TestBaselineTiersAgree reaches every baseline four ways — a memory hit,
-// a disk hit in a fresh scope, the process cache with memoization off, and
-// the test-local full-run reference — and requires Float64bits equality. The
+// a disk hit in a fresh scope, no cache scope at all, and the test-local
+// full-run reference — and requires Float64bits equality. The
 // fresh scope over the primed directory must be served entirely by disk:
 // one disk hit per app and no write.
 func TestBaselineTiersAgree(t *testing.T) {
+	t.Parallel()
 	for _, spec := range cpumodel.Specs() {
 		ctx := experiments.LabContext(spec, 1)
 		for name, apps := range tierCampaigns(t, ctx) {
@@ -81,9 +82,8 @@ func TestBaselineTiersAgree(t *testing.T) {
 						len(apps), st.DiskHits, st.DiskWrites)
 				}
 
-				protocol.EnableMemoization(false)
-				defer protocol.EnableMemoization(true)
-				unmemo := measure(ctx)
+				c.Cache = nil
+				unmemo := measure(c)
 
 				for i, app := range apps {
 					full, err := protocol.FullRunBaseline(ctx, app)
@@ -91,7 +91,7 @@ func TestBaselineTiersAgree(t *testing.T) {
 						t.Fatal(err)
 					}
 					for way, got := range map[string]division.Baseline{
-						"memory hit": memHit[i], "disk hit": diskHit[i], "memoization off": unmemo[i],
+						"memory hit": memHit[i], "disk hit": diskHit[i], "no scope": unmemo[i],
 					} {
 						if !sameBaselineBits(got, full) {
 							t.Errorf("%s: %s %+v, full run %+v", app.ID, way, got, full)
@@ -107,6 +107,7 @@ func TestBaselineTiersAgree(t *testing.T) {
 // record key the campaigns build, in both contexts on both machines: a key
 // that outgrows it moves the buffer to the heap on every phase 1 lookup.
 func TestRecordKeyFitsBuffer(t *testing.T) {
+	t.Parallel()
 	longest := 0
 	for _, spec := range cpumodel.Specs() {
 		for _, ctx := range []protocol.Context{experiments.LabContext(spec, 1), experiments.ProdContext(spec, 1)} {

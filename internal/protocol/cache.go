@@ -17,7 +17,7 @@ import (
 // and every benchmark iteration repeats the same solo runs. Simulation is
 // deterministic — a run is fully determined by the machine config
 // (calibration included), the process list and the duration — so those
-// repeats are pure waste. The run cache memoizes each solo run's baseline
+// repeats are pure waste. A CacheScope memoizes each solo run's baseline
 // record behind a key derived from exactly those inputs (plus the stable
 // window) and is shared safely across the parallel.go worker pool. Whole
 // runs are never cached: every phase 2–3 consumer streams its scenario.
@@ -39,12 +39,16 @@ type baselineEntry struct {
 	evicted bool
 }
 
-// runCache is a bounded memoization table in two byte-capped FIFO tiers:
+// CacheScope is a bounded memoization table in two byte-capped FIFO tiers —
 // phase 1 baseline records (the three floats phases 2–3 use per solo run)
-// and evaluation digests (cache_eval.go).
-type runCache struct {
-	mu      sync.Mutex
-	enabled bool
+// and evaluation digests (cache_eval.go) — and the unit of cache isolation.
+// A campaign selects one through Context.Cache; nil means no memoization.
+// A scope shares nothing with any other: its records are charged against
+// its own budget, evicted within it, and released wholesale by Drop, so
+// one tenant's sweep can never evict another tenant's baselines (or grow
+// the process past its admission-time budget).
+type CacheScope struct {
+	mu sync.Mutex
 
 	byteLimit int64
 	bytes     int64
@@ -71,13 +75,13 @@ type runCache struct {
 // sweeps degrade to recomputation instead of memory growth.
 const DefaultMemoBytes int64 = 64 << 20
 
-var memo = newRunCache(DefaultMemoBytes)
-
-// newRunCache builds an enabled two-tier cache whose baseline tier is
-// capped at byteLimit.
-func newRunCache(byteLimit int64) *runCache {
-	return &runCache{
-		enabled:       true,
+// NewCacheScope returns an empty cache scope whose baseline tier is capped
+// at byteLimit bytes (non-positive means DefaultMemoBytes).
+func NewCacheScope(byteLimit int64) *CacheScope {
+	if byteLimit <= 0 {
+		byteLimit = DefaultMemoBytes
+	}
+	return &CacheScope{
 		byteLimit:     byteLimit,
 		baselines:     map[string]*baselineEntry{},
 		evalByteLimit: DefaultEvalMemoBytes,
@@ -85,35 +89,20 @@ func newRunCache(byteLimit int64) *runCache {
 	}
 }
 
-// CacheScope is an isolated memoization tier with its own byte budget — the
-// unit of cache isolation the campaign service hands each job. A scope has
-// the same tier structure and singleflight semantics as the process cache
-// but shares nothing with it: a job's baseline records are charged against
-// the job's budget, evicted within the job, and released wholesale when
-// the scope is dropped, so one tenant's sweep can never evict another
-// tenant's baselines (or grow the process past its admission-time budget).
-// Campaigns select a scope through Context.Cache; a nil scope means the
-// process-wide cache, which keeps every existing caller's behaviour.
-type CacheScope struct {
-	c *runCache
-}
+var defaultScope = NewCacheScope(DefaultMemoBytes)
 
-// NewCacheScope returns an isolated cache tier capped at byteLimit bytes of
-// baseline records and evaluation digests (non-positive means
-// DefaultMemoBytes).
-func NewCacheScope(byteLimit int64) *CacheScope {
-	if byteLimit <= 0 {
-		byteLimit = DefaultMemoBytes
-	}
-	return &CacheScope{c: newRunCache(byteLimit)}
-}
+// DefaultScope returns the scope DefaultContext hands every campaign, so
+// the experiments, the CLIs and the powerdiv facade share their phase 1
+// baselines as one campaign would. It is process-wide only because the
+// deprecated ResetMemoization and MemoizationStats reach it without a
+// context; code that owns its campaign opens its own NewCacheScope.
+func DefaultScope() *CacheScope { return defaultScope }
 
-// Stats reports the scope's activity since creation, with the same
-// invariants as the process-wide MemoizationStats.
-func (s *CacheScope) Stats() MemoStats {
-	s.c.mu.Lock()
-	defer s.c.mu.Unlock()
-	return s.c.statsLocked()
+// Stats reports the scope's activity since creation or the last Drop.
+func (c *CacheScope) Stats() MemoStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.statsLocked()
 }
 
 // AttachDisk gives the scope a persistent baseline tier: memory misses are
@@ -121,63 +110,20 @@ func (s *CacheScope) Stats() MemoStats {
 // back, so a scope opened per job still starts phase 1 warm.
 // Several scopes may share one DiskCache — its writes are atomic and its
 // counters are lock-protected. A nil disk detaches.
-func (s *CacheScope) AttachDisk(d *DiskCache) {
-	s.c.mu.Lock()
-	defer s.c.mu.Unlock()
-	s.c.disk = d
+func (c *CacheScope) AttachDisk(d *DiskCache) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.disk = d
 }
 
-// Drop releases everything the scope holds. Waiters on in-flight entries
-// still receive their results; the tables are emptied so the memory is
-// reclaimable as soon as those callers return.
-func (s *CacheScope) Drop() {
-	s.c.mu.Lock()
-	defer s.c.mu.Unlock()
-	s.c.dropLocked()
-}
-
-// memo resolves the cache a campaign context uses: its scoped tier when one
-// is set, else the process-wide cache.
-func (ctx Context) memo() *runCache {
-	if ctx.Cache != nil {
-		return ctx.Cache.c
-	}
-	return memo
-}
-
-// AttachDiskCache attaches a persistent baseline cache to the process-wide
-// memoization tier (nil detaches). Campaign contexts using scoped caches
-// attach through CacheScope.AttachDisk instead.
-func AttachDiskCache(d *DiskCache) {
-	memo.mu.Lock()
-	defer memo.mu.Unlock()
-	memo.disk = d
-}
-
-// EnableMemoization turns memoization on or off globally. It is on by
-// default; turning it off also drops every cached record. Tests
-// use it to prove memoized and unmemoized campaigns agree byte for byte.
-func EnableMemoization(on bool) {
-	memo.mu.Lock()
-	defer memo.mu.Unlock()
-	memo.enabled = on
-	if !on {
-		memo.dropLocked()
-	}
-}
-
-// ResetMemoization drops every cached baseline and digest and zeroes the
-// statistics, leaving the enabled state and limits unchanged.
-func ResetMemoization() {
-	memo.mu.Lock()
-	defer memo.mu.Unlock()
-	memo.dropLocked()
-	memo.hits, memo.misses, memo.lookups, memo.evictions = 0, 0, 0, 0
-}
-
-// dropLocked empties every tier. Entries still computing are detached from
-// the table (their waiters still get results) and never charge the ledger.
-func (c *runCache) dropLocked() {
+// Drop releases everything the scope holds and zeroes its statistics.
+// Waiters on in-flight entries still receive their results; the tables are
+// emptied so the memory is reclaimable as soon as those callers return.
+// Entries still computing are detached from the table and never charge
+// the ledger.
+func (c *CacheScope) Drop() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for _, e := range c.baselines {
 		e.evicted = true
 	}
@@ -190,25 +136,25 @@ func (c *runCache) dropLocked() {
 	c.evals = map[evalSum]*evalEntry{}
 	c.evalOrder = nil
 	c.evalBytes = 0
+	c.hits, c.misses, c.lookups, c.evictions = 0, 0, 0, 0
 }
 
-// SetMemoizationByteLimit caps the baseline tier's estimated footprint
-// (FIFO eviction). Non-positive limits restore the default.
-func SetMemoizationByteLimit(n int64) {
-	memo.mu.Lock()
-	defer memo.mu.Unlock()
-	if n <= 0 {
-		n = DefaultMemoBytes
-	}
-	memo.byteLimit = n
-	memo.evictBaselinesLocked()
-}
+// ResetMemoization empties DefaultScope and zeroes its statistics.
+//
+// Deprecated: open a CacheScope per campaign and Drop it instead.
+func ResetMemoization() { DefaultScope().Drop() }
 
-// MemoStats reports the cache's activity since the last reset. Both tiers
-// share the hit/miss/lookup counters; all counters are maintained under
-// one lock, so any snapshot satisfies Hits + Misses == Lookups and
-// SummaryBytes <= SummaryByteLimit — invariants the concurrency stress
-// test asserts while workers hammer the cache.
+// MemoizationStats returns DefaultScope's statistics.
+//
+// Deprecated: read the campaign's own CacheScope.Stats instead.
+func MemoizationStats() MemoStats { return DefaultScope().Stats() }
+
+// MemoStats reports a scope's activity since creation or the last Drop.
+// Both tiers share the hit/miss/lookup counters; all counters are
+// maintained under one lock, so any snapshot satisfies
+// Hits + Misses == Lookups and SummaryBytes <= SummaryByteLimit —
+// invariants the concurrency stress test asserts while workers hammer the
+// scope.
 type MemoStats struct {
 	Hits    uint64
 	Misses  uint64
@@ -226,8 +172,7 @@ type MemoStats struct {
 	EvalEntries   int
 	EvalBytes     int64
 	EvalByteLimit int64
-	// Evictions counts entries dropped by any tier's bound since the
-	// last reset.
+	// Evictions counts entries dropped by any tier's bound.
 	Evictions uint64
 	// DiskHits/DiskMisses/DiskWrites count the persistent baseline cache's
 	// activity (zero when no disk cache is attached).
@@ -236,15 +181,8 @@ type MemoStats struct {
 	DiskWrites uint64
 }
 
-// MemoizationStats returns the current cache statistics.
-func MemoizationStats() MemoStats {
-	memo.mu.Lock()
-	defer memo.mu.Unlock()
-	return memo.statsLocked()
-}
-
-// statsLocked snapshots every tier's counters under the cache lock.
-func (c *runCache) statsLocked() MemoStats {
+// statsLocked snapshots every tier's counters under the scope lock.
+func (c *CacheScope) statsLocked() MemoStats {
 	st := MemoStats{
 		Hits:             c.hits,
 		Misses:           c.misses,
@@ -267,7 +205,7 @@ func (c *runCache) statsLocked() MemoStats {
 // computing entry has no size yet; marking it evicted makes its compute
 // skip the charge, so bytes only ever counts completed, table-resident
 // entries.
-func (c *runCache) evictBaselinesLocked() {
+func (c *CacheScope) evictBaselinesLocked() {
 	for c.bytes > c.byteLimit && len(c.baseOrder) > 0 {
 		key := c.baseOrder[0]
 		c.baseOrder = c.baseOrder[1:]
@@ -283,18 +221,16 @@ func (c *runCache) evictBaselinesLocked() {
 	}
 }
 
-// baselineCached is soloBaseline behind the receiver's byte-capped
-// baseline tier, with singleflight semantics (see baselineEntry). A record is keyed by the solo run's runKey plus the stable window it was
-// extracted over; the run's digest never outlives the compute. A memory
-// miss consults the persistent tier before simulating, and a fresh compute
-// is written back so the next scope or process starts warm. Disk records
-// carry the floats' bit patterns, so a disk hit is indistinguishable from
-// a memory hit downstream.
-func (c *runCache) baselineCached(cfg machine.Config, procs []machine.Proc, maxDur, stable time.Duration, id string) (division.Baseline, error) {
-	c.mu.Lock()
-	enabled := c.enabled
-	c.mu.Unlock()
-	if !enabled {
+// baselineCached is soloBaseline behind the scope's byte-capped baseline
+// tier, with singleflight semantics (see baselineEntry); a nil scope
+// computes directly. A record is keyed by the solo run's runKey plus the
+// stable window it was extracted over; the run's digest never outlives the
+// compute. A memory miss consults the persistent tier before simulating,
+// and a fresh compute is written back so the next scope or process starts
+// warm. Disk records carry the floats' bit patterns, so a disk hit is
+// indistinguishable from a memory hit downstream.
+func (c *CacheScope) baselineCached(cfg machine.Config, procs []machine.Proc, maxDur, stable time.Duration, id string) (division.Baseline, error) {
+	if c == nil {
 		return soloBaseline(cfg, procs, maxDur, stable, id)
 	}
 	kb := appendRunKey(make([]byte, 0, recordKeyBytes), cfg, procs, maxDur)

@@ -161,7 +161,7 @@ func (d *evalDigest) materialize(s Scenario, label string, fs []models.Factory, 
 
 // evictEvalsLocked enforces the digest tier's byte cap, oldest first, with
 // the same still-computing accounting as the baseline tier.
-func (c *runCache) evictEvalsLocked() {
+func (c *CacheScope) evictEvalsLocked() {
 	for c.evalBytes > c.evalByteLimit && len(c.evalOrder) > 0 {
 		key := c.evalOrder[0]
 		c.evalOrder = c.evalOrder[1:]
@@ -178,7 +178,7 @@ func (c *runCache) evictEvalsLocked() {
 }
 
 // removeEvalLocked detaches a failed entry so later lookups recompute.
-func (c *runCache) removeEvalLocked(key evalSum, e *evalEntry) {
+func (c *CacheScope) removeEvalLocked(key evalSum, e *evalEntry) {
 	if cur, ok := c.evals[key]; ok && cur == e {
 		delete(c.evals, key)
 		for i, k := range c.evalOrder {
@@ -194,15 +194,12 @@ func (c *runCache) removeEvalLocked(key evalSum, e *evalEntry) {
 // evaluateScenarioCached is evaluateScenarioStreaming behind the
 // evaluation-digest tier. Hits skip the simulation entirely and materialize
 // the stored digest; misses compute, store, and return the freshly computed
-// rows. The tier is bypassed — plain streaming evaluation — when
-// memoization is off or a factory has no fingerprint.
+// rows. The tier is bypassed — plain streaming evaluation — when the
+// context has no cache scope or a factory has no fingerprint.
 func evaluateScenarioCached(cctx context.Context, p *campaignPlan, s Scenario, truths []division.Shares) ([][]Evaluation, error) {
-	c := p.ctx.memo()
-	c.mu.Lock()
-	enabled := c.enabled
-	c.mu.Unlock()
+	c := p.ctx.Cache
 	run := p.pairRun(s)
-	if !enabled {
+	if c == nil {
 		return evaluateScenarioStreaming(cctx, p, s, &run, truths)
 	}
 	key, ok := p.evalKey(&run, truths)

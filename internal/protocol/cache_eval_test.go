@@ -54,19 +54,19 @@ func evalTestCampaign(t *testing.T, ctx Context, strip bool) map[string][]Evalua
 // digests — no pair simulation — and its error tables are bit-identical to
 // the cold pass.
 func TestEvalDigestWarmBitIdentical(t *testing.T) {
+	t.Parallel()
 	ctx := goldenContext(cpumodel.SmallIntel(), false)
-	ResetMemoization()
-	defer ResetMemoization()
+	ctx.Cache = NewCacheScope(0)
 
 	want := evalTestCampaign(t, ctx, false)
-	st := MemoizationStats()
+	st := ctx.Cache.Stats()
 	if st.EvalEntries == 0 || st.EvalBytes <= 0 {
 		t.Fatalf("cold campaign stored no digests: %+v", st)
 	}
 	coldHits := st.Hits
 
 	got := evalTestCampaign(t, ctx, false)
-	if warm := MemoizationStats(); warm.Hits <= coldHits {
+	if warm := ctx.Cache.Stats(); warm.Hits <= coldHits {
 		t.Fatalf("warm campaign hit nothing: cold %d hits, warm %d", coldHits, warm.Hits)
 	}
 	if len(got) != len(want) {
@@ -88,14 +88,14 @@ func TestEvalDigestWarmBitIdentical(t *testing.T) {
 // digest tier must stay empty for them — and the results must still match
 // the fingerprinted run bit for bit (the bypass changes caching, not math).
 func TestEvalDigestBypassWithoutFingerprint(t *testing.T) {
+	t.Parallel()
 	ctx := goldenContext(cpumodel.SmallIntel(), false)
-	ResetMemoization()
-	defer ResetMemoization()
+	ctx.Cache = NewCacheScope(0)
 	want := evalTestCampaign(t, ctx, false)
 
-	ResetMemoization()
+	ctx.Cache = NewCacheScope(0)
 	got := evalTestCampaign(t, ctx, true)
-	if st := MemoizationStats(); st.EvalEntries != 0 {
+	if st := ctx.Cache.Stats(); st.EvalEntries != 0 {
 		t.Fatalf("fingerprint-less campaign stored %d digests", st.EvalEntries)
 	}
 	for name, wantEvs := range want {
@@ -113,6 +113,7 @@ func TestEvalDigestBypassWithoutFingerprint(t *testing.T) {
 // process's workload or quota, one truth share or ID) must separate keys —
 // and any factory without a fingerprint disables the tier.
 func TestEvalKeySeparatesConfigurations(t *testing.T) {
+	t.Parallel()
 	ctx := goldenContext(cpumodel.SmallIntel(), false)
 	app, err := StressApp("fibonacci", 2)
 	if err != nil {
@@ -232,6 +233,7 @@ func TestEvalKeySeparatesConfigurations(t *testing.T) {
 // process that shares a memoized ID but not its definition is hashed
 // afresh instead of borrowing the memoized fragment.
 func TestEvalKeyFragmentMemo(t *testing.T) {
+	t.Parallel()
 	ctx := goldenContext(cpumodel.SmallIntel(), false)
 	a, err := StressApp("fibonacci", 2)
 	if err != nil {
@@ -315,9 +317,9 @@ func TestEvalKeyAllocs(t *testing.T) {
 // address the same evaluation-digest entry: after a campaign, evaluating
 // one of its scenarios alone hits and stores nothing new.
 func TestEvalKeyOneShotSharesCampaignEntry(t *testing.T) {
+	t.Parallel()
 	ctx := goldenContext(cpumodel.SmallIntel(), false)
-	ResetMemoization()
-	defer ResetMemoization()
+	ctx.Cache = NewCacheScope(0)
 	a, err := StressApp("fibonacci", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +343,7 @@ func TestEvalKeyOneShotSharesCampaignEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := MemoizationStats()
+	before := ctx.Cache.Stats()
 	if before.EvalEntries != len(scenarios) {
 		t.Fatalf("campaign stored %d digests, want %d", before.EvalEntries, len(scenarios))
 	}
@@ -354,7 +356,7 @@ func TestEvalKeyOneShotSharesCampaignEntry(t *testing.T) {
 			compareStreamingEvaluations(t, f.Name, byModel[f.Name][i], row[m])
 		}
 	}
-	after := MemoizationStats()
+	after := ctx.Cache.Stats()
 	if after.EvalEntries != before.EvalEntries || after.Hits-before.Hits != uint64(len(scenarios)) || after.Misses != before.Misses {
 		t.Fatalf("one-shot evaluations missed the campaign's digests: before %+v, after %+v", before, after)
 	}

@@ -10,10 +10,10 @@ import (
 	"powerdiv/internal/models"
 )
 
-// TestMemoizationStressUnderEvictions hammers both cache tiers from
-// concurrent campaign workers while the baseline tier's byte cap is squeezed
-// small enough to evict continuously, with a poller asserting the stats
-// invariants on every snapshot:
+// TestMemoizationStressUnderEvictions hammers both tiers of one cache scope
+// from concurrent campaign workers while its baseline tier's byte cap is
+// squeezed small enough to evict continuously, with a poller asserting the
+// stats invariants on every snapshot:
 //
 //	Hits + Misses == Lookups
 //	SummaryBytes  <= SummaryByteLimit
@@ -26,18 +26,13 @@ func TestMemoizationStressUnderEvictions(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 
-	EnableMemoization(true)
-	ResetMemoization()
 	// Roughly two baseline records (each charged its ~500-byte key, its ID
 	// and 32 bytes): every phase 1 insert evicts an older one, including
 	// entries still being computed by another worker.
-	SetMemoizationByteLimit(stressByteLimit)
-	defer func() {
-		SetMemoizationByteLimit(0)
-		ResetMemoization()
-	}()
+	scope := NewCacheScope(stressByteLimit)
 
 	ctx := labSmall()
+	ctx.Cache = scope
 	ctx.RunFor = 4 * time.Second
 	ctx.StableWindow = 2 * time.Second
 	scenarios, err := StressPairs([]string{"fibonacci", "matrixprod", "int64", "float64"}, []int{1, 2})
@@ -51,7 +46,7 @@ func TestMemoizationStressUnderEvictions(t *testing.T) {
 	go func() {
 		defer pollWG.Done()
 		for {
-			st := MemoizationStats()
+			st := scope.Stats()
 			if st.Hits+st.Misses != st.Lookups {
 				t.Errorf("stats torn: %d hits + %d misses != %d lookups", st.Hits, st.Misses, st.Lookups)
 				return
@@ -97,7 +92,7 @@ func TestMemoizationStressUnderEvictions(t *testing.T) {
 	close(done)
 	pollWG.Wait()
 
-	st := MemoizationStats()
+	st := scope.Stats()
 	if st.Lookups == 0 {
 		t.Error("stress run recorded no cache lookups")
 	}

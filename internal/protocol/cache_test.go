@@ -36,53 +36,62 @@ func smallCampaign(t *testing.T) (Context, []Scenario, func(map[string]division.
 	return ctx, scenarios, factories
 }
 
-// TestMemoizationIdenticalErrorTable proves the memoization cache is
-// invisible to results: the same campaign with the cache on and off yields
-// deeply equal evaluations for every model — same AEs, truth and estimated
-// shares, scatter points, scored tick counts. The memoized campaign runs
-// twice: the first fills the cache tiers, the second is served from the
-// evaluation-digest tier.
-func TestMemoizationIdenticalErrorTable(t *testing.T) {
-	ctx, scenarios, factories := smallCampaign(t)
-
-	EnableMemoization(false)
-	cold, err := EvaluateModelsStreaming(ctx, scenarios, factories, ObjectiveActive, 0)
+// memoOnOff proves the cache invisible to a campaign's results: it runs
+// campaign with no cache scope, then twice in one fresh scope (the first
+// pass fills the tiers, the second is served from them), and requires all
+// three results deeply equal. It returns the scope for statistics checks.
+func memoOnOff[T any](t *testing.T, campaign func(*CacheScope) (T, error)) *CacheScope {
+	t.Helper()
+	want, err := campaign(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	EnableMemoization(true)
-	defer EnableMemoization(true)
-	ResetMemoization()
-	var warm map[string][]Evaluation
+	scope := NewCacheScope(0)
 	for pass := 0; pass < 2; pass++ {
-		warm, err = EvaluateModelsStreaming(ctx, scenarios, factories, ObjectiveActive, 0)
+		got, err := campaign(scope)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(cold) != len(warm) {
-			t.Fatalf("pass %d: model sets differ: %d vs %d", pass, len(cold), len(warm))
-		}
-		for name, evs := range cold {
-			if !reflect.DeepEqual(evs, warm[name]) {
-				t.Errorf("pass %d: model %s: memoized evaluations differ from unmemoized", pass, name)
-			}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("pass %d: memoized results differ from unmemoized", pass)
 		}
 	}
+	return scope
+}
 
-	if st := MemoizationStats(); st.Hits == 0 {
+// TestMemoizationIdenticalErrorTable proves the pair campaign cache-blind:
+// every model's evaluations — AEs, truth and estimated shares, scatter
+// points, scored tick counts — agree with and without a cache scope, and
+// the memoized campaign's second pass is served from the scope.
+func TestMemoizationIdenticalErrorTable(t *testing.T) {
+	t.Parallel()
+	ctx, scenarios, factories := smallCampaign(t)
+	scope := memoOnOff(t, func(c *CacheScope) (map[string][]Evaluation, error) {
+		ctx.Cache = c
+		return EvaluateModelsStreaming(ctx, scenarios, factories, ObjectiveActive, 0)
+	})
+	if st := scope.Stats(); st.Hits == 0 {
 		t.Errorf("memoized campaign recorded no cache hits: %+v", st)
-	}
-	// Rendering the table from either result must give identical bytes.
-	sumCold := Summarize("kepler", cold["kepler"])
-	sumWarm := Summarize("kepler", warm["kepler"])
-	if sumCold.MeanAE != sumWarm.MeanAE || sumCold.MaxAE != sumWarm.MaxAE || sumCold.WorstScenario != sumWarm.WorstScenario {
-		t.Errorf("summaries differ: %+v vs %+v", sumCold, sumWarm)
 	}
 }
 
-// TestMemoizationIdenticalTimeline proves EvaluateTimeline is cache-blind
-// too: identical TimelineResult with memoization on and off.
+// TestMemoizationIdenticalTraffic proves the traffic campaign cache-blind.
+func TestMemoizationIdenticalTraffic(t *testing.T) {
+	t.Parallel()
+	ctx, scenarios, factories := trafficGoldenSetup(t)
+	scope := memoOnOff(t, func(c *CacheScope) (map[string][]TrafficEvaluation, error) {
+		ctx.Cache = c
+		return EvaluateTrafficStreaming(ctx, scenarios, factories, trafficTestWindow)
+	})
+	if st := scope.Stats(); st.Hits == 0 {
+		t.Errorf("memoized campaign recorded no cache hits: %+v", st)
+	}
+}
+
+// TestMemoizationIdenticalTimeline proves EvaluateTimeline cache-blind
+// too, phase 1 included.
 func TestMemoizationIdenticalTimeline(t *testing.T) {
+	t.Parallel()
 	ctx := labSmall()
 	ctx.RunFor = 6 * time.Second
 	ctx.StableWindow = 3 * time.Second
@@ -94,36 +103,20 @@ func TestMemoizationIdenticalTimeline(t *testing.T) {
 		{App: a0},
 		{App: a1, Start: 3 * time.Second, Stop: 8 * time.Second},
 	}
-	baselines, err := MeasureBaselines(ctx, []AppSpec{a0, a1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	EnableMemoization(false)
-	cold, err := EvaluateTimeline(ctx, apps, models.NewScaphandre(), baselines, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	EnableMemoization(true)
-	defer EnableMemoization(true)
-	ResetMemoization()
-	warm1, err := EvaluateTimeline(ctx, apps, models.NewScaphandre(), baselines, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A second memoized evaluation must agree as well.
-	warm2, err := EvaluateTimeline(ctx, apps, models.NewScaphandre(), baselines, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold != warm1 || warm1 != warm2 {
-		t.Errorf("timeline results differ: cold %+v, warm %+v, cached %+v", cold, warm1, warm2)
-	}
+	memoOnOff(t, func(c *CacheScope) (TimelineResult, error) {
+		ctx.Cache = c
+		baselines, err := MeasureBaselines(ctx, []AppSpec{a0, a1})
+		if err != nil {
+			return TimelineResult{}, err
+		}
+		return EvaluateTimeline(ctx, apps, models.NewScaphandre(), baselines, 10*time.Second)
+	})
 }
 
 // TestRunKeyDiscriminates checks the fingerprint separates every input the
 // simulation depends on, and normalises process order away.
 func TestRunKeyDiscriminates(t *testing.T) {
+	t.Parallel()
 	base := machine.Config{Spec: cpumodel.SmallIntel(), NoiseStddev: 0.25, Seed: 1}
 	app := mustStressApp(t, "fibonacci", 2)
 	procs := []machine.Proc{app.proc()}
@@ -199,9 +192,8 @@ func TestRunKeyDiscriminates(t *testing.T) {
 // goroutines: all callers must receive the same baseline and the solo run
 // must have been simulated exactly once (one miss, the rest hits).
 func TestMemoizationSingleflight(t *testing.T) {
-	EnableMemoization(true)
-	ResetMemoization()
-	defer EnableMemoization(true)
+	t.Parallel()
+	scope := NewCacheScope(0)
 	cfg := machine.Config{Spec: cpumodel.SmallIntel(), Seed: 7}
 	app := mustStressApp(t, "int64", 1)
 
@@ -212,7 +204,7 @@ func TestMemoizationSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			b, err := memo.baselineCached(cfg, []machine.Proc{app.proc()}, 3*time.Second, time.Second, app.ID)
+			b, err := scope.baselineCached(cfg, []machine.Proc{app.proc()}, 3*time.Second, time.Second, app.ID)
 			if err != nil {
 				t.Error(err)
 				return
@@ -226,7 +218,7 @@ func TestMemoizationSingleflight(t *testing.T) {
 			t.Fatalf("caller %d received %+v, caller 0 %+v", i, got[i], got[0])
 		}
 	}
-	st := MemoizationStats()
+	st := scope.Stats()
 	if st.Misses != 1 || st.Hits != n-1 {
 		t.Errorf("stats = %+v, want 1 miss and %d hits", st, n-1)
 	}
@@ -235,20 +227,15 @@ func TestMemoizationSingleflight(t *testing.T) {
 // TestMemoizationLimit checks the baseline tier's byte cap keeps the table
 // bounded under FIFO eviction and that evicted keys recompute correctly.
 func TestMemoizationLimit(t *testing.T) {
-	EnableMemoization(true)
-	ResetMemoization()
+	t.Parallel()
 	// Two records of int64-1's ~500-byte key fit; a third evicts the oldest.
 	const limit = 1200
-	SetMemoizationByteLimit(limit)
-	defer func() {
-		SetMemoizationByteLimit(0) // restore the default
-		ResetMemoization()
-	}()
+	scope := NewCacheScope(limit)
 	app := mustStressApp(t, "int64", 1)
 	measure := func(seed int64) division.Baseline {
 		t.Helper()
 		cfg := machine.Config{Spec: cpumodel.SmallIntel(), Seed: seed}
-		b, err := memo.baselineCached(cfg, []machine.Proc{app.proc()}, time.Second, 500*time.Millisecond, app.ID)
+		b, err := scope.baselineCached(cfg, []machine.Proc{app.proc()}, time.Second, 500*time.Millisecond, app.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,14 +244,14 @@ func TestMemoizationLimit(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		measure(seed)
 	}
-	st := MemoizationStats()
+	st := scope.Stats()
 	if st.SummaryEntries != 2 || st.SummaryBytes > limit || st.Evictions != 2 {
 		t.Errorf("after 4 records under a %d-byte cap: %+v, want 2 entries and 2 evictions", limit, st)
 	}
 	// Seed 1 was evicted; asking again recomputes (a miss) and still
 	// agrees with a direct, uncached extraction.
 	got := measure(1)
-	if st2 := MemoizationStats(); st2.Misses != st.Misses+1 {
+	if st2 := scope.Stats(); st2.Misses != st.Misses+1 {
 		t.Errorf("evicted key served from the cache: %+v", st2)
 	}
 	cfg := machine.Config{Spec: cpumodel.SmallIntel(), Seed: 1}

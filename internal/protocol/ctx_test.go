@@ -82,6 +82,7 @@ func TestTrafficCtxCancelMidRun(t *testing.T) {
 // context through the campaign changes nothing: both Ctx entry points yield
 // tables bit-identical to their context-free twins.
 func TestStreamingCtxUncancelledBitIdentical(t *testing.T) {
+	t.Parallel()
 	ctx := goldenContext(cpumodel.SmallIntel(), false)
 	a0 := mustStressApp(t, "fibonacci", 1)
 	a1 := mustStressApp(t, "matrixprod", 2)
@@ -125,6 +126,7 @@ func TestStreamingCtxUncancelledBitIdentical(t *testing.T) {
 // for bit, in any order. This is what lets a resumed job skip completed
 // scenarios without re-running them.
 func TestScenarioStreamingMatchesCampaign(t *testing.T) {
+	t.Parallel()
 	ctx, scenarios, factories := trafficGoldenSetup(t)
 	baselines, err := MeasureBaselinesParallel(ctx, AppsOf(scenarios))
 	if err != nil {
@@ -171,40 +173,28 @@ func waitWorkerBudgetDrain(t *testing.T) {
 
 // TestCacheScopeIsolation pins the service's cache-tenancy contract: a
 // campaign run under a CacheScope records all its memoization activity in
-// the scope and none in the process-wide cache, and the scope's byte budget
-// actually evicts.
+// that scope and none in another, and the scope's byte budget is its own.
 func TestCacheScopeIsolation(t *testing.T) {
-	EnableMemoization(true)
-	ResetMemoization()
-	defer func() {
-		EnableMemoization(true)
-		ResetMemoization()
-	}()
-
+	t.Parallel()
 	ctx, scenarios, factories := trafficGoldenSetup(t)
-	ctx.Cache = NewCacheScope(1 << 20)
-	globalBefore := MemoizationStats()
-
-	want, err := EvaluateTrafficStreaming(Context{
-		Machine: ctx.Machine, RunFor: ctx.RunFor,
-		StableWindow: ctx.StableWindow, Seed: ctx.Seed,
-	}, scenarios, factories, trafficTestWindow)
+	other := NewCacheScope(0)
+	ctx.Cache = other
+	want, err := EvaluateTrafficStreaming(ctx, scenarios, factories, trafficTestWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	globalMid := MemoizationStats()
-	if globalMid.Lookups == globalBefore.Lookups {
-		t.Fatal("unscoped campaign did not touch the process cache; test is vacuous")
+	otherBefore := other.Stats()
+	if otherBefore.Lookups == 0 {
+		t.Fatal("first campaign did not touch its scope; test is vacuous")
 	}
 
+	ctx.Cache = NewCacheScope(1 << 20)
 	got, err := EvaluateTrafficStreaming(ctx, scenarios, factories, trafficTestWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	globalAfter := MemoizationStats()
-	if globalAfter.Lookups != globalMid.Lookups {
-		t.Errorf("scoped campaign leaked %d lookups into the process cache",
-			globalAfter.Lookups-globalMid.Lookups)
+	if otherAfter := other.Stats(); otherAfter != otherBefore {
+		t.Errorf("scoped campaign leaked into another scope: %+v, then %+v", otherBefore, otherAfter)
 	}
 	st := ctx.Cache.Stats()
 	if st.Lookups == 0 || st.Misses == 0 {
@@ -237,6 +227,7 @@ func TestCacheScopeIsolation(t *testing.T) {
 // one campaign's digests and checks the ledger stays within it while the
 // campaign still completes correctly.
 func TestCacheScopeTinyBudgetEvicts(t *testing.T) {
+	t.Parallel()
 	ctx, scenarios, factories := trafficGoldenSetup(t)
 	scope := NewCacheScope(1) // one byte: every summary evicts on insert
 	ctx.Cache = scope
@@ -257,6 +248,7 @@ func TestCacheScopeTinyBudgetEvicts(t *testing.T) {
 // changes what phase 2 simulates — seed, scenario set, order, duration,
 // scoring window, and campaign kind.
 func TestCampaignFingerprint(t *testing.T) {
+	t.Parallel()
 	ctx, scenarios, _ := trafficGoldenSetup(t)
 	base := CampaignFingerprint(ctx, scenarios, TrafficCampaign, trafficTestWindow)
 	if len(base) != 16 {

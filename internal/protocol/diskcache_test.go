@@ -55,6 +55,7 @@ func sameBaseline(a, b division.Baseline) bool {
 // record loads back with every float bit-identical, so a warm-from-disk
 // campaign cannot diverge from a cold one.
 func TestDiskCacheRoundTrip(t *testing.T) {
+	t.Parallel()
 	d, err := OpenDiskCache(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -82,6 +83,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 // Every one must read as a miss — never as wrong data — and the damaged
 // file must be deleted so it is not re-parsed forever.
 func TestDiskCacheRejectsDamage(t *testing.T) {
+	t.Parallel()
 	f := diskTestRun(t)
 	raw := f.raw()
 	flip := func(at int) func([]byte) []byte {
@@ -136,6 +138,7 @@ func TestDiskCacheRejectsDamage(t *testing.T) {
 // recomputed checksum, so only the version differs) and requires a miss:
 // a format bump must invalidate old files rather than misread them.
 func TestDiskCacheVersionMismatch(t *testing.T) {
+	t.Parallel()
 	d, err := OpenDiskCache(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -160,6 +163,7 @@ func TestDiskCacheVersionMismatch(t *testing.T) {
 // (what a hash collision or a renamed file would look like) and requires
 // the key echo to reject it.
 func TestDiskCacheKeyMismatch(t *testing.T) {
+	t.Parallel()
 	d, err := OpenDiskCache(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -178,6 +182,7 @@ func TestDiskCacheKeyMismatch(t *testing.T) {
 // TestDiskCacheEviction stores entries past a tiny byte cap and requires
 // the oldest-modified files to be removed first while the newest survives.
 func TestDiskCacheEviction(t *testing.T) {
+	t.Parallel()
 	f := diskTestRun(t)
 	// The |x suffixes add two bytes to each key's echo.
 	one := int64(len(f.raw())) + 2
@@ -231,10 +236,11 @@ func appendChecksum(body []byte) []byte {
 }
 
 // TestDiskCacheWarmBitIdentical is the end-to-end guarantee: a campaign
-// whose phase-1 summaries come from disk (memory tiers dropped, disk tier
-// primed by a prior campaign) produces error tables bit-identical to a
+// whose phase-1 summaries come from disk (a fresh cache scope over a disk
+// tier primed by a prior campaign) produces error tables bit-identical to a
 // fully cold one, and actually reads the disk while doing so.
 func TestDiskCacheWarmBitIdentical(t *testing.T) {
+	t.Parallel()
 	ctx := goldenContext(cpumodel.SmallIntel(), false)
 	a0, err := StressApp("fibonacci", 1)
 	if err != nil {
@@ -256,29 +262,29 @@ func TestDiskCacheWarmBitIdentical(t *testing.T) {
 	factories := func(baselines map[string]division.Baseline) []models.Factory {
 		return goldenFactories(baselines, spec)
 	}
-	run := func() map[string][]Evaluation {
+	run := func(d *DiskCache) map[string][]Evaluation {
 		t.Helper()
-		ResetMemoization()
-		got, err := EvaluateModelsStreaming(ctx, scenarios, factories, ObjectiveActive, 0)
+		c := ctx
+		c.Cache = NewCacheScope(0)
+		c.Cache.AttachDisk(d)
+		got, err := EvaluateModelsStreaming(c, scenarios, factories, ObjectiveActive, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return got
 	}
 
-	want := run() // fully cold: no disk tier attached
+	want := run(nil) // fully cold: no disk tier attached
 
 	d, err := OpenDiskCache(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	AttachDiskCache(d)
-	defer AttachDiskCache(nil)
-	run() // primes the disk tier
+	run(d) // primes the disk tier
 	if _, _, w := d.Stats(); w == 0 {
 		t.Fatal("priming campaign wrote nothing to disk")
 	}
-	got := run() // memory tiers dropped again: phase 1 loads from disk
+	got := run(d) // a fresh scope again: phase 1 loads from disk
 	if h, _, _ := d.Stats(); h == 0 {
 		t.Fatal("warm campaign never hit the disk tier")
 	}
@@ -301,6 +307,7 @@ func TestDiskCacheWarmBitIdentical(t *testing.T) {
 // a miss through phase 1, recompute a Float64bits-identical baseline, and
 // be overwritten by a valid record that the next fresh scope hits.
 func TestDiskCacheRecomputes(t *testing.T) {
+	t.Parallel()
 	f := diskTestRun(t)
 	ctx := goldenContext(cpumodel.SmallIntel(), false)
 	app, err := StressApp("fibonacci", 2)
@@ -364,6 +371,7 @@ func TestDiskCacheRecomputes(t *testing.T) {
 // write: phase 1 still returns the right baseline, nothing panics, and no
 // write is counted.
 func TestDiskCacheStoreDegrades(t *testing.T) {
+	t.Parallel()
 	f := diskTestRun(t)
 	ctx := goldenContext(cpumodel.SmallIntel(), false)
 	app, err := StressApp("fibonacci", 2)

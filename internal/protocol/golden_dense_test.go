@@ -122,6 +122,7 @@ func goldenFactories(baselines map[string]division.Baseline, spec cpumodel.Spec)
 // same derived seed. Each model is evaluated on its own, so a model that
 // produces no estimates must fail on both sides without masking the rest.
 func TestDenseScoringMatchesMapReference(t *testing.T) {
+	t.Parallel()
 	specs := []struct {
 		spec cpumodel.Spec
 		ht   bool

@@ -35,6 +35,7 @@ func scriptedApp(id string, intensity float64) AppSpec {
 // hour or math.MaxInt64. Buffers reserved by the horizon's tick count
 // cannot be allocated at math.MaxInt64.
 func TestStreamingHorizonMaxInt64(t *testing.T) {
+	t.Parallel()
 	ctx := goldenContext(cpumodel.SmallIntel(), false)
 	ctx.StableWindow = time.Second
 	ctx.RunFor = time.Hour

@@ -52,6 +52,7 @@ func keyPinCampaign(t *testing.T) (Context, []Scenario) {
 // TestRunKeyEncodingPinned pins the campaign fingerprints of both campaign
 // kinds and the disk cache's file names for the campaign's phase 1.
 func TestRunKeyEncodingPinned(t *testing.T) {
+	t.Parallel()
 	ctx, scenarios := keyPinCampaign(t)
 	if got := CampaignFingerprint(ctx, scenarios, PairCampaign, ctx.RunFor); got != pinPairFingerprint {
 		t.Errorf("pair fingerprint %s, pinned %s", got, pinPairFingerprint)

@@ -15,9 +15,9 @@ var (
 	obsScenariosCompleted = obs.NewCounter("powerdiv_protocol_scenarios_completed_total",
 		"Scenario evaluations finished without error.")
 	obsCacheHits = obs.NewCounter("powerdiv_protocol_cache_hits_total",
-		"Run-memoization cache hits (matches MemoizationStats.Hits).")
+		"Run-memoization cache hits, summed over every scope.")
 	obsCacheMisses = obs.NewCounter("powerdiv_protocol_cache_misses_total",
-		"Run-memoization cache misses (matches MemoizationStats.Misses).")
+		"Run-memoization cache misses, summed over every scope.")
 	obsCacheEvictions = obs.NewCounter("powerdiv_protocol_cache_evictions_total",
 		"Runs evicted from the memoization cache (FIFO limit).")
 	obsDiskHits = obs.NewCounter("powerdiv_protocol_disk_cache_hits_total",

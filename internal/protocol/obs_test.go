@@ -12,8 +12,8 @@ import (
 // TestObsCountersMatchMemoStats runs a memoized multi-model campaign twice
 // (cold, then served from the evaluation-digest tier) with the metrics
 // registry enabled and asserts the exported cache counters agree exactly
-// with MemoizationStats — both are incremented at the same sites in every
-// cache tier, and this test pins them there. It also checks the scenario
+// with its cache scope's statistics — both are incremented at the same
+// sites in every cache tier, and this test pins them there. It also checks the scenario
 // lifecycle metrics: every started scenario completes, each completion lands
 // one latency observation, and the worker-occupancy gauge reads zero once
 // the pool drains.
@@ -24,11 +24,9 @@ func TestObsCountersMatchMemoStats(t *testing.T) {
 		obs.Enable(false)
 		obs.Default().Reset()
 	})
-	EnableMemoization(true)
-	t.Cleanup(func() { EnableMemoization(true) })
-	ResetMemoization()
-
+	scope := NewCacheScope(0)
 	ctx := labSmall()
+	ctx.Cache = scope
 	ctx.RunFor = 6 * time.Second
 	ctx.StableWindow = 2 * time.Second
 	scenarios, err := StressPairs([]string{"fibonacci", "matrixprod", "int64"}, []int{1, 2})
@@ -49,15 +47,15 @@ func TestObsCountersMatchMemoStats(t *testing.T) {
 		}
 	}
 
-	st := MemoizationStats()
+	st := scope.Stats()
 	if st.Hits == 0 || st.Misses == 0 {
 		t.Fatalf("campaign exercised no cache traffic: %+v", st)
 	}
 	if got := obsCacheHits.Value(); got != st.Hits {
-		t.Errorf("cache_hits_total = %d, MemoizationStats.Hits = %d", got, st.Hits)
+		t.Errorf("cache_hits_total = %d, scope hits = %d", got, st.Hits)
 	}
 	if got := obsCacheMisses.Value(); got != st.Misses {
-		t.Errorf("cache_misses_total = %d, MemoizationStats.Misses = %d", got, st.Misses)
+		t.Errorf("cache_misses_total = %d, scope misses = %d", got, st.Misses)
 	}
 	if got := obsCacheEvictions.Value(); got != 0 {
 		t.Errorf("cache_evictions_total = %d, want 0 (campaign fits the default limit)", got)
@@ -88,11 +86,9 @@ func TestObsCountersMatchMemoStats(t *testing.T) {
 func TestObsDisabledCampaignRecordsNothing(t *testing.T) {
 	obs.Enable(false)
 	obs.Default().Reset()
-	EnableMemoization(true)
-	t.Cleanup(func() { EnableMemoization(true) })
-	ResetMemoization()
-
+	scope := NewCacheScope(0)
 	ctx := labSmall()
+	ctx.Cache = scope
 	ctx.RunFor = 4 * time.Second
 	scenarios, err := StressPairs([]string{"fibonacci", "matrixprod"}, []int{1})
 	if err != nil {
@@ -101,7 +97,7 @@ func TestObsDisabledCampaignRecordsNothing(t *testing.T) {
 	if _, err := EvaluateCampaign(ctx, scenarios, models.NewScaphandre(), ObjectiveActive, 0); err != nil {
 		t.Fatal(err)
 	}
-	if st := MemoizationStats(); st.Misses == 0 {
+	if st := scope.Stats(); st.Misses == 0 {
 		t.Fatalf("campaign did not run: %+v", st)
 	}
 	for _, s := range obs.Default().Snapshots() {

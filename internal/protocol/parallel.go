@@ -27,7 +27,10 @@ func parallelism() int {
 // nodes × GOMAXPROCS goroutines. With the shared budget, inner calls see
 // the slots the outer level already holds and fall back to running
 // serially on their caller's goroutine — which is an outer worker and so
-// already accounted for.
+// already accounted for. Unlike the caches, which travel with each
+// campaign's Context, the budget stays process-wide because it maps onto
+// CPUs: every campaign in the process draws on the same GOMAXPROCS cores,
+// so per-campaign budgets would oversubscribe them.
 var activeWorkers atomic.Int64
 
 // acquireWorkers claims up to want slots from the shared budget and

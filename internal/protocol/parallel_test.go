@@ -12,6 +12,7 @@ import (
 )
 
 func TestForEachIndexed(t *testing.T) {
+	t.Parallel()
 	const n = 100
 	var sum int64
 	err := forEachIndexed(n, func(i int) error {
@@ -27,6 +28,7 @@ func TestForEachIndexed(t *testing.T) {
 }
 
 func TestForEachIndexedError(t *testing.T) {
+	t.Parallel()
 	sentinel := errors.New("boom")
 	err := forEachIndexed(50, func(i int) error {
 		if i == 7 {
@@ -111,7 +113,11 @@ func TestForEachNestedBudget(t *testing.T) {
 }
 
 func TestParallelCampaignMatchesSequential(t *testing.T) {
+	t.Parallel()
+	// No cache scope: the parallel campaign recomputes every scenario
+	// rather than replaying the sequential pass.
 	ctx := labSmall()
+	ctx.Cache = nil
 	scenarios, err := StressPairs([]string{"fibonacci", "float64", "matrixprod", "queens"}, []int{1, 3})
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +134,6 @@ func TestParallelCampaignMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ResetMemoization()
 	par, err := EvaluateCampaign(ctx, scenarios, models.NewScaphandre(), ObjectiveActive, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -147,6 +152,7 @@ func TestParallelCampaignMatchesSequential(t *testing.T) {
 }
 
 func TestParallelBaselinesMatchSequential(t *testing.T) {
+	t.Parallel()
 	ctx := labSmall()
 	apps := []AppSpec{
 		mustStressApp(t, "fibonacci", 1),
@@ -173,6 +179,7 @@ func TestParallelBaselinesMatchSequential(t *testing.T) {
 }
 
 func TestParallelCampaignPropagatesErrors(t *testing.T) {
+	t.Parallel()
 	ctx := labSmall()
 	// A scenario that oversubscribes the machine fails inside the pool.
 	big := Scenario{Apps: []AppSpec{

@@ -42,21 +42,23 @@ type Context struct {
 	StableWindow time.Duration
 	// Seed seeds scenario-level randomness (sensor noise, model seeds).
 	Seed int64
-	// Cache optionally scopes this campaign's run memoization to an
-	// isolated, byte-budgeted tier (see NewCacheScope). Nil selects the
-	// process-wide cache — the behaviour of every pre-service caller. The
-	// scope does not enter any fingerprint or seed derivation, so results
-	// are bit-identical regardless of which cache serves them.
+	// Cache is the campaign's run memoization: an isolated, byte-budgeted
+	// scope (see NewCacheScope). Nil means no memoization. The scope does
+	// not enter any fingerprint or seed derivation, so results are
+	// bit-identical regardless of which cache serves them, or whether one
+	// does.
 	Cache *CacheScope
 }
 
 // DefaultContext returns the paper's stress-evaluation settings on the
-// given machine config: 30 s runs scored on the 10 s stable window.
+// given machine config: 30 s runs scored on the 10 s stable window,
+// memoized in DefaultScope.
 func DefaultContext(cfg machine.Config) Context {
 	return Context{
 		Machine:      cfg,
 		RunFor:       30 * time.Second,
 		StableWindow: 10 * time.Second,
+		Cache:        DefaultScope(),
 	}
 }
 
@@ -150,7 +152,7 @@ func MeasureBaseline(ctx Context, app AppSpec) (division.Baseline, error) {
 	app = app.baselineSpec()
 	cfg := ctx.Machine
 	cfg.Seed = deriveSeed(ctx.Seed, "solo", app.ID)
-	return ctx.memo().baselineCached(cfg, []machine.Proc{app.proc()}, ctx.RunFor, ctx.StableWindow, app.ID)
+	return ctx.Cache.baselineCached(cfg, []machine.Proc{app.proc()}, ctx.RunFor, ctx.StableWindow, app.ID)
 }
 
 // MeasureBaselines runs phase 1 for a list of applications. Results are

@@ -37,6 +37,7 @@ func mustStressApp(t *testing.T, fn string, threads int) AppSpec {
 }
 
 func TestMeasureIdle(t *testing.T) {
+	t.Parallel()
 	got, err := MeasureIdle(labSmall())
 	if err != nil {
 		t.Fatal(err)
@@ -47,6 +48,7 @@ func TestMeasureIdle(t *testing.T) {
 }
 
 func TestMeasureBaselineDecomposition(t *testing.T) {
+	t.Parallel()
 	ctx := labSmall()
 	app := mustStressApp(t, "matrixprod", 3)
 	b, err := MeasureBaseline(ctx, app)
@@ -69,6 +71,7 @@ func TestMeasureBaselineDecomposition(t *testing.T) {
 }
 
 func TestMeasureBaselineCapped(t *testing.T) {
+	t.Parallel()
 	// §IV-B: a 50 %-capped pinned stress shows roughly half the load
 	// residual of an uncapped one.
 	ctx := labSmall()
@@ -90,6 +93,7 @@ func TestMeasureBaselineCapped(t *testing.T) {
 }
 
 func TestEstimateResidualMatchesGroundTruth(t *testing.T) {
+	t.Parallel()
 	// The paper's indirect construction (linear fit of the load curve)
 	// must agree with the simulator's ground truth: idle 8 + R(3.6) 28.
 	ctx := labSmall()
@@ -104,6 +108,7 @@ func TestEstimateResidualMatchesGroundTruth(t *testing.T) {
 }
 
 func TestEvaluatePairOracleIsNearPerfect(t *testing.T) {
+	t.Parallel()
 	ctx := labSmall()
 	s := Scenario{Apps: []AppSpec{
 		mustStressApp(t, "fibonacci", 3),
@@ -127,6 +132,7 @@ func TestEvaluatePairOracleIsNearPerfect(t *testing.T) {
 }
 
 func TestEvaluatePairScaphandreWorstPair(t *testing.T) {
+	t.Parallel()
 	// §IV-A: the maximum error on SMALL INTEL is ≈11.7 %, for FIBONACCI
 	// against a top consumer.
 	ctx := labSmall()
@@ -156,6 +162,7 @@ func TestEvaluatePairScaphandreWorstPair(t *testing.T) {
 }
 
 func TestEvaluatePairF2IsNearPerfect(t *testing.T) {
+	t.Parallel()
 	// The F2 reference model preserves baseline ratios by construction, so
 	// under Eq 3 scoring on a lab-context machine it should be near 0.
 	ctx := labSmall()
@@ -182,6 +189,7 @@ func TestEvaluatePairF2IsNearPerfect(t *testing.T) {
 }
 
 func TestEvaluatePairErrors(t *testing.T) {
+	t.Parallel()
 	ctx := labSmall()
 	s := Scenario{Apps: []AppSpec{mustStressApp(t, "fibonacci", 3)}}
 	if _, err := EvaluatePair(ctx, s, models.NewScaphandre(), nil, ObjectiveActive, 0); err == nil {
@@ -203,6 +211,7 @@ func TestEvaluatePairErrors(t *testing.T) {
 }
 
 func TestStressPairsGeneration(t *testing.T) {
+	t.Parallel()
 	fns := []string{"a", "b", "c"}
 	// Stress names must exist for StressApp; use real ones.
 	fns = []string{"fibonacci", "matrixprod", "queens"}
@@ -237,6 +246,7 @@ func TestStressPairsGeneration(t *testing.T) {
 }
 
 func TestAppsOfDeduplicates(t *testing.T) {
+	t.Parallel()
 	scenarios, err := StressPairs([]string{"fibonacci", "matrixprod"}, []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
@@ -254,6 +264,7 @@ func TestAppsOfDeduplicates(t *testing.T) {
 }
 
 func TestSizesAndContention(t *testing.T) {
+	t.Parallel()
 	lab := machine.Config{Spec: cpumodel.SmallIntel()}
 	if got := MaxThreadsWithoutContention(lab); got != 3 {
 		t.Errorf("lab max threads = %d, want 3 (paper: largest app 3 threads)", got)
@@ -276,6 +287,7 @@ func TestSizesAndContention(t *testing.T) {
 }
 
 func TestEvaluateCampaignSmallSample(t *testing.T) {
+	t.Parallel()
 	// A reduced campaign exercising the full pipeline end to end.
 	ctx := labSmall()
 	scenarios, err := StressPairs([]string{"fibonacci", "float64", "matrixprod"}, []int{3})
@@ -302,6 +314,7 @@ func TestEvaluateCampaignSmallSample(t *testing.T) {
 }
 
 func TestEvaluatePairPowerAPISkipsLearning(t *testing.T) {
+	t.Parallel()
 	ctx := labSmall()
 	s := Scenario{Apps: []AppSpec{
 		mustStressApp(t, "int64", 2),
@@ -323,6 +336,7 @@ func TestEvaluatePairPowerAPISkipsLearning(t *testing.T) {
 }
 
 func TestProductionContextEvaluation(t *testing.T) {
+	t.Parallel()
 	// The protocol also runs in the production context (HT+turbo on); Eq 3
 	// remains applicable (§III-C).
 	ctx := prodSmall()
@@ -344,6 +358,7 @@ func TestProductionContextEvaluation(t *testing.T) {
 }
 
 func TestObjectiveStrings(t *testing.T) {
+	t.Parallel()
 	if ObjectiveActive.String() == "" || ObjectiveResidualAware.String() == "" ||
 		ObjectiveNominalResidual.String() == "" || Objective(42).String() == "" {
 		t.Error("objective names empty")
@@ -351,6 +366,7 @@ func TestObjectiveStrings(t *testing.T) {
 }
 
 func TestScenarioLabel(t *testing.T) {
+	t.Parallel()
 	s := Scenario{Apps: []AppSpec{{ID: "a"}, {ID: "b"}}}
 	if s.Label() != "a || b" {
 		t.Errorf("Label = %q", s.Label())
@@ -358,6 +374,7 @@ func TestScenarioLabel(t *testing.T) {
 }
 
 func TestDeriveSeedStable(t *testing.T) {
+	t.Parallel()
 	a := deriveSeed(1, "solo", "x")
 	b := deriveSeed(1, "solo", "x")
 	c := deriveSeed(1, "solo", "y")
@@ -371,6 +388,7 @@ func TestDeriveSeedStable(t *testing.T) {
 }
 
 func TestStressCombos(t *testing.T) {
+	t.Parallel()
 	fns := []string{"fibonacci", "queens", "int64", "matrixprod"}
 	combos, err := StressCombos(fns, 1, 3)
 	if err != nil {
@@ -409,6 +427,7 @@ func TestStressCombos(t *testing.T) {
 }
 
 func TestEvaluateTripleScenario(t *testing.T) {
+	t.Parallel()
 	// The protocol handles n>2 scenarios end to end; only the ratio point
 	// is pair-specific (left zero).
 	ctx := labSmall()
@@ -440,17 +459,18 @@ func TestEvaluateTripleScenario(t *testing.T) {
 }
 
 func TestCampaignBitReproducible(t *testing.T) {
+	t.Parallel()
 	// The README claims bit-for-bit reproducibility: two runs of the same
 	// campaign (same seed) must agree exactly, including the parallel
-	// runner. The caches are dropped between runs so the second run
-	// recomputes every scenario instead of replaying stored digests.
+	// runner. The runs have no cache scope, so the second run recomputes
+	// every scenario instead of replaying stored digests.
 	ctx := labSmall()
+	ctx.Cache = nil
 	scenarios, err := StressPairs([]string{"fibonacci", "jmp", "rand"}, []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func() []Evaluation {
-		ResetMemoization()
 		evs, err := EvaluateCampaign(ctx, scenarios, models.NewPowerAPI(models.DefaultPowerAPIConfig()), ObjectiveActive, 0)
 		if err != nil {
 			t.Fatal(err)

@@ -24,6 +24,7 @@ var seedPins = []struct {
 // TestDeriveSeedPinned pins deriveSeed on pair, model and traffic labels, a
 // negative and an extreme campaign seed, empty parts and no parts at all.
 func TestDeriveSeedPinned(t *testing.T) {
+	t.Parallel()
 	for _, c := range seedPins {
 		if got := deriveSeed(c.seed, c.parts...); got != c.want {
 			t.Errorf("deriveSeed(%d, %q) = %d, pinned %d", c.seed, c.parts, got, c.want)

@@ -64,6 +64,7 @@ func fullRunBaseline(ctx Context, app AppSpec) (division.Baseline, *machine.Run,
 // fullRunBaseline extracts from the full run, on both machines (noise on,
 // so the stable-window selection is non-trivial).
 func TestBaselineSummaryMatchesFull(t *testing.T) {
+	t.Parallel()
 	for _, sp := range []struct {
 		spec cpumodel.Spec
 		ht   bool
@@ -99,6 +100,7 @@ func TestBaselineSummaryMatchesFull(t *testing.T) {
 // in for: matching tick counts and per-tick values stored exactly as the
 // run accessors would compute them.
 func TestRunSummaryShape(t *testing.T) {
+	t.Parallel()
 	ctx := goldenContext(cpumodel.SmallIntel(), false)
 	app, err := StressApp("rand", 2)
 	if err != nil {
@@ -138,6 +140,7 @@ func TestRunSummaryShape(t *testing.T) {
 // baseline whether the solo run's horizon is an hour or math.MaxInt64. A
 // digest reserved by the horizon's tick count cannot be allocated.
 func TestBaselineSummaryHorizonMaxInt64(t *testing.T) {
+	t.Parallel()
 	app := scriptedApp("scripted-2", 0.5)
 	ctx := goldenContext(cpumodel.SmallIntel(), false)
 	ctx.StableWindow = time.Second

@@ -22,6 +22,7 @@ import (
 // this pin is its oracle. Baselines are looked up by map key, so renaming
 // every Baseline.ID leaves the pins unchanged.
 func TestEvaluateTimelinePinned(t *testing.T) {
+	t.Parallel()
 	type pin struct {
 		ae, coverage uint64
 		busy, scored int

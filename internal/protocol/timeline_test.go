@@ -38,6 +38,7 @@ func timelineBaselines(t *testing.T, ctx Context, apps []TimelineApp) map[string
 }
 
 func TestEvaluateTimelineScaphandreFullCoverage(t *testing.T) {
+	t.Parallel()
 	ctx := labSmall()
 	apps := fig11Timeline(t)
 	baselines := timelineBaselines(t, ctx, apps)
@@ -58,6 +59,7 @@ func TestEvaluateTimelineScaphandreFullCoverage(t *testing.T) {
 }
 
 func TestEvaluateTimelinePowerAPICoverageLoss(t *testing.T) {
+	t.Parallel()
 	// PowerAPI relearns at every arrival/departure: with context changes
 	// at t=20s and t=40s of a 60s run and a 10s learning window, roughly
 	// half the busy ticks produce no estimate.
@@ -81,6 +83,7 @@ func TestEvaluateTimelinePowerAPICoverageLoss(t *testing.T) {
 }
 
 func TestEvaluateTimelineHeterogeneousError(t *testing.T) {
+	t.Parallel()
 	// Different workloads arriving and leaving: CPU-time division keeps
 	// misattributing, now under churn.
 	ctx := labSmall()
@@ -103,6 +106,7 @@ func TestEvaluateTimelineHeterogeneousError(t *testing.T) {
 }
 
 func TestEvaluateTimelineErrors(t *testing.T) {
+	t.Parallel()
 	ctx := labSmall()
 	if _, err := EvaluateTimeline(ctx, nil, models.NewScaphandre(), nil, time.Minute); err == nil {
 		t.Error("empty timeline accepted")
@@ -119,6 +123,7 @@ func TestEvaluateTimelineErrors(t *testing.T) {
 // timeline whose instances carry no BaseID, with the type's baseline
 // listed under each instance ID: the BaseID only names the baseline.
 func TestEvaluateTimelineSharedBaseline(t *testing.T) {
+	t.Parallel()
 	ctx := labSmall()
 	web := mustStressApp(t, "int64", 2)
 	web.ID = "web"

@@ -96,6 +96,7 @@ func compareTrafficEvaluations(t *testing.T, model string, want, got TrafficEval
 // the streaming pipeline: per-model error tables must be bit-identical —
 // the worker pool and factory scheduling must not leak into results.
 func TestTrafficStreamingDeterministic(t *testing.T) {
+	t.Parallel()
 	ctx, scenarios, factories := trafficGoldenSetup(t)
 
 	first, err := EvaluateTrafficStreaming(ctx, scenarios, factories, trafficTestWindow)
@@ -118,6 +119,7 @@ func TestTrafficStreamingDeterministic(t *testing.T) {
 // ticks than the window holds, and instance-level truth keys resolve even
 // though baselines are shared per type.
 func TestTrafficEvaluationShape(t *testing.T) {
+	t.Parallel()
 	ctx, scenarios, factories := trafficGoldenSetup(t)
 
 	// Shared baselines: far fewer distinct types than instances.
@@ -186,6 +188,7 @@ func TestTrafficEvaluationShape(t *testing.T) {
 // TestTrafficRejectsBadInput pins the error paths: non-positive windows and
 // rosters without baselines must fail loudly, not score garbage.
 func TestTrafficRejectsBadInput(t *testing.T) {
+	t.Parallel()
 	ctx, scenarios, factories := trafficGoldenSetup(t)
 	if _, err := EvaluateTrafficStreaming(ctx, scenarios, factories, 0); err == nil {
 		t.Error("EvaluateTrafficStreaming accepted a zero window")

@@ -452,7 +452,7 @@ func (rn *runnable) shard(cctx context.Context, i int, baselines map[string]divi
 	row := &ResultRow{Index: i, Label: rn.labels[i]}
 	switch rn.kind {
 	case KindFleet:
-		digest, err := fleet.EvaluateNode(cctx, rn.fleetCfg, rn.nodes[i])
+		digest, err := fleet.EvaluateNode(cctx, rn.fleetCfg, rn.nodes[i], rn.pctx.Cache)
 		if err != nil {
 			return nil, err
 		}

@@ -15,6 +15,7 @@ import (
 // TestServeListEndpoint pins GET /v1/jobs: submission order, one status
 // entry per job.
 func TestServeListEndpoint(t *testing.T) {
+	t.Parallel()
 	_, hs := newTestServer(t, Options{Runners: -1})
 	first := submitJob(t, hs.URL, testSpec(2))
 	second := submitJob(t, hs.URL, testSpec(3))
@@ -48,6 +49,7 @@ func TestServeListEndpoint(t *testing.T) {
 // TestServePairsJob runs the static stress-pair kind end to end with its
 // default roster (fibonacci/int64 × 1,2 threads).
 func TestServePairsJob(t *testing.T) {
+	t.Parallel()
 	s, hs := newTestServer(t, Options{})
 	// No duration overrides: the lab context's defaults give the sampled
 	// models (powerapi) enough stable window to produce estimates.
@@ -75,6 +77,7 @@ func TestServePairsJob(t *testing.T) {
 // TestServeTraceJob replays a recorded trace through the service and pins
 // that the job's roster equals the trace's.
 func TestServeTraceJob(t *testing.T) {
+	t.Parallel()
 	tcfg := traffic.Config{
 		Kind: traffic.Mixed, Seed: 11, Scenarios: 3, Window: 4 * time.Second,
 		ArrivalsPerMinute: 120, MaxThreads: 2, MaxCPUs: 6, Baseload: 2,
@@ -104,6 +107,7 @@ func TestServeTraceJob(t *testing.T) {
 // TestLoadSnapshotRejections pins the loader's validation surface: every
 // malformed durable state is refused with a diagnostic, never resumed.
 func TestLoadSnapshotRejections(t *testing.T) {
+	t.Parallel()
 	opts := Options{}.withDefaults()
 	spec := testSpec(3)
 	rn, aerr := compile(spec, opts)
@@ -174,6 +178,7 @@ func TestLoadSnapshotRejections(t *testing.T) {
 // TestAPIErrorString pins the Error interface rendering used in logs and
 // failed-job messages.
 func TestAPIErrorString(t *testing.T) {
+	t.Parallel()
 	err := apiErrorf(ErrQueueFull, "queue at %d", 8)
 	if got, want := err.Error(), "queue_full: queue at 8"; got != want {
 		t.Fatalf("Error() = %q, want %q", got, want)
@@ -187,6 +192,7 @@ func TestAPIErrorString(t *testing.T) {
 // TestCompileFleetRejections pins the fleet kind's admission branches
 // directly (the error-path HTTP table covers scenario kinds).
 func TestCompileFleetRejections(t *testing.T) {
+	t.Parallel()
 	opts := Options{MaxNodes: 4, MaxScenarios: 8}.withDefaults()
 	cases := []struct {
 		name string
@@ -224,6 +230,7 @@ func TestCompileFleetRejections(t *testing.T) {
 // with no runners the job stays queued forever, yet the POST returns. The
 // submitter closing the body then cancels the job.
 func TestServeStreamAdmitsBeforeFirstRow(t *testing.T) {
+	t.Parallel()
 	s, hs := newTestServer(t, Options{Runners: -1})
 	spec := testSpec(2)
 	spec.Stream = true

@@ -8,6 +8,9 @@ import (
 	"hash/fnv"
 	"net/http"
 	"testing"
+
+	"powerdiv/internal/obs"
+	"powerdiv/internal/protocol"
 )
 
 // TestServeRowsPinned freezes the NDJSON output of one seed-fixed traffic
@@ -17,6 +20,7 @@ import (
 // function of the spec. There is no update flag: on a mismatch the test
 // logs the recomputed digest, so re-baselining is a deliberate hand edit.
 func TestServeRowsPinned(t *testing.T) {
+	t.Parallel()
 	fleetSpec := SubmitRequest{Kind: KindFleet, Seed: 5, Nodes: 3, WindowMS: 3000, RunForMS: 3000, StableWindowMS: 1500}
 	for _, tc := range []struct {
 		name string
@@ -80,4 +84,35 @@ func streamDigest(t *testing.T, base, id string) string {
 	}
 	t.Fatal("stream ended without a terminal line")
 	return ""
+}
+
+// TestServeFleetJobUsesJobScope pins that a fleet job memoizes in the cache
+// scope the server opens for it, like every other job kind: the process
+// default scope sees no lookup and gains no entry, while the registry's
+// cache counters, summed over every scope, still record the job's
+// lookups. It reads a process-wide scope and enables the registry, so it
+// stays serial.
+func TestServeFleetJobUsesJobScope(t *testing.T) {
+	obs.Enable(true)
+	t.Cleanup(func() { obs.Enable(false) })
+	lookups := func() float64 {
+		return obs.Default().Get("powerdiv_protocol_cache_hits_total").Snapshot().Value +
+			obs.Default().Get("powerdiv_protocol_cache_misses_total").Snapshot().Value
+	}
+	before, lookupsBefore := protocol.DefaultScope().Stats(), lookups()
+
+	_, hs := newTestServer(t, Options{SnapshotDir: t.TempDir()})
+	sr := submitJob(t, hs.URL, SubmitRequest{Kind: KindFleet, Seed: 5, Nodes: 3, WindowMS: 3000, RunForMS: 3000, StableWindowMS: 1500})
+	if _, term := fetchResults(t, hs.URL, sr.ID); term.State != StateDone {
+		t.Fatalf("fleet job ended %s (%s)", term.State, term.Error)
+	}
+
+	after := protocol.DefaultScope().Stats()
+	if after.Lookups != before.Lookups || after.SummaryEntries != before.SummaryEntries {
+		t.Errorf("fleet job memoized in the default scope: %d lookups and %d entries before, %d and %d after",
+			before.Lookups, before.SummaryEntries, after.Lookups, after.SummaryEntries)
+	}
+	if lookups() == lookupsBefore {
+		t.Error("fleet job recorded no cache lookups; test is vacuous")
+	}
 }

@@ -8,6 +8,7 @@ import (
 // admission compiled until its runner takes it, and a job that ran to done,
 // failed or cancelled holds none — finished jobs retain no scenarios.
 func TestRunJobReleasesRunnable(t *testing.T) {
+	t.Parallel()
 	s, _ := newTestServer(t, Options{})
 	deadline := testSpec(8)
 	deadline.WindowMS = maxDurationMS
@@ -54,6 +55,7 @@ func TestRunJobReleasesRunnable(t *testing.T) {
 // TestTerminalSnapshotHoldsNoRunnable pins the resume side: a job loaded
 // from a terminal snapshot is never queued, so it keeps no runnable.
 func TestTerminalSnapshotHoldsNoRunnable(t *testing.T) {
+	t.Parallel()
 	spec := testSpec(2)
 	rn, aerr := compile(spec, Options{}.withDefaults())
 	if aerr != nil {

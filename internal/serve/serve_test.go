@@ -202,6 +202,7 @@ func requireSummariesIdentical(t *testing.T, want, got *Summary) {
 // HTTP, stream NDJSON rows in index order, check status transitions and
 // the terminal summary line.
 func TestServeLifecycle(t *testing.T) {
+	t.Parallel()
 	_, hs := newTestServer(t, Options{SnapshotDir: t.TempDir()})
 	spec := testSpec(5)
 	sr := submitJob(t, hs.URL, spec)
@@ -254,6 +255,7 @@ func TestServeLifecycle(t *testing.T) {
 // let it resume. The resumed job's rows and summary must be
 // Float64bits-identical to the uninterrupted run's.
 func TestServeKillResume(t *testing.T) {
+	t.Parallel()
 	spec := testSpec(8)
 
 	// Reference: uninterrupted run.
@@ -312,6 +314,7 @@ func TestServeKillResume(t *testing.T) {
 // the uninterrupted run's exact table. This covers the mid-job window the
 // kill test can only hit probabilistically.
 func TestServeResumeFromPartialSnapshot(t *testing.T) {
+	t.Parallel()
 	spec := testSpec(6)
 
 	_, hs := newTestServer(t, Options{SnapshotDir: t.TempDir()})
@@ -360,6 +363,7 @@ func TestServeResumeFromPartialSnapshot(t *testing.T) {
 // TestServeStreamSubmit exercises "stream":true: the submission response
 // itself is the NDJSON row stream.
 func TestServeStreamSubmit(t *testing.T) {
+	t.Parallel()
 	_, hs := newTestServer(t, Options{SnapshotDir: t.TempDir()})
 	spec := testSpec(3)
 	spec.Stream = true
@@ -382,6 +386,7 @@ func TestServeStreamSubmit(t *testing.T) {
 // submitter that goes away cancels the job, which aborts its in-flight
 // simulators and ends cancelled — not done.
 func TestServeStreamDisconnectCancels(t *testing.T) {
+	t.Parallel()
 	s, hs := newTestServer(t, Options{SnapshotDir: t.TempDir()})
 	spec := testSpec(16)
 	spec.Seed = 7
@@ -421,6 +426,7 @@ func TestServeStreamDisconnectCancels(t *testing.T) {
 // TestServeCancelEndpoint cancels a running job via DELETE and checks it
 // lands in cancelled with a terminal snapshot.
 func TestServeCancelEndpoint(t *testing.T) {
+	t.Parallel()
 	s, hs := newTestServer(t, Options{SnapshotDir: t.TempDir()})
 	sr := submitJob(t, hs.URL, testSpec(16))
 	req, _ := http.NewRequest(http.MethodDelete, hs.URL+"/v1/jobs/"+sr.ID, nil)
@@ -438,6 +444,7 @@ func TestServeCancelEndpoint(t *testing.T) {
 // TestServeDeadline submits a job with a deadline it cannot meet and
 // expects a failed state mentioning the deadline.
 func TestServeDeadline(t *testing.T) {
+	t.Parallel()
 	s, hs := newTestServer(t, Options{SnapshotDir: t.TempDir()})
 	spec := testSpec(32)
 	spec.Seed = 99
@@ -459,6 +466,7 @@ func TestServeDeadline(t *testing.T) {
 
 // TestServeErrorPaths table-tests the typed 4xx bodies.
 func TestServeErrorPaths(t *testing.T) {
+	t.Parallel()
 	_, hs := newTestServer(t, Options{SnapshotDir: t.TempDir(), MaxScenarios: 4})
 	cases := []struct {
 		name     string
@@ -512,6 +520,7 @@ func TestServeErrorPaths(t *testing.T) {
 // Runners are disabled so the queue state is deterministic — the bound
 // under live runners is covered by the race stress test.
 func TestServeQueueFull(t *testing.T) {
+	t.Parallel()
 	_, hs := newTestServer(t, Options{QueueCap: 2, Runners: -1})
 	submitJob(t, hs.URL, testSpec(2))
 	submitJob(t, hs.URL, testSpec(2))
@@ -537,6 +546,7 @@ func TestServeQueueFull(t *testing.T) {
 // TestServeDrainRejects checks that a draining server refuses new jobs
 // with the typed 503 and finishes the ones it holds.
 func TestServeDrainRejects(t *testing.T) {
+	t.Parallel()
 	s, hs := newTestServer(t, Options{SnapshotDir: t.TempDir()})
 	sr := submitJob(t, hs.URL, testSpec(2))
 	done := make(chan bool, 1)
@@ -575,6 +585,7 @@ func TestServeDrainRejects(t *testing.T) {
 // TestServeFleetJob runs a small fleet submission end to end: per-node
 // digest rows and a fleet.Reduce summary.
 func TestServeFleetJob(t *testing.T) {
+	t.Parallel()
 	_, hs := newTestServer(t, Options{SnapshotDir: t.TempDir()})
 	spec := SubmitRequest{Kind: KindFleet, Seed: 5, Nodes: 3, WindowMS: 3000, RunForMS: 3000, StableWindowMS: 1500}
 	sr := submitJob(t, hs.URL, spec)
@@ -600,6 +611,7 @@ func TestServeFleetJob(t *testing.T) {
 
 // TestServeHealthAndMetrics smoke-checks the operational endpoints.
 func TestServeHealthAndMetrics(t *testing.T) {
+	t.Parallel()
 	_, hs := newTestServer(t, Options{})
 	for _, path := range []string{"/healthz", "/metrics", "/metrics.json"} {
 		resp, err := http.Get(hs.URL + path)

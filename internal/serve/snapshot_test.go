@@ -14,6 +14,7 @@ import (
 // commit, every committed file must load, and the committed row count must
 // never go backwards.
 func TestSnapshotConcurrentPersist(t *testing.T) {
+	t.Parallel()
 	const units, writers = 48, 4
 	opts := Options{}.withDefaults()
 	spec := testSpec(units)

@@ -43,9 +43,10 @@ func TestTrafficAcceptanceCampaign(t *testing.T) {
 		}
 	}
 
-	// Drop state retained by earlier tests in this binary so the watermark
-	// measures the streaming campaign, not the memo cache's leftovers.
-	protocol.ResetMemoization()
+	// Drop what earlier tests in this binary left in the default cache
+	// scope so the watermark measures the streaming campaign, not those
+	// leftovers.
+	protocol.DefaultScope().Drop()
 	stopWatermark := startHeapWatermark()
 
 	factories := func(baselines map[string]division.Baseline) []models.Factory {
