@@ -135,7 +135,7 @@ func AbsoluteErrorColumns(ests [][]units.Watts, power []units.Watts, truths [][]
 // result bit for bit.
 func AbsoluteErrorColumnsConst(ests [][]units.Watts, power []units.Watts, truth []float64) (float64, error) {
 	if len(ests) != len(power) {
-		return 0, fmt.Errorf("division: mismatched lengths %d/%d/%d", len(ests), len(power), len(ests))
+		return 0, fmt.Errorf("division: mismatched lengths %d/%d", len(ests), len(power))
 	}
 	var acc ErrorSum
 	for i, est := range ests {

@@ -42,6 +42,19 @@ func TestAbsoluteErrorColumnsMismatch(t *testing.T) {
 	}
 }
 
+// TestAbsoluteErrorColumnsMismatchNamesLengths pins the length-mismatch
+// messages: each names the lengths it compared, in argument order.
+func TestAbsoluteErrorColumnsMismatchNamesLengths(t *testing.T) {
+	_, err := AbsoluteErrorColumns(make([][]units.Watts, 3), make([]units.Watts, 2), make([][]float64, 5))
+	if err == nil || err.Error() != "division: mismatched lengths 3/2/5" {
+		t.Errorf("AbsoluteErrorColumns: err = %v, want lengths 3/2/5", err)
+	}
+	_, err = AbsoluteErrorColumnsConst(make([][]units.Watts, 3), make([]units.Watts, 2), []float64{0.5, 0.5})
+	if err == nil || err.Error() != "division: mismatched lengths 3/2" {
+		t.Errorf("AbsoluteErrorColumnsConst: err = %v, want lengths 3/2", err)
+	}
+}
+
 func TestAbsoluteErrorColumnsEmpty(t *testing.T) {
 	// All ticks skipped: nil estimate, nil truth, non-positive power, or a
 	// truth vector of only absent slots.

@@ -81,6 +81,18 @@ func scatterFromEvaluations(model, machineName string, evs []protocol.Evaluation
 	res := ScatterResult{Model: model, Machine: machineName}
 	sum := protocol.Summarize(model, evs)
 	res.MeanAE, res.MaxAE, res.WorstPair = sum.MeanAE, sum.MaxAE, sum.WorstScenario
+	same := 0
+	for _, ev := range evs {
+		if ev.Scenario.SameSize() {
+			same++
+		}
+	}
+	if same > 0 {
+		res.SameSize = make([]division.RatioPoint, 0, same)
+	}
+	if diff := len(evs) - same; diff > 0 {
+		res.DiffSize = make([]division.RatioPoint, 0, diff)
+	}
 	for _, ev := range evs {
 		if ev.Scenario.SameSize() {
 			res.SameSize = append(res.SameSize, ev.Point)

@@ -42,8 +42,8 @@ func streamBits(t *testing.T, cfg Config, procs []Proc, dur time.Duration) []uin
 		t.Fatal(err)
 	}
 	bits = append(bits, uint64(info.Ticks), uint64(info.Duration))
-	for _, id := range info.Roster.IDs() {
-		bits = append(bits, uint64(info.ProcEnd[id]))
+	for _, end := range info.Ends {
+		bits = append(bits, uint64(end))
 	}
 	return bits
 }

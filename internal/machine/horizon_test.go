@@ -30,9 +30,19 @@ func scriptedWorkload(phases ...time.Duration) workload.Workload {
 	return w
 }
 
-// runCapture puts a Simulate result in the shape the stream captures use.
+// runCapture puts a Simulate result in the shape the stream captures use:
+// Run.ProcEnd is read back into slot order, so a capture compares the
+// map's end times against the stream's.
 func runCapture(run *Run) tickCapture {
-	return tickCapture{run.Ticks, &StreamInfo{Roster: run.Roster, Ticks: len(run.Ticks), Duration: run.Duration, ProcEnd: run.ProcEnd}}
+	ends := make([]time.Duration, run.Roster.Len())
+	for slot, id := range run.Roster.IDs() {
+		end, ok := run.ProcEnd[id]
+		if !ok {
+			end = -1
+		}
+		ends[slot] = end
+	}
+	return tickCapture{run.Ticks, &StreamInfo{Roster: run.Roster, Ticks: len(run.Ticks), Duration: run.Duration, Ends: ends}}
 }
 
 // simulateCapture runs Simulate into a capture.
@@ -55,7 +65,7 @@ func TestStreamHorizonMaxInt64(t *testing.T) {
 	cfg.NoiseStddev, cfg.Seed = 0.25, 5
 	procs := []Proc{{ID: "s0", Workload: scriptedWorkload(250*time.Millisecond, 1050*time.Millisecond, 700*time.Millisecond), Threads: 2}}
 	want, _ := captureSegments(t, cfg, procs, time.Hour)
-	if end := want.info.ProcEnd["s0"]; end != 2*time.Second {
+	if end := want.info.Ends[0]; want.info.Roster.ID(0) != "s0" || end != 2*time.Second {
 		t.Fatalf("reference run: s0 ends at %v, want 2s", end)
 	}
 	for _, horizon := range []time.Duration{math.MaxInt64, math.MaxInt64 - 1} {

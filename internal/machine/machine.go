@@ -234,7 +234,10 @@ func Simulate(cfg Config, procs []Proc, maxDur time.Duration) (*Run, error) {
 	}
 	run.Roster = info.Roster
 	run.Duration = info.Duration
-	run.ProcEnd = info.ProcEnd
+	run.ProcEnd = make(map[string]time.Duration, len(info.Ends))
+	for slot, id := range info.Roster.IDs() {
+		run.ProcEnd[id] = info.Ends[slot]
+	}
 	return run, nil
 }
 

@@ -135,8 +135,7 @@ type segCursor struct {
 	// seg is the segment handed to yield; it points at rec.
 	seg Segment
 	// ends records each process's observed finish time by roster slot
-	// (endUnset until seen) — the slot-indexed replacement for the old
-	// per-tick map.
+	// (endUnset until seen); finish copies it into StreamInfo.Ends.
 	ends     []time.Duration
 	segments uint64
 	done     bool
@@ -265,12 +264,11 @@ func (c *segCursor) finish(info *StreamInfo) {
 	emitted := c.k
 	info.Ticks = int(emitted)
 	info.Duration = time.Duration(emitted) * c.tick
-	for i := range c.ordered {
-		if c.ends[i] != endUnset {
-			info.ProcEnd[c.ordered[i].ID] = c.ends[i]
-		} else {
-			info.ProcEnd[c.ordered[i].ID] = info.Duration
+	for slot, end := range c.ends {
+		if end == endUnset {
+			end = info.Duration
 		}
+		info.Ends[slot] = end
 	}
 	obsRuns.Inc()
 	n := uint64(emitted)

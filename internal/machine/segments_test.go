@@ -146,10 +146,10 @@ func perTickReference(t *testing.T, cfg Config, procs []Proc, dur time.Duration)
 	}
 	info.Ticks = len(recs)
 	info.Duration = time.Duration(len(recs)) * tick
-	for i, p := range ordered {
-		info.ProcEnd[p.ID] = info.Duration
-		if ends[i] != endUnset {
-			info.ProcEnd[p.ID] = ends[i]
+	for slot, end := range ends {
+		info.Ends[slot] = info.Duration
+		if end != endUnset {
+			info.Ends[slot] = end
 		}
 	}
 	return tickCapture{recs, info}
@@ -210,12 +210,13 @@ func requireIdentical(t *testing.T, label string, want, got tickCapture) {
 		t.Fatalf("%s: info %d/%v, want %d/%v", label,
 			got.info.Ticks, got.info.Duration, want.info.Ticks, want.info.Duration)
 	}
-	if len(got.info.ProcEnd) != len(want.info.ProcEnd) {
-		t.Fatalf("%s: ProcEnd %v, want %v", label, got.info.ProcEnd, want.info.ProcEnd)
+	if len(got.info.Ends) != len(want.info.Ends) || got.info.Roster.Len() != want.info.Roster.Len() {
+		t.Fatalf("%s: Ends %v, want %v", label, got.info.Ends, want.info.Ends)
 	}
-	for id, at := range want.info.ProcEnd {
-		if got.info.ProcEnd[id] != at {
-			t.Fatalf("%s: ProcEnd[%s] = %v, want %v", label, id, got.info.ProcEnd[id], at)
+	for slot, at := range want.info.Ends {
+		if got.info.Roster.ID(slot) != want.info.Roster.ID(slot) || got.info.Ends[slot] != at {
+			t.Fatalf("%s: slot %d (%s) ends at %v, want %s at %v", label, slot,
+				got.info.Roster.ID(slot), got.info.Ends[slot], want.info.Roster.ID(slot), at)
 		}
 	}
 }

@@ -40,7 +40,11 @@ type StreamInfo struct {
 	Roster   *Roster
 	Ticks    int
 	Duration time.Duration
-	ProcEnd  map[string]time.Duration
+	// Ends holds each process's finish time by roster slot: when its
+	// script completed or its Stop was reached, or Duration for a process
+	// still running when the run ended. Run.ProcEnd is the same times
+	// keyed by ID.
+	Ends []time.Duration
 }
 
 // noiseRNG draws the per-tick sensor-noise overlay. The generator is a
@@ -135,7 +139,7 @@ func streamSetup(cfg Config, procs []Proc, maxDur time.Duration) ([]Proc, *Strea
 	for i, p := range ordered {
 		rosterIDs[i] = p.ID
 	}
-	info := &StreamInfo{Config: cfg, Roster: newSortedRoster(rosterIDs), ProcEnd: make(map[string]time.Duration, len(ordered))}
+	info := &StreamInfo{Config: cfg, Roster: newSortedRoster(rosterIDs), Ends: make([]time.Duration, len(ordered))}
 	return ordered, info, nil
 }
 
@@ -174,7 +178,7 @@ func StreamSegments(cfg Config, procs []Proc, maxDur time.Duration, yield func(s
 // buffers are scratch valid only during the yield.
 //
 // The returned info is shared across repetitions (ticks, duration and
-// ProcEnd are seed-independent); its Config is the input cfg, whose own
+// end times are seed-independent); its Config is the input cfg, whose own
 // Seed is unused.
 func StreamBatchSegments(cfg Config, procs []Proc, maxDur time.Duration, seeds []int64, yield func(rep int, seg *Segment) error) (*StreamInfo, error) {
 	if len(seeds) == 0 {

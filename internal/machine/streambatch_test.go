@@ -41,7 +41,7 @@ func captureBatch(t *testing.T, cfg Config, procs []Proc, dur time.Duration, see
 // tick field, every proc column, and the StreamInfo — to a standalone
 // StreamSegments run with Seed = seeds[k], flattened the same way.
 // The scenario is noisy with staggered starts and an early finisher so the
-// noise overlay, early-exit and ProcEnd paths are all exercised.
+// noise overlay, early-exit and end-time paths are all exercised.
 func TestStreamBatchMatchesStream(t *testing.T) {
 	for _, noise := range []units.Watts{0.25, 0} {
 		cfg := prodConfig(cpumodel.Dahu())

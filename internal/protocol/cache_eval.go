@@ -9,20 +9,21 @@ import (
 )
 
 // The evaluation-digest tier memoizes the *scored outcome* of one scenario
-// across whole campaign repeats. The two lower tiers (full runs, run
-// summaries) only dedupe simulation; a warm repeat of an identical campaign
-// still re-streams every pair run through every model and re-scores it.
-// Scoring is deterministic — the evaluation rows are a pure function of the
-// simulated run (captured exactly by runKey), the campaign seed (model
-// seeds derive from it), the stable-window setting, the truth shares, and
-// the ordered factory list — so that repeat is pure waste, and it is the
-// dominant cost of warm benchmark iterations and of re-submitted service
-// jobs.
+// across whole campaign repeats. The baseline tier below it only dedupes
+// phase 1; a warm repeat of an identical campaign would still re-stream
+// every pair run through every model and re-score it. Scoring is
+// deterministic — the evaluation rows are a pure function of the simulated
+// run (captured exactly by runKey), the campaign seed (model seeds derive
+// from it), the stable-window setting, the truth shares, and the ordered
+// factory list — so that repeat is pure waste, and it is the dominant cost
+// of warm benchmark iterations and of re-submitted service jobs.
 //
 // The tier stores compact digests (a few floats per factory), not
-// Evaluation values: digests are materialized into fresh Evaluations per
-// caller, so cached results never alias a previous caller's truth maps or
-// scenario slices beyond what the caller itself passed in.
+// Evaluation values. The scoring tail accumulates straight into a digest,
+// and every caller's rows — after a miss as after a hit — are materialized
+// from it into rows the caller owns, so cached results never alias a
+// previous caller's share maps, and only the caller's truth maps and
+// scenario slices are shared.
 //
 // Correctness hinges on the key covering every input. Factories are
 // functions, so they carry an explicit Fingerprint (models package); any
@@ -70,18 +71,20 @@ type evalEntry struct {
 
 // evalDigest is the compact stored form of one scenario's [factory][truth]
 // evaluation rows: exactly the bits scoring produced, nothing rebuildable.
+// The scoring tail writes it directly (scoreEstimatesWindow); a scratch
+// digest is reset and refilled per scenario.
 type evalDigest struct {
-	perFactory []factoryDigest
-}
-
-// factoryDigest is one factory's share of a digest. estShare is the mean
-// estimated share per roster slot (sorted-ID order); hasShare distinguishes
-// "no positive scored power" (an empty share map) from a real all-zero
-// vector.
-type factoryDigest struct {
-	estShare []float64
-	hasShare bool
-	rows     []evalRow
+	// truths is the number of objectives scored per factory, slots the
+	// roster width.
+	truths, slots int
+	// shares holds each factory's mean estimated share per roster slot
+	// (sorted-ID order), factory after factory; hasShare distinguishes "no
+	// positive scored power" (an empty share map) from a real all-zero
+	// vector.
+	shares   []float64
+	hasShare []bool
+	// rows holds the (factory, truth) cells, factory after factory.
+	rows []evalRow
 }
 
 // evalRow is one (factory, truth) cell.
@@ -90,73 +93,70 @@ type evalRow struct {
 	scoredTicks int
 }
 
-// estimatedBytes is the digest's ledger charge: slice payloads plus a fixed
-// per-entry overhead for the table cell and the 32-byte key.
+// reset sizes the digest for factories × truths cells over a roster of
+// slots, reusing its storage; every cell is rewritten by scoring.
+func (d *evalDigest) reset(factories, truths, slots int) {
+	d.truths, d.slots = truths, slots
+	d.shares = resize(d.shares, factories*slots)
+	d.hasShare = resize(d.hasShare, factories)
+	d.rows = resize(d.rows, factories*truths)
+}
+
+// share returns factory m's per-slot share vector.
+func (d *evalDigest) share(m int) []float64 { return d.shares[m*d.slots : (m+1)*d.slots] }
+
+// estimatedBytes is the digest's ledger charge: the share and row payloads
+// plus a fixed per-factory and per-entry overhead for the table cell and
+// the 32-byte key.
 func (d *evalDigest) estimatedBytes() int64 {
 	n := int64(sha256.Size) + 128
-	for _, f := range d.perFactory {
-		n += int64(len(f.estShare))*8 + int64(len(f.rows))*16 + 64
+	for _, has := range d.hasShare {
+		if has {
+			n += int64(d.slots) * 8
+		}
+		n += int64(d.truths)*16 + 64
 	}
 	return n
 }
 
-// digestOf compresses evaluation rows into their stored form.
-func digestOf(rows [][]Evaluation, rosterIDs []string) *evalDigest {
-	d := &evalDigest{perFactory: make([]factoryDigest, len(rows))}
-	for m, evs := range rows {
-		fd := factoryDigest{rows: make([]evalRow, len(evs))}
-		for i, ev := range evs {
-			fd.rows[i] = evalRow{ae: ev.AE, scoredTicks: ev.ScoredTicks}
-		}
-		if len(evs) > 0 && len(evs[0].EstShare) > 0 {
-			fd.hasShare = true
-			fd.estShare = make([]float64, len(rosterIDs))
-			for slot, id := range rosterIDs {
-				fd.estShare[slot] = evs[0].EstShare[id]
-			}
-		}
-		d.perFactory[m] = fd
-	}
-	return d
-}
-
-// materialize rebuilds the evaluation rows for one caller. AE, ScoredTicks
-// and the share values are returned exactly as stored; EstShare maps are
-// fresh per call, and the ratio point is recomputed from the same pure
-// function over the same inputs scoring used, so the result is
+// materialize writes the evaluation rows for one caller into v. AE,
+// ScoredTicks and the share values are written exactly as scored; EstShare
+// maps are fresh per call (one per factory, shared by its objectives, as
+// scoring always shared it), and the ratio point is computed by the same
+// pure function over the same inputs on every path, so a hit is
 // bit-identical to a cold evaluation.
-func (d *evalDigest) materialize(s Scenario, label string, fs []models.Factory, truths []division.Shares, rosterIDs []string) [][]Evaluation {
-	out := make([][]Evaluation, len(d.perFactory))
-	for m, fd := range d.perFactory {
-		estShare := division.Shares{}
-		if fd.hasShare {
-			for slot, id := range rosterIDs {
-				estShare[id] = fd.estShare[slot]
+func (d *evalDigest) materialize(s Scenario, label string, fs []models.Factory, truths []division.Shares, rosterIDs []string, v rowView) {
+	for m, f := range fs {
+		var estShare division.Shares
+		if d.hasShare[m] {
+			estShare = make(division.Shares, len(rosterIDs))
+			for slot, share := range d.share(m) {
+				estShare[rosterIDs[slot]] = share
 			}
+		} else {
+			estShare = division.Shares{}
 		}
-		evs := make([]Evaluation, len(fd.rows))
-		for i, row := range fd.rows {
-			ev := Evaluation{
+		for o, truth := range truths {
+			row := d.rows[m*d.truths+o]
+			ev := v.row(m, o)
+			*ev = Evaluation{
 				Scenario:    s,
-				Model:       fs[m].Name,
+				Model:       f.Name,
 				AE:          row.ae,
-				Truth:       truths[i],
+				Truth:       truth,
 				EstShare:    estShare,
 				ScoredTicks: row.scoredTicks,
 			}
 			if len(s.Apps) == 2 {
 				id0, id1 := s.Apps[0].ID, s.Apps[1].ID
 				ev.Point = division.RatioPoint{
-					X:     division.RatioPercent(truths[i][id0], truths[i][id1]),
+					X:     division.RatioPercent(truth[id0], truth[id1]),
 					Y:     division.RatioPercent(estShare[id0], estShare[id1]),
 					Label: label,
 				}
 			}
-			evs[i] = ev
 		}
-		out[m] = evs
 	}
-	return out
 }
 
 // evictEvalsLocked enforces the digest tier's byte cap, oldest first, with
@@ -192,19 +192,20 @@ func (c *CacheScope) removeEvalLocked(key evalSum, e *evalEntry) {
 }
 
 // evaluateScenarioCached is evaluateScenarioStreaming behind the
-// evaluation-digest tier. Hits skip the simulation entirely and materialize
-// the stored digest; misses compute, store, and return the freshly computed
-// rows. The tier is bypassed — plain streaming evaluation — when the
-// context has no cache scope or a factory has no fingerprint.
-func evaluateScenarioCached(cctx context.Context, p *campaignPlan, s Scenario, truths []division.Shares) ([][]Evaluation, error) {
+// evaluation-digest tier, writing the scenario's rows into v. Hits skip the
+// simulation entirely and materialize the stored digest; misses score into
+// a fresh digest, materialize it and store it. The tier is bypassed —
+// plain streaming evaluation into pooled scratch — when the context has no
+// cache scope or a factory has no fingerprint.
+func evaluateScenarioCached(cctx context.Context, p *campaignPlan, s Scenario, truths []division.Shares, v rowView) error {
 	c := p.ctx.Cache
 	run := p.pairRun(s)
 	if c == nil {
-		return evaluateScenarioStreaming(cctx, p, s, &run, truths)
+		return evaluateScenarioStreaming(cctx, p, s, &run, truths, nil, v)
 	}
 	key, ok := p.evalKey(&run, truths)
 	if !ok {
-		return evaluateScenarioStreaming(cctx, p, s, &run, truths)
+		return evaluateScenarioStreaming(cctx, p, s, &run, truths, nil, v)
 	}
 
 	c.mu.Lock()
@@ -218,9 +219,10 @@ func evaluateScenarioCached(cctx context.Context, p *campaignPlan, s Scenario, t
 			// The compute we waited on failed (possibly another job's
 			// cancellation); evaluate independently rather than inheriting
 			// its error.
-			return evaluateScenarioStreaming(cctx, p, s, &run, truths)
+			return evaluateScenarioStreaming(cctx, p, s, &run, truths, nil, v)
 		}
-		return e.d.materialize(s, run.label, p.fs, truths, run.roster.IDs()), nil
+		e.d.materialize(s, run.label, p.fs, truths, run.roster.IDs(), v)
+		return nil
 	}
 	e := &evalEntry{done: make(chan struct{})}
 	c.evals[key] = e
@@ -229,15 +231,16 @@ func evaluateScenarioCached(cctx context.Context, p *campaignPlan, s Scenario, t
 	obsCacheMisses.Inc()
 	c.mu.Unlock()
 
-	rows, err := evaluateScenarioStreaming(cctx, p, s, &run, truths)
+	d := new(evalDigest)
+	err := evaluateScenarioStreaming(cctx, p, s, &run, truths, d, v)
 	c.mu.Lock()
 	if err != nil {
 		e.err = err
 		c.removeEvalLocked(key, e)
 	} else {
-		e.d = digestOf(rows, run.roster.IDs())
+		e.d = d
 		if !e.evicted {
-			e.size = e.d.estimatedBytes()
+			e.size = d.estimatedBytes()
 			e.sized = true
 			c.evalBytes += e.size
 			c.evictEvalsLocked()
@@ -245,5 +248,5 @@ func evaluateScenarioCached(cctx context.Context, p *campaignPlan, s Scenario, t
 	}
 	c.mu.Unlock()
 	close(e.done)
-	return rows, err
+	return err
 }

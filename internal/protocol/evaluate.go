@@ -123,12 +123,13 @@ func EvaluatePairMulti(ctx Context, s Scenario, factory models.Factory, baseline
 	if err != nil {
 		return nil, err
 	}
-	rows, err := evaluateScenarioCached(context.Background(), newCampaignPlan(ctx, []models.Factory{factory}, nil), s, truths)
-	if err != nil {
+	out := make([]Evaluation, len(truths))
+	p := newCampaignPlan(ctx, []models.Factory{factory}, nil)
+	if err := evaluateScenarioCached(context.Background(), p, s, truths, rowView{rows: out, stride: len(truths)}); err != nil {
 		return nil, err
 	}
 	done()
-	return rows[0], nil
+	return out, nil
 }
 
 // scenarioTruths resolves the objective shares a scenario is scored
@@ -180,29 +181,49 @@ type tickSeries struct {
 	power []units.Watts
 }
 
+// rowView addresses the caller-owned rows one scenario's evaluations are
+// written into: factory m's row for objective o is rows[at+m*stride+o].
+// A campaign lays its per-model columns end to end in one slab (stride =
+// scenario count, at = the scenario's index, one objective); a
+// per-scenario caller passes its own [factory][objective] slice (at = 0,
+// stride = objective count). Each row is written exactly once.
+type rowView struct {
+	rows       []Evaluation
+	at, stride int
+}
+
+// row returns factory m's row for objective o.
+func (v rowView) row(m, o int) *Evaluation { return &v.rows[v.at+m*v.stride+o] }
+
 // scoreScratch holds the scoring tail's reusable buffers, so one worker
 // scoring many models (and many scenarios) refills them instead of
 // reallocating per call. Reuse changes only where the buffers live, never
 // the accumulation order, so results stay bit-identical to fresh buffers.
 type scoreScratch struct {
-	scored      *trace.Series
-	scoredEsts  [][]units.Watts
-	scoredPower []units.Watts
+	scored *trace.Series
 	// at/power back the per-scenario tickSeries, so the scoring view
 	// rides the same recycled scratch as the rest of the tail.
 	at    []time.Duration
 	power []units.Watts
-	// meanEst and truthVec are roster-width accumulators reused across the
-	// models/objectives of a scenario.
-	meanEst  []float64
-	truthVec []float64
+	// meanEst is the roster-width estimate accumulator, reused across the
+	// models of a scenario; truthVecs holds every objective's truth vector
+	// end to end (objective o is truthVecs[o*slots:(o+1)*slots]); errs
+	// holds one running Eq 5 sum per objective.
+	meanEst   []float64
+	truthVecs []float64
+	errs      []division.ErrorSum
+	// windows memoizes the scenario's scoring windows (see windowFor).
+	windows []scoringWindow
+	// digest receives the scored outcome when no cache entry will keep
+	// it; rows are materialized from it before the scratch is recycled.
+	digest evalDigest
 }
 
-// rosterVec returns buf resized to n entries, reallocating only on growth;
-// the contents are unspecified — callers overwrite every entry.
-func rosterVec(buf []float64, n int) []float64 {
+// resize returns buf resized to n entries, reallocating only on growth;
+// the contents are unspecified — callers overwrite or clear every entry.
+func resize[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -219,71 +240,63 @@ func putScoreScratch(s *scoreScratch) { scoreScratchPool.Put(s) }
 
 // scoreEstimatesWindow is protocol phase 3's scoring tail: Eq 5 over an
 // accumulated estimate matrix and the matching tick series, inside the
-// scoring window [from, to). The window is a pure function of (ctx, ts,
-// est.OK), so callers scoring several models over one scenario compute it
-// once per distinct OK vector (models with full estimate coverage — most of
-// them — share one) instead of once per model.
+// scoring window [from, to), written into factory m's cells of d. The
+// window is a pure function of (ctx, ts, est.OK), so callers scoring
+// several models over one scenario compute it once per distinct OK vector
+// (models with full estimate coverage — most of them — share one) instead
+// of once per model.
 //
-// The whole phase is columnar: the scored ticks are column views of the
-// estimate slab, and the truths are projected onto the roster once per
-// objective. Slot order is sorted-ID order, so every floating-point
-// accumulation matches the map pipeline bit for bit (the map-reference
-// test pins this). label is s.Label(), formatted once by the caller.
-func scoreEstimatesWindow(ctx Context, s Scenario, label string, ts tickSeries, modelName string, est *models.DenseEstimates, truths []division.Shares, scr *scoreScratch, from, to time.Duration) ([]Evaluation, error) {
+// The tail walks the window once: each scored tick's estimate column is
+// added into the mean-estimate accumulator, its power into the running
+// power total, and the column is scored against every objective's truth
+// vector (scr.truthVecs, roster-projected by the caller, objective after
+// objective) by one division.ErrorSum each. Each accumulation visits the
+// scored ticks in tick order and the slots in roster order — sorted-ID
+// order — so every float matches the map pipeline bit for bit (the
+// map-reference test pins this). label is s.Label(), formatted once by
+// the caller.
+func scoreEstimatesWindow(label, modelName string, ts tickSeries, est *models.DenseEstimates, scr *scoreScratch, from, to time.Duration, d *evalDigest, m int) error {
 	if to <= from {
-		return nil, fmt.Errorf("protocol: scenario %q: model %s produced no estimates", label, modelName)
+		return fmt.Errorf("protocol: scenario %q: model %s produced no estimates", label, modelName)
 	}
-	rosterIDs := est.Roster.IDs()
-	scoredEsts := scr.scoredEsts[:0]
-	scoredPower := scr.scoredPower[:0]
-	scr.meanEst = rosterVec(scr.meanEst, len(rosterIDs))
+	slots := est.Roster.Len()
+	scr.meanEst = resize(scr.meanEst, slots)
 	meanEst := scr.meanEst
 	clear(meanEst)
+	scr.errs = resize(scr.errs, d.truths)
+	errs, truthVecs := scr.errs, scr.truthVecs
+	clear(errs)
+	var meanPower float64
+	scored := 0
 	for i, at := range ts.at {
 		if at < from || at >= to || !est.OK[i] {
 			continue
 		}
-		row := est.Row(i)
-		scoredEsts = append(scoredEsts, row)
-		scoredPower = append(scoredPower, ts.power[i])
+		row, power := est.Row(i), ts.power[i]
 		for slot, w := range row {
 			meanEst[slot] += float64(w)
 		}
+		meanPower += float64(power)
+		for o := range errs {
+			errs[o].Add(row, power, truthVecs[o*slots:(o+1)*slots])
+		}
+		scored++
 	}
-	scr.scoredEsts, scr.scoredPower = scoredEsts, scoredPower
-	var meanPower float64
-	for _, p := range scoredPower {
-		meanPower += float64(p)
-	}
-	estShare := division.Shares{}
-	if meanPower > 0 {
+	d.hasShare[m] = meanPower > 0
+	if d.hasShare[m] {
+		share := d.share(m)
 		for slot, sum := range meanEst {
-			estShare[rosterIDs[slot]] = sum / meanPower
+			share[slot] = sum / meanPower
 		}
 	}
-
-	out := make([]Evaluation, len(truths))
-	for i, truth := range truths {
-		ev := Evaluation{Scenario: s, Model: modelName, Truth: truth, EstShare: estShare}
-		scr.truthVec = rosterVec(scr.truthVec, len(rosterIDs))
-		tv := truth.VectorInto(scr.truthVec, rosterIDs)
-		ae, err := division.AbsoluteErrorColumnsConst(scoredEsts, scoredPower, tv)
+	for o := range errs {
+		ae, err := errs[o].Mean()
 		if err != nil {
-			return nil, fmt.Errorf("protocol: scenario %q: %w", label, err)
+			return fmt.Errorf("protocol: scenario %q: %w", label, err)
 		}
-		ev.AE = ae
-		ev.ScoredTicks = len(scoredEsts)
-		if len(s.Apps) == 2 {
-			id0, id1 := s.Apps[0].ID, s.Apps[1].ID
-			ev.Point = division.RatioPoint{
-				X:     division.RatioPercent(truth[id0], truth[id1]),
-				Y:     division.RatioPercent(estShare[id0], estShare[id1]),
-				Label: label,
-			}
-		}
-		out[i] = ev
+		d.rows[m*d.truths+o] = evalRow{ae: ae, scoredTicks: scored}
 	}
-	return out, nil
+	return nil
 }
 
 // Summary aggregates the evaluations of one model over a campaign.
@@ -301,12 +314,16 @@ type Summary struct {
 // Summarize aggregates per-scenario evaluations.
 func Summarize(model string, evs []Evaluation) Summary {
 	s := Summary{Model: model, Evaluations: evs}
-	for _, ev := range evs {
+	worst := -1
+	for i, ev := range evs {
 		s.MeanAE += ev.AE
 		if ev.AE > s.MaxAE {
 			s.MaxAE = ev.AE
-			s.WorstScenario = ev.Scenario.Label()
+			worst = i
 		}
+	}
+	if worst >= 0 {
+		s.WorstScenario = evs[worst].Scenario.Label()
 	}
 	if len(evs) > 0 {
 		s.MeanAE /= float64(len(evs))

@@ -15,11 +15,16 @@ import (
 // pass per scenario, with O(ticks-in-flight) simulator state. The models
 // observe each segment as the simulator produces it, so per scenario the
 // only O(ticks) state kept is what scoring needs anyway — the per-model
-// estimate matrices and the power/time scoring view. Pair runs are never
-// materialized and never cached, which is where the memory goes: the
-// byte-capped summary cache (cache.go) keeps only the compact phase 1
-// solo-run digests, and the evaluation-digest tier (cache_eval.go) only
-// the scored rows.
+// estimate matrices and the power/time scoring view, both pooled. Pair
+// runs are never materialized and never cached, which is where the memory
+// goes: the byte-capped baseline tier (cache.go) keeps only phase 1's
+// four-number baselines, and the evaluation-digest tier (cache_eval.go)
+// only the scored outcome.
+//
+// Scoring writes each result once: the scoring tail accumulates straight
+// into an evalDigest, and evalDigest.materialize writes the caller-owned
+// rows (rowView) from it — on a cache miss, a hit and an uncached run
+// alike.
 //
 // Every campaign entry point — EvaluatePair, EvaluateCampaign,
 // EvaluateModelsStreaming and the per-scenario units the campaign service
@@ -29,14 +34,10 @@ import (
 // original per-tick map pipeline.
 
 // evaluateScenarioStreaming runs phases 2–3 for one scenario in a single
-// simulator pass, scoring every factory: the scenario is simulated exactly
-// once and all models observe the stream as it runs. The result is
-// indexed [factory][objective], matching truths.
-//
-// The scenario streams segment by segment (machine.StreamSegments): the
-// simulator evaluates each constant segment once, and the models observe
-// it through StreamReplay.ObserveSegment — the model-side counterpart of
-// the segment engine, bit-identical to per-tick observation.
+// simulator pass, scoring every factory against every truth: the scenario
+// is simulated exactly once and all models observe the stream as it runs.
+// The scored outcome lands in d — or, when d is nil, in pooled scratch —
+// and is then materialized into v.
 //
 // cctx is the cancellation seam: it is polled once per simulated tick
 // inside the stream yield (segments poll once per covered tick, keeping
@@ -45,12 +46,31 @@ import (
 // the scenario — the error unwraps to cctx's cause via errors.Is.
 // Cancellation only ever aborts; it cannot perturb the float accumulation
 // order of a run that completes.
-func evaluateScenarioStreaming(cctx context.Context, p *campaignPlan, s Scenario, run *scenarioRun, truths []division.Shares) ([][]Evaluation, error) {
-	ctx, fs := p.ctx, p.fs
-	replay := models.NewStreamReplay(run.roster, p.newModels(run.label), run.cfg.ReservedTicks(ctx.RunFor))
-	defer replay.Release()
+func evaluateScenarioStreaming(cctx context.Context, p *campaignPlan, s Scenario, run *scenarioRun, truths []division.Shares, d *evalDigest, v rowView) error {
 	scr := getScoreScratch()
 	defer putScoreScratch(scr)
+	if d == nil {
+		d = &scr.digest
+	}
+	replay, ts, err := p.streamPair(cctx, run, scr)
+	if err != nil {
+		return err
+	}
+	defer replay.Release()
+	if err := p.scorePair(run, ts, replay, truths, scr, d); err != nil {
+		return err
+	}
+	d.materialize(s, run.label, p.fs, truths, run.roster.IDs(), v)
+	return nil
+}
+
+// streamPair simulates the scenario segment by segment
+// (machine.StreamSegments) while every factory's model observes each
+// segment through StreamReplay.ObserveSegment, and collects the scoring
+// view into scr. The caller releases the replay.
+func (p *campaignPlan) streamPair(cctx context.Context, run *scenarioRun, scr *scoreScratch) (*models.StreamReplay, tickSeries, error) {
+	ctx := p.ctx
+	replay := models.NewStreamReplay(run.roster, p.newModels(run.label), run.cfg.ReservedTicks(ctx.RunFor))
 	ts := tickSeries{at: scr.at[:0], power: scr.power[:0]}
 	load := models.SegmentLoader(run.cfg, run.roster)
 	_, err := machine.StreamSegments(run.cfg, run.procs, ctx.RunFor, func(seg *machine.Segment) error {
@@ -66,23 +86,38 @@ func evaluateScenarioStreaming(cctx context.Context, p *campaignPlan, s Scenario
 	})
 	scr.at, scr.power = ts.at, ts.power
 	if err != nil {
-		return nil, fmt.Errorf("protocol: scenario %q: %w", run.label, err)
+		replay.Release()
+		return nil, tickSeries{}, fmt.Errorf("protocol: scenario %q: %w", run.label, err)
 	}
-	out := make([][]Evaluation, len(fs))
+	return replay, ts, nil
+}
+
+// scorePair scores every factory's estimates against every truth into d,
+// sized here to the plan's factories, the truths and the roster.
+func (p *campaignPlan) scorePair(run *scenarioRun, ts tickSeries, replay *models.StreamReplay, truths []division.Shares, scr *scoreScratch, d *evalDigest) error {
+	rosterIDs := run.roster.IDs()
+	slots := len(rosterIDs)
+	d.reset(len(p.fs), len(truths), slots)
+	scr.truthVecs = resize(scr.truthVecs, len(truths)*slots)
+	for o, truth := range truths {
+		truth.VectorInto(scr.truthVecs[o*slots:(o+1)*slots], rosterIDs)
+	}
 	// The scoring window depends on the model only through its OK vector,
 	// and most models estimate every tick — so windows are computed once
-	// per distinct OK vector, not once per model.
-	var windows []scoringWindow
-	for m, f := range fs {
+	// per distinct OK vector, not once per model. The memo aliases this
+	// replay's OK vectors, so it is emptied before the scratch is reused.
+	defer func() {
+		clear(scr.windows)
+		scr.windows = scr.windows[:0]
+	}()
+	for m, f := range p.fs {
 		est := replay.Estimates(m)
-		from, to := windowFor(ctx, ts, est.OK, scr, &windows)
-		evs, err := scoreEstimatesWindow(ctx, s, run.label, ts, f.Name, est, truths, scr, from, to)
-		if err != nil {
-			return nil, err
+		from, to := windowFor(p.ctx, ts, est.OK, scr)
+		if err := scoreEstimatesWindow(run.label, f.Name, ts, est, scr, from, to, d, m); err != nil {
+			return err
 		}
-		out[m] = evs
 	}
-	return out, nil
+	return nil
 }
 
 // scoringWindow memoizes one distinct OK vector's stable scoring window
@@ -93,16 +128,16 @@ type scoringWindow struct {
 	from, to time.Duration
 }
 
-// windowFor resolves the scoring window for ok, reusing a previously
-// computed window when an identical OK vector was already seen.
-func windowFor(ctx Context, ts tickSeries, ok []bool, scr *scoreScratch, windows *[]scoringWindow) (time.Duration, time.Duration) {
-	for _, w := range *windows {
+// windowFor resolves the scoring window for ok, reusing a window already
+// computed for an identical OK vector in scr.windows.
+func windowFor(ctx Context, ts tickSeries, ok []bool, scr *scoreScratch) (time.Duration, time.Duration) {
+	for _, w := range scr.windows {
 		if boolsEqual(w.ok, ok) {
 			return w.from, w.to
 		}
 	}
 	from, to := stableScoringWindow(ctx, ts, ok, scr.scored)
-	*windows = append(*windows, scoringWindow{ok: ok, from: from, to: to})
+	scr.windows = append(scr.windows, scoringWindow{ok: ok, from: from, to: to})
 	return from, to
 }
 
@@ -129,26 +164,26 @@ func boolsEqual(a, b []bool) bool {
 // key equals the campaign plan's, so both share cached digests. cctx
 // cancellation aborts the simulator mid-run.
 func EvaluateScenarioStreaming(cctx context.Context, ctx Context, s Scenario, fs []models.Factory, baselines map[string]division.Baseline, obj Objective, r0 units.Watts) ([]Evaluation, error) {
-	return newCampaignPlan(ctx, fs, nil).evaluate(cctx, s, baselines, obj, r0)
+	out := make([]Evaluation, len(fs))
+	if err := newCampaignPlan(ctx, fs, nil).evaluate(cctx, s, baselines, obj, r0, rowView{rows: out, stride: 1}); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// evaluate is EvaluateScenarioStreaming under the plan.
-func (p *campaignPlan) evaluate(cctx context.Context, s Scenario, baselines map[string]division.Baseline, obj Objective, r0 units.Watts) ([]Evaluation, error) {
+// evaluate is EvaluateScenarioStreaming under the plan, writing factory
+// m's row to v.row(m, 0).
+func (p *campaignPlan) evaluate(cctx context.Context, s Scenario, baselines map[string]division.Baseline, obj Objective, r0 units.Watts, v rowView) error {
 	done := observeScenario()
 	truths, err := scenarioTruths(s, baselines, []Objective{obj}, r0)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	rows, err := evaluateScenarioCached(cctx, p, s, truths)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Evaluation, len(rows))
-	for m := range rows {
-		out[m] = rows[m][0]
+	if err := evaluateScenarioCached(cctx, p, s, truths, v); err != nil {
+		return err
 	}
 	done()
-	return out, nil
+	return nil
 }
 
 // EvaluateModelsStreaming runs the full protocol for several models over
@@ -178,22 +213,19 @@ func EvaluateModelsStreamingCtx(cctx context.Context, ctx Context, scenarios []S
 	}
 	fs := factories(baselines)
 	plan := newCampaignPlan(ctx, fs, scenarios)
-	perScenario := make([][]Evaluation, len(scenarios))
-	err = forEachIndexed(len(scenarios), func(i int) error {
-		row, err := plan.evaluate(cctx, scenarios[i], baselines, obj, r0)
-		perScenario[i] = row
-		return err
+	// Every model's column is allocated up front, end to end in one slab;
+	// each scenario writes its rows straight into them.
+	n := len(scenarios)
+	slab := make([]Evaluation, len(fs)*n)
+	err = forEachIndexed(n, func(i int) error {
+		return plan.evaluate(cctx, scenarios[i], baselines, obj, r0, rowView{rows: slab, at: i, stride: n})
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := map[string][]Evaluation{}
+	out := make(map[string][]Evaluation, len(fs))
 	for m, f := range fs {
-		evs := make([]Evaluation, len(scenarios))
-		for i := range scenarios {
-			evs[i] = perScenario[i][m]
-		}
-		out[f.Name] = evs
+		out[f.Name] = slab[m*n : (m+1)*n : (m+1)*n]
 	}
 	return out, nil
 }

@@ -2,6 +2,8 @@ package protocol
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"powerdiv/internal/division"
@@ -14,8 +16,11 @@ import (
 // extracts a baseline from: the machine power traces (measured,
 // noise-free, idle+residual), the per-tick CPU-time column of each roster
 // process, and the run's shape. It is filled from the run's segments,
-// expanded to one entry per tick, then reduced and dropped; what the
-// caches keep is the extracted division.Baseline (see baselineCached).
+// expanded to one entry per tick, then reduced; what the caches keep is
+// the extracted division.Baseline (see baselineCached). A summary is
+// reusable: fill overwrites it in place, keeping its buffers, so phase 1
+// recycles pooled summaries (soloBaseline) instead of allocating O(ticks)
+// state per solo run.
 //
 // The values are stored exactly as the materialized accessors would compute
 // them (float64(rec.TruePower), float64(rec.Idle+rec.Residual), ...), so
@@ -36,19 +41,30 @@ type RunSummary struct {
 	// CPUTime is a Ticks × Roster.Len() slab: tick i, slot s is
 	// CPUTime[i*Roster.Len()+s]. Absent processes hold zero.
 	CPUTime []units.CPUTime
+
+	// window is the stable-window search's series, refilled per baseline.
+	window *trace.Series
 }
 
-// newRunSummary streams a simulation's segments directly into its digest;
-// no machine.Run is materialized.
+// newRunSummary streams a simulation's segments directly into a fresh
+// digest; no machine.Run is materialized.
 func newRunSummary(cfg machine.Config, procs []machine.Proc, maxDur time.Duration) (*RunSummary, error) {
-	reserve := cfg.ReservedTicks(maxDur)
-	s := &RunSummary{
-		Tick:      cfg.TickInterval(),
-		Power:     make([]float64, 0, reserve),
-		TruePower: make([]float64, 0, reserve),
-		ResidIdle: make([]float64, 0, reserve),
-		CPUTime:   make([]units.CPUTime, 0, reserve*len(procs)),
+	s := new(RunSummary)
+	if err := s.fill(cfg, procs, maxDur); err != nil {
+		return nil, err
 	}
+	return s, nil
+}
+
+// fill streams a simulation's segments into s, overwriting whatever run it
+// held before and reusing its buffers.
+func (s *RunSummary) fill(cfg machine.Config, procs []machine.Proc, maxDur time.Duration) error {
+	reserve := cfg.ReservedTicks(maxDur)
+	s.Tick = cfg.TickInterval()
+	s.Power = slices.Grow(s.Power[:0], reserve)
+	s.TruePower = slices.Grow(s.TruePower[:0], reserve)
+	s.ResidIdle = slices.Grow(s.ResidIdle[:0], reserve)
+	s.CPUTime = slices.Grow(s.CPUTime[:0], reserve*len(procs))
 	info, err := machine.StreamSegments(cfg, procs, maxDur, func(seg *machine.Segment) error {
 		rec := seg.Rec
 		truePower, residIdle := float64(rec.TruePower), float64(rec.Idle+rec.Residual)
@@ -63,12 +79,12 @@ func newRunSummary(cfg machine.Config, procs []machine.Proc, maxDur time.Duratio
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.Roster = info.Roster
 	s.Ticks = info.Ticks
 	s.Duration = info.Duration
-	return s, nil
+	return nil
 }
 
 // PowerSeries returns the measured power trace (times are i·Tick, matching
@@ -88,14 +104,22 @@ func (s *RunSummary) TruePowerSeries() *trace.Series {
 // Bit-identical to the same extraction over a whole machine.Run (the
 // tests' reference) — the trace has the same samples and the accumulations run in
 // the same order (adding an absent slot's zero CPU time is bit-neutral:
-// utilization is non-negative).
+// utilization is non-negative). The window search runs on the summary's
+// own reusable series.
 func (s *RunSummary) baseline(stable time.Duration, appID string) (division.Baseline, error) {
-	power := s.TruePowerSeries()
-	window, err := power.StableWindow(stable)
-	if err != nil {
-		window = power
+	if s.window == nil {
+		s.window = trace.NewWithCap(s.Ticks)
 	}
-	from, to := window.Start(), window.End()+1
+	power := s.window
+	power.Reset()
+	for i, v := range s.TruePower {
+		power.Append(time.Duration(i)*s.Tick, v)
+	}
+	from, to, err := power.StableWindowBounds(stable)
+	if err != nil {
+		from, to = power.Start(), power.End()
+	}
+	to++
 	var total, residIdle, cores float64
 	var n int
 	slot, hasSlot := s.Roster.Slot(appID)
@@ -122,12 +146,21 @@ func (s *RunSummary) baseline(stable time.Duration, appID string) (division.Base
 	}, nil
 }
 
-// soloBaseline simulates a solo run into its digest and extracts id's
-// baseline over the stable window; the digest is dropped on return. It is
-// the compute behind every baseline-tier miss.
+// summaryPool recycles phase 1 digests across solo runs: a campaign's
+// phase 1 simulates one solo run per application, and each digest's
+// buffers are O(run ticks).
+var summaryPool = sync.Pool{New: func() any { return new(RunSummary) }}
+
+// soloBaseline simulates a solo run into a pooled digest and extracts id's
+// baseline over the stable window; the digest goes back to the pool on
+// return. It is the compute behind every baseline-tier miss.
 func soloBaseline(cfg machine.Config, procs []machine.Proc, maxDur, stable time.Duration, id string) (division.Baseline, error) {
-	sum, err := newRunSummary(cfg, procs, maxDur)
-	if err != nil {
+	sum := summaryPool.Get().(*RunSummary)
+	defer func() {
+		sum.Roster = nil
+		summaryPool.Put(sum)
+	}()
+	if err := sum.fill(cfg, procs, maxDur); err != nil {
 		return division.Baseline{}, fmt.Errorf("protocol: solo run of %s: %w", id, err)
 	}
 	return sum.baseline(stable, id)

@@ -161,3 +161,97 @@ func TestBaselineSummaryHorizonMaxInt64(t *testing.T) {
 		t.Errorf("baseline at MaxInt64 %+v, at an hour %+v", got, want)
 	}
 }
+
+// TestRunSummaryReuseMatchesFresh pins the reusable digest: a summary
+// refilled after a longer run of another application, and then after a
+// run of a wider roster, extracts baselines bit-identical to fresh
+// summaries' — a refill that kept a previous run's ticks, roster or
+// window series would show up here.
+func TestRunSummaryReuseMatchesFresh(t *testing.T) {
+	t.Parallel()
+	ctx := goldenContext(cpumodel.Dahu(), true)
+	a, err := StressApp("matrixprod", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := StressApp("fibonacci", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := []struct {
+		procs  []machine.Proc
+		maxDur time.Duration
+		id     string
+	}{
+		{[]machine.Proc{a.proc()}, 3 * ctx.RunFor, a.ID},
+		{[]machine.Proc{b.proc()}, ctx.RunFor, b.ID},
+		{[]machine.Proc{b.proc(), a.proc()}, ctx.RunFor, a.ID},
+		{[]machine.Proc{b.proc()}, ctx.RunFor / 2, b.ID},
+	}
+	reused := new(RunSummary)
+	for i, r := range runs {
+		cfg := ctx.Machine
+		cfg.Seed = int64(i + 1)
+		fresh, err := newRunSummary(cfg, r.procs, r.maxDur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.baseline(ctx.StableWindow, r.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reused.fill(cfg, r.procs, r.maxDur); err != nil {
+			t.Fatal(err)
+		}
+		got, err := reused.baseline(ctx.StableWindow, r.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reused.Ticks != fresh.Ticks || len(reused.CPUTime) != len(fresh.CPUTime) || reused.Roster.Len() != fresh.Roster.Len() {
+			t.Fatalf("run %d: reused shape %d ticks/%d slab, fresh %d/%d", i, reused.Ticks, len(reused.CPUTime), fresh.Ticks, len(fresh.CPUTime))
+		}
+		if got.ID != want.ID ||
+			math.Float64bits(float64(got.Total)) != math.Float64bits(float64(want.Total)) ||
+			math.Float64bits(float64(got.Residual)) != math.Float64bits(float64(want.Residual)) ||
+			math.Float64bits(got.Cores) != math.Float64bits(want.Cores) {
+			t.Errorf("run %d: reused baseline %+v, fresh %+v", i, got, want)
+		}
+	}
+}
+
+// raceEnabled reports a race-detector build (see race_test.go).
+var raceEnabled bool
+
+// TestSoloBaselineBytesIndependentOfRunLength pins pooled phase 1: once
+// warm, a solo baseline allocates the same bytes per call — within 1 kB —
+// whether the run is 30 s or 120 s, so nothing phase 1 allocates per call
+// grows with the run's ticks. The race detector drops pooled items at
+// random, so the bound only holds without it.
+func TestSoloBaselineBytesIndependentOfRunLength(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	ctx := goldenContext(cpumodel.SmallIntel(), false)
+	app, err := StressApp("matrixprod", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ctx.Machine
+	cfg.Seed = deriveSeed(ctx.Seed, "solo", app.ID)
+	procs := []machine.Proc{app.proc()}
+	var bytes []int64
+	for _, runFor := range []time.Duration{30 * time.Second, 120 * time.Second} {
+		if _, err := soloBaseline(cfg, procs, runFor, ctx.StableWindow, app.ID); err != nil {
+			t.Fatal(err)
+		}
+		res := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				soloBaseline(cfg, procs, runFor, ctx.StableWindow, app.ID)
+			}
+		})
+		bytes = append(bytes, res.AllocedBytesPerOp())
+	}
+	if d := bytes[1] - bytes[0]; d > 1024 || d < -1024 {
+		t.Errorf("soloBaseline allocates %d B/call at 30 s and %d B/call at 120 s; want within 1 kB", bytes[0], bytes[1])
+	}
+}
