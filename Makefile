@@ -94,11 +94,15 @@ bench-diff:
 # pprof captures CPU and heap profiles of the cold campaign rung — the one
 # the bench-diff rate gate polices, where every scenario simulates, observes
 # and scores (the warm rung serves everything from the evaluation-digest
-# tier) — for `go tool pprof cpu.prof` / `go tool pprof mem.prof` (both
-# gitignored).
+# tier) — for `go tool pprof cpu.prof` / `go tool pprof mem.prof`, and of
+# the traffic campaign rung, whose churned rosters and self-calibrating
+# models spend differently, into traffic-cpu.prof / traffic-mem.prof (all
+# four gitignored).
 pprof:
 	$(GO) test -run '^$$' -bench 'BenchmarkLabErrorTableCold/small-intel' \
 		-benchtime 20x -cpuprofile cpu.prof -memprofile mem.prof .
+	$(GO) test -run '^$$' -bench '^BenchmarkTrafficCampaign$$' \
+		-benchtime 20x -cpuprofile traffic-cpu.prof -memprofile traffic-mem.prof .
 
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzTraceJSON -fuzztime 5s ./internal/traffic

@@ -546,7 +546,7 @@ func BenchmarkTrafficPhase1DiskWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	apps := protocol.AppsOf(scenarios)
+	apps := protocol.BaselineAppsOf(scenarios)
 	disk, err := protocol.OpenDiskCache(b.TempDir(), 0)
 	if err != nil {
 		b.Fatal(err)

@@ -69,11 +69,9 @@ type PowerAPI struct {
 
 	ticks      *tickAdapter
 	learnStart time.Duration
-	// rows/targets are the learning window, borrowed from learnWindows by
-	// reset and handed back by fit; win is the borrowed holder.
-	win     *learnWindow
-	rows    [][4]float64
-	targets []float64
+	// win is the learning window, borrowed at a context change (reset)
+	// and handed back at its calibration (fit) or at release.
+	win *calibWindow
 
 	fitted     bool
 	weights    [4]float64
@@ -139,11 +137,14 @@ func (m *PowerAPI) rand() *rand.Rand {
 	return m.rng
 }
 
-// release hands the register back to registers once the model is done
-// (StreamReplay.Release); the model must not observe afterwards. The
-// model's pointer is cleared before the Put, so the register is never
-// reachable from this model once another can take it.
+// release hands the register back to registers, and a learning window
+// still borrowed (a scenario that ended before its calibration) back to
+// calibWindows, once the model is done (StreamReplay.Release); the model
+// must not observe afterwards. The model's pointers are cleared before the
+// Puts, so pooled state is never reachable from this model once another
+// can take it.
 func (m *PowerAPI) release() {
+	m.releaseWindow()
 	r := m.rng
 	if r == nil {
 		return
@@ -152,31 +153,14 @@ func (m *PowerAPI) release() {
 	registers.Put(r)
 }
 
-// learnWindow is a learning window's backing storage. A window is only
-// live from a context change until its calibration, and a campaign builds
-// a fresh model per scenario, so windows are recycled through
-// learnWindows instead of allocated per model.
-type learnWindow struct {
-	rows    [][4]float64
-	targets []float64
-}
-
-// learnWindows recycles learning windows across models. A window at the
-// default tick rate collects ~100 rows; reserving 128 up front replaces the
-// append-doubling ladder. Reuse changes where the rows live, never their
-// values or order, so calibrations are bit-identical to fresh windows.
-var learnWindows = sync.Pool{New: func() any {
-	return &learnWindow{rows: make([][4]float64, 0, 128), targets: make([]float64, 0, 128)}
-}}
-
 // reset restarts the learning window after a context change (§IV-A).
 func (m *PowerAPI) reset(at time.Duration) {
 	m.learnStart = at
 	if m.win == nil {
-		m.win = learnWindows.Get().(*learnWindow)
+		m.win = borrowWindow()
+	} else {
+		m.win.clear()
 	}
-	m.rows = m.win.rows[:0]
-	m.targets = m.win.targets[:0]
 	m.fitted = false
 	m.degenerate = false
 	m.favSlot = -1
@@ -205,20 +189,18 @@ func (m *PowerAPI) fit(logicalCPUs int) {
 		// The favored process is drawn (seeded) at first estimation.
 		m.degenerate = true
 	} else {
-		m.weights, m.scales = RidgeFit4(m.rows, m.targets, m.cfg.Ridge)
+		m.weights, m.scales = m.win.fit(m.cfg.Ridge)
 	}
 	m.releaseWindow()
 }
 
-// releaseWindow hands the calibrated window back to learnWindows, keeping
-// any growth. Every fit follows a reset (an empty window never fits), so a
-// window is always borrowed here. The model drops its references first, so
-// the storage is never reachable from this model once another can take it.
+// releaseWindow hands the learning window, if one is borrowed, back to
+// calibWindows. The model drops its reference first.
 func (m *PowerAPI) releaseWindow() {
-	w := m.win
-	w.rows, w.targets = m.rows[:0], m.targets[:0]
-	m.win, m.rows, m.targets = nil, nil, nil
-	learnWindows.Put(w)
+	if w := m.win; w != nil {
+		m.win = nil
+		w.handBack()
+	}
 }
 
 // boolsEqual reports whether two bool slices are element-wise equal.
@@ -286,10 +268,9 @@ func (m *PowerAPI) ObserveSegmentInto(seg *SegmentTicks, out []units.Watts, ok [
 		}
 		for ; k < nt; k++ {
 			if !seg.Degraded {
-				m.rows = append(m.rows, agg)
-				m.targets = append(m.targets, float64(seg.Powers[k]))
+				m.win.add(agg, float64(seg.Powers[k]))
 			}
-			if seg.At(k)-m.learnStart < m.cfg.LearnWindow || len(m.rows) == 0 {
+			if seg.At(k)-m.learnStart < m.cfg.LearnWindow || m.win.len() == 0 {
 				ok[k] = false
 				continue
 			}

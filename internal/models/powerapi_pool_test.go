@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -13,12 +14,16 @@ import (
 	"powerdiv/internal/rng"
 )
 
-// TestPowerAPIWindowPoolConcurrentModels runs PowerAPI models on several
-// goroutines at once over a churned roster, so learning windows pass
-// between models through the pool mid-campaign: every context change takes
-// a window, every calibration (ridge or degenerate) hands it back. Each
-// model's estimates must be bit-identical to the same model fed the same
-// ticks serially before any pooling traffic.
+// TestPowerAPIWindowPoolConcurrentModels runs PowerAPI and SmartWatts
+// models on several goroutines at once over a churned roster, each through
+// a StreamReplay released afterwards, so calibration windows pass between
+// models through the pool mid-campaign: every PowerAPI context change takes
+// a window and every calibration (ridge or degenerate) hands it back, every
+// SmartWatts bin takes one, and Release hands back the rest — full windows
+// of SmartWatts bins, and PowerAPI windows still learning when a replay
+// stops mid-window. Each model's estimates must be bit-identical to the
+// same model fed the same ticks serially, and a replay stopped early must
+// match the full replay's prefix.
 func TestPowerAPIWindowPoolConcurrentModels(t *testing.T) {
 	spec := cpumodel.Dahu()
 	if spec.Topology.LogicalCPUs() < 32 {
@@ -41,39 +46,81 @@ func TestPowerAPIWindowPoolConcurrentModels(t *testing.T) {
 		t.Fatal(err)
 	}
 	ticks := denseTicks(run)
+	// Half a learning window after the context change at 6 s.
+	midLearning := int(6500 * time.Millisecond / run.Tick())
 
 	ridge := DefaultPowerAPIConfig()
 	ridge.LearnWindow = time.Second
 	forced := ridge
 	forced.InstabilityProb = 1
-	factories := []Factory{NewPowerAPI(ridge), NewPowerAPI(forced)}
+	sw := DefaultSmartWattsConfig()
+	sw.MinSamples = 5
+	factories := []Factory{NewPowerAPI(ridge), NewPowerAPI(forced), NewSmartWatts(sw)}
 	type job struct {
-		f    int
-		seed int64
+		f     int
+		seed  int64
+		ticks int // observed before Release
 	}
 	var jobs []job
 	for f := range factories {
 		for seed := int64(0); seed < 6; seed++ {
-			jobs = append(jobs, job{f, seed})
+			jobs = append(jobs, job{f, seed, len(ticks)}, job{f, seed, midLearning})
 		}
 	}
 
-	want := make([]*DenseEstimates, len(jobs))
+	// replay feeds a job's ticks through a StreamReplay and returns its
+	// estimates as bits, copied out before the release.
+	replay := func(j job) (ok []bool, rows [][]uint64, m Model) {
+		m = factories[j.f].New(j.seed)
+		r := NewStreamReplay(run.Roster, []Model{m}, j.ticks)
+		for _, tk := range ticks[:j.ticks] {
+			r.Observe(tk)
+		}
+		est := r.Estimates(0)
+		ok = append([]bool(nil), est.OK...)
+		for k := range est.OK {
+			var row []uint64
+			for _, w := range est.Row(k) {
+				row = append(row, math.Float64bits(float64(w)))
+			}
+			rows = append(rows, row)
+		}
+		r.Release()
+		return ok, rows, m
+	}
+
+	wantOK := make([][]bool, len(jobs))
+	wantRows := make([][][]uint64, len(jobs))
 	degenerate := 0
 	for i, j := range jobs {
-		m := factories[j.f].New(j.seed)
-		want[i] = replayDense(m, run, ticks)
-		if m.(*PowerAPI).Degenerate() {
+		var m Model
+		wantOK[i], wantRows[i], m = replay(j)
+		if j.ticks == midLearning {
+			// The full job precedes this one.
+			if j.f < 2 && wantOK[i][midLearning-1] {
+				t.Fatalf("job %+v: estimating at tick %d; the replay must stop mid-learning", j, midLearning-1)
+			}
+			for k := range wantOK[i] {
+				if wantOK[i][k] != wantOK[i-1][k] || !slices.Equal(wantRows[i][k], wantRows[i-1][k]) {
+					t.Fatalf("job %+v tick %d: differs from the full replay", j, k)
+				}
+			}
+			continue
+		}
+		if pa, isPA := m.(*PowerAPI); isPA && pa.Degenerate() {
 			degenerate++
 		}
 		fits := 0
-		for k := 1; k < len(want[i].OK); k++ {
-			if want[i].OK[k] && !want[i].OK[k-1] {
+		for k := 1; k < len(wantOK[i]); k++ {
+			if wantOK[i][k] && !wantOK[i][k-1] {
 				fits++
 			}
 		}
-		if fits < 4 {
+		if j.f < 2 && fits < 4 {
 			t.Fatalf("job %+v: %d calibrations, want several reset/fit cycles", j, fits)
+		}
+		if j.f == 2 && fits == 0 {
+			t.Fatalf("job %+v: SmartWatts never estimated", j)
 		}
 	}
 	if degenerate == 0 {
@@ -82,21 +129,20 @@ func TestPowerAPIWindowPoolConcurrentModels(t *testing.T) {
 
 	check := func(i int) string {
 		j := jobs[i]
-		got := replayDense(factories[j.f].New(j.seed), run, ticks)
-		for k := range want[i].OK {
-			if got.OK[k] != want[i].OK[k] {
-				return fmt.Sprintf("job %+v tick %d: ok %v, want %v", j, k, got.OK[k], want[i].OK[k])
+		ok, rows, _ := replay(j)
+		for k := range wantOK[i] {
+			if ok[k] != wantOK[i][k] {
+				return fmt.Sprintf("job %+v tick %d: ok %v, want %v", j, k, ok[k], wantOK[i][k])
 			}
-			g, w := got.Row(k), want[i].Row(k)
-			for slot := range w {
-				if math.Float64bits(float64(g[slot])) != math.Float64bits(float64(w[slot])) {
-					return fmt.Sprintf("job %+v tick %d slot %d: %v, want %v", j, k, slot, g[slot], w[slot])
+			for slot, b := range wantRows[i][k] {
+				if rows[k][slot] != b {
+					return fmt.Sprintf("job %+v tick %d slot %d: bits %x, want %x", j, k, slot, rows[k][slot], b)
 				}
 			}
 		}
 		return ""
 	}
-	const workers, rounds = 8, 6
+	const workers, rounds = 8, 9
 	var wg sync.WaitGroup
 	failures := make(chan string, workers)
 	for w := 0; w < workers; w++ {

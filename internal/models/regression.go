@@ -1,30 +1,113 @@
 package models
 
+import (
+	"math"
+	"sync"
+)
+
 // RidgeFit4 solves the ridge-regularised least squares problem
 // (XᵀX + λI) w = Xᵀy for w, with feature scaling: each column of X is
 // divided by its mean absolute value before fitting, and the returned
 // scales let callers apply the weights to raw feature vectors. Rows are
-// observations (feature vectors of width dim), y the targets.
+// observations (feature vectors of width dim), y the targets. It feeds a
+// calibWindow, whose fit is the one normal-equation kernel.
 func RidgeFit4(rows [][4]float64, y []float64, lambda float64) (weights, scales [4]float64) {
+	if len(rows) != len(y) {
+		return weights, [4]float64{1, 1, 1, 1}
+	}
+	var w calibWindow
+	for i, r := range rows {
+		w.add(r, y[i])
+	}
+	return w.fit(lambda)
+}
+
+// calibRun is n consecutive calibration rows equal to row.
+type calibRun struct {
+	row [4]float64
+	n   int
+}
+
+// calibWindow is a self-calibrating model's training set: aggregate
+// counter rows, run-length encoded, and one target per row. A segment's
+// aggregate row is constant over its ticks, so a window holds one run per
+// segment however many ticks it spans; the targets still differ per tick.
+type calibWindow struct {
+	runs    []calibRun
+	targets []float64
+}
+
+// calibWindows recycles windows across models: a campaign builds fresh
+// models per scenario, and each borrows windows for its calibrations (see
+// borrowWindow and handBack). Reuse changes where the rows live, never
+// their values or order, so fits are bit-identical to fresh windows.
+var calibWindows = sync.Pool{New: func() any { return new(calibWindow) }}
+
+// borrowWindow takes an empty window from calibWindows.
+func borrowWindow() *calibWindow { return calibWindows.Get().(*calibWindow) }
+
+// handBack empties w and returns it to calibWindows. The caller must drop
+// its reference first.
+func (w *calibWindow) handBack() {
+	w.clear()
+	calibWindows.Put(w)
+}
+
+// clear empties the window, keeping its storage.
+func (w *calibWindow) clear() { w.runs, w.targets = w.runs[:0], w.targets[:0] }
+
+// add appends one row and its target. Rows are compared bit for bit, so a
+// run only ever merges rows the fit could not tell apart.
+func (w *calibWindow) add(row [4]float64, y float64) {
+	if n := len(w.runs); n > 0 && sameRow(w.runs[n-1].row, row) {
+		w.runs[n-1].n++
+	} else {
+		w.runs = append(w.runs, calibRun{row: row, n: 1})
+	}
+	w.targets = append(w.targets, y)
+}
+
+// len returns the number of rows in the window.
+func (w *calibWindow) len() int { return len(w.targets) }
+
+// sameRow reports whether two rows are bitwise equal.
+func sameRow(a, b [4]float64) bool {
+	for d := range a {
+		if math.Float64bits(a[d]) != math.Float64bits(b[d]) {
+			return false
+		}
+	}
+	return true
+}
+
+// fit solves the window's ridge problem (see RidgeFit4). Every sum adds
+// the same terms in the same row order as a row-by-row fit, so run-length
+// encoding changes only how often the per-row products are computed: the
+// scaled row once per run, and of XᵀX only the upper triangle, mirrored
+// (x[p]·x[q] and x[q]·x[p] round identically).
+func (w *calibWindow) fit(lambda float64) (weights, scales [4]float64) {
 	const dim = 4
 	for d := 0; d < dim; d++ {
 		scales[d] = 1
 	}
-	if len(rows) == 0 || len(rows) != len(y) {
+	rows := w.len()
+	if rows == 0 {
 		return weights, scales
 	}
 	// Column scaling keeps the ridge penalty meaningful across features of
 	// wildly different magnitudes (cycles ~1e10/s vs cache refs ~1e7/s).
 	for d := 0; d < dim; d++ {
 		var sum float64
-		for _, r := range rows {
-			v := r[d]
+		for _, r := range w.runs {
+			v := r.row[d]
 			if v < 0 {
 				v = -v
 			}
-			sum += v
+			for k := 0; k < r.n; k++ {
+				sum += v
+			}
 		}
-		mean := sum / float64(len(rows))
+		mean := sum / float64(rows)
 		if mean > 0 {
 			scales[d] = mean
 		}
@@ -32,26 +115,41 @@ func RidgeFit4(rows [][4]float64, y []float64, lambda float64) (weights, scales 
 	// Normal equations in scaled space.
 	var a [dim][dim]float64
 	var b [dim]float64
-	for i, r := range rows {
+	y := w.targets
+	for _, r := range w.runs {
 		var x [dim]float64
 		for d := 0; d < dim; d++ {
-			x[d] = r[d] / scales[d]
+			x[d] = r.row[d] / scales[d]
 		}
+		var xx [dim][dim]float64
 		for p := 0; p < dim; p++ {
-			for q := 0; q < dim; q++ {
-				a[p][q] += x[p] * x[q]
+			for q := p; q < dim; q++ {
+				xx[p][q] = x[p] * x[q]
 			}
-			b[p] += x[p] * y[i]
+		}
+		for _, t := range y[:r.n] {
+			for p := 0; p < dim; p++ {
+				for q := p; q < dim; q++ {
+					a[p][q] += xx[p][q]
+				}
+				b[p] += x[p] * t
+			}
+		}
+		y = y[r.n:]
+	}
+	for p := 1; p < dim; p++ {
+		for q := 0; q < p; q++ {
+			a[p][q] = a[q][p]
 		}
 	}
 	for d := 0; d < dim; d++ {
-		a[d][d] += lambda * float64(len(rows))
+		a[d][d] += lambda * float64(rows)
 	}
-	w, ok := solve4(a, b)
+	sol, ok := solve4(a, b)
 	if !ok {
 		return weights, scales
 	}
-	return w, scales
+	return sol, scales
 }
 
 // solve4 solves the 4×4 linear system a·x = b by Gaussian elimination with

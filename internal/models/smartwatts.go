@@ -40,17 +40,21 @@ func DefaultSmartWattsConfig() SmartWattsConfig {
 // Attribution within a tick follows the cycles-family counters, as for
 // PowerAPI (the paper finds both models divide by CPU time in practice).
 type SmartWatts struct {
-	cfg   SmartWattsConfig
-	bins  map[int64]*swBin
+	cfg SmartWattsConfig
+	// bins holds one entry per frequency bin visited, in first-visit
+	// order; a scenario visits a handful, so lookup is a linear scan.
+	bins  []swBin
 	ticks *tickAdapter
 	// segW is the cached estimate weight column, rebuilt after each refit.
 	segW []units.Watts
 }
 
-// swBin is one frequency bin's calibration state.
+// swBin is one frequency bin's calibration state. Its window is borrowed
+// from calibWindows when the bin is first visited and handed back at
+// release.
 type swBin struct {
-	rows    [][4]float64
-	targets []float64
+	key     int64
+	win     *calibWindow
 	fitted  bool
 	weights [4]float64
 	scales  [4]float64
@@ -75,7 +79,7 @@ func NewSmartWatts(cfg SmartWattsConfig) Factory {
 		Name:        "smartwatts",
 		Fingerprint: string(fp),
 		New: func(int64) Model {
-			return &SmartWatts{cfg: cfg, bins: map[int64]*swBin{}}
+			return &SmartWatts{cfg: cfg}
 		},
 	}
 }
@@ -83,15 +87,29 @@ func NewSmartWatts(cfg SmartWattsConfig) Factory {
 // Name returns "smartwatts".
 func (m *SmartWatts) Name() string { return "smartwatts" }
 
-// bin returns the calibration bin for a frequency.
+// bin returns the calibration bin for a frequency. The pointer is valid
+// until the next call, which may grow bins.
 func (m *SmartWatts) bin(freq units.Hertz) *swBin {
 	key := int64(math.Round(float64(freq) / float64(m.cfg.BinWidth)))
-	b, ok := m.bins[key]
-	if !ok {
-		b = &swBin{}
-		m.bins[key] = b
+	for i := range m.bins {
+		if m.bins[i].key == key {
+			return &m.bins[i]
+		}
 	}
-	return b
+	m.bins = append(m.bins, swBin{key: key, win: borrowWindow()})
+	return &m.bins[len(m.bins)-1]
+}
+
+// release hands every bin's window back to calibWindows once the model is
+// done (StreamReplay.Release); the model must not observe afterwards. Each
+// bin drops its reference before the Put.
+func (m *SmartWatts) release() {
+	for i := range m.bins {
+		if w := m.bins[i].win; w != nil {
+			m.bins[i].win = nil
+			w.handBack()
+		}
+	}
 }
 
 // Observe ingests one tick as a one-tick segment.
@@ -109,15 +127,16 @@ func (m *SmartWatts) calibrateTick(b *swBin, agg [4]float64, degraded bool, powe
 	// Degraded intervals are divided but never calibrated on: a coalesced
 	// or zone-incomplete row would poison the bin's fit (see Tick.Degraded).
 	if !degraded {
-		b.rows = append(b.rows, agg)
-		b.targets = append(b.targets, float64(power))
+		b.win.add(agg, float64(power))
 	}
-	if len(b.rows) < m.cfg.MinSamples {
+	rows := b.win.len()
+	if rows < m.cfg.MinSamples {
 		return false, false
 	}
-	// Refit periodically as the bin accumulates evidence.
-	if !b.fitted || len(b.rows)%m.cfg.MinSamples == 0 {
-		b.weights, b.scales = RidgeFit4(b.rows, b.targets, m.cfg.Ridge)
+	// Refit periodically as the bin accumulates evidence. A degraded tick
+	// adds no row, so it leaves a fitted bin's weights as they are.
+	if !b.fitted || !degraded && rows%m.cfg.MinSamples == 0 {
+		b.weights, b.scales = b.win.fit(m.cfg.Ridge)
 		b.fitted = true
 		refitted = true
 	}
@@ -128,8 +147,8 @@ func (m *SmartWatts) calibrateTick(b *swBin, agg [4]float64, degraded bool, powe
 // exported for white-box assertions.
 func (m *SmartWatts) WarmBins() int {
 	n := 0
-	for _, b := range m.bins {
-		if b.fitted {
+	for i := range m.bins {
+		if m.bins[i].fitted {
 			n++
 		}
 	}

@@ -495,7 +495,7 @@ func (rn *runnable) measureBaselines(cctx context.Context, pctx protocol.Context
 	if rn.kind == KindFleet {
 		return nil, nil, nil
 	}
-	baselines, err := protocol.MeasureBaselinesParallelCtx(cctx, pctx, protocol.AppsOf(rn.scenarios))
+	baselines, err := protocol.MeasureBaselinesParallelCtx(cctx, pctx, protocol.BaselineAppsOf(rn.scenarios))
 	if err != nil {
 		return nil, nil, err
 	}
