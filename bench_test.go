@@ -568,6 +568,57 @@ func BenchmarkTrafficPhase1DiskWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkDiskCacheStore is a cold phase 1 over a disk tier whose
+// directory already holds 10k records, as a long-lived daemon's does: each
+// iteration measures one solo baseline under a fresh seed in a fresh
+// scope, so the disk lookup misses, the run simulates and its record is
+// stored. The untimed first store counts the directory, so the timed
+// stores pay for the record alone, not for a walk over every file.
+func BenchmarkDiskCacheStore(b *testing.B) {
+	ctx := experiments.LabContext(cpumodel.SmallIntel(), benchSeed)
+	app, err := protocol.StressApp("fibonacci", 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	disk, err := protocol.OpenDiskCache(dir, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	measure := func(seed int64) {
+		c := ctx
+		c.Seed = seed
+		c.Cache = protocol.NewCacheScope(0)
+		c.Cache.AttachDisk(disk)
+		defer c.Cache.Drop()
+		if _, err := protocol.MeasureBaseline(c, app); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Fill the directory with copies of one real record: a walk lstats
+	// every file whatever it holds.
+	measure(-1)
+	files, err := filepath.Glob(filepath.Join(dir, "*.pds"))
+	if err != nil || len(files) != 1 {
+		b.Fatalf("priming store left %d records (%v)", len(files), err)
+	}
+	record, err := os.ReadFile(files[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 10000; i++ {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("fill%05d.pds", i)), record, 0o644); err != nil {
+			b.Fatal(err)
+		}
+	}
+	measure(-2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		measure(int64(i))
+	}
+}
+
 // BenchmarkFleetCampaign measures the fleet-scale campaign: a
 // heterogeneous node population, each node running its own traffic shard
 // through the fused streaming pipeline and all seven model families

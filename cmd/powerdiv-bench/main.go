@@ -34,10 +34,10 @@ import (
 // regeneration (warm, plus its cold and disk-warm counterparts via the
 // substring match), the worker-width sweep, the memoization on/off
 // comparison, the production-shaped traffic campaign, the campaign
-// service's disk-warm phase 1, the fleet-scale campaign across its worker
-// ladder, the raw simulator stepping cost, and the allocation-pinning
-// columnar-pipeline benchmarks.
-const defaultBench = "BenchmarkLabErrorTable|BenchmarkCampaignParallel|BenchmarkCampaignMemoization|BenchmarkTrafficCampaign|BenchmarkTrafficPhase1|BenchmarkFleetCampaign|BenchmarkSimulatorTick|BenchmarkShareOut"
+// service's disk-warm phase 1, a store into a 10k-record disk tier, the
+// fleet-scale campaign across its worker ladder, the raw simulator
+// stepping cost, and the allocation-pinning columnar-pipeline benchmarks.
+const defaultBench = "BenchmarkLabErrorTable|BenchmarkCampaignParallel|BenchmarkCampaignMemoization|BenchmarkTrafficCampaign|BenchmarkTrafficPhase1|BenchmarkDiskCacheStore|BenchmarkFleetCampaign|BenchmarkSimulatorTick|BenchmarkShareOut"
 
 // Result is one parsed benchmark line.
 type Result struct {

@@ -115,7 +115,13 @@ func TrafficReplay(ctx protocol.Context, tr traffic.Trace) (TrafficResult, error
 }
 
 func trafficEvaluate(ctx protocol.Context, kind string, window time.Duration, scenarios []protocol.Scenario) (TrafficResult, error) {
-	byModel, err := protocol.EvaluateTrafficStreaming(ctx, scenarios, TrafficFactories(scenarios), window)
+	// Phase 1 keys its baselines by application type, so the map it hands
+	// the factories counts the distinct types.
+	factories, baselines := TrafficFactories(scenarios), 0
+	byModel, err := protocol.EvaluateTrafficStreaming(ctx, scenarios, func(b map[string]division.Baseline) []models.Factory {
+		baselines = len(b)
+		return factories(b)
+	}, window)
 	if err != nil {
 		return TrafficResult{}, err
 	}
@@ -123,7 +129,7 @@ func trafficEvaluate(ctx protocol.Context, kind string, window time.Duration, sc
 		Machine:   ctx.Machine.Spec.Name,
 		Kind:      kind,
 		Scenarios: len(scenarios),
-		Baselines: len(protocol.BaselineAppsOf(scenarios)),
+		Baselines: baselines,
 		Window:    window,
 		Summaries: map[string]protocol.TrafficSummary{},
 	}

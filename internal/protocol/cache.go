@@ -324,9 +324,14 @@ func runKey(cfg machine.Config, procs []machine.Proc, maxDur time.Duration) stri
 // allocation is the residual curve's Points copy (and an order buffer for
 // rosters wider than keyStackProcs).
 func appendRunKey(b []byte, cfg machine.Config, procs []machine.Proc, maxDur time.Duration) []byte {
-	b = appendMachineKey(b, cfg)
+	return appendRunTail(appendMachineKey(b, cfg), cfg.Seed, maxDur, procs)
+}
+
+// appendRunTail appends what follows the machine key in runKey: the seed,
+// the duration and the process list.
+func appendRunTail(b []byte, seed int64, maxDur time.Duration, procs []machine.Proc) []byte {
 	b = append(b, "|seed:"...)
-	b = keyI(b, cfg.Seed)
+	b = keyI(b, seed)
 	b = append(b, "|dur:"...)
 	b = keyI(b, int64(maxDur))
 	return appendProcsKey(b, procs)

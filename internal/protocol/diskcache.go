@@ -4,12 +4,14 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"powerdiv/internal/division"
@@ -39,14 +41,34 @@ import (
 // The record is the output of the simulator, the stable-window search and
 // the baseline extraction; bump diskVersion on any change to one of them,
 // so no process reads a baseline an older build computed.
+//
+// Byte cap: the cache keeps a running count of the bytes under dir, so a
+// store costs the same however many records the directory holds. The first
+// store walks the directory once to set the count; each later store adds
+// the size of the record it wrote. Overwrites, deleted damaged files and
+// other processes' evictions only make the count too high, never too low,
+// so it stays an upper bound. When it passes maxBytes, one store walks the
+// directory, deletes the oldest-modified records down to the low-water
+// mark (7/8 of the cap) and resets the count to what is left: a cache at
+// its cap walks once per cap/8 bytes written, not on every store. Counters
+// are atomics and only walks take walkMu, which a store merely tries, so a
+// load never waits on directory I/O.
 type DiskCache struct {
 	dir      string
 	maxBytes int64
 
-	mu     sync.Mutex
-	hits   uint64
-	misses uint64
-	writes uint64
+	// bytes bounds the record bytes under dir from above once counted is
+	// set by the first walk.
+	bytes   atomic.Int64
+	counted atomic.Bool
+	// walkMu serializes walks; a store that finds it held leaves the walk
+	// to its holder.
+	walkMu sync.Mutex
+	walks  atomic.Uint64
+
+	hits   atomic.Uint64
+	misses atomic.Uint64
+	writes atomic.Uint64
 }
 
 const (
@@ -81,9 +103,7 @@ func (d *DiskCache) Dir() string { return d.dir }
 func (d *DiskCache) Stats() (hits, misses, writes uint64) { return d.counters() }
 
 func (d *DiskCache) counters() (uint64, uint64, uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.hits, d.misses, d.writes
+	return d.hits.Load(), d.misses.Load(), d.writes.Load()
 }
 
 // path maps a runKey to its cache file.
@@ -93,13 +113,23 @@ func (d *DiskCache) path(key string) string {
 	return filepath.Join(d.dir, strconv.FormatUint(h.Sum64(), 16)+".pds")
 }
 
+// diskReadBytes sizes load's pooled read buffer: every record of the lab
+// pair campaign and of generated stress traffic fits it (their keys are
+// under 600 bytes), while records of long phoronix scripts take a second,
+// full read.
+const diskReadBytes = 1 << 10
+
+var diskReadBufs = sync.Pool{New: func() any { return new([diskReadBytes]byte) }}
+
 // load reads and validates the baseline record stored for key. Every
 // failure mode — missing file, short read, bad magic, version, key, window
 // or ID mismatch, checksum mismatch — is a miss; invalid files are deleted
 // so they are not re-parsed on every lookup.
 func (d *DiskCache) load(key string, stable time.Duration, id string) (division.Baseline, bool) {
 	p := d.path(key)
-	raw, err := os.ReadFile(p)
+	buf := diskReadBufs.Get().(*[diskReadBytes]byte)
+	defer diskReadBufs.Put(buf)
+	raw, err := readRecord(p, buf[:])
 	if err != nil {
 		d.miss()
 		return division.Baseline{}, false
@@ -110,17 +140,37 @@ func (d *DiskCache) load(key string, stable time.Duration, id string) (division.
 		d.miss()
 		return division.Baseline{}, false
 	}
-	d.mu.Lock()
-	d.hits++
-	d.mu.Unlock()
+	d.hits.Add(1)
 	obsDiskHits.Inc()
 	return b, true
 }
 
+// readRecord reads the file at p with one read into buf, and reads the
+// rest only when the record fills buf. A regular file's read returns what
+// the file holds up to len(buf); were one ever short, the record fails its
+// checksum and is recomputed, never misread.
+func readRecord(p string, buf []byte) ([]byte, error) {
+	f, err := os.Open(p)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	n, err := f.Read(buf)
+	if err != nil && err != io.EOF {
+		return nil, err
+	}
+	if n < len(buf) {
+		return buf[:n], nil
+	}
+	rest, err := io.ReadAll(f)
+	if err != nil {
+		return nil, err
+	}
+	return append(buf[:n:n], rest...), nil
+}
+
 func (d *DiskCache) miss() {
-	d.mu.Lock()
-	d.misses++
-	d.mu.Unlock()
+	d.misses.Add(1)
 	obsDiskMisses.Inc()
 }
 
@@ -143,19 +193,29 @@ func (d *DiskCache) store(key string, stable time.Duration, b division.Baseline)
 		os.Remove(tmp.Name())
 		return
 	}
-	d.mu.Lock()
-	d.writes++
-	d.mu.Unlock()
+	d.writes.Add(1)
 	obsDiskWrites.Inc()
-	d.evict()
+	if d.bytes.Add(int64(len(raw))) > d.maxBytes || !d.counted.Load() {
+		d.walk()
+	}
 }
 
-// evict removes oldest-modified cache files until the directory fits the
-// byte cap. Serialized on the cache lock so concurrent stores do not race
-// the directory walk.
-func (d *DiskCache) evict() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// walk counts the record bytes under dir and, when they or the running
+// count pass the cap, removes oldest-modified records down to the
+// low-water mark. The count becomes what the walk left, plus whatever
+// stores added while it ran, so it stays an upper bound. A store that
+// finds a walk in progress returns at once: that walk, or the next store
+// past the cap, does the work.
+func (d *DiskCache) walk() {
+	if !d.walkMu.TryLock() {
+		return
+	}
+	defer d.walkMu.Unlock()
+	before, first := d.bytes.Load(), !d.counted.Load()
+	if !first && before <= d.maxBytes {
+		return // a walk that just ended already counted this store
+	}
+	d.walks.Add(1)
 	entries, err := os.ReadDir(d.dir)
 	if err != nil {
 		return
@@ -178,18 +238,22 @@ func (d *DiskCache) evict() {
 		files = append(files, fileAge{filepath.Join(d.dir, ent.Name()), fi.Size(), fi.ModTime()})
 		total += fi.Size()
 	}
-	if total <= d.maxBytes {
-		return
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mod.Before(files[j].mod) })
-	for _, f := range files {
-		if total <= d.maxBytes {
-			break
+	// Past the first walk, the running count passed the cap: trim even
+	// when overwrites inflated it, so walks stay one per cap/8 bytes.
+	if total > d.maxBytes || !first {
+		low := d.maxBytes - d.maxBytes/8
+		sort.Slice(files, func(i, j int) bool { return files[i].mod.Before(files[j].mod) })
+		for _, f := range files {
+			if total <= low {
+				break
+			}
+			if os.Remove(f.path) == nil {
+				total -= f.size
+			}
 		}
-		if os.Remove(f.path) == nil {
-			total -= f.size
-		}
 	}
+	d.bytes.Add(total - before)
+	d.counted.Store(true)
 }
 
 // Binary encoding. All integers are little-endian; floats travel as their

@@ -21,3 +21,7 @@ func FullRunBaseline(ctx Context, app AppSpec) (division.Baseline, error) {
 	b, _, err := fullRunBaseline(ctx, app)
 	return b, err
 }
+
+// DiskCacheWalks reports how many directory walks d has made, for the
+// byte-cap tests.
+func DiskCacheWalks(d *DiskCache) uint64 { return d.walks.Load() }

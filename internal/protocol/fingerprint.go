@@ -37,16 +37,19 @@ const (
 func CampaignFingerprint(ctx Context, scenarios []Scenario, kind CampaignKind, runFor time.Duration) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "kind:%s|stable:%d|n:%d", kind, int64(ctx.StableWindow), len(scenarios))
+	// Each scenario hashes a zero byte, then its runKey. The machine part
+	// is the same for all of them, so it is built once; FNV-1a streams, so
+	// writing it and the scenario's tail separately hashes the same bytes.
+	machineKey := appendMachineKey([]byte{0}, ctx.Machine)
 	var key []byte
 	var procs []machine.Proc
 	for _, s := range scenarios {
-		cfg := ctx.Machine
-		cfg.Seed = deriveSeed(ctx.Seed, string(kind), s.Label())
 		procs = procs[:0]
 		for _, a := range s.Apps {
 			procs = append(procs, a.proc())
 		}
-		key = appendRunKey(append(key[:0], 0), cfg, procs, runFor)
+		h.Write(machineKey)
+		key = appendRunTail(key[:0], deriveSeed(ctx.Seed, string(kind), s.Label()), runFor, procs)
 		h.Write(key)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())

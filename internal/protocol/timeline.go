@@ -67,6 +67,7 @@ func EvaluateTimeline(ctx Context, apps []TimelineApp, factory models.Factory, b
 		return TimelineResult{}, err
 	}
 	defer replay.Release()
+	defer view.release()
 	truths, busy := trafficTruths(view, slotBase)
 	ev, err := scoreTrafficModel(s, factory.Name, view, truths, busy, replay.Estimates(0))
 	return TimelineResult{AE: ev.AE, Coverage: ev.Coverage, BusyTicks: ev.BusyTicks, ScoredTicks: ev.ScoredTicks}, err

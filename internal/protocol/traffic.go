@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"powerdiv/internal/division"
@@ -91,9 +92,24 @@ type trafficView struct {
 	n        int
 }
 
+// trafficViews pools scoring views across scenarios: a view's slices keep
+// their capacity, so a worker's next scenario of similar length appends
+// into them without allocating.
+var trafficViews = sync.Pool{New: func() any { return new(trafficView) }}
+
+// newTrafficView returns an empty pooled view for n roster slots with room
+// for capTicks ticks of power. The caller hands it back with release.
 func newTrafficView(n, capTicks int) *trafficView {
-	return &trafficView{power: make([]units.Watts, 0, capTicks), n: n}
+	v := trafficViews.Get().(*trafficView)
+	v.power = slices.Grow(v.power[:0], capTicks)
+	v.runStart = v.runStart[:0]
+	v.presence = v.presence[:0]
+	v.n = n
+	return v
 }
+
+// release hands the view back to the pool; nothing may use it after.
+func (v *trafficView) release() { trafficViews.Put(v) }
 
 // observeSegment appends a constant segment's scoring state: its per-tick
 // power, and its presence column when that differs from the current run's.
@@ -132,19 +148,20 @@ func (v *trafficView) runEnd(r int) int {
 // trafficSlotBaselines resolves each roster slot's baseline: the shared
 // baseline of the instance's application type.
 func trafficSlotBaselines(s Scenario, rosterIDs []string, baselines map[string]division.Baseline) ([]division.Baseline, error) {
-	byID := make(map[string]AppSpec, len(s.Apps))
-	for _, a := range s.Apps {
-		byID[a.ID] = a
-	}
 	out := make([]division.Baseline, len(rosterIDs))
 	for slot, id := range rosterIDs {
-		a, ok := byID[id]
-		if !ok {
+		// Rosters are small: a linear scan beats building a map per
+		// scenario.
+		i := 0
+		for i < len(s.Apps) && s.Apps[i].ID != id {
+			i++
+		}
+		if i == len(s.Apps) {
 			return nil, fmt.Errorf("protocol: roster instance %s not in scenario %q", id, s.Label())
 		}
-		b, ok := baselines[a.baselineID()]
+		b, ok := baselines[s.Apps[i].baselineID()]
 		if !ok {
-			return nil, fmt.Errorf("protocol: no baseline for %s (run phase 1 first)", a.baselineID())
+			return nil, fmt.Errorf("protocol: no baseline for %s (run phase 1 first)", s.Apps[i].baselineID())
 		}
 		out[slot] = b
 	}
@@ -244,6 +261,7 @@ func (p *campaignPlan) evaluateTraffic(cctx context.Context, s Scenario, baselin
 		return nil, err
 	}
 	defer replay.Release()
+	defer view.release()
 	slotBase, err := trafficSlotBaselines(s, run.roster.IDs(), baselines)
 	if err != nil {
 		return nil, err
@@ -258,7 +276,7 @@ func (p *campaignPlan) evaluateTraffic(cctx context.Context, s Scenario, baselin
 
 // streamTraffic simulates the run once while every model observes it
 // segment by segment, accumulating the scoring view alongside. The caller
-// releases the replay.
+// releases the view and the replay.
 func (p *campaignPlan) streamTraffic(cctx context.Context, run *scenarioRun, window time.Duration) (*trafficView, *models.StreamReplay, error) {
 	reserve := run.cfg.ReservedTicks(window)
 	replay := models.NewStreamReplay(run.roster, p.newModels(run.label), reserve)
@@ -279,6 +297,7 @@ func (p *campaignPlan) streamTraffic(cctx context.Context, run *scenarioRun, win
 	})
 	if err != nil {
 		replay.Release()
+		view.release()
 		return nil, nil, fmt.Errorf("protocol: traffic scenario %q: %w", run.label, err)
 	}
 	return view, replay, nil

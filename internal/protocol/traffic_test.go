@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"powerdiv/internal/cpumodel"
 	"powerdiv/internal/division"
+	"powerdiv/internal/machine"
 	"powerdiv/internal/models"
 )
 
@@ -201,7 +203,10 @@ func TestTrafficRejectsBadInput(t *testing.T) {
 // TestTrafficScoringTailAllocsIndependentOfWindow pins the per-run
 // objective and the running Eq 5 sum: the scoring tail of one roster
 // allocates the same number of times over a 10 s and a 60 s window, so
-// nothing in it allocates per tick.
+// nothing in it allocates per tick. It also pins the pooled scoring view:
+// refilling a released view with the scenario's segments reproduces the
+// view and, outside the race detector (whose pools drop items at random),
+// allocates nothing at either window.
 func TestTrafficScoringTailAllocsIndependentOfWindow(t *testing.T) {
 	ctx, scenarios, factories := trafficGoldenSetup(t)
 	s := scenarios[0]
@@ -229,6 +234,24 @@ func TestTrafficScoringTailAllocsIndependentOfWindow(t *testing.T) {
 		}))
 		ticks = append(ticks, float64(len(view.power)))
 		replay.Release()
+
+		segs := viewSegments(view)
+		refill := func() *trafficView {
+			v := newTrafficView(view.n, len(view.power))
+			for i := range segs {
+				v.observeSegment(&segs[i])
+			}
+			return v
+		}
+		v := refill()
+		if !slices.Equal(v.power, view.power) || !slices.Equal(v.runStart, view.runStart) || !slices.Equal(v.presence, view.presence) {
+			t.Fatalf("window %v: refilled view differs from the streamed one", window)
+		}
+		v.release()
+		view.release()
+		if n := testing.AllocsPerRun(20, func() { refill().release() }); n != 0 && !raceEnabled {
+			t.Errorf("window %v: refilling a pooled view allocates %v times, want 0", window, n)
+		}
 	}
 	if ticks[1] < 5*ticks[0] {
 		t.Fatalf("windows scored %v ticks, want the 60 s window ≥5× the 10 s one", ticks)
@@ -236,4 +259,21 @@ func TestTrafficScoringTailAllocsIndependentOfWindow(t *testing.T) {
 	if allocs[0] != allocs[1] {
 		t.Errorf("scoring tail allocs: %v at 10 s, %v at 60 s; want equal", allocs[0], allocs[1])
 	}
+}
+
+// viewSegments rebuilds a scoring view's input: one segment per presence
+// run, carrying the run's per-tick power and a roster column whose slots
+// are present exactly where the run's column is.
+func viewSegments(v *trafficView) []machine.Segment {
+	segs := make([]machine.Segment, len(v.runStart))
+	for r := range segs {
+		procs := make([]machine.ProcTick, v.n)
+		for slot, present := range v.column(r) {
+			if present {
+				procs[slot].Threads = 1
+			}
+		}
+		segs[r] = machine.Segment{Rec: &machine.TickRecord{Procs: procs}, Powers: v.power[v.runStart[r]:v.runEnd(r)]}
+	}
+	return segs
 }

@@ -14,6 +14,7 @@ import (
 	"powerdiv/internal/models"
 	"powerdiv/internal/protocol"
 	"powerdiv/internal/traffic"
+	"powerdiv/internal/workload"
 )
 
 // Job kinds a submission selects. Every kind shards into independent units
@@ -208,7 +209,7 @@ func compileScenarioJob(spec SubmitRequest, opts Options) (*runnable, *APIError)
 	switch spec.Kind {
 	case KindTraffic:
 		for _, k := range spec.Kernels {
-			if _, ok := traffic.KernelByName(k); !ok {
+			if !workload.Known(k) {
 				e := apiErrorf(ErrUnknownKernel, "unknown kernel %q", k)
 				return nil, &e
 			}
@@ -310,7 +311,7 @@ func compileScenarioJob(spec SubmitRequest, opts Options) (*runnable, *APIError)
 			}
 		}
 		for _, fn := range fns {
-			if _, ok := traffic.KernelByName(fn); !ok {
+			if !workload.Known(fn) {
 				e := apiErrorf(ErrUnknownKernel, "unknown stress function %q", fn)
 				return nil, &e
 			}
@@ -356,7 +357,7 @@ func (rn *runnable) runDuration() time.Duration {
 // compileFleetJob builds a fleet runnable: one unit per node.
 func compileFleetJob(spec SubmitRequest, opts Options) (*runnable, *APIError) {
 	for _, k := range spec.Kernels {
-		if _, ok := traffic.KernelByName(k); !ok {
+		if !workload.Known(k) {
 			e := apiErrorf(ErrUnknownKernel, "unknown kernel %q", k)
 			return nil, &e
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"powerdiv/internal/protocol"
+	"powerdiv/internal/workload"
 )
 
 // TraceVersion is the trace format version this package reads and writes.
@@ -111,7 +112,7 @@ func (t Trace) validate() error {
 				return fmt.Errorf("traffic: scenario %d duplicates instance ID %q", i, a.ID)
 			}
 			seen[a.ID] = true
-			if _, ok := KernelByName(a.Kernel); !ok {
+			if !workload.Known(a.Kernel) {
 				return fmt.Errorf("traffic: scenario %d instance %q: unknown kernel %q", i, a.ID, a.Kernel)
 			}
 			if a.Threads <= 0 {

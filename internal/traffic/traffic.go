@@ -207,7 +207,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("traffic: max threads %d exceeds capacity %d", c.MaxThreads, c.MaxCPUs)
 	}
 	for _, k := range c.Kernels {
-		if _, ok := KernelByName(k); !ok {
+		if !workload.Known(k) {
 			return fmt.Errorf("traffic: unknown kernel %q", k)
 		}
 	}
@@ -239,11 +239,16 @@ func seedFor(seed int64, parts ...string) int64 {
 // config. Instance IDs are "<kernel>-<threads>.<seq>" with the shared
 // BaseID "<kernel>-<threads>", so phase 1 measures one baseline per
 // distinct application type regardless of how many instances churn
-// through the campaign.
+// through the campaign. Each kernel is resolved once per call: the
+// instances of one kernel share its Workload, Cost map included.
 func Generate(cfg Config) ([]protocol.Scenario, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	kernels := make([]workload.Workload, len(cfg.Kernels))
+	for i, k := range cfg.Kernels {
+		kernels[i], _ = KernelByName(k) // Validate checked every name
 	}
 	out := make([]protocol.Scenario, cfg.Scenarios)
 	// One generator serves every scenario: re-seeding it in place gives
@@ -251,7 +256,7 @@ func Generate(cfg Config) ([]protocol.Scenario, error) {
 	// a fresh 607-word register each time.
 	gen := rng.New(0)
 	for i := range out {
-		out[i] = generateScenario(cfg, i, gen)
+		out[i] = generateScenario(cfg, kernels, i, gen)
 	}
 	return out, nil
 }
@@ -268,9 +273,10 @@ func (c Config) ScenarioKind(idx int) Kind {
 // generateScenario builds one scenario. Draw order is fixed — baseload
 // instances first, then arrival candidates in time order, each consuming
 // its kernel/threads/lifetime draws even when rejected for capacity — so
-// the schedule is a pure function of (cfg, idx). gen is re-seeded first,
-// so whatever it drew before does not matter.
-func generateScenario(cfg Config, idx int, gen *rand.Rand) protocol.Scenario {
+// the schedule is a pure function of (cfg, idx). kernels holds the
+// workloads of cfg.Kernels, index for index. gen is re-seeded first, so
+// whatever it drew before does not matter.
+func generateScenario(cfg Config, kernels []workload.Workload, idx int, gen *rand.Rand) protocol.Scenario {
 	gen.Seed(seedFor(cfg.Seed, "scenario", strconv.Itoa(idx)))
 	kind := cfg.ScenarioKind(idx)
 	apps := make([]protocol.AppSpec, 0, cfg.Baseload+8)
@@ -278,7 +284,7 @@ func generateScenario(cfg Config, idx int, gen *rand.Rand) protocol.Scenario {
 	// Baseload: always-on single-thread anchors. Generated first so every
 	// arrival's capacity check already accounts for them.
 	for b := 0; b < cfg.Baseload; b++ {
-		apps = append(apps, newInstance(cfg.Kernels[gen.Intn(len(cfg.Kernels))], 1, len(apps), 0, 0))
+		apps = append(apps, newInstance(kernels[gen.Intn(len(kernels))], 1, len(apps), 0, 0))
 	}
 
 	aliveThreads := func(t time.Duration) int {
@@ -292,7 +298,7 @@ func generateScenario(cfg Config, idx int, gen *rand.Rand) protocol.Scenario {
 	}
 
 	for _, at := range arrivalTimes(cfg, kind, gen) {
-		kernel := cfg.Kernels[gen.Intn(len(cfg.Kernels))]
+		kernel := kernels[gen.Intn(len(kernels))]
 		threads := 1 + gen.Intn(cfg.MaxThreads)
 		life := time.Duration(gen.ExpFloat64() * float64(cfg.MeanLifetime))
 		if life < minLifetime {
@@ -310,13 +316,22 @@ func generateScenario(cfg Config, idx int, gen *rand.Rand) protocol.Scenario {
 	return protocol.Scenario{Apps: apps}
 }
 
-// newInstance builds instance seq of an application type. The type's
-// lookup cannot fail: Validate checked every kernel name.
-func newInstance(kernel string, threads, seq int, start, stop time.Duration) protocol.AppSpec {
-	w, _ := KernelByName(kernel)
-	base := fmt.Sprintf("%s-%d", kernel, threads)
+// newInstance builds instance seq of kernel w's application type with the
+// given thread count: ID "<kernel>-<threads>.<seq>" (seq zero-padded to
+// three digits), BaseID "<kernel>-<threads>".
+func newInstance(w workload.Workload, threads, seq int, start, stop time.Duration) protocol.AppSpec {
+	id := make([]byte, 0, len(w.Name)+12)
+	id = strconv.AppendInt(append(append(id, w.Name...), '-'), int64(threads), 10)
+	base := string(id)
+	id = append(id, '.')
+	if seq < 100 {
+		id = append(id, '0')
+		if seq < 10 {
+			id = append(id, '0')
+		}
+	}
 	return protocol.AppSpec{
-		ID:       fmt.Sprintf("%s.%03d", base, seq),
+		ID:       string(strconv.AppendInt(id, int64(seq), 10)),
 		BaseID:   base,
 		Workload: w,
 		Threads:  threads,

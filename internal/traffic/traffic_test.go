@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -355,6 +356,38 @@ func TestBaselineSharing(t *testing.T) {
 	for _, b := range bases {
 		if b.BaseID != "" || b.StartAt != 0 || b.StopAt != 0 {
 			t.Fatalf("baseline spec %s kept traffic fields: %+v", b.ID, b)
+		}
+	}
+}
+
+// TestInstanceIDs pins newInstance's strconv-built IDs to the
+// "<kernel>-<threads>.<seq>" format with seq zero-padded to three digits,
+// as fmt renders it, and checks that every generated instance carries its
+// kernel's workload.
+func TestInstanceIDs(t *testing.T) {
+	w, ok := KernelByName("compress-7zip")
+	if !ok {
+		t.Fatal("compress-7zip not a kernel")
+	}
+	for _, seq := range []int{0, 7, 9, 10, 42, 99, 100, 999, 1000, 12345} {
+		for _, threads := range []int{1, 2, 16} {
+			a := newInstance(w, threads, seq, 0, 0)
+			base := fmt.Sprintf("%s-%d", w.Name, threads)
+			if id := fmt.Sprintf("%s.%03d", base, seq); a.ID != id || a.BaseID != base {
+				t.Errorf("seq %d threads %d: ID %q base %q, want %q %q", seq, threads, a.ID, a.BaseID, id, base)
+			}
+		}
+	}
+	scenarios, err := Generate(testConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range scenarios {
+		for _, a := range s.Apps {
+			want, _ := KernelByName(a.Workload.Name)
+			if !reflect.DeepEqual(a.Workload, want) {
+				t.Fatalf("instance %s carries a workload unlike its kernel's", a.ID)
+			}
 		}
 	}
 }

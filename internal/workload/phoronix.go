@@ -21,14 +21,31 @@ import (
 // COMPRESS-7ZIP's alternation between parallel compression and
 // lighter-threaded decompression.
 func PhoronixSet() []Workload {
-	return []Workload{cloverleaf(), dacapo(), build2(), compress7zip()}
+	out := make([]Workload, len(phoronixDefs))
+	for i, d := range phoronixDefs {
+		out[i] = d.build()
+	}
+	return out
 }
 
-// PhoronixByName returns the Phoronix workload with the given name.
+// phoronixDefs names the Table IV applications in table order; each
+// build function returns the workload of that name.
+var phoronixDefs = [...]struct {
+	name  string
+	build func() Workload
+}{
+	{"cloverleaf", cloverleaf},
+	{"dacapo", dacapo},
+	{"build2", build2},
+	{"compress-7zip", compress7zip},
+}
+
+// PhoronixByName returns the Phoronix workload with the given name. Only
+// the matched application is materialised.
 func PhoronixByName(name string) (Workload, bool) {
-	for _, w := range PhoronixSet() {
-		if w.Name == name {
-			return w, true
+	for _, d := range phoronixDefs {
+		if d.name == name {
+			return d.build(), true
 		}
 	}
 	return Workload{}, false
@@ -36,12 +53,27 @@ func PhoronixByName(name string) (Workload, bool) {
 
 // PhoronixNames returns the Table IV application names.
 func PhoronixNames() []string {
-	set := PhoronixSet()
-	out := make([]string, len(set))
-	for i, w := range set {
-		out[i] = w.Name
+	out := make([]string, len(phoronixDefs))
+	for i, d := range phoronixDefs {
+		out[i] = d.name
 	}
 	return out
+}
+
+// Known reports whether name is a stress function or a Phoronix
+// application, without materialising either.
+func Known(name string) bool {
+	for _, d := range stressDefs {
+		if d.name == name {
+			return true
+		}
+	}
+	for _, d := range phoronixDefs {
+		if d.name == name {
+			return true
+		}
+	}
+	return false
 }
 
 func cloverleaf() Workload {

@@ -228,6 +228,25 @@ func TestByNameLookups(t *testing.T) {
 	}
 }
 
+// TestKnownMatchesLookups pins Known and the Phoronix name table against
+// the materialised sets: every name PhoronixNames lists builds the
+// workload of that name, and Known accepts exactly the names the two
+// lookups resolve.
+func TestKnownMatchesLookups(t *testing.T) {
+	for i, name := range PhoronixNames() {
+		if w, ok := PhoronixByName(name); !ok || w.Name != name || PhoronixSet()[i].Name != name {
+			t.Errorf("phoronix name %q resolves to %q (found %v), set entry %q", name, w.Name, ok, PhoronixSet()[i].Name)
+		}
+	}
+	for _, name := range append(append(StressNames(), PhoronixNames()...), "nope", "", "Matrixprod") {
+		_, stress := StressByName(name)
+		_, phoronix := PhoronixByName(name)
+		if got := Known(name); got != (stress || phoronix) {
+			t.Errorf("Known(%q) = %v, lookups found stress %v, phoronix %v", name, got, stress, phoronix)
+		}
+	}
+}
+
 func TestKindString(t *testing.T) {
 	if Stress.String() != "stress" || App.String() != "app" {
 		t.Error("Kind.String mismatch")
