@@ -1,8 +1,8 @@
 # Verify path for powerdiv. `make verify` is the gate every change must
 # pass: build, vet, the full test suite, the race detector (the live meter,
 # the parallel campaign runner and the run memoization cache are the
-# concurrency-sensitive paths it guards), and a one-iteration benchmark
-# smoke run.
+# concurrency-sensitive paths it guards), a one-iteration benchmark
+# smoke run, and the line-count ratchet (`make loc-check`).
 #
 # `make bench` runs the campaign benchmark set and writes the
 # BENCH_campaign.json baseline (see README); `make bench-check` is the
@@ -52,7 +52,7 @@ BENCH_RATE_THRESHOLD ?= 60
 # Packages `make loc` counts: the ones ROADMAP's line-count targets name.
 LOC_PKGS = internal/protocol internal/models internal/machine
 
-.PHONY: build test vet fmt-check race shuffle cover bench bench-check bench-diff pprof fuzz-smoke serve-smoke loc verify
+.PHONY: build test vet fmt-check race shuffle cover bench bench-check bench-diff pprof fuzz-smoke serve-smoke loc loc-check verify
 
 build:
 	$(GO) build ./...
@@ -93,8 +93,7 @@ bench-diff:
 
 # pprof captures CPU and heap profiles of the cold campaign rung — the one
 # the bench-diff rate gate polices, where every scenario simulates, observes
-# and scores (the warm rung serves everything from the evaluation-digest
-# tier) — for `go tool pprof cpu.prof` / `go tool pprof mem.prof`, and of
+# and scores — for `go tool pprof cpu.prof` / `go tool pprof mem.prof`, and of
 # the traffic campaign rung, whose churned rosters and self-calibrating
 # models spend differently, into traffic-cpu.prof / traffic-mem.prof (all
 # four gitignored).
@@ -127,4 +126,14 @@ loc:
 		printf '%-20s %6d\n' $$d $$n; total=$$((total + n)); done; \
 		printf '%-20s %6d\n' total $$total
 
-verify: build vet fmt-check test race shuffle bench-check bench-diff fuzz-smoke serve-smoke
+# loc-check is the line-count ratchet: it fails when `make loc`'s total
+# exceeds the ceiling committed in LOC_CEILING. A change may lower the
+# ceiling; a change that raises it says by how much and why in CHANGES.md.
+loc-check:
+	@total=$$($(MAKE) -s --no-print-directory loc | awk '$$1 == "total" { print $$2 }'); \
+		ceiling=$$(cat LOC_CEILING); \
+		if [ "$$total" -gt "$$ceiling" ]; then \
+			echo "FAIL: make loc total $$total exceeds LOC_CEILING $$ceiling"; exit 1; fi; \
+		echo "loc $$total (ceiling $$ceiling)"
+
+verify: build vet fmt-check test race shuffle bench-check bench-diff fuzz-smoke serve-smoke loc-check

@@ -289,30 +289,20 @@ func BenchmarkFig13CompressCloverleaf(b *testing.B) {
 	benchEnergy(b, "compress-7zip", "cloverleaf", "fig13")
 }
 
-// BenchmarkLabErrorTable regenerates the §IV-A error summary on both
+// BenchmarkLabErrorTableCold regenerates the §IV-A error summary on both
 // machines with all models (the paper's headline numbers) through the
-// streaming pipeline — the configuration the CLIs run in. An untimed
-// warm-up pass fills the cache tiers first, so the timed iterations measure
-// the warm steady state (and B/op stays deterministic at any -benchtime);
-// the cold cost is BenchmarkLabErrorTableCold's job. The peak-heap-bytes
-// watermark still measures the bounded-memory property.
-func BenchmarkLabErrorTable(b *testing.B) {
-	benchLabErrorTable(b, experiments.LabEvaluationStreaming, true)
-}
-
-// BenchmarkLabErrorTableCold is the streaming campaign in a fresh cache
-// scope each iteration: each pass re-simulates every solo and pair run
-// from scratch. This is the raw-speed rung — the number that can
+// streaming pipeline — the configuration the CLIs run in — in a fresh
+// cache scope each iteration: each pass re-simulates every solo and pair
+// run from scratch. This is the raw-speed rung — the number that can
 // only improve through the simulator and scoring kernels, never through
 // caching — and the one the bench-diff rate gate polices (cold iterations
 // do identical work, so their scenarios/sec is comparable across runs even
-// at -benchtime 1x). No heap watermark: a cold pass's transient garbage
-// peak is GC-pacing noise, not a retention signal.
+// at -benchtime 1x).
 func BenchmarkLabErrorTableCold(b *testing.B) {
-	benchLabErrorTableSegs(b, func(ctx protocol.Context, extra ...models.Factory) (map[string]experiments.ScatterResult, error) {
+	benchLabErrorTable(b, func(ctx protocol.Context, extra ...models.Factory) (map[string]experiments.ScatterResult, error) {
 		ctx.Cache = protocol.NewCacheScope(0)
 		return experiments.LabEvaluationStreaming(ctx, extra...)
-	}, false)
+	})
 }
 
 // BenchmarkLabErrorTableDiskWarm is the cold campaign with a warm
@@ -325,34 +315,28 @@ func BenchmarkLabErrorTableDiskWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchLabErrorTableSegs(b, func(ctx protocol.Context, extra ...models.Factory) (map[string]experiments.ScatterResult, error) {
+	benchLabErrorTable(b, func(ctx protocol.Context, extra ...models.Factory) (map[string]experiments.ScatterResult, error) {
 		ctx.Cache = protocol.NewCacheScope(0)
 		ctx.Cache.AttachDisk(disk)
 		return experiments.LabEvaluationStreaming(ctx, extra...)
-	}, false)
+	})
 }
 
-// benchLabErrorTableSegs is benchLabErrorTable with the obs registry
-// enabled so the cold variants additionally report segments_per_scenario —
-// how many constant segments the engine evaluated per scenario, averaged
-// over the campaign's pair and solo runs. A per-tick engine reports the
-// tick count (~121 on the default context); the segment engine reports the
-// scenario's change-point structure (an order of magnitude lower), which is
-// where the cold-path speedup comes from. Counter flushes are per run, so
-// enabling the registry does not perturb the timed loop.
-func benchLabErrorTableSegs(b *testing.B, evaluate func(protocol.Context, ...models.Factory) (map[string]experiments.ScatterResult, error), watermark bool) {
+// benchLabErrorTable runs evaluate once untimed (a no-op beyond disk
+// priming, since every pass opens a fresh scope) and then b.N timed
+// passes, with the obs registry enabled so each rung also reports
+// segments_per_scenario — how many constant segments the engine evaluated
+// per scenario, averaged over the campaign's pair and solo runs. A
+// per-tick engine reports the tick count (~121 on the default context);
+// the segment engine reports the scenario's change-point structure (an
+// order of magnitude lower), which is where the cold-path speedup comes
+// from. Counter flushes are per run, so enabling the registry does not
+// perturb the timed loop. No heap watermark: a cold pass's transient
+// garbage peak is GC-pacing noise, not a retention signal.
+func benchLabErrorTable(b *testing.B, evaluate func(protocol.Context, ...models.Factory) (map[string]experiments.ScatterResult, error)) {
 	wasEnabled := obs.Enabled()
 	obs.Enable(true)
 	defer obs.Enable(wasEnabled)
-	benchLabErrorTable(b, evaluate, watermark)
-}
-
-// benchLabErrorTable runs evaluate once untimed (cache warm-up — a no-op
-// for the per-iteration-reset variants beyond disk priming) and then b.N
-// timed passes. watermark selects the peak-heap-bytes report; the variants
-// that reset caches every iteration skip it, since their transient garbage
-// peak depends on GC pacing rather than on what the pipeline retains.
-func benchLabErrorTable(b *testing.B, evaluate func(protocol.Context, ...models.Factory) (map[string]experiments.ScatterResult, error), watermark bool) {
 	for _, spec := range cpumodel.Specs() {
 		b.Run(slug(spec.Name), func(b *testing.B) {
 			ctx := experiments.LabContext(spec, benchSeed)
@@ -361,10 +345,6 @@ func benchLabErrorTable(b *testing.B, evaluate func(protocol.Context, ...models.
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
-			var stopWatermark func() float64
-			if watermark {
-				stopWatermark = startHeapWatermark()
-			}
 			segCounter := obs.Default().Get("powerdiv_machine_segments_total")
 			segStart := segCounter.Snapshot().Value
 			b.ResetTimer()
@@ -377,9 +357,6 @@ func benchLabErrorTable(b *testing.B, evaluate func(protocol.Context, ...models.
 				}
 			}
 			b.StopTimer()
-			if watermark {
-				b.ReportMetric(stopWatermark(), "peak-heap-bytes")
-			}
 			if segs := segCounter.Snapshot().Value - segStart; segs > 0 {
 				b.ReportMetric(segs/float64(nScenarios*b.N), "segments_per_scenario")
 			}
@@ -480,14 +457,14 @@ func labScenarioCount(b *testing.B, ctx protocol.Context) int {
 	return len(scenarios)
 }
 
-// BenchmarkCampaignMemoization isolates the cache tiers' effect on the
+// BenchmarkCampaignMemoization isolates the baseline tier's effect on the
 // all-pairs lab campaign. "on" runs each iteration in a fresh cache scope,
-// so it measures only intra-campaign sharing (solo baselines measured once
-// through the baseline tier, scored rows stored as digests), and "off"
-// runs with no scope, bypassing every tier. Every model observes one simulator pass per
-// scenario either way, so the ratio of the two ns/op values — the
-// memoization speedup — stays near 1; a campaign test asserts the two
-// configurations produce identical error tables.
+// so it measures only intra-campaign sharing (each solo baseline measured
+// once through the baseline tier), and "off" runs with no scope. Every
+// model observes one simulator pass per scenario either way, so the ratio
+// of the two ns/op values — the memoization speedup — stays near 1; a
+// campaign test asserts the two configurations produce identical error
+// tables.
 func BenchmarkCampaignMemoization(b *testing.B) {
 	ctx := experiments.LabContext(cpumodel.SmallIntel(), benchSeed)
 	nScenarios := labScenarioCount(b, ctx)

@@ -31,13 +31,12 @@ import (
 )
 
 // defaultBench selects the campaign-speed benchmarks: the §IV-A error-table
-// regeneration (warm, plus its cold and disk-warm counterparts via the
-// substring match), the worker-width sweep, the memoization on/off
-// comparison, the production-shaped traffic campaign, the campaign
-// service's disk-warm phase 1, a store into a 10k-record disk tier, the
+// regeneration (cold and over a warm disk tier), the worker-width sweep,
+// the memoization on/off comparison, the production-shaped traffic
+// campaign, the campaign service's disk-warm phase 1, a store into a 10k-record disk tier, the
 // fleet-scale campaign across its worker ladder, the raw simulator
 // stepping cost, and the allocation-pinning columnar-pipeline benchmarks.
-const defaultBench = "BenchmarkLabErrorTable|BenchmarkCampaignParallel|BenchmarkCampaignMemoization|BenchmarkTrafficCampaign|BenchmarkTrafficPhase1|BenchmarkDiskCacheStore|BenchmarkFleetCampaign|BenchmarkSimulatorTick|BenchmarkShareOut"
+const defaultBench = "BenchmarkLabErrorTable(Cold|DiskWarm)|BenchmarkCampaignParallel|BenchmarkCampaignMemoization|BenchmarkTrafficCampaign|BenchmarkTrafficPhase1|BenchmarkDiskCacheStore|BenchmarkFleetCampaign|BenchmarkSimulatorTick|BenchmarkShareOut"
 
 // Result is one parsed benchmark line.
 type Result struct {
@@ -69,8 +68,8 @@ type Report struct {
 	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
 	Command    string `json:"command"`
 	// MemoSpeedupX is BenchmarkCampaignMemoization off/on ns ratio — how
-	// much the run cache accelerates the all-pairs lab campaign — when both
-	// sub-benchmarks ran.
+	// much the baseline tier accelerates the all-pairs lab campaign — when
+	// both sub-benchmarks ran.
 	MemoSpeedupX float64  `json:"memo_speedup_x,omitempty"`
 	Benchmarks   []Result `json:"benchmarks"`
 }

@@ -96,7 +96,7 @@ func main() {
 	points := flag.Bool("points", false, "also print the per-pair ratio points (Fig 4–7 series)")
 	csvDir := flag.String("csv-dir", "", "write per-model point CSVs into this directory")
 	asJSON := flag.Bool("json", false, "emit the results as JSON instead of tables")
-	memo := flag.Bool("memo", true, "memoize solo/pair simulation runs")
+	memo := flag.Bool("memo", true, "memoize phase 1 baselines (solo runs)")
 	memoStats := flag.Bool("memo-stats", false, "print run cache statistics after the campaign")
 	cacheDir := flag.String("cache-dir", "", "persistent phase-1 baseline cache directory (empty = memory only; unused with -memo=false)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "on-disk cache cap in bytes (0 = default 256 MB)")
@@ -210,11 +210,9 @@ func main() {
 		fmt.Println("\nrun cache: off")
 	} else if *memoStats {
 		st := cache.Stats()
-		fmt.Printf("\nrun cache: %d hits, %d misses, %d baseline + %d eval-digest entries\n", st.Hits, st.Misses, st.SummaryEntries, st.EvalEntries)
+		fmt.Printf("\nrun cache: %d hits, %d misses\n", st.Hits, st.Misses)
 		fmt.Printf("baseline tier: %d entries, %d/%d bytes, %d evictions\n",
 			st.SummaryEntries, st.SummaryBytes, st.SummaryByteLimit, st.Evictions)
-		fmt.Printf("eval-digest tier: %d entries, %d/%d bytes\n",
-			st.EvalEntries, st.EvalBytes, st.EvalByteLimit)
 		if *cacheDir != "" {
 			fmt.Printf("disk cache: %d hits, %d misses, %d writes\n",
 				st.DiskHits, st.DiskMisses, st.DiskWrites)

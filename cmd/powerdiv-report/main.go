@@ -156,7 +156,7 @@ func main() {
 	emit(experiments.AblationTable(props), "ablation-families")
 
 	if st := protocol.DefaultScope().Stats(); st.Hits+st.Misses > 0 {
-		fmt.Printf("\nrun cache: %d hits, %d misses, %d baseline + %d eval-digest entries\n", st.Hits, st.Misses, st.SummaryEntries, st.EvalEntries)
+		fmt.Printf("\nrun cache: %d hits, %d misses, %d baseline entries\n", st.Hits, st.Misses, st.SummaryEntries)
 	}
 	if *metrics {
 		fmt.Print("\n" + obs.Default().Summary())

@@ -59,17 +59,9 @@ func NewF2(baselinePerCore map[string]units.Watts) Factory {
 		}
 		mean = float64(sum) / float64(len(b))
 	}
-	// The baselines are the model's whole configuration: fingerprint them
-	// exactly (ID plus power bits, in sorted order).
-	fp := []byte("f2/v1")
-	for _, id := range ids {
-		fp = append(append(fp, '/'), id...)
-		fp = fpF(fp, float64(b[id]))
-	}
 	return Factory{
-		Name:        "f2",
-		Fingerprint: string(fp),
-		New:         func(int64) Model { return &F2{baseline: b, mean: mean} },
+		Name: "f2",
+		New:  func(int64) Model { return &F2{baseline: b, mean: mean} },
 	}
 }
 
@@ -136,7 +128,7 @@ type Oracle struct {
 
 // NewOracle returns an Oracle-model factory.
 func NewOracle() Factory {
-	return Factory{Name: "oracle", Fingerprint: "oracle/v1", New: func(int64) Model { return &Oracle{} }}
+	return Factory{Name: "oracle", New: func(int64) Model { return &Oracle{} }}
 }
 
 // Name returns "oracle".

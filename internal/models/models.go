@@ -37,9 +37,7 @@
 package models
 
 import (
-	"math"
 	"sort"
-	"strconv"
 	"time"
 
 	"powerdiv/internal/machine"
@@ -142,26 +140,14 @@ type DenseModel interface {
 // Factory constructs a fresh model instance for one scenario run. seed
 // feeds any internal randomness (PowerAPI's calibration instability);
 // deterministic models ignore it.
-//
-// Fingerprint identifies the factory's full configuration, not just its
-// family: two factories with equal fingerprints must produce bit-identical
-// estimates for the same inputs and seed. Caches key on it; an empty
-// fingerprint means "unknown configuration" and disables result caching
-// for any evaluation involving the factory.
 type Factory struct {
-	Name        string
+	Name string
+	// Fingerprint is always empty: nothing keys on a factory's
+	// configuration.
+	//
+	// Deprecated: no factory sets it; it will be removed.
 	Fingerprint string
 	New         func(seed int64) Model
-}
-
-// fpF appends a float64's exact bits to a fingerprint being built.
-func fpF(b []byte, f float64) []byte {
-	return strconv.AppendUint(append(b, '/'), math.Float64bits(f), 36)
-}
-
-// fpI appends an integer to a fingerprint being built.
-func fpI(b []byte, v int64) []byte {
-	return strconv.AppendInt(append(b, '/'), v, 10)
 }
 
 // TickFromRecord adapts a simulator tick record into a map-view model

@@ -101,17 +101,8 @@ func NewPowerAPI(cfg PowerAPIConfig) Factory {
 	if cfg.ManyCoreThreshold <= 0 {
 		cfg.ManyCoreThreshold = 32
 	}
-	fp := []byte("powerapi/v1")
-	fp = fpI(fp, int64(cfg.LearnWindow))
-	fp = fpF(fp, cfg.Ridge)
-	fp = fpI(fp, int64(cfg.ManyCoreThreshold))
-	fp = fpF(fp, cfg.InstabilityProb)
-	if cfg.Deterministic {
-		fp = append(fp, "/det"...)
-	}
 	return Factory{
-		Name:        "powerapi",
-		Fingerprint: string(fp),
+		Name: "powerapi",
 		New: func(seed int64) Model {
 			return &PowerAPI{cfg: cfg, seed: seed, favSlot: -1}
 		},

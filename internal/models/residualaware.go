@@ -42,16 +42,8 @@ type ResidualAware struct {
 // NewResidualAware returns a residual-aware model factory for a machine
 // with the given calibration.
 func NewResidualAware(idle units.Watts, residual cpumodel.ResidualCurve, baseFreq units.Hertz) Factory {
-	fp := []byte("residual-aware/v1")
-	fp = fpF(fp, float64(idle))
-	fp = fpF(fp, float64(baseFreq))
-	for _, pt := range residual.Points() {
-		fp = fpF(fp, float64(pt.Freq))
-		fp = fpF(fp, float64(pt.R))
-	}
 	return Factory{
-		Name:        "residual-aware",
-		Fingerprint: string(fp),
+		Name: "residual-aware",
 		New: func(int64) Model {
 			return &ResidualAware{idle: idle, residual: residual, baseFreq: baseFreq}
 		},

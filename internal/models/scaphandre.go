@@ -15,7 +15,7 @@ type Scaphandre struct {
 
 // NewScaphandre returns a Scaphandre-model factory.
 func NewScaphandre() Factory {
-	return Factory{Name: "scaphandre", Fingerprint: "scaphandre/v1", New: func(int64) Model { return &Scaphandre{} }}
+	return Factory{Name: "scaphandre", New: func(int64) Model { return &Scaphandre{} }}
 }
 
 // Name returns "scaphandre".
@@ -52,7 +52,7 @@ type Kepler struct {
 
 // NewKepler returns a Kepler-model factory.
 func NewKepler() Factory {
-	return Factory{Name: "kepler", Fingerprint: "kepler/v1", New: func(int64) Model { return &Kepler{} }}
+	return Factory{Name: "kepler", New: func(int64) Model { return &Kepler{} }}
 }
 
 // Name returns "kepler".

@@ -71,13 +71,8 @@ func NewSmartWatts(cfg SmartWattsConfig) Factory {
 	if cfg.Ridge <= 0 {
 		cfg.Ridge = 1e-3
 	}
-	fp := []byte("smartwatts/v1")
-	fp = fpF(fp, float64(cfg.BinWidth))
-	fp = fpI(fp, int64(cfg.MinSamples))
-	fp = fpF(fp, cfg.Ridge)
 	return Factory{
-		Name:        "smartwatts",
-		Fingerprint: string(fp),
+		Name: "smartwatts",
 		New: func(int64) Model {
 			return &SmartWatts{cfg: cfg}
 		},

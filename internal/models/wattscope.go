@@ -51,7 +51,7 @@ const DefaultUtilQuantum = 0.05
 // NewWattScope returns a wattscope-model factory. The model is
 // deterministic, so the seed is ignored.
 func NewWattScope() Factory {
-	return Factory{Name: "wattscope", Fingerprint: "wattscope/v1", New: func(int64) Model {
+	return Factory{Name: "wattscope", New: func(int64) Model {
 		return &WattScope{quantum: DefaultUtilQuantum}
 	}}
 }

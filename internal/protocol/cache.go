@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"math"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -39,9 +38,9 @@ type baselineEntry struct {
 	evicted bool
 }
 
-// CacheScope is a bounded memoization table in two byte-capped FIFO tiers —
-// phase 1 baseline records (the three floats phases 2–3 use per solo run)
-// and evaluation digests (cache_eval.go) — and the unit of cache isolation.
+// CacheScope is a bounded memoization table of phase 1 baseline records
+// (the three floats phases 2–3 use per solo run) in one byte-capped FIFO
+// tier, backed by an optional DiskCache, and the unit of cache isolation.
 // A campaign selects one through Context.Cache; nil means no memoization.
 // A scope shares nothing with any other: its records are charged against
 // its own budget, evicted within it, and released wholesale by Drop, so
@@ -54,11 +53,6 @@ type CacheScope struct {
 	bytes     int64
 	baselines map[string]*baselineEntry
 	baseOrder []string
-
-	evalByteLimit int64
-	evalBytes     int64
-	evals         map[evalSum]*evalEntry
-	evalOrder     []evalSum
 
 	hits      uint64
 	misses    uint64
@@ -82,10 +76,8 @@ func NewCacheScope(byteLimit int64) *CacheScope {
 		byteLimit = DefaultMemoBytes
 	}
 	return &CacheScope{
-		byteLimit:     byteLimit,
-		baselines:     map[string]*baselineEntry{},
-		evalByteLimit: DefaultEvalMemoBytes,
-		evals:         map[evalSum]*evalEntry{},
+		byteLimit: byteLimit,
+		baselines: map[string]*baselineEntry{},
 	}
 }
 
@@ -130,12 +122,6 @@ func (c *CacheScope) Drop() {
 	c.baselines = map[string]*baselineEntry{}
 	c.baseOrder = nil
 	c.bytes = 0
-	for _, e := range c.evals {
-		e.evicted = true
-	}
-	c.evals = map[evalSum]*evalEntry{}
-	c.evalOrder = nil
-	c.evalBytes = 0
 	c.hits, c.misses, c.lookups, c.evictions = 0, 0, 0, 0
 }
 
@@ -150,8 +136,7 @@ func ResetMemoization() { DefaultScope().Drop() }
 func MemoizationStats() MemoStats { return DefaultScope().Stats() }
 
 // MemoStats reports a scope's activity since creation or the last Drop.
-// Both tiers share the hit/miss/lookup counters; all counters are
-// maintained under one lock, so any snapshot satisfies
+// All counters are maintained under one lock, so any snapshot satisfies
 // Hits + Misses == Lookups and SummaryBytes <= SummaryByteLimit —
 // invariants the concurrency stress test asserts while workers hammer the
 // scope.
@@ -167,12 +152,11 @@ type MemoStats struct {
 	SummaryEntries   int
 	SummaryBytes     int64
 	SummaryByteLimit int64
-	// EvalEntries/EvalBytes describe the evaluation-digest tier, under
-	// EvalByteLimit.
-	EvalEntries   int
-	EvalBytes     int64
-	EvalByteLimit int64
-	// Evictions counts entries dropped by any tier's bound.
+	// EvalBytes is always 0: scored scenarios are not memoized.
+	//
+	// Deprecated: read SummaryBytes, the scope's whole footprint.
+	EvalBytes int64
+	// Evictions counts entries dropped by the byte cap.
 	Evictions uint64
 	// DiskHits/DiskMisses/DiskWrites count the persistent baseline cache's
 	// activity (zero when no disk cache is attached).
@@ -190,9 +174,6 @@ func (c *CacheScope) statsLocked() MemoStats {
 		SummaryEntries:   len(c.baselines),
 		SummaryBytes:     c.bytes,
 		SummaryByteLimit: c.byteLimit,
-		EvalEntries:      len(c.evals),
-		EvalBytes:        c.evalBytes,
-		EvalByteLimit:    c.evalByteLimit,
 		Evictions:        c.evictions,
 	}
 	if c.disk != nil {
@@ -312,9 +293,7 @@ func keyI(b []byte, v int64) []byte   { return strconv.AppendInt(b, v, 10) }
 // order is normalised away — the simulator schedules in ID order, so
 // permutations produce identical runs. DiskCache names and echoes its
 // records by this exact string, and the baseline tier's record keys extend
-// it (TestRunKeyEncodingPinned freezes it); the
-// evaluation-digest tier hashes the same machine and process encodings
-// (appendMachineKey, appendProcKey) in its own layout (campaignPlan.evalKey).
+// it (TestRunKeyEncodingPinned freezes it).
 func runKey(cfg machine.Config, procs []machine.Proc, maxDur time.Duration) string {
 	return string(appendRunKey(make([]byte, 0, 512), cfg, procs, maxDur))
 }
@@ -407,8 +386,7 @@ func appendProcsKey(b []byte, procs []machine.Proc) []byte {
 }
 
 // appendProcKey appends one process's fragment: its ID, threads, quota,
-// lifetime, pins and workload definition. procKeyEqual must compare
-// exactly the fields encoded here.
+// lifetime, pins and workload definition.
 func appendProcKey(b []byte, p *machine.Proc) []byte {
 	b = append(b, "|proc:"...)
 	b = append(b, p.ID...)
@@ -432,40 +410,6 @@ func appendProcKey(b []byte, p *machine.Proc) []byte {
 	b = append(b, '|')
 	return workloadKey(b, p.Workload)
 }
-
-// procKeyEqual reports whether a and b have the same appendProcKey
-// fragment, comparing every encoded field (floats by their bits, as keyF
-// encodes them) without building either.
-func procKeyEqual(a, b *machine.Proc) bool {
-	if a.ID != b.ID || a.Threads != b.Threads || !sameBits(a.CPUQuota, b.CPUQuota) ||
-		a.Start != b.Start || a.Stop != b.Stop ||
-		(a.Pinned == nil) != (b.Pinned == nil) || !slices.Equal(a.Pinned, b.Pinned) {
-		return false
-	}
-	wa, wb := &a.Workload, &b.Workload
-	if wa.Name != wb.Name || wa.Kind != wb.Kind ||
-		!sameBits(wa.Mix.IPC, wb.Mix.IPC) ||
-		!sameBits(wa.Mix.CacheRefsPerKiloInstr, wb.Mix.CacheRefsPerKiloInstr) ||
-		!sameBits(wa.Mix.BranchesPerKiloInstr, wb.Mix.BranchesPerKiloInstr) ||
-		len(wa.Cost) != len(wb.Cost) || len(wa.Script) != len(wb.Script) {
-		return false
-	}
-	for n, w := range wa.Cost {
-		if v, ok := wb.Cost[n]; !ok || !sameBits(float64(v), float64(w)) {
-			return false
-		}
-	}
-	for i, ph := range wa.Script {
-		o := wb.Script[i]
-		if ph.Duration != o.Duration || ph.Threads != o.Threads ||
-			!sameBits(ph.Intensity, o.Intensity) || !sameBits(ph.Util, o.Util) {
-			return false
-		}
-	}
-	return true
-}
-
-func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // keyStackProcs is the roster width appendProcsKey orders without a heap
 // buffer; wider traffic rosters spill to one allocation.

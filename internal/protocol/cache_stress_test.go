@@ -64,8 +64,7 @@ func TestMemoizationStressUnderEvictions(t *testing.T) {
 		}
 	}()
 
-	// Two campaign flavours race against each other: the single-model one
-	// and the multi-model one key different evaluation digests for the same
+	// Two campaign flavours race against each other over the same
 	// scenarios, and both re-read the baseline tier for baselines while
 	// evictions churn it.
 	var wg sync.WaitGroup

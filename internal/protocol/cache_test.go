@@ -263,3 +263,98 @@ func TestMemoizationLimit(t *testing.T) {
 		t.Errorf("recomputed baseline %+v differs from direct extraction %+v", got, want)
 	}
 }
+
+// labScopeCampaign is a short lab pair table on SMALL INTEL with every
+// paper model: all pairs of three stress functions at sizes 1 and 2.
+func labScopeCampaign(t *testing.T) (Context, []Scenario, func(map[string]division.Baseline) []models.Factory) {
+	t.Helper()
+	ctx := goldenContext(cpumodel.SmallIntel(), false)
+	scenarios, err := StressPairs([]string{"fibonacci", "matrixprod", "int64"}, []int{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	factories := func(baselines map[string]division.Baseline) []models.Factory {
+		return goldenFactories(baselines, ctx.Machine.Spec)
+	}
+	return ctx, scenarios, factories
+}
+
+// TestWarmRepeatBitIdentical runs one lab campaign twice in the same
+// scope. The second pass takes every phase 1 baseline from the scope —
+// one hit per application, no new miss or entry — re-scores every
+// scenario, and its rows are bit-identical to the first pass's.
+func TestWarmRepeatBitIdentical(t *testing.T) {
+	t.Parallel()
+	ctx, scenarios, factories := labScopeCampaign(t)
+	ctx.Cache = NewCacheScope(0)
+	run := func() map[string][]Evaluation {
+		t.Helper()
+		got, err := EvaluateModelsStreaming(ctx, scenarios, factories, ObjectiveActive, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	want := run()
+	cold := ctx.Cache.Stats()
+	got := run()
+	warm := ctx.Cache.Stats()
+	if warm.Misses != cold.Misses || warm.SummaryEntries != cold.SummaryEntries ||
+		warm.Hits-cold.Hits != uint64(cold.SummaryEntries) {
+		t.Errorf("warm pass did not reuse exactly the phase 1 baselines: cold %+v, warm %+v", cold, warm)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d models warm, %d cold", len(got), len(want))
+	}
+	for name, wantEvs := range want {
+		gotEvs := got[name]
+		if len(gotEvs) != len(wantEvs) {
+			t.Fatalf("model %s: %d rows warm, %d cold", name, len(gotEvs), len(wantEvs))
+		}
+		for i := range wantEvs {
+			compareStreamingEvaluations(t, name, wantEvs[i], gotEvs[i])
+		}
+	}
+}
+
+// TestScopeRetainsOnlyBaselines pins what a lab campaign leaves in its
+// scope: one baseline record per distinct application and nothing per
+// scenario. The scope's whole footprint is SummaryBytes, and it is the
+// same whether the applications are spread over the full pair table or
+// over the few pairs that cover them.
+func TestScopeRetainsOnlyBaselines(t *testing.T) {
+	t.Parallel()
+	ctx, scenarios, factories := labScopeCampaign(t)
+	stats := func(scenarios []Scenario) MemoStats {
+		t.Helper()
+		ctx.Cache = NewCacheScope(0)
+		if _, err := EvaluateModelsStreaming(ctx, scenarios, factories, ObjectiveActive, 0); err != nil {
+			t.Fatal(err)
+		}
+		return ctx.Cache.Stats()
+	}
+	// cover is the shortest prefix of the table that names every
+	// application.
+	apps := len(BaselineAppsOf(scenarios))
+	cover := scenarios
+	for n := 1; n < len(scenarios); n++ {
+		if len(BaselineAppsOf(scenarios[:n])) == apps {
+			cover = scenarios[:n]
+			break
+		}
+	}
+	if len(cover) >= len(scenarios) {
+		t.Fatalf("no proper prefix of the %d scenarios covers all %d applications", len(scenarios), apps)
+	}
+	full, few := stats(scenarios), stats(cover)
+	if full.SummaryEntries != apps {
+		t.Errorf("full table: %d baseline entries, want one per application (%d)", full.SummaryEntries, apps)
+	}
+	if full.EvalBytes != 0 || full.SummaryBytes <= 0 {
+		t.Errorf("full table: scope footprint %+v, want SummaryBytes only", full)
+	}
+	if few.SummaryEntries != full.SummaryEntries || few.SummaryBytes != full.SummaryBytes {
+		t.Errorf("%d scenarios retain %d entries / %d bytes, %d scenarios over the same applications %d / %d",
+			len(cover), few.SummaryEntries, few.SummaryBytes, len(scenarios), full.SummaryEntries, full.SummaryBytes)
+	}
+}

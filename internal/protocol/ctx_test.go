@@ -127,6 +127,27 @@ func TestStreamingCtxUncancelledBitIdentical(t *testing.T) {
 // scenarios without re-running them.
 func TestScenarioStreamingMatchesCampaign(t *testing.T) {
 	t.Parallel()
+	t.Run("pairs", func(t *testing.T) {
+		ctx, scenarios, factories := labScopeCampaign(t)
+		var fs []models.Factory
+		var baselines map[string]division.Baseline
+		want, err := EvaluateModelsStreaming(ctx, scenarios, func(bs map[string]division.Baseline) []models.Factory {
+			baselines, fs = bs, factories(bs)
+			return fs
+		}, ObjectiveActive, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := len(scenarios) - 1; i >= 0; i-- {
+			rows, err := EvaluateScenarioStreaming(context.Background(), ctx, scenarios[i], fs, baselines, ObjectiveActive, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for m, f := range fs {
+				compareStreamingEvaluations(t, f.Name, want[f.Name][i], rows[m])
+			}
+		}
+	})
 	ctx, scenarios, factories := trafficGoldenSetup(t)
 	baselines, err := MeasureBaselinesParallel(ctx, AppsOf(scenarios))
 	if err != nil {
@@ -224,7 +245,7 @@ func TestCacheScopeIsolation(t *testing.T) {
 }
 
 // TestCacheScopeTinyBudgetEvicts forces eviction with a budget smaller than
-// one campaign's digests and checks the ledger stays within it while the
+// one campaign's baselines and checks the ledger stays within it while the
 // campaign still completes correctly.
 func TestCacheScopeTinyBudgetEvicts(t *testing.T) {
 	t.Parallel()

@@ -124,8 +124,8 @@ func EvaluatePairMulti(ctx Context, s Scenario, factory models.Factory, baseline
 		return nil, err
 	}
 	out := make([]Evaluation, len(truths))
-	p := newCampaignPlan(ctx, []models.Factory{factory}, nil)
-	if err := evaluateScenarioCached(context.Background(), p, s, truths, rowView{rows: out, stride: len(truths)}); err != nil {
+	p := newCampaignPlan(ctx, []models.Factory{factory})
+	if err := evaluateScenarioStreaming(context.Background(), p, s, truths, rowView{rows: out, stride: len(truths)}); err != nil {
 		return nil, err
 	}
 	done()
@@ -192,8 +192,11 @@ type rowView struct {
 	at, stride int
 }
 
-// row returns factory m's row for objective o.
-func (v rowView) row(m, o int) *Evaluation { return &v.rows[v.at+m*v.stride+o] }
+// factory returns factory m's rows for n objectives.
+func (v rowView) factory(m, n int) []Evaluation {
+	i := v.at + m*v.stride
+	return v.rows[i : i+n]
+}
 
 // scoreScratch holds the scoring tail's reusable buffers, so one worker
 // scoring many models (and many scenarios) refills them instead of
@@ -214,9 +217,6 @@ type scoreScratch struct {
 	errs      []division.ErrorSum
 	// windows memoizes the scenario's scoring windows (see windowFor).
 	windows []scoringWindow
-	// digest receives the scored outcome when no cache entry will keep
-	// it; rows are materialized from it before the scratch is recycled.
-	digest evalDigest
 }
 
 // resize returns buf resized to n entries, reallocating only on growth;
@@ -240,11 +240,11 @@ func putScoreScratch(s *scoreScratch) { scoreScratchPool.Put(s) }
 
 // scoreEstimatesWindow is protocol phase 3's scoring tail: Eq 5 over an
 // accumulated estimate matrix and the matching tick series, inside the
-// scoring window [from, to), written into factory m's cells of d. The
-// window is a pure function of (ctx, ts, est.OK), so callers scoring
-// several models over one scenario compute it once per distinct OK vector
-// (models with full estimate coverage — most of them — share one) instead
-// of once per model.
+// scoring window [from, to), written into rows — one per truth, in truth
+// order. The window is a pure function of (ctx, ts, est.OK), so callers
+// scoring several models over one scenario compute it once per distinct
+// OK vector (models with full estimate coverage — most of them — share
+// one) instead of once per model.
 //
 // The tail walks the window once: each scored tick's estimate column is
 // added into the mean-estimate accumulator, its power into the running
@@ -255,7 +255,11 @@ func putScoreScratch(s *scoreScratch) { scoreScratchPool.Put(s) }
 // order — so every float matches the map pipeline bit for bit (the
 // map-reference test pins this). label is s.Label(), formatted once by
 // the caller.
-func scoreEstimatesWindow(label, modelName string, ts tickSeries, est *models.DenseEstimates, scr *scoreScratch, from, to time.Duration, d *evalDigest, m int) error {
+//
+// The rows share one EstShare map, fresh per call: empty when the window
+// holds no positive power, otherwise each roster ID's mean estimated
+// share.
+func scoreEstimatesWindow(s Scenario, label, modelName string, ts tickSeries, est *models.DenseEstimates, scr *scoreScratch, from, to time.Duration, truths []division.Shares, rows []Evaluation) error {
 	if to <= from {
 		return fmt.Errorf("protocol: scenario %q: model %s produced no estimates", label, modelName)
 	}
@@ -263,7 +267,7 @@ func scoreEstimatesWindow(label, modelName string, ts tickSeries, est *models.De
 	scr.meanEst = resize(scr.meanEst, slots)
 	meanEst := scr.meanEst
 	clear(meanEst)
-	scr.errs = resize(scr.errs, d.truths)
+	scr.errs = resize(scr.errs, len(truths))
 	errs, truthVecs := scr.errs, scr.truthVecs
 	clear(errs)
 	var meanPower float64
@@ -282,19 +286,37 @@ func scoreEstimatesWindow(label, modelName string, ts tickSeries, est *models.De
 		}
 		scored++
 	}
-	d.hasShare[m] = meanPower > 0
-	if d.hasShare[m] {
-		share := d.share(m)
-		for slot, sum := range meanEst {
-			share[slot] = sum / meanPower
+	var estShare division.Shares
+	if meanPower > 0 {
+		estShare = make(division.Shares, slots)
+		for slot, id := range est.Roster.IDs() {
+			estShare[id] = meanEst[slot] / meanPower
 		}
+	} else {
+		estShare = division.Shares{}
 	}
-	for o := range errs {
+	for o, truth := range truths {
 		ae, err := errs[o].Mean()
 		if err != nil {
 			return fmt.Errorf("protocol: scenario %q: %w", label, err)
 		}
-		d.rows[m*d.truths+o] = evalRow{ae: ae, scoredTicks: scored}
+		ev := &rows[o]
+		*ev = Evaluation{
+			Scenario:    s,
+			Model:       modelName,
+			AE:          ae,
+			Truth:       truth,
+			EstShare:    estShare,
+			ScoredTicks: scored,
+		}
+		if len(s.Apps) == 2 {
+			id0, id1 := s.Apps[0].ID, s.Apps[1].ID
+			ev.Point = division.RatioPoint{
+				X:     division.RatioPercent(truth[id0], truth[id1]),
+				Y:     division.RatioPercent(estShare[id0], estShare[id1]),
+				Label: label,
+			}
+		}
 	}
 	return nil
 }

@@ -10,10 +10,10 @@ import (
 )
 
 // TestObsCountersMatchMemoStats runs a memoized multi-model campaign twice
-// (cold, then served from the evaluation-digest tier) with the metrics
+// (cold, then with phase 1 served from the baseline tier) with the metrics
 // registry enabled and asserts the exported cache counters agree exactly
 // with its cache scope's statistics — both are incremented at the same
-// sites in every cache tier, and this test pins them there. It also checks the scenario
+// sites, and this test pins them there. It also checks the scenario
 // lifecycle metrics: every started scenario completes, each completion lands
 // one latency observation, and the worker-occupancy gauge reads zero once
 // the pool drains.
@@ -63,8 +63,8 @@ func TestObsCountersMatchMemoStats(t *testing.T) {
 
 	started, completed := obsScenariosStarted.Value(), obsScenariosCompleted.Value()
 	// EvaluateModelsStreaming scores all models inside one evaluation per
-	// scenario, whether computed or served from a digest. Baseline solo
-	// runs go through the cache but are not scenario evaluations.
+	// scenario. Baseline solo runs go through the cache but are not
+	// scenario evaluations.
 	want := uint64(passes * len(scenarios))
 	if started != want || completed != want {
 		t.Errorf("scenarios started/completed = %d/%d, want %d/%d", started, completed, want, want)

@@ -463,7 +463,7 @@ func TestCampaignBitReproducible(t *testing.T) {
 	// The README claims bit-for-bit reproducibility: two runs of the same
 	// campaign (same seed) must agree exactly, including the parallel
 	// runner. The runs have no cache scope, so the second run recomputes
-	// every scenario instead of replaying stored digests.
+	// every baseline as well as every scenario.
 	ctx := labSmall()
 	ctx.Cache = nil
 	scenarios, err := StressPairs([]string{"fibonacci", "jmp", "rand"}, []int{1, 2})

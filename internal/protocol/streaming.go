@@ -18,26 +18,21 @@ import (
 // estimate matrices and the power/time scoring view, both pooled. Pair
 // runs are never materialized and never cached, which is where the memory
 // goes: the byte-capped baseline tier (cache.go) keeps only phase 1's
-// four-number baselines, and the evaluation-digest tier (cache_eval.go)
-// only the scored outcome.
+// four-number baselines, and a scored scenario is written once, straight
+// into the caller's rows (rowView). The protocol scores each scenario
+// once, so nothing of phases 2–3 is memoized.
 //
-// Scoring writes each result once: the scoring tail accumulates straight
-// into an evalDigest, and evalDigest.materialize writes the caller-owned
-// rows (rowView) from it — on a cache miss, a hit and an uncached run
-// alike.
-//
-// Every campaign entry point — EvaluatePair, EvaluateCampaign,
-// EvaluateModelsStreaming and the per-scenario units the campaign service
-// shards jobs into — runs through evaluateScenarioCached. The golden
+// Every pair entry point — EvaluatePair, EvaluateCampaign,
+// EvaluateModelsStreaming and the per-scenario unit the campaign service
+// shards jobs into — runs through evaluateScenarioStreaming. The golden
 // corpus (internal/experiments/testdata) pins their tables bit for bit,
 // and the map-reference test pins the columnar scoring against the
 // original per-tick map pipeline.
 
-// evaluateScenarioStreaming runs phases 2–3 for one scenario in a single
-// simulator pass, scoring every factory against every truth: the scenario
-// is simulated exactly once and all models observe the stream as it runs.
-// The scored outcome lands in d — or, when d is nil, in pooled scratch —
-// and is then materialized into v.
+// evaluateScenarioStreaming runs phases 2–3 for one pair scenario in a
+// single simulator pass, scoring every factory against every truth into
+// v: the scenario is simulated exactly once and all models observe the
+// stream as it runs.
 //
 // cctx is the cancellation seam: it is polled once per simulated tick
 // inside the stream yield (segments poll once per covered tick, keeping
@@ -46,22 +41,16 @@ import (
 // the scenario — the error unwraps to cctx's cause via errors.Is.
 // Cancellation only ever aborts; it cannot perturb the float accumulation
 // order of a run that completes.
-func evaluateScenarioStreaming(cctx context.Context, p *campaignPlan, s Scenario, run *scenarioRun, truths []division.Shares, d *evalDigest, v rowView) error {
+func evaluateScenarioStreaming(cctx context.Context, p *campaignPlan, s Scenario, truths []division.Shares, v rowView) error {
 	scr := getScoreScratch()
 	defer putScoreScratch(scr)
-	if d == nil {
-		d = &scr.digest
-	}
-	replay, ts, err := p.streamPair(cctx, run, scr)
+	run := p.pairRun(s)
+	replay, ts, err := p.streamPair(cctx, &run, scr)
 	if err != nil {
 		return err
 	}
 	defer replay.Release()
-	if err := p.scorePair(run, ts, replay, truths, scr, d); err != nil {
-		return err
-	}
-	d.materialize(s, run.label, p.fs, truths, run.roster.IDs(), v)
-	return nil
+	return p.scorePair(s, &run, ts, replay, truths, scr, v)
 }
 
 // streamPair simulates the scenario segment by segment
@@ -92,12 +81,11 @@ func (p *campaignPlan) streamPair(cctx context.Context, run *scenarioRun, scr *s
 	return replay, ts, nil
 }
 
-// scorePair scores every factory's estimates against every truth into d,
-// sized here to the plan's factories, the truths and the roster.
-func (p *campaignPlan) scorePair(run *scenarioRun, ts tickSeries, replay *models.StreamReplay, truths []division.Shares, scr *scoreScratch, d *evalDigest) error {
+// scorePair scores every factory's estimates against every truth into
+// the factory's rows of v.
+func (p *campaignPlan) scorePair(s Scenario, run *scenarioRun, ts tickSeries, replay *models.StreamReplay, truths []division.Shares, scr *scoreScratch, v rowView) error {
 	rosterIDs := run.roster.IDs()
 	slots := len(rosterIDs)
-	d.reset(len(p.fs), len(truths), slots)
 	scr.truthVecs = resize(scr.truthVecs, len(truths)*slots)
 	for o, truth := range truths {
 		truth.VectorInto(scr.truthVecs[o*slots:(o+1)*slots], rosterIDs)
@@ -113,7 +101,7 @@ func (p *campaignPlan) scorePair(run *scenarioRun, ts tickSeries, replay *models
 	for m, f := range p.fs {
 		est := replay.Estimates(m)
 		from, to := windowFor(p.ctx, ts, est.OK, scr)
-		if err := scoreEstimatesWindow(run.label, f.Name, ts, est, scr, from, to, d, m); err != nil {
+		if err := scoreEstimatesWindow(s, run.label, f.Name, ts, est, scr, from, to, truths, v.factory(m, len(truths))); err != nil {
 			return err
 		}
 	}
@@ -160,26 +148,25 @@ func boolsEqual(a, b []bool) bool {
 // EvaluateModelsStreaming call would produce: the simulation and model
 // seeds derive from the scenario label alone, so per-scenario results do
 // not depend on which other scenarios run, in what order, or on which
-// process. It compiles a one-shot campaign plan, whose evaluation-digest
-// key equals the campaign plan's, so both share cached digests. cctx
-// cancellation aborts the simulator mid-run.
+// process. It compiles a one-shot campaign plan. cctx cancellation aborts
+// the simulator mid-run.
 func EvaluateScenarioStreaming(cctx context.Context, ctx Context, s Scenario, fs []models.Factory, baselines map[string]division.Baseline, obj Objective, r0 units.Watts) ([]Evaluation, error) {
 	out := make([]Evaluation, len(fs))
-	if err := newCampaignPlan(ctx, fs, nil).evaluate(cctx, s, baselines, obj, r0, rowView{rows: out, stride: 1}); err != nil {
+	if err := newCampaignPlan(ctx, fs).evaluate(cctx, s, baselines, obj, r0, rowView{rows: out, stride: 1}); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
 // evaluate is EvaluateScenarioStreaming under the plan, writing factory
-// m's row to v.row(m, 0).
+// m's row to v.factory(m, 1)[0].
 func (p *campaignPlan) evaluate(cctx context.Context, s Scenario, baselines map[string]division.Baseline, obj Objective, r0 units.Watts, v rowView) error {
 	done := observeScenario()
 	truths, err := scenarioTruths(s, baselines, []Objective{obj}, r0)
 	if err != nil {
 		return err
 	}
-	if err := evaluateScenarioCached(cctx, p, s, truths, v); err != nil {
+	if err := evaluateScenarioStreaming(cctx, p, s, truths, v); err != nil {
 		return err
 	}
 	done()
@@ -212,7 +199,7 @@ func EvaluateModelsStreamingCtx(cctx context.Context, ctx Context, scenarios []S
 		return nil, err
 	}
 	fs := factories(baselines)
-	plan := newCampaignPlan(ctx, fs, scenarios)
+	plan := newCampaignPlan(ctx, fs)
 	// Every model's column is allocated up front, end to end in one slab;
 	// each scenario writes its rows straight into them.
 	n := len(scenarios)

@@ -35,20 +35,18 @@ func TestPairScoringTailAllocsIndependentOfRunLength(t *testing.T) {
 	var allocs, ticks []float64
 	for _, runFor := range []time.Duration{30 * time.Second, 120 * time.Second} {
 		ctx.RunFor = runFor
-		p := newCampaignPlan(ctx, goldenFactories(baselines, ctx.Machine.Spec), nil)
+		p := newCampaignPlan(ctx, goldenFactories(baselines, ctx.Machine.Spec))
 		run := p.pairRun(s)
 		scr := getScoreScratch()
 		replay, ts, err := p.streamPair(context.Background(), &run, scr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var d evalDigest
 		v := rowView{rows: make([]Evaluation, len(p.fs)*len(truths)), stride: len(truths)}
 		score := func() {
-			if err := p.scorePair(&run, ts, replay, truths, scr, &d); err != nil {
+			if err := p.scorePair(s, &run, ts, replay, truths, scr, v); err != nil {
 				t.Fatal(err)
 			}
-			d.materialize(s, run.label, p.fs, truths, run.roster.IDs(), v)
 		}
 		score()
 		allocs = append(allocs, testing.AllocsPerRun(20, score))

@@ -56,7 +56,7 @@ func EvaluateTimeline(ctx Context, apps []TimelineApp, factory models.Factory, b
 		s.Apps[i].StartAt, s.Apps[i].StopAt = ta.Start, ta.Stop
 		label += " " + ta.App.ID
 	}
-	p := newCampaignPlan(ctx, []models.Factory{factory}, nil)
+	p := newCampaignPlan(ctx, []models.Factory{factory})
 	run := p.run(s, label, newSeedHash(ctx.Seed).part("timeline"))
 	slotBase, err := trafficSlotBaselines(s, run.roster.IDs(), baselines)
 	if err != nil {

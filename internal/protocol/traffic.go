@@ -246,7 +246,7 @@ func scoreTraffic(s Scenario, fs []models.Factory, view *trafficView, slotBase [
 // simulator mid-run (polled once per tick); the error then unwraps to
 // cctx's cause.
 func EvaluateTrafficScenarioStreaming(cctx context.Context, ctx Context, s Scenario, fs []models.Factory, baselines map[string]division.Baseline, window time.Duration) ([]TrafficEvaluation, error) {
-	return newCampaignPlan(ctx, fs, nil).evaluateTraffic(cctx, s, baselines, window)
+	return newCampaignPlan(ctx, fs).evaluateTraffic(cctx, s, baselines, window)
 }
 
 // evaluateTraffic is EvaluateTrafficScenarioStreaming under the plan: one
@@ -330,7 +330,7 @@ func EvaluateTrafficStreamingCtx(cctx context.Context, ctx Context, scenarios []
 		return nil, err
 	}
 	fs := factories(baselines)
-	plan := newCampaignPlan(ctx, fs, scenarios)
+	plan := newCampaignPlan(ctx, fs)
 	perScenario := make([][]TrafficEvaluation, len(scenarios))
 	err = forEachIndexed(len(scenarios), func(i int) error {
 		if err := cctx.Err(); err != nil {

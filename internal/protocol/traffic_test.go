@@ -214,7 +214,7 @@ func TestTrafficScoringTailAllocsIndependentOfWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := newCampaignPlan(ctx, factories(baselines), nil)
+	p := newCampaignPlan(ctx, factories(baselines))
 	var allocs, ticks []float64
 	for _, window := range []time.Duration{10 * time.Second, 60 * time.Second} {
 		run := p.trafficRun(s)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -71,6 +72,38 @@ func TestServePairsJob(t *testing.T) {
 	}
 	if term.Summary == nil || len(term.Summary.Models) == 0 {
 		t.Fatal("pairs job finished without a model summary")
+	}
+}
+
+// TestServePairsJobRepeatedScenario runs a pairs job whose runnable lists
+// one scenario twice. Nothing of a scored scenario is memoized, so both
+// copies are simulated and scored on their own, and their rows must be
+// identical.
+func TestServePairsJobRepeatedScenario(t *testing.T) {
+	t.Parallel()
+	s, _ := newTestServer(t, Options{})
+	spec := SubmitRequest{Kind: KindPairs, Seed: 7, Functions: []string{"fibonacci", "int64"}, Sizes: []int{1}}
+	rn, aerr := compile(spec, s.opts)
+	if aerr != nil {
+		t.Fatal(aerr)
+	}
+	if rn.units != 1 {
+		t.Fatalf("pairs spec compiled to %d units, want 1", rn.units)
+	}
+	rn.scenarios = append(rn.scenarios, rn.scenarios[0])
+	rn.labels = append(rn.labels, rn.labels[0])
+	rn.units = len(rn.scenarios)
+	job := newJob("job-repeat", spec, rn)
+	s.runJob(job)
+	if st := job.State(); st != StateDone {
+		t.Fatalf("job ended %s (%s)", st, job.Status().Error)
+	}
+	first, second := job.row(0), job.row(1)
+	if first == nil || second == nil || len(first.Models) == 0 {
+		t.Fatalf("rows %+v and %+v", first, second)
+	}
+	if first.Label != second.Label || !reflect.DeepEqual(first.Models, second.Models) {
+		t.Errorf("repeated scenario scored differently:\n%+v\n%+v", first, second)
 	}
 }
 
