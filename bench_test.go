@@ -9,6 +9,7 @@
 package powerdiv_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -403,7 +404,7 @@ func startHeapWatermark() (stop func() float64) {
 }
 
 // BenchmarkCampaignParallel measures the scenario-parallel campaign at a
-// ladder of worker counts (EvaluateCampaign hands scenarios to a
+// ladder of worker counts (Evaluate hands scenarios to a
 // GOMAXPROCS-wide pool). Each iteration runs in a fresh cache scope, so
 // each rung re-simulates and re-scores every scenario rather
 // than replaying the evaluation digests the previous rung stored. On a
@@ -427,7 +428,9 @@ func BenchmarkCampaignParallel(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ctx.Cache = protocol.NewCacheScope(0)
-				if _, err := protocol.EvaluateCampaign(ctx, scenarios, models.NewScaphandre(), protocol.ObjectiveActive, 0); err != nil {
+				if _, err := protocol.Evaluate(context.Background(), ctx, protocol.Campaign{
+					Kind: protocol.PairCampaign, Scenarios: scenarios, Factories: protocol.FixedFactories(models.NewScaphandre()),
+				}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -533,7 +536,7 @@ func BenchmarkTrafficPhase1DiskWarm(b *testing.B) {
 		c.Cache = protocol.NewCacheScope(0)
 		c.Cache.AttachDisk(disk)
 		defer c.Cache.Drop()
-		if _, err := protocol.MeasureBaselinesParallel(c, apps); err != nil {
+		if _, err := protocol.Measure(context.Background(), c, apps); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -568,7 +571,7 @@ func BenchmarkDiskCacheStore(b *testing.B) {
 		c.Cache = protocol.NewCacheScope(0)
 		c.Cache.AttachDisk(disk)
 		defer c.Cache.Drop()
-		if _, err := protocol.MeasureBaseline(c, app); err != nil {
+		if _, err := protocol.Measure(context.Background(), c, []protocol.AppSpec{app}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -985,42 +988,47 @@ func BenchmarkExtensionResidualAware(b *testing.B) {
 // departures (PowerAPI relearns at every change and loses roughly half its
 // coverage on a three-phase timeline).
 func BenchmarkExtensionTimeline(b *testing.B) {
+	t := benchFig11Timeline(b, "Fig 11 timeline — model error and coverage under churn", experiments.PaperModels())
+	writeResult(b, t, "extension-timeline")
+}
+
+// benchFig11Timeline scores fs over the Fig 11 timeline — three int64-2
+// instances, P1 present from 20 s to 40 s and P2 from 40 s on — once per
+// iteration, as one TimelineCampaign, and tabulates each model's error
+// and coverage.
+func benchFig11Timeline(b *testing.B, title string, fs []models.Factory) *report.Table {
 	ctx := experiments.LabContext(cpumodel.SmallIntel(), benchSeed)
-	mk := func(id string) protocol.TimelineApp {
+	var s protocol.Scenario
+	for _, id := range []string{"P0", "P1", "P2"} {
 		app, err := protocol.StressApp("int64", 2)
 		if err != nil {
 			b.Fatal(err)
 		}
 		app.ID = id
-		return protocol.TimelineApp{App: app}
+		s.Apps = append(s.Apps, app)
 	}
-	p0 := mk("P0")
-	p1 := mk("P1")
-	p1.Start, p1.Stop = 20*time.Second, 40*time.Second
-	p2 := mk("P2")
-	p2.Start = 40 * time.Second
-	apps := []protocol.TimelineApp{p0, p1, p2}
-	specs := []protocol.AppSpec{p0.App, p1.App, p2.App}
-	baselines, err := protocol.MeasureBaselinesParallel(ctx, specs)
+	s.Apps[1].StartAt, s.Apps[1].StopAt = 20*time.Second, 40*time.Second
+	s.Apps[2].StartAt = 40 * time.Second
+	baselines, err := protocol.Measure(context.Background(), ctx, s.Apps)
 	if err != nil {
 		b.Fatal(err)
 	}
-	results := map[string]protocol.TimelineResult{}
+	var res protocol.Result
 	for i := 0; i < b.N; i++ {
-		for _, f := range experiments.PaperModels() {
-			res, err := protocol.EvaluateTimeline(ctx, apps, f, baselines, time.Minute)
-			if err != nil {
-				b.Fatal(err)
-			}
-			results[f.Name] = res
+		res, err = protocol.Evaluate(context.Background(), ctx, protocol.Campaign{
+			Kind: protocol.TimelineCampaign, Scenarios: []protocol.Scenario{s}, Factories: protocol.FixedFactories(fs...),
+			Baselines: baselines, Window: time.Minute,
+		})
+		if err != nil {
+			b.Fatal(err)
 		}
 	}
-	t := report.NewTable("Fig 11 timeline — model error and coverage under churn", "model", "AE", "coverage")
-	for _, name := range []string{"scaphandre", "powerapi"} {
-		r := results[name]
-		t.AddRow(name, report.Percent(r.AE), report.Percent(r.Coverage))
+	t := report.NewTable(title, "model", "AE", "coverage")
+	for m, f := range res.Factories {
+		r := res.Traffic(m)[0]
+		t.AddRow(f.Name, report.Percent(r.AE), report.Percent(r.Coverage))
 	}
-	writeResult(b, t, "extension-timeline")
+	return t
 }
 
 // BenchmarkAblationPowerAPIDeterminism isolates how much of PowerAPI's
@@ -1042,43 +1050,9 @@ func BenchmarkAblationPowerAPIDeterminism(b *testing.B) {
 // calibration with PowerAPI under context churn: SmartWatts pays one
 // warm-up per frequency bin instead of one per context.
 func BenchmarkExtensionSmartWatts(b *testing.B) {
-	ctx := experiments.LabContext(cpumodel.SmallIntel(), benchSeed)
-	mk := func(id string) protocol.TimelineApp {
-		app, err := protocol.StressApp("int64", 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		app.ID = id
-		return protocol.TimelineApp{App: app}
-	}
-	p0 := mk("P0")
-	p1 := mk("P1")
-	p1.Start, p1.Stop = 20*time.Second, 40*time.Second
-	p2 := mk("P2")
-	p2.Start = 40 * time.Second
-	apps := []protocol.TimelineApp{p0, p1, p2}
-	baselines, err := protocol.MeasureBaselinesParallel(ctx, []protocol.AppSpec{p0.App, p1.App, p2.App})
-	if err != nil {
-		b.Fatal(err)
-	}
-	factories := []models.Factory{
+	t := benchFig11Timeline(b, "SmartWatts vs PowerAPI under churn", []models.Factory{
 		models.NewSmartWatts(models.DefaultSmartWattsConfig()),
 		models.NewPowerAPI(models.DefaultPowerAPIConfig()),
-	}
-	results := map[string]protocol.TimelineResult{}
-	for i := 0; i < b.N; i++ {
-		for _, f := range factories {
-			res, err := protocol.EvaluateTimeline(ctx, apps, f, baselines, time.Minute)
-			if err != nil {
-				b.Fatal(err)
-			}
-			results[f.Name] = res
-		}
-	}
-	t := report.NewTable("SmartWatts vs PowerAPI under churn", "model", "AE", "coverage")
-	for _, name := range []string{"smartwatts", "powerapi"} {
-		r := results[name]
-		t.AddRow(name, report.Percent(r.AE), report.Percent(r.Coverage))
-	}
+	})
 	writeResult(b, t, "extension-smartwatts")
 }

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -50,7 +51,7 @@ func main() {
 		log.Fatal(err)
 	}
 	batch.ID = "batch"
-	baselines, err := protocol.MeasureBaselinesParallel(ctx, []protocol.AppSpec{app, webApp, batch})
+	baselines, err := protocol.Measure(context.Background(), ctx, []protocol.AppSpec{app, webApp, batch})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,18 +64,23 @@ func main() {
 
 	// A dynamic timeline: the web app runs throughout, the ETL job comes
 	// and goes, a batch job appears at the end.
-	timeline := []protocol.TimelineApp{
-		{App: webApp},
-		{App: app, Start: 30 * time.Second, Stop: 90 * time.Second},
-		{App: batch, Start: 90 * time.Second},
+	etlRun, batchRun := app, batch
+	etlRun.StartAt, etlRun.StopAt = 30*time.Second, 90*time.Second
+	batchRun.StartAt = 90 * time.Second
+	res, err := protocol.Evaluate(context.Background(), ctx, protocol.Campaign{
+		Kind:      protocol.TimelineCampaign,
+		Scenarios: []protocol.Scenario{{Apps: []protocol.AppSpec{webApp, etlRun, batchRun}}},
+		Factories: protocol.FixedFactories(experiments.PaperModels()...),
+		Baselines: baselines,
+		Window:    2 * time.Minute,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 	tt := report.NewTable("\nDynamic context (Fig 11 setting) — error and coverage", "model", "AE (Eq 5)", "coverage")
-	for _, f := range experiments.PaperModels() {
-		res, err := protocol.EvaluateTimeline(ctx, timeline, f, baselines, 2*time.Minute)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tt.AddRow(f.Name, report.Percent(res.AE), report.Percent(res.Coverage))
+	for m, f := range res.Factories {
+		ev := res.Traffic(m)[0]
+		tt.AddRow(f.Name, report.Percent(ev.AE), report.Percent(ev.Coverage))
 	}
 	fmt.Print(tt.String())
 	fmt.Println("\nPowerAPI loses estimate coverage at every context change (its learning")

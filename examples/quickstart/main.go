@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -40,7 +41,7 @@ func main() {
 	scenario := protocol.Scenario{Apps: []protocol.AppSpec{fib, mat}}
 
 	// Protocol phase 1: measure each application alone.
-	baselines, err := protocol.MeasureBaselines(ctx, scenario.Apps)
+	baselines, err := protocol.Measure(context.Background(), ctx, scenario.Apps)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,10 +52,16 @@ func main() {
 
 	// Phases 2–3: run them together, let the model divide the power, and
 	// score it with the paper's Equation 5.
-	ev, err := protocol.EvaluatePair(ctx, scenario, models.NewScaphandre(), baselines, protocol.ObjectiveActive, 0)
+	res, err := protocol.Evaluate(context.Background(), ctx, protocol.Campaign{
+		Kind:      protocol.PairCampaign,
+		Scenarios: []protocol.Scenario{scenario},
+		Factories: protocol.FixedFactories(models.NewScaphandre()),
+		Baselines: baselines,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	ev := res.Pairs(0, 0)[0]
 
 	t := report.NewTable("\nScaphandre division vs objective value", "application", "true share", "estimated share")
 	for _, id := range ev.Truth.IDs() {

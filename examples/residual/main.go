@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,14 +38,11 @@ func main() {
 	}
 	uncapped.Pinned = []int{3, 4, 5}
 
-	bCapped, err := protocol.MeasureBaseline(ctx, capped)
+	baselines, err := protocol.Measure(context.Background(), ctx, []protocol.AppSpec{capped, uncapped})
 	if err != nil {
 		log.Fatal(err)
 	}
-	bUncapped, err := protocol.MeasureBaseline(ctx, uncapped)
-	if err != nil {
-		log.Fatal(err)
-	}
+	bCapped, bUncapped := baselines[capped.ID], baselines[uncapped.ID]
 	t := report.NewTable("§IV-B isolated runs on SMALL INTEL", "application", "machine power", "residual (incl. idle)", "active")
 	t.AddRow(capped.ID, bCapped.Total.String(), bCapped.Residual.String(), bCapped.Active().String())
 	t.AddRow(uncapped.ID, bUncapped.Total.String(), bUncapped.Residual.String(), bUncapped.Active().String())

@@ -3,6 +3,7 @@
 package powerdiv_test
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -36,14 +37,13 @@ func TestEndToEndProtocolPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	scenario := protocol.Scenario{Apps: []protocol.AppSpec{fib, mat}}
-	baselines, err := protocol.MeasureBaselines(ctx, scenario.Apps)
+	res, err := protocol.Evaluate(context.Background(), ctx, protocol.Campaign{
+		Kind: protocol.PairCampaign, Scenarios: []protocol.Scenario{scenario}, Factories: protocol.FixedFactories(models.NewScaphandre()),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := protocol.EvaluatePair(ctx, scenario, models.NewScaphandre(), baselines, protocol.ObjectiveActive, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := res.Pairs(0, 0)[0]
 	// The paper's SMALL INTEL worst case: ≈11.7 %.
 	if ev.AE < 0.10 || ev.AE > 0.13 {
 		t.Errorf("worst-pair AE = %.4f, want ≈0.117", ev.AE)
@@ -147,7 +147,7 @@ func TestEndToEndFamilyConsistency(t *testing.T) {
 	ctx := experiments.LabContext(cpumodel.SmallIntel(), 3)
 	a0, _ := protocol.StressApp("queens", 2)
 	a1, _ := protocol.StressApp("jmp", 2)
-	baselines, err := protocol.MeasureBaselines(ctx, []protocol.AppSpec{a0, a1})
+	baselines, err := protocol.Measure(context.Background(), ctx, []protocol.AppSpec{a0, a1})
 	if err != nil {
 		t.Fatal(err)
 	}

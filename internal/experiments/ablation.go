@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"powerdiv/internal/cpumodel"
@@ -41,7 +42,7 @@ func FamilyAblation(spec cpumodel.Spec, fn0, fn1 string, threads int, seed int64
 		if err != nil {
 			return nil, nil, err
 		}
-		baselines, err := protocol.MeasureBaselines(ctx, []protocol.AppSpec{a0, a1})
+		baselines, err := protocol.Measure(context.Background(), ctx, []protocol.AppSpec{a0, a1})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -133,7 +134,7 @@ func StableWindowAblation(spec cpumodel.Spec, seed int64) (float64, float64, err
 		ctx := LabContext(spec, seed)
 		ctx.Machine.NoiseStddev = 2 // exaggerate sensor noise
 		ctx.StableWindow = window
-		evs, err := protocol.EvaluateCampaign(ctx, scenarios, models.NewScaphandre(), protocol.ObjectiveActive, 0)
+		evs, err := evaluateModel(ctx, scenarios, models.NewScaphandre())
 		if err != nil {
 			return 0, err
 		}
@@ -162,7 +163,7 @@ func LearningWindowAblation(spec cpumodel.Spec, windows []time.Duration, seed in
 		cfg := models.DefaultPowerAPIConfig()
 		cfg.LearnWindow = w
 		ctx := LabContext(spec, seed)
-		evs, err := protocol.EvaluateCampaign(ctx, scenarios, models.NewPowerAPI(cfg), protocol.ObjectiveActive, 0)
+		evs, err := evaluateModel(ctx, scenarios, models.NewPowerAPI(cfg))
 		if err != nil {
 			return nil, err
 		}
@@ -187,7 +188,7 @@ func SamplePeriodAblation(spec cpumodel.Spec, periods []time.Duration, seed int6
 	for _, p := range periods {
 		ctx := LabContext(spec, seed)
 		ctx.Machine.Tick = p
-		evs, err := protocol.EvaluateCampaign(ctx, scenarios, models.NewScaphandre(), protocol.ObjectiveActive, 0)
+		evs, err := evaluateModel(ctx, scenarios, models.NewScaphandre())
 		if err != nil {
 			return nil, err
 		}
@@ -226,7 +227,7 @@ func PowerAPIDeterminismAblation(ctx protocol.Context) (withPathology, without f
 	run := func(deterministic bool) (float64, error) {
 		cfg := models.DefaultPowerAPIConfig()
 		cfg.Deterministic = deterministic
-		evs, err := protocol.EvaluateCampaign(ctx, scenarios, models.NewPowerAPI(cfg), protocol.ObjectiveActive, 0)
+		evs, err := evaluateModel(ctx, scenarios, models.NewPowerAPI(cfg))
 		if err != nil {
 			return 0, err
 		}

@@ -59,7 +59,7 @@ func MultiAppEvaluation(ctx protocol.Context, factory models.Factory, fns []stri
 		if err != nil {
 			return res, err
 		}
-		evs, err := protocol.EvaluateCampaign(ctx, scenarios, factory, protocol.ObjectiveActive, 0)
+		evs, err := evaluateModel(ctx, scenarios, factory)
 		if err != nil {
 			return res, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -84,7 +85,7 @@ func CollectProfileTraining(ctx protocol.Context, fns []string, threads int) ([]
 		if err != nil {
 			return nil, err
 		}
-		baseline, err := protocol.MeasureBaseline(ctx, app)
+		baselines, err := protocol.Measure(context.Background(), ctx, []protocol.AppSpec{app})
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +114,7 @@ func CollectProfileTraining(ctx protocol.Context, fns []string, threads int) ([]
 		out = append(out, isoest.Sample{
 			Workload:      fn,
 			Rates:         counters.Scale(1 / cpuSeconds),
-			ActivePerCore: baseline.ActivePerCore(),
+			ActivePerCore: baselines[app.ID].ActivePerCore(),
 		})
 	}
 	return out, nil
@@ -142,12 +143,12 @@ func ProfileF2Evaluation(ctx protocol.Context) (ProfileResult, error) {
 	if err != nil {
 		return res, err
 	}
-	profEvs, err := protocol.EvaluateCampaign(ctx, scenarios, isoest.NewProfileF2(est), protocol.ObjectiveActive, 0)
+	profEvs, err := evaluateModel(ctx, scenarios, isoest.NewProfileF2(est))
 	if err != nil {
 		return res, err
 	}
 	res.ProfileF2 = scatterFromEvaluations("profile-f2", res.Machine, profEvs)
-	scEvs, err := protocol.EvaluateCampaign(ctx, scenarios, models.NewScaphandre(), protocol.ObjectiveActive, 0)
+	scEvs, err := evaluateModel(ctx, scenarios, models.NewScaphandre())
 	if err != nil {
 		return res, err
 	}

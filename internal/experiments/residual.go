@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"powerdiv/internal/division"
@@ -147,29 +148,30 @@ func ResidualCapping(ctx protocol.Context, factory models.Factory, fns []string,
 	if err != nil {
 		return res, err
 	}
-	baselines, err := protocol.MeasureBaselines(ctx, protocol.AppsOf(scenarios))
+	objectives := []protocol.Objective{protocol.ObjectiveResidualAware, protocol.ObjectiveNominalResidual}
+	camp, err := protocol.Evaluate(context.Background(), ctx, protocol.Campaign{
+		Kind: protocol.PairCampaign, Scenarios: scenarios, Factories: protocol.FixedFactories(factory),
+		Objectives: objectives, R0: res.R0,
+	})
 	if err != nil {
 		return res, err
 	}
-	objectives := []protocol.Objective{protocol.ObjectiveResidualAware, protocol.ObjectiveNominalResidual}
 	stats := make([]CappingStats, len(objectives))
 	diffSum := make([]float64, len(objectives))
 	var diffN int
-	for _, s := range scenarios {
-		evs, err := protocol.EvaluatePairMulti(ctx, s, factory, baselines, objectives, res.R0)
-		if err != nil {
-			return res, err
-		}
-		for i, ev := range evs {
+	for i := range objectives {
+		for _, ev := range camp.Pairs(0, i) {
 			stats[i].MeanAE += ev.AE
 			if ev.AE > stats[i].MaxAE {
 				stats[i].MaxAE = ev.AE
 			}
 			stats[i].Points = append(stats[i].Points, ev.Point)
-			if !s.SameSize() {
+			if !ev.Scenario.SameSize() {
 				diffSum[i] += ev.AE
 			}
 		}
+	}
+	for _, s := range scenarios {
 		if !s.SameSize() {
 			diffN++
 		}

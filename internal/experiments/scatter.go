@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"powerdiv/internal/division"
@@ -110,11 +111,23 @@ func RatioScatter(ctx protocol.Context, factory models.Factory) (ScatterResult, 
 	if err != nil {
 		return ScatterResult{}, err
 	}
-	evs, err := protocol.EvaluateCampaign(ctx, scenarios, factory, protocol.ObjectiveActive, 0)
+	evs, err := evaluateModel(ctx, scenarios, factory)
 	if err != nil {
 		return ScatterResult{}, err
 	}
 	return scatterFromEvaluations(factory.Name, ctx.Machine.Spec.Name, evs), nil
+}
+
+// evaluateModel runs a pair campaign for one model against the Eq 3
+// objective, phase 1 included, and returns its rows in scenario order.
+func evaluateModel(ctx protocol.Context, scenarios []protocol.Scenario, f models.Factory) ([]protocol.Evaluation, error) {
+	res, err := protocol.Evaluate(context.Background(), ctx, protocol.Campaign{
+		Kind: protocol.PairCampaign, Scenarios: scenarios, Factories: protocol.FixedFactories(f),
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res.Pairs(0, 0), nil
 }
 
 // LabEvaluationStreaming reproduces the §IV-A error table: all paper
@@ -137,13 +150,15 @@ func LabEvaluationStreaming(ctx protocol.Context, extra ...models.Factory) (map[
 		fs = append(fs, models.NewF2(perCore))
 		return fs
 	}
-	byModel, err := protocol.EvaluateModelsStreaming(ctx, scenarios, factories, protocol.ObjectiveActive, 0)
+	res, err := protocol.Evaluate(context.Background(), ctx, protocol.Campaign{
+		Kind: protocol.PairCampaign, Scenarios: scenarios, Factories: factories,
+	})
 	if err != nil {
 		return nil, err
 	}
 	out := map[string]ScatterResult{}
-	for name, evs := range byModel {
-		out[name] = scatterFromEvaluations(name, ctx.Machine.Spec.Name, evs)
+	for m, f := range res.Factories {
+		out[f.Name] = scatterFromEvaluations(f.Name, ctx.Machine.Spec.Name, res.Pairs(m, 0))
 	}
 	return out, nil
 }

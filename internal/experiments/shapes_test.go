@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -84,7 +85,7 @@ func TestScatterShapeRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs, err := protocol.EvaluateCampaign(ctx, scenarios, models.NewScaphandre(), protocol.ObjectiveActive, 0)
+	evs, err := evaluateModel(ctx, scenarios, models.NewScaphandre())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,14 +126,11 @@ func TestCappingResidualDirection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bu, err := protocol.MeasureBaseline(ctx, uncapped)
+	baselines, err := protocol.Measure(context.Background(), ctx, []protocol.AppSpec{uncapped, capped})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc, err := protocol.MeasureBaseline(ctx, capped)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bu, bc := baselines[uncapped.ID], baselines[capped.ID]
 	if bc.Residual >= bu.Residual {
 		t.Errorf("capped residual %v not below uncapped %v", bc.Residual, bu.Residual)
 	}

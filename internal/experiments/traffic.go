@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -118,10 +119,13 @@ func trafficEvaluate(ctx protocol.Context, kind string, window time.Duration, sc
 	// Phase 1 keys its baselines by application type, so the map it hands
 	// the factories counts the distinct types.
 	factories, baselines := TrafficFactories(scenarios), 0
-	byModel, err := protocol.EvaluateTrafficStreaming(ctx, scenarios, func(b map[string]division.Baseline) []models.Factory {
-		baselines = len(b)
-		return factories(b)
-	}, window)
+	camp, err := protocol.Evaluate(context.Background(), ctx, protocol.Campaign{
+		Kind: protocol.TrafficCampaign, Scenarios: scenarios, Window: window,
+		Factories: func(b map[string]division.Baseline) []models.Factory {
+			baselines = len(b)
+			return factories(b)
+		},
+	})
 	if err != nil {
 		return TrafficResult{}, err
 	}
@@ -136,8 +140,8 @@ func trafficEvaluate(ctx protocol.Context, kind string, window time.Duration, sc
 	for _, s := range scenarios {
 		res.Instances += len(s.Apps)
 	}
-	for name, evs := range byModel {
-		res.Summaries[name] = protocol.SummarizeTraffic(name, evs)
+	for m, f := range camp.Factories {
+		res.Summaries[f.Name] = protocol.SummarizeTraffic(f.Name, camp.Traffic(m))
 	}
 	return res, nil
 }

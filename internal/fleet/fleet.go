@@ -300,38 +300,41 @@ type NodeDigest struct {
 }
 
 // EvaluateNode runs one node's full protocol — phase 1 baselines over its
-// shard's application types, then every scenario through the fused
-// streaming pipeline — and reduces the result immediately. cctx is the
+// shard's application types, then every scenario of its traffic campaign
+// (protocol.Evaluate) — and reduces the result immediately. cctx is the
 // cancellation seam: a cancelled context aborts the node's in-flight
-// simulator at the next tick (see protocol.EvaluateTrafficStreamingCtx).
-// cache is the campaign's memoization scope; nil means no memoization.
+// simulator at the next tick. cache is the campaign's memoization scope;
+// nil means no memoization.
 func EvaluateNode(cctx context.Context, cfg Config, n Node, cache *protocol.CacheScope) (NodeDigest, error) {
 	scenarios, err := NodeScenarios(cfg, n)
 	if err != nil {
 		return NodeDigest{}, fmt.Errorf("fleet: %s: %w", n.ID, err)
 	}
-	byModel, err := protocol.EvaluateTrafficStreamingCtx(cctx, nodeContext(cfg, n, cache), scenarios, nodeFactories(scenarios), cfg.Window)
+	res, err := protocol.Evaluate(cctx, nodeContext(cfg, n, cache), protocol.Campaign{
+		Kind: protocol.TrafficCampaign, Scenarios: scenarios, Factories: nodeFactories(scenarios), Window: cfg.Window,
+	})
 	if err != nil {
 		return NodeDigest{}, fmt.Errorf("fleet: %s: %w", n.ID, err)
 	}
 	out := NodeDigest{
 		Node:      n,
 		Scenarios: len(scenarios),
-		AEs:       make(map[string][]float64, len(byModel)),
-		Coverages: make(map[string][]float64, len(byModel)),
+		AEs:       make(map[string][]float64, len(res.Factories)),
+		Coverages: make(map[string][]float64, len(res.Factories)),
 	}
 	for _, s := range scenarios {
 		out.Instances += len(s.Apps)
 	}
-	for name, evs := range byModel {
+	for m, f := range res.Factories {
+		evs := res.Traffic(m)
 		aes := make([]float64, len(evs))
 		covs := make([]float64, len(evs))
 		for i, ev := range evs {
 			aes[i] = ev.AE
 			covs[i] = ev.Coverage
 		}
-		out.AEs[name] = aes
-		out.Coverages[name] = covs
+		out.AEs[f.Name] = aes
+		out.Coverages[f.Name] = covs
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package protocol_test
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -46,13 +47,13 @@ func TestBaselineTiersAgree(t *testing.T) {
 				dir := t.TempDir()
 				measure := func(c protocol.Context) []division.Baseline {
 					t.Helper()
+					bs, err := protocol.Measure(context.Background(), c, apps)
+					if err != nil {
+						t.Fatal(err)
+					}
 					out := make([]division.Baseline, len(apps))
 					for i, app := range apps {
-						b, err := protocol.MeasureBaseline(c, app)
-						if err != nil {
-							t.Fatal(err)
-						}
-						out[i] = b
+						out[i] = bs[app.ID]
 					}
 					return out
 				}

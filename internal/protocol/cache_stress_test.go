@@ -72,7 +72,7 @@ func TestMemoizationStressUnderEvictions(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := EvaluateCampaign(ctx, scenarios, models.NewScaphandre(), ObjectiveActive, 0); err != nil {
+			if _, err := pairRows(ctx, scenarios, models.NewScaphandre()); err != nil {
 				t.Error(err)
 			}
 		}()

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -81,14 +82,14 @@ func TestMemoizationIdenticalTraffic(t *testing.T) {
 	ctx, scenarios, factories := trafficGoldenSetup(t)
 	scope := memoOnOff(t, func(c *CacheScope) (map[string][]TrafficEvaluation, error) {
 		ctx.Cache = c
-		return EvaluateTrafficStreaming(ctx, scenarios, factories, trafficTestWindow)
+		return trafficTable(context.Background(), ctx, scenarios, factories, trafficTestWindow)
 	})
 	if st := scope.Stats(); st.Hits == 0 {
 		t.Errorf("memoized campaign recorded no cache hits: %+v", st)
 	}
 }
 
-// TestMemoizationIdenticalTimeline proves EvaluateTimeline cache-blind
+// TestMemoizationIdenticalTimeline proves a TimelineCampaign cache-blind
 // too, phase 1 included.
 func TestMemoizationIdenticalTimeline(t *testing.T) {
 	t.Parallel()
@@ -99,17 +100,17 @@ func TestMemoizationIdenticalTimeline(t *testing.T) {
 	a0.ID = "P0"
 	a1 := mustStressApp(t, "int64", 1)
 	a1.ID = "P1"
-	apps := []TimelineApp{
+	apps := []timelineApp{
 		{App: a0},
 		{App: a1, Start: 3 * time.Second, Stop: 8 * time.Second},
 	}
-	memoOnOff(t, func(c *CacheScope) (TimelineResult, error) {
+	memoOnOff(t, func(c *CacheScope) (TrafficEvaluation, error) {
 		ctx.Cache = c
-		baselines, err := MeasureBaselines(ctx, []AppSpec{a0, a1})
+		baselines, err := Measure(context.Background(), ctx, []AppSpec{a0, a1})
 		if err != nil {
-			return TimelineResult{}, err
+			return TrafficEvaluation{}, err
 		}
-		return EvaluateTimeline(ctx, apps, models.NewScaphandre(), baselines, 10*time.Second)
+		return evaluateTimeline(ctx, apps, models.NewScaphandre(), baselines, 10*time.Second)
 	})
 }
 

@@ -2,13 +2,11 @@ package protocol
 
 import (
 	"context"
-	"errors"
 	"math"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"powerdiv/internal/cpumodel"
 	"powerdiv/internal/division"
 	"powerdiv/internal/models"
 )
@@ -36,141 +34,53 @@ func (c *cancelAfterErrs) Err() error {
 	return nil
 }
 
-// TestStreamingCtxCancelMidRun cancels a pair campaign at the k-th tick
-// poll and requires that the campaign aborts mid-simulation (not after the
-// scenario), the error unwraps to context.Canceled, and the shared worker
-// budget drains back to zero — the contract the service's job cancellation
-// and client-disconnect paths rely on.
-func TestStreamingCtxCancelMidRun(t *testing.T) {
-	ctx := goldenContext(cpumodel.SmallIntel(), false)
-	a0 := mustStressApp(t, "fibonacci", 1)
-	a1 := mustStressApp(t, "int64", 1)
-	scenarios := []Scenario{{Apps: []AppSpec{a0, a1}}}
-	factories := func(baselines map[string]division.Baseline) []models.Factory {
-		return []models.Factory{models.NewScaphandre()}
-	}
-
-	// Cancel generously after the baseline phase has had its polls but well
-	// before the pair run's tick count (12 s at the simulator tick rate).
-	cctx := newCancelAfterErrs(20)
-	_, err := EvaluateModelsStreamingCtx(cctx, ctx, scenarios, factories, ObjectiveActive, 0)
-	if err == nil {
-		t.Fatal("cancelled campaign returned nil error")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error %v does not unwrap to context.Canceled", err)
-	}
-	waitWorkerBudgetDrain(t)
-}
-
-// TestTrafficCtxCancelMidRun is the traffic-campaign twin of the pair-path
-// cancellation test.
-func TestTrafficCtxCancelMidRun(t *testing.T) {
-	ctx, scenarios, factories := trafficGoldenSetup(t)
-	cctx := newCancelAfterErrs(25)
-	_, err := EvaluateTrafficStreamingCtx(cctx, ctx, scenarios, factories, trafficTestWindow)
-	if err == nil {
-		t.Fatal("cancelled traffic campaign returned nil error")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error %v does not unwrap to context.Canceled", err)
-	}
-	waitWorkerBudgetDrain(t)
-}
-
-// TestStreamingCtxUncancelledBitIdentical pins that threading an uncancelled
-// context through the campaign changes nothing: both Ctx entry points yield
-// tables bit-identical to their context-free twins.
-func TestStreamingCtxUncancelledBitIdentical(t *testing.T) {
-	t.Parallel()
-	ctx := goldenContext(cpumodel.SmallIntel(), false)
-	a0 := mustStressApp(t, "fibonacci", 1)
-	a1 := mustStressApp(t, "matrixprod", 2)
-	scenarios := []Scenario{{Apps: []AppSpec{a0, a1}}}
-	factories := func(baselines map[string]division.Baseline) []models.Factory {
-		return goldenFactories(baselines, cpumodel.SmallIntel())
-	}
-	want, err := EvaluateModelsStreaming(ctx, scenarios, factories, ObjectiveActive, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := EvaluateModelsStreamingCtx(context.Background(), ctx, scenarios, factories, ObjectiveActive, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, wevs := range want {
-		for i := range wevs {
-			compareStreamingEvaluations(t, name, wevs[i], got[name][i])
-		}
-	}
-
-	tctx, tscenarios, tfactories := trafficGoldenSetup(t)
-	twant, err := EvaluateTrafficStreaming(tctx, tscenarios, tfactories, trafficTestWindow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tgot, err := EvaluateTrafficStreamingCtx(context.Background(), tctx, tscenarios, tfactories, trafficTestWindow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, wevs := range twant {
-		for i := range wevs {
-			compareTrafficEvaluations(t, name, wevs[i], tgot[name][i])
-		}
-	}
-}
-
 // TestScenarioStreamingMatchesCampaign pins the service's sharding unit:
-// evaluating one scenario at a time through EvaluateScenarioStreaming and
-// EvaluateTrafficScenarioStreaming reproduces the whole-campaign tables bit
-// for bit, in any order. This is what lets a resumed job skip completed
+// evaluating one scenario at a time through a one-scenario Evaluate call
+// reproduces the whole-campaign tables bit for bit, in any order, for
+// pairs and traffic alike. This is what lets a resumed job skip completed
 // scenarios without re-running them.
 func TestScenarioStreamingMatchesCampaign(t *testing.T) {
 	t.Parallel()
-	t.Run("pairs", func(t *testing.T) {
-		ctx, scenarios, factories := labScopeCampaign(t)
-		var fs []models.Factory
-		var baselines map[string]division.Baseline
-		want, err := EvaluateModelsStreaming(ctx, scenarios, func(bs map[string]division.Baseline) []models.Factory {
-			baselines, fs = bs, factories(bs)
-			return fs
-		}, ObjectiveActive, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := len(scenarios) - 1; i >= 0; i-- {
-			rows, err := EvaluateScenarioStreaming(context.Background(), ctx, scenarios[i], fs, baselines, ObjectiveActive, 0)
+	pctx, pscenarios, pfactories := labScopeCampaign(t)
+	tctx, tscenarios, tfactories := trafficGoldenSetup(t)
+	for _, c := range []struct {
+		name string
+		ctx  Context
+		c    Campaign
+	}{
+		{"pairs", pctx, Campaign{Kind: PairCampaign, Scenarios: pscenarios, Factories: pfactories}},
+		{"traffic", tctx, Campaign{Kind: TrafficCampaign, Scenarios: tscenarios, Factories: tfactories, Window: trafficTestWindow}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var baselines map[string]division.Baseline
+			factories := c.c.Factories
+			c.c.Factories = func(bs map[string]division.Baseline) []models.Factory {
+				baselines = bs
+				return factories(bs)
+			}
+			want, err := Evaluate(context.Background(), c.ctx, c.c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for m, f := range fs {
-				compareStreamingEvaluations(t, f.Name, want[f.Name][i], rows[m])
+			one := c.c
+			one.Baselines, one.Factories = baselines, FixedFactories(want.Factories...)
+			// Reverse order: per-scenario results must not depend on
+			// evaluation order.
+			for i := len(c.c.Scenarios) - 1; i >= 0; i-- {
+				one.Scenarios = c.c.Scenarios[i : i+1]
+				got, err := Evaluate(context.Background(), c.ctx, one)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for m, f := range want.Factories {
+					if c.c.Kind == PairCampaign {
+						compareStreamingEvaluations(t, f.Name, want.Pairs(m, 0)[i], got.Pairs(m, 0)[0])
+					} else {
+						compareTrafficEvaluations(t, f.Name, want.Traffic(m)[i], got.Traffic(m)[0])
+					}
+				}
 			}
-		}
-	})
-	ctx, scenarios, factories := trafficGoldenSetup(t)
-	baselines, err := MeasureBaselinesParallel(ctx, AppsOf(scenarios))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := factories(baselines)
-	want, err := EvaluateTrafficStreaming(ctx, scenarios, factories, trafficTestWindow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reverse order: per-scenario results must not depend on evaluation
-	// order.
-	for i := len(scenarios) - 1; i >= 0; i-- {
-		rows, err := EvaluateTrafficScenarioStreaming(context.Background(), ctx, scenarios[i], fs, baselines, trafficTestWindow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rows) != len(fs) {
-			t.Fatalf("scenario %d: %d rows for %d factories", i, len(rows), len(fs))
-		}
-		for m, f := range fs {
-			compareTrafficEvaluations(t, f.Name, want[f.Name][i], rows[m])
-		}
+		})
 	}
 }
 
@@ -200,7 +110,7 @@ func TestCacheScopeIsolation(t *testing.T) {
 	ctx, scenarios, factories := trafficGoldenSetup(t)
 	other := NewCacheScope(0)
 	ctx.Cache = other
-	want, err := EvaluateTrafficStreaming(ctx, scenarios, factories, trafficTestWindow)
+	want, err := trafficTable(context.Background(), ctx, scenarios, factories, trafficTestWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +120,7 @@ func TestCacheScopeIsolation(t *testing.T) {
 	}
 
 	ctx.Cache = NewCacheScope(1 << 20)
-	got, err := EvaluateTrafficStreaming(ctx, scenarios, factories, trafficTestWindow)
+	got, err := trafficTable(context.Background(), ctx, scenarios, factories, trafficTestWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +162,7 @@ func TestCacheScopeTinyBudgetEvicts(t *testing.T) {
 	ctx, scenarios, factories := trafficGoldenSetup(t)
 	scope := NewCacheScope(1) // one byte: every summary evicts on insert
 	ctx.Cache = scope
-	if _, err := EvaluateTrafficStreaming(ctx, scenarios, factories, trafficTestWindow); err != nil {
+	if _, err := trafficTable(context.Background(), ctx, scenarios, factories, trafficTestWindow); err != nil {
 		t.Fatal(err)
 	}
 	st := scope.Stats()

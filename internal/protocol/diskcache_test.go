@@ -342,7 +342,7 @@ func TestDiskCacheRecomputes(t *testing.T) {
 				c := ctx
 				c.Cache = NewCacheScope(0)
 				c.Cache.AttachDisk(d)
-				b, err := MeasureBaseline(c, app)
+				b, err := measureOne(c, app)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -409,7 +409,7 @@ func TestDiskCacheStoreDegrades(t *testing.T) {
 			c := ctx
 			c.Cache = NewCacheScope(0)
 			c.Cache.AttachDisk(d)
-			b, err := MeasureBaseline(c, app)
+			b, err := measureOne(c, app)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -101,37 +100,6 @@ type Evaluation struct {
 	ScoredTicks int
 }
 
-// EvaluatePair runs protocol phases 2–3 for one scenario and model: the
-// applications execute in parallel, the model observes the run, and Eq 5
-// scores it against the selected objective. r0 is only used by
-// ObjectiveNominalResidual.
-func EvaluatePair(ctx Context, s Scenario, factory models.Factory, baselines map[string]division.Baseline, obj Objective, r0 units.Watts) (Evaluation, error) {
-	evs, err := EvaluatePairMulti(ctx, s, factory, baselines, []Objective{obj}, r0)
-	if err != nil {
-		return Evaluation{Scenario: s, Model: factory.Name}, err
-	}
-	return evs[0], nil
-}
-
-// EvaluatePairMulti is EvaluatePair scoring several objectives from a
-// single simulator pass (the run and the model's observations are
-// identical across objectives; only the truth construction differs). The
-// returned slice is index-aligned with objectives.
-func EvaluatePairMulti(ctx Context, s Scenario, factory models.Factory, baselines map[string]division.Baseline, objectives []Objective, r0 units.Watts) ([]Evaluation, error) {
-	done := observeScenario()
-	truths, err := scenarioTruths(s, baselines, objectives, r0)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Evaluation, len(truths))
-	p := newCampaignPlan(ctx, []models.Factory{factory})
-	if err := evaluateScenarioStreaming(context.Background(), p, s, truths, rowView{rows: out, stride: len(truths)}); err != nil {
-		return nil, err
-	}
-	done()
-	return out, nil
-}
-
 // scenarioTruths resolves the objective shares a scenario is scored
 // against, index-aligned with objectives.
 func scenarioTruths(s Scenario, baselines map[string]division.Baseline, objectives []Objective, r0 units.Watts) ([]division.Shares, error) {
@@ -181,23 +149,6 @@ type tickSeries struct {
 	power []units.Watts
 }
 
-// rowView addresses the caller-owned rows one scenario's evaluations are
-// written into: factory m's row for objective o is rows[at+m*stride+o].
-// A campaign lays its per-model columns end to end in one slab (stride =
-// scenario count, at = the scenario's index, one objective); a
-// per-scenario caller passes its own [factory][objective] slice (at = 0,
-// stride = objective count). Each row is written exactly once.
-type rowView struct {
-	rows       []Evaluation
-	at, stride int
-}
-
-// factory returns factory m's rows for n objectives.
-func (v rowView) factory(m, n int) []Evaluation {
-	i := v.at + m*v.stride
-	return v.rows[i : i+n]
-}
-
 // scoreScratch holds the scoring tail's reusable buffers, so one worker
 // scoring many models (and many scenarios) refills them instead of
 // reallocating per call. Reuse changes only where the buffers live, never
@@ -240,8 +191,8 @@ func putScoreScratch(s *scoreScratch) { scoreScratchPool.Put(s) }
 
 // scoreEstimatesWindow is protocol phase 3's scoring tail: Eq 5 over an
 // accumulated estimate matrix and the matching tick series, inside the
-// scoring window [from, to), written into rows — one per truth, in truth
-// order. The window is a pure function of (ctx, ts, est.OK), so callers
+// scoring window [from, to), written into scenario i's rows of model m in
+// res — one per truth, in truth order. The window is a pure function of (ctx, ts, est.OK), so callers
 // scoring several models over one scenario compute it once per distinct
 // OK vector (models with full estimate coverage — most of them — share
 // one) instead of once per model.
@@ -259,7 +210,7 @@ func putScoreScratch(s *scoreScratch) { scoreScratchPool.Put(s) }
 // The rows share one EstShare map, fresh per call: empty when the window
 // holds no positive power, otherwise each roster ID's mean estimated
 // share.
-func scoreEstimatesWindow(s Scenario, label, modelName string, ts tickSeries, est *models.DenseEstimates, scr *scoreScratch, from, to time.Duration, truths []division.Shares, rows []Evaluation) error {
+func scoreEstimatesWindow(s Scenario, label, modelName string, ts tickSeries, est *models.DenseEstimates, scr *scoreScratch, from, to time.Duration, truths []division.Shares, res Result, m, i int) error {
 	if to <= from {
 		return fmt.Errorf("protocol: scenario %q: model %s produced no estimates", label, modelName)
 	}
@@ -272,11 +223,11 @@ func scoreEstimatesWindow(s Scenario, label, modelName string, ts tickSeries, es
 	clear(errs)
 	var meanPower float64
 	scored := 0
-	for i, at := range ts.at {
-		if at < from || at >= to || !est.OK[i] {
+	for t, at := range ts.at {
+		if at < from || at >= to || !est.OK[t] {
 			continue
 		}
-		row, power := est.Row(i), ts.power[i]
+		row, power := est.Row(t), ts.power[t]
 		for slot, w := range row {
 			meanEst[slot] += float64(w)
 		}
@@ -300,7 +251,7 @@ func scoreEstimatesWindow(s Scenario, label, modelName string, ts tickSeries, es
 		if err != nil {
 			return fmt.Errorf("protocol: scenario %q: %w", label, err)
 		}
-		ev := &rows[o]
+		ev := res.pairRow(m, o, i)
 		*ev = Evaluation{
 			Scenario:    s,
 			Model:       modelName,
@@ -351,17 +302,6 @@ func Summarize(model string, evs []Evaluation) Summary {
 		s.MeanAE /= float64(len(evs))
 	}
 	return s
-}
-
-// Filter returns the evaluations satisfying keep.
-func Filter(evs []Evaluation, keep func(Evaluation) bool) []Evaluation {
-	var out []Evaluation
-	for _, ev := range evs {
-		if keep(ev) {
-			out = append(out, ev)
-		}
-	}
-	return out
 }
 
 // StressPairs generates the paper's phase 2 scenario list: every unordered
@@ -494,21 +434,6 @@ func BaselineAppsOf(scenarios []Scenario) []AppSpec {
 		out[i] = seen[id]
 	}
 	return out
-}
-
-// EvaluateCampaign runs the full protocol for one model over a scenario
-// list: phase 1 on every distinct application, then phases 2–3 per
-// scenario across the worker pool. It returns the per-scenario evaluations
-// in scenario order — a single-model collector over
-// EvaluateModelsStreaming.
-func EvaluateCampaign(ctx Context, scenarios []Scenario, factory models.Factory, obj Objective, r0 units.Watts) ([]Evaluation, error) {
-	byModel, err := EvaluateModelsStreaming(ctx, scenarios, func(map[string]division.Baseline) []models.Factory {
-		return []models.Factory{factory}
-	}, obj, r0)
-	if err != nil {
-		return nil, err
-	}
-	return byModel[factory.Name], nil
 }
 
 // MaxThreadsWithoutContention returns the largest per-application thread

@@ -8,28 +8,44 @@ import (
 	"powerdiv/internal/machine"
 )
 
-// CampaignKind names the seed-derivation family a campaign's scenarios
-// simulate under — the label EvaluateModelsStreaming ("pair") or
-// EvaluateTrafficStreaming ("traffic") folds into each scenario's config
-// seed. Fingerprints must use the same label as the evaluator that will run
-// the scenarios, or they address different simulations.
+// CampaignKind names a campaign's scenario family: how Evaluate seeds and
+// labels each scenario, and how it scores it. The kind is folded into every
+// scenario's config seed, so fingerprints must use the kind of the
+// campaign that will run the scenarios, or they address different
+// simulations.
 type CampaignKind string
 
 const (
-	// PairCampaign is the static pair/combination campaign family
-	// (EvaluatePair*, EvaluateCampaign, EvaluateModelsStreaming*,
-	// EvaluateScenarioStreaming).
+	// PairCampaign is the static pair/combination family: each scenario is
+	// scored over its least-extreme stable window against phase 1
+	// objectives.
 	PairCampaign CampaignKind = "pair"
-	// TrafficCampaign is the timed-roster campaign family
-	// (EvaluateTrafficStreaming*, EvaluateTrafficScenarioStreaming).
+	// TrafficCampaign is the timed-roster family: every busy tick is
+	// scored against the instances present.
 	TrafficCampaign CampaignKind = "traffic"
+	// TimelineCampaign scores dynamic scenarios (the paper's Fig 11
+	// arrivals and departures) like traffic, each labelled
+	// "timeline: <IDs in input order>".
+	TimelineCampaign CampaignKind = "timeline"
 )
 
+// label is the name a scenario's seeds derive from under kind k.
+func (k CampaignKind) label(s Scenario) string {
+	if k != TimelineCampaign {
+		return s.Label()
+	}
+	label := "timeline:"
+	for _, a := range s.Apps {
+		label += " " + a.ID
+	}
+	return label
+}
+
 // CampaignFingerprint content-addresses a campaign's phase 2 simulations:
-// an FNV-1a digest over every scenario's run-memoization key — the exact
-// fingerprint the cache files the simulated run under (machine calibration,
-// performance settings, derived seed, full process list, duration) — plus
-// the scoring window. Two campaigns with equal fingerprints simulate
+// an FNV-1a digest over every scenario's run key — the same encoding the
+// baseline tier keys solo runs by (machine calibration, performance
+// settings, derived seed, full process list, duration) — plus the scoring
+// window. Two campaigns with equal fingerprints simulate
 // byte-identical runs and score them over the same stable window, so
 // per-scenario results computed under one are valid under the other. The
 // campaign service uses this to bind snapshots to submissions: a resumed
@@ -49,7 +65,7 @@ func CampaignFingerprint(ctx Context, scenarios []Scenario, kind CampaignKind, r
 			procs = append(procs, a.proc())
 		}
 		h.Write(machineKey)
-		key = appendRunTail(key[:0], deriveSeed(ctx.Seed, string(kind), s.Label()), runFor, procs)
+		key = appendRunTail(key[:0], deriveSeed(ctx.Seed, string(kind), kind.label(s)), runFor, procs)
 		h.Write(key)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())

@@ -117,10 +117,11 @@ func goldenFactories(baselines map[string]division.Baseline, spec cpumodel.Spec)
 
 // TestDenseScoringMatchesMapReference pins the columnar pipeline against
 // the retired map pipeline: on both machines, every model's evaluation from
-// EvaluateScenarioStreaming is bit-identical (not merely close) to the map
-// reference scoring a run materialized with machine.Simulate under the
-// same derived seed. Each model is evaluated on its own, so a model that
-// produces no estimates must fail on both sides without masking the rest.
+// a one-scenario pair Evaluate, under every objective at once, is
+// bit-identical (not merely close) to the map reference scoring a run
+// materialized with machine.Simulate under the same derived seed. Each
+// model is evaluated on its own, so a model that produces no estimates
+// must fail on both sides without masking the rest.
 func TestDenseScoringMatchesMapReference(t *testing.T) {
 	t.Parallel()
 	specs := []struct {
@@ -150,7 +151,7 @@ func TestDenseScoringMatchesMapReference(t *testing.T) {
 				{Apps: []AppSpec{a1, a2}},
 				{Apps: []AppSpec{a0, a1, a2}},
 			}
-			baselines, err := MeasureBaselines(ctx, AppsOf(scenarios))
+			baselines, err := Measure(context.Background(), ctx, AppsOf(scenarios))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,15 +173,18 @@ func TestDenseScoringMatchesMapReference(t *testing.T) {
 				}
 				for _, f := range goldenFactories(baselines, sp.spec) {
 					want, wantErr := scoreRunMapReference(ctx, s, run, f, truths)
-					for i, obj := range objectives {
-						got, gotErr := EvaluateScenarioStreaming(context.Background(), ctx, s, []models.Factory{f}, baselines, obj, 0)
-						if (wantErr == nil) != (gotErr == nil) {
-							t.Fatalf("%s on %q: map err %v, streaming err %v", f.Name, s.Label(), wantErr, gotErr)
-						}
-						if wantErr != nil {
-							continue
-						}
-						compareEvaluations(t, f.Name, s, want[i], got[0])
+					got, gotErr := Evaluate(context.Background(), ctx, Campaign{
+						Kind: PairCampaign, Scenarios: []Scenario{s}, Factories: FixedFactories(f),
+						Baselines: baselines, Objectives: objectives,
+					})
+					if (wantErr == nil) != (gotErr == nil) {
+						t.Fatalf("%s on %q: map err %v, streaming err %v", f.Name, s.Label(), wantErr, gotErr)
+					}
+					if wantErr != nil {
+						continue
+					}
+					for i := range objectives {
+						compareEvaluations(t, f.Name, s, want[i], got.Pairs(0, i)[0])
 					}
 				}
 			}

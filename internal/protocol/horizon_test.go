@@ -43,30 +43,34 @@ func TestStreamingHorizonMaxInt64(t *testing.T) {
 	late := b
 	late.ID, late.BaseID, late.StartAt = "b-late", b.ID, 500*time.Millisecond
 	traffic := Scenario{Apps: []AppSpec{a, late}}
-	baselines, err := MeasureBaselines(ctx, []AppSpec{a, b})
+	baselines, err := Measure(context.Background(), ctx, []AppSpec{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fs := []models.Factory{models.NewScaphandre(), models.NewKepler()}
-	timeline := []TimelineApp{{App: a}, {App: b, Start: 300 * time.Millisecond}}
+	timeline := []timelineApp{{App: a}, {App: b, Start: 300 * time.Millisecond}}
 
-	run := func(horizon time.Duration) ([]Evaluation, []TrafficEvaluation, TimelineResult) {
+	run := func(horizon time.Duration) ([]Evaluation, []TrafficEvaluation, TrafficEvaluation) {
 		t.Helper()
 		c := ctx
 		c.RunFor = horizon
-		pair, err := EvaluateScenarioStreaming(context.Background(), c, Scenario{Apps: []AppSpec{a, b}}, fs, baselines, ObjectiveActive, 0)
+		pair, err := Evaluate(context.Background(), c, Campaign{
+			Kind: PairCampaign, Scenarios: []Scenario{{Apps: []AppSpec{a, b}}}, Factories: FixedFactories(fs...), Baselines: baselines,
+		})
 		if err != nil {
 			t.Fatalf("pair at %v: %v", horizon, err)
 		}
-		tr, err := EvaluateTrafficScenarioStreaming(context.Background(), ctx, traffic, fs, baselines, horizon)
+		tr, err := Evaluate(context.Background(), ctx, Campaign{
+			Kind: TrafficCampaign, Scenarios: []Scenario{traffic}, Factories: FixedFactories(fs...), Baselines: baselines, Window: horizon,
+		})
 		if err != nil {
 			t.Fatalf("traffic at %v: %v", horizon, err)
 		}
-		tl, err := EvaluateTimeline(ctx, timeline, fs[0], baselines, horizon)
+		tl, err := evaluateTimeline(ctx, timeline, fs[0], baselines, horizon)
 		if err != nil {
 			t.Fatalf("timeline at %v: %v", horizon, err)
 		}
-		return pair, tr, tl
+		return pair.pairs, tr.traffic, tl
 	}
 	wantPair, wantTraffic, wantTimeline := run(time.Hour)
 	gotPair, gotTraffic, gotTimeline := run(math.MaxInt64)
@@ -79,7 +83,7 @@ func TestStreamingHorizonMaxInt64(t *testing.T) {
 	if !reflect.DeepEqual(gotTraffic, wantTraffic) {
 		t.Errorf("traffic at MaxInt64 %+v, at an hour %+v", gotTraffic, wantTraffic)
 	}
-	if gotTimeline != wantTimeline {
+	if !reflect.DeepEqual(gotTimeline, wantTimeline) {
 		t.Errorf("timeline at MaxInt64 %+v, at an hour %+v", gotTimeline, wantTimeline)
 	}
 }

@@ -68,7 +68,7 @@ func TestRunKeyEncodingPinned(t *testing.T) {
 	}
 	ctx.Cache = NewCacheScope(0)
 	ctx.Cache.AttachDisk(disk)
-	if _, err := MeasureBaselinesParallelCtx(context.Background(), ctx, AppsOf(scenarios)); err != nil {
+	if _, err := Measure(context.Background(), ctx, AppsOf(scenarios)); err != nil {
 		t.Fatal(err)
 	}
 	matches, err := filepath.Glob(filepath.Join(dir, "*.pds"))
@@ -87,7 +87,7 @@ func TestRunKeyEncodingPinned(t *testing.T) {
 	// A fresh scope over the same directory must bind every file.
 	ctx.Cache = NewCacheScope(0)
 	ctx.Cache.AttachDisk(disk)
-	if _, err := MeasureBaselinesParallelCtx(context.Background(), ctx, AppsOf(scenarios)); err != nil {
+	if _, err := Measure(context.Background(), ctx, AppsOf(scenarios)); err != nil {
 		t.Fatal(err)
 	}
 	if st := ctx.Cache.Stats(); st.DiskHits != uint64(len(names)) || st.DiskWrites != uint64(len(names)) {

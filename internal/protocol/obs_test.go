@@ -94,7 +94,7 @@ func TestObsDisabledCampaignRecordsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EvaluateCampaign(ctx, scenarios, models.NewScaphandre(), ObjectiveActive, 0); err != nil {
+	if _, err := pairRows(ctx, scenarios, models.NewScaphandre()); err != nil {
 		t.Fatal(err)
 	}
 	if st := scope.Stats(); st.Misses == 0 {

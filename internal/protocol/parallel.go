@@ -1,12 +1,9 @@
 package protocol
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"powerdiv/internal/division"
 )
 
 // parallelism is the worker count for campaign evaluation: scenarios are
@@ -147,41 +144,4 @@ func forEachIndexed(n int, fn func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// MeasureBaselinesParallel is MeasureBaselines with solo runs executed
-// concurrently. Like the serial form it goes through the byte-capped
-// baseline tier, so phase 1 keeps baseline records instead of full runs.
-func MeasureBaselinesParallel(ctx Context, apps []AppSpec) (map[string]division.Baseline, error) {
-	return MeasureBaselinesParallelCtx(context.Background(), ctx, apps)
-}
-
-// MeasureBaselinesParallelCtx is MeasureBaselinesParallel with the
-// cancellation seam of the Ctx campaign entry points — the phase 1 the
-// campaign service runs before sharding a job into scenarios. Cancellation
-// is checked before each solo run, not inside it: solo digests are shared
-// through the (possibly job-scoped) summary cache, and a compute owned by
-// one singleflight caller must not be aborted by another caller's deadline.
-// Solo runs are short, so the drain latency is one run, not one campaign.
-func MeasureBaselinesParallelCtx(cctx context.Context, ctx Context, apps []AppSpec) (map[string]division.Baseline, error) {
-	results := make([]division.Baseline, len(apps))
-	err := forEachIndexed(len(apps), func(i int) error {
-		if err := cctx.Err(); err != nil {
-			return err
-		}
-		b, err := MeasureBaseline(ctx, apps[i])
-		if err != nil {
-			return err
-		}
-		results[i] = b
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]division.Baseline, len(apps))
-	for i, app := range apps {
-		out[app.baselineID()] = results[i]
-	}
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"powerdiv/internal/division"
 	"powerdiv/internal/models"
 )
 
@@ -122,19 +124,22 @@ func TestParallelCampaignMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The sequential reference: serial phase 1, then one EvaluatePair per
-	// scenario in order, with no worker pool involved.
-	baselines, err := MeasureBaselines(ctx, AppsOf(scenarios))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := make([]Evaluation, len(scenarios))
-	for i, s := range scenarios {
-		if seq[i], err = EvaluatePair(ctx, s, models.NewScaphandre(), baselines, ObjectiveActive, 0); err != nil {
+	// The sequential reference: phase 1 one application at a time, then
+	// one one-scenario call per scenario in order; a one-application or
+	// one-scenario call runs inline, with no worker pool involved.
+	baselines := map[string]division.Baseline{}
+	for _, app := range AppsOf(scenarios) {
+		if baselines[app.ID], err = measureOne(ctx, app); err != nil {
 			t.Fatal(err)
 		}
 	}
-	par, err := EvaluateCampaign(ctx, scenarios, models.NewScaphandre(), ObjectiveActive, 0)
+	seq := make([]Evaluation, len(scenarios))
+	for i, s := range scenarios {
+		if seq[i], err = evaluatePair(ctx, s, models.NewScaphandre(), baselines, ObjectiveActive); err != nil {
+			t.Fatal(err)
+		}
+	}
+	par, err := pairRows(ctx, scenarios, models.NewScaphandre())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,21 +164,20 @@ func TestParallelBaselinesMatchSequential(t *testing.T) {
 		mustStressApp(t, "matrixprod", 2),
 		mustStressApp(t, "int64", 3),
 	}
-	seq, err := MeasureBaselines(ctx, apps)
+	par, err := Measure(context.Background(), ctx, apps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := MeasureBaselinesParallel(ctx, apps)
-	if err != nil {
-		t.Fatal(err)
+	if len(par) != len(apps) {
+		t.Fatalf("%d baselines for %d applications", len(par), len(apps))
 	}
-	for id, b := range seq {
-		p, ok := par[id]
-		if !ok {
-			t.Fatalf("missing %s in parallel baselines", id)
+	for _, app := range apps {
+		b, err := measureOne(ctx, app)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if b != p {
-			t.Errorf("%s: %+v vs %+v", id, b, p)
+		if p := par[app.ID]; b != p {
+			t.Errorf("%s: %+v vs %+v", app.ID, b, p)
 		}
 	}
 }
@@ -190,7 +194,7 @@ func TestParallelCampaignPropagatesErrors(t *testing.T) {
 		mustStressApp(t, "fibonacci", 1),
 		mustStressApp(t, "matrixprod", 1),
 	}}
-	_, err := EvaluateCampaign(ctx, []Scenario{small, big}, models.NewScaphandre(), ObjectiveActive, 0)
+	_, err := pairRows(ctx, []Scenario{small, big}, models.NewScaphandre())
 	if err == nil {
 		t.Error("oversubscribed scenario did not fail")
 	}

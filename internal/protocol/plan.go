@@ -5,48 +5,46 @@ import (
 	"strconv"
 	"strings"
 
+	"powerdiv/internal/division"
 	"powerdiv/internal/machine"
 	"powerdiv/internal/models"
+	"powerdiv/internal/units"
 )
 
-// A campaignPlan is one campaign's phase 2–3 setup, compiled once per
-// (Context, factories) call so that each scenario pays only for its own
-// work: simulate → observe → score. It holds the deriveSeed state after
-// the campaign seed and each fixed label — (seed, "pair"), (seed,
-// "traffic") and (seed, "model", factory name) per factory — so a
-// scenario's seeds fold in only its label; FNV-1a is sequential, so every
-// derived seed equals deriveSeed's.
-//
-// Both campaign kinds (EvaluateModelsStreamingCtx,
-// EvaluateTrafficStreamingCtx) build one plan per call. The exported
-// per-scenario units (EvaluateScenarioStreaming,
-// EvaluateTrafficScenarioStreaming) build a one-shot plan per scenario, so
-// their rows are bit-identical to the campaign path's. A plan is read-only
-// once built and is shared by every worker.
+// A campaignPlan is one Evaluate call's phase 2–3 setup, compiled once so
+// that each scenario pays only for its own work: simulate → observe →
+// score. It holds the campaign's inputs and the deriveSeed state after the
+// campaign seed and each fixed label — (seed, kind) and (seed, "model") —
+// so a scenario's seeds fold in only the factory name and its label;
+// FNV-1a is sequential, so every derived seed equals deriveSeed's. A
+// one-scenario call compiles a plan of its own, so its rows are
+// bit-identical to the whole campaign's. A plan is read-only once built
+// and is shared by every worker.
 type campaignPlan struct {
-	ctx Context
-	fs  []models.Factory
+	// ctx.RunFor is the scenarios' horizon: the traffic or timeline window
+	// for those kinds.
+	ctx  Context
+	fs   []models.Factory
+	kind CampaignKind
 
-	pairSeed, trafficSeed seedHash
-	// modelSeeds is index-aligned with fs.
-	modelSeeds []seedHash
+	baselines  map[string]division.Baseline
+	objectives []Objective
+	r0         units.Watts
+
+	kindSeed, modelSeed seedHash
 }
 
-// newCampaignPlan compiles the campaign-invariant setup of ctx and fs.
-func newCampaignPlan(ctx Context, fs []models.Factory) *campaignPlan {
+// newCampaignPlan compiles the seed state of ctx and kind; Evaluate fills
+// in the rest of the campaign.
+func newCampaignPlan(ctx Context, fs []models.Factory, kind CampaignKind) *campaignPlan {
 	seed := newSeedHash(ctx.Seed)
-	p := &campaignPlan{
-		ctx:         ctx,
-		fs:          fs,
-		pairSeed:    seed.part(string(PairCampaign)),
-		trafficSeed: seed.part(string(TrafficCampaign)),
-		modelSeeds:  make([]seedHash, len(fs)),
+	return &campaignPlan{
+		ctx:       ctx,
+		fs:        fs,
+		kind:      kind,
+		kindSeed:  seed.part(string(kind)),
+		modelSeed: seed.part("model"),
 	}
-	model := seed.part("model")
-	for m, f := range fs {
-		p.modelSeeds[m] = model.part(f.Name)
-	}
-	return p
 }
 
 // scenarioRun is one scenario's phase 2 inputs, derived once per scenario:
@@ -62,17 +60,13 @@ type scenarioRun struct {
 	roster *machine.Roster
 }
 
-// pairRun derives a pair-campaign scenario's run.
-func (p *campaignPlan) pairRun(s Scenario) scenarioRun { return p.run(s, s.Label(), p.pairSeed) }
-
-// trafficRun derives a traffic-campaign scenario's run.
-func (p *campaignPlan) trafficRun(s Scenario) scenarioRun { return p.run(s, s.Label(), p.trafficSeed) }
-
-// run derives s's run under label, seeding the simulator from kind's state
-// folded with the label.
-func (p *campaignPlan) run(s Scenario, label string, kind seedHash) scenarioRun {
+// run derives s's run: its label under the plan's kind, the simulator
+// seeded from the kind's state folded with that label, and the processes
+// and roster in ID order.
+func (p *campaignPlan) run(s Scenario) scenarioRun {
+	label := p.kind.label(s)
 	r := scenarioRun{label: label, cfg: p.ctx.Machine, procs: make([]machine.Proc, len(s.Apps))}
-	r.cfg.Seed = kind.part(label).seed()
+	r.cfg.Seed = p.kindSeed.part(label).seed()
 	for i, a := range s.Apps {
 		r.procs[i] = a.proc()
 	}
@@ -90,7 +84,7 @@ func (p *campaignPlan) run(s Scenario, label string, kind seedHash) scenarioRun 
 func (p *campaignPlan) newModels(label string) []models.Model {
 	ms := make([]models.Model, len(p.fs))
 	for m, f := range p.fs {
-		ms[m] = f.New(p.modelSeeds[m].part(label).seed())
+		ms[m] = f.New(p.modelSeed.part(f.Name).part(label).seed())
 	}
 	return ms
 }

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"time"
 
-	"powerdiv/internal/division"
 	"powerdiv/internal/machine"
 	"powerdiv/internal/trace"
 	"powerdiv/internal/units"
@@ -124,49 +123,6 @@ func StressApp(fn string, threads int) (AppSpec, error) {
 		return AppSpec{}, fmt.Errorf("protocol: unknown stress function %q", fn)
 	}
 	return AppSpec{ID: fmt.Sprintf("%s-%d", fn, threads), Workload: w, Threads: threads}, nil
-}
-
-// MeasureIdle returns the machine's idle power (mean over a short empty
-// run). It simulates into an uncached digest: the baseline tier keeps only
-// phase 1 records.
-func MeasureIdle(ctx Context) (units.Watts, error) {
-	sum, err := newRunSummary(ctx.Machine, nil, 5*time.Second)
-	if err != nil {
-		return 0, err
-	}
-	return units.Watts(sum.TruePowerSeries().Mean()), nil
-}
-
-// MeasureBaseline is protocol phase 1 for one application: run it alone
-// and extract its baseline — mean noise-free power, mean idle+residual
-// and mean busy cores over the least-extreme stable window. Residual
-// follows the paper's definition and includes idle consumption. The
-// baseline comes from the byte-capped baseline tier (memory, then disk),
-// so phase 1 keeps three floats per solo run; a miss simulates into a
-// transient per-tick digest.
-//
-// Traffic instances are measured as their application type: the lifetime
-// offsets are stripped and the baseline is keyed by the spec's baselineID,
-// so every instance of a type shares one solo run.
-func MeasureBaseline(ctx Context, app AppSpec) (division.Baseline, error) {
-	app = app.baselineSpec()
-	cfg := ctx.Machine
-	cfg.Seed = deriveSeed(ctx.Seed, "solo", app.ID)
-	return ctx.Cache.baselineCached(cfg, []machine.Proc{app.proc()}, ctx.RunFor, ctx.StableWindow, app.ID)
-}
-
-// MeasureBaselines runs phase 1 for a list of applications. Results are
-// keyed by baselineID — the same key scenarioTruths resolves instances by.
-func MeasureBaselines(ctx Context, apps []AppSpec) (map[string]division.Baseline, error) {
-	out := make(map[string]division.Baseline, len(apps))
-	for _, app := range apps {
-		b, err := MeasureBaseline(ctx, app)
-		if err != nil {
-			return nil, err
-		}
-		out[app.baselineID()] = b
-	}
-	return out, nil
 }
 
 // EstimateResidual reproduces the paper's indirect construction of R

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -36,22 +37,11 @@ func mustStressApp(t *testing.T, fn string, threads int) AppSpec {
 	return a
 }
 
-func TestMeasureIdle(t *testing.T) {
-	t.Parallel()
-	got, err := MeasureIdle(labSmall())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(float64(got)-8) > 0.01 {
-		t.Errorf("idle = %v, want 8", got)
-	}
-}
-
 func TestMeasureBaselineDecomposition(t *testing.T) {
 	t.Parallel()
 	ctx := labSmall()
 	app := mustStressApp(t, "matrixprod", 3)
-	b, err := MeasureBaseline(ctx, app)
+	b, err := measureOne(ctx, app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +69,7 @@ func TestMeasureBaselineCapped(t *testing.T) {
 	app.CPUQuota = 0.5
 	app.Pinned = []int{0, 1}
 	app.ID = "int64-2-capped"
-	b, err := MeasureBaseline(ctx, app)
+	b, err := measureOne(ctx, app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +104,11 @@ func TestEvaluatePairOracleIsNearPerfect(t *testing.T) {
 		mustStressApp(t, "fibonacci", 3),
 		mustStressApp(t, "matrixprod", 3),
 	}}
-	baselines, err := MeasureBaselines(ctx, s.Apps)
+	baselines, err := Measure(context.Background(), ctx, s.Apps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := EvaluatePair(ctx, s, models.NewOracle(), baselines, ObjectiveActive, 0)
+	ev, err := evaluatePair(ctx, s, models.NewOracle(), baselines, ObjectiveActive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +130,11 @@ func TestEvaluatePairScaphandreWorstPair(t *testing.T) {
 		mustStressApp(t, "fibonacci", 3),
 		mustStressApp(t, "matrixprod", 3),
 	}}
-	baselines, err := MeasureBaselines(ctx, s.Apps)
+	baselines, err := Measure(context.Background(), ctx, s.Apps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := EvaluatePair(ctx, s, models.NewScaphandre(), baselines, ObjectiveActive, 0)
+	ev, err := evaluatePair(ctx, s, models.NewScaphandre(), baselines, ObjectiveActive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +160,7 @@ func TestEvaluatePairF2IsNearPerfect(t *testing.T) {
 		mustStressApp(t, "fibonacci", 3),
 		mustStressApp(t, "matrixprod", 3),
 	}}
-	baselines, err := MeasureBaselines(ctx, s.Apps)
+	baselines, err := Measure(context.Background(), ctx, s.Apps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +169,7 @@ func TestEvaluatePairF2IsNearPerfect(t *testing.T) {
 		base[id] = b.ActivePerCore()
 	}
 	f2 := models.NewF2(base)
-	ev, err := EvaluatePair(ctx, s, f2, baselines, ObjectiveActive, 0)
+	ev, err := evaluatePair(ctx, s, f2, baselines, ObjectiveActive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,20 +182,20 @@ func TestEvaluatePairErrors(t *testing.T) {
 	t.Parallel()
 	ctx := labSmall()
 	s := Scenario{Apps: []AppSpec{mustStressApp(t, "fibonacci", 3)}}
-	if _, err := EvaluatePair(ctx, s, models.NewScaphandre(), nil, ObjectiveActive, 0); err == nil {
+	if _, err := evaluatePair(ctx, s, models.NewScaphandre(), nil, ObjectiveActive); err == nil {
 		t.Error("single-app scenario accepted")
 	}
 	pair := Scenario{Apps: []AppSpec{
 		mustStressApp(t, "fibonacci", 3),
 		mustStressApp(t, "matrixprod", 3),
 	}}
-	if _, err := EvaluatePair(ctx, pair, models.NewScaphandre(), map[string]division.Baseline{}, ObjectiveActive, 0); err == nil {
+	if _, err := evaluatePair(ctx, pair, models.NewScaphandre(), map[string]division.Baseline{}, ObjectiveActive); err == nil {
 		t.Error("missing baselines accepted")
 	}
-	if _, err := EvaluatePair(ctx, pair, models.NewScaphandre(), map[string]division.Baseline{
+	if _, err := evaluatePair(ctx, pair, models.NewScaphandre(), map[string]division.Baseline{
 		"fibonacci-3":  {ID: "fibonacci-3", Total: 50, Residual: 36},
 		"matrixprod-3": {ID: "matrixprod-3", Total: 57, Residual: 36},
-	}, Objective(99), 0); err == nil {
+	}, Objective(99)); err == nil {
 		t.Error("unknown objective accepted")
 	}
 }
@@ -294,7 +284,7 @@ func TestEvaluateCampaignSmallSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs, err := EvaluateCampaign(ctx, scenarios, models.NewScaphandre(), ObjectiveActive, 0)
+	evs, err := pairRows(ctx, scenarios, models.NewScaphandre())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,11 +310,11 @@ func TestEvaluatePairPowerAPISkipsLearning(t *testing.T) {
 		mustStressApp(t, "int64", 2),
 		mustStressApp(t, "rand", 2),
 	}}
-	baselines, err := MeasureBaselines(ctx, s.Apps)
+	baselines, err := Measure(context.Background(), ctx, s.Apps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := EvaluatePair(ctx, s, models.NewPowerAPI(models.DefaultPowerAPIConfig()), baselines, ObjectiveActive, 0)
+	ev, err := evaluatePair(ctx, s, models.NewPowerAPI(models.DefaultPowerAPIConfig()), baselines, ObjectiveActive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,11 +334,11 @@ func TestProductionContextEvaluation(t *testing.T) {
 		mustStressApp(t, "fibonacci", 3),
 		mustStressApp(t, "matrixprod", 3),
 	}}
-	baselines, err := MeasureBaselines(ctx, s.Apps)
+	baselines, err := Measure(context.Background(), ctx, s.Apps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := EvaluatePair(ctx, s, models.NewScaphandre(), baselines, ObjectiveActive, 0)
+	ev, err := evaluatePair(ctx, s, models.NewScaphandre(), baselines, ObjectiveActive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,11 +426,11 @@ func TestEvaluateTripleScenario(t *testing.T) {
 		mustStressApp(t, "int64", 2),
 		mustStressApp(t, "matrixprod", 2),
 	}}
-	baselines, err := MeasureBaselines(ctx, s.Apps)
+	baselines, err := Measure(context.Background(), ctx, s.Apps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := EvaluatePair(ctx, s, models.NewScaphandre(), baselines, ObjectiveActive, 0)
+	ev, err := evaluatePair(ctx, s, models.NewScaphandre(), baselines, ObjectiveActive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +461,7 @@ func TestCampaignBitReproducible(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() []Evaluation {
-		evs, err := EvaluateCampaign(ctx, scenarios, models.NewPowerAPI(models.DefaultPowerAPIConfig()), ObjectiveActive, 0)
+		evs, err := pairRows(ctx, scenarios, models.NewPowerAPI(models.DefaultPowerAPIConfig()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,49 +8,47 @@ import (
 	"powerdiv/internal/division"
 	"powerdiv/internal/machine"
 	"powerdiv/internal/models"
-	"powerdiv/internal/units"
 )
 
-// This file is protocol phases 2–3: simulate → observe → score in one
-// pass per scenario, with O(ticks-in-flight) simulator state. The models
-// observe each segment as the simulator produces it, so per scenario the
-// only O(ticks) state kept is what scoring needs anyway — the per-model
-// estimate matrices and the power/time scoring view, both pooled. Pair
-// runs are never materialized and never cached, which is where the memory
-// goes: the byte-capped baseline tier (cache.go) keeps only phase 1's
-// four-number baselines, and a scored scenario is written once, straight
-// into the caller's rows (rowView). The protocol scores each scenario
-// once, so nothing of phases 2–3 is memoized.
+// This file is phases 2–3 of a pair campaign: simulate → observe → score
+// in one pass per scenario, with O(ticks-in-flight) simulator state. The
+// models observe each segment as the simulator produces it, so per
+// scenario the only O(ticks) state kept is what scoring needs anyway — the
+// per-model estimate matrices and the power/time scoring view, both
+// pooled. Pair runs are never materialized and never cached, which is
+// where the memory goes: the byte-capped baseline tier (cache.go) keeps
+// only phase 1's four-number baselines, and a scored scenario is written
+// once, straight into the campaign's Result. The protocol scores each
+// scenario once, so nothing of phases 2–3 is memoized.
 //
-// Every pair entry point — EvaluatePair, EvaluateCampaign,
-// EvaluateModelsStreaming and the per-scenario unit the campaign service
-// shards jobs into — runs through evaluateScenarioStreaming. The golden
-// corpus (internal/experiments/testdata) pins their tables bit for bit,
-// and the map-reference test pins the columnar scoring against the
-// original per-tick map pipeline.
+// The golden corpus (internal/experiments/testdata) pins the tables bit
+// for bit, and the map-reference test pins the columnar scoring against
+// the original per-tick map pipeline.
 
-// evaluateScenarioStreaming runs phases 2–3 for one pair scenario in a
-// single simulator pass, scoring every factory against every truth into
-// v: the scenario is simulated exactly once and all models observe the
-// stream as it runs.
+// evaluate runs phases 2–3 for pair scenario i in a single simulator pass,
+// scoring every factory against every objective into res: the scenario is
+// simulated exactly once and all models observe the stream as it runs.
 //
-// cctx is the cancellation seam: it is polled once per simulated tick
-// inside the stream yield (segments poll once per covered tick, keeping
-// the poll count of the per-tick engine), so a cancelled context (client
-// disconnect, job deadline) aborts the simulator mid-run instead of after
-// the scenario — the error unwraps to cctx's cause via errors.Is.
+// cctx is polled once per simulated tick inside the stream yield (segments
+// poll once per covered tick, keeping the poll count of the per-tick
+// engine), so a cancelled context aborts the simulator mid-run instead of
+// after the scenario — the error unwraps to cctx's cause via errors.Is.
 // Cancellation only ever aborts; it cannot perturb the float accumulation
 // order of a run that completes.
-func evaluateScenarioStreaming(cctx context.Context, p *campaignPlan, s Scenario, truths []division.Shares, v rowView) error {
+func (p *campaignPlan) evaluate(cctx context.Context, s Scenario, res Result, i int) error {
+	truths, err := scenarioTruths(s, p.baselines, p.objectives, p.r0)
+	if err != nil {
+		return err
+	}
 	scr := getScoreScratch()
 	defer putScoreScratch(scr)
-	run := p.pairRun(s)
+	run := p.run(s)
 	replay, ts, err := p.streamPair(cctx, &run, scr)
 	if err != nil {
 		return err
 	}
 	defer replay.Release()
-	return p.scorePair(s, &run, ts, replay, truths, scr, v)
+	return p.scorePair(s, &run, ts, replay, truths, scr, res, i)
 }
 
 // streamPair simulates the scenario segment by segment
@@ -82,8 +80,8 @@ func (p *campaignPlan) streamPair(cctx context.Context, run *scenarioRun, scr *s
 }
 
 // scorePair scores every factory's estimates against every truth into
-// the factory's rows of v.
-func (p *campaignPlan) scorePair(s Scenario, run *scenarioRun, ts tickSeries, replay *models.StreamReplay, truths []division.Shares, scr *scoreScratch, v rowView) error {
+// scenario i's rows of res.
+func (p *campaignPlan) scorePair(s Scenario, run *scenarioRun, ts tickSeries, replay *models.StreamReplay, truths []division.Shares, scr *scoreScratch, res Result, i int) error {
 	rosterIDs := run.roster.IDs()
 	slots := len(rosterIDs)
 	scr.truthVecs = resize(scr.truthVecs, len(truths)*slots)
@@ -101,7 +99,7 @@ func (p *campaignPlan) scorePair(s Scenario, run *scenarioRun, ts tickSeries, re
 	for m, f := range p.fs {
 		est := replay.Estimates(m)
 		from, to := windowFor(p.ctx, ts, est.OK, scr)
-		if err := scoreEstimatesWindow(s, run.label, f.Name, ts, est, scr, from, to, truths, v.factory(m, len(truths))); err != nil {
+		if err := scoreEstimatesWindow(s, run.label, f.Name, ts, est, scr, from, to, truths, res, m, i); err != nil {
 			return err
 		}
 	}
@@ -139,80 +137,4 @@ func boolsEqual(a, b []bool) bool {
 		}
 	}
 	return true
-}
-
-// EvaluateScenarioStreaming scores every factory over one scenario on the
-// fused streaming pipeline — the per-scenario unit the campaign service
-// shards jobs into. The returned slice is index-aligned with fs, and each
-// row is bit-identical to the corresponding row a whole-campaign
-// EvaluateModelsStreaming call would produce: the simulation and model
-// seeds derive from the scenario label alone, so per-scenario results do
-// not depend on which other scenarios run, in what order, or on which
-// process. It compiles a one-shot campaign plan. cctx cancellation aborts
-// the simulator mid-run.
-func EvaluateScenarioStreaming(cctx context.Context, ctx Context, s Scenario, fs []models.Factory, baselines map[string]division.Baseline, obj Objective, r0 units.Watts) ([]Evaluation, error) {
-	out := make([]Evaluation, len(fs))
-	if err := newCampaignPlan(ctx, fs).evaluate(cctx, s, baselines, obj, r0, rowView{rows: out, stride: 1}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// evaluate is EvaluateScenarioStreaming under the plan, writing factory
-// m's row to v.factory(m, 1)[0].
-func (p *campaignPlan) evaluate(cctx context.Context, s Scenario, baselines map[string]division.Baseline, obj Objective, r0 units.Watts, v rowView) error {
-	done := observeScenario()
-	truths, err := scenarioTruths(s, baselines, []Objective{obj}, r0)
-	if err != nil {
-		return err
-	}
-	if err := evaluateScenarioStreaming(cctx, p, s, truths, v); err != nil {
-		return err
-	}
-	done()
-	return nil
-}
-
-// EvaluateModelsStreaming runs the full protocol for several models over
-// one scenario list. The factories function receives the phase 1
-// baselines (from the byte-capped summary cache) so that models needing
-// them (F2) can be constructed. Each scenario is then simulated exactly
-// once per campaign — regardless of cache state or model count, because
-// all models ride the same stream — and scored by every model. Peak memory
-// per worker is the estimate matrices of one scenario, never a whole run,
-// which is what lets combinatorial sweeps scale.
-// Scenarios run concurrently across the worker pool; results are
-// deterministic regardless of scheduling.
-func EvaluateModelsStreaming(ctx Context, scenarios []Scenario, factories func(map[string]division.Baseline) []models.Factory, obj Objective, r0 units.Watts) (map[string][]Evaluation, error) {
-	return EvaluateModelsStreamingCtx(context.Background(), ctx, scenarios, factories, obj, r0)
-}
-
-// EvaluateModelsStreamingCtx is EvaluateModelsStreaming with a cancellation
-// seam: when cctx is cancelled (client disconnect, deadline) the campaign
-// stops mid-run — in-flight scenarios abort their simulators at the next
-// tick, the worker pool drains, and the shared worker budget returns to
-// full. The error then unwraps to cctx's cause. An uncancelled cctx changes
-// nothing: results are bit-identical to EvaluateModelsStreaming.
-func EvaluateModelsStreamingCtx(cctx context.Context, ctx Context, scenarios []Scenario, factories func(map[string]division.Baseline) []models.Factory, obj Objective, r0 units.Watts) (map[string][]Evaluation, error) {
-	baselines, err := MeasureBaselinesParallelCtx(cctx, ctx, AppsOf(scenarios))
-	if err != nil {
-		return nil, err
-	}
-	fs := factories(baselines)
-	plan := newCampaignPlan(ctx, fs)
-	// Every model's column is allocated up front, end to end in one slab;
-	// each scenario writes its rows straight into them.
-	n := len(scenarios)
-	slab := make([]Evaluation, len(fs)*n)
-	err = forEachIndexed(n, func(i int) error {
-		return plan.evaluate(cctx, scenarios[i], baselines, obj, r0, rowView{rows: slab, at: i, stride: n})
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]Evaluation, len(fs))
-	for m, f := range fs {
-		out[f.Name] = slab[m*n : (m+1)*n : (m+1)*n]
-	}
-	return out, nil
 }

@@ -24,7 +24,7 @@ func TestPairScoringTailAllocsIndependentOfRunLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := Scenario{Apps: []AppSpec{a, b}}
-	baselines, err := MeasureBaselines(ctx, AppsOf([]Scenario{s}))
+	baselines, err := Measure(context.Background(), ctx, AppsOf([]Scenario{s}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,16 +35,16 @@ func TestPairScoringTailAllocsIndependentOfRunLength(t *testing.T) {
 	var allocs, ticks []float64
 	for _, runFor := range []time.Duration{30 * time.Second, 120 * time.Second} {
 		ctx.RunFor = runFor
-		p := newCampaignPlan(ctx, goldenFactories(baselines, ctx.Machine.Spec))
-		run := p.pairRun(s)
+		p := newCampaignPlan(ctx, goldenFactories(baselines, ctx.Machine.Spec), PairCampaign)
+		run := p.run(s)
 		scr := getScoreScratch()
 		replay, ts, err := p.streamPair(context.Background(), &run, scr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v := rowView{rows: make([]Evaluation, len(p.fs)*len(truths)), stride: len(truths)}
+		res := Result{n: 1, objs: len(truths), pairs: make([]Evaluation, len(p.fs)*len(truths))}
 		score := func() {
-			if err := p.scorePair(s, &run, ts, replay, truths, scr, v); err != nil {
+			if err := p.scorePair(s, &run, ts, replay, truths, scr, res, 0); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -93,11 +93,6 @@ func (s *RunSummary) PowerSeries() *trace.Series {
 	return trace.FromValues(s.Tick, s.Power...)
 }
 
-// TruePowerSeries returns the noise-free power trace.
-func (s *RunSummary) TruePowerSeries() *trace.Series {
-	return trace.FromValues(s.Tick, s.TruePower...)
-}
-
 // baseline extracts the phase 1 baseline of app from the digest: mean
 // noise-free power, mean idle+residual and mean busy cores over the
 // least-extreme stable window (of length stable) of the noise-free trace.

@@ -82,7 +82,7 @@ func TestBaselineSummaryMatchesFull(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := MeasureBaseline(ctx, app)
+			got, err := measureOne(ctx, app)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,12 +145,12 @@ func TestBaselineSummaryHorizonMaxInt64(t *testing.T) {
 	ctx := goldenContext(cpumodel.SmallIntel(), false)
 	ctx.StableWindow = time.Second
 	ctx.RunFor = time.Hour
-	want, err := MeasureBaseline(ctx, app)
+	want, err := measureOne(ctx, app)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx.RunFor = math.MaxInt64
-	got, err := MeasureBaseline(ctx, app)
+	got, err := measureOne(ctx, app)
 	if err != nil {
 		t.Fatal(err)
 	}

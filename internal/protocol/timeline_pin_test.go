@@ -11,7 +11,7 @@ import (
 	"powerdiv/internal/models"
 )
 
-// TestEvaluateTimelinePinned freezes EvaluateTimeline's outputs bit for bit
+// TestEvaluateTimelinePinned freezes a TimelineCampaign's rows bit for bit
 // on two machines. In the churn timeline three different applications
 // arrive and depart so the per-tick objective changes at every context
 // switch, and PowerAPI's relearning leaves unscored busy ticks. In the
@@ -52,15 +52,15 @@ func TestEvaluateTimelinePinned(t *testing.T) {
 		c := mustStressApp(t, "int64", 2)
 		timelines := []struct {
 			name   string
-			apps   []TimelineApp
+			apps   []timelineApp
 			maxDur time.Duration
 		}{
-			{"", []TimelineApp{
+			{"", []timelineApp{
 				{App: a},
 				{App: b, Start: 12 * time.Second, Stop: 36 * time.Second},
 				{App: c, Start: 24 * time.Second},
 			}, 48 * time.Second},
-			{"idle-gap/", []TimelineApp{
+			{"idle-gap/", []timelineApp{
 				{App: a, Stop: 18 * time.Second},
 				{App: b, Start: 2 * time.Second, Stop: 18 * time.Second},
 				{App: c, Start: 26 * time.Second},
@@ -78,7 +78,7 @@ func TestEvaluateTimelinePinned(t *testing.T) {
 			for _, f := range []models.Factory{models.NewScaphandre(), models.NewPowerAPI(models.DefaultPowerAPIConfig()), mapOnly} {
 				key := spec.Name + "/" + tl.name + f.Name
 				for _, bs := range []map[string]division.Baseline{baselines, renamed} {
-					res, err := EvaluateTimeline(ctx, tl.apps, f, bs, tl.maxDur)
+					res, err := evaluateTimeline(ctx, tl.apps, f, bs, tl.maxDur)
 					if err != nil {
 						t.Fatal(err)
 					}

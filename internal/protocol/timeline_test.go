@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -9,7 +10,32 @@ import (
 	"powerdiv/internal/models"
 )
 
-func fig11Timeline(t *testing.T) []TimelineApp {
+// timelineApp is an application with a lifetime in a timeline scenario.
+type timelineApp struct {
+	App AppSpec
+	// Start is the arrival time; Stop (0 = scenario end) the departure.
+	Start, Stop time.Duration
+}
+
+// evaluateTimeline scores f over the timeline as a one-scenario
+// TimelineCampaign against baselines.
+func evaluateTimeline(ctx Context, apps []timelineApp, f models.Factory, baselines map[string]division.Baseline, maxDur time.Duration) (TrafficEvaluation, error) {
+	s := Scenario{Apps: make([]AppSpec, len(apps))}
+	for i, ta := range apps {
+		s.Apps[i] = ta.App
+		s.Apps[i].StartAt, s.Apps[i].StopAt = ta.Start, ta.Stop
+	}
+	res, err := Evaluate(context.Background(), ctx, Campaign{
+		Kind: TimelineCampaign, Scenarios: []Scenario{s}, Factories: FixedFactories(f),
+		Baselines: baselines, Window: maxDur,
+	})
+	if err != nil {
+		return TrafficEvaluation{}, err
+	}
+	return res.Traffic(0)[0], nil
+}
+
+func fig11Timeline(t *testing.T) []timelineApp {
 	t.Helper()
 	p0 := mustStressApp(t, "int64", 2)
 	p0.ID = "P0"
@@ -17,20 +43,20 @@ func fig11Timeline(t *testing.T) []TimelineApp {
 	p1.ID = "P1"
 	p2 := mustStressApp(t, "int64", 2)
 	p2.ID = "P2"
-	return []TimelineApp{
+	return []timelineApp{
 		{App: p0},
 		{App: p1, Start: 20 * time.Second, Stop: 40 * time.Second},
 		{App: p2, Start: 40 * time.Second},
 	}
 }
 
-func timelineBaselines(t *testing.T, ctx Context, apps []TimelineApp) map[string]division.Baseline {
+func timelineBaselines(t *testing.T, ctx Context, apps []timelineApp) map[string]division.Baseline {
 	t.Helper()
 	specs := make([]AppSpec, len(apps))
 	for i, ta := range apps {
 		specs[i] = ta.App
 	}
-	b, err := MeasureBaselines(ctx, specs)
+	b, err := Measure(context.Background(), ctx, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +68,7 @@ func TestEvaluateTimelineScaphandreFullCoverage(t *testing.T) {
 	ctx := labSmall()
 	apps := fig11Timeline(t)
 	baselines := timelineBaselines(t, ctx, apps)
-	res, err := EvaluateTimeline(ctx, apps, models.NewScaphandre(), baselines, time.Minute)
+	res, err := evaluateTimeline(ctx, apps, models.NewScaphandre(), baselines, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,14 +92,14 @@ func TestEvaluateTimelinePowerAPICoverageLoss(t *testing.T) {
 	ctx := labSmall()
 	apps := fig11Timeline(t)
 	baselines := timelineBaselines(t, ctx, apps)
-	res, err := EvaluateTimeline(ctx, apps, models.NewPowerAPI(models.DefaultPowerAPIConfig()), baselines, time.Minute)
+	res, err := evaluateTimeline(ctx, apps, models.NewPowerAPI(models.DefaultPowerAPIConfig()), baselines, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Coverage > 0.6 || res.Coverage < 0.3 {
 		t.Errorf("powerapi coverage = %.3f, want ≈0.5 (3 × 10s learning over 60s)", res.Coverage)
 	}
-	sc, err := EvaluateTimeline(ctx, apps, models.NewScaphandre(), baselines, time.Minute)
+	sc, err := evaluateTimeline(ctx, apps, models.NewScaphandre(), baselines, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,13 +116,13 @@ func TestEvaluateTimelineHeterogeneousError(t *testing.T) {
 	fib := mustStressApp(t, "fibonacci", 2)
 	mat := mustStressApp(t, "matrixprod", 2)
 	jmp := mustStressApp(t, "jmp", 2)
-	apps := []TimelineApp{
+	apps := []timelineApp{
 		{App: fib},
 		{App: mat, Start: 10 * time.Second},
 		{App: jmp, Start: 20 * time.Second, Stop: 30 * time.Second},
 	}
 	baselines := timelineBaselines(t, ctx, apps)
-	res, err := EvaluateTimeline(ctx, apps, models.NewScaphandre(), baselines, 40*time.Second)
+	res, err := evaluateTimeline(ctx, apps, models.NewScaphandre(), baselines, 40*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,17 +134,17 @@ func TestEvaluateTimelineHeterogeneousError(t *testing.T) {
 func TestEvaluateTimelineErrors(t *testing.T) {
 	t.Parallel()
 	ctx := labSmall()
-	if _, err := EvaluateTimeline(ctx, nil, models.NewScaphandre(), nil, time.Minute); err == nil {
+	if _, err := evaluateTimeline(ctx, nil, models.NewScaphandre(), nil, time.Minute); err == nil {
 		t.Error("empty timeline accepted")
 	}
 	apps := fig11Timeline(t)
-	if _, err := EvaluateTimeline(ctx, apps, models.NewScaphandre(), map[string]division.Baseline{}, time.Minute); err == nil {
+	if _, err := evaluateTimeline(ctx, apps, models.NewScaphandre(), map[string]division.Baseline{}, time.Minute); err == nil {
 		t.Error("missing baselines accepted")
 	}
 }
 
 // TestEvaluateTimelineSharedBaseline scores two instances of one
-// application type (BaseID "web") against the map MeasureBaselines returns,
+// application type (BaseID "web") against the map Measure returns,
 // which holds one entry under the type. The result must equal the same
 // timeline whose instances carry no BaseID, with the type's baseline
 // listed under each instance ID: the BaseID only names the baseline.
@@ -127,32 +153,33 @@ func TestEvaluateTimelineSharedBaseline(t *testing.T) {
 	ctx := labSmall()
 	web := mustStressApp(t, "int64", 2)
 	web.ID = "web"
-	shared := make([]TimelineApp, 2)
-	byID := make([]TimelineApp, 2)
+	shared := make([]timelineApp, 2)
+	byID := make([]timelineApp, 2)
 	for i, start := range []time.Duration{0, 15 * time.Second} {
 		inst := web
 		inst.ID = fmt.Sprintf("web-%d", i+1)
-		byID[i] = TimelineApp{App: inst, Start: start}
+		byID[i] = timelineApp{App: inst, Start: start}
 		inst.BaseID = web.ID
-		shared[i] = TimelineApp{App: inst, Start: start}
+		shared[i] = timelineApp{App: inst, Start: start}
 	}
-	baselines, err := MeasureBaselines(ctx, []AppSpec{shared[0].App, shared[1].App})
+	baselines, err := Measure(context.Background(), ctx, []AppSpec{shared[0].App, shared[1].App})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(baselines) != 1 {
-		t.Fatalf("MeasureBaselines keyed %d entries, want the one type", len(baselines))
+		t.Fatalf("Measure keyed %d entries, want the one type", len(baselines))
 	}
-	got, err := EvaluateTimeline(ctx, shared, models.NewScaphandre(), baselines, 30*time.Second)
+	got, err := evaluateTimeline(ctx, shared, models.NewScaphandre(), baselines, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	perInstance := map[string]division.Baseline{"web-1": baselines["web"], "web-2": baselines["web"]}
-	want, err := EvaluateTimeline(ctx, byID, models.NewScaphandre(), perInstance, 30*time.Second)
+	want, err := evaluateTimeline(ctx, byID, models.NewScaphandre(), perInstance, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want || got.ScoredTicks == 0 {
-		t.Errorf("shared-type timeline %+v, per-instance %+v", got, want)
+	if got.ScoredTicks == 0 {
+		t.Errorf("shared-type timeline scored nothing: %+v", got)
 	}
+	compareTrafficEvaluations(t, "scaphandre", want, got)
 }

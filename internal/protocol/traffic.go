@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"powerdiv/internal/division"
 	"powerdiv/internal/machine"
@@ -13,13 +12,14 @@ import (
 	"powerdiv/internal/units"
 )
 
-// This file scores models over traffic scenarios: generated timed rosters
-// whose instances arrive (AppSpec.StartAt), burst and exit (StopAt) while
-// the scenario runs — the paper's "production context" shape that the
-// static pair campaigns cannot reach. The objective is per tick, over the
-// instances actually present: churn transitions are exactly what is under
-// test, so no stable-window selection applies. EvaluateTimeline scores its
-// dynamic scenarios on the same pipeline, as one-model traffic scenarios.
+// This file is phases 2–3 of traffic and timeline campaigns: timed
+// rosters whose instances arrive (AppSpec.StartAt), burst and exit
+// (StopAt) while the scenario runs — the paper's "production context"
+// shape that the static pair campaigns cannot reach, and its Fig 11
+// timelines. The objective is per tick, over the instances actually
+// present: churn transitions are exactly what is under test, so no
+// stable-window selection applies. The two kinds differ only in how a
+// scenario is labelled and seeded (CampaignKind).
 //
 // Each scenario is one fused simulate → observe pass with
 // O(ticks-in-flight) simulator state, accumulating exactly the scoring view
@@ -191,11 +191,11 @@ func trafficTruths(view *trafficView, slotBase []division.Baseline) (truths [][]
 
 // scoreTrafficModel is the scoring tail for one model: Eq 5 over the
 // ticks the model estimated, against each run's objective shares, summed
-// tick by tick into one running total.
-func scoreTrafficModel(s Scenario, modelName string, view *trafficView, truths [][]float64, busy int, est *models.DenseEstimates) (TrafficEvaluation, error) {
-	ev := TrafficEvaluation{Scenario: s, Model: modelName, BusyTicks: busy}
+// tick by tick into one running total, written into ev.
+func scoreTrafficModel(s Scenario, modelName string, view *trafficView, truths [][]float64, busy int, est *models.DenseEstimates, ev *TrafficEvaluation) error {
+	*ev = TrafficEvaluation{Scenario: s, Model: modelName, BusyTicks: busy}
 	if busy == 0 {
-		return ev, fmt.Errorf("protocol: traffic scenario %q never ran any instance", s.Label())
+		return fmt.Errorf("protocol: traffic scenario %q never ran any instance", s.Label())
 	}
 	var acc division.ErrorSum
 	for r, truth := range truths {
@@ -214,75 +214,55 @@ func scoreTrafficModel(s Scenario, modelName string, view *trafficView, truths [
 	if ev.ScoredTicks > 0 {
 		ae, err := acc.Mean()
 		if err != nil {
-			return ev, fmt.Errorf("protocol: traffic scenario %q: %w", s.Label(), err)
+			return fmt.Errorf("protocol: traffic scenario %q: %w", s.Label(), err)
 		}
 		ev.AE = ae
 	}
-	return ev, nil
+	return nil
 }
 
 // scoreTraffic is the scenario's scoring tail: the objective once per
-// presence run, then every model's Eq 5. Its allocations do not depend on
-// the window length.
-func scoreTraffic(s Scenario, fs []models.Factory, view *trafficView, slotBase []division.Baseline, replay *models.StreamReplay) ([]TrafficEvaluation, error) {
+// presence run, then every model's Eq 5 into scenario i's rows of res. Its
+// allocations do not depend on the window length.
+func (p *campaignPlan) scoreTraffic(s Scenario, view *trafficView, slotBase []division.Baseline, replay *models.StreamReplay, res Result, i int) error {
 	truths, busy := trafficTruths(view, slotBase)
-	out := make([]TrafficEvaluation, len(fs))
-	for m, f := range fs {
-		ev, err := scoreTrafficModel(s, f.Name, view, truths, busy, replay.Estimates(m))
-		if err != nil {
-			return nil, err
+	for m, f := range p.fs {
+		if err := scoreTrafficModel(s, f.Name, view, truths, busy, replay.Estimates(m), res.trafficRow(m, i)); err != nil {
+			return err
 		}
-		out[m] = ev
 	}
-	return out, nil
+	return nil
 }
 
-// EvaluateTrafficScenarioStreaming scores every factory over one traffic
-// scenario on the fused streaming pipeline — the per-scenario unit the
-// campaign service shards traffic jobs into. Rows are index-aligned with fs
-// and bit-identical to the corresponding rows of a whole-campaign
-// EvaluateTrafficStreaming call: every seed derives from the scenario label
-// alone, through a one-shot campaign plan. cctx cancellation aborts the
-// simulator mid-run (polled once per tick); the error then unwraps to
-// cctx's cause.
-func EvaluateTrafficScenarioStreaming(cctx context.Context, ctx Context, s Scenario, fs []models.Factory, baselines map[string]division.Baseline, window time.Duration) ([]TrafficEvaluation, error) {
-	return newCampaignPlan(ctx, fs).evaluateTraffic(cctx, s, baselines, window)
-}
-
-// evaluateTraffic is EvaluateTrafficScenarioStreaming under the plan: one
-// fused simulator pass per scenario — the scenario is simulated exactly
-// once, all models observe the stream segment by segment, and the run is
-// never materialized or cached.
-func (p *campaignPlan) evaluateTraffic(cctx context.Context, s Scenario, baselines map[string]division.Baseline, window time.Duration) ([]TrafficEvaluation, error) {
-	done := observeScenario()
-	run := p.trafficRun(s)
-	view, replay, err := p.streamTraffic(cctx, &run, window)
+// evaluateTraffic runs phases 2–3 for traffic or timeline scenario i: one
+// fused simulator pass — the scenario is simulated exactly once, all
+// models observe the stream segment by segment, and the run is never
+// materialized or cached. cctx cancellation aborts the simulator mid-run
+// (polled once per tick); the error then unwraps to cctx's cause.
+func (p *campaignPlan) evaluateTraffic(cctx context.Context, s Scenario, res Result, i int) error {
+	run := p.run(s)
+	slotBase, err := trafficSlotBaselines(s, run.roster.IDs(), p.baselines)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	view, replay, err := p.streamTraffic(cctx, &run)
+	if err != nil {
+		return err
 	}
 	defer replay.Release()
 	defer view.release()
-	slotBase, err := trafficSlotBaselines(s, run.roster.IDs(), baselines)
-	if err != nil {
-		return nil, err
-	}
-	out, err := scoreTraffic(s, p.fs, view, slotBase, replay)
-	if err != nil {
-		return nil, err
-	}
-	done()
-	return out, nil
+	return p.scoreTraffic(s, view, slotBase, replay, res, i)
 }
 
 // streamTraffic simulates the run once while every model observes it
 // segment by segment, accumulating the scoring view alongside. The caller
 // releases the view and the replay.
-func (p *campaignPlan) streamTraffic(cctx context.Context, run *scenarioRun, window time.Duration) (*trafficView, *models.StreamReplay, error) {
-	reserve := run.cfg.ReservedTicks(window)
+func (p *campaignPlan) streamTraffic(cctx context.Context, run *scenarioRun) (*trafficView, *models.StreamReplay, error) {
+	reserve := run.cfg.ReservedTicks(p.ctx.RunFor)
 	replay := models.NewStreamReplay(run.roster, p.newModels(run.label), reserve)
 	view := newTrafficView(run.roster.Len(), reserve)
 	load := models.SegmentLoader(run.cfg, run.roster)
-	_, err := machine.StreamSegments(run.cfg, run.procs, window, func(seg *machine.Segment) error {
+	_, err := machine.StreamSegments(run.cfg, run.procs, p.ctx.RunFor, func(seg *machine.Segment) error {
 		// One poll per covered tick keeps the cancellation granularity (and
 		// the deterministic poll count the ctx tests pin) of the per-tick
 		// engine.
@@ -301,58 +281,4 @@ func (p *campaignPlan) streamTraffic(cctx context.Context, run *scenarioRun, win
 		return nil, nil, fmt.Errorf("protocol: traffic scenario %q: %w", run.label, err)
 	}
 	return view, replay, nil
-}
-
-// EvaluateTrafficStreaming scores every factory over a traffic campaign on
-// the fused streaming pipeline: phase 1 measures one baseline per distinct
-// application type through the byte-capped summary cache, then each
-// scenario is simulated exactly once — all models ride the same stream —
-// and scored against the per-tick objective. Peak memory per worker is one
-// scenario's estimate matrices and scoring view; churn runs are never
-// materialized or cached. Deterministic per ctx.Seed regardless of
-// scheduling: every simulation and model seed derives from the scenario
-// label, so two identical campaigns yield bit-identical error tables.
-func EvaluateTrafficStreaming(ctx Context, scenarios []Scenario, factories func(map[string]division.Baseline) []models.Factory, window time.Duration) (map[string][]TrafficEvaluation, error) {
-	return EvaluateTrafficStreamingCtx(context.Background(), ctx, scenarios, factories, window)
-}
-
-// EvaluateTrafficStreamingCtx is EvaluateTrafficStreaming with a
-// cancellation seam: a cancelled cctx (client disconnect, job deadline)
-// aborts in-flight simulators at the next tick, drains the worker pool and
-// returns the shared budget to full; the error unwraps to cctx's cause. An
-// uncancelled cctx changes nothing — results stay bit-identical.
-func EvaluateTrafficStreamingCtx(cctx context.Context, ctx Context, scenarios []Scenario, factories func(map[string]division.Baseline) []models.Factory, window time.Duration) (map[string][]TrafficEvaluation, error) {
-	if window <= 0 {
-		return nil, fmt.Errorf("protocol: non-positive traffic window %v", window)
-	}
-	baselines, err := MeasureBaselinesParallelCtx(cctx, ctx, BaselineAppsOf(scenarios))
-	if err != nil {
-		return nil, err
-	}
-	fs := factories(baselines)
-	plan := newCampaignPlan(ctx, fs)
-	perScenario := make([][]TrafficEvaluation, len(scenarios))
-	err = forEachIndexed(len(scenarios), func(i int) error {
-		if err := cctx.Err(); err != nil {
-			return err
-		}
-		row, err := plan.evaluateTraffic(cctx, scenarios[i], baselines, window)
-		if err != nil {
-			return err
-		}
-		perScenario[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := map[string][]TrafficEvaluation{}
-	for m, f := range fs {
-		evs := make([]TrafficEvaluation, len(scenarios))
-		for i := range scenarios {
-			evs[i] = perScenario[i][m]
-		}
-		out[f.Name] = evs
-	}
-	return out, nil
 }

@@ -101,11 +101,11 @@ func TestTrafficStreamingDeterministic(t *testing.T) {
 	t.Parallel()
 	ctx, scenarios, factories := trafficGoldenSetup(t)
 
-	first, err := EvaluateTrafficStreaming(ctx, scenarios, factories, trafficTestWindow)
+	first, err := trafficTable(context.Background(), ctx, scenarios, factories, trafficTestWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := EvaluateTrafficStreaming(ctx, scenarios, factories, trafficTestWindow)
+	second, err := trafficTable(context.Background(), ctx, scenarios, factories, trafficTestWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestTrafficEvaluationShape(t *testing.T) {
 		}
 	}
 
-	results, err := EvaluateTrafficStreaming(ctx, scenarios, factories, trafficTestWindow)
+	results, err := trafficTable(context.Background(), ctx, scenarios, factories, trafficTestWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +192,11 @@ func TestTrafficEvaluationShape(t *testing.T) {
 func TestTrafficRejectsBadInput(t *testing.T) {
 	t.Parallel()
 	ctx, scenarios, factories := trafficGoldenSetup(t)
-	if _, err := EvaluateTrafficStreaming(ctx, scenarios, factories, 0); err == nil {
-		t.Error("EvaluateTrafficStreaming accepted a zero window")
+	if _, err := trafficTable(context.Background(), ctx, scenarios, factories, 0); err == nil {
+		t.Error("Evaluate accepted a zero traffic window")
 	}
-	if _, err := EvaluateTrafficStreaming(ctx, scenarios, factories, -time.Second); err == nil {
-		t.Error("EvaluateTrafficStreaming accepted a negative window")
+	if _, err := trafficTable(context.Background(), ctx, scenarios, factories, -time.Second); err == nil {
+		t.Error("Evaluate accepted a negative traffic window")
 	}
 }
 
@@ -210,15 +210,18 @@ func TestTrafficRejectsBadInput(t *testing.T) {
 func TestTrafficScoringTailAllocsIndependentOfWindow(t *testing.T) {
 	ctx, scenarios, factories := trafficGoldenSetup(t)
 	s := scenarios[0]
-	baselines, err := MeasureBaselines(ctx, BaselineAppsOf([]Scenario{s}))
+	baselines, err := Measure(context.Background(), ctx, BaselineAppsOf([]Scenario{s}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := newCampaignPlan(ctx, factories(baselines))
+	fs := factories(baselines)
+	res := Result{n: 1, traffic: make([]TrafficEvaluation, len(fs))}
 	var allocs, ticks []float64
 	for _, window := range []time.Duration{10 * time.Second, 60 * time.Second} {
-		run := p.trafficRun(s)
-		view, replay, err := p.streamTraffic(context.Background(), &run, window)
+		ctx.RunFor = window
+		p := newCampaignPlan(ctx, fs, TrafficCampaign)
+		run := p.run(s)
+		view, replay, err := p.streamTraffic(context.Background(), &run)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,11 +229,11 @@ func TestTrafficScoringTailAllocsIndependentOfWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := scoreTraffic(s, p.fs, view, slotBase, replay); err != nil {
+		if err := p.scoreTraffic(s, view, slotBase, replay, res, 0); err != nil {
 			t.Fatal(err)
 		}
 		allocs = append(allocs, testing.AllocsPerRun(20, func() {
-			scoreTraffic(s, p.fs, view, slotBase, replay)
+			p.scoreTraffic(s, view, slotBase, replay, res, 0)
 		}))
 		ticks = append(ticks, float64(len(view.power)))
 		replay.Release()

@@ -449,7 +449,7 @@ func fleetFingerprint(cfg fleet.Config) string {
 // is a pure function of (spec, i): simulation and model seeds derive from
 // scenario labels or node IDs, never from evaluation order — the property
 // the kill-and-resume test pins end to end.
-func (rn *runnable) shard(cctx context.Context, i int, baselines map[string]division.Baseline, fs []models.Factory) (*ResultRow, error) {
+func (rn *runnable) shard(cctx context.Context, i int, baselines map[string]division.Baseline, factories func(map[string]division.Baseline) []models.Factory) (*ResultRow, error) {
 	row := &ResultRow{Index: i, Label: rn.labels[i]}
 	switch rn.kind {
 	case KindFleet:
@@ -458,28 +458,28 @@ func (rn *runnable) shard(cctx context.Context, i int, baselines map[string]divi
 			return nil, err
 		}
 		row.Node = &digest
-	case KindPairs:
-		evs, err := protocol.EvaluateScenarioStreaming(cctx, rn.pctx, rn.scenarios[i], fs, baselines, protocol.ObjectiveActive, 0)
+	default: // KindPairs, KindTraffic, KindTrace
+		kind := protocol.TrafficCampaign
+		if rn.kind == KindPairs {
+			kind = protocol.PairCampaign
+		}
+		res, err := protocol.Evaluate(cctx, rn.pctx, protocol.Campaign{
+			Kind: kind, Scenarios: rn.scenarios[i : i+1], Factories: factories,
+			Baselines: baselines, Window: rn.window,
+		})
 		if err != nil {
 			return nil, err
 		}
-		row.Models = make([]ModelScore, len(evs))
-		for m, ev := range evs {
-			row.Models[m] = ModelScore{
-				Model:       ev.Model,
-				AE:          ev.AE,
-				ScoredTicks: ev.ScoredTicks,
+		row.Models = make([]ModelScore, len(res.Factories))
+		for m, f := range res.Factories {
+			if kind == protocol.PairCampaign {
+				ev := res.Pairs(m, 0)[0]
+				row.Models[m] = ModelScore{Model: f.Name, AE: ev.AE, ScoredTicks: ev.ScoredTicks}
+				continue
 			}
-		}
-	default: // KindTraffic, KindTrace
-		evs, err := protocol.EvaluateTrafficScenarioStreaming(cctx, rn.pctx, rn.scenarios[i], fs, baselines, rn.window)
-		if err != nil {
-			return nil, err
-		}
-		row.Models = make([]ModelScore, len(evs))
-		for m, ev := range evs {
+			ev := res.Traffic(m)[0]
 			row.Models[m] = ModelScore{
-				Model:       ev.Model,
+				Model:       f.Name,
 				AE:          ev.AE,
 				Coverage:    ev.Coverage,
 				ScoredTicks: ev.ScoredTicks,
@@ -491,14 +491,15 @@ func (rn *runnable) shard(cctx context.Context, i int, baselines map[string]divi
 }
 
 // measureBaselines runs the job's phase 1 (a no-op for fleet jobs, whose
-// nodes measure their own) and builds the factory roster.
-func (rn *runnable) measureBaselines(cctx context.Context, pctx protocol.Context) (map[string]division.Baseline, []models.Factory, error) {
+// nodes measure their own) and builds the factory roster once, for every
+// shard to share.
+func (rn *runnable) measureBaselines(cctx context.Context, pctx protocol.Context) (map[string]division.Baseline, func(map[string]division.Baseline) []models.Factory, error) {
 	if rn.kind == KindFleet {
 		return nil, nil, nil
 	}
-	baselines, err := protocol.MeasureBaselinesParallelCtx(cctx, pctx, protocol.BaselineAppsOf(rn.scenarios))
+	baselines, err := protocol.Measure(cctx, pctx, protocol.BaselineAppsOf(rn.scenarios))
 	if err != nil {
 		return nil, nil, err
 	}
-	return baselines, rn.factories(baselines), nil
+	return baselines, protocol.FixedFactories(rn.factories(baselines)...), nil
 }

@@ -91,7 +91,7 @@ func (s *Server) evaluate(cctx context.Context, job *Job, rn *runnable) error {
 	defer pctx.Cache.Drop()
 	rn.pctx = pctx
 
-	baselines, fs, err := rn.measureBaselines(cctx, pctx)
+	baselines, factories, err := rn.measureBaselines(cctx, pctx)
 	if err != nil {
 		return err
 	}
@@ -105,7 +105,7 @@ func (s *Server) evaluate(cctx context.Context, job *Job, rn *runnable) error {
 		if err := cctx.Err(); err != nil {
 			return err
 		}
-		row, err := rn.shard(cctx, todo[k], baselines, fs)
+		row, err := rn.shard(cctx, todo[k], baselines, factories)
 		if err != nil {
 			return err
 		}

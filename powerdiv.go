@@ -17,6 +17,7 @@
 package powerdiv
 
 import (
+	"context"
 	"time"
 
 	"powerdiv/internal/cpumodel"
@@ -152,20 +153,34 @@ func Simulate(cfg MachineConfig, procs []Proc, maxDur time.Duration) (*Run, erro
 
 // MeasureBaselines runs protocol phase 1 for the applications.
 func MeasureBaselines(ctx Context, apps []AppSpec) (map[string]Baseline, error) {
-	return protocol.MeasureBaselinesParallel(ctx, apps)
+	return protocol.Measure(context.Background(), ctx, apps)
 }
 
 // EvaluatePair runs protocol phases 2–3: the scenario executes, the model
 // divides its power, Equation 5 scores it. r0 is only used by
 // ObjectiveNominalResidual.
 func EvaluatePair(ctx Context, s Scenario, f ModelFactory, baselines map[string]Baseline, obj Objective, r0 Watts) (Evaluation, error) {
-	return protocol.EvaluatePair(ctx, s, f, baselines, obj, r0)
+	res, err := protocol.Evaluate(context.Background(), ctx, protocol.Campaign{
+		Kind: protocol.PairCampaign, Scenarios: []Scenario{s}, Factories: protocol.FixedFactories(f),
+		Baselines: baselines, Objectives: []Objective{obj}, R0: r0,
+	})
+	if err != nil {
+		return Evaluation{Scenario: s, Model: f.Name}, err
+	}
+	return res.Pairs(0, 0)[0], nil
 }
 
 // EvaluateCampaign evaluates a model over many scenarios (in parallel
 // across CPU cores; results are deterministic).
 func EvaluateCampaign(ctx Context, scenarios []Scenario, f ModelFactory, obj Objective, r0 Watts) ([]Evaluation, error) {
-	return protocol.EvaluateCampaign(ctx, scenarios, f, obj, r0)
+	res, err := protocol.Evaluate(context.Background(), ctx, protocol.Campaign{
+		Kind: protocol.PairCampaign, Scenarios: scenarios, Factories: protocol.FixedFactories(f),
+		Objectives: []Objective{obj}, R0: r0,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res.Pairs(0, 0), nil
 }
 
 // StressPairs generates the paper's pair campaign scenario list.
@@ -173,17 +188,47 @@ func StressPairs(fns []string, sizes []int) ([]Scenario, error) {
 	return protocol.StressPairs(fns, sizes)
 }
 
-// TimelineApp is an application with a lifetime in a dynamic scenario.
-type TimelineApp = protocol.TimelineApp
+// TimelineApp is an application with a lifetime in a dynamic scenario —
+// the arrivals and departures of the paper's Fig 11.
+type TimelineApp struct {
+	App AppSpec
+	// Start is the arrival time; Stop (0 = scenario end) the departure.
+	Start, Stop time.Duration
+}
 
-// TimelineResult scores a model over a dynamic scenario (error and
-// estimate coverage).
-type TimelineResult = protocol.TimelineResult
+// TimelineResult scores a model over a dynamic scenario.
+type TimelineResult struct {
+	// AE is the Eq 5 absolute error over every scored tick, with the
+	// objective shares recomputed per tick over the applications present.
+	AE float64
+	// Coverage is the fraction of busy ticks (some application running)
+	// for which the model produced an estimate — context-change
+	// recalibration (PowerAPI's learning drops) lowers it.
+	Coverage float64
+	// BusyTicks counts ticks with at least one application running;
+	// ScoredTicks those that entered the Eq 5 average.
+	BusyTicks, ScoredTicks int
+}
 
 // EvaluateTimeline scores a model under application arrivals and
-// departures — the paper's Fig 11 production setting, quantified.
+// departures — the paper's Fig 11 production setting, quantified. The
+// baselines are looked up by application type, as MeasureBaselines keys
+// them; the whole timeline is scored, with no stable-window selection.
 func EvaluateTimeline(ctx Context, apps []TimelineApp, f ModelFactory, baselines map[string]Baseline, maxDur time.Duration) (TimelineResult, error) {
-	return protocol.EvaluateTimeline(ctx, apps, f, baselines, maxDur)
+	s := Scenario{Apps: make([]AppSpec, len(apps))}
+	for i, ta := range apps {
+		s.Apps[i] = ta.App
+		s.Apps[i].StartAt, s.Apps[i].StopAt = ta.Start, ta.Stop
+	}
+	res, err := protocol.Evaluate(context.Background(), ctx, protocol.Campaign{
+		Kind: protocol.TimelineCampaign, Scenarios: []Scenario{s}, Factories: protocol.FixedFactories(f),
+		Baselines: baselines, Window: maxDur,
+	})
+	if err != nil {
+		return TimelineResult{}, err
+	}
+	ev := res.Traffic(0)[0]
+	return TimelineResult{AE: ev.AE, Coverage: ev.Coverage, BusyTicks: ev.BusyTicks, ScoredTicks: ev.ScoredTicks}, nil
 }
 
 // Scaphandre returns the CPU-time-share division model.

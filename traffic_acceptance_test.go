@@ -4,6 +4,7 @@
 package powerdiv_test
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -69,11 +70,17 @@ func TestTrafficAcceptanceCampaign(t *testing.T) {
 	}
 
 	run := func() map[string][]protocol.TrafficEvaluation {
-		res, err := protocol.EvaluateTrafficStreaming(ctx, scenarios, factories, cfg.Window)
+		res, err := protocol.Evaluate(context.Background(), ctx, protocol.Campaign{
+			Kind: protocol.TrafficCampaign, Scenarios: scenarios, Factories: factories, Window: cfg.Window,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		byModel := map[string][]protocol.TrafficEvaluation{}
+		for m, f := range res.Factories {
+			byModel[f.Name] = res.Traffic(m)
+		}
+		return byModel
 	}
 	first := run()
 	second := run()
