@@ -2,6 +2,7 @@ package models
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -194,19 +195,6 @@ func (m *PowerAPI) releaseWindow() {
 	}
 }
 
-// boolsEqual reports whether two bool slices are element-wise equal.
-func boolsEqual(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ObserveSegmentInto runs PowerAPI over a segment. The context — the
 // roster and the present set — is constant within a segment, so a context
 // change (which restarts the learning window) can only fire at the
@@ -235,7 +223,7 @@ func (m *PowerAPI) ObserveSegmentInto(seg *SegmentTicks, out []units.Watts, ok [
 		}
 		return
 	}
-	if seg.Roster != m.roster || !boolsEqual(m.prevPresent, m.curPresent) {
+	if seg.Roster != m.roster || !slices.Equal(m.prevPresent, m.curPresent) {
 		m.roster = seg.Roster
 		m.prevPresent = append(m.prevPresent[:0], m.curPresent...)
 		m.reset(seg.Tick.At)

@@ -99,20 +99,19 @@ func (r Result) trafficRow(m, i int) *TrafficEvaluation { return &r.traffic[m*r.
 // deadline. Solo runs are short, so the drain latency is one run.
 func Measure(cctx context.Context, ctx Context, apps []AppSpec) (map[string]division.Baseline, error) {
 	results := make([]division.Baseline, len(apps))
-	err := forEachIndexed(len(apps), func(i int) error {
-		if err := cctx.Err(); err != nil {
+	var err error
+	if len(apps) == 1 {
+		// One application needs no fan-out, and without the closure ctx
+		// stays on the stack.
+		results[0], err = measureApp(cctx, &ctx, apps[0])
+	} else {
+		// The workers' copy: the closure moves it to the heap.
+		shared := ctx
+		err = forEachIndexed(len(apps), func(i int) (err error) {
+			results[i], err = measureApp(cctx, &shared, apps[i])
 			return err
-		}
-		app := apps[i].baselineSpec()
-		cfg := ctx.Machine
-		cfg.Seed = deriveSeed(ctx.Seed, "solo", app.ID)
-		b, err := ctx.Cache.baselineCached(cfg, []machine.Proc{app.proc()}, ctx.RunFor, ctx.StableWindow, app.ID)
-		if err != nil {
-			return err
-		}
-		results[i] = b
-		return nil
-	})
+		})
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -121,6 +120,18 @@ func Measure(cctx context.Context, ctx Context, apps []AppSpec) (map[string]divi
 		out[app.baselineID()] = results[i]
 	}
 	return out, nil
+}
+
+// measureApp is one application's solo run and baseline extraction,
+// through ctx.Cache.
+func measureApp(cctx context.Context, ctx *Context, app AppSpec) (division.Baseline, error) {
+	if err := cctx.Err(); err != nil {
+		return division.Baseline{}, err
+	}
+	app = app.baselineSpec()
+	cfg := ctx.Machine
+	cfg.Seed = deriveSeed(ctx.Seed, "solo", app.ID)
+	return ctx.Cache.baselineCached(cfg, []machine.Proc{app.proc()}, ctx.RunFor, ctx.StableWindow, app.ID)
 }
 
 // Evaluate is protocol phases 2–3 for campaign c: phase 1 first unless c
@@ -185,22 +196,6 @@ func Evaluate(cctx context.Context, ctx Context, c Campaign) (Result, error) {
 		return Result{}, err
 	}
 	return res, nil
-}
-
-// scenario runs phases 2–3 for scenario i, writing its rows into res.
-func (p *campaignPlan) scenario(cctx context.Context, s Scenario, res Result, i int) error {
-	done := observeScenario()
-	var err error
-	if p.kind == PairCampaign {
-		err = p.evaluate(cctx, s, res, i)
-	} else {
-		err = p.evaluateTraffic(cctx, s, res, i)
-	}
-	if err != nil {
-		return err
-	}
-	done()
-	return nil
 }
 
 // MeasureBaselinesParallel is Measure without a cancellation seam.

@@ -5,13 +5,9 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
-	"time"
 
 	"powerdiv/internal/division"
 	"powerdiv/internal/machine"
-	"powerdiv/internal/models"
-	"powerdiv/internal/trace"
 	"powerdiv/internal/units"
 )
 
@@ -139,137 +135,6 @@ func scenarioTruths(s Scenario, baselines map[string]division.Baseline, objectiv
 		truths[i] = truth
 	}
 	return truths, nil
-}
-
-// tickSeries is the compact per-tick view phase 3 scoring needs — tick
-// times and measured machine power, index-aligned with a model's estimate
-// matrix, accumulated as the ticks stream in.
-type tickSeries struct {
-	at    []time.Duration
-	power []units.Watts
-}
-
-// scoreScratch holds the scoring tail's reusable buffers, so one worker
-// scoring many models (and many scenarios) refills them instead of
-// reallocating per call. Reuse changes only where the buffers live, never
-// the accumulation order, so results stay bit-identical to fresh buffers.
-type scoreScratch struct {
-	scored *trace.Series
-	// at/power back the per-scenario tickSeries, so the scoring view
-	// rides the same recycled scratch as the rest of the tail.
-	at    []time.Duration
-	power []units.Watts
-	// meanEst is the roster-width estimate accumulator, reused across the
-	// models of a scenario; truthVecs holds every objective's truth vector
-	// end to end (objective o is truthVecs[o*slots:(o+1)*slots]); errs
-	// holds one running Eq 5 sum per objective.
-	meanEst   []float64
-	truthVecs []float64
-	errs      []division.ErrorSum
-	// windows memoizes the scenario's scoring windows (see windowFor).
-	windows []scoringWindow
-}
-
-// resize returns buf resized to n entries, reallocating only on growth;
-// the contents are unspecified — callers overwrite or clear every entry.
-func resize[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	return buf[:n]
-}
-
-// scoreScratchPool recycles scoring scratch across scenarios: the scratch
-// holds the only scoring-side buffers whose size is O(run ticks), and a
-// campaign's workers score hundreds of scenarios back to back. Pooled
-// buffers are always resliced to zero length before reuse, so recycling
-// cannot change a single accumulation.
-var scoreScratchPool = sync.Pool{New: func() any { return &scoreScratch{scored: trace.New()} }}
-
-func getScoreScratch() *scoreScratch  { return scoreScratchPool.Get().(*scoreScratch) }
-func putScoreScratch(s *scoreScratch) { scoreScratchPool.Put(s) }
-
-// scoreEstimatesWindow is protocol phase 3's scoring tail: Eq 5 over an
-// accumulated estimate matrix and the matching tick series, inside the
-// scoring window [from, to), written into scenario i's rows of model m in
-// res — one per truth, in truth order. The window is a pure function of (ctx, ts, est.OK), so callers
-// scoring several models over one scenario compute it once per distinct
-// OK vector (models with full estimate coverage — most of them — share
-// one) instead of once per model.
-//
-// The tail walks the window once: each scored tick's estimate column is
-// added into the mean-estimate accumulator, its power into the running
-// power total, and the column is scored against every objective's truth
-// vector (scr.truthVecs, roster-projected by the caller, objective after
-// objective) by one division.ErrorSum each. Each accumulation visits the
-// scored ticks in tick order and the slots in roster order — sorted-ID
-// order — so every float matches the map pipeline bit for bit (the
-// map-reference test pins this). label is s.Label(), formatted once by
-// the caller.
-//
-// The rows share one EstShare map, fresh per call: empty when the window
-// holds no positive power, otherwise each roster ID's mean estimated
-// share.
-func scoreEstimatesWindow(s Scenario, label, modelName string, ts tickSeries, est *models.DenseEstimates, scr *scoreScratch, from, to time.Duration, truths []division.Shares, res Result, m, i int) error {
-	if to <= from {
-		return fmt.Errorf("protocol: scenario %q: model %s produced no estimates", label, modelName)
-	}
-	slots := est.Roster.Len()
-	scr.meanEst = resize(scr.meanEst, slots)
-	meanEst := scr.meanEst
-	clear(meanEst)
-	scr.errs = resize(scr.errs, len(truths))
-	errs, truthVecs := scr.errs, scr.truthVecs
-	clear(errs)
-	var meanPower float64
-	scored := 0
-	for t, at := range ts.at {
-		if at < from || at >= to || !est.OK[t] {
-			continue
-		}
-		row, power := est.Row(t), ts.power[t]
-		for slot, w := range row {
-			meanEst[slot] += float64(w)
-		}
-		meanPower += float64(power)
-		for o := range errs {
-			errs[o].Add(row, power, truthVecs[o*slots:(o+1)*slots])
-		}
-		scored++
-	}
-	var estShare division.Shares
-	if meanPower > 0 {
-		estShare = make(division.Shares, slots)
-		for slot, id := range est.Roster.IDs() {
-			estShare[id] = meanEst[slot] / meanPower
-		}
-	} else {
-		estShare = division.Shares{}
-	}
-	for o, truth := range truths {
-		ae, err := errs[o].Mean()
-		if err != nil {
-			return fmt.Errorf("protocol: scenario %q: %w", label, err)
-		}
-		ev := res.pairRow(m, o, i)
-		*ev = Evaluation{
-			Scenario:    s,
-			Model:       modelName,
-			AE:          ae,
-			Truth:       truth,
-			EstShare:    estShare,
-			ScoredTicks: scored,
-		}
-		if len(s.Apps) == 2 {
-			id0, id1 := s.Apps[0].ID, s.Apps[1].ID
-			ev.Point = division.RatioPoint{
-				X:     division.RatioPercent(truth[id0], truth[id1]),
-				Y:     division.RatioPercent(estShare[id0], estShare[id1]),
-				Label: label,
-			}
-		}
-	}
-	return nil
 }
 
 // Summary aggregates the evaluations of one model over a campaign.

@@ -27,7 +27,7 @@ func scoreRunMapReference(ctx Context, s Scenario, run *machine.Run, factory mod
 	for i, est := range ests {
 		ok[i] = est != nil
 	}
-	from, to := stableScoringWindow(ctx, runSeries(run), ok, trace.New())
+	from, to := stableScoringWindow(ctx, runPower(run), run.Config.TickInterval(), ok, trace.New())
 	if to <= from {
 		return nil, fmt.Errorf("protocol: scenario %q: model %s produced no estimates", s.Label(), factory.Name)
 	}
@@ -77,17 +77,13 @@ func scoreRunMapReference(ctx Context, s Scenario, run *machine.Run, factory mod
 	return out, nil
 }
 
-// runSeries projects a materialized run down to the scoring view.
-func runSeries(run *machine.Run) tickSeries {
-	ts := tickSeries{
-		at:    make([]time.Duration, len(run.Ticks)),
-		power: make([]units.Watts, len(run.Ticks)),
-	}
+// runPower projects a materialized run down to the scoring view's power.
+func runPower(run *machine.Run) []units.Watts {
+	power := make([]units.Watts, len(run.Ticks))
 	for i := range run.Ticks {
-		ts.at[i] = run.Ticks[i].At
-		ts.power[i] = run.Ticks[i].Power
+		power[i] = run.Ticks[i].Power
 	}
-	return ts
+	return power
 }
 
 func goldenContext(spec cpumodel.Spec, hyperthreading bool) Context {

@@ -179,16 +179,16 @@ func deriveSeed(seed int64, parts ...string) int64 {
 }
 
 // stableScoringWindow picks the scoring window: the least-extreme
-// StableWindow of the power series restricted to ticks where the model
-// produced estimates (ok[i], index-aligned with ts). A non-positive
+// StableWindow of the power series (tick i at i·interval) restricted to
+// ticks where the model produced estimates (ok[i]). A non-positive
 // StableWindow disables the selection and scores every estimated tick (the
 // ablation baseline). It returns the inclusive start and exclusive end.
 // scored is caller-owned scratch, reset and refilled on every call.
-func stableScoringWindow(ctx Context, ts tickSeries, ok []bool, scored *trace.Series) (time.Duration, time.Duration) {
+func stableScoringWindow(ctx Context, power []units.Watts, interval time.Duration, ok []bool, scored *trace.Series) (time.Duration, time.Duration) {
 	scored.Reset()
-	for i, at := range ts.at {
+	for i, w := range power {
 		if ok[i] {
-			scored.Append(at, float64(ts.power[i]))
+			scored.Append(time.Duration(i)*interval, float64(w))
 		}
 	}
 	if scored.Len() == 0 {

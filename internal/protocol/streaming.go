@@ -3,138 +3,383 @@ package protocol
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"powerdiv/internal/division"
 	"powerdiv/internal/machine"
 	"powerdiv/internal/models"
+	"powerdiv/internal/trace"
+	"powerdiv/internal/units"
 )
 
-// This file is phases 2–3 of a pair campaign: simulate → observe → score
-// in one pass per scenario, with O(ticks-in-flight) simulator state. The
-// models observe each segment as the simulator produces it, so per
-// scenario the only O(ticks) state kept is what scoring needs anyway — the
-// per-model estimate matrices and the power/time scoring view, both
-// pooled. Pair runs are never materialized and never cached, which is
-// where the memory goes: the byte-capped baseline tier (cache.go) keeps
-// only phase 1's four-number baselines, and a scored scenario is written
-// once, straight into the campaign's Result. The protocol scores each
-// scenario once, so nothing of phases 2–3 is memoized.
+// This file is phases 2–3 of every campaign kind: simulate → observe →
+// score in one pass per scenario, with O(ticks-in-flight) simulator state.
+// The models observe each segment as the simulator produces it, and the
+// scenario accumulates exactly the scoring view Eq 5 needs — per-tick
+// power plus one presence column per presence run — so per scenario the
+// only O(ticks) state kept is the per-model estimate matrices and that
+// view, both pooled. Runs are never materialized and never cached: the
+// byte-capped baseline tier (cache.go) keeps only phase 1's baselines, and
+// a scored scenario is written once, straight into the campaign's Result.
+//
+// A pair is a traffic scenario with a fixed truth and a stable window. The
+// kinds share one scoring tail and differ in two things, both following
+// from CampaignKind:
+//   - the truth source: a pair scores every tick against one fixed share
+//     vector per objective, from the baselines; traffic and timelines
+//     score each presence run against Eq 3 over the instances present;
+//   - the window: a pair scores the least-extreme stable window of the
+//     ticks the model estimated (one per distinct OK vector); traffic and
+//     timelines score every busy tick — churn is what is under test.
 //
 // The golden corpus (internal/experiments/testdata) pins the tables bit
-// for bit, and the map-reference test pins the columnar scoring against
-// the original per-tick map pipeline.
+// for bit, and the map-reference test pins pair scoring against the
+// original per-tick map pipeline.
 
-// evaluate runs phases 2–3 for pair scenario i in a single simulator pass,
-// scoring every factory against every objective into res: the scenario is
-// simulated exactly once and all models observe the stream as it runs.
+// scenario runs phases 2–3 for scenario i, writing its rows into res. The
+// truth source is resolved before the simulator starts, so a missing
+// baseline fails without simulating.
 //
-// cctx is polled once per simulated tick inside the stream yield (segments
-// poll once per covered tick, keeping the poll count of the per-tick
-// engine), so a cancelled context aborts the simulator mid-run instead of
-// after the scenario — the error unwraps to cctx's cause via errors.Is.
-// Cancellation only ever aborts; it cannot perturb the float accumulation
-// order of a run that completes.
-func (p *campaignPlan) evaluate(cctx context.Context, s Scenario, res Result, i int) error {
-	truths, err := scenarioTruths(s, p.baselines, p.objectives, p.r0)
+// cctx is polled once per simulated tick (segments poll once per covered
+// tick, keeping the poll count of the per-tick engine), so a cancelled
+// context aborts the simulator mid-run instead of after the scenario — the
+// error unwraps to cctx's cause via errors.Is. Cancellation only ever
+// aborts; it cannot perturb the float accumulation order of a run that
+// completes.
+func (p *campaignPlan) scenario(cctx context.Context, s Scenario, res Result, i int) error {
+	done := observeScenario()
+	run := p.run(s)
+	src, err := p.truthSource(s, &run)
 	if err != nil {
 		return err
 	}
-	scr := getScoreScratch()
-	defer putScoreScratch(scr)
-	run := p.run(s)
-	replay, ts, err := p.streamPair(cctx, &run, scr)
+	v, replay, err := p.stream(cctx, &run)
 	if err != nil {
 		return err
 	}
 	defer replay.Release()
-	return p.scorePair(s, &run, ts, replay, truths, scr, res, i)
+	defer v.release()
+	if err := p.score(s, &run, v, src, replay, res, i); err != nil {
+		return err
+	}
+	done()
+	return nil
 }
 
-// streamPair simulates the scenario segment by segment
-// (machine.StreamSegments) while every factory's model observes each
-// segment through StreamReplay.ObserveSegment, and collects the scoring
-// view into scr. The caller releases the replay.
-func (p *campaignPlan) streamPair(cctx context.Context, run *scenarioRun, scr *scoreScratch) (*models.StreamReplay, tickSeries, error) {
-	ctx := p.ctx
-	replay := models.NewStreamReplay(run.roster, p.newModels(run.label), run.cfg.ReservedTicks(ctx.RunFor))
-	ts := tickSeries{at: scr.at[:0], power: scr.power[:0]}
+// truthSource is what a scenario's models are scored against, resolved
+// from the phase 1 baselines: a pair campaign's fixed shares, one map per
+// objective, or a traffic or timeline campaign's per-slot baselines, from
+// which Eq 3 is computed once per presence run.
+type truthSource struct {
+	fixed []division.Shares
+	slots []division.Baseline
+}
+
+// truthSource resolves s's truth source under the plan's kind.
+func (p *campaignPlan) truthSource(s Scenario, run *scenarioRun) (truthSource, error) {
+	var src truthSource
+	var err error
+	if p.kind == PairCampaign {
+		src.fixed, err = scenarioTruths(s, p.baselines, p.objectives, p.r0)
+	} else {
+		src.slots, err = trafficSlotBaselines(s, run.roster.IDs(), p.baselines)
+	}
+	return src, err
+}
+
+// stream simulates the run once while every model observes it segment by
+// segment, accumulating the scoring view alongside. The caller releases
+// the view and the replay.
+func (p *campaignPlan) stream(cctx context.Context, run *scenarioRun) (*scoringView, *models.StreamReplay, error) {
+	reserve := run.cfg.ReservedTicks(p.ctx.RunFor)
+	replay := models.NewStreamReplay(run.roster, p.newModels(run.label), reserve)
+	v := newScoringView(run.roster.Len(), reserve, run.cfg.TickInterval())
 	load := models.SegmentLoader(run.cfg, run.roster)
-	_, err := machine.StreamSegments(run.cfg, run.procs, ctx.RunFor, func(seg *machine.Segment) error {
-		replay.ObserveSegment(load(seg))
-		for i := range seg.Powers {
+	_, err := machine.StreamSegments(run.cfg, run.procs, p.ctx.RunFor, func(seg *machine.Segment) error {
+		for range seg.Powers {
 			if err := cctx.Err(); err != nil {
 				return err
 			}
-			ts.at = append(ts.at, seg.At(i))
-			ts.power = append(ts.power, seg.Powers[i])
 		}
+		replay.ObserveSegment(load(seg))
+		v.observeSegment(seg)
 		return nil
 	})
-	scr.at, scr.power = ts.at, ts.power
 	if err != nil {
 		replay.Release()
-		return nil, tickSeries{}, fmt.Errorf("protocol: scenario %q: %w", run.label, err)
+		v.release()
+		return nil, nil, fmt.Errorf("protocol: scenario %q: %w", run.label, err)
 	}
-	return replay, ts, nil
+	return v, replay, nil
 }
 
-// scorePair scores every factory's estimates against every truth into
-// scenario i's rows of res.
-func (p *campaignPlan) scorePair(s Scenario, run *scenarioRun, ts tickSeries, replay *models.StreamReplay, truths []division.Shares, scr *scoreScratch, res Result, i int) error {
-	rosterIDs := run.roster.IDs()
-	slots := len(rosterIDs)
-	scr.truthVecs = resize(scr.truthVecs, len(truths)*slots)
-	for o, truth := range truths {
-		truth.VectorInto(scr.truthVecs[o*slots:(o+1)*slots], rosterIDs)
+// score is the scoring tail of every kind: the truth once per presence
+// run, then each model's Eq 5 over its window into scenario i's rows of
+// res — per objective for pairs. Its allocations do not depend on the run
+// length.
+func (p *campaignPlan) score(s Scenario, run *scenarioRun, v *scoringView, src truthSource, replay *models.StreamReplay, res Result, i int) error {
+	ids := run.roster.IDs()
+	busy := v.fillTruths(src, ids)
+	pair := p.kind == PairCampaign
+	if !pair && busy == 0 {
+		return fmt.Errorf("protocol: traffic scenario %q never ran any instance", s.Label())
 	}
-	// The scoring window depends on the model only through its OK vector,
-	// and most models estimate every tick — so windows are computed once
-	// per distinct OK vector, not once per model. The memo aliases this
-	// replay's OK vectors, so it is emptied before the scratch is reused.
+	// The window memo aliases this replay's OK vectors, so it is emptied
+	// before the view is reused.
 	defer func() {
-		clear(scr.windows)
-		scr.windows = scr.windows[:0]
+		clear(v.windows)
+		v.windows = v.windows[:0]
 	}()
 	for m, f := range p.fs {
 		est := replay.Estimates(m)
-		from, to := windowFor(p.ctx, ts, est.OK, scr)
-		if err := scoreEstimatesWindow(s, run.label, f.Name, ts, est, scr, from, to, truths, res, m, i); err != nil {
-			return err
+		if !pair {
+			scored, _ := v.sum(est, 0, len(v.power), false)
+			ev := res.trafficRow(m, i)
+			*ev = TrafficEvaluation{Scenario: s, Model: f.Name, Coverage: float64(scored) / float64(busy), BusyTicks: busy, ScoredTicks: scored}
+			if scored > 0 {
+				ae, err := v.errs[0].Mean()
+				if err != nil {
+					return fmt.Errorf("protocol: traffic scenario %q: %w", s.Label(), err)
+				}
+				ev.AE = ae
+			}
+			continue
+		}
+		lo, hi := v.window(p.ctx, est.OK)
+		if hi <= lo {
+			return fmt.Errorf("protocol: scenario %q: model %s produced no estimates", run.label, f.Name)
+		}
+		scored, meanPower := v.sum(est, lo, hi, true)
+		var estShare division.Shares
+		if meanPower > 0 {
+			estShare = make(division.Shares, len(ids))
+			for slot, id := range ids {
+				estShare[id] = v.meanEst[slot] / meanPower
+			}
+		} else {
+			estShare = division.Shares{}
+		}
+		for o, truth := range src.fixed {
+			ae, err := v.errs[o].Mean()
+			if err != nil {
+				return fmt.Errorf("protocol: scenario %q: %w", run.label, err)
+			}
+			ev := res.pairRow(m, o, i)
+			*ev = Evaluation{Scenario: s, Model: f.Name, AE: ae, Truth: truth, EstShare: estShare, ScoredTicks: scored}
+			if len(s.Apps) == 2 {
+				id0, id1 := s.Apps[0].ID, s.Apps[1].ID
+				ev.Point = division.RatioPoint{
+					X:     division.RatioPercent(truth[id0], truth[id1]),
+					Y:     division.RatioPercent(estShare[id0], estShare[id1]),
+					Label: run.label,
+				}
+			}
 		}
 	}
 	return nil
 }
 
-// scoringWindow memoizes one distinct OK vector's stable scoring window
-// within a scenario. The ok slice is aliased, not copied: estimate matrices
-// are immutable once scoring starts.
+// scoringView is the state a scenario accumulates for scoring: the
+// per-tick machine power plus one presence column per presence run — a
+// maximal stretch of consecutive segments with the same instances present.
+// Presence only changes at segment boundaries, so the view holds a handful
+// of columns however long the run, and the truth is laid out once per run
+// rather than once per tick. Tick i's time is i·interval. The view also
+// carries the scoring tail's scratch, so one pooled object holds every
+// O(run) buffer a scenario's scoring needs.
+type scoringView struct {
+	power []units.Watts
+	// runStart[r] is run r's first tick; run r ends where run r+1 starts
+	// (the last run at len(power)).
+	runStart []int
+	// presence holds run r's column at [r*n, (r+1)*n).
+	presence []bool
+	n        int
+	interval time.Duration
+
+	// truths[r*objs+o] is run r's truth vector for objective o (nil: run r
+	// is outside the objective); the vectors live in slab.
+	truths [][]float64
+	slab   []float64
+	objs   int
+	// errs holds one running Eq 5 sum per objective; meanEst sums the
+	// scored estimate columns of a pair model, slot by slot.
+	errs    []division.ErrorSum
+	meanEst []float64
+	// scored is the stable-window search's series; windows memoizes each
+	// distinct OK vector's pair window (see window).
+	scored  *trace.Series
+	windows []scoringWindow
+}
+
+// scoringViews pools views across scenarios: a view's slices keep their
+// capacity, so a worker's next scenario of similar length appends into
+// them without allocating. Reuse changes only where the buffers live,
+// never an accumulation order, so results stay bit-identical.
+var scoringViews = sync.Pool{New: func() any { return &scoringView{scored: trace.New()} }}
+
+// newScoringView returns an empty pooled view for n roster slots ticking
+// every interval, with room for capTicks ticks of power. The caller hands
+// it back with release.
+func newScoringView(n, capTicks int, interval time.Duration) *scoringView {
+	v := scoringViews.Get().(*scoringView)
+	v.power = slices.Grow(v.power[:0], capTicks)
+	v.runStart = v.runStart[:0]
+	v.presence = v.presence[:0]
+	v.n, v.interval = n, interval
+	return v
+}
+
+// release hands the view back to the pool; nothing may use it after.
+func (v *scoringView) release() { scoringViews.Put(v) }
+
+// observeSegment appends a constant segment's scoring state: its per-tick
+// power, and its presence column when that differs from the current run's.
+func (v *scoringView) observeSegment(seg *machine.Segment) {
+	procs := seg.Rec.Procs
+	same := len(v.runStart) > 0
+	if same {
+		last := v.column(len(v.runStart) - 1)
+		for slot := range last {
+			if last[slot] != procs[slot].Present() {
+				same = false
+				break
+			}
+		}
+	}
+	if !same {
+		v.runStart = append(v.runStart, len(v.power))
+		for slot := 0; slot < v.n; slot++ {
+			v.presence = append(v.presence, procs[slot].Present())
+		}
+	}
+	v.power = append(v.power, seg.Powers...)
+}
+
+// column returns run r's presence column.
+func (v *scoringView) column(r int) []bool { return v.presence[r*v.n : (r+1)*v.n] }
+
+// runEnd returns the tick one past run r's last.
+func (v *scoringView) runEnd(r int) int {
+	if r+1 < len(v.runStart) {
+		return v.runStart[r+1]
+	}
+	return len(v.power)
+}
+
+// fillTruths lays out every run's truth vectors in roster-slot order (ids)
+// and returns the busy tick count — ticks with at least one instance
+// present. A fixed source projects each objective's shares once and every
+// run shares them; otherwise each busy run gets Eq 3 over its present
+// instances (AbsentShare marks the others), and idle or degenerate runs
+// get nil. The truth is model-independent, so every model scores against
+// the same vectors.
+func (v *scoringView) fillTruths(src truthSource, ids []string) (busy int) {
+	runs, n := len(v.runStart), v.n
+	if src.fixed != nil {
+		v.objs = len(src.fixed)
+		v.slab = resize(v.slab, v.objs*n)
+		for o, truth := range src.fixed {
+			truth.VectorInto(v.slab[o*n:(o+1)*n], ids)
+		}
+	} else {
+		v.objs = 1
+		v.slab = resize(v.slab, runs*n)
+	}
+	v.truths = resize(v.truths, runs*v.objs)
+	for r := 0; r < runs; r++ {
+		col, row := v.column(r), v.truths[r*v.objs:(r+1)*v.objs]
+		present := slices.Contains(col, true)
+		if present {
+			busy += v.runEnd(r) - v.runStart[r]
+		}
+		switch {
+		case src.fixed != nil:
+			for o := range row {
+				row[o] = v.slab[o*n : (o+1)*n]
+			}
+		case present:
+			row[0] = division.TruthVectorInto(v.slab[r*n:(r+1)*n], src.slots, col)
+		default:
+			row[0] = nil
+		}
+	}
+	return busy
+}
+
+// sum is Eq 5's one pass over est: every tick of [lo, hi) the model
+// estimated, in a run with a truth, is added to v.errs — one ErrorSum per
+// objective. With mean set it also sums the scored columns into v.meanEst
+// and their power, for a pair row's mean estimated shares. Each sum visits
+// the scored ticks in tick order and the slots in roster order — sorted-ID
+// order — so every float matches the map pipeline bit for bit (the
+// map-reference test pins this). It returns the scored tick count and the
+// power sum.
+func (v *scoringView) sum(est *models.DenseEstimates, lo, hi int, mean bool) (scored int, power float64) {
+	v.errs = resize(v.errs, v.objs)
+	clear(v.errs)
+	if mean {
+		v.meanEst = resize(v.meanEst, v.n)
+		clear(v.meanEst)
+	}
+	for r := range v.runStart {
+		truths := v.truths[r*v.objs : (r+1)*v.objs]
+		if truths[0] == nil {
+			continue
+		}
+		for t, end := max(v.runStart[r], lo), min(v.runEnd(r), hi); t < end; t++ {
+			if !est.OK[t] {
+				continue
+			}
+			row, p := est.Row(t), v.power[t]
+			if mean {
+				for slot, w := range row {
+					v.meanEst[slot] += float64(w)
+				}
+				power += float64(p)
+			}
+			for o, truth := range truths {
+				v.errs[o].Add(row, p, truth)
+			}
+			scored++
+		}
+	}
+	return scored, power
+}
+
+// scoringWindow memoizes one distinct OK vector's pair window, in ticks.
+// The ok slice is aliased, not copied: estimate matrices are immutable
+// once scoring starts.
 type scoringWindow struct {
-	ok       []bool
-	from, to time.Duration
+	ok     []bool
+	lo, hi int
 }
 
-// windowFor resolves the scoring window for ok, reusing a window already
-// computed for an identical OK vector in scr.windows.
-func windowFor(ctx Context, ts tickSeries, ok []bool, scr *scoreScratch) (time.Duration, time.Duration) {
-	for _, w := range scr.windows {
-		if boolsEqual(w.ok, ok) {
-			return w.from, w.to
+// window returns a pair model's scoring window as ticks [lo, hi): the
+// stable window of the ticks it estimated (ok). The window depends on the
+// model only through ok, and most models estimate every tick, so it is
+// computed once per distinct OK vector, not once per model.
+func (v *scoringView) window(ctx Context, ok []bool) (lo, hi int) {
+	for _, w := range v.windows {
+		if slices.Equal(w.ok, ok) {
+			return w.lo, w.hi
 		}
 	}
-	from, to := stableScoringWindow(ctx, ts, ok, scr.scored)
-	scr.windows = append(scr.windows, scoringWindow{ok: ok, from: from, to: to})
-	return from, to
+	from, to := stableScoringWindow(ctx, v.power, v.interval, ok, v.scored)
+	// Tick times are exact multiples of the interval: the first tick at or
+	// after a bound is its ceiling.
+	lo, hi = int((from+v.interval-1)/v.interval), int((to+v.interval-1)/v.interval)
+	v.windows = append(v.windows, scoringWindow{ok: ok, lo: lo, hi: hi})
+	return lo, hi
 }
 
-func boolsEqual(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
+// resize returns buf resized to n entries, reallocating only on growth;
+// the contents are unspecified — callers overwrite or clear every entry.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return buf[:n]
 }

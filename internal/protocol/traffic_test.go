@@ -4,14 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"powerdiv/internal/cpumodel"
 	"powerdiv/internal/division"
-	"powerdiv/internal/machine"
 	"powerdiv/internal/models"
 )
 
@@ -198,85 +196,4 @@ func TestTrafficRejectsBadInput(t *testing.T) {
 	if _, err := trafficTable(context.Background(), ctx, scenarios, factories, -time.Second); err == nil {
 		t.Error("Evaluate accepted a negative traffic window")
 	}
-}
-
-// TestTrafficScoringTailAllocsIndependentOfWindow pins the per-run
-// objective and the running Eq 5 sum: the scoring tail of one roster
-// allocates the same number of times over a 10 s and a 60 s window, so
-// nothing in it allocates per tick. It also pins the pooled scoring view:
-// refilling a released view with the scenario's segments reproduces the
-// view and, outside the race detector (whose pools drop items at random),
-// allocates nothing at either window.
-func TestTrafficScoringTailAllocsIndependentOfWindow(t *testing.T) {
-	ctx, scenarios, factories := trafficGoldenSetup(t)
-	s := scenarios[0]
-	baselines, err := Measure(context.Background(), ctx, BaselineAppsOf([]Scenario{s}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := factories(baselines)
-	res := Result{n: 1, traffic: make([]TrafficEvaluation, len(fs))}
-	var allocs, ticks []float64
-	for _, window := range []time.Duration{10 * time.Second, 60 * time.Second} {
-		ctx.RunFor = window
-		p := newCampaignPlan(ctx, fs, TrafficCampaign)
-		run := p.run(s)
-		view, replay, err := p.streamTraffic(context.Background(), &run)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slotBase, err := trafficSlotBaselines(s, run.roster.IDs(), baselines)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.scoreTraffic(s, view, slotBase, replay, res, 0); err != nil {
-			t.Fatal(err)
-		}
-		allocs = append(allocs, testing.AllocsPerRun(20, func() {
-			p.scoreTraffic(s, view, slotBase, replay, res, 0)
-		}))
-		ticks = append(ticks, float64(len(view.power)))
-		replay.Release()
-
-		segs := viewSegments(view)
-		refill := func() *trafficView {
-			v := newTrafficView(view.n, len(view.power))
-			for i := range segs {
-				v.observeSegment(&segs[i])
-			}
-			return v
-		}
-		v := refill()
-		if !slices.Equal(v.power, view.power) || !slices.Equal(v.runStart, view.runStart) || !slices.Equal(v.presence, view.presence) {
-			t.Fatalf("window %v: refilled view differs from the streamed one", window)
-		}
-		v.release()
-		view.release()
-		if n := testing.AllocsPerRun(20, func() { refill().release() }); n != 0 && !raceEnabled {
-			t.Errorf("window %v: refilling a pooled view allocates %v times, want 0", window, n)
-		}
-	}
-	if ticks[1] < 5*ticks[0] {
-		t.Fatalf("windows scored %v ticks, want the 60 s window ≥5× the 10 s one", ticks)
-	}
-	if allocs[0] != allocs[1] {
-		t.Errorf("scoring tail allocs: %v at 10 s, %v at 60 s; want equal", allocs[0], allocs[1])
-	}
-}
-
-// viewSegments rebuilds a scoring view's input: one segment per presence
-// run, carrying the run's per-tick power and a roster column whose slots
-// are present exactly where the run's column is.
-func viewSegments(v *trafficView) []machine.Segment {
-	segs := make([]machine.Segment, len(v.runStart))
-	for r := range segs {
-		procs := make([]machine.ProcTick, v.n)
-		for slot, present := range v.column(r) {
-			if present {
-				procs[slot].Threads = 1
-			}
-		}
-		segs[r] = machine.Segment{Rec: &machine.TickRecord{Procs: procs}, Powers: v.power[v.runStart[r]:v.runEnd(r)]}
-	}
-	return segs
 }
