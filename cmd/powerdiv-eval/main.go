@@ -264,11 +264,12 @@ type jsonTrafficReport struct {
 }
 
 type jsonTrafficModel struct {
-	Model         string  `json:"model"`
-	MeanAE        float64 `json:"mean_ae"`
-	MaxAE         float64 `json:"max_ae"`
-	MeanCoverage  float64 `json:"mean_coverage"`
-	WorstScenario string  `json:"worst_scenario"`
+	Model           string  `json:"model"`
+	MeanAE          float64 `json:"mean_ae"`
+	MaxAE           float64 `json:"max_ae"`
+	MeanCoverage    float64 `json:"mean_coverage"`
+	WorstScenario   string  `json:"worst_scenario"`
+	ScoredScenarios int     `json:"scored_scenarios"`
 }
 
 func emitTrafficJSON(w io.Writer, context string, res experiments.TrafficResult) error {
@@ -291,6 +292,7 @@ func emitTrafficJSON(w io.Writer, context string, res experiments.TrafficResult)
 		rep.Models = append(rep.Models, jsonTrafficModel{
 			Model: n, MeanAE: s.MeanAE, MaxAE: s.MaxAE,
 			MeanCoverage: s.MeanCoverage, WorstScenario: s.WorstScenario,
+			ScoredScenarios: s.Scored,
 		})
 	}
 	enc := json.NewEncoder(w)
@@ -331,6 +333,8 @@ type jsonFleetModel struct {
 	MaxAE        float64 `json:"max_ae"`
 	MeanCoverage float64 `json:"mean_coverage"`
 	WorstNode    string  `json:"worst_node"`
+	// ScoredScenarios counts the scenarios the AE fields are over.
+	ScoredScenarios int `json:"scored_scenarios"`
 }
 
 func emitFleetJSON(w io.Writer, res fleet.Result) error {
@@ -347,6 +351,7 @@ func emitFleetJSON(w io.Writer, res fleet.Result) error {
 			Model: m.Model, MeanAE: m.MeanAE,
 			P50: m.P50, P90: m.P90, P99: m.P99, MaxAE: m.MaxAE,
 			MeanCoverage: m.MeanCoverage, WorstNode: m.WorstNode,
+			ScoredScenarios: m.Scenarios,
 		})
 	}
 	enc := json.NewEncoder(w)

@@ -18,9 +18,10 @@ func FleetTable(r fleet.Result) *report.Table {
 		"model", "mean AE", "p50", "p90", "p99", "max AE", "coverage", "worst node",
 	)
 	for _, m := range r.Models {
+		n := m.Scenarios
 		t.AddRow(m.Model,
-			report.Percent(m.MeanAE), report.Percent(m.P50), report.Percent(m.P90),
-			report.Percent(m.P99), report.Percent(m.MaxAE),
+			scoredPercent(m.MeanAE, n), scoredPercent(m.P50, n), scoredPercent(m.P90, n),
+			scoredPercent(m.P99, n), scoredPercent(m.MaxAE, n),
 			report.Percent(m.MeanCoverage), m.WorstNode)
 	}
 	return t

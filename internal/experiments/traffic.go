@@ -160,10 +160,20 @@ func (r TrafficResult) Table() *report.Table {
 	sort.Strings(names)
 	for _, name := range names {
 		s := r.Summaries[name]
-		t.AddRow(name, report.Percent(s.MeanAE), report.Percent(s.MaxAE),
+		t.AddRow(name, scoredPercent(s.MeanAE, s.Scored), scoredPercent(s.MaxAE, s.Scored),
 			report.Percent(s.MeanCoverage), truncateLabel(s.WorstScenario, 48))
 	}
 	return t
+}
+
+// scoredPercent renders an error aggregated over scored scenarios, or
+// "n/a" when there are none: an unscored model has no error, not a zero
+// one.
+func scoredPercent(ae float64, scored int) string {
+	if scored == 0 {
+		return "n/a"
+	}
+	return report.Percent(ae)
 }
 
 // truncateLabel shortens long roster labels for table cells.

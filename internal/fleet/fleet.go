@@ -342,17 +342,21 @@ func EvaluateNode(cctx context.Context, cfg Config, n Node, cache *protocol.Cach
 // ModelStats is one model's fleet-wide error distribution.
 type ModelStats struct {
 	Model string
-	// MeanAE / MaxAE aggregate the per-scenario Eq 5 absolute errors
-	// across every node.
+	// MeanAE / MaxAE aggregate the per-scenario Eq 5 absolute errors of
+	// the scored scenarios across every node. A scenario in which the
+	// model scored no tick has no error, not a zero one; its coverage is 0,
+	// which is how a digest marks it.
 	MeanAE float64
 	MaxAE  float64
 	// P50 / P90 / P99 are nearest-rank quantiles of the same distribution.
 	P50 float64
 	P90 float64
 	P99 float64
-	// MeanCoverage averages per-scenario estimate coverage fleet-wide.
+	// MeanCoverage averages per-scenario estimate coverage fleet-wide,
+	// over every scenario.
 	MeanCoverage float64
-	// WorstNode is the node with the highest per-node mean AE.
+	// WorstNode is the node with the highest per-node mean AE over its
+	// scored scenarios.
 	WorstNode       string
 	WorstNodeMeanAE float64
 	// Scenarios is the number of scored scenarios in the distribution.
@@ -455,27 +459,37 @@ func Reduce(cfg Config, outcomes []NodeDigest) Result {
 		st := ModelStats{Model: name, WorstNodeMeanAE: math.Inf(-1)}
 		var all []float64
 		var covSum float64
+		rows := 0
 		for i := range outcomes {
 			o := &outcomes[i]
-			aes := o.AEs[name]
-			if len(aes) == 0 {
-				continue
+			covs := o.Coverages[name]
+			for _, c := range covs {
+				covSum += c
 			}
+			rows += len(covs)
 			var nodeSum float64
-			for _, ae := range aes {
+			nodeScored := 0
+			for k, ae := range o.AEs[name] {
+				if k >= len(covs) || covs[k] == 0 {
+					continue
+				}
 				nodeSum += ae
+				nodeScored++
 				if ae > st.MaxAE {
 					st.MaxAE = ae
 				}
+				all = append(all, ae)
 			}
-			for _, c := range o.Coverages[name] {
-				covSum += c
+			if nodeScored == 0 {
+				continue
 			}
-			all = append(all, aes...)
-			if nodeMean := nodeSum / float64(len(aes)); nodeMean > st.WorstNodeMeanAE {
+			if nodeMean := nodeSum / float64(nodeScored); nodeMean > st.WorstNodeMeanAE {
 				st.WorstNodeMeanAE = nodeMean
 				st.WorstNode = o.Node.ID
 			}
+		}
+		if rows > 0 {
+			st.MeanCoverage = covSum / float64(rows)
 		}
 		st.Scenarios = len(all)
 		if len(all) == 0 {
@@ -488,7 +502,6 @@ func Reduce(cfg Config, outcomes []NodeDigest) Result {
 			sum += ae
 		}
 		st.MeanAE = sum / float64(len(all))
-		st.MeanCoverage = covSum / float64(len(all))
 		sorted := append([]float64(nil), all...)
 		sort.Float64s(sorted)
 		st.P50 = quantile(sorted, 0.50)

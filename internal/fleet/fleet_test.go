@@ -205,3 +205,35 @@ func TestNoBaseloadPassthrough(t *testing.T) {
 		t.Fatalf("baseload %d, want 0", tc.Baseload)
 	}
 }
+
+// TestReduceSkipsUnscoredScenarios pins that a scenario in which a model
+// scored no tick (coverage 0) has no error, not a zero one: the AE
+// distribution, its quantiles and the worst node are over scored
+// scenarios only, Scenarios counts them, and coverage is over every
+// scenario.
+func TestReduceSkipsUnscoredScenarios(t *testing.T) {
+	t.Parallel()
+	digests := []NodeDigest{
+		{Node: Node{ID: "node-00000"}, Scenarios: 2,
+			AEs: map[string][]float64{"m": {0, 0.06}}, Coverages: map[string][]float64{"m": {0, 0.5}}},
+		{Node: Node{ID: "node-00001"}, Scenarios: 1,
+			AEs: map[string][]float64{"m": {0}}, Coverages: map[string][]float64{"m": {0}}},
+	}
+	res := Reduce(testFleet(2, 1), digests)
+	if len(res.Models) != 1 {
+		t.Fatalf("got %d models, want 1", len(res.Models))
+	}
+	st := res.Models[0]
+	if st.Scenarios != 1 {
+		t.Errorf("Scenarios = %d, want 1 scored", st.Scenarios)
+	}
+	if st.MeanAE != 0.06 || st.MaxAE != 0.06 || st.P50 != 0.06 || st.P99 != 0.06 {
+		t.Errorf("AE distribution mean %v max %v p50 %v p99 %v, want 0.06 throughout", st.MeanAE, st.MaxAE, st.P50, st.P99)
+	}
+	if st.WorstNode != "node-00000" || st.WorstNodeMeanAE != 0.06 {
+		t.Errorf("worst node %s at %v, want node-00000 at 0.06", st.WorstNode, st.WorstNodeMeanAE)
+	}
+	if want := 0.5 / 3; math.Abs(st.MeanCoverage-want) > 1e-15 {
+		t.Errorf("MeanCoverage = %v, want %v over every scenario", st.MeanCoverage, want)
+	}
+}

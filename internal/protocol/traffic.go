@@ -35,29 +35,40 @@ type TrafficEvaluation struct {
 
 // TrafficSummary aggregates one model over a traffic campaign.
 type TrafficSummary struct {
-	Model  string
+	Model string
+	// MeanAE and MaxAE are over the Scored scenarios only: a scenario in
+	// which the model estimated no busy tick has no error, not a zero one.
 	MeanAE float64
 	MaxAE  float64
 	// WorstScenario is the scenario achieving MaxAE.
 	WorstScenario string
-	// MeanCoverage is the mean per-scenario estimate coverage.
+	// MeanCoverage is the mean per-scenario estimate coverage, over every
+	// scenario.
 	MeanCoverage float64
-	Evaluations  []TrafficEvaluation
+	// Scored counts the scenarios with at least one scored tick.
+	Scored      int
+	Evaluations []TrafficEvaluation
 }
 
 // SummarizeTraffic aggregates per-scenario traffic evaluations.
 func SummarizeTraffic(model string, evs []TrafficEvaluation) TrafficSummary {
 	s := TrafficSummary{Model: model, Evaluations: evs}
 	for _, ev := range evs {
-		s.MeanAE += ev.AE
 		s.MeanCoverage += ev.Coverage
+		if ev.ScoredTicks == 0 {
+			continue
+		}
+		s.Scored++
+		s.MeanAE += ev.AE
 		if ev.AE > s.MaxAE {
 			s.MaxAE = ev.AE
 			s.WorstScenario = ev.Scenario.Label()
 		}
 	}
+	if s.Scored > 0 {
+		s.MeanAE /= float64(s.Scored)
+	}
 	if len(evs) > 0 {
-		s.MeanAE /= float64(len(evs))
 		s.MeanCoverage /= float64(len(evs))
 	}
 	return s

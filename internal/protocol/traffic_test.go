@@ -197,3 +197,26 @@ func TestTrafficRejectsBadInput(t *testing.T) {
 		t.Error("Evaluate accepted a negative traffic window")
 	}
 }
+
+// TestSummarizeTrafficSkipsUnscoredRows pins that a scenario in which the
+// model scored no tick has no error, not a zero one: the AE aggregates and
+// the worst scenario are over the scored rows only, coverage is over every
+// row, and Scored counts the scored rows.
+func TestSummarizeTrafficSkipsUnscoredRows(t *testing.T) {
+	t.Parallel()
+	scored := TrafficEvaluation{Scenario: Scenario{Apps: []AppSpec{{ID: "a"}, {ID: "b"}}}, AE: 0.08, Coverage: 0.5, BusyTicks: 10, ScoredTicks: 5}
+	unscored := TrafficEvaluation{Scenario: Scenario{Apps: []AppSpec{{ID: "c"}}}, BusyTicks: 10}
+	s := SummarizeTraffic("m", []TrafficEvaluation{unscored, scored, unscored})
+	if s.MeanAE != 0.08 || s.MaxAE != 0.08 || s.WorstScenario != "a || b" {
+		t.Errorf("AE aggregates %v / %v (worst %q), want 0.08 / 0.08 over the scored row %q", s.MeanAE, s.MaxAE, s.WorstScenario, "a || b")
+	}
+	if s.Scored != 1 {
+		t.Errorf("Scored = %d, want 1", s.Scored)
+	}
+	if want := 0.5 / 3; math.Abs(s.MeanCoverage-want) > 1e-15 {
+		t.Errorf("MeanCoverage = %v, want %v over every row", s.MeanCoverage, want)
+	}
+	if none := SummarizeTraffic("m", []TrafficEvaluation{unscored}); none.Scored != 0 || none.MeanAE != 0 || none.WorstScenario != "" {
+		t.Errorf("all-unscored summary %+v, want no scored rows and no AE", none)
+	}
+}

@@ -27,8 +27,8 @@ func TestServeRowsPinned(t *testing.T) {
 		spec SubmitRequest
 		want string
 	}{
-		{"traffic", testSpec(3), "0ab0a7d084ffa33b"},
-		{"fleet", fleetSpec, "f88a842644f0b5a0"},
+		{"traffic", testSpec(3), "121e4617f4169408"},
+		{"fleet", fleetSpec, "995fa46c2c88685e"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, hs := newTestServer(t, Options{SnapshotDir: t.TempDir()})

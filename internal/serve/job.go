@@ -49,13 +49,16 @@ type ResultRow struct {
 }
 
 // ModelSummary aggregates one model over a finished scenario job, rows
-// folded in index order.
+// folded in index order. MeanAE and MaxAE are over the ScoredScenarios
+// only — a row with no scored tick has no error, not a zero one — and
+// MeanCoverage is over all Scenarios.
 type ModelSummary struct {
-	Model        string  `json:"model"`
-	MeanAE       float64 `json:"mean_ae"`
-	MaxAE        float64 `json:"max_ae"`
-	MeanCoverage float64 `json:"mean_coverage,omitempty"`
-	Scenarios    int     `json:"scenarios"`
+	Model           string  `json:"model"`
+	MeanAE          float64 `json:"mean_ae"`
+	MaxAE           float64 `json:"max_ae"`
+	MeanCoverage    float64 `json:"mean_coverage,omitempty"`
+	Scenarios       int     `json:"scenarios"`
+	ScoredScenarios int     `json:"scored_scenarios"`
 }
 
 // Summary is a finished job's aggregate: Models for scenario kinds, Fleet
@@ -301,19 +304,25 @@ func summarize(rn *runnable, rows []*ResultRow) *Summary {
 			if !ok {
 				continue
 			}
+			agg.MeanCoverage += ms.Coverage
+			agg.Scenarios++
+			if ms.ScoredTicks == 0 {
+				continue
+			}
+			agg.ScoredScenarios++
 			agg.MeanAE += ms.AE
 			if ms.AE > agg.MaxAE {
 				agg.MaxAE = ms.AE
 			}
-			agg.MeanCoverage += ms.Coverage
-			agg.Scenarios++
 		}
 	}
 	out := &Summary{Models: make([]ModelSummary, 0, len(order))}
 	for _, name := range order {
 		agg := byModel[name]
+		if agg.ScoredScenarios > 0 {
+			agg.MeanAE /= float64(agg.ScoredScenarios)
+		}
 		if agg.Scenarios > 0 {
-			agg.MeanAE /= float64(agg.Scenarios)
 			agg.MeanCoverage /= float64(agg.Scenarios)
 		}
 		out.Models = append(out.Models, *agg)
