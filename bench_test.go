@@ -372,7 +372,9 @@ func benchLabErrorTable(b *testing.B, evaluate func(protocol.Context, ...models.
 // coarse (stop-the-world reads every 100 ms — frequent enough to catch a
 // campaign that retains hundreds of megabytes of runs, rare enough not to
 // perturb the timed loop), so the watermark separates a pipeline retaining
-// full runs from one that keeps compact digests, not exact peaks.
+// full runs from one that keeps compact digests, not exact peaks. stop
+// takes one last sample, so a loop shorter than the period still reports
+// its end-of-loop heap rather than the heap right after the start-up GC.
 func startHeapWatermark() (stop func() float64) {
 	runtime.GC()
 	done := make(chan struct{})
@@ -399,7 +401,9 @@ func startHeapWatermark() (stop func() float64) {
 	return func() float64 {
 		close(done)
 		wg.Wait()
-		return float64(peak)
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(max(peak, ms.HeapAlloc))
 	}
 }
 

@@ -79,11 +79,10 @@ func replaySegments(cfg machine.Config, procs []machine.Proc, maxDur time.Durati
 	roster := machine.NewRoster(ids)
 	replay := models.NewStreamReplay(roster, []models.Model{m}, cfg.ReservedTicks(maxDur))
 	defer replay.Release()
-	load := models.SegmentLoader(cfg, roster)
-	_, err := machine.StreamSegments(cfg, procs, maxDur, func(seg *machine.Segment) error {
-		replay.ObserveSegment(load(seg))
+	cpus := cfg.Spec.Topology.LogicalCPUs()
+	return machine.Stream(cfg, procs, maxDur, func(seg *machine.Segment) error {
+		replay.ObserveSimulated(seg, cpus)
 		yield(seg, replay.Estimates(0))
 		return nil
 	})
-	return err
 }

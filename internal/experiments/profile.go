@@ -96,7 +96,7 @@ func CollectProfileTraining(ctx protocol.Context, fns []string, threads int) ([]
 		var counters perfcnt.Counters
 		var cpuSeconds float64
 		solo := []machine.Proc{{ID: app.ID, Workload: app.Workload, Threads: app.Threads}}
-		_, err = machine.StreamSegments(ctx.Machine, solo, ctx.RunFor, func(seg *machine.Segment) error {
+		err = machine.Stream(ctx.Machine, solo, ctx.RunFor, func(seg *machine.Segment) error {
 			if pt := seg.Rec.Procs[0]; pt.Present() {
 				for range seg.Powers {
 					counters = counters.Add(pt.Counters)

@@ -3,7 +3,7 @@ package machine
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -103,7 +103,7 @@ func changePointTicks(procs []Proc, tick, maxDur time.Duration, totalTicks int64
 			add(p.Start + b)
 		}
 	}
-	sort.Slice(cps, func(i, j int) bool { return cps[i] < cps[j] })
+	slices.Sort(cps)
 	out := cps[:1]
 	for _, k := range cps[1:] {
 		if k != out[len(out)-1] {
@@ -135,7 +135,7 @@ type segCursor struct {
 	// seg is the segment handed to yield; it points at rec.
 	seg Segment
 	// ends records each process's observed finish time by roster slot
-	// (endUnset until seen); finish copies it into StreamInfo.Ends.
+	// (endUnset until seen); summary copies it into StreamInfo.Ends.
 	ends     []time.Duration
 	segments uint64
 	done     bool
@@ -257,19 +257,26 @@ func (c *segCursor) next() (startK, endK int64, err error) {
 	return startK, endK, nil
 }
 
-// finish folds the cursor's bookkeeping into info once the stream ends:
-// tick count, covered duration, the per-process end times (processes never
-// observed finished end with the run), and the machine-level obs counters.
-func (c *segCursor) finish(info *StreamInfo) {
-	emitted := c.k
-	info.Ticks = int(emitted)
-	info.Duration = time.Duration(emitted) * c.tick
+// summary is the ended run's StreamInfo: tick count, covered duration and
+// the per-process end times (processes never observed finished end with
+// the run), over a roster in scheduling order.
+func (c *segCursor) summary() *StreamInfo {
+	info := &StreamInfo{Config: c.cfg, Ticks: int(c.k), Duration: time.Duration(c.k) * c.tick, Ends: make([]time.Duration, len(c.ordered))}
+	ids := make([]string, len(c.ordered))
 	for slot, end := range c.ends {
+		ids[slot] = c.ordered[slot].ID
 		if end == endUnset {
 			end = info.Duration
 		}
 		info.Ends[slot] = end
 	}
+	info.Roster = newSortedRoster(ids)
+	return info
+}
+
+// finish counts the ended run in the machine-level obs counters.
+func (c *segCursor) finish() {
+	emitted := c.k
 	obsRuns.Inc()
 	n := uint64(emitted)
 	obsTicksSimulated.Add(n)

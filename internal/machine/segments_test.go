@@ -116,10 +116,15 @@ type tickCapture struct {
 // started and none is running.
 func perTickReference(t *testing.T, cfg Config, procs []Proc, dur time.Duration) tickCapture {
 	t.Helper()
-	ordered, info, err := streamSetup(cfg, procs, dur)
+	ordered, err := streamSetup(cfg, procs, dur)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ids := make([]string, len(ordered))
+	for i, p := range ordered {
+		ids[i] = p.ID
+	}
+	info := &StreamInfo{Config: cfg, Roster: NewRoster(ids), Ends: make([]time.Duration, len(ordered))}
 	tick := cfg.tick()
 	phys, nCPU := cfg.Spec.Topology.PhysicalCores(), cfg.schedulableCPUs()
 	var sc tickScratch

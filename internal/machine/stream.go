@@ -93,18 +93,17 @@ func (n *noiseRNG) release() {
 	noisePool.Put(r)
 }
 
-// streamSetup validates a streamed simulation's inputs and builds the
-// shared prologue: the sorted scheduling order and the info skeleton whose
-// roster indexes the yielded columns. Processes that already arrive in
-// strictly ascending ID order — how the protocol hands them over — are
-// scheduled in place, with no copy, no sort and no duplicate-ID map; the
-// stream only reads them.
-func streamSetup(cfg Config, procs []Proc, maxDur time.Duration) ([]Proc, *StreamInfo, error) {
+// streamSetup validates a streamed simulation's inputs and returns the
+// sorted scheduling order, whose index is the roster slot of the yielded
+// columns. Processes that already arrive in strictly ascending ID order —
+// how the protocol hands them over — are scheduled in place, with no
+// copy, no sort and no duplicate-ID map; the stream only reads them.
+func streamSetup(cfg Config, procs []Proc, maxDur time.Duration) ([]Proc, error) {
 	if err := cfg.Spec.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if maxDur <= 0 {
-		return nil, nil, fmt.Errorf("machine: non-positive duration %v", maxDur)
+		return nil, fmt.Errorf("machine: non-positive duration %v", maxDur)
 	}
 	// While the IDs ascend strictly, no earlier ID can repeat the current
 	// one; the first out-of-order ID switches to a set of every ID seen.
@@ -112,7 +111,7 @@ func streamSetup(cfg Config, procs []Proc, maxDur time.Duration) ([]Proc, *Strea
 	for i := range procs {
 		p := &procs[i]
 		if err := p.Validate(cfg); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if seen == nil && i > 0 && procs[i-1].ID >= p.ID {
 			seen = make(map[string]bool, len(procs))
@@ -122,25 +121,18 @@ func streamSetup(cfg Config, procs []Proc, maxDur time.Duration) ([]Proc, *Strea
 		}
 		if seen != nil {
 			if seen[p.ID] {
-				return nil, nil, fmt.Errorf("machine: duplicate process ID %q", p.ID)
+				return nil, fmt.Errorf("machine: duplicate process ID %q", p.ID)
 			}
 			seen[p.ID] = true
 		}
 	}
 	// Deterministic scheduling order regardless of caller's slice order.
-	ordered := procs
-	if seen != nil {
-		ordered = append([]Proc(nil), procs...)
-		sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
+	if seen == nil {
+		return procs, nil
 	}
-	// The roster's slot order is the sorted scheduling order, so a
-	// process's slot is its index in ordered.
-	rosterIDs := make([]string, len(ordered))
-	for i, p := range ordered {
-		rosterIDs[i] = p.ID
-	}
-	info := &StreamInfo{Config: cfg, Roster: newSortedRoster(rosterIDs), Ends: make([]time.Duration, len(ordered))}
-	return ordered, info, nil
+	ordered := append([]Proc(nil), procs...)
+	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
+	return ordered, nil
 }
 
 // StreamSegments runs the scenario for at most maxDur and hands it to
@@ -158,9 +150,18 @@ func streamSetup(cfg Config, procs []Proc, maxDur time.Duration) ([]Proc, *Strea
 //
 // StreamSegments is the one-seed call of StreamBatchSegments.
 func StreamSegments(cfg Config, procs []Proc, maxDur time.Duration, yield func(seg *Segment) error) (*StreamInfo, error) {
-	return StreamBatchSegments(cfg, procs, maxDur, []int64{cfg.Seed}, func(_ int, seg *Segment) error {
+	return streamBatch(cfg, procs, maxDur, []int64{cfg.Seed}, true, func(_ int, seg *Segment) error {
 		return yield(seg)
 	})
+}
+
+// Stream is StreamSegments without the StreamInfo, for a caller that
+// needs only the segments.
+func Stream(cfg Config, procs []Proc, maxDur time.Duration, yield func(seg *Segment) error) error {
+	_, err := streamBatch(cfg, procs, maxDur, []int64{cfg.Seed}, false, func(_ int, seg *Segment) error {
+		return yield(seg)
+	})
+	return err
 }
 
 // StreamBatchSegments runs one scenario under several noise seeds in a
@@ -181,10 +182,16 @@ func StreamSegments(cfg Config, procs []Proc, maxDur time.Duration, yield func(s
 // end times are seed-independent); its Config is the input cfg, whose own
 // Seed is unused.
 func StreamBatchSegments(cfg Config, procs []Proc, maxDur time.Duration, seeds []int64, yield func(rep int, seg *Segment) error) (*StreamInfo, error) {
+	return streamBatch(cfg, procs, maxDur, seeds, true, yield)
+}
+
+// streamBatch is StreamBatchSegments, returning the run's StreamInfo only
+// when summarize is set (nil otherwise).
+func streamBatch(cfg Config, procs []Proc, maxDur time.Duration, seeds []int64, summarize bool, yield func(rep int, seg *Segment) error) (*StreamInfo, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("machine: batch needs at least one seed")
 	}
-	ordered, info, err := streamSetup(cfg, procs, maxDur)
+	ordered, err := streamSetup(cfg, procs, maxDur)
 	if err != nil {
 		return nil, err
 	}
@@ -215,6 +222,9 @@ func StreamBatchSegments(cfg Config, procs []Proc, maxDur time.Duration, seeds [
 			}
 		}
 	}
-	cur.finish(info)
-	return info, nil
+	cur.finish()
+	if !summarize {
+		return nil, nil
+	}
+	return cur.summary(), nil
 }

@@ -170,10 +170,13 @@ func TestSmartWattsDegradedTickKeepsFit(t *testing.T) {
 // churnedSegments records the segments of a SMALL INTEL stream of dur over
 // procs, deep-copied so they outlive the simulator's scratch buffers.
 func churnedSegments(t *testing.T, cfg machine.Config, roster *machine.Roster, procs []machine.Proc, dur time.Duration) []*SegmentTicks {
-	load := SegmentLoader(cfg, roster)
+	// A replay of no models only fills its segment view.
+	r := NewStreamReplay(roster, nil, 0)
+	defer r.Release()
 	var segs []*SegmentTicks
-	_, err := machine.StreamSegments(cfg, procs, dur, func(seg *machine.Segment) error {
-		st := *load(seg)
+	err := machine.Stream(cfg, procs, dur, func(seg *machine.Segment) error {
+		r.ObserveSimulated(seg, cfg.Spec.Topology.LogicalCPUs())
+		st := r.arena.seg
 		st.Samples = append([]ProcSample(nil), st.Samples...)
 		st.Powers = append([]units.Watts(nil), st.Powers...)
 		segs = append(segs, &st)

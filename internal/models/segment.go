@@ -3,7 +3,6 @@ package models
 import (
 	"time"
 
-	"powerdiv/internal/machine"
 	"powerdiv/internal/units"
 )
 
@@ -34,36 +33,6 @@ func (s *SegmentTicks) TickCount() int { return len(s.Powers) }
 // simulator's tick grid bit for bit.
 func (s *SegmentTicks) At(i int) time.Duration {
 	return s.Tick.At + time.Duration(i)*s.Interval
-}
-
-// SegmentLoader returns the adapter from a simulation of cfg, whose
-// columns roster indexes, to model input: each call refills one reused
-// SegmentTicks from a segment — its sample column (CPU time, counters,
-// threads, ground-truth active power), first-tick time, frequency and
-// per-tick powers. The result aliases the segment's power buffer and is
-// overwritten by the next call, so it is valid only during the
-// simulator's yield; StreamReplay's models copy what they keep.
-func SegmentLoader(cfg machine.Config, roster *machine.Roster) func(seg *machine.Segment) *SegmentTicks {
-	st := &SegmentTicks{Tick: Tick{
-		Interval:    cfg.TickInterval(),
-		LogicalCPUs: cfg.Spec.Topology.LogicalCPUs(),
-		Roster:      roster,
-		Samples:     make([]ProcSample, roster.Len()),
-	}}
-	return func(seg *machine.Segment) *SegmentTicks {
-		rec := seg.Rec
-		for slot := range st.Samples {
-			pt := &rec.Procs[slot]
-			st.Samples[slot] = ProcSample{
-				CPUTime:    pt.CPUTime,
-				Counters:   pt.Counters,
-				Threads:    pt.Threads,
-				TrueActive: pt.ActivePower,
-			}
-		}
-		st.Tick.At, st.MachinePower, st.Freq, st.Powers = rec.At, seg.Powers[0], rec.Freq, seg.Powers
-		return st
-	}
 }
 
 // tickAt materialises the i-th per-tick view of the segment.

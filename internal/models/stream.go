@@ -8,7 +8,7 @@ import (
 )
 
 // StreamReplay drives several models segment by segment as a simulation
-// streams (see SegmentLoader), accumulating each model's estimates into one
+// streams (see ObserveSimulated), accumulating each model's estimates into one
 // slab-backed DenseEstimates matrix per model — without a machine.Run or
 // a per-tick slice ever being materialised. The accumulated matrices grow
 // O(roster × ticks), which is all phase-3 scoring needs.
@@ -26,8 +26,7 @@ type StreamReplay struct {
 	ests   []*DenseEstimates
 	n      int
 	// arena is the pooled backing store the per-model slabs were carved
-	// from; nil once released (or when the replay was built before pooling
-	// existed in a test helper).
+	// from; nil once released.
 	arena *replayArena
 }
 
@@ -46,6 +45,9 @@ type replayArena struct {
 	// allocation to rebuild.
 	ests       []*DenseEstimates
 	estStructs []DenseEstimates
+	// seg is the segment view ObserveSimulated refills from each simulator
+	// segment; its Samples column keeps its storage across replays.
+	seg SegmentTicks
 }
 
 // perModel returns the arena's per-model slices resized for n models,
@@ -58,11 +60,15 @@ func (a *replayArena) perModel(n int) ([]*DenseEstimates, []DenseEstimates) {
 	return a.ests[:n], a.estStructs[:n]
 }
 
-var arenaPool = sync.Pool{New: func() any { return new(replayArena) }}
+// arenaPool's arenas start with a non-nil Samples column, so even an
+// empty roster's segment view takes the dense path.
+var arenaPool = sync.Pool{New: func() any { return &replayArena{seg: SegmentTicks{Tick: Tick{Samples: []ProcSample{}}}} }}
 
 // NewStreamReplay readies a replay of ms over roster-indexed ticks.
 // capTicks pre-sizes each estimate slab (the caller's upper bound on ticks,
-// e.g. maxDur/tick+1); slabs grow if the stream runs longer.
+// e.g. maxDur/tick+1); slabs grow if the stream runs longer. The arena's
+// backing store grows geometrically, so replays of varying roster width
+// settle on one allocation instead of regrowing it for each wider one.
 func NewStreamReplay(roster *machine.Roster, ms []Model, capTicks int) *StreamReplay {
 	if capTicks < 0 {
 		capTicks = 0
@@ -79,16 +85,17 @@ func NewStreamReplay(roster *machine.Roster, ms []Model, capTicks int) *StreamRe
 	total := len(ms) * colCap
 	okTotal := len(ms) * capTicks
 	if cap(a.slab) < total {
-		a.slab = make([]units.Watts, total)
+		a.slab = make([]units.Watts, total, max(total, 2*cap(a.slab)))
 	} else {
 		a.slab = a.slab[:total]
 		clear(a.slab)
 	}
 	if cap(a.ok) < okTotal {
-		a.ok = make([]bool, okTotal)
+		a.ok = make([]bool, okTotal, max(okTotal, 2*cap(a.ok)))
 	} else {
 		a.ok = a.ok[:okTotal]
 	}
+	a.seg.Roster, a.seg.Samples = roster, sized(a.seg.Samples, r.n)
 	r.arena = a
 	for i := range ms {
 		estStructs[i] = DenseEstimates{
@@ -129,7 +136,31 @@ func (r *StreamReplay) Release() {
 	for i := range r.ests {
 		r.ests[i] = nil
 	}
+	a.seg = SegmentTicks{Tick: Tick{Samples: a.seg.Samples}}
 	arenaPool.Put(a)
+}
+
+// ObserveSimulated feeds one simulator segment, from a machine with
+// logicalCPUs logical CPUs whose Procs column the replay's roster indexes,
+// to every model (see ObserveSegment). The model-side view — each slot's
+// CPU time, counters, threads and ground-truth active power, the first
+// tick's time, the frequency and the per-tick powers — is the arena's,
+// refilled on every call: it aliases the segment's power buffer and is
+// valid only during the simulator's yield.
+func (r *StreamReplay) ObserveSimulated(seg *machine.Segment, logicalCPUs int) {
+	st, rec := &r.arena.seg, seg.Rec
+	for slot := range st.Samples {
+		pt := &rec.Procs[slot]
+		st.Samples[slot] = ProcSample{
+			CPUTime:    pt.CPUTime,
+			Counters:   pt.Counters,
+			Threads:    pt.Threads,
+			TrueActive: pt.ActivePower,
+		}
+	}
+	st.Interval, st.LogicalCPUs = seg.Interval, logicalCPUs
+	st.Tick.At, st.MachinePower, st.Freq, st.Powers = rec.At, seg.Powers[0], rec.Freq, seg.Powers
+	r.ObserveSegment(st)
 }
 
 // ObserveSegment feeds a run of constant ticks (see SegmentTicks) to

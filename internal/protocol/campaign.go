@@ -187,10 +187,12 @@ func Evaluate(cctx context.Context, ctx Context, c Campaign) (Result, error) {
 	var err error
 	if n == 1 {
 		// The service shards jobs one scenario per call; running it inline
-		// spares it the fan-out closure.
+		// spares it the fan-out closure, and the plan stays on the stack.
 		err = p.scenario(cctx, scenarios[0], res, 0)
 	} else {
-		err = forEachIndexed(n, func(i int) error { return p.scenario(cctx, scenarios[i], res, i) })
+		// The workers' copy: the closure moves it to the heap.
+		shared := p
+		err = forEachIndexed(n, func(i int) error { return shared.scenario(cctx, scenarios[i], res, i) })
 	}
 	if err != nil {
 		return Result{}, err

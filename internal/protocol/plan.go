@@ -35,10 +35,11 @@ type campaignPlan struct {
 }
 
 // newCampaignPlan compiles the seed state of ctx and kind; Evaluate fills
-// in the rest of the campaign.
-func newCampaignPlan(ctx Context, fs []models.Factory, kind CampaignKind) *campaignPlan {
+// in the rest of the campaign. The plan is a value, so a one-scenario call
+// keeps it on the stack.
+func newCampaignPlan(ctx Context, fs []models.Factory, kind CampaignKind) campaignPlan {
 	seed := newSeedHash(ctx.Seed)
-	return &campaignPlan{
+	return campaignPlan{
 		ctx:       ctx,
 		fs:        fs,
 		kind:      kind,
@@ -49,33 +50,34 @@ func newCampaignPlan(ctx Context, fs []models.Factory, kind CampaignKind) *campa
 
 // scenarioRun is one scenario's phase 2 inputs, derived once per scenario:
 // the label seeds and messages name the scenario by, the machine config
-// under the derived seed, the simulator processes in ID order, and the
-// roster — the same sorted order, exactly the slot order the simulator
-// streams its columns in. Handing the processes over sorted lets the
-// simulator schedule them in place.
+// under the derived seed, the roster — sorted-ID order, exactly the slot
+// order the simulator streams its columns in — and the pooled scoring
+// view, which also holds the simulator processes in that order. Handing
+// the processes over sorted lets the simulator schedule them in place.
 type scenarioRun struct {
 	label  string
 	cfg    machine.Config
-	procs  []machine.Proc
 	roster *machine.Roster
+	view   *scoringView
 }
 
 // run derives s's run: its label under the plan's kind, the simulator
 // seeded from the kind's state folded with that label, and the processes
-// and roster in ID order.
+// and roster in ID order. The caller releases run.view.
 func (p *campaignPlan) run(s Scenario) scenarioRun {
 	label := p.kind.label(s)
-	r := scenarioRun{label: label, cfg: p.ctx.Machine, procs: make([]machine.Proc, len(s.Apps))}
+	r := scenarioRun{label: label, cfg: p.ctx.Machine}
 	r.cfg.Seed = p.kindSeed.part(label).seed()
-	for i, a := range s.Apps {
-		r.procs[i] = a.proc()
+	v := newScoringView(len(s.Apps), r.cfg.ReservedTicks(p.ctx.RunFor), r.cfg.TickInterval())
+	for _, a := range s.Apps {
+		v.procs = append(v.procs, a.proc())
 	}
-	slices.SortFunc(r.procs, func(a, b machine.Proc) int { return strings.Compare(a.ID, b.ID) })
-	ids := make([]string, len(r.procs))
-	for i := range r.procs {
-		ids[i] = r.procs[i].ID
+	slices.SortFunc(v.procs, func(a, b machine.Proc) int { return strings.Compare(a.ID, b.ID) })
+	for i := range v.procs {
+		v.ids = append(v.ids, v.procs[i].ID)
 	}
-	r.roster = machine.NewRoster(ids)
+	r.roster = machine.NewRoster(v.ids)
+	r.view = v
 	return r
 }
 

@@ -51,77 +51,68 @@ import (
 func (p *campaignPlan) scenario(cctx context.Context, s Scenario, res Result, i int) error {
 	done := observeScenario()
 	run := p.run(s)
-	src, err := p.truthSource(s, &run)
+	defer run.view.release()
+	fixed, err := p.truthSource(s, &run)
 	if err != nil {
 		return err
 	}
-	v, replay, err := p.stream(cctx, &run)
+	replay, err := p.stream(cctx, &run)
 	if err != nil {
 		return err
 	}
 	defer replay.Release()
-	defer v.release()
-	if err := p.score(s, &run, v, src, replay, res, i); err != nil {
+	if err := p.score(s, &run, fixed, replay, res, i); err != nil {
 		return err
 	}
 	done()
 	return nil
 }
 
-// truthSource is what a scenario's models are scored against, resolved
-// from the phase 1 baselines: a pair campaign's fixed shares, one map per
-// objective, or a traffic or timeline campaign's per-slot baselines, from
-// which Eq 3 is computed once per presence run.
-type truthSource struct {
-	fixed []division.Shares
-	slots []division.Baseline
-}
-
-// truthSource resolves s's truth source under the plan's kind.
-func (p *campaignPlan) truthSource(s Scenario, run *scenarioRun) (truthSource, error) {
-	var src truthSource
-	var err error
+// truthSource resolves what s's models are scored against under the
+// plan's kind, from the phase 1 baselines: a pair campaign's fixed shares,
+// one map per objective, returned; or a traffic or timeline campaign's
+// per-slot baselines, from which Eq 3 is computed once per presence run,
+// laid out in the run's view (fixed is then nil).
+func (p *campaignPlan) truthSource(s Scenario, run *scenarioRun) (fixed []division.Shares, err error) {
 	if p.kind == PairCampaign {
-		src.fixed, err = scenarioTruths(s, p.baselines, p.objectives, p.r0)
-	} else {
-		src.slots, err = trafficSlotBaselines(s, run.roster.IDs(), p.baselines)
+		return scenarioTruths(s, p.baselines, p.objectives, p.r0)
 	}
-	return src, err
+	v := run.view
+	v.slots, err = trafficSlotBaselines(v.slots, s, run.roster.IDs(), p.baselines)
+	return nil, err
 }
 
 // stream simulates the run once while every model observes it segment by
-// segment, accumulating the scoring view alongside. The caller releases
-// the view and the replay.
-func (p *campaignPlan) stream(cctx context.Context, run *scenarioRun) (*scoringView, *models.StreamReplay, error) {
-	reserve := run.cfg.ReservedTicks(p.ctx.RunFor)
-	replay := models.NewStreamReplay(run.roster, p.newModels(run.label), reserve)
-	v := newScoringView(run.roster.Len(), reserve, run.cfg.TickInterval())
-	load := models.SegmentLoader(run.cfg, run.roster)
-	_, err := machine.StreamSegments(run.cfg, run.procs, p.ctx.RunFor, func(seg *machine.Segment) error {
+// segment, accumulating the run's scoring view alongside. The caller
+// releases the replay.
+func (p *campaignPlan) stream(cctx context.Context, run *scenarioRun) (*models.StreamReplay, error) {
+	v := run.view
+	replay := models.NewStreamReplay(run.roster, p.newModels(run.label), run.cfg.ReservedTicks(p.ctx.RunFor))
+	cpus := run.cfg.Spec.Topology.LogicalCPUs()
+	err := machine.Stream(run.cfg, v.procs, p.ctx.RunFor, func(seg *machine.Segment) error {
 		for range seg.Powers {
 			if err := cctx.Err(); err != nil {
 				return err
 			}
 		}
-		replay.ObserveSegment(load(seg))
+		replay.ObserveSimulated(seg, cpus)
 		v.observeSegment(seg)
 		return nil
 	})
 	if err != nil {
 		replay.Release()
-		v.release()
-		return nil, nil, fmt.Errorf("protocol: scenario %q: %w", run.label, err)
+		return nil, fmt.Errorf("protocol: scenario %q: %w", run.label, err)
 	}
-	return v, replay, nil
+	return replay, nil
 }
 
 // score is the scoring tail of every kind: the truth once per presence
 // run, then each model's Eq 5 over its window into scenario i's rows of
 // res — per objective for pairs. Its allocations do not depend on the run
 // length.
-func (p *campaignPlan) score(s Scenario, run *scenarioRun, v *scoringView, src truthSource, replay *models.StreamReplay, res Result, i int) error {
-	ids := run.roster.IDs()
-	busy := v.fillTruths(src, ids)
+func (p *campaignPlan) score(s Scenario, run *scenarioRun, fixed []division.Shares, replay *models.StreamReplay, res Result, i int) error {
+	v, ids := run.view, run.roster.IDs()
+	busy := v.fillTruths(fixed, ids)
 	pair := p.kind == PairCampaign
 	if !pair && busy == 0 {
 		return fmt.Errorf("protocol: traffic scenario %q never ran any instance", s.Label())
@@ -161,7 +152,7 @@ func (p *campaignPlan) score(s Scenario, run *scenarioRun, v *scoringView, src t
 		} else {
 			estShare = division.Shares{}
 		}
-		for o, truth := range src.fixed {
+		for o, truth := range fixed {
 			ae, err := v.errs[o].Mean()
 			if err != nil {
 				return fmt.Errorf("protocol: scenario %q: %w", run.label, err)
@@ -187,9 +178,17 @@ func (p *campaignPlan) score(s Scenario, run *scenarioRun, v *scoringView, src t
 // Presence only changes at segment boundaries, so the view holds a handful
 // of columns however long the run, and the truth is laid out once per run
 // rather than once per tick. Tick i's time is i·interval. The view also
-// carries the scoring tail's scratch, so one pooled object holds every
-// O(run) buffer a scenario's scoring needs.
+// carries the run's setup and the scoring tail's scratch, so one pooled
+// object holds every buffer a scenario needs from its setup to its rows;
+// all of it is valid only while the scenario runs.
 type scoringView struct {
+	// procs are the simulator processes and ids their IDs, in roster
+	// order; slots holds each roster slot's baseline (traffic and
+	// timelines).
+	procs []machine.Proc
+	ids   []string
+	slots []division.Baseline
+
 	power []units.Watts
 	// runStart[r] is run r's first tick; run r ends where run r+1 starts
 	// (the last run at len(power)).
@@ -232,8 +231,15 @@ func newScoringView(n, capTicks int, interval time.Duration) *scoringView {
 	return v
 }
 
-// release hands the view back to the pool; nothing may use it after.
-func (v *scoringView) release() { scoringViews.Put(v) }
+// release empties the run's setup — the pool pins no process, workload or
+// ID — and hands the view back to the pool; nothing may use it after.
+func (v *scoringView) release() {
+	clear(v.procs)
+	clear(v.ids)
+	clear(v.slots)
+	v.procs, v.ids, v.slots = v.procs[:0], v.ids[:0], v.slots[:0]
+	scoringViews.Put(v)
+}
 
 // observeSegment appends a constant segment's scoring state: its per-tick
 // power, and its presence column when that differs from the current run's.
@@ -271,17 +277,17 @@ func (v *scoringView) runEnd(r int) int {
 
 // fillTruths lays out every run's truth vectors in roster-slot order (ids)
 // and returns the busy tick count — ticks with at least one instance
-// present. A fixed source projects each objective's shares once and every
-// run shares them; otherwise each busy run gets Eq 3 over its present
-// instances (AbsentShare marks the others), and idle or degenerate runs
-// get nil. The truth is model-independent, so every model scores against
+// present. A pair's fixed shares are projected once per objective and
+// every run shares them; otherwise each busy run gets Eq 3 over the slot
+// baselines of its present instances (AbsentShare marks the others), and
+// idle or degenerate runs get nil. The truth is model-independent, so every model scores against
 // the same vectors.
-func (v *scoringView) fillTruths(src truthSource, ids []string) (busy int) {
+func (v *scoringView) fillTruths(fixed []division.Shares, ids []string) (busy int) {
 	runs, n := len(v.runStart), v.n
-	if src.fixed != nil {
-		v.objs = len(src.fixed)
+	if fixed != nil {
+		v.objs = len(fixed)
 		v.slab = resize(v.slab, v.objs*n)
-		for o, truth := range src.fixed {
+		for o, truth := range fixed {
 			truth.VectorInto(v.slab[o*n:(o+1)*n], ids)
 		}
 	} else {
@@ -296,12 +302,12 @@ func (v *scoringView) fillTruths(src truthSource, ids []string) (busy int) {
 			busy += v.runEnd(r) - v.runStart[r]
 		}
 		switch {
-		case src.fixed != nil:
+		case fixed != nil:
 			for o := range row {
 				row[o] = v.slab[o*n : (o+1)*n]
 			}
 		case present:
-			row[0] = division.TruthVectorInto(v.slab[r*n:(r+1)*n], src.slots, col)
+			row[0] = division.TruthVectorInto(v.slab[r*n:(r+1)*n], v.slots, col)
 		default:
 			row[0] = nil
 		}

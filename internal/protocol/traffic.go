@@ -74,11 +74,10 @@ func SummarizeTraffic(model string, evs []TrafficEvaluation) TrafficSummary {
 	return s
 }
 
-// trafficSlotBaselines resolves each roster slot's baseline: the shared
-// baseline of the instance's application type.
-func trafficSlotBaselines(s Scenario, rosterIDs []string, baselines map[string]division.Baseline) ([]division.Baseline, error) {
-	out := make([]division.Baseline, len(rosterIDs))
-	for slot, id := range rosterIDs {
+// trafficSlotBaselines appends each roster slot's baseline to out: the
+// shared baseline of the instance's application type.
+func trafficSlotBaselines(out []division.Baseline, s Scenario, rosterIDs []string, baselines map[string]division.Baseline) ([]division.Baseline, error) {
+	for _, id := range rosterIDs {
 		// Rosters are small: a linear scan beats building a map per
 		// scenario.
 		i := 0
@@ -86,13 +85,13 @@ func trafficSlotBaselines(s Scenario, rosterIDs []string, baselines map[string]d
 			i++
 		}
 		if i == len(s.Apps) {
-			return nil, fmt.Errorf("protocol: roster instance %s not in scenario %q", id, s.Label())
+			return out, fmt.Errorf("protocol: roster instance %s not in scenario %q", id, s.Label())
 		}
 		b, ok := baselines[s.Apps[i].baselineID()]
 		if !ok {
-			return nil, fmt.Errorf("protocol: no baseline for %s (run phase 1 first)", s.Apps[i].baselineID())
+			return out, fmt.Errorf("protocol: no baseline for %s (run phase 1 first)", s.Apps[i].baselineID())
 		}
-		out[slot] = b
+		out = append(out, b)
 	}
 	return out, nil
 }

@@ -189,19 +189,23 @@ func (j *Job) row(i int) *ResultRow {
 	return j.rows[i]
 }
 
-// waitRow blocks until unit i completes (row, true), the job reaches a
-// terminal state without it (nil, false), or cctx is cancelled (nil,
-// false). The caller streams rows strictly in index order, so this is the
-// only ordering primitive the NDJSON writer needs.
-func (j *Job) waitRow(cctx context.Context, i int) (*ResultRow, bool) {
-	// A context watcher converts cancellation into a broadcast so the cond
-	// wait below wakes up; AfterFunc is cheap when never fired.
-	stop := context.AfterFunc(cctx, func() {
+// watch converts cctx's cancellation into a broadcast, so waitRow and
+// waitTerminal wake up; a stream registers it once, not once per row.
+// The returned stop unregisters it.
+func (j *Job) watch(cctx context.Context) (stop func() bool) {
+	return context.AfterFunc(cctx, func() {
 		j.mu.Lock()
 		j.cond.Broadcast()
 		j.mu.Unlock()
 	})
-	defer stop()
+}
+
+// waitRow blocks until unit i completes (row, true), the job reaches a
+// terminal state without it (nil, false), or cctx is cancelled (nil,
+// false); a watch on cctx must be registered. The caller streams rows
+// strictly in index order, so this is the only ordering primitive the
+// NDJSON writer needs.
+func (j *Job) waitRow(cctx context.Context, i int) (*ResultRow, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for {
@@ -213,6 +217,18 @@ func (j *Job) waitRow(cctx context.Context, i int) (*ResultRow, bool) {
 		}
 		j.cond.Wait()
 	}
+}
+
+// ready reports whether unit i has completed — or, for i == Units, the
+// stream's terminal line, whether the job is terminal — so a stream can
+// tell whether its next line would be written at once.
+func (j *Job) ready(i int) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if i == len(j.rows) {
+		return j.state.Terminal()
+	}
+	return j.rows[i] != nil
 }
 
 // setCancel installs the running job's cancel hook.

@@ -404,9 +404,13 @@ type resultTerminal struct {
 	Summary     *Summary `json:"summary,omitempty"`
 }
 
-// streamJob writes rows in index order, flushing per line, then the
-// terminal line. Blocking on not-yet-computed rows is the backpressure:
-// the client reads results exactly as fast as the simulators produce them.
+// streamJob writes rows in index order, then the terminal line.
+// Blocking on not-yet-computed rows is the backpressure: the client reads
+// results exactly as fast as the simulators produce them. Row 0 and the
+// terminal line are flushed at once; a later row is flushed only when the
+// next line is not ready yet, so rows that are already complete leave in
+// as few writes as the buffer allows and no row waits in it while the
+// stream blocks.
 func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, job *Job) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -417,17 +421,19 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, job *Job) {
 		// phase 1.
 		flusher.Flush()
 	}
+	cctx := r.Context()
+	defer job.watch(cctx)()
 	enc := json.NewEncoder(w)
 	streamed := 0
 	for i := 0; i < job.Units; i++ {
-		row, ok := job.waitRow(r.Context(), i)
+		row, ok := job.waitRow(cctx, i)
 		if !ok {
 			break
 		}
 		if enc.Encode(row) != nil {
 			return
 		}
-		if flusher != nil {
+		if flusher != nil && (i == 0 || !job.ready(i+1)) {
 			flusher.Flush()
 		}
 		streamed++
@@ -436,7 +442,7 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, job *Job) {
 	if streamed == job.Units {
 		// All rows are out but the job may still be folding its summary;
 		// wait for the terminal state so the final line carries it.
-		job.wait(r.Context())
+		job.waitTerminal(cctx)
 	}
 	st := job.Status()
 	enc.Encode(resultTerminal{
@@ -516,15 +522,15 @@ func (s *Server) Kill() {
 	s.wg.Wait()
 }
 
-// wait blocks until the job reaches a terminal state or cctx is done
-// (used by in-process smoke/tests through the exported API below).
-func (j *Job) wait(cctx context.Context) State {
-	stop := context.AfterFunc(cctx, func() {
-		j.mu.Lock()
-		j.cond.Broadcast()
-		j.mu.Unlock()
-	})
-	defer stop()
+// Wait blocks until the job is terminal (or ctx expires) and returns the
+// final state.
+func (j *Job) Wait(ctx context.Context) State {
+	defer j.watch(ctx)()
+	return j.waitTerminal(ctx)
+}
+
+// waitTerminal is Wait for a caller that already watches cctx.
+func (j *Job) waitTerminal(cctx context.Context) State {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for !j.state.Terminal() && cctx.Err() == nil {
@@ -532,7 +538,3 @@ func (j *Job) wait(cctx context.Context) State {
 	}
 	return j.state
 }
-
-// Wait blocks until the job is terminal (or ctx expires) and returns the
-// final state.
-func (j *Job) Wait(ctx context.Context) State { return j.wait(ctx) }

@@ -29,10 +29,10 @@ package traffic
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"strconv"
+	"sync"
 	"time"
 
 	"powerdiv/internal/protocol"
@@ -223,16 +223,23 @@ func KernelByName(name string) (workload.Workload, bool) {
 	return workload.PhoronixByName(name)
 }
 
-// seedFor derives a deterministic sub-seed by FNV-1a over the seed and
-// labels (the same construction the protocol package uses).
+// seedFor derives a deterministic sub-seed by FNV-1a over the seed's
+// decimal form and each label, a zero byte before each (the same
+// construction the protocol package uses), without allocating.
 func seedFor(seed int64, parts ...string) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d", seed)
-	for _, p := range parts {
-		h.Write([]byte{0})
-		h.Write([]byte(p))
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	var buf [20]byte
+	for _, c := range strconv.AppendInt(buf[:0], seed, 10) {
+		h = (h ^ uint64(c)) * prime
 	}
-	return int64(h.Sum64())
+	for _, p := range parts {
+		h *= prime // the zero separator byte
+		for i := 0; i < len(p); i++ {
+			h = (h ^ uint64(p[i])) * prime
+		}
+	}
+	return int64(h)
 }
 
 // Generate produces the campaign's timed scenarios, deterministically per
@@ -241,24 +248,61 @@ func seedFor(seed int64, parts ...string) int64 {
 // distinct application type regardless of how many instances churn
 // through the campaign. Each kernel is resolved once per call: the
 // instances of one kernel share its Workload, Cost map included.
+//
+// Every scenario's instances are built in pooled scratch, then copied into
+// one exact-size slab per call; each scenario's Apps is its window of the
+// slab, capacity clipped, so appending to one scenario cannot reach the
+// next.
 func Generate(cfg Config) ([]protocol.Scenario, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	kernels := make([]workload.Workload, len(cfg.Kernels))
-	for i, k := range cfg.Kernels {
-		kernels[i], _ = KernelByName(k) // Validate checked every name
+	sc := genScratches.Get().(*genScratch)
+	defer sc.release()
+	for _, k := range cfg.Kernels {
+		w, _ := KernelByName(k) // Validate checked every name
+		sc.kernels = append(sc.kernels, w)
 	}
 	out := make([]protocol.Scenario, cfg.Scenarios)
-	// One generator serves every scenario: re-seeding it in place gives
-	// exactly rng.New's stream for the scenario's seed without allocating
-	// a fresh 607-word register each time.
-	gen := rng.New(0)
 	for i := range out {
-		out[i] = generateScenario(cfg, kernels, i, gen)
+		sc.generateScenario(cfg, i)
+		sc.ends = append(sc.ends, len(sc.apps))
+	}
+	slab := make([]protocol.AppSpec, len(sc.apps))
+	copy(slab, sc.apps)
+	lo := 0
+	for i, hi := range sc.ends {
+		out[i].Apps = slab[lo:hi:hi]
+		lo = hi
 	}
 	return out, nil
+}
+
+// genScratch is Generate's pooled working memory: the workloads of
+// cfg.Kernels, index for index, the instances of every scenario generated
+// so far, back to back, each scenario's end offset in them, the arrival
+// candidates of the scenario being built, and the one generator every
+// scenario re-seeds in place (re-seeding gives exactly rng.New's stream
+// for the scenario's seed without allocating a fresh 607-word register
+// each time).
+type genScratch struct {
+	kernels  []workload.Workload
+	apps     []protocol.AppSpec
+	ends     []int
+	arrivals []time.Duration
+	gen      *rand.Rand
+}
+
+var genScratches = sync.Pool{New: func() any { return &genScratch{gen: rng.New(0)} }}
+
+// release empties the scratch — the pool pins no instance's ID or
+// workload — and hands it back.
+func (sc *genScratch) release() {
+	clear(sc.kernels)
+	clear(sc.apps)
+	sc.kernels, sc.apps, sc.ends = sc.kernels[:0], sc.apps[:0], sc.ends[:0]
+	genScratches.Put(sc)
 }
 
 // ScenarioKind reports which arrival shape scenario idx uses under the
@@ -270,26 +314,30 @@ func (c Config) ScenarioKind(idx int) Kind {
 	return [...]Kind{Poisson, Bursty, Diurnal}[idx%3]
 }
 
-// generateScenario builds one scenario. Draw order is fixed — baseload
-// instances first, then arrival candidates in time order, each consuming
-// its kernel/threads/lifetime draws even when rejected for capacity — so
-// the schedule is a pure function of (cfg, idx). kernels holds the
-// workloads of cfg.Kernels, index for index. gen is re-seeded first, so
-// whatever it drew before does not matter.
-func generateScenario(cfg Config, kernels []workload.Workload, idx int, gen *rand.Rand) protocol.Scenario {
+// generateScenario appends scenario idx's instances to sc.apps. Draw
+// order is fixed — baseload instances first, then arrival candidates in
+// time order, each consuming its kernel/threads/lifetime draws even when
+// rejected for capacity — so the schedule is a pure function of (cfg,
+// idx). The generator is re-seeded first, so whatever it drew before does
+// not matter.
+func (sc *genScratch) generateScenario(cfg Config, idx int) {
+	gen, kernels := sc.gen, sc.kernels
 	gen.Seed(seedFor(cfg.Seed, "scenario", strconv.Itoa(idx)))
 	kind := cfg.ScenarioKind(idx)
-	apps := make([]protocol.AppSpec, 0, cfg.Baseload+8)
+	first := len(sc.apps)
+	add := func(w workload.Workload, threads int, start, stop time.Duration) {
+		sc.apps = append(sc.apps, newInstance(w, threads, len(sc.apps)-first, start, stop))
+	}
 
 	// Baseload: always-on single-thread anchors. Generated first so every
 	// arrival's capacity check already accounts for them.
 	for b := 0; b < cfg.Baseload; b++ {
-		apps = append(apps, newInstance(kernels[gen.Intn(len(kernels))], 1, len(apps), 0, 0))
+		add(kernels[gen.Intn(len(kernels))], 1, 0, 0)
 	}
 
 	aliveThreads := func(t time.Duration) int {
 		n := 0
-		for _, a := range apps {
+		for _, a := range sc.apps[first:] {
 			if a.StartAt <= t && (a.StopAt == 0 || a.StopAt > t) {
 				n += a.Threads
 			}
@@ -297,7 +345,8 @@ func generateScenario(cfg Config, kernels []workload.Workload, idx int, gen *ran
 		return n
 	}
 
-	for _, at := range arrivalTimes(cfg, kind, gen) {
+	sc.arrivals = arrivalTimes(cfg, kind, gen, sc.arrivals[:0])
+	for _, at := range sc.arrivals {
 		kernel := kernels[gen.Intn(len(kernels))]
 		threads := 1 + gen.Intn(cfg.MaxThreads)
 		life := time.Duration(gen.ExpFloat64() * float64(cfg.MeanLifetime))
@@ -311,18 +360,18 @@ func generateScenario(cfg Config, kernels []workload.Workload, idx int, gen *ran
 		if aliveThreads(at)+threads > cfg.MaxCPUs {
 			continue // no capacity at this instant: the arrival is dropped
 		}
-		apps = append(apps, newInstance(kernel, threads, len(apps), at, stop))
+		add(kernel, threads, at, stop)
 	}
-	return protocol.Scenario{Apps: apps}
 }
 
 // newInstance builds instance seq of kernel w's application type with the
 // given thread count: ID "<kernel>-<threads>.<seq>" (seq zero-padded to
-// three digits), BaseID "<kernel>-<threads>".
+// three digits), BaseID "<kernel>-<threads>" — the ID's prefix, so both
+// share one allocation.
 func newInstance(w workload.Workload, threads, seq int, start, stop time.Duration) protocol.AppSpec {
-	id := make([]byte, 0, len(w.Name)+12)
-	id = strconv.AppendInt(append(append(id, w.Name...), '-'), int64(threads), 10)
-	base := string(id)
+	var buf [48]byte
+	id := strconv.AppendInt(append(append(buf[:0], w.Name...), '-'), int64(threads), 10)
+	base := len(id)
 	id = append(id, '.')
 	if seq < 100 {
 		id = append(id, '0')
@@ -330,9 +379,10 @@ func newInstance(w workload.Workload, threads, seq int, start, stop time.Duratio
 			id = append(id, '0')
 		}
 	}
+	full := string(strconv.AppendInt(id, int64(seq), 10))
 	return protocol.AppSpec{
-		ID:       string(strconv.AppendInt(id, int64(seq), 10)),
-		BaseID:   base,
+		ID:       full,
+		BaseID:   full[:base],
 		Workload: w,
 		Threads:  threads,
 		StartAt:  start,
@@ -340,12 +390,11 @@ func newInstance(w workload.Workload, threads, seq int, start, stop time.Duratio
 	}
 }
 
-// arrivalTimes draws the scenario's candidate arrival instants in [0,
-// Window), in increasing order.
-func arrivalTimes(cfg Config, kind Kind, rng *rand.Rand) []time.Duration {
+// arrivalTimes appends the scenario's candidate arrival instants in [0,
+// Window), in increasing order, to out.
+func arrivalTimes(cfg Config, kind Kind, rng *rand.Rand, out []time.Duration) []time.Duration {
 	base := cfg.ArrivalsPerMinute / 60 // per second
 	window := cfg.Window.Seconds()
-	var out []time.Duration
 	appendAt := func(t float64) {
 		out = append(out, time.Duration(t*float64(time.Second)))
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -12,6 +13,10 @@ import (
 	"powerdiv/internal/machine"
 	"powerdiv/internal/protocol"
 )
+
+// raceEnabled reports a race-detector build (see race_test.go), whose
+// pools drop items at random.
+var raceEnabled bool
 
 // testConfig is a small, fast campaign exercising all three arrival shapes.
 func testConfig(seed int64) Config {
@@ -389,5 +394,71 @@ func TestInstanceIDs(t *testing.T) {
 				t.Fatalf("instance %s carries a workload unlike its kernel's", a.ID)
 			}
 		}
+	}
+}
+
+// TestGenerateAllocatesOnlyIDs pins Generate's memory: every scenario's
+// instances are a capacity-clipped window of one slab per call, the
+// instance's ID (its BaseID is the ID's prefix) is the only allocation
+// made per instance, and nothing is allocated per scenario — so the
+// allocations beyond one per instance are the same for 24 scenarios and
+// for 96. Concurrent calls, which share the pooled scratch, reproduce a
+// sequential call, and an earlier call's scenarios are unchanged after
+// later calls reuse the scratch.
+func TestGenerateAllocatesOnlyIDs(t *testing.T) {
+	var extra []float64
+	for _, n := range []int{24, 96} {
+		cfg := testConfig(5)
+		cfg.Scenarios = n
+		scenarios, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		instances := 0
+		for i, s := range scenarios {
+			instances += len(s.Apps)
+			if cap(s.Apps) != len(s.Apps) {
+				t.Fatalf("scenario %d: Apps capacity %d, want its length %d", i, cap(s.Apps), len(s.Apps))
+			}
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := Generate(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		extra = append(extra, allocs-float64(instances))
+	}
+	if !raceEnabled && extra[0] != extra[1] {
+		t.Errorf("allocations beyond one per instance: %v for 24 scenarios, %v for 96; want equal", extra[0], extra[1])
+	}
+
+	cfg := testConfig(9)
+	cfg.Scenarios = 30
+	want, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := fmt.Sprintf("%+v", want)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 5; k++ {
+				got, err := Generate(cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Error("a concurrent Generate differs from the sequential one")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if fmt.Sprintf("%+v", want) != snapshot {
+		t.Error("later Generate calls changed an earlier call's scenarios")
 	}
 }
