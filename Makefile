@@ -2,7 +2,8 @@
 # pass: build, vet, the full test suite, the race detector (the live meter,
 # the parallel campaign runner and the run memoization cache are the
 # concurrency-sensitive paths it guards), a one-iteration benchmark
-# smoke run, and the line-count ratchet (`make loc-check`).
+# smoke run, the service and report smoke runs, and the line-count ratchet
+# (`make loc-check`).
 #
 # `make bench` runs the campaign benchmark set and writes the
 # BENCH_campaign.json baseline (see README); `make bench-check` is the
@@ -52,7 +53,7 @@ BENCH_RATE_THRESHOLD ?= 60
 # Packages `make loc` counts: the ones ROADMAP's line-count targets name.
 LOC_PKGS = internal/protocol internal/models internal/machine
 
-.PHONY: build test vet fmt-check race shuffle cover bench bench-check bench-diff pprof fuzz-smoke serve-smoke loc loc-check verify
+.PHONY: build test vet fmt-check race shuffle cover bench bench-check bench-diff pprof fuzz-smoke serve-smoke report-smoke loc loc-check verify
 
 build:
 	$(GO) build ./...
@@ -117,6 +118,19 @@ fuzz-smoke:
 serve-smoke:
 	$(GO) run ./cmd/powerdiv-serve -smoke
 
+# report-smoke regenerates every entry of experiments.Artefacts() with
+# `powerdiv-report -out` into a temporary directory and fails unless the
+# run wrote one CSV per table it rendered: a failed write or two tables
+# sharing a file name leaves fewer files than tables.
+report-smoke:
+	@d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+		$(GO) run ./cmd/powerdiv-report -out "$$d/csv" > "$$d/report.txt" || exit 1; \
+		want=$$(awk '/ tables regenerated in / { print $$1 }' "$$d/report.txt"); \
+		got=$$(ls "$$d/csv" | grep -c '\.csv$$'); \
+		if [ -z "$$want" ] || [ "$$got" -ne "$$want" ]; then \
+			echo "FAIL: powerdiv-report wrote $$got CSVs for $${want:-no} tables"; exit 1; fi; \
+		echo "report-smoke: $$got CSVs, one per table"
+
 # loc prints the non-test Go line count (wc -l) of each LOC_PKGS package
 # and their total, so line-count targets are measured the same way in
 # every change.
@@ -136,4 +150,4 @@ loc-check:
 			echo "FAIL: make loc total $$total exceeds LOC_CEILING $$ceiling"; exit 1; fi; \
 		echo "loc $$total (ceiling $$ceiling)"
 
-verify: build vet fmt-check test race shuffle bench-check bench-diff fuzz-smoke serve-smoke loc-check
+verify: build vet fmt-check test race shuffle bench-check bench-diff fuzz-smoke serve-smoke report-smoke loc-check

@@ -1,7 +1,9 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation. Each benchmark runs the corresponding experiment driver and
-// logs the regenerated rows/series (visible with -v); set
-// POWERDIV_WRITE_RESULTS=1 to also write CSVs under out/.
+// Benchmarks of the paper's evaluation and of the campaign engine.
+// BenchmarkArtefact/<name> times each entry of experiments.Artefacts() —
+// every table and figure the report regenerates — and logs its own table
+// (visible with -v; `powerdiv-report -out` writes every table as CSV). The other
+// benchmarks are the campaign-speed rungs cmd/powerdiv-bench records in
+// BENCH_campaign.json, the real stress kernels and the division kernel.
 //
 // The experiments are deterministic, so repeated iterations measure the
 // harness cost of regenerating each artefact; the numbers themselves are
@@ -14,12 +16,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"powerdiv/internal/cpumodel"
-	"powerdiv/internal/energyacct"
 	"powerdiv/internal/experiments"
 	"powerdiv/internal/fleet"
 	"powerdiv/internal/machine"
@@ -30,20 +32,31 @@ import (
 	"powerdiv/internal/stressng"
 	"powerdiv/internal/traffic"
 	"powerdiv/internal/units"
-	"powerdiv/internal/vm"
 	"powerdiv/internal/workload"
 )
 
 const benchSeed = 1
 
+// writeResult logs a result table under a name.
 func writeResult(b *testing.B, t *report.Table, name string) {
 	b.Helper()
-	b.Log("\n" + t.String())
-	if os.Getenv("POWERDIV_WRITE_RESULTS") == "" {
-		return
-	}
-	if err := t.WriteCSV(filepath.Join("out", name+".csv")); err != nil {
-		b.Fatal(err)
+	b.Logf("%s:\n%s", name, t)
+}
+
+// BenchmarkArtefact regenerates each artefact of the evaluation at
+// benchSeed and logs its own table.
+func BenchmarkArtefact(b *testing.B) {
+	for _, a := range experiments.Artefacts() {
+		b.Run(a.Name, func(b *testing.B) {
+			var v any
+			for i := 0; i < b.N; i++ {
+				var err error
+				if v, err = a.Run(benchSeed); err != nil {
+					b.Fatal(err)
+				}
+			}
+			writeResult(b, a.Tables(v)[0], a.Name)
+		})
 	}
 }
 
@@ -59,235 +72,6 @@ func BenchmarkTable3StressKernels(b *testing.B) {
 			_ = sum
 		})
 	}
-}
-
-// BenchmarkTable4PhoronixApps simulates each Table IV application solo in
-// a 6-vCPU VM — the execution behind Table V's rows.
-func BenchmarkTable4PhoronixApps(b *testing.B) {
-	cfg := experiments.ProdConfig(cpumodel.SmallIntel(), benchSeed)
-	for _, app := range workload.PhoronixSet() {
-		b.Run(app.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				run, err := vm.SimulateColocation(cfg, []vm.VM{{Name: app.Name, VCPUs: 6, App: app}}, app.Duration()+time.Minute)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.Logf("%s: %s over %s", app.Name, run.Energy(), run.Duration)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTable5ReferenceValues regenerates Table V (three repetitions
-// per application, with variability).
-func BenchmarkTable5ReferenceValues(b *testing.B) {
-	cfg := experiments.ProdConfig(cpumodel.SmallIntel(), benchSeed)
-	var refs []experiments.AppReference
-	for i := 0; i < b.N; i++ {
-		var err error
-		refs, err = experiments.PhoronixReference(cfg, 6, 3, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	writeResult(b, experiments.TableV(refs), "table5")
-}
-
-func benchCurve(b *testing.B, spec cpumodel.Spec, prod bool, name string) {
-	cfg := experiments.LabConfig(spec, benchSeed)
-	if prod {
-		cfg = experiments.ProdConfig(spec, benchSeed)
-	}
-	var res experiments.CurveResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.PowerCurve(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	writeResult(b, res.Table(), name)
-	b.Logf("gap %s, band at full load %s", res.ResidualGap(), res.BandWidthAtFull())
-}
-
-// BenchmarkFig1CurveNoHT regenerates Fig 1 (HT/turbo off) on both machines.
-func BenchmarkFig1CurveNoHT(b *testing.B) {
-	b.Run("small-intel", func(b *testing.B) { benchCurve(b, cpumodel.SmallIntel(), false, "fig1-small-intel") })
-	b.Run("dahu", func(b *testing.B) { benchCurve(b, cpumodel.Dahu(), false, "fig1-dahu") })
-}
-
-// BenchmarkFig2Eq1Undershoot regenerates the Fig 2 illustration: Equation 1
-// estimates under-cover the machine power by exactly R.
-func BenchmarkFig2Eq1Undershoot(b *testing.B) {
-	cfg := experiments.LabConfig(cpumodel.SmallIntel(), benchSeed)
-	var res experiments.Eq1Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.Eq1Undershoot(cfg, "fibonacci", "matrixprod", 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	t := report.NewTable("Fig 2 — Eq 1 under-coverage", "quantity", "watts")
-	t.AddRowf("C pair", float64(res.CPair))
-	t.AddRowf("naive Ce(P0)", float64(res.Naive0))
-	t.AddRowf("naive Ce(P1)", float64(res.Naive1))
-	t.AddRowf("uncovered (= R)", float64(res.Uncovered))
-	writeResult(b, t, "fig2")
-}
-
-// BenchmarkFig3CurveHT regenerates Fig 3 (HT/turbo on) on both machines.
-func BenchmarkFig3CurveHT(b *testing.B) {
-	b.Run("small-intel", func(b *testing.B) { benchCurve(b, cpumodel.SmallIntel(), true, "fig3-small-intel") })
-	b.Run("dahu", func(b *testing.B) { benchCurve(b, cpumodel.Dahu(), true, "fig3-dahu") })
-}
-
-func benchScatter(b *testing.B, spec cpumodel.Spec, factory models.Factory, name string) {
-	ctx := experiments.LabContext(spec, benchSeed)
-	var res experiments.ScatterResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.RatioScatter(ctx, factory)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	writeResult(b, res.Table(), name)
-	if os.Getenv("POWERDIV_WRITE_RESULTS") != "" {
-		if err := res.PointsTable().WriteCSV(filepath.Join("out", name+"-points.csv")); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig4ScaphandreSmall regenerates Fig 4: Scaphandre ratio scatter
-// on SMALL INTEL (paper: mean 3.15 %, max 11.7 %).
-func BenchmarkFig4ScaphandreSmall(b *testing.B) {
-	benchScatter(b, cpumodel.SmallIntel(), models.NewScaphandre(), "fig4-scaphandre-small")
-}
-
-// BenchmarkFig5PowerAPISmall regenerates Fig 5: PowerAPI on SMALL INTEL
-// (paper: mean 3.12 %).
-func BenchmarkFig5PowerAPISmall(b *testing.B) {
-	benchScatter(b, cpumodel.SmallIntel(), models.NewPowerAPI(models.DefaultPowerAPIConfig()), "fig5-powerapi-small")
-}
-
-// BenchmarkFig6ScaphandreDahu regenerates Fig 6: Scaphandre on DAHU
-// (paper: mean 2.7 %, max 17.4 % between QUEENS and FLOAT64).
-func BenchmarkFig6ScaphandreDahu(b *testing.B) {
-	benchScatter(b, cpumodel.Dahu(), models.NewScaphandre(), "fig6-scaphandre-dahu")
-}
-
-// BenchmarkFig7PowerAPIDahu regenerates Fig 7: PowerAPI on DAHU
-// (paper: mean 16.23 %, max 49.1 %).
-func BenchmarkFig7PowerAPIDahu(b *testing.B) {
-	benchScatter(b, cpumodel.Dahu(), models.NewPowerAPI(models.DefaultPowerAPIConfig()), "fig7-powerapi-dahu")
-}
-
-// BenchmarkFig8PowerAPIInstability regenerates Fig 8: identical
-// MATRIXPROD/FLOAT64 runs on DAHU with flip-flopping 90/10 attributions.
-func BenchmarkFig8PowerAPIInstability(b *testing.B) {
-	cfg := experiments.LabConfig(cpumodel.Dahu(), benchSeed)
-	var res experiments.InstabilityResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.Instability(cfg, "matrixprod", "float64", 8, 6, benchSeed+6)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	writeResult(b, res.Table(), "fig8")
-	b.Logf("flip-flopped: %v", res.FlipFlopped())
-}
-
-// BenchmarkFig9Residual regenerates Fig 9 / §IV-B: the capped-vs-uncapped
-// campaign against both residual-aware objectives, per model.
-func BenchmarkFig9Residual(b *testing.B) {
-	ctx := experiments.LabContext(cpumodel.SmallIntel(), benchSeed)
-	for _, f := range experiments.PaperModels() {
-		b.Run(f.Name, func(b *testing.B) {
-			var res experiments.CappingResult
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = experiments.ResidualCapping(ctx, f, workload.StressNames(), []int{1, 2, 3})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			writeResult(b, res.Table(), "fig9-"+f.Name)
-		})
-	}
-}
-
-// BenchmarkFig10PhoronixTraces regenerates the Fig 10 solo power traces.
-func BenchmarkFig10PhoronixTraces(b *testing.B) {
-	cfg := experiments.ProdConfig(cpumodel.SmallIntel(), benchSeed)
-	var refs []experiments.AppReference
-	for i := 0; i < b.N; i++ {
-		var err error
-		refs, err = experiments.PhoronixReference(cfg, 6, 1, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range refs {
-		b.Logf("%s: %d samples, mean %.1f W, min %.1f, max %.1f",
-			r.Name, r.Trace.Len(), r.Trace.Mean(), r.Trace.Min(), r.Trace.Max())
-		if os.Getenv("POWERDIV_WRITE_RESULTS") != "" {
-			t := report.NewTable("Fig 10 — "+r.Name, "t (s)", "watts")
-			for _, s := range r.Trace.Samples() {
-				t.AddRowf(s.At.Seconds(), s.Value)
-			}
-			if err := t.WriteCSV(filepath.Join("out", "fig10-"+r.Name+".csv")); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkFig11ContextDependence regenerates the Fig 11 illustration:
-// three staggered identical applications, context-dependent attribution.
-func BenchmarkFig11ContextDependence(b *testing.B) {
-	cfg := experiments.LabConfig(cpumodel.SmallIntel(), benchSeed)
-	var res experiments.ContextResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.ContextIllustration(cfg, models.NewScaphandre(), "int64", 2, 20*time.Second, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	writeResult(b, res.Table(), "fig11")
-}
-
-func benchEnergy(b *testing.B, app0, app1, name string) {
-	cfg := experiments.ProdConfig(cpumodel.SmallIntel(), benchSeed)
-	for _, f := range experiments.PaperModels() {
-		b.Run(f.Name, func(b *testing.B) {
-			var res experiments.EnergyDivisionResult
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = experiments.EnergyDivision(cfg, f, app0, app1, 6, benchSeed)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			writeResult(b, res.Table(), fmt.Sprintf("%s-%s", name, f.Name))
-		})
-	}
-}
-
-// BenchmarkFig12Build2Dacapo regenerates Fig 12 and the §V-A deltas
-// (paper: BUILD2 −6 %, DACAPO −35 %, total −13 %).
-func BenchmarkFig12Build2Dacapo(b *testing.B) {
-	benchEnergy(b, "build2", "dacapo", "fig12")
-}
-
-// BenchmarkFig13CompressCloverleaf regenerates Fig 13.
-func BenchmarkFig13CompressCloverleaf(b *testing.B) {
-	benchEnergy(b, "compress-7zip", "cloverleaf", "fig13")
 }
 
 // BenchmarkLabErrorTableCold regenerates the §IV-A error summary on both
@@ -660,106 +444,6 @@ func BenchmarkFleetCampaign(b *testing.B) {
 	}
 }
 
-// BenchmarkSectionVEnergyDeltas regenerates the §V colocation sweep:
-// CLOVERLEAF on DAHU against 0/4/9 neighbour VMs (paper: −56 % at 9).
-func BenchmarkSectionVEnergyDeltas(b *testing.B) {
-	cfg := experiments.ProdConfig(cpumodel.Dahu(), benchSeed)
-	neighbours := []int{0, 4, 9}
-	var res map[int]float64
-	for i := 0; i < b.N; i++ {
-		raw, err := experiments.ColocationSweep(cfg, models.NewScaphandre(), "cloverleaf", 6, neighbours, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res = map[int]float64{}
-		for n, e := range raw {
-			res[n] = e.Kilojoules()
-		}
-	}
-	t := report.NewTable("§V — CLOVERLEAF on DAHU", "neighbour VMs", "attributed energy (kJ)")
-	for _, n := range neighbours {
-		t.AddRowf(n, res[n])
-	}
-	writeResult(b, t, "sectionV-colocation")
-}
-
-// BenchmarkAblationFamilies compares the F1/F2/F3 residual policies
-// (coverage and context stability) — DESIGN.md §5.
-func BenchmarkAblationFamilies(b *testing.B) {
-	var props []experiments.FamilyProperties
-	for i := 0; i < b.N; i++ {
-		var err error
-		props, err = experiments.FamilyAblation(cpumodel.SmallIntel(), "fibonacci", "matrixprod", 3, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	writeResult(b, experiments.AblationTable(props), "ablation-families")
-}
-
-// BenchmarkAblationStableWindow measures the effect of the paper's
-// stable-window selection under exaggerated sensor noise.
-func BenchmarkAblationStableWindow(b *testing.B) {
-	var with, without float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		with, without, err = experiments.StableWindowAblation(cpumodel.SmallIntel(), benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Logf("mean AE with 10s stable window: %.4f, without: %.4f", with, without)
-}
-
-// BenchmarkAblationLearningWindow sweeps PowerAPI's learning window.
-func BenchmarkAblationLearningWindow(b *testing.B) {
-	windows := []time.Duration{2 * time.Second, 10 * time.Second, 20 * time.Second}
-	var res map[time.Duration][2]float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.LearningWindowAblation(cpumodel.SmallIntel(), windows, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, w := range windows {
-		b.Logf("learn window %v: mean AE %.4f, scored ticks %.0f", w, res[w][0], res[w][1])
-	}
-}
-
-// BenchmarkAblationHTEfficiency sweeps the SMT efficiency factor and
-// reports the §V total energy drop it induces.
-func BenchmarkAblationHTEfficiency(b *testing.B) {
-	factors := []float64{0.2, 0.3, 0.45, 0.6}
-	var res map[float64]float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.HTEfficiencyAblation(cpumodel.SmallIntel(), factors, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, f := range factors {
-		b.Logf("SMT efficiency %.2f: total §V energy drop %.1f%%", f, res[f])
-	}
-}
-
-// BenchmarkAblationSamplePeriod sweeps the sensor sampling period.
-func BenchmarkAblationSamplePeriod(b *testing.B) {
-	periods := []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 500 * time.Millisecond, time.Second}
-	var res map[time.Duration]float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.SamplePeriodAblation(cpumodel.SmallIntel(), periods, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, p := range periods {
-		b.Logf("sample period %v: mean AE %.4f", p, res[p])
-	}
-}
-
 // BenchmarkShareOut pins the division kernel itself: the in-place column
 // form against the map form (which allocates the result map and, in the
 // wrapper, sorts the keys every call).
@@ -811,258 +495,5 @@ func BenchmarkSimulatorTick(b *testing.B) {
 	}
 }
 
-func slug(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			out = append(out, r)
-		case r >= 'A' && r <= 'Z':
-			out = append(out, r+32)
-		default:
-			out = append(out, '-')
-		}
-	}
-	return string(out)
-}
-
-// BenchmarkExtensionProfileF2 evaluates the paper's §VI proposal: the
-// profile-driven isolated-consumption estimator and the F2 model built on
-// it, against Scaphandre on the same campaign.
-func BenchmarkExtensionProfileF2(b *testing.B) {
-	ctx := experiments.LabContext(cpumodel.SmallIntel(), benchSeed)
-	var res experiments.ProfileResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.ProfileF2Evaluation(ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	writeResult(b, res.Table(), "extension-profile-f2")
-	if os.Getenv("POWERDIV_WRITE_RESULTS") != "" {
-		if err := res.LOOTable().WriteCSV(filepath.Join("out", "extension-profile-f2-loo.csv")); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExtensionNestedDivision composes a host-level division among
-// VMs with per-VM guest divisions — the paper's introduction scenario
-// (provider and tenant as two actors).
-func BenchmarkExtensionNestedDivision(b *testing.B) {
-	cfg := experiments.ProdConfig(cpumodel.SmallIntel(), benchSeed)
-	fib, _ := workload.StressByName("fibonacci")
-	mat, _ := workload.StressByName("matrixprod")
-	jmp, _ := workload.StressByName("jmp")
-	rnd, _ := workload.StressByName("rand")
-	vms := []vm.MultiVM{
-		{Name: "vm0", VCPUs: 6, Guests: []machine.Proc{
-			{ID: "fib", Workload: fib, Threads: 2},
-			{ID: "mat", Workload: mat, Threads: 2},
-		}},
-		{Name: "vm1", VCPUs: 6, Guests: []machine.Proc{
-			{ID: "jmp", Workload: jmp, Threads: 2},
-			{ID: "rand", Workload: rnd, Threads: 2},
-		}},
-	}
-	var last vm.NestedTick
-	for i := 0; i < b.N; i++ {
-		procs, err := vm.HostMulti(cfg, vms)
-		if err != nil {
-			b.Fatal(err)
-		}
-		run, err := machine.Simulate(cfg, procs, 10*time.Second)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ticks, err := vm.NestedDivision(run, models.NewScaphandre(), models.NewScaphandre(), benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = ticks[len(ticks)-1]
-	}
-	t := report.NewTable("Nested division — final tick", "account", "watts")
-	for _, name := range []string{"vm0", "vm1"} {
-		t.AddRowf(name, float64(last.PerVM[name]))
-	}
-	for _, id := range []string{"vm0/fib", "vm0/mat", "vm1/jmp", "vm1/rand"} {
-		t.AddRowf(id, float64(last.PerGuest[id]))
-	}
-	writeResult(b, t, "extension-nested")
-}
-
-// BenchmarkExtensionMultiApp extends the campaign to 3-way scenarios.
-func BenchmarkExtensionMultiApp(b *testing.B) {
-	ctx := experiments.LabContext(cpumodel.SmallIntel(), benchSeed)
-	var res experiments.MultiAppResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.MultiAppEvaluation(ctx, models.NewScaphandre(), workload.StressNames(), []int{2, 3}, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	writeResult(b, res.Table(), "extension-multiapp")
-}
-
-// BenchmarkExtensionEnergyLedger measures the accounting layer over a
-// Section V colocation run.
-func BenchmarkExtensionEnergyLedger(b *testing.B) {
-	cfg := experiments.ProdConfig(cpumodel.SmallIntel(), benchSeed)
-	b2, _ := workload.PhoronixByName("build2")
-	dc, _ := workload.PhoronixByName("dacapo")
-	run, err := vm.SimulateColocation(cfg, []vm.VM{
-		{Name: "build2", VCPUs: 6, App: b2},
-		{Name: "dacapo", VCPUs: 6, App: dc},
-	}, 500*time.Second)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var ledger *energyacct.Ledger
-	for i := 0; i < b.N; i++ {
-		ledger = energyacct.FromRun(run, models.NewScaphandre(), benchSeed)
-		if err := ledger.Validate(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	t := report.NewTable("Energy accounts — build2 ∥ dacapo", "account", "kJ")
-	for _, e := range ledger.Entries() {
-		t.AddRowf(e.ID, e.Energy.Kilojoules())
-	}
-	t.AddRowf("(unattributed)", ledger.Unattributed().Kilojoules())
-	writeResult(b, t, "extension-ledger")
-}
-
-// BenchmarkExtensionBehaviorCorrelation quantifies §V-A's "mirroring"
-// observation: the correlation of each attributed curve with its own vs
-// the co-runner's solo signature.
-func BenchmarkExtensionBehaviorCorrelation(b *testing.B) {
-	cfg := experiments.ProdConfig(cpumodel.SmallIntel(), benchSeed)
-	var r1, r2 experiments.BehaviorResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		r1, err = experiments.BehaviorCorrelation(cfg, models.NewScaphandre(), "build2", "dacapo", 6, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r2, err = experiments.BehaviorCorrelation(cfg, models.NewScaphandre(), "compress-7zip", "cloverleaf", 6, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	writeResult(b, r1.Table(), "extension-behavior-build2-dacapo")
-	writeResult(b, r2.Table(), "extension-behavior-7zip-cloverleaf")
-}
-
-// BenchmarkProductionContext runs the protocol campaign in the paper's
-// production context (hyperthreading and turbo enabled) on both machines —
-// §III-C defines the objective there too; the paper's campaign numbers are
-// laboratory-only, so these rows are additional coverage.
-func BenchmarkProductionContext(b *testing.B) {
-	for _, spec := range cpumodel.Specs() {
-		b.Run(slug(spec.Name), func(b *testing.B) {
-			ctx := experiments.ProdContext(spec, benchSeed)
-			var res experiments.ScatterResult
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = experiments.RatioScatter(ctx, models.NewScaphandre())
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			writeResult(b, res.Table(), "prod-scaphandre-"+slug(spec.Name))
-		})
-	}
-}
-
-// BenchmarkExtensionResidualAware evaluates the residual-aware model on
-// the §IV-B campaign — the calibrated fix for challenge C3.
-func BenchmarkExtensionResidualAware(b *testing.B) {
-	ctx := experiments.LabContext(cpumodel.SmallIntel(), benchSeed)
-	ra := models.NewResidualAwareFromSpec(cpumodel.SmallIntel())
-	var res experiments.CappingResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.ResidualCapping(ctx, ra, workload.StressNames(), []int{1, 2, 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	writeResult(b, res.Table(), "extension-residual-aware")
-}
-
-// BenchmarkExtensionTimeline quantifies the Fig 11 dynamic-context setting:
-// a model's error and estimate coverage under application arrivals and
-// departures (PowerAPI relearns at every change and loses roughly half its
-// coverage on a three-phase timeline).
-func BenchmarkExtensionTimeline(b *testing.B) {
-	t := benchFig11Timeline(b, "Fig 11 timeline — model error and coverage under churn", experiments.PaperModels())
-	writeResult(b, t, "extension-timeline")
-}
-
-// benchFig11Timeline scores fs over the Fig 11 timeline — three int64-2
-// instances, P1 present from 20 s to 40 s and P2 from 40 s on — once per
-// iteration, as one TimelineCampaign, and tabulates each model's error
-// and coverage.
-func benchFig11Timeline(b *testing.B, title string, fs []models.Factory) *report.Table {
-	ctx := experiments.LabContext(cpumodel.SmallIntel(), benchSeed)
-	var s protocol.Scenario
-	for _, id := range []string{"P0", "P1", "P2"} {
-		app, err := protocol.StressApp("int64", 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		app.ID = id
-		s.Apps = append(s.Apps, app)
-	}
-	s.Apps[1].StartAt, s.Apps[1].StopAt = 20*time.Second, 40*time.Second
-	s.Apps[2].StartAt = 40 * time.Second
-	baselines, err := protocol.Measure(context.Background(), ctx, s.Apps)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var res protocol.Result
-	for i := 0; i < b.N; i++ {
-		res, err = protocol.Evaluate(context.Background(), ctx, protocol.Campaign{
-			Kind: protocol.TimelineCampaign, Scenarios: []protocol.Scenario{s}, Factories: protocol.FixedFactories(fs...),
-			Baselines: baselines, Window: time.Minute,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	t := report.NewTable(title, "model", "AE", "coverage")
-	for m, f := range res.Factories {
-		r := res.Traffic(m)[0]
-		t.AddRow(f.Name, report.Percent(r.AE), report.Percent(r.Coverage))
-	}
-	return t
-}
-
-// BenchmarkAblationPowerAPIDeterminism isolates how much of PowerAPI's
-// DAHU error the calibration instability accounts for.
-func BenchmarkAblationPowerAPIDeterminism(b *testing.B) {
-	ctx := experiments.LabContext(cpumodel.Dahu(), benchSeed)
-	var with, without float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		with, without, err = experiments.PowerAPIDeterminismAblation(ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Logf("PowerAPI mean AE with pathology: %.4f, without: %.4f", with, without)
-}
-
-// BenchmarkExtensionSmartWatts contrasts the per-frequency-bin SmartWatts
-// calibration with PowerAPI under context churn: SmartWatts pays one
-// warm-up per frequency bin instead of one per context.
-func BenchmarkExtensionSmartWatts(b *testing.B) {
-	t := benchFig11Timeline(b, "SmartWatts vs PowerAPI under churn", []models.Factory{
-		models.NewSmartWatts(models.DefaultSmartWattsConfig()),
-		models.NewPowerAPI(models.DefaultPowerAPIConfig()),
-	})
-	writeResult(b, t, "extension-smartwatts")
-}
+// slug names a machine's sub-benchmarks, e.g. "SMALL INTEL" → "small-intel".
+func slug(name string) string { return strings.ToLower(strings.ReplaceAll(name, " ", "-")) }

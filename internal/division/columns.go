@@ -143,13 +143,3 @@ func AbsoluteErrorColumnsConst(ests [][]units.Watts, power []units.Watts, truth 
 	}
 	return acc.Mean()
 }
-
-// ConstVectors replicates one truth vector across n ticks — the dense
-// counterpart of ConstShares.
-func ConstVectors(n int, v []float64) [][]float64 {
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
-}

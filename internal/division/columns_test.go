@@ -22,19 +22,6 @@ func TestSharesVector(t *testing.T) {
 	}
 }
 
-func TestConstVectors(t *testing.T) {
-	v := []float64{0.5, 0.5}
-	vs := ConstVectors(3, v)
-	if len(vs) != 3 {
-		t.Fatalf("len = %d", len(vs))
-	}
-	for i := range vs {
-		if &vs[i][0] != &v[0] {
-			t.Errorf("tick %d: vector copied instead of shared", i)
-		}
-	}
-}
-
 func TestAbsoluteErrorColumnsMismatch(t *testing.T) {
 	_, err := AbsoluteErrorColumns(make([][]units.Watts, 2), make([]units.Watts, 1), make([][]float64, 2))
 	if err == nil {

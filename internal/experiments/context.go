@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"powerdiv/internal/machine"
 	"powerdiv/internal/models"
+	"powerdiv/internal/protocol"
 	"powerdiv/internal/report"
 	"powerdiv/internal/trace"
 	"powerdiv/internal/workload"
@@ -116,4 +118,56 @@ func ContextIllustration(cfg machine.Config, factory models.Factory, fn string, 
 		}
 	})
 	return res, err
+}
+
+// TimelineScore is one model's Eq 5 error and estimate coverage over the
+// Fig 11 timeline.
+type TimelineScore struct {
+	Model        string
+	AE, Coverage float64
+}
+
+// fig11Timeline scores fs over the Fig 11 timeline — three int64-2
+// instances, P1 present from 20 s to 40 s and P2 from 40 s on — as one
+// TimelineCampaign: each model's error and coverage under arrivals and
+// departures (PowerAPI relearns at every change and loses roughly half its
+// coverage).
+func fig11Timeline(ctx protocol.Context, fs []models.Factory) ([]TimelineScore, error) {
+	var s protocol.Scenario
+	for _, id := range []string{"P0", "P1", "P2"} {
+		app, err := protocol.StressApp("int64", 2)
+		if err != nil {
+			return nil, err
+		}
+		app.ID = id
+		s.Apps = append(s.Apps, app)
+	}
+	s.Apps[1].StartAt, s.Apps[1].StopAt = 20*time.Second, 40*time.Second
+	s.Apps[2].StartAt = 40 * time.Second
+	baselines, err := protocol.Measure(context.Background(), ctx, s.Apps)
+	if err != nil {
+		return nil, err
+	}
+	res, err := protocol.Evaluate(context.Background(), ctx, protocol.Campaign{
+		Kind: protocol.TimelineCampaign, Scenarios: []protocol.Scenario{s}, Factories: protocol.FixedFactories(fs...),
+		Baselines: baselines, Window: time.Minute,
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]TimelineScore, len(res.Factories))
+	for m, f := range res.Factories {
+		r := res.Traffic(m)[0]
+		out[m] = TimelineScore{Model: f.Name, AE: r.AE, Coverage: r.Coverage}
+	}
+	return out, nil
+}
+
+// timelineTable renders timeline scores, one row per model.
+func timelineTable(title string, rows []TimelineScore) *report.Table {
+	t := report.NewTable(title, "model", "AE", "coverage")
+	for _, r := range rows {
+		t.AddRow(r.Model, report.Percent(r.AE), report.Percent(r.Coverage))
+	}
+	return t
 }

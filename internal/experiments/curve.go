@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"powerdiv/internal/division"
 	"powerdiv/internal/machine"
 	"powerdiv/internal/report"
 	"powerdiv/internal/units"
@@ -165,8 +166,8 @@ func Eq1Undershoot(cfg machine.Config, fn0, fn1 string, threads int) (Eq1Result,
 	res.CSolo0 = units.Watts(solo0.TruePowerSeries().Mean())
 	res.CSolo1 = units.Watts(solo1.TruePowerSeries().Mean())
 	// C_{S/P0} is the scenario without P0, i.e. P1 alone.
-	res.Naive0 = res.CPair - res.CSolo1
-	res.Naive1 = res.CPair - res.CSolo0
+	res.Naive0 = division.NaiveEstimate(res.CPair, res.CSolo1)
+	res.Naive1 = division.NaiveEstimate(res.CPair, res.CSolo0)
 	res.Residual = units.Watts(pair.ResidualSeries().Mean()) + units.Watts(pair.Ticks[0].Idle)
 	res.Uncovered = res.CPair - res.Naive0 - res.Naive1
 	return res, nil

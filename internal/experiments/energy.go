@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"powerdiv/internal/energyacct"
 	"powerdiv/internal/machine"
 	"powerdiv/internal/models"
 	"powerdiv/internal/report"
@@ -194,4 +195,47 @@ func ColocationSweep(cfg machine.Config, factory models.Factory, app string, vcp
 		out[n] = e
 	}
 	return out, nil
+}
+
+// energyLedger bills build2 ∥ dacapo, colocated in 6-vCPU VMs for 500 s,
+// to a ledger through Scaphandre's estimates, and checks that the ledger
+// conserves the machine energy.
+func energyLedger(cfg machine.Config, seed int64) (*energyacct.Ledger, error) {
+	build2, _ := workload.PhoronixByName("build2")
+	dacapo, _ := workload.PhoronixByName("dacapo")
+	run, err := vm.SimulateColocation(cfg, []vm.VM{
+		{Name: "build2", VCPUs: 6, App: build2},
+		{Name: "dacapo", VCPUs: 6, App: dacapo},
+	}, 500*time.Second)
+	if err != nil {
+		return nil, err
+	}
+	ledger := energyacct.FromRun(run, models.NewScaphandre(), seed)
+	return ledger, ledger.Validate()
+}
+
+// nestedDivision composes a host-level division among two VMs with
+// per-VM guest divisions — the paper's introduction scenario, provider
+// and tenant as two actors — and returns the final tick of a 10 s run.
+func nestedDivision(cfg machine.Config, seed int64) (vm.NestedTick, error) {
+	guest := func(id, fn string) machine.Proc {
+		w, _ := workload.StressByName(fn)
+		return machine.Proc{ID: id, Workload: w, Threads: 2}
+	}
+	procs, err := vm.HostMulti(cfg, []vm.MultiVM{
+		{Name: "vm0", VCPUs: 6, Guests: []machine.Proc{guest("fib", "fibonacci"), guest("mat", "matrixprod")}},
+		{Name: "vm1", VCPUs: 6, Guests: []machine.Proc{guest("jmp", "jmp"), guest("rand", "rand")}},
+	})
+	if err != nil {
+		return vm.NestedTick{}, err
+	}
+	run, err := machine.Simulate(cfg, procs, 10*time.Second)
+	if err != nil {
+		return vm.NestedTick{}, err
+	}
+	ticks, err := vm.NestedDivision(run, models.NewScaphandre(), models.NewScaphandre(), seed)
+	if err != nil {
+		return vm.NestedTick{}, err
+	}
+	return ticks[len(ticks)-1], nil
 }

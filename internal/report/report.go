@@ -12,7 +12,10 @@ import (
 
 // Table is a titled grid of cells.
 type Table struct {
-	Title   string
+	Title string
+	// Name tells apart the tables of one experiment artefact, e.g. in
+	// their CSV file names; an artefact's own table leaves it empty.
+	Name    string
 	Columns []string
 	Rows    [][]string
 }

@@ -121,14 +121,6 @@ func TestSpark(t *testing.T) {
 	}
 }
 
-func TestSparkLine(t *testing.T) {
-	s := traceFromValues(10, 20)
-	line := SparkLine("build2", s, 4)
-	if !strings.Contains(line, "build2") || !strings.Contains(line, "[10.0 – 20.0 W]") {
-		t.Errorf("SparkLine = %q", line)
-	}
-}
-
 // traceFromValues builds a 1s-period series for spark tests.
 func traceFromValues(vals ...float64) *trace.Series {
 	return trace.FromValues(time.Second, vals...)

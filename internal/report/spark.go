@@ -1,7 +1,6 @@
 package report
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"time"
@@ -49,11 +48,4 @@ func Spark(s *trace.Series, width int) string {
 		b.WriteRune(sparkLevels[level])
 	}
 	return b.String()
-}
-
-// SparkLine renders a labelled sparkline with its range, e.g.
-//
-//	build2     ▁▂▇██▇▂▁  [44.1 – 76.3 W]
-func SparkLine(label string, s *trace.Series, width int) string {
-	return fmt.Sprintf("%-14s %s  [%.1f – %.1f W]", label, Spark(s, width), s.Min(), s.Max())
 }

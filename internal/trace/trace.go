@@ -368,29 +368,6 @@ func Add(a, b *Series, period time.Duration) *Series {
 	return BinOp(a, b, period, func(x, y float64) float64 { return x + y })
 }
 
-// Sub returns the pointwise difference a−b on a regular grid.
-func Sub(a, b *Series, period time.Duration) *Series {
-	return BinOp(a, b, period, func(x, y float64) float64 { return x - y })
-}
-
-// Sum returns the pointwise sum of all series on a regular grid spanning
-// their common overlap. It returns an empty series if the list is empty.
-// A single series is returned as an independent copy resampled onto the
-// requested period grid, like every other arity.
-func Sum(period time.Duration, series ...*Series) *Series {
-	if len(series) == 0 {
-		return &Series{}
-	}
-	if len(series) == 1 {
-		return series[0].Resample(period)
-	}
-	acc := series[0]
-	for _, s := range series[1:] {
-		acc = Add(acc, s, period)
-	}
-	return acc
-}
-
 // Correlation returns the Pearson correlation coefficient of the two
 // series over their overlap, resampled onto a regular grid of the given
 // period. It returns 0 when the overlap is empty or either series is

@@ -183,12 +183,6 @@ func TestBinOpAlignment(t *testing.T) {
 			t.Errorf("sum[%d] = %v, want 3", i, sum.At(i).Value)
 		}
 	}
-	diff := Sub(b, a, time.Second)
-	for i := 0; i < diff.Len(); i++ {
-		if diff.At(i).Value != 1 {
-			t.Errorf("diff[%d] = %v, want 1", i, diff.At(i).Value)
-		}
-	}
 }
 
 func TestBinOpNoOverlap(t *testing.T) {
@@ -196,24 +190,6 @@ func TestBinOpNoOverlap(t *testing.T) {
 	b := FromValues(time.Second, 2, 2).Shift(10 * time.Second)
 	if got := Add(a, b, time.Second); got.Len() != 0 {
 		t.Errorf("no-overlap Add Len = %d, want 0", got.Len())
-	}
-}
-
-func TestSumMultiple(t *testing.T) {
-	a := FromValues(time.Second, 1, 1, 1)
-	b := FromValues(time.Second, 2, 2, 2)
-	c := FromValues(time.Second, 3, 3, 3)
-	s := Sum(time.Second, a, b, c)
-	if s.Len() != 3 {
-		t.Fatalf("Sum Len = %d, want 3", s.Len())
-	}
-	for i := 0; i < 3; i++ {
-		if s.At(i).Value != 6 {
-			t.Errorf("Sum[%d] = %v, want 6", i, s.At(i).Value)
-		}
-	}
-	if Sum(time.Second).Len() != 0 {
-		t.Error("Sum of nothing should be empty")
 	}
 }
 
@@ -289,7 +265,7 @@ func TestEnergyScaleProperty(t *testing.T) {
 	}
 }
 
-// Property: Sub(Add(a,b), b) == a on the overlap grid.
+// Property: Add(a,b) − b == a on the overlap grid.
 func TestAddSubRoundTrip(t *testing.T) {
 	f := func(rawA, rawB []float64) bool {
 		clean := func(raw []float64) []float64 {
@@ -305,7 +281,7 @@ func TestAddSubRoundTrip(t *testing.T) {
 		a := FromValues(time.Second, clean(rawA)...)
 		b := FromValues(time.Second, clean(rawB)...)
 		sum := Add(a, b, time.Second)
-		back := Sub(sum, b, time.Second)
+		back := BinOp(sum, b, time.Second, func(x, y float64) float64 { return x - y })
 		for i := 0; i < back.Len(); i++ {
 			av, ok := a.ValueAt(back.At(i).At)
 			if !ok {
@@ -478,35 +454,6 @@ func TestStableWindowMatchesQuadraticReference(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Regression: Sum with a single series used to return the aliased input,
-// skipping the resample onto the requested grid that every other arity
-// performs.
-func TestSumSingleSeriesResampledCopy(t *testing.T) {
-	s := New(
-		Sample{At: 0, Value: 1},
-		Sample{At: 250 * time.Millisecond, Value: 2},
-		Sample{At: 600 * time.Millisecond, Value: 3},
-	)
-	got := Sum(100*time.Millisecond, s)
-	if got == s {
-		t.Fatal("Sum(period, s) returned the aliased input series")
-	}
-	if got.Len() != 7 {
-		t.Fatalf("Sum single series Len = %d, want 7 (100ms grid over 600ms)", got.Len())
-	}
-	wantVals := []float64{1, 1, 1, 2, 2, 2, 3}
-	for i, want := range wantVals {
-		if sm := got.At(i); sm.Value != want || sm.At != time.Duration(i)*100*time.Millisecond {
-			t.Errorf("sample %d = %+v, want value %v at %v", i, sm, want, time.Duration(i)*100*time.Millisecond)
-		}
-	}
-	// The copy is independent: growing it must not disturb the input.
-	got.Append(time.Hour, 99)
-	if s.Len() != 3 {
-		t.Errorf("input series grew to %d samples after mutating the sum", s.Len())
 	}
 }
 

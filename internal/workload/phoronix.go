@@ -51,15 +51,6 @@ func PhoronixByName(name string) (Workload, bool) {
 	return Workload{}, false
 }
 
-// PhoronixNames returns the Table IV application names.
-func PhoronixNames() []string {
-	out := make([]string, len(phoronixDefs))
-	for i, d := range phoronixDefs {
-		out[i] = d.name
-	}
-	return out
-}
-
 // Known reports whether name is a stress function or a Phoronix
 // application, without materialising either.
 func Known(name string) bool {

@@ -223,22 +223,23 @@ func TestByNameLookups(t *testing.T) {
 	if got := len(StressNames()); got != 12 {
 		t.Errorf("StressNames len = %d, want 12", got)
 	}
-	if got := len(PhoronixNames()); got != 4 {
-		t.Errorf("PhoronixNames len = %d, want 4", got)
+	if got := len(PhoronixSet()); got != 4 {
+		t.Errorf("PhoronixSet len = %d, want 4", got)
 	}
 }
 
-// TestKnownMatchesLookups pins Known and the Phoronix name table against
-// the materialised sets: every name PhoronixNames lists builds the
-// workload of that name, and Known accepts exactly the names the two
-// lookups resolve.
+// TestKnownMatchesLookups pins Known and the Phoronix lookup against the
+// materialised set: every application of PhoronixSet resolves by its
+// name, and Known accepts exactly the names the two lookups resolve.
 func TestKnownMatchesLookups(t *testing.T) {
-	for i, name := range PhoronixNames() {
-		if w, ok := PhoronixByName(name); !ok || w.Name != name || PhoronixSet()[i].Name != name {
-			t.Errorf("phoronix name %q resolves to %q (found %v), set entry %q", name, w.Name, ok, PhoronixSet()[i].Name)
+	names := append([]string{}, StressNames()...)
+	for _, app := range PhoronixSet() {
+		if w, ok := PhoronixByName(app.Name); !ok || w.Name != app.Name {
+			t.Errorf("phoronix name %q resolves to %q (found %v)", app.Name, w.Name, ok)
 		}
+		names = append(names, app.Name)
 	}
-	for _, name := range append(append(StressNames(), PhoronixNames()...), "nope", "", "Matrixprod") {
+	for _, name := range append(names, "nope", "", "Matrixprod") {
 		_, stress := StressByName(name)
 		_, phoronix := PhoronixByName(name)
 		if got := Known(name); got != (stress || phoronix) {
