@@ -127,14 +127,25 @@ func (l *Ledger) Validate() error {
 	return nil
 }
 
-// FromRun replays a simulated run through a model and returns the filled
-// ledger — the batch path used by the Section V experiments.
+// FromRun replays a simulated run through a model, tick by tick over the
+// run's roster, and returns the filled ledger — the batch path used by the
+// Section V experiments.
 func FromRun(run *machine.Run, factory models.Factory, seed int64) *Ledger {
 	l := New()
-	ests := models.Replay(factory.New(seed), run)
-	tick := run.Tick()
-	for i, rec := range run.Ticks {
-		l.Record(tick, rec.Power, ests[i])
+	m := factory.New(seed)
+	tick := models.Tick{
+		Interval:    run.Tick(),
+		LogicalCPUs: run.Config.Spec.Topology.LogicalCPUs(),
+		Roster:      run.Roster,
+		Samples:     make([]models.ProcSample, run.Roster.Len()),
+	}
+	for i := range run.Ticks {
+		rec := &run.Ticks[i]
+		for slot := range rec.Procs {
+			tick.Samples[slot] = models.SampleOf(&rec.Procs[slot])
+		}
+		tick.At, tick.MachinePower, tick.Freq = rec.At, rec.Power, rec.Freq
+		l.Record(tick.Interval, rec.Power, m.Observe(tick))
 	}
 	return l
 }

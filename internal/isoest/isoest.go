@@ -145,8 +145,12 @@ func (m *ProfileF2) Name() string { return "profile-f2" }
 
 // Observe divides the tick's power by predicted-isolated-consumption share.
 func (m *ProfileF2) Observe(t models.Tick) map[string]units.Watts {
-	weights := make(map[string]float64, len(t.Procs))
-	for id, p := range t.Procs {
+	weights := make(map[string]float64, len(t.Samples))
+	for slot, p := range t.Samples {
+		if !p.Present() {
+			continue
+		}
+		id := t.Roster.ID(slot)
 		cores := p.CPUTime.Seconds() / t.Interval.Seconds()
 		if cores <= 0 {
 			weights[id] = 0

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"powerdiv/internal/machine"
 	"powerdiv/internal/models"
 	"powerdiv/internal/perfcnt"
 	"powerdiv/internal/units"
@@ -110,6 +111,7 @@ func TestProfileF2Division(t *testing.T) {
 		instr := cycles * ipc
 		return models.ProcSample{
 			CPUTime:  cpu,
+			Threads:  int(cores),
 			Counters: perfcnt.Counters{Cycles: cycles, Instructions: instr, CacheRefs: instr / 500, Branches: instr / 10},
 		}
 	}
@@ -117,9 +119,10 @@ func TestProfileF2Division(t *testing.T) {
 		At:           time.Second,
 		Interval:     interval,
 		MachinePower: 100,
-		Procs: map[string]models.ProcSample{
-			"hot":  mk(2, 2.8), // per-core 2e-9·c+1e-9·i = 7.2+10.08 = 17.28 W... at 3.6GHz
-			"cold": mk(2, 0.9),
+		Roster:       machine.NewRoster([]string{"cold", "hot"}),
+		Samples: []models.ProcSample{
+			mk(2, 0.9),
+			mk(2, 2.8), // per-core 2e-9·c+1e-9·i = 7.2+10.08 = 17.28 W... at 3.6GHz
 		},
 	}
 	est2 := m.Observe(tick)
@@ -149,7 +152,8 @@ func TestProfileF2IdleProcs(t *testing.T) {
 		At:           time.Second,
 		Interval:     100 * time.Millisecond,
 		MachinePower: 50,
-		Procs:        map[string]models.ProcSample{"idle": {}},
+		Roster:       machine.NewRoster([]string{"idle"}),
+		Samples:      []models.ProcSample{{Threads: 1}},
 	})
 	if out != nil {
 		t.Errorf("idle-only tick estimate = %v, want nil", out)

@@ -37,6 +37,7 @@ import (
 	"strconv"
 	"time"
 
+	"powerdiv/internal/machine"
 	"powerdiv/internal/models"
 	"powerdiv/internal/obs"
 	"powerdiv/internal/procfs"
@@ -95,6 +96,15 @@ type Meter struct {
 	primed     bool
 	pending    map[int]pendingProc // proc activity carried across dropped ticks
 	dropped    int                 // ticks dropped since the last emit
+
+	// roster is the model's roster over the last non-idle interval's PIDs
+	// (decimal strings, so slots run in sorted-string order); rosterPIDs
+	// holds each slot's PID, ids is scratch for rebuilding the roster and
+	// samples is the interval's sample column.
+	roster     *machine.Roster
+	rosterPIDs []int
+	ids        []string
+	samples    []models.ProcSample
 }
 
 // zoneState tracks one zone's availability.
@@ -345,33 +355,29 @@ func (m *Meter) Sample(now time.Time, pids []int) (Attribution, error) {
 		ZonesLive:      live,
 		ZonesVanished:  m.vanishedCount(),
 	}
-	procs := make(map[string]models.ProcSample, len(m.pending))
-	for pid, p := range m.pending {
-		procs[strconv.Itoa(pid)] = models.ProcSample{CPUTime: p.cpu, Threads: p.threads}
-	}
 	// Best-effort frequency: cpu0's current frequency, 0 when unreadable.
 	var freq units.Hertz
 	if khz, err := procfs.ReadCurFreqKHzReader(m.freqRoot, 0, m.readFile); err == nil {
 		freq = units.Hertz(khz) * units.KHz
 	}
+	roster, samples := m.column()
 	est := m.model.Observe(models.Tick{
 		At:           at,
 		Interval:     interval,
 		MachinePower: total,
 		Freq:         freq,
 		Degraded:     attr.Degraded,
-		Procs:        procs,
+		Roster:       roster,
+		Samples:      samples,
 	})
 	if est != nil {
+		// Only the roster's IDs are read back: a model returning IDs the
+		// meter never issued is a bug in the model.
 		attr.PerPID = make(map[int]units.Watts, len(est))
-		for id, w := range est {
-			pid, err := strconv.Atoi(id)
-			if err != nil {
-				// A model returning IDs the meter never issued is a bug in
-				// the model; don't fabricate PID 0.
-				continue
+		for slot, id := range roster.IDs() {
+			if w, ok := est[id]; ok {
+				attr.PerPID[m.rosterPIDs[slot]] = w
 			}
-			attr.PerPID[pid] = w
 		}
 	}
 	m.lastEmitAt = at
@@ -389,6 +395,53 @@ func (m *Meter) Sample(now time.Time, pids []int) (Attribution, error) {
 		obsCoverage.Set(float64(assigned / total))
 	}
 	return attr, nil
+}
+
+// idleRoster is the roster of every interval with no sampled process.
+// Sharing it leaves the meter's PID roster, and with it the model's
+// calibration context (PowerAPI's), untouched by idle intervals.
+var idleRoster = machine.NewRoster(nil)
+
+// column returns the interval's roster and its sample column of pending
+// activity. The PID roster is rebuilt only when the PID set changes, so a
+// steady set keeps its roster. A sampled PID is present by definition:
+// one whose thread count is unknown joins with one thread.
+func (m *Meter) column() (*machine.Roster, []models.ProcSample) {
+	if len(m.pending) == 0 {
+		return idleRoster, nil
+	}
+	if !m.samePIDs() {
+		m.ids = m.ids[:0]
+		for pid := range m.pending {
+			m.ids = append(m.ids, strconv.Itoa(pid))
+		}
+		m.roster = machine.NewRoster(m.ids)
+		m.rosterPIDs = m.rosterPIDs[:0]
+		for _, id := range m.roster.IDs() {
+			pid, _ := strconv.Atoi(id) // formatted by Itoa above
+			m.rosterPIDs = append(m.rosterPIDs, pid)
+		}
+	}
+	m.samples = m.samples[:0]
+	for _, pid := range m.rosterPIDs {
+		p := m.pending[pid]
+		m.samples = append(m.samples, models.ProcSample{CPUTime: p.cpu, Threads: max(p.threads, 1)})
+	}
+	return m.roster, m.samples
+}
+
+// samePIDs reports whether the pending PIDs are exactly the roster's — an
+// O(n) membership check, so a steady PID set neither sorts nor allocates.
+func (m *Meter) samePIDs() bool {
+	if m.roster == nil || len(m.rosterPIDs) != len(m.pending) {
+		return false
+	}
+	for _, pid := range m.rosterPIDs {
+		if _, ok := m.pending[pid]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // droppedAttribution is the (non-nil-error) payload for a dropped tick.

@@ -2,9 +2,11 @@ package livemeter
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 
@@ -474,7 +476,10 @@ func TestMeterWithFrequencyAndModel(t *testing.T) {
 	if probe.last.Degraded {
 		t.Error("model saw a clean tick flagged degraded")
 	}
-	ps := probe.last.Procs["10"]
+	if ids := probe.last.Roster.IDs(); len(ids) != 1 || ids[0] != "10" || len(probe.last.Samples) != 1 {
+		t.Fatalf("model saw roster %v with %d samples, want [10] and 1", ids, len(probe.last.Samples))
+	}
+	ps := probe.last.Samples[0]
 	if ps.Threads != 1 {
 		t.Errorf("model saw %d threads, want 1", ps.Threads)
 	}
@@ -490,4 +495,88 @@ func (p *tickProbe) Name() string { return "probe" }
 func (p *tickProbe) Observe(t models.Tick) map[string]units.Watts {
 	p.last = t
 	return nil
+}
+
+// writeStat writes pid's stat file with the given cumulative utime and
+// num_threads (stat field 20).
+func writeStat(t *testing.T, procRoot string, pid int, jiffies uint64, threads int) {
+	t.Helper()
+	dir := filepath.Join(procRoot, strconv.Itoa(pid))
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	line := fmt.Sprintf("%d (worker) R 1 1 1 0 -1 0 0 0 0 0 %d 0 0 0 20 0 %d 0 0 0 0\n", pid, jiffies, threads)
+	if err := os.WriteFile(filepath.Join(dir, "stat"), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMeterKeepsRosterAcrossIdleInterval pins the meter's PID-roster rules
+// under PowerAPI, whose calibration context is the roster and its present
+// set: PIDs {10, 11} → an idle interval (no sampled PID) → {10, 11} again
+// does not relearn, because an idle interval goes over a shared empty
+// roster and leaves the PID roster alone. PID 11's stat reports 0 threads;
+// it is still attributed, running one thread.
+func TestMeterKeepsRosterAcrossIdleInterval(t *testing.T) {
+	h := newHost(t)
+	cfg := models.DefaultPowerAPIConfig()
+	cfg.LearnWindow = 2 * time.Second
+	cfg.Deterministic = true
+	m, err := Open(Config{
+		PowercapRoot: h.CapRoot,
+		ProcRoot:     h.ProcRoot,
+		Model:        models.NewPowerAPI(cfg).New(1),
+		Retry:        noSleep(1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pids := []int{10, 11}
+	threads := map[int]int{10: 2, 11: 0}
+	jiffies := map[int]uint64{}
+	base := time.Unix(1000, 0)
+	step := func(i int, sampled []int) Attribution {
+		t.Helper()
+		h.AddEnergy(0, 30)
+		for _, pid := range pids {
+			jiffies[pid] += uint64(pid) * 4
+			writeStat(t, h.ProcRoot, pid, jiffies[pid], threads[pid])
+		}
+		attr, err := m.Sample(base.Add(time.Duration(i)*time.Second), sampled)
+		if err != nil {
+			t.Fatalf("sample %d: %v", i, err)
+		}
+		return attr
+	}
+	attributed := func(i int, attr Attribution) {
+		t.Helper()
+		for _, pid := range pids {
+			if w, ok := attr.PerPID[pid]; !ok || w <= 0 {
+				t.Fatalf("sample %d: pid %d attributed %v (present %v), want > 0", i, pid, w, ok)
+			}
+		}
+	}
+
+	for _, pid := range pids {
+		writeStat(t, h.ProcRoot, pid, 0, threads[pid])
+	}
+	if _, err := m.Sample(base, pids); !errors.Is(err, ErrNotPrimed) {
+		t.Fatalf("prime err = %v", err)
+	}
+	var attr Attribution
+	i := 0
+	for attr.PerPID == nil {
+		if i++; i > 5 {
+			t.Fatal("PowerAPI never finished learning")
+		}
+		attr = step(i, pids)
+	}
+	attributed(i, attr)
+	if attr := step(i+1, nil); attr.PerPID != nil {
+		t.Fatalf("idle interval attributed %v", attr.PerPID)
+	}
+	// The tracker re-reads both PIDs' baselines after the idle interval,
+	// so the next interval carries no CPU time and no estimate.
+	step(i+2, pids)
+	attributed(i+3, step(i+3, pids))
 }

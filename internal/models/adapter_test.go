@@ -10,27 +10,36 @@ import (
 	"powerdiv/internal/units"
 )
 
-// TestObserveMapHoldsEveryPresentProcess pins the map entry point's
-// output contract: whenever a model estimates a map tick, the result has
-// exactly one entry per input process — zero-CPU and Threads == 0 entries
-// included — and nothing else.
+// TestObserveMapHoldsEveryPresentProcess pins the map output's contract:
+// whenever a model estimates a tick, the result has exactly one entry per
+// present process — zero-CPU and one-thread processes included — and
+// nothing else, whether the roster is the present set (churnTicks) or a
+// wider one with absent slots.
 func TestObserveMapHoldsEveryPresentProcess(t *testing.T) {
 	for _, f := range goldenFactories() {
 		for _, logical := range []int{12, 64} {
 			for in := int64(1); in <= 3; in++ {
-				m := f.New(in)
-				for i, tk := range goldenMapTicks(in, logical) {
-					est := m.Observe(tk)
-					if est == nil {
-						continue
-					}
-					if len(est) != len(tk.Procs) {
-						t.Fatalf("%s/%d seed %d tick %d: %d estimates for %d processes",
-							f.Name, logical, in, i, len(est), len(tk.Procs))
-					}
-					for id := range tk.Procs {
-						if _, ok := est[id]; !ok {
-							t.Fatalf("%s/%d seed %d tick %d: no estimate for %s", f.Name, logical, in, i, id)
+				pool := goldenTicks(in, logical)
+				for shape, ticks := range map[string][]Tick{"present": churnTicks(pool), "pool": pool} {
+					m := f.New(in)
+					for i, tk := range ticks {
+						est := m.Observe(tk)
+						if est == nil {
+							continue
+						}
+						present := 0
+						for slot, p := range tk.Samples {
+							if !p.Present() {
+								continue
+							}
+							present++
+							if _, ok := est[tk.Roster.ID(slot)]; !ok {
+								t.Fatalf("%s/%d %s seed %d tick %d: no estimate for %s", f.Name, logical, shape, in, i, tk.Roster.ID(slot))
+							}
+						}
+						if len(est) != present {
+							t.Fatalf("%s/%d %s seed %d tick %d: %d estimates for %d processes",
+								f.Name, logical, shape, in, i, len(est), present)
 						}
 					}
 				}
@@ -39,27 +48,25 @@ func TestObserveMapHoldsEveryPresentProcess(t *testing.T) {
 	}
 }
 
-// TestPowerAPIDegenerateZeroCPUNeighbour pins the one output that changed
-// when the map path became a one-tick segment: on a many-core machine, a
-// degenerate calibration that favors the only process with CPU time used
-// to omit its zero-CPU neighbour from Observe's map. The neighbour now
-// gets an explicit 0, as the dense path always gave it.
+// TestPowerAPIDegenerateZeroCPUNeighbour pins that on a many-core machine,
+// a degenerate calibration that favors the only process with CPU time
+// still lists its zero-CPU neighbour in Observe's map, with an explicit 0.
 func TestPowerAPIDegenerateZeroCPUNeighbour(t *testing.T) {
 	cfg := DefaultPowerAPIConfig()
 	cfg.LearnWindow = 200 * time.Millisecond
 	cfg.InstabilityProb = 1
 	f := NewPowerAPI(cfg)
 	const interval = 50 * time.Millisecond
+	roster := machine.NewRoster([]string{"busy", "idle"})
 	tick := func(i int) Tick {
 		busy := ProcSample{CPUTime: units.CPUTime(40 * time.Millisecond), Threads: 1}
 		busy.Counters.Cycles = 1e8
-		return Tick{
+		return withProcs(Tick{
 			At:           time.Duration(i) * interval,
 			Interval:     interval,
 			MachinePower: 60,
 			LogicalCPUs:  64,
-			Procs:        map[string]ProcSample{"busy": busy, "idle": {Threads: 1}},
-		}
+		}, roster, map[string]ProcSample{"busy": busy, "idle": {Threads: 1}})
 	}
 	zeroed := 0
 	for seed := int64(0); seed < 8; seed++ {
@@ -92,7 +99,7 @@ func TestPowerAPIDegenerateZeroCPUNeighbour(t *testing.T) {
 func TestObserveIntoAllocatesNothing(t *testing.T) {
 	for _, f := range goldenFactories() {
 		for _, logical := range []int{12, 64} {
-			ticks := goldenDenseTicks(goldenMapTicks(3, logical))
+			ticks := goldenTicks(3, logical)
 			// A steady stretch: one present set, clean intervals.
 			for i := range ticks {
 				ticks[i].Samples = ticks[0].Samples
@@ -120,7 +127,7 @@ func TestObserveIntoAllocatesNothing(t *testing.T) {
 // per-tick adapter.
 func TestSegmentOnlyModelsNeverAllocateAdapter(t *testing.T) {
 	roster := machine.NewRoster(goldenPool)
-	samples := goldenDenseTicks(goldenMapTicks(2, 64))[0].Samples
+	samples := goldenTicks(2, 64)[0].Samples
 	powers := []units.Watts{40, 41, 42, 43}
 	for _, f := range goldenFactories() {
 		m := f.New(1)

@@ -15,8 +15,7 @@ import (
 )
 
 // randomDenseTicks builds a tick sequence over a random roster, with
-// arbitrary absent-process slots and degraded intervals — the shapes the
-// dense↔map adapters must agree on.
+// arbitrary absent-process slots and degraded intervals.
 func randomDenseTicks(rng *rand.Rand) []Tick {
 	n := 1 + rng.Intn(5)
 	ids := make([]string, n)
@@ -58,61 +57,13 @@ func randomDenseTicks(rng *rand.Rand) []Tick {
 	return ticks
 }
 
-// TestQuickDenseMapRoundTrip is the adapter round-trip property: for
-// arbitrary rosters, present/absent patterns and degraded ticks, the map
-// view of a dense tick holds exactly the present slots, and scattering it
-// back through the roster reproduces the original column.
-func TestQuickDenseMapRoundTrip(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		for _, tk := range randomDenseTicks(rng) {
-			view := tk.ProcsView()
-			// The view holds exactly the present slots, verbatim.
-			present := 0
-			for slot, p := range tk.Samples {
-				if !p.Present() {
-					if _, ok := view[tk.Roster.ID(slot)]; ok {
-						return false
-					}
-					continue
-				}
-				present++
-				if view[tk.Roster.ID(slot)] != p {
-					return false
-				}
-			}
-			if len(view) != present {
-				return false
-			}
-			// Scattering the map back through the roster reproduces the
-			// column: absent slots zero, present slots verbatim.
-			back := make([]ProcSample, tk.Roster.Len())
-			for id, p := range view {
-				slot, ok := tk.Roster.Slot(id)
-				if !ok {
-					return false
-				}
-				back[slot] = p
-			}
-			for slot := range back {
-				if back[slot] != tk.Samples[slot] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestQuickObserveIntoMatchesObserve drives two instances of every dense
-// model through the same arbitrary tick sequence — one via the map entry
-// point, one via the columnar one — and requires bit-identical estimates,
-// including agreement on no-estimate ticks. This covers stateful models:
-// PowerAPI's calibration and RNG draws must advance identically on both
-// paths.
+// model through the same arbitrary tick sequence — one via Observe over
+// each tick's present set (churnTicks, the roster a churning producer
+// builds), one via ObserveInto over the fixed roster — and requires
+// bit-identical estimates, including agreement on no-estimate ticks. This
+// covers stateful models: PowerAPI's calibration and RNG draws must
+// advance identically on both paths.
 func TestQuickObserveIntoMatchesObserve(t *testing.T) {
 	factories := []Factory{
 		NewScaphandre(),
@@ -132,17 +83,15 @@ func TestQuickObserveIntoMatchesObserve(t *testing.T) {
 			prop := func(seed int64) bool {
 				rng := rand.New(rand.NewSource(seed))
 				ticks := randomDenseTicks(rng)
+				presentTicks := churnTicks(ticks)
 				mapModel := f.New(seed)
 				denseModel, ok := f.New(seed).(DenseModel)
 				if !ok {
 					t.Fatalf("%s does not implement DenseModel", f.Name)
 				}
 				out := make([]units.Watts, ticks[0].Roster.Len())
-				for _, tk := range ticks {
-					mapTick := tk
-					mapTick.Roster, mapTick.Samples = nil, nil
-					mapTick.Procs = tk.ProcsView()
-					est := mapModel.Observe(mapTick)
+				for i, tk := range ticks {
+					est := mapModel.Observe(presentTicks[i])
 					got := denseModel.ObserveInto(tk, out)
 					if (est == nil) != !got {
 						return false

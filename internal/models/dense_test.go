@@ -35,20 +35,24 @@ func pairProcs(t *testing.T, fn0, fn1 string, threads int) []machine.Proc {
 	}
 }
 
-// mapOnlyModel divides power evenly among present processes via the map
-// interface only — it deliberately does not implement DenseModel.
+// mapOnlyModel divides power evenly among present processes through
+// Observe only — it deliberately does not implement DenseModel.
 type mapOnlyModel struct{}
 
 func (mapOnlyModel) Name() string { return "maponly" }
 
 func (mapOnlyModel) Observe(t Tick) map[string]units.Watts {
-	procs := t.ProcsView()
-	if len(procs) == 0 {
+	out := map[string]units.Watts{}
+	for slot, p := range t.Samples {
+		if p.Present() {
+			out[t.Roster.ID(slot)] = 0
+		}
+	}
+	if len(out) == 0 {
 		return nil
 	}
-	out := make(map[string]units.Watts, len(procs))
-	for id := range procs {
-		out[id] = t.MachinePower / units.Watts(len(procs))
+	for id := range out {
+		out[id] = t.MachinePower / units.Watts(len(out))
 	}
 	return out
 }

@@ -16,24 +16,20 @@
 // split the measured machine power C_{S,t} among the running processes (the
 // estimates sum to C_{S,t} whenever they produce estimates at all).
 //
+// Every model receives one input shape: a roster-indexed tick. Tick.Roster
+// names the processes in sorted-ID order, and Tick.Samples holds one sample
+// per roster slot; a process that did not run during the interval has a
+// zero sample (Present() == false). The producer owns the roster: the
+// protocol uses the scenario's, and the live meter keeps one over the
+// sampled PID set.
+//
 // Each model writes its division rule once, as ObserveSegmentInto: a run
 // of ticks whose samples are constant (SegmentTicks), divided into
-// roster-indexed estimate rows. The per-tick entry points are adapters
-// over it:
-//
-//   - ObserveInto divides a dense tick (Tick.Roster + Tick.Samples) as a
-//     one-tick segment, after clearing its output column;
-//   - Observe divides a map tick (Tick.Procs, what live backends with a
-//     churning PID set produce) as a one-tick segment over a roster of the
-//     map's sorted IDs, rebuilt only when the ID set changes. A map entry
-//     is present by definition, so an entry with an unknown thread count
-//     (Threads == 0) joins the column with one thread. An empty map is
-//     still observed, over an empty roster, so models that learn from idle
-//     ticks (WattScope's floor) see it. The result holds every present
-//     process.
-//
-// Every floating-point sum runs in roster-slot order, which is sorted-ID
-// order, so all three entry points produce bit-identical estimates.
+// roster-indexed estimate rows. The per-tick entry points divide a tick as
+// a one-tick segment: ObserveInto into a roster-indexed column, Observe
+// into a map holding every present process's estimate. Every
+// floating-point sum runs in roster-slot order, so all of them produce
+// bit-identical estimates.
 package models
 
 import (
@@ -86,48 +82,29 @@ type Tick struct {
 	// into their learning windows, where a mis-scaled row corrupts every
 	// later estimate. Simulator-driven ticks always leave it false.
 	Degraded bool
-	// Procs is the map view of the interval's samples; nil on the dense
-	// path. Live backends whose PID set churns fill it directly.
-	Procs map[string]ProcSample
-	// Roster and Samples are the dense view: Samples is a column indexed
-	// by roster slot, with absent processes holding a zero sample
-	// (Present() == false). nil on the map path. All ticks of one replay
-	// share the same roster.
+	// Samples is a column indexed by Roster slot; absent processes hold a
+	// zero sample (Present() == false). All ticks of one replay share the
+	// same roster.
 	Roster  *machine.Roster
 	Samples []ProcSample
 }
 
-// ProcsView returns the tick's samples as a map, materialising one from
-// the dense column when the tick carries no map (only present processes
-// get an entry). Map-only models use it to accept both representations.
-func (t Tick) ProcsView() map[string]ProcSample {
-	if t.Procs != nil || t.Samples == nil {
-		return t.Procs
-	}
-	procs := make(map[string]ProcSample, len(t.Samples))
-	for slot, p := range t.Samples {
-		if p.Present() {
-			procs[t.Roster.ID(slot)] = p
-		}
-	}
-	return procs
-}
-
 // Model is a streaming power division model. Observe returns the estimated
-// power of each process for the tick (the paper's Ce^{P_i}_{S,t}), or nil
-// when the model has no estimate (e.g. during PowerAPI's learning phase —
-// the paper notes such drops "occur whenever there is a change in context"
-// and removes them from consideration, as the protocol driver does here).
+// power of each present process for the tick (the paper's
+// Ce^{P_i}_{S,t}), keyed by roster ID, or nil when the model has no
+// estimate (e.g. during PowerAPI's learning phase — the paper notes such
+// drops "occur whenever there is a change in context" and removes them
+// from consideration, as the protocol driver does here).
 type Model interface {
 	Name() string
 	Observe(t Tick) map[string]units.Watts
 }
 
-// DenseModel is the columnar form of Model. ObserveInto divides a dense
-// tick (Tick.Samples != nil) into out, a caller-owned roster-indexed
-// column — typically one slice of a replay-owned slab. On true, out[slot]
-// holds every roster slot's estimate (absent processes 0); on false the
-// model has no estimate for the tick and out is zero.
+// DenseModel is the columnar form of Model. ObserveInto divides a tick
+// into out, a caller-owned roster-indexed column — typically one slice of
+// a replay-owned slab. On true, out[slot] holds every roster slot's
+// estimate (absent processes 0); on false the model has no estimate for
+// the tick and out is zero.
 //
 // ObserveInto advances the same calibration state as Observe, so a model
 // instance must be driven through exactly one of the two entry points for
@@ -150,43 +127,15 @@ type Factory struct {
 	New         func(seed int64) Model
 }
 
-// TickFromRecord adapts a simulator tick record into a map-view model
-// input. roster must be the record's run roster (it names the slots of
-// rec.Procs).
-func TickFromRecord(rec machine.TickRecord, roster *machine.Roster, interval time.Duration, logicalCPUs int) Tick {
-	t := Tick{
-		At:           rec.At,
-		Interval:     interval,
-		MachinePower: rec.Power,
-		LogicalCPUs:  logicalCPUs,
-		Freq:         rec.Freq,
-		Procs:        make(map[string]ProcSample, len(rec.Procs)),
+// SampleOf returns what a model may observe of one simulated process
+// tick, ground-truth active power included.
+func SampleOf(pt *machine.ProcTick) ProcSample {
+	return ProcSample{
+		CPUTime:    pt.CPUTime,
+		Counters:   pt.Counters,
+		Threads:    pt.Threads,
+		TrueActive: pt.ActivePower,
 	}
-	for slot, id := range roster.IDs() {
-		pt := rec.Procs[slot]
-		if !pt.Present() {
-			continue
-		}
-		t.Procs[id] = ProcSample{
-			CPUTime:    pt.CPUTime,
-			Counters:   pt.Counters,
-			Threads:    pt.Threads,
-			TrueActive: pt.ActivePower,
-		}
-	}
-	return t
-}
-
-// Replay feeds every tick of a simulator run to the model and returns the
-// per-tick estimates, index-aligned with run.Ticks. Ticks where the model
-// produced no estimate hold a nil map.
-func Replay(m Model, run *machine.Run) []map[string]units.Watts {
-	out := make([]map[string]units.Watts, len(run.Ticks))
-	logical := run.Config.Spec.Topology.LogicalCPUs()
-	for i, rec := range run.Ticks {
-		out[i] = m.Observe(TickFromRecord(rec, run.Roster, run.Tick(), logical))
-	}
-	return out
 }
 
 // DenseEstimates is a replay's roster-indexed estimate matrix: one
@@ -276,19 +225,9 @@ type tickAdapter struct {
 	seg   SegmentTicks
 	power [1]units.Watts
 	ok    [1]bool
-	// roster is the map path's roster over the sorted IDs of the last
-	// non-empty map tick; ids is scratch for rebuilding it. samples and est
-	// are the one-tick sample and estimate columns of Observe.
-	roster  *machine.Roster
-	ids     []string
-	samples []ProcSample
-	est     []units.Watts
+	// est is Observe's one-tick estimate column.
+	est []units.Watts
 }
-
-// emptyRoster is the roster of every empty map tick. Sharing it keeps the
-// map path's own roster (and with it PowerAPI's context) untouched by
-// process-free ticks.
-var emptyRoster = machine.NewRoster(nil)
 
 // adapter returns *p, allocating it on first use.
 func adapter(p **tickAdapter) *tickAdapter {
@@ -298,9 +237,9 @@ func adapter(p **tickAdapter) *tickAdapter {
 	return *p
 }
 
-// observeInto divides one dense tick as a one-tick segment. out is
-// cleared first: ObserveInto callers may pass a dirty column, and the
-// segment contract promises a zeroed one.
+// observeInto divides one tick as a one-tick segment. out is cleared
+// first: ObserveInto callers may pass a dirty column, and the segment
+// contract promises a zeroed one.
 func (a *tickAdapter) observeInto(sm SegmentModel, t Tick, out []units.Watts) bool {
 	clear(out)
 	a.power[0] = t.MachinePower
@@ -312,12 +251,9 @@ func (a *tickAdapter) observeInto(sm SegmentModel, t Tick, out []units.Watts) bo
 	return a.ok[0]
 }
 
-// observe divides one tick, dense or map, and returns the estimates of its
-// present processes (nil when the model has none).
+// observe divides one tick and returns the estimates of its present
+// processes (nil when the model has none).
 func (a *tickAdapter) observe(sm SegmentModel, t Tick) map[string]units.Watts {
-	if t.Procs != nil || t.Samples == nil {
-		t = a.denseView(t)
-	}
 	a.est = sized(a.est, len(t.Samples))
 	if !a.observeInto(sm, t, a.est) {
 		return nil
@@ -329,49 +265,6 @@ func (a *tickAdapter) observe(sm SegmentModel, t Tick) map[string]units.Watts {
 		}
 	}
 	return est
-}
-
-// denseView returns a map tick as a dense tick over the map's roster,
-// rebuilding the roster only when the ID set changed. An empty map maps to
-// emptyRoster and leaves the map roster alone.
-func (a *tickAdapter) denseView(t Tick) Tick {
-	roster := emptyRoster
-	if len(t.Procs) > 0 {
-		if !sameIDs(a.roster, t.Procs) {
-			a.ids = a.ids[:0]
-			for id := range t.Procs {
-				a.ids = append(a.ids, id)
-			}
-			a.roster = machine.NewRoster(a.ids)
-		}
-		roster = a.roster
-	}
-	a.samples = sized(a.samples, roster.Len())
-	for i, id := range roster.IDs() {
-		p := t.Procs[id]
-		// A map entry is present by definition, even when the backend
-		// could not count its threads.
-		if p.Threads < 1 {
-			p.Threads = 1
-		}
-		a.samples[i] = p
-	}
-	t.Procs, t.Roster, t.Samples = nil, roster, a.samples
-	return t
-}
-
-// sameIDs reports whether procs holds exactly the roster's IDs — an O(n)
-// membership check, so a steady ID set neither sorts nor allocates.
-func sameIDs(r *machine.Roster, procs map[string]ProcSample) bool {
-	if r == nil || r.Len() != len(procs) {
-		return false
-	}
-	for _, id := range r.IDs() {
-		if _, ok := procs[id]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // sized returns s resliced to n elements, reallocating only on growth.

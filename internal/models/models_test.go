@@ -13,13 +13,34 @@ import (
 )
 
 func tick(power units.Watts, procs map[string]ProcSample) Tick {
-	return Tick{
+	return withProcs(Tick{
 		At:           time.Second,
 		Interval:     100 * time.Millisecond,
 		MachinePower: power,
 		LogicalCPUs:  12,
-		Procs:        procs,
+	}, nil, procs)
+}
+
+// withProcs returns t with procs as its sample column over roster r, or
+// over a roster of procs' IDs when r is nil. Every entry of procs is
+// present (one with no thread count runs one thread); a roster ID missing
+// from procs is absent.
+func withProcs(t Tick, r *machine.Roster, procs map[string]ProcSample) Tick {
+	if r == nil {
+		ids := make([]string, 0, len(procs))
+		for id := range procs {
+			ids = append(ids, id)
+		}
+		r = machine.NewRoster(ids)
 	}
+	t.Roster, t.Samples = r, make([]ProcSample, r.Len())
+	for slot, id := range r.IDs() {
+		if p, ok := procs[id]; ok {
+			p.Threads = max(p.Threads, 1)
+			t.Samples[slot] = p
+		}
+	}
+	return t
 }
 
 func cpuSample(ms int) ProcSample {
@@ -164,7 +185,7 @@ func simulatePair(t *testing.T, spec cpumodel.Spec, fn0, fn1 string, threads int
 	if err != nil {
 		t.Fatal(err)
 	}
-	return run, Replay(f.New(seed), run)
+	return run, observeRun(f.New(seed), run)
 }
 
 func TestPowerAPILearningPhase(t *testing.T) {
@@ -257,7 +278,7 @@ func TestPowerAPIDeterministicDisablesPathology(t *testing.T) {
 	f := NewPowerAPI(cfg)
 	m := f.New(5).(*PowerAPI)
 	run, _ := simulatePair(t, cpumodel.Dahu(), "float64", "matrixprod", 8, f, 5)
-	Replay(m, run)
+	observeRun(m, run)
 	if m.Degenerate() {
 		t.Error("deterministic config produced a degenerate fit")
 	}
@@ -276,7 +297,7 @@ func TestPowerAPIContextChangeDropsEstimates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ests := Replay(NewPowerAPI(DefaultPowerAPIConfig()).New(1), run)
+	ests := observeRun(NewPowerAPI(DefaultPowerAPIConfig()).New(1), run)
 	tickDur := run.Tick()
 	arrival := int(15 * time.Second / tickDur)
 	if ests[arrival-1] == nil {
@@ -342,14 +363,17 @@ func TestSolve4(t *testing.T) {
 	}
 }
 
-func TestReplayAlignment(t *testing.T) {
-	run, ests := simulatePair(t, cpumodel.SmallIntel(), "int64", "rand", 1, NewScaphandre(), 0)
-	if len(ests) != len(run.Ticks) {
-		t.Fatalf("Replay returned %d estimates for %d ticks", len(ests), len(run.Ticks))
-	}
+// tickProbe records the last tick it observed; it has only the Observe
+// entry point, so a replay reaches it through its per-tick fallback.
+type tickProbe struct{ last Tick }
+
+func (p *tickProbe) Name() string { return "probe" }
+func (p *tickProbe) Observe(t Tick) map[string]units.Watts {
+	p.last = t
+	return nil
 }
 
-func TestTickFromRecordCarriesObservables(t *testing.T) {
+func TestObserveSimulatedCarriesObservables(t *testing.T) {
 	// Frequency and per-process thread counts must reach the models: the
 	// residual-aware model depends on both.
 	w, _ := workload.StressByName("int64")
@@ -359,12 +383,17 @@ func TestTickFromRecordCarriesObservables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk := TickFromRecord(run.Ticks[0], run.Roster, run.Tick(), 12)
+	probe := &tickProbe{}
+	r := NewStreamReplay(run.Roster, []Model{probe}, 1)
+	defer r.Release()
+	rec := &run.Ticks[0]
+	r.ObserveSimulated(&machine.Segment{Rec: rec, Interval: run.Tick(), Powers: []units.Watts{rec.Power}}, 12)
+	tk := probe.last
 	if tk.Freq != 3.6*units.GHz {
 		t.Errorf("Freq = %v, want 3.6 GHz", tk.Freq)
 	}
-	if tk.Procs["p"].Threads != 2 {
-		t.Errorf("Threads = %d, want 2", tk.Procs["p"].Threads)
+	if tk.Roster != run.Roster || len(tk.Samples) != 1 || tk.Samples[0].Threads != 2 {
+		t.Errorf("roster %v, samples %v: want p with 2 threads", tk.Roster.IDs(), tk.Samples)
 	}
 	if tk.LogicalCPUs != 12 {
 		t.Errorf("LogicalCPUs = %d", tk.LogicalCPUs)

@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -45,12 +44,14 @@ func goldenFactories() []Factory {
 	}
 }
 
-// goldenMapTicks builds a deterministic map-view tick sequence: the ID set
-// holds for stretches of ticks and then churns, and the stream mixes in
-// empty and nil maps, entries with Threads == 0, zero-CPU entries,
-// degraded intervals and two frequency bins.
-func goldenMapTicks(seed int64, logical int) []Tick {
+// goldenTicks builds a deterministic tick sequence over the whole pool:
+// the present set holds for stretches of ticks and then churns, and the
+// stream mixes in process-free ticks, processes with an unknown thread
+// count (they run one thread), zero-CPU processes, degraded intervals and
+// two frequency bins. Absent slots hold zero samples.
+func goldenTicks(seed int64, logical int) []Tick {
 	rng := rand.New(rand.NewSource(seed))
+	roster := machine.NewRoster(goldenPool)
 	const interval = 50 * time.Millisecond
 	var ticks []Tick
 	var ids []string
@@ -78,49 +79,26 @@ func goldenMapTicks(seed int64, logical int) []Tick {
 			LogicalCPUs:  logical,
 			Freq:         units.Hertz(2+rng.Intn(2)) * units.GHz,
 			Degraded:     rng.Float64() < 0.1,
+			Roster:       roster,
+			Samples:      make([]ProcSample, roster.Len()),
 		}
-		switch r := rng.Float64(); {
-		case r < 0.03:
-			// nil map: no process view at all.
-		case r < 0.06:
-			t.Procs = map[string]ProcSample{}
-		default:
-			t.Procs = make(map[string]ProcSample, len(ids))
+		// Two kinds of process-free tick (3 % each) draw no samples.
+		if rng.Float64() >= 0.06 {
 			for _, id := range ids {
 				p := goldenSample(rng, interval)
 				if idle[id] || rng.Float64() < 0.05 {
 					p.CPUTime = 0
 				}
 				if rng.Float64() < 0.15 {
-					p.Threads = 0
+					p.Threads = 1
 				}
-				t.Procs[id] = p
+				slot, _ := roster.Slot(id)
+				t.Samples[slot] = p
 			}
 		}
 		ticks = append(ticks, t)
 	}
 	return ticks
-}
-
-// goldenDenseTicks converts the map sequence to dense ticks over the whole
-// pool. Absent slots hold zero samples; present slots with an unknown
-// thread count get one thread, since a dense column marks presence with it.
-func goldenDenseTicks(ticks []Tick) []Tick {
-	roster := machine.NewRoster(goldenPool)
-	out := make([]Tick, len(ticks))
-	for i, t := range ticks {
-		col := make([]ProcSample, roster.Len())
-		for id, p := range t.Procs {
-			slot, _ := roster.Slot(id)
-			if p.Threads == 0 {
-				p.Threads = 1
-			}
-			col[slot] = p
-		}
-		t.Procs, t.Roster, t.Samples = nil, roster, col
-		out[i] = t
-	}
-	return out
 }
 
 func goldenSample(rng *rand.Rand, interval time.Duration) ProcSample {
@@ -154,34 +132,31 @@ func goldenWrite(h hash.Hash64, ok bool, ids []string, est func(id string) units
 
 // observeGoldenLines computes the corpus: each factory on 12 and 64
 // logical CPUs, five input seeds × four model seeds, through three entry
-// points — Observe on map ticks, ObserveInto on dense ticks (with a dirty
-// output column each call) and Observe on dense ticks.
+// points — Observe over each tick's present set (churnTicks: the roster a
+// producer with a churning process set builds; the "map" lines),
+// ObserveInto over the pool roster (with a dirty output column each call)
+// and Observe over the pool roster.
 func observeGoldenLines(t *testing.T) string {
 	var b strings.Builder
 	for _, f := range goldenFactories() {
 		for _, logical := range []int{12, 64} {
 			hMap, hDense, hDenseMap := fnv.New64a(), fnv.New64a(), fnv.New64a()
 			for in := int64(1); in <= 5; in++ {
-				mapTicks := goldenMapTicks(in, logical)
-				denseTicks := goldenDenseTicks(mapTicks)
+				poolTicks := goldenTicks(in, logical)
+				presentTicks := churnTicks(poolTicks)
 				for ms := int64(0); ms < 4; ms++ {
 					seed := in*1000 + ms
 					m := f.New(seed)
-					for _, tk := range mapTicks {
+					for _, tk := range presentTicks {
 						est := m.Observe(tk)
-						ids := make([]string, 0, len(tk.Procs))
-						for id := range tk.Procs {
-							ids = append(ids, id)
-						}
-						sort.Strings(ids)
-						goldenWrite(hMap, est != nil, ids, func(id string) units.Watts { return est[id] })
+						goldenWrite(hMap, est != nil, tk.Roster.IDs(), func(id string) units.Watts { return est[id] })
 					}
 					dm, ok := f.New(seed).(DenseModel)
 					if !ok {
 						t.Fatalf("%s does not implement DenseModel", f.Name)
 					}
 					out := make([]units.Watts, len(goldenPool))
-					for k, tk := range denseTicks {
+					for k, tk := range poolTicks {
 						for s := range out {
 							out[s] = units.Watts(math.NaN())
 							if k%2 == 1 {
@@ -195,7 +170,7 @@ func observeGoldenLines(t *testing.T) string {
 						})
 					}
 					mm := f.New(seed)
-					for _, tk := range denseTicks {
+					for _, tk := range poolTicks {
 						est := mm.Observe(tk)
 						goldenWrite(hDenseMap, est != nil, goldenPool, func(id string) units.Watts { return est[id] })
 					}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"powerdiv/internal/machine"
 	"powerdiv/internal/perfcnt"
 	"powerdiv/internal/units"
 )
@@ -36,6 +37,7 @@ func TestPowerAPIConvergesOnLinearMachine(t *testing.T) {
 		}
 		return base
 	}
+	roster := machine.NewRoster([]string{"a", "b"})
 	makeTick := func(i int) Tick {
 		procs := map[string]ProcSample{}
 		var agg float64
@@ -48,13 +50,12 @@ func TestPowerAPIConvergesOnLinearMachine(t *testing.T) {
 			}
 		}
 		rate := agg / interval.Seconds()
-		return Tick{
+		return withProcs(Tick{
 			At:           time.Duration(i) * interval,
 			Interval:     interval,
 			MachinePower: units.Watts(kWattsPerHz * rate),
 			LogicalCPUs:  12,
-			Procs:        procs,
-		}
+		}, roster, procs)
 	}
 
 	var firstEstimate time.Duration = -1
@@ -115,6 +116,7 @@ func TestPowerAPIRelearnsAfterContextChange(t *testing.T) {
 	m := NewPowerAPI(cfg).New(1)
 
 	const interval = 100 * time.Millisecond
+	roster := machine.NewRoster([]string{"a", "b", "c"})
 	mk := func(i int, ids ...string) Tick {
 		procs := map[string]ProcSample{}
 		for _, id := range ids {
@@ -123,10 +125,10 @@ func TestPowerAPIRelearnsAfterContextChange(t *testing.T) {
 				Counters: perfcnt.Counters{Cycles: 2e8},
 			}
 		}
-		return Tick{
+		return withProcs(Tick{
 			At: time.Duration(i) * interval, Interval: interval,
-			MachinePower: 40, LogicalCPUs: 12, Procs: procs,
-		}
+			MachinePower: 40, LogicalCPUs: 12,
+		}, roster, procs)
 	}
 	sawBefore := false
 	for i := 1; i <= 40; i++ {

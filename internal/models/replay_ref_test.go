@@ -1,28 +1,27 @@
 package models
 
-import "powerdiv/internal/machine"
+import (
+	"slices"
+
+	"powerdiv/internal/machine"
+	"powerdiv/internal/units"
+)
 
 // Observe is the per-tick reference the replay equivalence tests compare
 // segment observation against: it feeds one tick to every model through
-// its per-tick entry point — ObserveInto for dense models, Observe on the
-// map view otherwise — appending one column to each model's estimate
-// matrix. Production code observes only segments (ObserveSegment).
+// its per-tick entry point — ObserveInto for dense models, Observe
+// otherwise — appending one column to each model's estimate matrix.
+// Production code observes only segments (ObserveSegment).
 func (r *StreamReplay) Observe(t Tick) {
-	var procs map[string]ProcSample
 	for m, model := range r.models {
 		d := r.ests[m]
 		col := extendColumn(d, r.n)
 		ok := extendFlags(d, 1)
-		if dm, isDense := model.(DenseModel); isDense && t.Samples != nil {
+		if dm, isDense := model.(DenseModel); isDense {
 			ok[0] = dm.ObserveInto(t, col)
 			continue
 		}
-		if procs == nil {
-			procs = t.ProcsView()
-		}
-		mt := t
-		mt.Procs = procs
-		est := model.Observe(mt)
+		est := model.Observe(t)
 		if est == nil {
 			continue
 		}
@@ -31,6 +30,48 @@ func (r *StreamReplay) Observe(t Tick) {
 			col[slot] = est[id]
 		}
 	}
+}
+
+// observeRun feeds every tick of a simulated run to m through Observe and
+// returns the per-tick estimates, index-aligned with run.Ticks; ticks
+// where the model produced no estimate hold a nil map.
+func observeRun(m Model, run *machine.Run) []map[string]units.Watts {
+	ticks := denseTicks(run)
+	out := make([]map[string]units.Watts, len(ticks))
+	for i, t := range ticks {
+		out[i] = m.Observe(t)
+	}
+	return out
+}
+
+// churnTicks re-expresses ticks over a roster of each tick's present IDs,
+// as a producer whose process set churns builds it (the live meter): the
+// roster is rebuilt only when the present set changes, and a tick with no
+// present process goes over one shared empty roster, leaving the last
+// roster alone.
+func churnTicks(ticks []Tick) []Tick {
+	empty := machine.NewRoster(nil)
+	var roster *machine.Roster
+	out := make([]Tick, len(ticks))
+	for i, t := range ticks {
+		var ids []string
+		var col []ProcSample
+		for slot, p := range t.Samples {
+			if p.Present() {
+				ids = append(ids, t.Roster.ID(slot))
+				col = append(col, p)
+			}
+		}
+		t.Roster, t.Samples = empty, col
+		if len(ids) > 0 {
+			if !slices.Equal(roster.IDs(), ids) {
+				roster = machine.NewRoster(ids)
+			}
+			t.Roster = roster
+		}
+		out[i] = t
+	}
+	return out
 }
 
 // denseTicks converts a simulated run into dense per-tick model inputs
@@ -43,8 +84,7 @@ func denseTicks(run *machine.Run) []Tick {
 	for i, rec := range run.Ticks {
 		col := make([]ProcSample, n)
 		for s := range col {
-			pt := rec.Procs[s]
-			col[s] = ProcSample{CPUTime: pt.CPUTime, Counters: pt.Counters, Threads: pt.Threads, TrueActive: pt.ActivePower}
+			col[s] = SampleOf(&rec.Procs[s])
 		}
 		ticks[i] = Tick{
 			At:           rec.At,

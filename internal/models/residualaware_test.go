@@ -10,14 +10,13 @@ import (
 )
 
 func raTick(power units.Watts, freq units.Hertz, procs map[string]ProcSample) Tick {
-	return Tick{
+	return withProcs(Tick{
 		At:           time.Second,
 		Interval:     100 * time.Millisecond,
 		MachinePower: power,
 		LogicalCPUs:  12,
 		Freq:         freq,
-		Procs:        procs,
-	}
+	}, nil, procs)
 }
 
 func raSample(cores float64, threads int) ProcSample {

@@ -16,13 +16,12 @@ func jiffyTick(power units.Watts, jiffies map[string]int) Tick {
 	for id, j := range jiffies {
 		procs[id] = ProcSample{CPUTime: units.CPUTime(time.Duration(j) * 10 * time.Millisecond)}
 	}
-	return Tick{
+	return withProcs(Tick{
 		At:           time.Second,
 		Interval:     time.Second,
 		MachinePower: power,
 		LogicalCPUs:  12,
-		Procs:        procs,
-	}
+	}, nil, procs)
 }
 
 // TestScaphandreJiffyShareDivision pins the Scaphandre division rule on
@@ -64,10 +63,9 @@ func TestScaphandreJiffyShareDivision(t *testing.T) {
 func TestScaphandreIgnoresCounters(t *testing.T) {
 	m := NewScaphandre().New(0)
 	tk := jiffyTick(60, map[string]int{"cpu-bound": 50, "mem-bound": 50})
-	p := tk.Procs["cpu-bound"]
-	p.Counters.Instructions = 1e12
-	p.Counters.Cycles = 5e11
-	tk.Procs["cpu-bound"] = p
+	slot, _ := tk.Roster.Slot("cpu-bound")
+	tk.Samples[slot].Counters.Instructions = 1e12
+	tk.Samples[slot].Counters.Cycles = 5e11
 	est := m.Observe(tk)
 	if math.Abs(float64(est["cpu-bound"])-30) > 1e-9 || math.Abs(float64(est["mem-bound"])-30) > 1e-9 {
 		t.Errorf("est = %v, want an even 30/30 split regardless of counters", est)

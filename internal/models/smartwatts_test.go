@@ -50,12 +50,12 @@ func TestSmartWattsSurvivesContextChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := Replay(NewSmartWatts(DefaultSmartWattsConfig()).New(1), run)
+	sw := observeRun(NewSmartWatts(DefaultSmartWattsConfig()).New(1), run)
 	arrival := int(15 * time.Second / run.Tick())
 	if sw[arrival] == nil {
 		t.Error("smartwatts dropped estimates at context change (warm bin)")
 	}
-	pa := Replay(NewPowerAPI(DefaultPowerAPIConfig()).New(1), run)
+	pa := observeRun(NewPowerAPI(DefaultPowerAPIConfig()).New(1), run)
 	if pa[arrival] != nil {
 		t.Error("powerapi kept estimating at context change (should relearn)")
 	}
@@ -81,7 +81,7 @@ func TestSmartWattsColdBinOnFrequencyChange(t *testing.T) {
 		t.Fatalf("turbo derating too small for the test: %v vs %v", before, after)
 	}
 	m := NewSmartWatts(DefaultSmartWattsConfig()).New(1).(*SmartWatts)
-	ests := Replay(m, run)
+	ests := observeRun(m, run)
 	arrival := int(15 * time.Second / run.Tick())
 	if ests[arrival] != nil {
 		t.Error("estimate from a cold frequency bin")
@@ -107,7 +107,7 @@ func TestSmartWattsTimelineCoverageBeatsPowerAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	coverage := func(f Factory) float64 {
-		ests := Replay(f.New(1), run)
+		ests := observeRun(f.New(1), run)
 		n := 0
 		for _, est := range ests {
 			if est != nil {

@@ -16,10 +16,8 @@ import (
 // Feeding order is the stream's tick order, and each model instance must be
 // driven only through this replay (observation advances calibration
 // state). Estimates are bit-identical to observing the same ticks one by
-// one (Replay's per-tick map estimates, scattered by roster slot):
-// segment models divide the same samples (a tick is a one-tick segment),
-// and the map fallback materialises the same ProcsView and scatters by the
-// same roster slots.
+// one through Observe, scattered by roster slot: a tick is a one-tick
+// segment.
 type StreamReplay struct {
 	roster *machine.Roster
 	models []Model
@@ -60,9 +58,7 @@ func (a *replayArena) perModel(n int) ([]*DenseEstimates, []DenseEstimates) {
 	return a.ests[:n], a.estStructs[:n]
 }
 
-// arenaPool's arenas start with a non-nil Samples column, so even an
-// empty roster's segment view takes the dense path.
-var arenaPool = sync.Pool{New: func() any { return &replayArena{seg: SegmentTicks{Tick: Tick{Samples: []ProcSample{}}}} }}
+var arenaPool = sync.Pool{New: func() any { return new(replayArena) }}
 
 // NewStreamReplay readies a replay of ms over roster-indexed ticks.
 // capTicks pre-sizes each estimate slab (the caller's upper bound on ticks,
@@ -150,13 +146,7 @@ func (r *StreamReplay) Release() {
 func (r *StreamReplay) ObserveSimulated(seg *machine.Segment, logicalCPUs int) {
 	st, rec := &r.arena.seg, seg.Rec
 	for slot := range st.Samples {
-		pt := &rec.Procs[slot]
-		st.Samples[slot] = ProcSample{
-			CPUTime:    pt.CPUTime,
-			Counters:   pt.Counters,
-			Threads:    pt.Threads,
-			TrueActive: pt.ActivePower,
-		}
+		st.Samples[slot] = SampleOf(&rec.Procs[slot])
 	}
 	st.Interval, st.LogicalCPUs = seg.Interval, logicalCPUs
 	st.Tick.At, st.MachinePower, st.Freq, st.Powers = rec.At, seg.Powers[0], rec.Freq, seg.Powers
@@ -166,31 +156,24 @@ func (r *StreamReplay) ObserveSimulated(seg *machine.Segment, logicalCPUs int) {
 // ObserveSegment feeds a run of constant ticks (see SegmentTicks) to
 // every model in one call, appending seg.TickCount() columns to each
 // model's estimate matrix. Segment models observe the whole segment at
-// once; foreign map-only models fall back to Observe once per tick, on a
-// map view materialised once per segment and shared by all of them. The
-// segment's Samples column may be caller-owned scratch reused between
-// segments: models copy what they keep.
+// once; foreign models without ObserveSegmentInto fall back to Observe
+// once per tick. The segment's Samples column may be caller-owned scratch
+// reused between segments: models copy what they keep.
 func (r *StreamReplay) ObserveSegment(seg *SegmentTicks) {
 	nt := seg.TickCount()
 	if nt == 0 {
 		return
 	}
-	var procs map[string]ProcSample
 	for m, model := range r.models {
 		d := r.ests[m]
 		rows := extendColumn(d, r.n*nt)
 		ok := extendFlags(d, nt)
-		if sm, isSeg := model.(SegmentModel); isSeg && seg.Samples != nil {
+		if sm, isSeg := model.(SegmentModel); isSeg {
 			sm.ObserveSegmentInto(seg, rows, ok)
 			continue
 		}
-		if procs == nil {
-			procs = seg.Tick.ProcsView()
-		}
 		for k := 0; k < nt; k++ {
-			t := seg.tickAt(k)
-			t.Procs = procs
-			est := model.Observe(t)
+			est := model.Observe(seg.tickAt(k))
 			if est == nil {
 				continue
 			}

@@ -28,8 +28,8 @@ func streamThroughScratch(r *StreamReplay, ticks []Tick, n int) {
 // fallback model) tick by tick through StreamReplay — via a reused scratch
 // column and an undersized initial slab, so both the copy-out contract and
 // slab growth are exercised — and requires the accumulated matrices to be
-// bit-identical to Replay's per-tick map estimates over the same run, on
-// both machines: OK flags match non-nil maps, every present process's
+// bit-identical to per-tick Observe estimates over the same run's ticks
+// (observeRun), on both machines: OK flags match non-nil maps, every present process's
 // column entry equals its map estimate, and absent or estimate-free
 // entries are zero.
 func TestStreamReplayMatchesReplay(t *testing.T) {
@@ -60,7 +60,7 @@ func TestStreamReplayMatchesReplay(t *testing.T) {
 				t.Fatalf("%s: replay saw %d ticks, want %d", spec.Name, replay.Ticks(), len(ticks))
 			}
 			for m, f := range factories {
-				want := Replay(f.New(seed), run)
+				want := observeRun(f.New(seed), run)
 				got := replay.Estimates(m)
 				if got.Ticks() != len(want) || len(got.Slab) != len(want)*run.Roster.Len() {
 					t.Fatalf("%s/%s: matrix shape %d×%d, want %d ticks", spec.Name, f.Name, got.Ticks(), len(got.Slab), len(want))

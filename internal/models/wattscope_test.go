@@ -8,7 +8,7 @@ import (
 	"powerdiv/internal/units"
 )
 
-// wsTick builds a map-view tick with the given machine power and per-proc
+// wsTick builds a tick with the given machine power and per-proc
 // CPU utilizations (fraction of a 50 ms interval).
 func wsTick(power float64, degraded bool, utils map[string]float64) Tick {
 	const interval = 50 * time.Millisecond
@@ -19,13 +19,12 @@ func wsTick(power float64, degraded bool, utils map[string]float64) Tick {
 			Threads: 1,
 		}
 	}
-	return Tick{
+	return withProcs(Tick{
 		Interval:     interval,
 		MachinePower: units.Watts(power),
 		LogicalCPUs:  8,
 		Degraded:     degraded,
-		Procs:        procs,
-	}
+	}, nil, procs)
 }
 
 func TestWattScopeSumsToMachinePower(t *testing.T) {

@@ -15,13 +15,27 @@ import (
 	"powerdiv/internal/units"
 )
 
-// scoreRunMapReference is the pre-columnar phase 3 pipeline, kept verbatim
-// as the golden reference: map-view replay, nil-map coverage, map-keyed
+// scoreRunMapReference is the pre-columnar phase 3 pipeline, kept as the
+// golden reference: per-tick Observe, nil-map coverage, map-keyed
 // mean estimates and division.AbsoluteError over map shares. The streaming
 // evaluator must reproduce it bit for bit.
 func scoreRunMapReference(ctx Context, s Scenario, run *machine.Run, factory models.Factory, truths []division.Shares) ([]Evaluation, error) {
 	model := factory.New(deriveSeed(ctx.Seed, "model", factory.Name, s.Label()))
-	ests := models.Replay(model, run)
+	ests := make([]map[string]units.Watts, len(run.Ticks))
+	tick := models.Tick{
+		Interval:    run.Tick(),
+		LogicalCPUs: run.Config.Spec.Topology.LogicalCPUs(),
+		Roster:      run.Roster,
+		Samples:     make([]models.ProcSample, run.Roster.Len()),
+	}
+	for i := range run.Ticks {
+		rec := &run.Ticks[i]
+		for slot := range rec.Procs {
+			tick.Samples[slot] = models.SampleOf(&rec.Procs[slot])
+		}
+		tick.At, tick.MachinePower, tick.Freq = rec.At, rec.Power, rec.Freq
+		ests[i] = model.Observe(tick)
+	}
 
 	ok := make([]bool, len(ests))
 	for i, est := range ests {

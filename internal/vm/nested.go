@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -119,74 +118,89 @@ type NestedTick struct {
 //     that VM's guests and treats the VM's attributed power as its
 //     "machine" power — exactly the visibility a tenant has.
 //
-// The returned slice is index-aligned with run.Ticks.
+// Both levels see the record's frequency. The host roster (VM names) and
+// each VM's guest roster are fixed for the run; a VM or guest that is not
+// running has a zero sample. The returned slice is index-aligned with
+// run.Ticks.
 func NestedDivision(run *machine.Run, host, guest models.Factory, seed int64) ([]NestedTick, error) {
-	vmNames := map[string]bool{}
-	for _, id := range run.ProcIDs() {
-		vmName, _, ok := SplitGuestID(id)
+	ids := run.Roster.IDs()
+	guestNames := map[string][]string{}
+	var names []string
+	for _, id := range ids {
+		vmName, guestName, ok := SplitGuestID(id)
 		if !ok {
 			return nil, fmt.Errorf("vm: process %q is not a vm/guest ID", id)
 		}
-		vmNames[vmName] = true
+		if guestNames[vmName] == nil {
+			names = append(names, vmName)
+		}
+		guestNames[vmName] = append(guestNames[vmName], guestName)
 	}
+	hostRoster := machine.NewRoster(names)
 	hostModel := host.New(seed)
-	guestModels := map[string]models.Model{}
-	names := make([]string, 0, len(vmNames))
-	for n := range vmNames {
-		names = append(names, n)
+	hostSamples := make([]models.ProcSample, hostRoster.Len())
+	type tenant struct {
+		roster  *machine.Roster
+		model   models.Model
+		samples []models.ProcSample
 	}
-	sort.Strings(names)
-	for i, n := range names {
-		guestModels[n] = guest.New(seed + int64(i) + 1)
+	tenants := make([]tenant, hostRoster.Len())
+	for v, name := range hostRoster.IDs() {
+		r := machine.NewRoster(guestNames[name])
+		tenants[v] = tenant{roster: r, model: guest.New(seed + int64(v) + 1), samples: make([]models.ProcSample, r.Len())}
+	}
+	// vmSlot and guestSlot place each run slot in the two levels' rosters.
+	vmSlot := make([]int, len(ids))
+	guestSlot := make([]int, len(ids))
+	for slot, id := range ids {
+		vmName, guestName, _ := SplitGuestID(id)
+		vmSlot[slot], _ = hostRoster.Slot(vmName)
+		guestSlot[slot], _ = tenants[vmSlot[slot]].roster.Slot(guestName)
 	}
 
 	logical := run.Config.Spec.Topology.LogicalCPUs()
 	out := make([]NestedTick, len(run.Ticks))
-	for i, rec := range run.Ticks {
-		nt := NestedTick{At: rec.At}
-		full := models.TickFromRecord(rec, run.Roster, run.Tick(), logical)
-
-		// Host view: one aggregate sample per VM.
-		hostTick := models.Tick{
-			At:           full.At,
-			Interval:     full.Interval,
-			MachinePower: full.MachinePower,
-			LogicalCPUs:  full.LogicalCPUs,
-			Procs:        map[string]models.ProcSample{},
+	for i := range run.Ticks {
+		rec := &run.Ticks[i]
+		clear(hostSamples)
+		for v := range tenants {
+			clear(tenants[v].samples)
 		}
-		perVMGuests := map[string]map[string]models.ProcSample{}
-		for _, id := range sortedTickIDs(full.Procs) {
-			ps := full.Procs[id]
-			vmName, guestName, _ := SplitGuestID(id)
-			agg := hostTick.Procs[vmName]
+		for slot := range rec.Procs {
+			if !rec.Procs[slot].Present() {
+				continue
+			}
+			ps := models.SampleOf(&rec.Procs[slot])
+			v := vmSlot[slot]
+			agg := &hostSamples[v]
 			agg.CPUTime += ps.CPUTime
 			agg.Counters = agg.Counters.Add(ps.Counters)
 			agg.TrueActive += ps.TrueActive
-			hostTick.Procs[vmName] = agg
-			if perVMGuests[vmName] == nil {
-				perVMGuests[vmName] = map[string]models.ProcSample{}
-			}
-			perVMGuests[vmName][guestName] = ps
+			// A hypervisor sees a VM's CPU time, not its guests' thread
+			// counts: a running VM joins with one thread.
+			agg.Threads = 1
+			tenants[v].samples[guestSlot[slot]] = ps
 		}
-		nt.PerVM = hostModel.Observe(hostTick)
-
+		tick := models.Tick{
+			At:           rec.At,
+			Interval:     run.Tick(),
+			MachinePower: rec.Power,
+			LogicalCPUs:  logical,
+			Freq:         rec.Freq,
+			Roster:       hostRoster,
+			Samples:      hostSamples,
+		}
+		nt := NestedTick{At: rec.At, PerVM: hostModel.Observe(tick)}
 		if nt.PerVM != nil {
 			nt.PerGuest = map[string]units.Watts{}
-			for _, vmName := range names {
-				guests, running := perVMGuests[vmName]
+			for v, vmName := range hostRoster.IDs() {
 				vmPower, attributed := nt.PerVM[vmName]
-				if !running || !attributed {
+				if !hostSamples[v].Present() || !attributed {
 					continue
 				}
-				guestTick := models.Tick{
-					At:           full.At,
-					Interval:     full.Interval,
-					MachinePower: vmPower,
-					LogicalCPUs:  full.LogicalCPUs,
-					Procs:        guests,
-				}
-				est := guestModels[vmName].Observe(guestTick)
-				for g, w := range est {
+				tn := &tenants[v]
+				tick.MachinePower, tick.Roster, tick.Samples = vmPower, tn.roster, tn.samples
+				for g, w := range tn.model.Observe(tick) {
 					nt.PerGuest[GuestID(vmName, g)] = w
 				}
 			}
@@ -197,13 +211,4 @@ func NestedDivision(run *machine.Run, host, guest models.Factory, seed int64) ([
 		out[i] = nt
 	}
 	return out, nil
-}
-
-func sortedTickIDs(procs map[string]models.ProcSample) []string {
-	ids := make([]string, 0, len(procs))
-	for id := range procs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }

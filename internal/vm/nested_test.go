@@ -229,3 +229,60 @@ func TestNestedDivisionLearningDrops(t *testing.T) {
 		t.Error("guest attribution present during learning window")
 	}
 }
+
+// freqProbe records the frequency of every tick it observes and splits the
+// power evenly among the present processes.
+type freqProbe struct{ seen []units.Hertz }
+
+func (p *freqProbe) Name() string { return "freq-probe" }
+func (p *freqProbe) Observe(t models.Tick) map[string]units.Watts {
+	p.seen = append(p.seen, t.Freq)
+	est := map[string]units.Watts{}
+	for slot, s := range t.Samples {
+		if s.Present() {
+			est[t.Roster.ID(slot)] = 1
+		}
+	}
+	for id := range est {
+		est[id] = t.MachinePower / units.Watts(len(est))
+	}
+	return est
+}
+
+func TestNestedDivisionCarriesFrequency(t *testing.T) {
+	// Frequency-aware models (SmartWatts' bins, ResidualAware's residual
+	// curve) must see the record's frequency at both levels.
+	run := simulateNested(t)
+	var host *freqProbe
+	var guests []*freqProbe
+	hostF := models.Factory{Name: "host", New: func(int64) models.Model { host = &freqProbe{}; return host }}
+	guestF := models.Factory{Name: "guest", New: func(int64) models.Model {
+		g := &freqProbe{}
+		guests = append(guests, g)
+		return g
+	}}
+	if _, err := NestedDivision(run, hostF, guestF, 1); err != nil {
+		t.Fatal(err)
+	}
+	if len(host.seen) != len(run.Ticks) {
+		t.Fatalf("host model saw %d ticks, want %d", len(host.seen), len(run.Ticks))
+	}
+	for i, f := range host.seen {
+		if want := run.Ticks[i].Freq; f != want || want == 0 {
+			t.Fatalf("tick %d: host model saw %v, record has %v", i, f, want)
+		}
+	}
+	if len(guests) != 2 {
+		t.Fatalf("%d guest models, want 2", len(guests))
+	}
+	for v, g := range guests {
+		if len(g.seen) != len(run.Ticks) {
+			t.Fatalf("guest model %d saw %d ticks, want %d", v, len(g.seen), len(run.Ticks))
+		}
+		for i, f := range g.seen {
+			if want := run.Ticks[i].Freq; f != want {
+				t.Fatalf("tick %d: guest model %d saw %v, record has %v", i, v, f, want)
+			}
+		}
+	}
+}

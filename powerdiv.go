@@ -80,7 +80,10 @@ type (
 
 // Model types.
 type (
-	// Model is a streaming power division model.
+	// Model is a streaming power division model. Each tick it receives the
+	// machine power and a roster-indexed sample column (CPU time,
+	// counters, threads; absent processes hold a zero sample) and returns
+	// each present process's estimated power, or nil when it has none.
 	Model = models.Model
 	// ModelFactory constructs model instances per scenario.
 	ModelFactory = models.Factory
