@@ -11,6 +11,12 @@
 //	powerdiv-bench [-bench regex] [-benchtime 1x] [-count 1] [-out BENCH_campaign.json]
 //	powerdiv-bench -diff BENCH_campaign.json [-threshold 25]
 //
+// With -count N the set runs N times, one go test invocation per repeat,
+// so the workers-1 and workers-2 rungs of a ladder run back to back in
+// every repeat. The scaling gate decides on the median of the per-repeat
+// speedups, and each benchmark's N result lines fold into one entry of
+// per-metric medians for the diff and the output file.
+//
 // `make bench` runs the campaign set and writes BENCH_campaign.json;
 // `make bench-check` is the smoke variant (one iteration, no file);
 // `make bench-diff` reruns the set and compares it against the committed
@@ -26,6 +32,7 @@ import (
 	"os/exec"
 	"regexp"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -112,6 +119,59 @@ func parseLine(line string) (Result, bool) {
 	return res, true
 }
 
+// foldRepeats folds the repeated lines of a -count run into one Result per
+// benchmark, in first-seen order: ns/op, B/op, allocs/op and every custom
+// metric become their medians over the repeats, and Iterations the
+// repeats' total. A single noisy iteration then cannot decide a gate.
+func foldRepeats(results []Result) []Result {
+	var order []string
+	groups := map[string][]Result{}
+	for _, r := range results {
+		if _, ok := groups[r.Name]; !ok {
+			order = append(order, r.Name)
+		}
+		groups[r.Name] = append(groups[r.Name], r)
+	}
+	out := make([]Result, 0, len(order))
+	for _, name := range order {
+		g := groups[name]
+		f := g[0]
+		if len(g) > 1 {
+			med := func(get func(Result) float64) float64 {
+				vs := make([]float64, len(g))
+				for i, r := range g {
+					vs[i] = get(r)
+				}
+				return median(vs)
+			}
+			f.Iterations = 0
+			for _, r := range g {
+				f.Iterations += r.Iterations
+			}
+			f.NsPerOp = med(func(r Result) float64 { return r.NsPerOp })
+			f.BytesPerOp = med(func(r Result) float64 { return r.BytesPerOp })
+			f.AllocsPerOp = med(func(r Result) float64 { return r.AllocsPerOp })
+			f.Metrics = make(map[string]float64, len(g[0].Metrics))
+			for unit := range g[0].Metrics {
+				f.Metrics[unit] = med(func(r Result) float64 { return r.Metrics[unit] })
+			}
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// median returns the middle value of vs (the mean of the two middle
+// values for an even count), sorting vs in place.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
+}
+
 // memoSpeedup derives the off/on ratio from the memoization benchmark pair.
 func memoSpeedup(results []Result) float64 {
 	var on, off float64
@@ -164,10 +224,13 @@ type scalingResult struct {
 
 // scalingChecks verifies that the campaigns actually get faster with a
 // second CPU: for each ladder it compares the throughput of the workers-2
-// rung against workers-1 and requires at least minSpeedup. A ladder is
-// skipped (skip non-empty) when the host has fewer than two CPUs — a
-// second worker cannot run anywhere — or when either rung is absent from
-// the report.
+// rung against workers-1 and requires at least minSpeedup. rep holds the
+// unfolded lines of every repeat, in run order; the k-th workers-2 line
+// pairs with the k-th workers-1 line, so each repeat's rungs ran under the
+// same host conditions, and the verdict is the median of the pairs'
+// speedups. A ladder is skipped (skip non-empty) when the host has fewer
+// than two CPUs — a second worker cannot run anywhere — or when either
+// rung is absent from the report.
 func scalingChecks(rep Report, minSpeedup float64) []scalingResult {
 	out := make([]scalingResult, 0, len(scalingLadders))
 	for _, l := range scalingLadders {
@@ -177,21 +240,27 @@ func scalingChecks(rep Report, minSpeedup float64) []scalingResult {
 			out = append(out, res)
 			continue
 		}
-		var w1, w2 float64
+		var w1, w2 []float64
 		for _, r := range rep.Benchmarks {
 			switch stripProcs(r.Name) {
 			case l.bench + "/workers-1":
-				w1 = r.Metrics[l.metric]
+				w1 = append(w1, r.Metrics[l.metric])
 			case l.bench + "/workers-2":
-				w2 = r.Metrics[l.metric]
+				w2 = append(w2, r.Metrics[l.metric])
 			}
 		}
-		if w1 <= 0 || w2 <= 0 {
+		var speedups []float64
+		for k := 0; k < min(len(w1), len(w2)); k++ {
+			if w1[k] > 0 && w2[k] > 0 {
+				speedups = append(speedups, w2[k]/w1[k])
+			}
+		}
+		if len(speedups) == 0 {
 			res.skip = l.bench + " workers-1/workers-2 rungs not present"
 			out = append(out, res)
 			continue
 		}
-		res.speedup = w2 / w1
+		res.speedup = median(speedups)
 		res.ok = res.speedup >= minSpeedup
 		out = append(out, res)
 	}
@@ -336,7 +405,7 @@ func printDiff(baseline string, lines []diffLine) int {
 func main() {
 	bench := flag.String("bench", defaultBench, "benchmark regex passed to go test -bench")
 	benchtime := flag.String("benchtime", "", "go test -benchtime value (e.g. 1x, 2s); empty = go default")
-	count := flag.Int("count", 1, "go test -count value")
+	count := flag.Int("count", 1, "runs of the benchmark set; repeats fold into per-benchmark medians")
 	out := flag.String("out", "BENCH_campaign.json", `output file; "-" prints JSON to stdout, "" skips the file (smoke mode)`)
 	diff := flag.String("diff", "", "baseline JSON to compare against; exits non-zero on regressions past -threshold")
 	threshold := flag.Float64("threshold", 25, "regression threshold in percent for -diff")
@@ -369,53 +438,35 @@ func main() {
 		}
 	}
 
-	args := []string{"test", "-run", "^$", "-bench", *bench, "-benchmem", "-count", strconv.Itoa(*count)}
+	args := []string{"test", "-run", "^$", "-bench", *bench, "-benchmem", "-count", "1"}
 	if *benchtime != "" {
 		args = append(args, "-benchtime", *benchtime)
 	}
 	args = append(args, ".")
-	cmd := exec.Command("go", args...)
-	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
-	}
-	if err := cmd.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
-	}
-
 	var results []Result
-	sc := bufio.NewScanner(stdout)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		fmt.Println(line) // stream the raw go test output through
-		if r, ok := parseLine(line); ok {
-			results = append(results, r)
+	for i := 0; i < *count; i++ {
+		rs, err := runBenchmarks(args)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "error:", err)
+			os.Exit(1)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
-	}
-	if err := cmd.Wait(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchmarks failed:", err)
-		os.Exit(1)
+		results = append(results, rs...)
 	}
 	if len(results) == 0 {
 		fmt.Fprintln(os.Stderr, "error: no benchmark lines matched", *bench)
 		os.Exit(1)
 	}
 
+	// The scaling gate pairs the repeats' rungs; the rest see medians.
+	raw := Report{NumCPU: runtime.NumCPU(), Benchmarks: results}
+	results = foldRepeats(results)
 	rep := Report{
 		GoVersion:    runtime.Version(),
 		GOOS:         runtime.GOOS,
 		GOARCH:       runtime.GOARCH,
 		NumCPU:       runtime.NumCPU(),
 		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		Command:      "go " + strings.Join(args, " "),
+		Command:      fmt.Sprintf("go %s (runs: %d)", strings.Join(args, " "), *count),
 		MemoSpeedupX: memoSpeedup(results),
 		Benchmarks:   results,
 	}
@@ -424,7 +475,7 @@ func main() {
 	}
 	if *requireScaling > 0 {
 		failed := 0
-		for _, res := range scalingChecks(rep, *requireScaling) {
+		for _, res := range scalingChecks(raw, *requireScaling) {
 			switch {
 			case res.skip != "":
 				fmt.Printf("parallel scaling check skipped (%s): %s\n", res.bench, res.skip)
@@ -474,4 +525,35 @@ func main() {
 		}
 		fmt.Println("wrote", *out)
 	}
+}
+
+// runBenchmarks runs one go test invocation, streaming its output through,
+// and returns the benchmark lines it printed.
+func runBenchmarks(args []string) ([]Result, error) {
+	cmd := exec.Command("go", args...)
+	cmd.Stderr = os.Stderr
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		return nil, err
+	}
+	if err := cmd.Start(); err != nil {
+		return nil, err
+	}
+	var results []Result
+	sc := bufio.NewScanner(stdout)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		fmt.Println(line) // stream the raw go test output through
+		if r, ok := parseLine(line); ok {
+			results = append(results, r)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if err := cmd.Wait(); err != nil {
+		return nil, fmt.Errorf("benchmarks failed: %w", err)
+	}
+	return results, nil
 }

@@ -190,3 +190,58 @@ func TestDiffReportsOneSided(t *testing.T) {
 		t.Errorf("one-sided rungs counted %d regressions", n)
 	}
 }
+
+// TestFoldRepeatsTakesMedians pins the -count folding: repeated lines of a
+// benchmark become one entry, in first-seen order, whose costs and custom
+// metrics are the medians over the repeats; a single-line benchmark passes
+// through unchanged.
+func TestFoldRepeatsTakesMedians(t *testing.T) {
+	line := func(name string, ns, rate float64) Result {
+		return Result{Name: name, Iterations: 1, NsPerOp: ns, BytesPerOp: ns / 10, AllocsPerOp: 3, Metrics: map[string]float64{"nodes/sec": rate}}
+	}
+	got := foldRepeats([]Result{
+		line("BenchmarkA-2", 30, 1), line("BenchmarkA-2", 10, 9), line("BenchmarkA-2", 20, 5),
+		line("BenchmarkB-2", 7, 2),
+		line("BenchmarkC-2", 10, 4), line("BenchmarkC-2", 20, 8),
+	})
+	want := []Result{
+		{Name: "BenchmarkA-2", Iterations: 3, NsPerOp: 20, BytesPerOp: 2, AllocsPerOp: 3, Metrics: map[string]float64{"nodes/sec": 5}},
+		line("BenchmarkB-2", 7, 2),
+		{Name: "BenchmarkC-2", Iterations: 2, NsPerOp: 15, BytesPerOp: 1.5, AllocsPerOp: 3, Metrics: map[string]float64{"nodes/sec": 6}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("folded %+v, want %+v", got, want)
+	}
+}
+
+// TestScalingCheckDecidesOnMedian pins the repeated scaling gate: each
+// repeat's workers-2 rung pairs with its own workers-1 rung, one slow
+// repeat among five does not fail a ladder whose median speedup scales,
+// and a ladder whose median does not scale still fails.
+func TestScalingCheckDecidesOnMedian(t *testing.T) {
+	ladder := func(w2 ...float64) Report {
+		rep := Report{NumCPU: 2}
+		for k, rate := range w2 {
+			w1 := 100 * float64(k+1) // host speed differs between repeats
+			rep.Benchmarks = append(rep.Benchmarks,
+				Result{Name: "BenchmarkFleetCampaign/workers-1-2", Metrics: map[string]float64{"nodes/sec": w1}},
+				Result{Name: "BenchmarkFleetCampaign/workers-2-2", Metrics: map[string]float64{"nodes/sec": w1 * rate / 100}})
+		}
+		return rep
+	}
+	fleet := func(rep Report) scalingResult {
+		for _, res := range scalingChecks(rep, 1.0) {
+			if res.bench == "BenchmarkFleetCampaign" {
+				return res
+			}
+		}
+		t.Fatal("fleet ladder missing from scaling results")
+		return scalingResult{}
+	}
+	if res := fleet(ladder(150, 55, 140, 160, 130)); !res.ok || res.speedup != 1.4 {
+		t.Errorf("one slow iteration decided the ladder: %v/%v", res.speedup, res.ok)
+	}
+	if res := fleet(ladder(150, 55, 70, 160, 90)); res.ok {
+		t.Errorf("a ladder whose median does not scale passed: %v", res.speedup)
+	}
+}

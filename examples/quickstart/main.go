@@ -64,8 +64,8 @@ func main() {
 	ev := res.Pairs(0, 0)[0]
 
 	t := report.NewTable("\nScaphandre division vs objective value", "application", "true share", "estimated share")
-	for _, id := range ev.Truth.IDs() {
-		t.AddRow(id, report.Percent(ev.Truth[id]), report.Percent(ev.EstShare[id]))
+	for a, app := range ev.Scenario.Apps {
+		t.AddRow(app.ID, report.Percent(ev.Truth[a]), report.Percent(ev.EstShare[a]))
 	}
 	fmt.Print(t.String())
 	fmt.Printf("\nabsolute error (Eq 5): %s — the model splits equal CPU time 50/50\n", report.Percent(ev.AE))

@@ -7,9 +7,9 @@ import (
 )
 
 // AbsentShare is the sentinel marking a roster slot outside a tick's
-// objective in a dense truth vector (Shares.Vector). It must be negative:
-// zero is a legitimate share that Equation 5 scores, absent is not scored
-// at all.
+// objective in a dense truth vector (TruthVectorInto). It must be
+// negative: zero is a legitimate share that Equation 5 scores, absent is
+// not scored at all.
 const AbsentShare = -1.0
 
 // Vector projects the shares onto a roster ID order: out[i] is the share
@@ -18,12 +18,7 @@ const AbsentShare = -1.0
 // vector visits exactly the map's keys in exactly IDs() order — the
 // property that keeps AbsoluteErrorColumns bit-identical to AbsoluteError.
 func (s Shares) Vector(ids []string) []float64 {
-	return s.VectorInto(make([]float64, len(ids)), ids)
-}
-
-// VectorInto is Vector writing into a caller-owned buffer (which must have
-// len(ids) entries), so scoring loops can reuse one vector per scenario.
-func (s Shares) VectorInto(out []float64, ids []string) []float64 {
+	out := make([]float64, len(ids))
 	for i, id := range ids {
 		v, ok := s[id]
 		if !ok {
@@ -34,42 +29,68 @@ func (s Shares) VectorInto(out []float64, ids []string) []float64 {
 	return out
 }
 
-// TruthVectorInto is Equation 3 over a dense roster, written into out:
-// baselines[i] is the isolated baseline of roster slot i, present[i] puts
-// slot i in the objective, and out[i] becomes that slot's share of the
-// present active power, or AbsentShare when the slot is absent (out,
-// baselines and present have one entry per slot). It returns nil when no
-// present weight is positive — the tick is not scorable — and out
-// otherwise.
-//
-// The result is bit-identical to TruthShares(present baselines).Vector(ids)
-// when ids is the roster (sort.Strings order, each baseline keyed by its
-// slot's ID): normalize sums the positive weights in sorted-ID order,
-// which is slot order, clamps negative weights to 0 and divides each by
-// the same total — the same operations in the same order, without the
-// weights map, sorted key slice and Shares map.
+// The objectives over a roster write one share per slot into out, which
+// has one entry per baseline; baselines[i] is the isolated baseline of
+// roster slot i, slots in sorted-ID order. Each only fills the weights;
+// normalizeInto turns them into shares, so each result is bit-identical
+// to the matching map form keyed by the slots' IDs (normalize sums in
+// sorted-ID order, which is slot order). Each returns nil when no weight
+// is positive — the objective is degenerate — and out otherwise.
+
+// TruthVectorInto is Equation 3 over a roster: present[i] puts slot i in
+// the objective (nil puts every slot in it), and out[i] becomes that
+// slot's share of the present active power, or AbsentShare when the slot
+// is absent. It equals TruthShares(present baselines).Vector(ids).
 func TruthVectorInto(out []float64, baselines []Baseline, present []bool) []float64 {
-	var total float64
 	for slot, b := range baselines {
-		if w := float64(b.Active()); present[slot] && w > 0 {
-			total += w
+		out[slot] = 0
+		if present == nil || present[slot] {
+			out[slot] = float64(b.Active())
 		}
 	}
-	if total <= 0 {
+	if normalizeInto(out) == nil {
 		return nil
 	}
-	for slot, b := range baselines {
-		if !present[slot] {
+	for slot := range out {
+		if present != nil && !present[slot] {
 			out[slot] = AbsentShare
-			continue
 		}
-		w := float64(b.Active())
-		if w < 0 {
-			w = 0
-		}
-		out[slot] = w / total
 	}
 	return out
+}
+
+// ResidualAwareTruthInto extends the objective value to workloads whose
+// isolated residuals differ (§IV-B): because residual consumption is
+// generated by the applications themselves, the application that drives a
+// core to a higher frequency is responsible for the extra residual. Each
+// slot weighs in with its active power plus the amount by which its
+// isolated residual exceeds the smallest isolated residual in the scenario
+// ("the difference between the two residual consumption is allocated to
+// P_1 in the objective value").
+func ResidualAwareTruthInto(out []float64, baselines []Baseline) []float64 {
+	if len(baselines) == 0 {
+		return nil
+	}
+	minR := baselines[0].Residual
+	for _, b := range baselines[1:] {
+		if b.Residual < minR {
+			minR = b.Residual
+		}
+	}
+	for slot, b := range baselines {
+		out[slot] = float64(b.Active() + (b.Residual - minR))
+	}
+	return normalizeInto(out)
+}
+
+// NominalResidualTruthInto is the Fig 9b objective: residual consumption
+// is considered application consumption down to the machine's nominal-
+// frequency residual R_0, so each slot weighs in with C_{P_i} − R_0.
+func NominalResidualTruthInto(out []float64, baselines []Baseline, r0 units.Watts) []float64 {
+	for slot, b := range baselines {
+		out[slot] = float64(b.Total - r0)
+	}
+	return normalizeInto(out)
 }
 
 // ErrorSum accumulates Equation 5 one tick at a time: the running sum of

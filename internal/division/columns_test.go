@@ -190,3 +190,94 @@ func TestDenseTruthAndErrorSumMatchMapForms(t *testing.T) {
 		}
 	}
 }
+
+// mapNormalize is the map-keyed normalize the objectives were first
+// written over, kept as the reference for the roster kernels: the
+// positive weights summed in sorted-ID order, negative weights clamped to
+// 0, nil when no weight is positive.
+func mapNormalize(weights map[string]float64) Shares {
+	ids := make([]string, 0, len(weights))
+	for id := range weights {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	var total float64
+	for _, id := range ids {
+		if w := weights[id]; w > 0 {
+			total += w
+		}
+	}
+	if total <= 0 {
+		return nil
+	}
+	s := make(Shares, len(weights))
+	for _, id := range ids {
+		w := weights[id]
+		if w < 0 {
+			w = 0
+		}
+		s[id] = w / total
+	}
+	return s
+}
+
+// TestPairObjectivesMatchMapReference pins the three pair objectives over
+// a roster against their map-keyed reference forms, Float64bits for
+// Float64bits and nil exactly when the reference is nil: Eq 3 (active),
+// the residual-aware weights A + (R − min R) and the nominal-residual
+// weights C − R0, over random sorted rosters whose weights include zero
+// and negative values.
+func TestPairObjectivesMatchMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(5)
+		ids := make([]string, n)
+		for slot := range ids {
+			ids[slot] = fmt.Sprintf("%s-%d", []string{"fib", "int64", "matrixprod"}[rng.Intn(3)], slot)
+		}
+		sort.Strings(ids)
+		base := make([]Baseline, n)
+		for slot, id := range ids {
+			residual := 5 + 40*rng.Float64()
+			active := 0.5 + 120*rng.Float64()
+			switch rng.Intn(5) {
+			case 0:
+				active = 0
+			case 1:
+				active = -active
+			}
+			base[slot] = Baseline{ID: id, Total: units.Watts(residual + active), Residual: units.Watts(residual)}
+		}
+		r0 := units.Watts(60 * rng.Float64())
+		minR := base[0].Residual
+		for _, b := range base[1:] {
+			if b.Residual < minR {
+				minR = b.Residual
+			}
+		}
+		active, aware, nominal := map[string]float64{}, map[string]float64{}, map[string]float64{}
+		for _, b := range base {
+			active[b.ID] = float64(b.Active())
+			aware[b.ID] = float64(b.Active() + (b.Residual - minR))
+			nominal[b.ID] = float64(b.Total - r0)
+		}
+		for _, c := range []struct {
+			name string
+			want Shares
+			got  []float64
+		}{
+			{"active", mapNormalize(active), TruthVectorInto(make([]float64, n), base, nil)},
+			{"residual-aware", mapNormalize(aware), ResidualAwareTruthInto(make([]float64, n), base)},
+			{"nominal-residual", mapNormalize(nominal), NominalResidualTruthInto(make([]float64, n), base, r0)},
+		} {
+			if (c.want == nil) != (c.got == nil) {
+				t.Fatalf("trial %d %s: map %v, roster %v", trial, c.name, c.want, c.got)
+			}
+			for slot, id := range ids {
+				if c.want != nil && math.Float64bits(c.want[id]) != math.Float64bits(c.got[slot]) {
+					t.Fatalf("trial %d %s slot %d: map %v, roster %v", trial, c.name, slot, c.want[id], c.got[slot])
+				}
+			}
+		}
+	}
+}

@@ -102,8 +102,9 @@ func EstimateWithPolicy(aS, aWithoutPi, r units.Watts, x float64) units.Watts {
 // non-empty).
 type Shares map[string]float64
 
-// normalize scales weights into shares. It returns nil if no weight is
-// positive. The total accumulates in sorted-key order: with three or more
+// normalize scales weights into shares through normalizeInto, visiting
+// the IDs in sorted order. It returns nil if no weight is positive. The
+// sorted order makes the total deterministic: with three or more
 // applications a map-order float sum differs in the low bits across runs,
 // which would make the objective shares — and every error table derived
 // from them — nondeterministic per seed. (Pairs masked this: adding two
@@ -114,71 +115,54 @@ func normalize(weights map[string]float64) Shares {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
+	w := make([]float64, len(ids))
+	for i, id := range ids {
+		w[i] = weights[id]
+	}
+	if normalizeInto(w) == nil {
+		return nil
+	}
+	s := make(Shares, len(ids))
+	for i, id := range ids {
+		s[id] = w[i]
+	}
+	return s
+}
+
+// normalizeInto is the one normalize kernel, scaling the weights in w into
+// shares in place: it sums the positive weights in slot order, clamps
+// negative weights to 0 and divides each by the total. It returns nil,
+// leaving w unspecified, when no weight is positive, and w otherwise. Over
+// a roster (slots in sorted-ID order) it is exactly normalize's arithmetic.
+func normalizeInto(w []float64) []float64 {
 	var total float64
-	for _, id := range ids {
-		if w := weights[id]; w > 0 {
-			total += w
+	for _, v := range w {
+		if v > 0 {
+			total += v
 		}
 	}
 	if total <= 0 {
 		return nil
 	}
-	s := make(Shares, len(weights))
-	for _, id := range ids {
-		w := weights[id]
-		if w < 0 {
-			w = 0
+	for i, v := range w {
+		if v < 0 {
+			v = 0
 		}
-		s[id] = w / total
+		w[i] = v / total
 	}
-	return s
+	return w
 }
 
 // TruthShares is Equation 3: the consistent allocation of active power,
 // Ae^{P_i}_{S,t} = A_{S,t} × A_{P_i,t} / Σ_j A_{P_j,t}. It returns each
 // application's share of the scenario's active power, computed from the
-// isolated baselines. This is the protocol's objective value in the
+// isolated baselines, keyed by ID; TruthVectorInto is the same objective
+// over a roster. This is the protocol's objective value in the
 // uniform-residual case.
 func TruthShares(baselines []Baseline) Shares {
 	weights := make(map[string]float64, len(baselines))
 	for _, b := range baselines {
 		weights[b.ID] = float64(b.Active())
-	}
-	return normalize(weights)
-}
-
-// TruthSharesResidualAware extends the objective value to workloads whose
-// isolated residuals differ (§IV-B): because residual consumption is
-// generated by the applications themselves, the application that drives a
-// core to a higher frequency is responsible for the extra residual. Each
-// application weighs in with its active power plus the amount by which its
-// isolated residual exceeds the smallest isolated residual in the scenario
-// ("the difference between the two residual consumption is allocated to
-// P_1 in the objective value").
-func TruthSharesResidualAware(baselines []Baseline) Shares {
-	if len(baselines) == 0 {
-		return nil
-	}
-	minR := baselines[0].Residual
-	for _, b := range baselines[1:] {
-		if b.Residual < minR {
-			minR = b.Residual
-		}
-	}
-	weights := make(map[string]float64, len(baselines))
-	for _, b := range baselines {
-		weights[b.ID] = float64(b.Active() + (b.Residual - minR))
-	}
-	return normalize(weights)
-}
-
-// TruthSharesNominalResidual is the Fig 9b objective: residual consumption
-// is considered application consumption down to the machine's nominal-
-// frequency residual R_0, so each application weighs in with C_{P_i} − R_0.
-func TruthSharesNominalResidual(baselines []Baseline, r0 units.Watts) Shares {
-	weights := make(map[string]float64, len(baselines))
-	for _, b := range baselines {
-		weights[b.ID] = float64(b.Total - r0)
 	}
 	return normalize(weights)
 }

@@ -67,20 +67,20 @@ func TestTruthSharesResidualAware(t *testing.T) {
 		{ID: "p0", Total: 31, Residual: 22}, // active 9
 		{ID: "p1", Total: 72, Residual: 36}, // active 36, ΔR = 14
 	}
-	s := TruthSharesResidualAware(bs)
+	s := ResidualAwareTruthInto(make([]float64, 2), bs)
 	wantP1 := (36.0 + 14.0) / (9 + 36 + 14)
-	if math.Abs(s["p1"]-wantP1) > 1e-9 {
-		t.Errorf("p1 share = %v, want %v", s["p1"], wantP1)
+	if math.Abs(s[1]-wantP1) > 1e-9 {
+		t.Errorf("p1 share = %v, want %v", s[1], wantP1)
 	}
 	// With equal residuals it reduces to Eq 3.
 	eq := []Baseline{
 		{ID: "a", Total: 57, Residual: 36},
 		{ID: "b", Total: 43, Residual: 36},
 	}
-	s1, s2 := TruthShares(eq), TruthSharesResidualAware(eq)
-	for id := range s1 {
-		if math.Abs(s1[id]-s2[id]) > 1e-12 {
-			t.Errorf("equal-residual mismatch for %s: %v vs %v", id, s1[id], s2[id])
+	s1, s2 := TruthVectorInto(make([]float64, 2), eq, nil), ResidualAwareTruthInto(make([]float64, 2), eq)
+	for slot := range s1 {
+		if math.Abs(s1[slot]-s2[slot]) > 1e-12 {
+			t.Errorf("equal-residual mismatch for %s: %v vs %v", eq[slot].ID, s1[slot], s2[slot])
 		}
 	}
 }
@@ -91,10 +91,10 @@ func TestTruthSharesNominalResidual(t *testing.T) {
 		{ID: "p0", Total: 20},
 		{ID: "p1", Total: 74},
 	}
-	s := TruthSharesNominalResidual(bs, 15)
+	s := NominalResidualTruthInto(make([]float64, 2), bs, 15)
 	wantP0 := 5.0 / (5 + 59)
-	if math.Abs(s["p0"]-wantP0) > 1e-9 {
-		t.Errorf("p0 share = %v, want %v", s["p0"], wantP0)
+	if math.Abs(s[0]-wantP0) > 1e-9 {
+		t.Errorf("p0 share = %v, want %v", s[0], wantP0)
 	}
 }
 

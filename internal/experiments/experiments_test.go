@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -184,6 +185,47 @@ func TestLabEvaluationModelsOrdering(t *testing.T) {
 	}
 	if or.MeanAE > 0.01 {
 		t.Errorf("oracle mean = %.4f, want ≈0", or.MeanAE)
+	}
+}
+
+// TestLabTableShareInvariants checks the paper's share invariants on
+// every row of the seed-1 §IV-A table, both machines and every model: the
+// Eq 3 objective shares of a pair sum to 1 (to 1e-12) with each in
+// [0, 1], and a model's mean estimated shares lie in [0, 1] and cover at
+// most the measured power (Σ ≤ 1 + 1e-9). Both vectors have one entry
+// per application of the scenario.
+func TestLabTableShareInvariants(t *testing.T) {
+	t.Parallel()
+	for _, spec := range []cpumodel.Spec{cpumodel.SmallIntel(), cpumodel.Dahu()} {
+		res, err := labRows(LabContext(spec, 1), models.NewKepler(), models.NewOracle())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for m, f := range res.Factories {
+			for _, ev := range res.Pairs(m, 0) {
+				label := fmt.Sprintf("%s: %s on %q", spec.Name, f.Name, ev.Scenario.Label())
+				if len(ev.Truth) != len(ev.Scenario.Apps) || len(ev.EstShare) != len(ev.Scenario.Apps) {
+					t.Fatalf("%s: %d applications, Truth/EstShare %d/%d", label, len(ev.Scenario.Apps), len(ev.Truth), len(ev.EstShare))
+				}
+				var truth, est float64
+				for a := range ev.Truth {
+					if ev.Truth[a] < 0 || ev.Truth[a] > 1 {
+						t.Errorf("%s: Truth[%d] = %v outside [0, 1]", label, a, ev.Truth[a])
+					}
+					if ev.EstShare[a] < 0 || ev.EstShare[a] > 1 {
+						t.Errorf("%s: EstShare[%d] = %v outside [0, 1]", label, a, ev.EstShare[a])
+					}
+					truth += ev.Truth[a]
+					est += ev.EstShare[a]
+				}
+				if math.Abs(truth-1) > 1e-12 {
+					t.Errorf("%s: Σ Truth = %v, want 1", label, truth)
+				}
+				if est > 1+1e-9 {
+					t.Errorf("%s: Σ EstShare = %v, want ≤ 1", label, est)
+				}
+			}
+		}
 	}
 }
 

@@ -136,9 +136,23 @@ func evaluateModel(ctx protocol.Context, scenarios []protocol.Scenario, f models
 // observed by every model in the same pass, never materialized. It returns
 // one ScatterResult per model, keyed by model name.
 func LabEvaluationStreaming(ctx protocol.Context, extra ...models.Factory) (map[string]ScatterResult, error) {
-	scenarios, err := protocol.StressPairs(stressNames(), protocol.SizesFor(ctx.Machine))
+	res, err := labRows(ctx, extra...)
 	if err != nil {
 		return nil, err
+	}
+	out := map[string]ScatterResult{}
+	for m, f := range res.Factories {
+		out[f.Name] = scatterFromEvaluations(f.Name, ctx.Machine.Spec.Name, res.Pairs(m, 0))
+	}
+	return out, nil
+}
+
+// labRows is the §IV-A campaign behind LabEvaluationStreaming: the paper
+// models, extra and F2 over every stress pair, scored against Eq 3.
+func labRows(ctx protocol.Context, extra ...models.Factory) (protocol.Result, error) {
+	scenarios, err := protocol.StressPairs(stressNames(), protocol.SizesFor(ctx.Machine))
+	if err != nil {
+		return protocol.Result{}, err
 	}
 	factories := func(baselines map[string]division.Baseline) []models.Factory {
 		fs := append(PaperModels(), extra...)
@@ -150,17 +164,9 @@ func LabEvaluationStreaming(ctx protocol.Context, extra ...models.Factory) (map[
 		fs = append(fs, models.NewF2(perCore))
 		return fs
 	}
-	res, err := protocol.Evaluate(context.Background(), ctx, protocol.Campaign{
+	return protocol.Evaluate(context.Background(), ctx, protocol.Campaign{
 		Kind: protocol.PairCampaign, Scenarios: scenarios, Factories: factories,
 	})
-	if err != nil {
-		return nil, err
-	}
-	out := map[string]ScatterResult{}
-	for m, f := range res.Factories {
-		out[f.Name] = scatterFromEvaluations(f.Name, ctx.Machine.Spec.Name, res.Pairs(m, 0))
-	}
-	return out, nil
 }
 
 // ErrorTable renders the §IV-A summary across models.

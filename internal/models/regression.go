@@ -84,68 +84,67 @@ func sameRow(a, b [4]float64) bool {
 // the same terms in the same row order as a row-by-row fit, so run-length
 // encoding changes only how often the per-row products are computed: the
 // scaled row once per run, and of XᵀX only the upper triangle, mirrored
-// (x[p]·x[q] and x[q]·x[p] round identically).
+// (x[p]·x[q] and x[q]·x[p] round identically). The four column sums share
+// one pass, and the ten XᵀX and four Xᵀy sums are scalar locals the
+// compiler keeps in registers; each still adds its own terms in row order.
 func (w *calibWindow) fit(lambda float64) (weights, scales [4]float64) {
-	const dim = 4
-	for d := 0; d < dim; d++ {
-		scales[d] = 1
-	}
+	scales = [4]float64{1, 1, 1, 1}
 	rows := w.len()
 	if rows == 0 {
 		return weights, scales
 	}
 	// Column scaling keeps the ridge penalty meaningful across features of
 	// wildly different magnitudes (cycles ~1e10/s vs cache refs ~1e7/s).
-	for d := 0; d < dim; d++ {
-		var sum float64
-		for _, r := range w.runs {
-			v := r.row[d]
-			if v < 0 {
-				v = -v
-			}
-			for k := 0; k < r.n; k++ {
-				sum += v
-			}
+	var s0, s1, s2, s3 float64
+	for _, r := range w.runs {
+		v0, v1, v2, v3 := abs(r.row[0]), abs(r.row[1]), abs(r.row[2]), abs(r.row[3])
+		for k := 0; k < r.n; k++ {
+			s0 += v0
+			s1 += v1
+			s2 += v2
+			s3 += v3
 		}
-		mean := sum / float64(rows)
-		if mean > 0 {
+	}
+	for d, sum := range [4]float64{s0, s1, s2, s3} {
+		if mean := sum / float64(rows); mean > 0 {
 			scales[d] = mean
 		}
 	}
 	// Normal equations in scaled space.
-	var a [dim][dim]float64
-	var b [dim]float64
+	var a00, a01, a02, a03, a11, a12, a13, a22, a23, a33 float64
+	var b0, b1, b2, b3 float64
 	y := w.targets
 	for _, r := range w.runs {
-		var x [dim]float64
-		for d := 0; d < dim; d++ {
-			x[d] = r.row[d] / scales[d]
-		}
-		var xx [dim][dim]float64
-		for p := 0; p < dim; p++ {
-			for q := p; q < dim; q++ {
-				xx[p][q] = x[p] * x[q]
-			}
-		}
+		x0, x1, x2, x3 := r.row[0]/scales[0], r.row[1]/scales[1], r.row[2]/scales[2], r.row[3]/scales[3]
+		p00, p01, p02, p03 := x0*x0, x0*x1, x0*x2, x0*x3
+		p11, p12, p13 := x1*x1, x1*x2, x1*x3
+		p22, p23, p33 := x2*x2, x2*x3, x3*x3
 		for _, t := range y[:r.n] {
-			for p := 0; p < dim; p++ {
-				for q := p; q < dim; q++ {
-					a[p][q] += xx[p][q]
-				}
-				b[p] += x[p] * t
-			}
+			a00 += p00
+			a01 += p01
+			a02 += p02
+			a03 += p03
+			a11 += p11
+			a12 += p12
+			a13 += p13
+			a22 += p22
+			a23 += p23
+			a33 += p33
+			b0 += x0 * t
+			b1 += x1 * t
+			b2 += x2 * t
+			b3 += x3 * t
 		}
 		y = y[r.n:]
 	}
-	for p := 1; p < dim; p++ {
-		for q := 0; q < p; q++ {
-			a[p][q] = a[q][p]
-		}
+	ridge := lambda * float64(rows)
+	a := [4][4]float64{
+		{a00 + ridge, a01, a02, a03},
+		{a01, a11 + ridge, a12, a13},
+		{a02, a12, a22 + ridge, a23},
+		{a03, a13, a23, a33 + ridge},
 	}
-	for d := 0; d < dim; d++ {
-		a[d][d] += lambda * float64(rows)
-	}
-	sol, ok := solve4(a, b)
+	sol, ok := solve4(a, [4]float64{b0, b1, b2, b3})
 	if !ok {
 		return weights, scales
 	}

@@ -58,17 +58,14 @@ func NewResidualAwareFromSpec(spec cpumodel.Spec) Factory {
 // Name returns "residual-aware".
 func (m *ResidualAware) Name() string { return "residual-aware" }
 
-// duty returns a process's per-thread duty factor in [0, 1]: the fraction
-// of the interval its busiest threads ran. Without thread counts it falls
-// back to min(1, total utilization).
+// duty returns a present process's per-thread duty factor in [0, 1]: the
+// fraction of the interval its threads ran (a present sample has at least
+// one thread).
 func duty(p ProcSample, interval units.CPUTime) float64 {
 	if interval <= 0 {
 		return 0
 	}
-	util := p.CPUTime.Seconds() / interval.Seconds()
-	if p.Threads > 0 {
-		util /= float64(p.Threads)
-	}
+	util := p.CPUTime.Seconds() / interval.Seconds() / float64(p.Threads)
 	if util > 1 {
 		util = 1
 	}

@@ -113,9 +113,10 @@ func TestResidualAwareUnknownFreqUsesBase(t *testing.T) {
 	}
 }
 
-func TestResidualAwareThreadlessFallback(t *testing.T) {
-	// Without thread counts, duty falls back to min(1, utilization): a
-	// 2-core process reads as duty 1.
+func TestResidualAwareOneThreadDutyClamps(t *testing.T) {
+	// A present sample has at least one thread (raTick fills in one): a
+	// one-thread process reading 2 cores of CPU time clamps at duty 1, and
+	// two such processes split evenly.
 	f := NewResidualAwareFromSpec(cpumodel.SmallIntel())
 	m := f.New(0)
 	in := raTick(57.3, 3.6*units.GHz, map[string]ProcSample{
@@ -127,6 +128,6 @@ func TestResidualAwareThreadlessFallback(t *testing.T) {
 		t.Fatal("no estimate")
 	}
 	if math.Abs(float64(got["a"]-got["b"])) > 1e-9 {
-		t.Errorf("equal threadless procs split unevenly: %v", got)
+		t.Errorf("equal one-thread procs split unevenly: %v", got)
 	}
 }

@@ -58,16 +58,46 @@ type Result struct {
 	// of Pairs and Traffic is Factories[m].
 	Factories []models.Factory
 
-	n, objs int
-	pairs   []Evaluation
+	n       int
+	pairs   *pairTable
 	traffic []TrafficEvaluation
+}
+
+// pairTable is a pair campaign's storage, behind a pointer so that the
+// Result a traffic campaign copies stays small: every model's column per
+// objective, and one slab of each scenario's share vectors — its truth
+// under each objective, then each model's estimated shares — in blocks of
+// stride entries (the most applications of any scenario). Rows slice
+// their vectors out of it, so no row allocates.
+type pairTable struct {
+	objs, width, stride int
+	rows                []Evaluation
+	shares              []float64
+}
+
+// newPairTable sizes the storage of fs models scored under objs
+// objectives on scenarios.
+func newPairTable(scenarios []Scenario, fs, objs int) *pairTable {
+	t := &pairTable{objs: objs, width: objs + fs, rows: make([]Evaluation, fs*objs*len(scenarios))}
+	for _, s := range scenarios {
+		t.stride = max(t.stride, len(s.Apps))
+	}
+	t.shares = make([]float64, len(scenarios)*t.width*t.stride)
+	return t
+}
+
+// vector returns scenario i's share vector j, k entries long: objective
+// j's truth for j < objs, model j−objs's estimated shares after.
+func (t *pairTable) vector(i, j, k int) []float64 {
+	off := (i*t.width + j) * t.stride
+	return t.shares[off : off+k : off+k]
 }
 
 // Pairs returns model m's rows for objective o (index-aligned with
 // Campaign.Objectives) of a pair campaign.
 func (r Result) Pairs(m, o int) []Evaluation {
-	i := (m*r.objs + o) * r.n
-	return r.pairs[i : i+r.n : i+r.n]
+	i := (m*r.pairs.objs + o) * r.n
+	return r.pairs.rows[i : i+r.n : i+r.n]
 }
 
 // Traffic returns model m's rows of a traffic or timeline campaign.
@@ -77,7 +107,9 @@ func (r Result) Traffic(m int) []TrafficEvaluation {
 }
 
 // pairRow addresses scenario i's row of model m under objective o.
-func (r Result) pairRow(m, o, i int) *Evaluation { return &r.pairs[(m*r.objs+o)*r.n+i] }
+func (r Result) pairRow(m, o, i int) *Evaluation {
+	return &r.pairs.rows[(m*r.pairs.objs+o)*r.n+i]
+}
 
 // trafficRow addresses scenario i's row of model m.
 func (r Result) trafficRow(m, i int) *TrafficEvaluation { return &r.traffic[m*r.n+i] }
@@ -178,8 +210,7 @@ func Evaluate(cctx context.Context, ctx Context, c Campaign) (Result, error) {
 	n := len(c.Scenarios)
 	res := Result{Factories: fs, n: n}
 	if c.Kind == PairCampaign {
-		res.objs = len(objs)
-		res.pairs = make([]Evaluation, len(fs)*len(objs)*n)
+		res.pairs = newPairTable(c.Scenarios, len(fs), len(objs))
 	} else {
 		res.traffic = make([]TrafficEvaluation, len(fs)*n)
 	}

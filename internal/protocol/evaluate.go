@@ -8,7 +8,6 @@ import (
 
 	"powerdiv/internal/division"
 	"powerdiv/internal/machine"
-	"powerdiv/internal/units"
 )
 
 // Objective selects the truth construction a model is scored against.
@@ -84,57 +83,18 @@ type Evaluation struct {
 	Model    string
 	// AE is the absolute error of Equation 5 over the scored window.
 	AE float64
-	// Truth is the objective share of each application.
-	Truth division.Shares
-	// EstShare is the model's mean estimated share of each application
-	// over the scored window.
-	EstShare division.Shares
+	// Truth is the objective share of each application and EstShare the
+	// model's mean estimated share over the scored window (all zero when
+	// the window's mean power is not positive), both index-aligned with
+	// Scenario.Apps. The vectors are views into storage shared by the
+	// campaign's rows; Truth is shared by every model's row.
+	Truth    []float64
+	EstShare []float64
 	// Point is the scenario's ratio-scatter point (Fig 4–7 axes), defined
 	// for two-application scenarios.
 	Point division.RatioPoint
 	// ScoredTicks is how many ticks entered the Eq 5 average.
 	ScoredTicks int
-}
-
-// scenarioTruths resolves the objective shares a scenario is scored
-// against, index-aligned with objectives.
-func scenarioTruths(s Scenario, baselines map[string]division.Baseline, objectives []Objective, r0 units.Watts) ([]division.Shares, error) {
-	if len(s.Apps) < 2 {
-		return nil, fmt.Errorf("protocol: scenario %q needs ≥2 applications", s.Label())
-	}
-	if len(objectives) == 0 {
-		return nil, fmt.Errorf("protocol: no objectives for %q", s.Label())
-	}
-	bs := make([]division.Baseline, 0, len(s.Apps))
-	for _, a := range s.Apps {
-		b, ok := baselines[a.baselineID()]
-		if !ok {
-			return nil, fmt.Errorf("protocol: no baseline for %s (run phase 1 first)", a.ID)
-		}
-		// The truth shares key by the roster's instance IDs, not by the
-		// (possibly shared) application type the baseline was measured as.
-		b.ID = a.ID
-		bs = append(bs, b)
-	}
-	truths := make([]division.Shares, len(objectives))
-	for i, obj := range objectives {
-		var truth division.Shares
-		switch obj {
-		case ObjectiveActive:
-			truth = division.TruthShares(bs)
-		case ObjectiveResidualAware:
-			truth = division.TruthSharesResidualAware(bs)
-		case ObjectiveNominalResidual:
-			truth = division.TruthSharesNominalResidual(bs, r0)
-		default:
-			return nil, fmt.Errorf("protocol: unknown objective %d", int(obj))
-		}
-		if truth == nil {
-			return nil, fmt.Errorf("protocol: degenerate objective %v for %q", obj, s.Label())
-		}
-		truths[i] = truth
-	}
-	return truths, nil
 }
 
 // Summary aggregates the evaluations of one model over a campaign.
@@ -258,22 +218,7 @@ func StressCombos(fns []string, threads, k int) ([]Scenario, error) {
 // AppsOf collects the distinct applications appearing in the scenarios,
 // keyed by ID — the phase 1 measurement list.
 func AppsOf(scenarios []Scenario) []AppSpec {
-	seen := map[string]AppSpec{}
-	for _, s := range scenarios {
-		for _, a := range s.Apps {
-			seen[a.ID] = a
-		}
-	}
-	ids := make([]string, 0, len(seen))
-	for id := range seen {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	out := make([]AppSpec, len(ids))
-	for i, id := range ids {
-		out[i] = seen[id]
-	}
-	return out
+	return distinctApps(scenarios, func(a AppSpec) AppSpec { return a })
 }
 
 // BaselineAppsOf collects the distinct application *types* appearing in the
@@ -282,10 +227,17 @@ func AppsOf(scenarios []Scenario) []AppSpec {
 // stripped baselineSpec (ID = baselineID, no lifetime offsets), sorted by
 // ID. For scenarios without traffic fields it coincides with AppsOf.
 func BaselineAppsOf(scenarios []Scenario) []AppSpec {
+	return distinctApps(scenarios, AppSpec.baselineSpec)
+}
+
+// distinctApps maps every application of the scenarios through spec and
+// returns the distinct results by ID (the last one seen wins), sorted by
+// ID.
+func distinctApps(scenarios []Scenario, spec func(AppSpec) AppSpec) []AppSpec {
 	seen := map[string]AppSpec{}
 	for _, s := range scenarios {
 		for _, a := range s.Apps {
-			b := a.baselineSpec()
+			b := spec(a)
 			seen[b.ID] = b
 		}
 	}

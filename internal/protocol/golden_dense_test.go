@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -15,11 +16,72 @@ import (
 	"powerdiv/internal/units"
 )
 
+// mapEvaluation is a pair row as the map pipeline produced it: the truth
+// and estimated shares keyed by application ID.
+type mapEvaluation struct {
+	AE              float64
+	Truth, EstShare division.Shares
+	Point           division.RatioPoint
+	ScoredTicks     int
+}
+
+// mapTruths is the map pipeline's truth construction, kept as the
+// reference: each objective's weights keyed by the scenario's application
+// IDs, normalized in sorted-ID order (positive weights summed, negative
+// ones clamped to 0), one share map per objective.
+func mapTruths(t *testing.T, s Scenario, baselines map[string]division.Baseline, objectives []Objective, r0 units.Watts) []division.Shares {
+	t.Helper()
+	minR := baselines[s.Apps[0].ID].Residual
+	for _, a := range s.Apps[1:] {
+		if r := baselines[a.ID].Residual; r < minR {
+			minR = r
+		}
+	}
+	truths := make([]division.Shares, len(objectives))
+	for o, obj := range objectives {
+		weights := map[string]float64{}
+		for _, a := range s.Apps {
+			b := baselines[a.ID]
+			switch obj {
+			case ObjectiveActive:
+				weights[a.ID] = float64(b.Active())
+			case ObjectiveResidualAware:
+				weights[a.ID] = float64(b.Active() + (b.Residual - minR))
+			case ObjectiveNominalResidual:
+				weights[a.ID] = float64(b.Total - r0)
+			}
+		}
+		ids := make([]string, 0, len(weights))
+		for id := range weights {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		var total float64
+		for _, id := range ids {
+			if w := weights[id]; w > 0 {
+				total += w
+			}
+		}
+		if total <= 0 {
+			t.Fatalf("degenerate objective %v for %q", obj, s.Label())
+		}
+		truths[o] = division.Shares{}
+		for _, id := range ids {
+			w := weights[id]
+			if w < 0 {
+				w = 0
+			}
+			truths[o][id] = w / total
+		}
+	}
+	return truths
+}
+
 // scoreRunMapReference is the pre-columnar phase 3 pipeline, kept as the
 // golden reference: per-tick Observe, nil-map coverage, map-keyed
 // mean estimates and division.AbsoluteError over map shares. The streaming
 // evaluator must reproduce it bit for bit.
-func scoreRunMapReference(ctx Context, s Scenario, run *machine.Run, factory models.Factory, truths []division.Shares) ([]Evaluation, error) {
+func scoreRunMapReference(ctx Context, s Scenario, run *machine.Run, factory models.Factory, truths []division.Shares) ([]mapEvaluation, error) {
 	model := factory.New(deriveSeed(ctx.Seed, "model", factory.Name, s.Label()))
 	ests := make([]map[string]units.Watts, len(run.Ticks))
 	tick := models.Tick{
@@ -69,9 +131,9 @@ func scoreRunMapReference(ctx Context, s Scenario, run *machine.Run, factory mod
 		}
 	}
 
-	out := make([]Evaluation, len(truths))
+	out := make([]mapEvaluation, len(truths))
 	for i, truth := range truths {
-		ev := Evaluation{Scenario: s, Model: factory.Name, Truth: truth, EstShare: estShare}
+		ev := mapEvaluation{Truth: truth, EstShare: estShare}
 		ae, err := division.AbsoluteError(scoredEsts, scoredPower, division.ConstShares(len(scoredEsts), truth))
 		if err != nil {
 			return nil, fmt.Errorf("protocol: scenario %q: %w", s.Label(), err)
@@ -167,10 +229,7 @@ func TestDenseScoringMatchesMapReference(t *testing.T) {
 			}
 			objectives := []Objective{ObjectiveActive, ObjectiveResidualAware}
 			for _, s := range scenarios {
-				truths, err := scenarioTruths(s, baselines, objectives, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
+				truths := mapTruths(t, s, baselines, objectives, 0)
 				cfg := ctx.Machine
 				cfg.Seed = deriveSeed(ctx.Seed, "pair", s.Label())
 				procs := make([]machine.Proc, len(s.Apps))
@@ -202,7 +261,13 @@ func TestDenseScoringMatchesMapReference(t *testing.T) {
 	}
 }
 
-func compareEvaluations(t *testing.T, model string, s Scenario, want, got Evaluation) {
+// compareEvaluations checks a dense row against the map reference's: AE,
+// scored ticks and point bit for bit, and each application's truth and
+// estimated share against the map entry under its ID. The dense pipeline
+// reports a (zero) share for every application; the map pipeline only for
+// estimated ones. Where both define a share the values must be
+// bit-identical, and dense extras must be zero.
+func compareEvaluations(t *testing.T, model string, s Scenario, want mapEvaluation, got Evaluation) {
 	t.Helper()
 	label := fmt.Sprintf("%s on %q", model, s.Label())
 	if math.Float64bits(want.AE) != math.Float64bits(got.AE) {
@@ -211,18 +276,17 @@ func compareEvaluations(t *testing.T, model string, s Scenario, want, got Evalua
 	if want.ScoredTicks != got.ScoredTicks {
 		t.Errorf("%s: ScoredTicks %d != %d", label, want.ScoredTicks, got.ScoredTicks)
 	}
-	// The dense pipeline reports a (zero) share for every roster process;
-	// the map pipeline only for estimated ones. Where both define a share
-	// the values must be bit-identical, and dense extras must be zero.
-	for id, w := range want.EstShare {
-		g, ok := got.EstShare[id]
-		if !ok || math.Float64bits(w) != math.Float64bits(g) {
-			t.Errorf("%s: EstShare[%s] %v != %v", label, id, w, g)
-		}
+	if len(got.Truth) != len(s.Apps) || len(got.EstShare) != len(s.Apps) || len(want.Truth) != len(s.Apps) {
+		t.Fatalf("%s: %d applications, dense Truth/EstShare %d/%d, map Truth %d", label, len(s.Apps), len(got.Truth), len(got.EstShare), len(want.Truth))
 	}
-	for id, g := range got.EstShare {
-		if _, ok := want.EstShare[id]; !ok && g != 0 {
-			t.Errorf("%s: dense EstShare[%s] = %v for unestimated process", label, id, g)
+	for a, app := range s.Apps {
+		if w, ok := want.EstShare[app.ID]; ok && math.Float64bits(w) != math.Float64bits(got.EstShare[a]) {
+			t.Errorf("%s: EstShare[%s] %v != %v", label, app.ID, w, got.EstShare[a])
+		} else if !ok && got.EstShare[a] != 0 {
+			t.Errorf("%s: dense EstShare[%s] = %v for unestimated process", label, app.ID, got.EstShare[a])
+		}
+		if tw := want.Truth[app.ID]; math.Float64bits(tw) != math.Float64bits(got.Truth[a]) {
+			t.Errorf("%s: Truth[%s] %v != %v", label, app.ID, tw, got.Truth[a])
 		}
 	}
 	if math.Float64bits(want.Point.X) != math.Float64bits(got.Point.X) ||
@@ -231,18 +295,33 @@ func compareEvaluations(t *testing.T, model string, s Scenario, want, got Evalua
 	}
 }
 
-// compareStreamingEvaluations requires full bit-identity — unlike the
-// dense-vs-map comparison, both sides come from the dense scorer, so every
-// field including EstShare's zero entries must agree exactly.
+// compareStreamingEvaluations requires full bit-identity of two dense
+// rows: AE, scored ticks, point and every entry of both share vectors.
 func compareStreamingEvaluations(t *testing.T, model string, want, got Evaluation) {
 	t.Helper()
-	compareEvaluations(t, model, want.Scenario, want, got)
-	if len(want.EstShare) != len(got.EstShare) {
-		t.Errorf("%s on %q: EstShare sizes %d != %d", model, want.Scenario.Label(), len(want.EstShare), len(got.EstShare))
+	label := fmt.Sprintf("%s on %q", model, want.Scenario.Label())
+	if math.Float64bits(want.AE) != math.Float64bits(got.AE) {
+		t.Errorf("%s: AE %v != %v", label, want.AE, got.AE)
 	}
-	for id, tw := range want.Truth {
-		if math.Float64bits(tw) != math.Float64bits(got.Truth[id]) {
-			t.Errorf("%s on %q: Truth[%s] %v != %v", model, want.Scenario.Label(), id, tw, got.Truth[id])
+	if want.ScoredTicks != got.ScoredTicks {
+		t.Errorf("%s: ScoredTicks %d != %d", label, want.ScoredTicks, got.ScoredTicks)
+	}
+	if math.Float64bits(want.Point.X) != math.Float64bits(got.Point.X) ||
+		math.Float64bits(want.Point.Y) != math.Float64bits(got.Point.Y) {
+		t.Errorf("%s: Point (%v,%v) != (%v,%v)", label, want.Point.X, want.Point.Y, got.Point.X, got.Point.Y)
+	}
+	for _, c := range []struct {
+		name      string
+		want, got []float64
+	}{{"Truth", want.Truth, got.Truth}, {"EstShare", want.EstShare, got.EstShare}} {
+		if len(c.want) != len(c.got) {
+			t.Errorf("%s: %s sizes %d != %d", label, c.name, len(c.want), len(c.got))
+			continue
+		}
+		for a := range c.want {
+			if math.Float64bits(c.want[a]) != math.Float64bits(c.got[a]) {
+				t.Errorf("%s: %s[%s] %v != %v", label, c.name, want.Scenario.Apps[a].ID, c.want[a], c.got[a])
+			}
 		}
 	}
 }

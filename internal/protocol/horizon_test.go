@@ -70,7 +70,7 @@ func TestStreamingHorizonMaxInt64(t *testing.T) {
 		if err != nil {
 			t.Fatalf("timeline at %v: %v", horizon, err)
 		}
-		return pair.pairs, tr.traffic, tl
+		return pair.pairs.rows, tr.traffic, tl
 	}
 	wantPair, wantTraffic, wantTimeline := run(time.Hour)
 	gotPair, gotTraffic, gotTimeline := run(math.MaxInt64)

@@ -435,12 +435,12 @@ func TestEvaluateTripleScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(ev.Truth) != 3 || len(ev.EstShare) != 3 {
-		t.Fatalf("share maps = %d/%d entries, want 3/3", len(ev.Truth), len(ev.EstShare))
+		t.Fatalf("share vectors = %d/%d entries, want 3/3", len(ev.Truth), len(ev.EstShare))
 	}
 	// Scaphandre splits equal CPU time three ways.
-	for id, share := range ev.EstShare {
+	for a, share := range ev.EstShare {
 		if math.Abs(share-1.0/3) > 0.01 {
-			t.Errorf("%s estimated share = %.3f, want ≈1/3", id, share)
+			t.Errorf("%s estimated share = %.3f, want ≈1/3", s.Apps[a].ID, share)
 		}
 	}
 	if ev.AE <= 0 {
@@ -472,9 +472,9 @@ func TestCampaignBitReproducible(t *testing.T) {
 		if a[i].AE != b[i].AE {
 			t.Fatalf("scenario %q: AE %v vs %v across identical runs", a[i].Scenario.Label(), a[i].AE, b[i].AE)
 		}
-		for id := range a[i].EstShare {
-			if a[i].EstShare[id] != b[i].EstShare[id] {
-				t.Fatalf("scenario %q: share of %s differs", a[i].Scenario.Label(), id)
+		for app := range a[i].EstShare {
+			if a[i].EstShare[app] != b[i].EstShare[app] {
+				t.Fatalf("scenario %q: share of %s differs", a[i].Scenario.Label(), a[i].Scenario.Apps[app].ID)
 			}
 		}
 	}

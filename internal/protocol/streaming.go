@@ -52,8 +52,7 @@ func (p *campaignPlan) scenario(cctx context.Context, s Scenario, res Result, i 
 	done := observeScenario()
 	run := p.run(s)
 	defer run.view.release()
-	fixed, err := p.truthSource(s, &run)
-	if err != nil {
+	if err := p.truthSource(s, &run, res, i); err != nil {
 		return err
 	}
 	replay, err := p.stream(cctx, &run)
@@ -61,7 +60,7 @@ func (p *campaignPlan) scenario(cctx context.Context, s Scenario, res Result, i 
 		return err
 	}
 	defer replay.Release()
-	if err := p.score(s, &run, fixed, replay, res, i); err != nil {
+	if err := p.score(s, &run, replay, res, i); err != nil {
 		return err
 	}
 	done()
@@ -69,17 +68,69 @@ func (p *campaignPlan) scenario(cctx context.Context, s Scenario, res Result, i 
 }
 
 // truthSource resolves what s's models are scored against under the
-// plan's kind, from the phase 1 baselines: a pair campaign's fixed shares,
-// one map per objective, returned; or a traffic or timeline campaign's
-// per-slot baselines, from which Eq 3 is computed once per presence run,
-// laid out in the run's view (fixed is then nil).
-func (p *campaignPlan) truthSource(s Scenario, run *scenarioRun) (fixed []division.Shares, err error) {
-	if p.kind == PairCampaign {
-		return scenarioTruths(s, p.baselines, p.objectives, p.r0)
+// plan's kind, from the phase 1 baselines laid out per roster slot: a pair
+// campaign's fixed share vectors, one per objective, written into the
+// run's view in roster-slot order and into scenario i's rows of res in
+// application order; a traffic or timeline campaign computes Eq 3 once
+// per presence run from the slot baselines (fillTruths).
+func (p *campaignPlan) truthSource(s Scenario, run *scenarioRun, res Result, i int) error {
+	pair := p.kind == PairCampaign
+	if pair && len(s.Apps) < 2 {
+		return fmt.Errorf("protocol: scenario %q needs ≥2 applications", s.Label())
 	}
 	v := run.view
-	v.slots, err = trafficSlotBaselines(v.slots, s, run.roster.IDs(), p.baselines)
-	return nil, err
+	if err := v.slotBaselines(s, p.baselines); err != nil || !pair {
+		return err
+	}
+	v.appSlots = resize(v.appSlots, len(s.Apps))
+	for a, app := range s.Apps {
+		v.appSlots[a] = slices.Index(v.ids, app.ID)
+	}
+	v.objs = len(p.objectives)
+	v.slab = resize(v.slab, v.objs*v.n)
+	for o, obj := range p.objectives {
+		out := v.slab[o*v.n : (o+1)*v.n]
+		switch obj {
+		case ObjectiveActive:
+			out = division.TruthVectorInto(out, v.slots, nil)
+		case ObjectiveResidualAware:
+			out = division.ResidualAwareTruthInto(out, v.slots)
+		case ObjectiveNominalResidual:
+			out = division.NominalResidualTruthInto(out, v.slots, p.r0)
+		default:
+			return fmt.Errorf("protocol: unknown objective %d", int(obj))
+		}
+		if out == nil {
+			return fmt.Errorf("protocol: degenerate objective %v for %q", obj, s.Label())
+		}
+		truth := res.pairs.vector(i, o, len(s.Apps))
+		for a, slot := range v.appSlots {
+			truth[a] = out[slot]
+		}
+	}
+	return nil
+}
+
+// slotBaselines lays out each roster slot's baseline: the baseline of
+// the instance's application type, shared by every instance of it.
+func (v *scoringView) slotBaselines(s Scenario, baselines map[string]division.Baseline) error {
+	for _, id := range v.ids {
+		// Rosters are small: a linear scan beats building a map per
+		// scenario.
+		i := 0
+		for i < len(s.Apps) && s.Apps[i].ID != id {
+			i++
+		}
+		if i == len(s.Apps) {
+			return fmt.Errorf("protocol: roster instance %s not in scenario %q", id, s.Label())
+		}
+		b, ok := baselines[s.Apps[i].baselineID()]
+		if !ok {
+			return fmt.Errorf("protocol: no baseline for %s (run phase 1 first)", s.Apps[i].baselineID())
+		}
+		v.slots = append(v.slots, b)
+	}
+	return nil
 }
 
 // stream simulates the run once while every model observes it segment by
@@ -108,12 +159,13 @@ func (p *campaignPlan) stream(cctx context.Context, run *scenarioRun) (*models.S
 
 // score is the scoring tail of every kind: the truth once per presence
 // run, then each model's Eq 5 over its window into scenario i's rows of
-// res — per objective for pairs. Its allocations do not depend on the run
-// length.
-func (p *campaignPlan) score(s Scenario, run *scenarioRun, fixed []division.Shares, replay *models.StreamReplay, res Result, i int) error {
-	v, ids := run.view, run.roster.IDs()
-	busy := v.fillTruths(fixed, ids)
+// res — per objective for pairs, whose estimated shares are copied out of
+// roster-slot order into application order. Its allocations do not depend
+// on the run length.
+func (p *campaignPlan) score(s Scenario, run *scenarioRun, replay *models.StreamReplay, res Result, i int) error {
+	v := run.view
 	pair := p.kind == PairCampaign
+	busy := v.fillTruths(pair)
 	if !pair && busy == 0 {
 		return fmt.Errorf("protocol: traffic scenario %q never ran any instance", s.Label())
 	}
@@ -123,6 +175,7 @@ func (p *campaignPlan) score(s Scenario, run *scenarioRun, fixed []division.Shar
 		clear(v.windows)
 		v.windows = v.windows[:0]
 	}()
+	k := len(s.Apps)
 	for m, f := range p.fs {
 		est := replay.Estimates(m)
 		if !pair {
@@ -143,27 +196,24 @@ func (p *campaignPlan) score(s Scenario, run *scenarioRun, fixed []division.Shar
 			return fmt.Errorf("protocol: scenario %q: model %s produced no estimates", run.label, f.Name)
 		}
 		scored, meanPower := v.sum(est, lo, hi, true)
-		var estShare division.Shares
+		estShare := res.pairs.vector(i, v.objs+m, k)
 		if meanPower > 0 {
-			estShare = make(division.Shares, len(ids))
-			for slot, id := range ids {
-				estShare[id] = v.meanEst[slot] / meanPower
+			for a, slot := range v.appSlots {
+				estShare[a] = v.meanEst[slot] / meanPower
 			}
-		} else {
-			estShare = division.Shares{}
 		}
-		for o, truth := range fixed {
+		for o := 0; o < v.objs; o++ {
 			ae, err := v.errs[o].Mean()
 			if err != nil {
 				return fmt.Errorf("protocol: scenario %q: %w", run.label, err)
 			}
+			truth := res.pairs.vector(i, o, k)
 			ev := res.pairRow(m, o, i)
 			*ev = Evaluation{Scenario: s, Model: f.Name, AE: ae, Truth: truth, EstShare: estShare, ScoredTicks: scored}
-			if len(s.Apps) == 2 {
-				id0, id1 := s.Apps[0].ID, s.Apps[1].ID
+			if k == 2 {
 				ev.Point = division.RatioPoint{
-					X:     division.RatioPercent(truth[id0], truth[id1]),
-					Y:     division.RatioPercent(estShare[id0], estShare[id1]),
+					X:     division.RatioPercent(truth[0], truth[1]),
+					Y:     division.RatioPercent(estShare[0], estShare[1]),
 					Label: run.label,
 				}
 			}
@@ -183,11 +233,12 @@ func (p *campaignPlan) score(s Scenario, run *scenarioRun, fixed []division.Shar
 // all of it is valid only while the scenario runs.
 type scoringView struct {
 	// procs are the simulator processes and ids their IDs, in roster
-	// order; slots holds each roster slot's baseline (traffic and
-	// timelines).
-	procs []machine.Proc
-	ids   []string
-	slots []division.Baseline
+	// order; slots holds each roster slot's baseline, and appSlots each
+	// pair application's roster slot, in Scenario.Apps order.
+	procs    []machine.Proc
+	ids      []string
+	slots    []division.Baseline
+	appSlots []int
 
 	power []units.Watts
 	// runStart[r] is run r's first tick; run r ends where run r+1 starts
@@ -199,7 +250,8 @@ type scoringView struct {
 	interval time.Duration
 
 	// truths[r*objs+o] is run r's truth vector for objective o (nil: run r
-	// is outside the objective); the vectors live in slab.
+	// is outside the objective); the vectors live in slab, in roster-slot
+	// order — a pair's one vector per objective, every run sharing it.
 	truths [][]float64
 	slab   []float64
 	objs   int
@@ -275,22 +327,16 @@ func (v *scoringView) runEnd(r int) int {
 	return len(v.power)
 }
 
-// fillTruths lays out every run's truth vectors in roster-slot order (ids)
-// and returns the busy tick count — ticks with at least one instance
-// present. A pair's fixed shares are projected once per objective and
-// every run shares them; otherwise each busy run gets Eq 3 over the slot
-// baselines of its present instances (AbsentShare marks the others), and
-// idle or degenerate runs get nil. The truth is model-independent, so every model scores against
+// fillTruths points every run at its truth vectors and returns the busy
+// tick count — ticks with at least one instance present. A pair's vectors
+// are already in the slab (truthSource) and every run shares them;
+// otherwise each busy run gets Eq 3 over the slot baselines of its present
+// instances (AbsentShare marks the others), and idle or degenerate runs
+// get nil. The truth is model-independent, so every model scores against
 // the same vectors.
-func (v *scoringView) fillTruths(fixed []division.Shares, ids []string) (busy int) {
+func (v *scoringView) fillTruths(pair bool) (busy int) {
 	runs, n := len(v.runStart), v.n
-	if fixed != nil {
-		v.objs = len(fixed)
-		v.slab = resize(v.slab, v.objs*n)
-		for o, truth := range fixed {
-			truth.VectorInto(v.slab[o*n:(o+1)*n], ids)
-		}
-	} else {
+	if !pair {
 		v.objs = 1
 		v.slab = resize(v.slab, runs*n)
 	}
@@ -302,7 +348,7 @@ func (v *scoringView) fillTruths(fixed []division.Shares, ids []string) (busy in
 			busy += v.runEnd(r) - v.runStart[r]
 		}
 		switch {
-		case fixed != nil:
+		case pair:
 			for o := range row {
 				row[o] = v.slab[o*n : (o+1)*n]
 			}

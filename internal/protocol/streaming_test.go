@@ -57,7 +57,7 @@ func TestScoringTailAllocsIndependentOfLength(t *testing.T) {
 				t.Fatal(err)
 			}
 			fs := goldenFactories(baselines, ctx.Machine.Spec)
-			res := Result{n: 1, objs: len(c.objectives), pairs: make([]Evaluation, len(fs)*len(c.objectives)), traffic: make([]TrafficEvaluation, len(fs))}
+			res := Result{n: 1, pairs: newPairTable([]Scenario{c.s}, len(fs), len(c.objectives)), traffic: make([]TrafficEvaluation, len(fs))}
 			var allocs, ticks []float64
 			for _, length := range []time.Duration{c.short, c.long} {
 				lctx := ctx
@@ -65,8 +65,7 @@ func TestScoringTailAllocsIndependentOfLength(t *testing.T) {
 				p := newCampaignPlan(lctx, fs, c.kind)
 				p.baselines, p.objectives = baselines, c.objectives
 				run := p.run(c.s)
-				fixed, err := p.truthSource(c.s, &run)
-				if err != nil {
+				if err := p.truthSource(c.s, &run, res, 0); err != nil {
 					t.Fatal(err)
 				}
 				replay, err := p.stream(context.Background(), &run)
@@ -75,7 +74,7 @@ func TestScoringTailAllocsIndependentOfLength(t *testing.T) {
 				}
 				view := run.view
 				score := func() {
-					if err := p.score(c.s, &run, fixed, replay, res, 0); err != nil {
+					if err := p.score(c.s, &run, replay, res, 0); err != nil {
 						t.Fatal(err)
 					}
 				}

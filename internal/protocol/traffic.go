@@ -1,11 +1,5 @@
 package protocol
 
-import (
-	"fmt"
-
-	"powerdiv/internal/division"
-)
-
 // This file holds the rows of traffic and timeline campaigns: timed
 // rosters whose instances arrive (AppSpec.StartAt), burst and exit
 // (StopAt) while the scenario runs — the paper's "production context"
@@ -72,26 +66,4 @@ func SummarizeTraffic(model string, evs []TrafficEvaluation) TrafficSummary {
 		s.MeanCoverage /= float64(len(evs))
 	}
 	return s
-}
-
-// trafficSlotBaselines appends each roster slot's baseline to out: the
-// shared baseline of the instance's application type.
-func trafficSlotBaselines(out []division.Baseline, s Scenario, rosterIDs []string, baselines map[string]division.Baseline) ([]division.Baseline, error) {
-	for _, id := range rosterIDs {
-		// Rosters are small: a linear scan beats building a map per
-		// scenario.
-		i := 0
-		for i < len(s.Apps) && s.Apps[i].ID != id {
-			i++
-		}
-		if i == len(s.Apps) {
-			return out, fmt.Errorf("protocol: roster instance %s not in scenario %q", id, s.Label())
-		}
-		b, ok := baselines[s.Apps[i].baselineID()]
-		if !ok {
-			return out, fmt.Errorf("protocol: no baseline for %s (run phase 1 first)", s.Apps[i].baselineID())
-		}
-		out = append(out, b)
-	}
-	return out, nil
 }
