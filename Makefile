@@ -118,6 +118,8 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSubmitJSON -fuzztime 3s ./internal/serve
 	$(GO) test -run=^$$ -fuzz=FuzzSnapshotJSON -fuzztime 3s ./internal/serve
 	$(GO) test -run=^$$ -fuzz=FuzzStreamHorizon -fuzztime 3s ./internal/machine
+	$(GO) test -run=^$$ -fuzz=FuzzParseStat -fuzztime 2s ./internal/procfs
+	$(GO) test -run=^$$ -fuzz=FuzzReadProc -fuzztime 2s ./internal/procfs
 
 # serve-smoke boots the campaign daemon in-process, runs a 5-scenario
 # streamed job over loopback HTTP, checks the NDJSON stream's shape, and

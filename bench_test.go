@@ -91,7 +91,7 @@ func BenchmarkLabErrorTableCold(b *testing.B) {
 }
 
 // BenchmarkLabErrorTableDiskWarm is the cold campaign with a warm
-// persistent summary cache attached to each iteration's fresh scope (a
+// persistent baseline cache attached to each iteration's fresh scope (a
 // fresh process, in effect), so phase 1 baselines load from disk while pair
 // runs still simulate. The untimed warm-up pass primes the
 // disk tier; the gap to Cold is what the tier buys a restarted process.

@@ -168,17 +168,6 @@ type TickRecord struct {
 	Procs []ProcTick
 }
 
-// Running returns the number of processes active during the tick.
-func (t *TickRecord) Running() int {
-	n := 0
-	for i := range t.Procs {
-		if t.Procs[i].Present() {
-			n++
-		}
-	}
-	return n
-}
-
 // Run is the result of simulating a scenario.
 type Run struct {
 	Config Config

@@ -105,7 +105,8 @@ func TestNoiseIsZeroMeanAndBounded(t *testing.T) {
 	if math.Abs(noisy-truth) > 0.05 {
 		t.Errorf("noise mean offset = %v, want ≈0", noisy-truth)
 	}
-	spread := run.PowerSeries().Spread()
+	power := run.PowerSeries()
+	spread := power.Max() - power.Min()
 	if spread < 0.5 || spread > 3 {
 		t.Errorf("noise spread = %v, want ≈4σ ≈ 1-2 W", spread)
 	}

@@ -261,7 +261,7 @@ func (c *segCursor) next() (startK, endK int64, err error) {
 // the per-process end times (processes never observed finished end with
 // the run), over a roster in scheduling order.
 func (c *segCursor) summary() *StreamInfo {
-	info := &StreamInfo{Config: c.cfg, Ticks: int(c.k), Duration: time.Duration(c.k) * c.tick, Ends: make([]time.Duration, len(c.ordered))}
+	info := &StreamInfo{Ticks: int(c.k), Duration: time.Duration(c.k) * c.tick, Ends: make([]time.Duration, len(c.ordered))}
 	ids := make([]string, len(c.ordered))
 	for slot, end := range c.ends {
 		ids[slot] = c.ordered[slot].ID

@@ -124,7 +124,7 @@ func perTickReference(t *testing.T, cfg Config, procs []Proc, dur time.Duration)
 	for i, p := range ordered {
 		ids[i] = p.ID
 	}
-	info := &StreamInfo{Config: cfg, Roster: NewRoster(ids), Ends: make([]time.Duration, len(ordered))}
+	info := &StreamInfo{Roster: NewRoster(ids), Ends: make([]time.Duration, len(ordered))}
 	tick := cfg.tick()
 	phys, nCPU := cfg.Spec.Topology.PhysicalCores(), cfg.schedulableCPUs()
 	var sc tickScratch

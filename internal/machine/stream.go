@@ -34,7 +34,6 @@ const maxReservedTicks = 1 << 14
 // columns are indexed by, how many ticks ran, the covered duration, and
 // when each process finished (the paper's T_S^{P_i}).
 type StreamInfo struct {
-	Config Config
 	// Roster indexes the yielded Procs columns; slot order is sorted-ID
 	// order, exactly as in a materialised Run.
 	Roster   *Roster
@@ -179,8 +178,7 @@ func Stream(cfg Config, procs []Proc, maxDur time.Duration, yield func(seg *Segm
 // buffers are scratch valid only during the yield.
 //
 // The returned info is shared across repetitions (ticks, duration and
-// end times are seed-independent); its Config is the input cfg, whose own
-// Seed is unused.
+// end times are seed-independent); cfg's own Seed is unused.
 func StreamBatchSegments(cfg Config, procs []Proc, maxDur time.Duration, seeds []int64, yield func(rep int, seg *Segment) error) (*StreamInfo, error) {
 	return streamBatch(cfg, procs, maxDur, seeds, true, yield)
 }

@@ -36,25 +36,3 @@ func FuzzReadProc(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadCPUTotals feeds arbitrary /proc/stat contents.
-func FuzzReadCPUTotals(f *testing.F) {
-	f.Add("cpu  100 0 50 800 50 0 0 0 0 0\n")
-	f.Add("cpu 1 2\n")
-	f.Add("intr 12345\n")
-	f.Add("")
-	f.Add("cpu " + "18446744073709551615 18446744073709551615\n")
-	f.Fuzz(func(t *testing.T, stat string) {
-		root := t.TempDir()
-		if err := os.WriteFile(filepath.Join(root, "stat"), []byte(stat), 0o644); err != nil {
-			t.Skip()
-		}
-		tot, err := New(root, 100).ReadCPUTotals()
-		if err != nil {
-			return
-		}
-		if tot.Busy < 0 || tot.Idle < 0 {
-			t.Errorf("negative totals from %q: %+v", stat, tot)
-		}
-	})
-}

@@ -1,5 +1,5 @@
-// Package procfs reads per-process and machine-wide CPU time from a Linux
-// /proc filesystem — the scheduler metrics CPU-time-share models
+// Package procfs reads per-process CPU time from a Linux /proc
+// filesystem — the scheduler metrics CPU-time-share models
 // (Scaphandre) divide power with. The root directory is a parameter so
 // tests run against a synthetic tree and the live meter runs against /proc.
 package procfs
@@ -67,49 +67,6 @@ func (fs *FS) jiffies(n uint64) units.CPUTime {
 		n = maxJiffies
 	}
 	return units.CPUTime(time.Duration(n) * time.Second / time.Duration(fs.hz))
-}
-
-// CPUTotals is the machine-wide CPU accounting from the first line of
-// /proc/stat.
-type CPUTotals struct {
-	Busy units.CPUTime // user+nice+system+irq+softirq+steal
-	Idle units.CPUTime // idle+iowait
-}
-
-// Total returns busy + idle.
-func (c CPUTotals) Total() units.CPUTime { return c.Busy + c.Idle }
-
-// ReadCPUTotals parses the aggregate "cpu" line of /proc/stat.
-func (fs *FS) ReadCPUTotals() (CPUTotals, error) {
-	b, err := fs.readFile(filepath.Join(fs.root, "stat"))
-	if err != nil {
-		return CPUTotals{}, fmt.Errorf("procfs: %w", err)
-	}
-	for _, line := range strings.Split(string(b), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) < 5 || fields[0] != "cpu" {
-			continue
-		}
-		// cpu user nice system idle iowait irq softirq steal guest guest_nice
-		var vals []uint64
-		for _, f := range fields[1:] {
-			v, err := strconv.ParseUint(f, 10, 64)
-			if err != nil {
-				return CPUTotals{}, fmt.Errorf("procfs: stat field %q: %w", f, err)
-			}
-			vals = append(vals, v)
-		}
-		get := func(i int) uint64 {
-			if i < len(vals) {
-				return vals[i]
-			}
-			return 0
-		}
-		busy := get(0) + get(1) + get(2) + get(5) + get(6) + get(7)
-		idle := get(3) + get(4)
-		return CPUTotals{Busy: fs.jiffies(busy), Idle: fs.jiffies(idle)}, nil
-	}
-	return CPUTotals{}, fmt.Errorf("procfs: no cpu line in %s/stat", fs.root)
 }
 
 // ProcCPU is one process's cumulative CPU time split.

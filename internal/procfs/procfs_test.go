@@ -22,13 +22,6 @@ func newFakeProc(t *testing.T) *fakeProc {
 	return &fakeProc{t: t, root: t.TempDir()}
 }
 
-func (f *fakeProc) writeStat(content string) {
-	f.t.Helper()
-	if err := os.WriteFile(filepath.Join(f.root, "stat"), []byte(content), 0o644); err != nil {
-		f.t.Fatal(err)
-	}
-}
-
 func (f *fakeProc) writeProc(pid int, comm string, utime, stime uint64) {
 	f.t.Helper()
 	dir := filepath.Join(f.root, strconv.Itoa(pid))
@@ -42,42 +35,6 @@ func (f *fakeProc) writeProc(pid int, comm string, utime, stime uint64) {
 		" 0 0 20 0 1 0 100 0 0\n"
 	if err := os.WriteFile(filepath.Join(dir, "stat"), []byte(line), 0o644); err != nil {
 		f.t.Fatal(err)
-	}
-}
-
-func TestReadCPUTotals(t *testing.T) {
-	f := newFakeProc(t)
-	//            user nice sys  idle iow irq sirq steal
-	f.writeStat("cpu  100  0    50   800  50  0   0    0 0 0\ncpu0 100 0 50 800 50 0 0 0 0 0\n")
-	fs := New(f.root, 100)
-	tot, err := fs.ReadCPUTotals()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tot.Busy != units.CPUTime(1500*time.Millisecond) {
-		t.Errorf("Busy = %v, want 1.5s", tot.Busy)
-	}
-	if tot.Idle != units.CPUTime(8500*time.Millisecond) {
-		t.Errorf("Idle = %v, want 8.5s", tot.Idle)
-	}
-	if tot.Total() != units.CPUTime(10*time.Second) {
-		t.Errorf("Total = %v, want 10s", tot.Total())
-	}
-}
-
-func TestReadCPUTotalsErrors(t *testing.T) {
-	fs := New(filepath.Join(t.TempDir(), "missing"), 0)
-	if _, err := fs.ReadCPUTotals(); err == nil {
-		t.Error("missing stat accepted")
-	}
-	f := newFakeProc(t)
-	f.writeStat("intr 12345\n")
-	if _, err := New(f.root, 0).ReadCPUTotals(); err == nil {
-		t.Error("stat without cpu line accepted")
-	}
-	f.writeStat("cpu garbage 0 0 0\n")
-	if _, err := New(f.root, 0).ReadCPUTotals(); err == nil {
-		t.Error("garbage cpu line accepted")
 	}
 }
 
@@ -274,21 +231,17 @@ func TestReadCurFreqKHz(t *testing.T) {
 // the fault-injection harness attacks.
 func TestNewReaderRoutesReads(t *testing.T) {
 	f := newFakeProc(t)
-	f.writeStat("cpu  100 0 50 800 50 0 0 0 0 0\n")
 	f.writeProc(10, "worker", 100, 0)
-	reads := 0
+	var reads []string
 	fs := NewReader(f.root, 100, func(path string) ([]byte, error) {
-		reads++
+		reads = append(reads, path)
 		return os.ReadFile(path)
 	})
-	if _, err := fs.ReadCPUTotals(); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := fs.ReadProc(10); err != nil {
 		t.Fatal(err)
 	}
-	if reads != 2 {
-		t.Errorf("reads = %d, want 2", reads)
+	if want := filepath.Join(f.root, "10", "stat"); len(reads) != 1 || reads[0] != want {
+		t.Errorf("reads = %q, want [%q]", reads, want)
 	}
 }
 

@@ -13,28 +13,35 @@ import (
 )
 
 // fullRunBaseline is the reference phase 1 extraction: simulate app's solo
-// run into a whole machine.Run, bypassing every cache tier, and average the
-// noise-free power, idle+residual and busy cores over the least-extreme
-// stable window of the noise-free trace, tick by tick. The digest path
-// (RunSummary.baseline) must agree with it bit for bit.
-func fullRunBaseline(ctx Context, app AppSpec) (division.Baseline, *machine.Run, error) {
+// run into a whole machine.Run, bypassing every cache tier, and extract
+// its baseline with runBaseline. The streamed path (soloBaseline) must
+// agree with it bit for bit.
+func fullRunBaseline(ctx Context, app AppSpec) (division.Baseline, error) {
 	app = app.baselineSpec()
 	cfg := ctx.Machine
 	cfg.Seed = deriveSeed(ctx.Seed, "solo", app.ID)
-	run, err := machine.Simulate(cfg, []machine.Proc{app.proc()}, ctx.RunFor)
+	return runBaseline(cfg, []machine.Proc{app.proc()}, ctx.RunFor, ctx.StableWindow, app.ID)
+}
+
+// runBaseline simulates procs into a whole machine.Run and averages the
+// noise-free power, idle+residual and id's busy cores over the
+// least-extreme stable window of the noise-free trace, tick by tick,
+// looking id up in the run's roster.
+func runBaseline(cfg machine.Config, procs []machine.Proc, maxDur, stable time.Duration, id string) (division.Baseline, error) {
+	run, err := machine.Simulate(cfg, procs, maxDur)
 	if err != nil {
-		return division.Baseline{}, nil, err
+		return division.Baseline{}, err
 	}
 	power := run.TruePowerSeries()
-	window, err := power.StableWindow(ctx.StableWindow)
+	from, to, err := power.StableWindowBounds(stable)
 	if err != nil {
-		window = power
+		from, to = power.Start(), power.End()
 	}
-	from, to := window.Start(), window.End()+1
+	to++
 	var total, residIdle, cores float64
 	var n int
 	tick := run.Tick()
-	slot, hasSlot := run.Roster.Slot(app.ID)
+	slot, hasSlot := run.Roster.Slot(id)
 	for _, rec := range run.Ticks {
 		if rec.At < from || rec.At >= to {
 			continue
@@ -49,20 +56,20 @@ func fullRunBaseline(ctx Context, app AppSpec) (division.Baseline, *machine.Run,
 		n++
 	}
 	if n == 0 {
-		return division.Baseline{}, nil, fmt.Errorf("empty stable window for %s", app.ID)
+		return division.Baseline{}, fmt.Errorf("empty stable window for %s", id)
 	}
 	return division.Baseline{
-		ID:       app.ID,
+		ID:       id,
 		Total:    units.Watts(total / float64(n)),
 		Residual: units.Watts(residIdle / float64(n)),
 		Cores:    cores / float64(n),
-	}, run, nil
+	}, nil
 }
 
-// TestBaselineSummaryMatchesFull pins the digest path of phase 1: the
-// Baseline computed from a RunSummary must be bit-identical to the one
-// fullRunBaseline extracts from the full run, on both machines (noise on,
-// so the stable-window selection is non-trivial).
+// TestBaselineSummaryMatchesFull pins the streamed path of phase 1: the
+// Baseline soloBaseline reduces a streamed solo run to must be
+// bit-identical to the one fullRunBaseline extracts from the full run, on
+// both machines (noise on, so the stable-window selection is non-trivial).
 func TestBaselineSummaryMatchesFull(t *testing.T) {
 	t.Parallel()
 	for _, sp := range []struct {
@@ -78,7 +85,7 @@ func TestBaselineSummaryMatchesFull(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := fullRunBaseline(ctx, app)
+			want, err := fullRunBaseline(ctx, app)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,55 +97,16 @@ func TestBaselineSummaryMatchesFull(t *testing.T) {
 				math.Float64bits(float64(got.Total)) != math.Float64bits(float64(want.Total)) ||
 				math.Float64bits(float64(got.Residual)) != math.Float64bits(float64(want.Residual)) ||
 				math.Float64bits(got.Cores) != math.Float64bits(want.Cores) {
-				t.Errorf("%s/%s: summary baseline %+v != full %+v", sp.spec.Name, app.ID, got, want)
+				t.Errorf("%s/%s: streamed baseline %+v != full %+v", sp.spec.Name, app.ID, got, want)
 			}
-		}
-	}
-}
-
-// TestRunSummaryShape pins the digest's layout against the run it stands
-// in for: matching tick counts and per-tick values stored exactly as the
-// run accessors would compute them.
-func TestRunSummaryShape(t *testing.T) {
-	t.Parallel()
-	ctx := goldenContext(cpumodel.SmallIntel(), false)
-	app, err := StressApp("rand", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := ctx.Machine
-	cfg.Seed = deriveSeed(ctx.Seed, "solo", app.ID)
-	_, run, err := fullRunBaseline(ctx, app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := newRunSummary(cfg, []machine.Proc{app.proc()}, ctx.RunFor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Ticks != len(run.Ticks) || sum.Duration != run.Duration || sum.Tick != run.Tick() {
-		t.Fatalf("shape: %d ticks/%v != %d/%v", sum.Ticks, sum.Duration, len(run.Ticks), run.Duration)
-	}
-	if len(sum.Power) != sum.Ticks || len(sum.CPUTime) != sum.Ticks*sum.Roster.Len() {
-		t.Fatalf("slab lengths %d/%d off for %d ticks", len(sum.Power), len(sum.CPUTime), sum.Ticks)
-	}
-	slot, _ := sum.Roster.Slot(app.ID)
-	for i, rec := range run.Ticks {
-		if math.Float64bits(sum.Power[i]) != math.Float64bits(float64(rec.Power)) ||
-			math.Float64bits(sum.TruePower[i]) != math.Float64bits(float64(rec.TruePower)) ||
-			math.Float64bits(sum.ResidIdle[i]) != math.Float64bits(float64(rec.Idle+rec.Residual)) {
-			t.Fatalf("tick %d traces differ", i)
-		}
-		if sum.CPUTime[i*sum.Roster.Len()+slot] != rec.Procs[slot].CPUTime {
-			t.Fatalf("tick %d CPU time differs", i)
 		}
 	}
 }
 
 // TestBaselineSummaryHorizonMaxInt64 pins phase 1 at the top of the int64
 // time line: an application whose script ends at 2.0 s has the same
-// baseline whether the solo run's horizon is an hour or math.MaxInt64. A
-// digest reserved by the horizon's tick count cannot be allocated.
+// baseline whether the solo run's horizon is an hour or math.MaxInt64.
+// Scratch reserved by the horizon's tick count cannot be allocated.
 func TestBaselineSummaryHorizonMaxInt64(t *testing.T) {
 	t.Parallel()
 	app := scriptedApp("scripted-2", 0.5)
@@ -162,12 +130,15 @@ func TestBaselineSummaryHorizonMaxInt64(t *testing.T) {
 	}
 }
 
-// TestRunSummaryReuseMatchesFresh pins the reusable digest: a summary
-// refilled after a longer run of another application, and then after a
-// run of a wider roster, extracts baselines bit-identical to fresh
-// summaries' — a refill that kept a previous run's ticks, roster or
-// window series would show up here.
-func TestRunSummaryReuseMatchesFresh(t *testing.T) {
+// TestSoloBaselineReuseMatchesFull pins pooled phase 1: solo baselines
+// extracted one after another — after a longer run of another
+// application, and from a wider roster in either order — are
+// bit-identical to the whole-run reference. Scratch that kept a previous
+// run's ticks or segments would show up here, and so would a lookup of
+// the application's column by its position in procs instead of in
+// sorted-ID order: matrixprod-4 sorts after fibonacci-2, so {a, b} puts
+// a's column at slot 1.
+func TestSoloBaselineReuseMatchesFull(t *testing.T) {
 	t.Parallel()
 	ctx := goldenContext(cpumodel.Dahu(), true)
 	a, err := StressApp("matrixprod", 4)
@@ -186,35 +157,22 @@ func TestRunSummaryReuseMatchesFresh(t *testing.T) {
 		{[]machine.Proc{a.proc()}, 3 * ctx.RunFor, a.ID},
 		{[]machine.Proc{b.proc()}, ctx.RunFor, b.ID},
 		{[]machine.Proc{b.proc(), a.proc()}, ctx.RunFor, a.ID},
+		{[]machine.Proc{a.proc(), b.proc()}, ctx.RunFor, a.ID},
 		{[]machine.Proc{b.proc()}, ctx.RunFor / 2, b.ID},
 	}
-	reused := new(RunSummary)
 	for i, r := range runs {
 		cfg := ctx.Machine
 		cfg.Seed = int64(i + 1)
-		fresh, err := newRunSummary(cfg, r.procs, r.maxDur)
+		want, err := runBaseline(cfg, r.procs, r.maxDur, ctx.StableWindow, r.id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := fresh.baseline(ctx.StableWindow, r.id)
+		got, err := soloBaseline(cfg, r.procs, r.maxDur, ctx.StableWindow, r.id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := reused.fill(cfg, r.procs, r.maxDur); err != nil {
-			t.Fatal(err)
-		}
-		got, err := reused.baseline(ctx.StableWindow, r.id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reused.Ticks != fresh.Ticks || len(reused.CPUTime) != len(fresh.CPUTime) || reused.Roster.Len() != fresh.Roster.Len() {
-			t.Fatalf("run %d: reused shape %d ticks/%d slab, fresh %d/%d", i, reused.Ticks, len(reused.CPUTime), fresh.Ticks, len(fresh.CPUTime))
-		}
-		if got.ID != want.ID ||
-			math.Float64bits(float64(got.Total)) != math.Float64bits(float64(want.Total)) ||
-			math.Float64bits(float64(got.Residual)) != math.Float64bits(float64(want.Residual)) ||
-			math.Float64bits(got.Cores) != math.Float64bits(want.Cores) {
-			t.Errorf("run %d: reused baseline %+v, fresh %+v", i, got, want)
+		if !sameBaseline(got, want) {
+			t.Errorf("run %d: pooled baseline %+v, full run %+v", i, got, want)
 		}
 	}
 }

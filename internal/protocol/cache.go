@@ -205,8 +205,8 @@ func (c *CacheScope) evictBaselinesLocked() {
 // baselineCached is soloBaseline behind the scope's byte-capped baseline
 // tier, with singleflight semantics (see baselineEntry); a nil scope
 // computes directly. A record is keyed by the solo run's runKey plus the
-// stable window it was extracted over; the run's digest never outlives the
-// compute. A memory miss consults the persistent tier before simulating,
+// stable window it was extracted over; nothing of the solo run outlives
+// the compute. A memory miss consults the persistent tier before simulating,
 // and a fresh compute is written back so the next scope or process starts
 // warm. Disk records carry the floats' bit patterns, so a disk hit is
 // indistinguishable from a memory hit downstream.

@@ -18,8 +18,7 @@ func RecordKeyLen(ctx Context, app AppSpec) (n, buf int) {
 // FullRunBaseline is the test-local whole-run phase 1 reference
 // (fullRunBaseline), for the external tests.
 func FullRunBaseline(ctx Context, app AppSpec) (division.Baseline, error) {
-	b, _, err := fullRunBaseline(ctx, app)
-	return b, err
+	return fullRunBaseline(ctx, app)
 }
 
 // DiskCacheWalks reports how many directory walks d has made, for the

@@ -15,17 +15,17 @@ var (
 	obsScenariosCompleted = obs.NewCounter("powerdiv_protocol_scenarios_completed_total",
 		"Scenario evaluations finished without error.")
 	obsCacheHits = obs.NewCounter("powerdiv_protocol_cache_hits_total",
-		"Run-memoization cache hits, summed over every scope.")
+		"Phase 1 baseline-record hits in a scope's memory tier, summed over every scope.")
 	obsCacheMisses = obs.NewCounter("powerdiv_protocol_cache_misses_total",
-		"Run-memoization cache misses, summed over every scope.")
+		"Phase 1 baseline-record misses in a scope's memory tier, summed over every scope.")
 	obsCacheEvictions = obs.NewCounter("powerdiv_protocol_cache_evictions_total",
-		"Runs evicted from the memoization cache (FIFO limit).")
+		"Phase 1 baseline records evicted from a scope's byte-capped memory tier (FIFO).")
 	obsDiskHits = obs.NewCounter("powerdiv_protocol_disk_cache_hits_total",
-		"Persistent summary cache hits (valid file found for a memory miss).")
+		"Phase 1 baseline records loaded from the persistent cache (valid file found for a memory miss).")
 	obsDiskMisses = obs.NewCounter("powerdiv_protocol_disk_cache_misses_total",
-		"Persistent summary cache misses (absent, corrupt, or stale file).")
+		"Persistent cache misses for a phase 1 baseline record (absent, corrupt, or stale file).")
 	obsDiskWrites = obs.NewCounter("powerdiv_protocol_disk_cache_writes_total",
-		"Summary digests written to the persistent cache.")
+		"Phase 1 baseline records written to the persistent cache.")
 	obsScenarioSeconds = obs.NewHistogram("powerdiv_protocol_scenario_seconds",
 		"Wall-clock latency of one scenario evaluation (simulate + replay + score).",
 		0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10)

@@ -12,8 +12,9 @@
 // Phase 1 baselines are taken from the simulator's ground-truth power
 // decomposition — the quantity the paper had to construct indirectly from
 // load curves; EstimateResidual reproduces that indirect construction and
-// is validated against the ground truth in tests. The models under
-// evaluation never see ground truth.
+// is validated against the ground truth in tests. Each solo run streams
+// into one pooled reduction (soloBaseline), never into a stored run. The
+// models under evaluation never see ground truth.
 package protocol
 
 import (
@@ -141,13 +142,20 @@ func EstimateResidual(ctx Context, probe workload.Workload) (units.Watts, error)
 	for n := 1; n <= phys; n++ {
 		cfg := ctx.Machine
 		cfg.Seed = deriveSeed(ctx.Seed, "residual-probe", fmt.Sprint(n))
-		sum, err := newRunSummary(cfg, []machine.Proc{{
+		sum, ticks := 0.0, 0
+		err := machine.Stream(cfg, []machine.Proc{{
 			ID: "probe", Workload: probe, Threads: n,
-		}}, 5*time.Second)
+		}}, 5*time.Second, func(seg *machine.Segment) error {
+			for _, w := range seg.Powers {
+				sum += float64(w)
+			}
+			ticks += seg.Ticks()
+			return nil
+		})
 		if err != nil {
 			return 0, err
 		}
-		p[n] = sum.PowerSeries().Mean()
+		p[n] = sum / float64(ticks)
 	}
 	// Least-squares line over n = 1..phys; the intercept is R.
 	var sx, sy, sxx, sxy float64

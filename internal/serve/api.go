@@ -163,7 +163,8 @@ func compile(spec SubmitRequest, opts Options) (*runnable, *APIError) {
 }
 
 // protocolContext builds the job's protocol context from the shared
-// machine/context/seed fields.
+// machine/context/seed fields. compile has already bounded the durations
+// (checkDurations).
 func protocolContext(spec SubmitRequest) (protocol.Context, *APIError) {
 	name := spec.Machine
 	if name == "" {
@@ -184,10 +185,6 @@ func protocolContext(spec SubmitRequest) (protocol.Context, *APIError) {
 		e := apiErrorf(ErrBadRequest, "unknown context %q (want lab or prod)", spec.Context)
 		return protocol.Context{}, &e
 	}
-	if spec.RunForMS < 0 || spec.StableWindowMS < 0 || spec.WindowMS < 0 || spec.DeadlineMS < 0 {
-		e := apiErrorf(ErrBadRequest, "durations must be non-negative")
-		return protocol.Context{}, &e
-	}
 	if spec.RunForMS > 0 {
 		pctx.RunFor = time.Duration(spec.RunForMS) * time.Millisecond
 	}
@@ -195,6 +192,26 @@ func protocolContext(spec SubmitRequest) (protocol.Context, *APIError) {
 		pctx.StableWindow = time.Duration(spec.StableWindowMS) * time.Millisecond
 	}
 	return pctx, nil
+}
+
+// trafficInputs checks the kernel list of a traffic or fleet submission
+// and parses its arrival process (Poisson when unset).
+func trafficInputs(spec SubmitRequest) (traffic.Kind, *APIError) {
+	for _, k := range spec.Kernels {
+		if !workload.Known(k) {
+			e := apiErrorf(ErrUnknownKernel, "unknown kernel %q", k)
+			return 0, &e
+		}
+	}
+	if spec.Arrivals == "" {
+		return traffic.Poisson, nil
+	}
+	kind, err := traffic.KindByName(spec.Arrivals)
+	if err != nil {
+		e := apiErrorf(ErrBadRequest, "%v", err)
+		return 0, &e
+	}
+	return kind, nil
 }
 
 // compileScenarioJob builds the runnable of the three scenario-sharded
@@ -208,19 +225,9 @@ func compileScenarioJob(spec SubmitRequest, opts Options) (*runnable, *APIError)
 	rn := &runnable{kind: spec.Kind, pctx: pctx}
 	switch spec.Kind {
 	case KindTraffic:
-		for _, k := range spec.Kernels {
-			if !workload.Known(k) {
-				e := apiErrorf(ErrUnknownKernel, "unknown kernel %q", k)
-				return nil, &e
-			}
-		}
-		kind := traffic.Poisson
-		if spec.Arrivals != "" {
-			var err error
-			if kind, err = traffic.KindByName(spec.Arrivals); err != nil {
-				e := apiErrorf(ErrBadRequest, "%v", err)
-				return nil, &e
-			}
+		kind, aerr := trafficInputs(spec)
+		if aerr != nil {
+			return nil, aerr
 		}
 		n := spec.Scenarios
 		if n <= 0 {
@@ -356,19 +363,9 @@ func (rn *runnable) runDuration() time.Duration {
 
 // compileFleetJob builds a fleet runnable: one unit per node.
 func compileFleetJob(spec SubmitRequest, opts Options) (*runnable, *APIError) {
-	for _, k := range spec.Kernels {
-		if !workload.Known(k) {
-			e := apiErrorf(ErrUnknownKernel, "unknown kernel %q", k)
-			return nil, &e
-		}
-	}
-	kind := traffic.Poisson
-	if spec.Arrivals != "" {
-		var err error
-		if kind, err = traffic.KindByName(spec.Arrivals); err != nil {
-			e := apiErrorf(ErrBadRequest, "%v", err)
-			return nil, &e
-		}
+	kind, aerr := trafficInputs(spec)
+	if aerr != nil {
+		return nil, aerr
 	}
 	n := spec.Nodes
 	if n <= 0 {

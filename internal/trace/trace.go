@@ -1,7 +1,8 @@
 // Package trace provides the time-series machinery used by the evaluation
-// protocol: power traces, resampling and alignment, integration to energy,
-// and the "stable window" selection the paper applies before scoring a model
-// (keeping the 10 seconds with the least extreme values of a 30-second run).
+// protocol: power traces, their correlation on an aligned grid,
+// integration to energy, and the "stable window" selection the paper
+// applies before scoring a model (keeping the 10 seconds with the least
+// extreme values of a 30-second run).
 //
 // A Series is a sequence of (time offset, value) samples. Values are plain
 // float64 so the same machinery serves power (watts), CPU utilization,
@@ -44,10 +45,10 @@ var ErrUnordered = errors.New("trace: samples out of time order")
 // ErrEmpty is returned by operations that need at least one sample.
 var ErrEmpty = errors.New("trace: empty series")
 
-// ErrTooShort is returned by StableWindow when the series does not contain
-// a window of the requested length: either its total span is shorter than
-// the window, or sample gaps leave no contiguous run that covers it.
-// Callers can distinguish it from ErrEmpty with errors.Is.
+// ErrTooShort is returned by StableWindowBounds when the series does not
+// contain a window of the requested length: either its total span is
+// shorter than the window, or sample gaps leave no contiguous run that
+// covers it. Callers can distinguish it from ErrEmpty with errors.Is.
 var ErrTooShort = errors.New("trace: series shorter than window")
 
 // New returns a Series built from the given samples, sorted by time.
@@ -101,15 +102,6 @@ func (s *Series) Samples() []Sample {
 	return append([]Sample(nil), s.samples...)
 }
 
-// Values returns a copy of the sample values, discarding timestamps.
-func (s *Series) Values() []float64 {
-	out := make([]float64, len(s.samples))
-	for i, sm := range s.samples {
-		out[i] = sm.Value
-	}
-	return out
-}
-
 // Validate checks time ordering.
 func (s *Series) Validate() error {
 	for i := 1; i < len(s.samples); i++ {
@@ -158,29 +150,11 @@ func (s *Series) Slice(from, to time.Duration) *Series {
 	return out
 }
 
-// Shift returns a copy of the series with all timestamps offset by d.
-func (s *Series) Shift(d time.Duration) *Series {
-	out := &Series{samples: make([]Sample, len(s.samples))}
-	for i, sm := range s.samples {
-		out.samples[i] = Sample{At: sm.At + d, Value: sm.Value}
-	}
-	return out
-}
-
 // Scale returns a copy of the series with all values multiplied by k.
 func (s *Series) Scale(k float64) *Series {
 	out := &Series{samples: make([]Sample, len(s.samples))}
 	for i, sm := range s.samples {
 		out.samples[i] = Sample{At: sm.At, Value: sm.Value * k}
-	}
-	return out
-}
-
-// AddConst returns a copy of the series with c added to all values.
-func (s *Series) AddConst(c float64) *Series {
-	out := &Series{samples: make([]Sample, len(s.samples))}
-	for i, sm := range s.samples {
-		out.samples[i] = Sample{At: sm.At, Value: sm.Value + c}
 	}
 	return out
 }
@@ -237,26 +211,6 @@ func (s *Series) Max() float64 {
 	return m
 }
 
-// Stddev returns the population standard deviation of the sample values.
-func (s *Series) Stddev() float64 {
-	n := len(s.samples)
-	if n == 0 {
-		return 0
-	}
-	mean := s.Mean()
-	ss := 0.0
-	for _, sm := range s.samples {
-		d := sm.Value - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
-// Spread returns Max − Min, the width of the value band — the quantity the
-// paper reports as the "variation in power consumption under the same load"
-// (25 W on DAHU in Fig 1).
-func (s *Series) Spread() float64 { return s.Max() - s.Min() }
-
 // Energy integrates the series, interpreted as power in watts, into joules
 // using the left Riemann sum (zero-order hold between samples), which
 // matches how RAPL-based meters accumulate energy. The last sample is held
@@ -275,43 +229,24 @@ func (s *Series) Energy(hold time.Duration) units.Joules {
 	return e
 }
 
-// Resample returns the series resampled onto a regular grid of the given
-// period covering [Start, End], using zero-order hold. It returns an empty
-// series when s is empty or period is not positive.
-func (s *Series) Resample(period time.Duration) *Series {
-	out := &Series{}
-	if len(s.samples) == 0 || period <= 0 {
-		return out
-	}
-	out.samples = make([]Sample, 0, int(s.Duration()/period)+1)
-	i := 0
-	for t := s.Start(); t <= s.End(); t += period {
-		// The grid advances monotonically, so the hold cursor never moves
-		// backwards — one pass instead of a binary search per grid point.
-		for i+1 < len(s.samples) && s.samples[i+1].At <= t {
-			i++
-		}
-		out.samples = append(out.samples, Sample{At: t, Value: s.samples[i].Value})
-	}
-	return out
-}
-
-// eachAligned walks the regular grid of the given period across the overlap
-// of a and b and calls fn with both series' zero-order-hold values at every
-// grid point — the single-pass core shared by BinOp and Correlation. It does
-// nothing when either series is empty or period is not positive.
-func eachAligned(a, b *Series, period time.Duration, fn func(t time.Duration, x, y float64)) {
+// Correlation returns the Pearson correlation coefficient of the two
+// series over their overlap, resampled onto a regular grid of the given
+// period with zero-order hold. It returns 0 when the overlap is empty or
+// either series is constant (correlation undefined).
+func Correlation(a, b *Series, period time.Duration) float64 {
 	if a.Len() == 0 || b.Len() == 0 || period <= 0 {
-		return
+		return 0
 	}
-	from := a.Start()
-	if b.Start() > from {
-		from = b.Start()
+	from, to := max(a.Start(), b.Start()), min(a.End(), b.End())
+	if to < from {
+		return 0
 	}
-	to := a.End()
-	if b.End() < to {
-		to = b.End()
-	}
+	// The grid advances monotonically, so each hold cursor only moves
+	// forward: one pass over both series. from is at or after both starts,
+	// so every grid point has a hold value in each series.
+	grid := int((to-from)/period) + 1
+	xs := make([]float64, 0, grid)
+	ys := make([]float64, 0, grid)
 	ia, ib := 0, 0
 	for t := from; t <= to; t += period {
 		for ia+1 < len(a.samples) && a.samples[ia+1].At <= t {
@@ -320,70 +255,10 @@ func eachAligned(a, b *Series, period time.Duration, fn func(t time.Duration, x,
 		for ib+1 < len(b.samples) && b.samples[ib+1].At <= t {
 			ib++
 		}
-		// from is at or after both starts, so the hold value exists for
-		// every grid point of a non-empty overlap.
-		if a.samples[ia].At > t || b.samples[ib].At > t {
-			continue
-		}
-		fn(t, a.samples[ia].Value, b.samples[ib].Value)
+		xs = append(xs, a.samples[ia].Value)
+		ys = append(ys, b.samples[ib].Value)
 	}
-}
-
-// overlapGridLen returns the number of grid points eachAligned will visit,
-// for preallocation. It returns 0 when the series do not overlap.
-func overlapGridLen(a, b *Series, period time.Duration) int {
-	if a.Len() == 0 || b.Len() == 0 || period <= 0 {
-		return 0
-	}
-	from := a.Start()
-	if b.Start() > from {
-		from = b.Start()
-	}
-	to := a.End()
-	if b.End() < to {
-		to = b.End()
-	}
-	if to < from {
-		return 0
-	}
-	return int((to-from)/period) + 1
-}
-
-// BinOp applies op pointwise to a and b after aligning them onto a regular
-// grid of the given period spanning the overlap of the two series. The
-// result is empty if the series do not overlap.
-func BinOp(a, b *Series, period time.Duration, op func(x, y float64) float64) *Series {
-	out := &Series{}
-	if n := overlapGridLen(a, b, period); n > 0 {
-		out.samples = make([]Sample, 0, n)
-	}
-	eachAligned(a, b, period, func(t time.Duration, x, y float64) {
-		out.samples = append(out.samples, Sample{At: t, Value: op(x, y)})
-	})
-	return out
-}
-
-// Add returns the pointwise sum of the two series on a regular grid.
-func Add(a, b *Series, period time.Duration) *Series {
-	return BinOp(a, b, period, func(x, y float64) float64 { return x + y })
-}
-
-// Correlation returns the Pearson correlation coefficient of the two
-// series over their overlap, resampled onto a regular grid of the given
-// period. It returns 0 when the overlap is empty or either series is
-// constant (correlation undefined).
-func Correlation(a, b *Series, period time.Duration) float64 {
-	grid := overlapGridLen(a, b, period)
-	xs := make([]float64, 0, grid)
-	ys := make([]float64, 0, grid)
-	eachAligned(a, b, period, func(_ time.Duration, x, y float64) {
-		xs = append(xs, x)
-		ys = append(ys, y)
-	})
 	n := len(xs)
-	if n == 0 {
-		return 0
-	}
 	var mx, my float64
 	for i := 0; i < n; i++ {
 		mx += xs[i]
@@ -405,24 +280,13 @@ func Correlation(a, b *Series, period time.Duration) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
-// StableWindow returns the contiguous window of the given length whose
-// values deviate least from their own mean (minimum sum of squared
-// deviations). This implements the paper's selection of "the 10 seconds with
-// the least extreme values" from each 30-second run, which removes start-up
-// and tear-down transients. It returns an error if the series is shorter
-// than the window.
-func (s *Series) StableWindow(window time.Duration) (*Series, error) {
-	best, bestEnd, err := s.stableWindowSearch(window)
-	if err != nil {
-		return nil, err
-	}
-	return New(s.samples[best:bestEnd]...), nil
-}
-
-// StableWindowBounds is StableWindow without materialising the window: it
-// returns the times of the first and last sample of the selected window.
-// Scoring loops that only need the [from, to] bounds use it to avoid
-// copying the window's samples on every call.
+// StableWindowBounds locates the contiguous window of the given length
+// whose values deviate least from their own mean (minimum sum of squared
+// deviations) and returns the times of its first and last sample. This
+// implements the paper's selection of "the 10 seconds with the least
+// extreme values" from each 30-second run, which removes start-up and
+// tear-down transients. It returns ErrEmpty for an empty series and
+// ErrTooShort when no window of that length fits.
 func (s *Series) StableWindowBounds(window time.Duration) (from, to time.Duration, err error) {
 	best, bestEnd, err := s.stableWindowSearch(window)
 	if err != nil {
@@ -431,8 +295,7 @@ func (s *Series) StableWindowBounds(window time.Duration) (from, to time.Duratio
 	return s.samples[best].At, s.samples[bestEnd-1].At, nil
 }
 
-// stableWindowSearch locates the least-extreme window [best, bestEnd) —
-// the shared core of StableWindow and StableWindowBounds.
+// stableWindowSearch locates the least-extreme window [best, bestEnd).
 func (s *Series) stableWindowSearch(window time.Duration) (best, bestEnd int, err error) {
 	n := len(s.samples)
 	if n == 0 {
@@ -482,31 +345,4 @@ func (s *Series) stableWindowSearch(window time.Duration) (best, bestEnd int, er
 		return 0, 0, fmt.Errorf("%w: no contiguous window of %v (sample gaps too large)", ErrTooShort, window)
 	}
 	return best, bestEnd, nil
-}
-
-// TrimEnds returns the series with the first and last trim durations of
-// samples removed; the bounds are inclusive, so samples exactly trim from
-// either end survive. It protects scoring code from start/stop transients
-// when the full stable-window machinery is not wanted. When 2·trim covers
-// the whole span there is nothing left between the transients and the
-// result is empty.
-func (s *Series) TrimEnds(trim time.Duration) *Series {
-	out := &Series{}
-	if len(s.samples) == 0 {
-		return out
-	}
-	if trim <= 0 {
-		out.samples = append([]Sample(nil), s.samples...)
-		return out
-	}
-	if 2*trim >= s.Duration() {
-		return out
-	}
-	from, to := s.Start()+trim, s.End()-trim
-	for _, sm := range s.samples {
-		if sm.At >= from && sm.At <= to {
-			out.samples = append(out.samples, sm)
-		}
-	}
-	return out
 }

@@ -67,18 +67,11 @@ func TestStats(t *testing.T) {
 	if got := s.Max(); got != 40 {
 		t.Errorf("Max = %v, want 40", got)
 	}
-	if got := s.Spread(); got != 30 {
-		t.Errorf("Spread = %v, want 30", got)
-	}
-	wantSD := math.Sqrt((225 + 25 + 25 + 225) / 4)
-	if got := s.Stddev(); math.Abs(got-wantSD) > 1e-12 {
-		t.Errorf("Stddev = %v, want %v", got, wantSD)
-	}
 }
 
 func TestEmptyStats(t *testing.T) {
 	s := New()
-	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Stddev() != 0 {
+	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
 		t.Error("stats of empty series should be 0")
 	}
 	if s.Duration() != 0 {
@@ -134,62 +127,15 @@ func TestEnergyStepPower(t *testing.T) {
 	}
 }
 
-func TestSliceAndShiftAndScale(t *testing.T) {
+func TestSliceAndScale(t *testing.T) {
 	s := FromValues(time.Second, 0, 1, 2, 3, 4)
 	sl := s.Slice(time.Second, 3*time.Second)
 	if sl.Len() != 2 || sl.At(0).Value != 1 || sl.At(1).Value != 2 {
 		t.Errorf("Slice = %+v", sl.Samples())
 	}
-	sh := s.Shift(10 * time.Second)
-	if sh.Start() != 10*time.Second || sh.At(0).Value != 0 {
-		t.Errorf("Shift start = %v", sh.Start())
-	}
 	sc := s.Scale(2)
 	if sc.At(3).Value != 6 {
 		t.Errorf("Scale value = %v, want 6", sc.At(3).Value)
-	}
-	ac := s.AddConst(100)
-	if ac.At(0).Value != 100 {
-		t.Errorf("AddConst value = %v, want 100", ac.At(0).Value)
-	}
-}
-
-func TestResample(t *testing.T) {
-	s := New(Sample{0, 1}, Sample{time.Second, 2}, Sample{3 * time.Second, 3})
-	r := s.Resample(time.Second)
-	want := []float64{1, 2, 2, 3}
-	if r.Len() != len(want) {
-		t.Fatalf("Resample Len = %d, want %d", r.Len(), len(want))
-	}
-	for i, w := range want {
-		if r.At(i).Value != w {
-			t.Errorf("resampled[%d] = %v, want %v", i, r.At(i).Value, w)
-		}
-	}
-	if s.Resample(0).Len() != 0 {
-		t.Error("Resample with period 0 should be empty")
-	}
-}
-
-func TestBinOpAlignment(t *testing.T) {
-	a := FromValues(time.Second, 1, 1, 1, 1)                 // t=0..3
-	b := FromValues(time.Second, 2, 2, 2).Shift(time.Second) // t=1..3
-	sum := Add(a, b, time.Second)
-	if sum.Len() != 3 {
-		t.Fatalf("overlap Len = %d, want 3", sum.Len())
-	}
-	for i := 0; i < sum.Len(); i++ {
-		if sum.At(i).Value != 3 {
-			t.Errorf("sum[%d] = %v, want 3", i, sum.At(i).Value)
-		}
-	}
-}
-
-func TestBinOpNoOverlap(t *testing.T) {
-	a := FromValues(time.Second, 1, 1)
-	b := FromValues(time.Second, 2, 2).Shift(10 * time.Second)
-	if got := Add(a, b, time.Second); got.Len() != 0 {
-		t.Errorf("no-overlap Add Len = %d, want 0", got.Len())
 	}
 }
 
@@ -207,38 +153,33 @@ func TestStableWindowFindsQuietMiddle(t *testing.T) {
 		samples = append(samples, Sample{At: at, Value: v})
 	}
 	s := New(samples...)
-	w, err := s.StableWindow(10 * time.Second)
+	from, to, err := s.StableWindowBounds(10 * time.Second)
 	if err != nil {
-		t.Fatalf("StableWindow: %v", err)
+		t.Fatalf("StableWindowBounds: %v", err)
 	}
-	if w.Start() < 9*time.Second || w.Start() > 11*time.Second {
-		t.Errorf("stable window starts at %v, want ~10s", w.Start())
+	if from < 9*time.Second || from > 11*time.Second {
+		t.Errorf("stable window starts at %v, want ~10s", from)
 	}
 	// The window is inclusive of its end sample, so at most one noisy
 	// boundary sample can leak in; the bulk must be the flat region.
-	if w.Stddev() > 1.0 {
-		t.Errorf("stable window stddev = %v, want < 1", w.Stddev())
+	w := s.Slice(from, to+1)
+	mean, ss := w.Mean(), 0.0
+	for i := 0; i < w.Len(); i++ {
+		d := w.At(i).Value - mean
+		ss += d * d
+	}
+	if sd := math.Sqrt(ss / float64(w.Len())); sd > 1.0 {
+		t.Errorf("stable window stddev = %v, want < 1", sd)
 	}
 }
 
 func TestStableWindowErrors(t *testing.T) {
-	if _, err := New().StableWindow(time.Second); !errors.Is(err, ErrEmpty) {
+	if _, _, err := New().StableWindowBounds(time.Second); !errors.Is(err, ErrEmpty) {
 		t.Errorf("empty series error = %v, want ErrEmpty", err)
 	}
 	s := FromValues(time.Second, 1, 2)
-	if _, err := s.StableWindow(10 * time.Second); err == nil {
+	if _, _, err := s.StableWindowBounds(10 * time.Second); err == nil {
 		t.Error("short series should error")
-	}
-}
-
-func TestTrimEnds(t *testing.T) {
-	s := FromValues(time.Second, 0, 1, 2, 3, 4, 5)
-	tr := s.TrimEnds(time.Second)
-	if tr.Start() != time.Second || tr.End() != 4*time.Second {
-		t.Errorf("TrimEnds spans [%v,%v], want [1s,4s]", tr.Start(), tr.End())
-	}
-	if New().TrimEnds(time.Second).Len() != 0 {
-		t.Error("TrimEnds of empty should be empty")
 	}
 }
 
@@ -265,61 +206,6 @@ func TestEnergyScaleProperty(t *testing.T) {
 	}
 }
 
-// Property: Add(a,b) − b == a on the overlap grid.
-func TestAddSubRoundTrip(t *testing.T) {
-	f := func(rawA, rawB []float64) bool {
-		clean := func(raw []float64) []float64 {
-			vals := make([]float64, 0, len(raw))
-			for _, v := range raw {
-				if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e9 {
-					continue
-				}
-				vals = append(vals, v)
-			}
-			return vals
-		}
-		a := FromValues(time.Second, clean(rawA)...)
-		b := FromValues(time.Second, clean(rawB)...)
-		sum := Add(a, b, time.Second)
-		back := BinOp(sum, b, time.Second, func(x, y float64) float64 { return x - y })
-		for i := 0; i < back.Len(); i++ {
-			av, ok := a.ValueAt(back.At(i).At)
-			if !ok {
-				return false
-			}
-			if math.Abs(back.At(i).Value-av) > 1e-9*(1+math.Abs(av)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: resampling preserves the left-Riemann energy for regularly
-// sampled series when resampled at the same period.
-func TestResampleEnergyInvariant(t *testing.T) {
-	f := func(raw []float64) bool {
-		vals := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e6 {
-				continue
-			}
-			vals = append(vals, v)
-		}
-		s := FromValues(time.Second, vals...)
-		r := s.Resample(time.Second)
-		e1 := float64(s.Energy(time.Second))
-		e2 := float64(r.Energy(time.Second))
-		return math.Abs(e1-e2) <= 1e-6*(1+math.Abs(e1))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestCorrelation(t *testing.T) {
 	a := FromValues(time.Second, 1, 2, 3, 4, 5)
 	if got := Correlation(a, a, time.Second); math.Abs(got-1) > 1e-12 {
@@ -329,9 +215,14 @@ func TestCorrelation(t *testing.T) {
 	if got := Correlation(a, b, time.Second); math.Abs(got+1) > 1e-12 {
 		t.Errorf("anti correlation = %v, want -1", got)
 	}
-	// Scaled and shifted copies stay perfectly correlated.
-	if got := Correlation(a, a.Scale(3).AddConst(10), time.Second); math.Abs(got-1) > 1e-12 {
+	// Scaled and offset copies stay perfectly correlated.
+	if got := Correlation(a, FromValues(time.Second, 13, 16, 19, 22, 25), time.Second); math.Abs(got-1) > 1e-12 {
 		t.Errorf("affine correlation = %v, want 1", got)
+	}
+	// Only the overlap counts: b held from 2 s on rises with a there.
+	late := New(Sample{2 * time.Second, 10}, Sample{3 * time.Second, 20}, Sample{4 * time.Second, 30}, Sample{5 * time.Second, 0})
+	if got := Correlation(a, late, time.Second); math.Abs(got-1) > 1e-12 {
+		t.Errorf("partial-overlap correlation = %v, want 1", got)
 	}
 	// Constant series: undefined → 0.
 	c := FromValues(time.Second, 7, 7, 7, 7, 7)
@@ -339,7 +230,7 @@ func TestCorrelation(t *testing.T) {
 		t.Errorf("constant correlation = %v, want 0", got)
 	}
 	// No overlap → 0.
-	d := FromValues(time.Second, 1, 2).Shift(100 * time.Second)
+	d := New(Sample{100 * time.Second, 1}, Sample{101 * time.Second, 2})
 	if got := Correlation(a, d, time.Second); got != 0 {
 		t.Errorf("no-overlap correlation = %v, want 0", got)
 	}
@@ -370,7 +261,7 @@ func TestCorrelationProperties(t *testing.T) {
 }
 
 // quadraticStableWindow is the pre-prefix-sum reference implementation of
-// StableWindow's search: per-sample variance recomputed from scratch for
+// StableWindowBounds' search: per-sample variance recomputed from scratch for
 // every candidate window. It returns the chosen [best, bestEnd) extent and
 // the winning score, or best = -1 when no window fits.
 func quadraticStableWindow(s *Series, window time.Duration) (best, bestEnd int, bestScore float64) {
@@ -407,9 +298,10 @@ func quadraticScore(w []Sample) float64 {
 	return ss / float64(len(w))
 }
 
-// Property: the O(n) prefix-sum StableWindow picks the same window as the
-// quadratic reference whenever the winner is unique, and never a window
-// more than a rounding tolerance worse than the optimum when windows tie.
+// Property: the O(n) prefix-sum StableWindowBounds picks the same window
+// as the quadratic reference whenever the winner is unique, and never a
+// window more than a rounding tolerance worse than the optimum when
+// windows tie.
 func TestStableWindowMatchesQuadraticReference(t *testing.T) {
 	const window = time.Second
 	f := func(raw []uint16, gaps []uint8) bool {
@@ -431,13 +323,14 @@ func TestStableWindowMatchesQuadraticReference(t *testing.T) {
 			at += 100 * time.Millisecond
 		}
 		best, bestEnd, bestScore := quadraticStableWindow(s, window)
-		got, err := s.StableWindow(window)
+		from, to, err := s.StableWindowBounds(window)
 		if best < 0 {
 			return err != nil
 		}
 		if err != nil {
 			return false
 		}
+		got := s.Slice(from, to+1)
 		want := New(s.samples[best:bestEnd]...)
 		if got.Len() == want.Len() && got.Start() == want.Start() {
 			return true
@@ -457,44 +350,19 @@ func TestStableWindowMatchesQuadraticReference(t *testing.T) {
 	}
 }
 
-// Regression: TrimEnds with 2·trim >= Duration used to invert the Slice
-// bounds; it must return an empty series.
-func TestTrimEndsDegenerate(t *testing.T) {
-	s := FromValues(time.Second, 1, 2, 3) // spans 2s
-	for _, trim := range []time.Duration{time.Second, 2 * time.Second, time.Hour} {
-		if got := s.TrimEnds(trim); got.Len() != 0 {
-			t.Errorf("TrimEnds(%v) of a 2s series has %d samples, want 0", trim, got.Len())
-		}
-	}
-	// Zero trim returns the whole series as an independent copy.
-	full := s.TrimEnds(0)
-	if full.Len() != 3 {
-		t.Errorf("TrimEnds(0) Len = %d, want 3", full.Len())
-	}
-	full.Append(time.Hour, 9)
-	if s.Len() != 3 {
-		t.Error("TrimEnds(0) aliases the input series")
-	}
-	// Inclusive ends: samples exactly trim from either end survive.
-	in := s.TrimEnds(500 * time.Millisecond)
-	if in.Len() != 1 || in.At(0).At != time.Second {
-		t.Errorf("TrimEnds(500ms) = %d samples starting %v, want the middle sample", in.Len(), in.Start())
-	}
-}
-
-// StableWindow reports typed errors so callers can distinguish an empty
-// series from one that is merely too short.
+// StableWindowBounds reports typed errors so callers can distinguish an
+// empty series from one that is merely too short.
 func TestStableWindowTypedErrors(t *testing.T) {
-	if _, err := New().StableWindow(time.Second); !errors.Is(err, ErrEmpty) {
+	if _, _, err := New().StableWindowBounds(time.Second); !errors.Is(err, ErrEmpty) {
 		t.Errorf("empty series error = %v, want ErrEmpty", err)
 	}
 	short := FromValues(time.Second, 1, 2)
-	if _, err := short.StableWindow(10 * time.Second); !errors.Is(err, ErrTooShort) {
+	if _, _, err := short.StableWindowBounds(10 * time.Second); !errors.Is(err, ErrTooShort) {
 		t.Errorf("short series error = %v, want ErrTooShort", err)
 	}
 	// Long enough span, but a sample gap leaves no contiguous window.
 	gappy := New(Sample{At: 0, Value: 1}, Sample{At: 3 * time.Second, Value: 2})
-	if _, err := gappy.StableWindow(time.Second); !errors.Is(err, ErrTooShort) {
+	if _, _, err := gappy.StableWindowBounds(time.Second); !errors.Is(err, ErrTooShort) {
 		t.Errorf("gappy series error = %v, want ErrTooShort", err)
 	}
 }

@@ -47,24 +47,6 @@ func (p Watts) String() string {
 	return fmt.Sprintf("%.1f W", float64(p))
 }
 
-// IsValid reports whether the power is a finite, non-negative quantity.
-// Power models can momentarily produce NaN (0/0 shares on an idle machine);
-// IsValid is the canonical guard.
-func (p Watts) IsValid() bool {
-	return !math.IsNaN(float64(p)) && !math.IsInf(float64(p), 0) && p >= 0
-}
-
-// Clamp limits p to [lo, hi].
-func (p Watts) Clamp(lo, hi Watts) Watts {
-	if p < lo {
-		return lo
-	}
-	if p > hi {
-		return hi
-	}
-	return p
-}
-
 // Power returns the constant power that dissipates e over d.
 // It returns 0 if d is not positive.
 func (e Joules) Power(d time.Duration) Watts {

@@ -57,33 +57,6 @@ func TestEnergyPowerRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWattsIsValid(t *testing.T) {
-	valid := []Watts{0, 1, 28, 230.5}
-	for _, p := range valid {
-		if !p.IsValid() {
-			t.Errorf("IsValid(%v) = false, want true", p)
-		}
-	}
-	invalid := []Watts{-1, Watts(math.NaN()), Watts(math.Inf(1)), Watts(math.Inf(-1))}
-	for _, p := range invalid {
-		if p.IsValid() {
-			t.Errorf("IsValid(%v) = true, want false", p)
-		}
-	}
-}
-
-func TestWattsClamp(t *testing.T) {
-	if got := Watts(5).Clamp(0, 3); got != 3 {
-		t.Errorf("Clamp above = %v, want 3", got)
-	}
-	if got := Watts(-5).Clamp(0, 3); got != 0 {
-		t.Errorf("Clamp below = %v, want 0", got)
-	}
-	if got := Watts(2).Clamp(0, 3); got != 2 {
-		t.Errorf("Clamp inside = %v, want 2", got)
-	}
-}
-
 func TestJoulesString(t *testing.T) {
 	tests := []struct {
 		e    Joules

@@ -16,8 +16,9 @@ import (
 // internal/ that no non-test code refers to, each with the one-word reason
 // it stays:
 //
-//   - interface: part of a type's documented method set or a family of
-//     constructors that callers pick from.
+//   - interface: part of a type's documented method set, a method a
+//     standard-library interface calls, or a family of constructors that
+//     callers pick from.
 //   - harness: test-harness API of internal/faultfs.
 //   - seam: an injection point tests replace or read.
 //   - reference: the oracle an equivalence test compares against.
@@ -39,11 +40,48 @@ var unreferencedAllowed = map[string]string{
 	"rapl.OpenZone":               "seam",
 	"rapl.Zone":                   "interface",
 	"retry.Default":               "interface",
-	"trace.Add":                   "interface", // BinOp's pointwise sum
+	"trace.FromValues":            "interface", // constructor family with New and NewWithCap
 	"traffic.NoBaseload":          "sentinel",
 	"units.Kilojoule":             "unit",
 	"units.Microjoule":            "unit",
 	"units.Millijoule":            "unit",
+}
+
+// unselectedMethodsAllowed lists the exported methods of internal/ types,
+// keyed "pkg.Type.Method", whose name no non-test file selects, each with
+// the one-word reason it stays (see unreferencedAllowed).
+var unselectedMethodsAllowed = map[string]string{
+	"energyacct.Ledger.Elapsed":     "seam",
+	"faultfs.Host.AddEnergy":        "harness",
+	"faultfs.Host.AddProcJiffies":   "harness",
+	"faultfs.Host.CorruptEnergy":    "harness",
+	"faultfs.Host.DeliveredJoules":  "harness",
+	"faultfs.Host.ProcJiffies":      "harness",
+	"faultfs.Host.RemoveProc":       "harness",
+	"faultfs.Host.RemoveZone":       "harness",
+	"faultfs.Host.Wraps":            "harness",
+	"faultfs.Host.ZoneDir":          "harness",
+	"faultfs.Injector.FailNext":     "harness",
+	"faultfs.Injector.Only":         "harness",
+	"faultfs.Injector.Restore":      "harness",
+	"faultfs.Injector.SetBurstLen":  "harness",
+	"faultfs.Injector.SetErrorRate": "harness",
+	"faultfs.Injector.Vanish":       "harness",
+	"machine.Run.ActiveSeries":      "reference",
+	"machine.Run.ProcActiveSeries":  "reference",
+	"machine.Run.ProcAt":            "reference",
+	"machine.Run.ProcCPUSeries":     "reference",
+	"machine.Run.ProcIDs":           "reference",
+	"models.PowerAPI.Degenerate":    "seam",
+	"models.SmartWatts.WarmBins":    "seam",
+	"obs.Bucket.MarshalJSON":        "interface", // encoding/json
+	"obs.Bucket.UnmarshalJSON":      "interface", // encoding/json
+	"rapl.SimZone.Advance":          "seam",
+	"report.Table.Markdown":         "interface", // EXPERIMENTS.md rendering (ROADMAP item 6)
+	"rng.Source.Int63":              "interface", // math/rand.Source
+	"serve.Server.Job":              "seam",
+	"serve.Server.Jobs":             "seam",
+	"serve.Server.Kill":             "seam",
 }
 
 // TestExportedSurface fails on an exported top-level identifier of an
@@ -52,11 +90,17 @@ var unreferencedAllowed = map[string]string{
 // identifier is dead code or test-only API. References are found
 // syntactically — a selector through the package's import, or the bare
 // name inside its own package — so a local of the same name hides a dead
-// identifier, never the other way round.
+// identifier, never the other way round. It fails likewise on an exported
+// method of an internal/ type whose name no non-test file selects, unless
+// unselectedMethodsAllowed names it. A method counts as referenced when any
+// selector anywhere uses its name, whatever the receiver, so the check
+// never flags a method that is called.
 func TestExportedSurface(t *testing.T) {
 	fset := token.NewFileSet()
 	declared := map[string]token.Position{} // "pkg.Name" → declaration
+	methods := map[string]token.Position{}  // "pkg.Type.Method" → declaration
 	used := map[string]bool{}
+	selected := map[string]bool{} // names selected other than through an import
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -83,7 +127,12 @@ func TestExportedSurface(t *testing.T) {
 				declared[pkg+"."+name.Name] = fset.Position(name.Pos())
 			}
 		}
-		collectRefs(file, pkg, used)
+		for id, pos := range exportedMethods(file) {
+			if pkg != "" {
+				methods[pkg+"."+id] = fset.Position(pos)
+			}
+		}
+		collectRefs(file, pkg, used, selected)
 		return nil
 	})
 	if err != nil {
@@ -109,6 +158,49 @@ func TestExportedSurface(t *testing.T) {
 			t.Errorf("unreferencedAllowed lists %s, which has a non-test reference", id)
 		}
 	}
+	dead = dead[:0]
+	for id, pos := range methods {
+		if name := id[strings.LastIndexByte(id, '.')+1:]; !selected[name] && unselectedMethodsAllowed[id] == "" {
+			dead = append(dead, pos.String()+": "+id)
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Errorf("method %s is selected by no non-test file; delete it or list it in unselectedMethodsAllowed with a reason", d)
+	}
+	for id := range unselectedMethodsAllowed {
+		if _, ok := methods[id]; !ok {
+			t.Errorf("unselectedMethodsAllowed lists %s, which is not declared", id)
+		} else if selected[id[strings.LastIndexByte(id, '.')+1:]] {
+			t.Errorf("unselectedMethodsAllowed lists %s, whose name a non-test file selects", id)
+		}
+	}
+}
+
+// exportedMethods returns the exported methods a file declares, keyed
+// "Type.Method" by the receiver's base type name.
+func exportedMethods(file *ast.File) map[string]token.Pos {
+	out := map[string]token.Pos{}
+	for _, decl := range file.Decls {
+		d, ok := decl.(*ast.FuncDecl)
+		if !ok || d.Recv == nil || !d.Name.IsExported() {
+			continue
+		}
+		typ := d.Recv.List[0].Type
+		if star, ok := typ.(*ast.StarExpr); ok {
+			typ = star.X
+		}
+		switch t := typ.(type) {
+		case *ast.IndexExpr:
+			typ = t.X
+		case *ast.IndexListExpr:
+			typ = t.X
+		}
+		if id, ok := typ.(*ast.Ident); ok {
+			out[id.Name+"."+d.Name.Name] = d.Name.Pos()
+		}
+	}
+	return out
 }
 
 // topLevelNames returns the names a file declares at package level:
@@ -137,8 +229,9 @@ func topLevelNames(file *ast.File) []*ast.Ident {
 
 // collectRefs marks in used every "pkg.Name" file refers to: selectors
 // through an import of an internal/ package, and — when the file belongs
-// to internal/<pkg> — bare identifiers other than declaration names.
-func collectRefs(file *ast.File, pkg string, used map[string]bool) {
+// to internal/<pkg> — bare identifiers other than declaration names. It
+// marks in selected every other selected name: fields and methods.
+func collectRefs(file *ast.File, pkg string, used, selected map[string]bool) {
 	imports := map[string]string{} // local name → internal package
 	for _, imp := range file.Imports {
 		path, _ := strconv.Unquote(imp.Path.Value)
@@ -172,6 +265,7 @@ func collectRefs(file *ast.File, pkg string, used map[string]bool) {
 				}
 			}
 			decls[n.Sel] = true // a field or method name, not a package-level one
+			selected[n.Sel.Name] = true
 		case *ast.Ident:
 			if pkg != "" && !decls[n] {
 				used[pkg+"."+n.Name] = true
