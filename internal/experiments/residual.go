@@ -157,32 +157,16 @@ func ResidualCapping(ctx protocol.Context, factory models.Factory, fns []string,
 		return res, err
 	}
 	stats := make([]CappingStats, len(objectives))
-	diffSum := make([]float64, len(objectives))
-	var diffN int
 	for i := range objectives {
+		var all, diffSize protocol.AEFold
 		for _, ev := range camp.Pairs(0, i) {
-			stats[i].MeanAE += ev.AE
-			if ev.AE > stats[i].MaxAE {
-				stats[i].MaxAE = ev.AE
-			}
+			all.Add(ev.AE, 0, true)
 			stats[i].Points = append(stats[i].Points, ev.Point)
 			if !ev.Scenario.SameSize() {
-				diffSum[i] += ev.AE
+				diffSize.Add(ev.AE, 0, true)
 			}
 		}
-	}
-	for _, s := range scenarios {
-		if !s.SameSize() {
-			diffN++
-		}
-	}
-	for i := range stats {
-		if len(scenarios) > 0 {
-			stats[i].MeanAE /= float64(len(scenarios))
-		}
-		if diffN > 0 {
-			stats[i].MeanAEDiffSizeOnly = diffSum[i] / float64(diffN)
-		}
+		stats[i].MeanAE, stats[i].MaxAE, stats[i].MeanAEDiffSizeOnly = all.MeanAE(), all.MaxAE(), diffSize.MeanAE()
 	}
 	res.ResidualAware, res.NominalR0 = stats[0], stats[1]
 	return res, nil

@@ -8,7 +8,6 @@ import (
 	"powerdiv/internal/models"
 	"powerdiv/internal/protocol"
 	"powerdiv/internal/report"
-	"powerdiv/internal/units"
 	"powerdiv/internal/workload"
 )
 
@@ -156,13 +155,7 @@ func labRows(ctx protocol.Context, extra ...models.Factory) (protocol.Result, er
 	}
 	factories := func(baselines map[string]division.Baseline) []models.Factory {
 		fs := append(PaperModels(), extra...)
-		// The F2 reference model needs the baselines.
-		perCore := map[string]units.Watts{}
-		for id, b := range baselines {
-			perCore[id] = b.ActivePerCore()
-		}
-		fs = append(fs, models.NewF2(perCore))
-		return fs
+		return append(fs, models.NewF2(protocol.InstancePerCore(scenarios, baselines)))
 	}
 	return protocol.Evaluate(context.Background(), ctx, protocol.Campaign{
 		Kind: protocol.PairCampaign, Scenarios: scenarios, Factories: factories,

@@ -11,7 +11,6 @@ import (
 	"powerdiv/internal/protocol"
 	"powerdiv/internal/report"
 	"powerdiv/internal/traffic"
-	"powerdiv/internal/units"
 )
 
 // TrafficResult is one production-shaped traffic campaign: generated (or
@@ -60,25 +59,12 @@ func TrafficConfig(ctx protocol.Context, kind traffic.Kind, scenarios int, windo
 // scenario that the batch traffic experiments score per campaign.
 func TrafficFactories(scenarios []protocol.Scenario) func(map[string]division.Baseline) []models.Factory {
 	return func(baselines map[string]division.Baseline) []models.Factory {
-		perCore := map[string]units.Watts{}
-		for _, s := range scenarios {
-			for _, a := range s.Apps {
-				base := a.BaseID
-				if base == "" {
-					base = a.ID
-				}
-				if b, ok := baselines[base]; ok {
-					perCore[a.ID] = b.ActivePerCore()
-				}
-			}
-		}
-		fs := append(PaperModels(),
+		return append(PaperModels(),
 			models.NewKepler(),
 			models.NewSmartWatts(models.DefaultSmartWattsConfig()),
-			models.NewF2(perCore),
+			models.NewF2(protocol.InstancePerCore(scenarios, baselines)),
 			models.NewOracle(),
 		)
-		return fs
 	}
 }
 

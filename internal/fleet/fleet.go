@@ -25,7 +25,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"runtime"
 	"sort"
@@ -73,15 +72,6 @@ type Config struct {
 	// 30s / 10s because a fleet runs hundreds of phase 1 sweeps).
 	RunFor       time.Duration
 	StableWindow time.Duration
-	// FreqSkewFrac is the maximum fractional per-node clock skew; each
-	// node draws a scale factor uniform in [1−f, 1+f] (default 0.03).
-	FreqSkewFrac float64
-	// NoiseJitterFrac spreads per-node sensor grade: each node scales the
-	// base noise by a factor uniform in [1, 1+f] (default 0.5).
-	NoiseJitterFrac float64
-	// BaseNoise is the base sensor-noise standard deviation (default
-	// 0.25 W, the calibrations' stress-ng spread).
-	BaseNoise units.Watts
 	// Production enables hyperthreading and turbo on every node — the
 	// paper's production context, and a datacenter's usual shape.
 	Production bool
@@ -99,9 +89,19 @@ const (
 	defaultWindow       = 10 * time.Second
 	defaultRunFor       = 10 * time.Second
 	defaultStableWindow = 4 * time.Second
-	defaultFreqSkew     = 0.03
-	defaultNoiseJitter  = 0.5
-	defaultBaseNoise    = units.Watts(0.25)
+)
+
+// The per-node hardware variation every fleet draws.
+const (
+	// FreqSkewFrac is the maximum fractional per-node clock skew; each
+	// node draws a scale factor uniform in [1−f, 1+f].
+	FreqSkewFrac = 0.03
+	// NoiseJitterFrac spreads per-node sensor grade: each node scales
+	// BaseNoise by a factor uniform in [1, 1+f].
+	NoiseJitterFrac = 0.5
+	// BaseNoise is the base sensor-noise standard deviation, the
+	// calibrations' stress-ng spread.
+	BaseNoise = units.Watts(0.25)
 )
 
 // WithDefaults fills unset fields with the package defaults.
@@ -121,15 +121,6 @@ func (c Config) WithDefaults() Config {
 	if c.StableWindow <= 0 {
 		c.StableWindow = defaultStableWindow
 	}
-	if c.FreqSkewFrac <= 0 {
-		c.FreqSkewFrac = defaultFreqSkew
-	}
-	if c.NoiseJitterFrac <= 0 {
-		c.NoiseJitterFrac = defaultNoiseJitter
-	}
-	if c.BaseNoise <= 0 {
-		c.BaseNoise = defaultBaseNoise
-	}
 	return c
 }
 
@@ -140,9 +131,6 @@ func (c Config) Validate() error {
 	}
 	if c.StableWindow > c.RunFor {
 		return fmt.Errorf("fleet: stable window %v exceeds run duration %v", c.StableWindow, c.RunFor)
-	}
-	if c.FreqSkewFrac >= 1 {
-		return fmt.Errorf("fleet: frequency skew fraction %v must be below 1", c.FreqSkewFrac)
 	}
 	return nil
 }
@@ -167,18 +155,6 @@ var nodeClasses = []nodeClass{
 	{"dahu/16c", cpumodel.Dahu, 16},
 }
 
-// seedFor derives a deterministic sub-seed by FNV-1a over the seed and
-// labels (the construction the protocol and traffic packages share).
-func seedFor(seed int64, parts ...string) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d", seed)
-	for _, p := range parts {
-		h.Write([]byte{0})
-		h.Write([]byte(p))
-	}
-	return int64(h.Sum64())
-}
-
 // NodeID names node i.
 func NodeID(i int) string { return fmt.Sprintf("node-%05d", i) }
 
@@ -187,22 +163,22 @@ func NodeID(i int) string { return fmt.Sprintf("node-%05d", i) }
 // growable without disturbing existing nodes.
 func NewNode(cfg Config, i int) Node {
 	id := NodeID(i)
-	gen := rng.New(seedFor(cfg.Seed, "node", id))
+	gen := rng.New(rng.Derive(cfg.Seed, "node", id))
 	cl := nodeClasses[gen.Intn(len(nodeClasses))]
-	skew := 1 + (2*gen.Float64()-1)*cfg.FreqSkewFrac
-	noiseScale := 1 + gen.Float64()*cfg.NoiseJitterFrac
+	skew := 1 + (2*gen.Float64()-1)*FreqSkewFrac
+	noiseScale := 1 + gen.Float64()*NoiseJitterFrac
 	base := machine.Config{
 		Spec:           cl.base(),
 		Hyperthreading: cfg.Production,
 		Turbo:          cfg.Production,
-		NoiseStddev:    cfg.BaseNoise,
+		NoiseStddev:    BaseNoise,
 	}
 	mc := base.WithVariation(machine.Variation{
 		SpecName:       fmt.Sprintf("%s@%s", cl.name, id),
 		CoresPerSocket: cl.cores,
 		FreqScale:      skew,
 		NoiseScale:     noiseScale,
-		Seed:           seedFor(cfg.Seed, "noise", id),
+		Seed:           rng.Derive(cfg.Seed, "noise", id),
 	})
 	maxCPUs := mc.Spec.Topology.PhysicalCores()
 	if mc.Hyperthreading {
@@ -226,7 +202,7 @@ func Nodes(cfg Config) []Node {
 func NodeTrafficConfig(cfg Config, n Node) traffic.Config {
 	return traffic.Config{
 		Kind:      cfg.Kind,
-		Seed:      seedFor(cfg.Seed, "traffic", n.ID),
+		Seed:      rng.Derive(cfg.Seed, "traffic", n.ID),
 		Scenarios: cfg.ScenariosPerNode,
 		Window:    cfg.Window,
 		Kernels:   cfg.Kernels,
@@ -247,7 +223,7 @@ func nodeContext(cfg Config, n Node, cache *protocol.CacheScope) protocol.Contex
 		Machine:      n.Machine,
 		RunFor:       cfg.RunFor,
 		StableWindow: cfg.StableWindow,
-		Seed:         seedFor(cfg.Seed, "ctx", n.ID),
+		Seed:         rng.Derive(cfg.Seed, "ctx", n.ID),
 		Cache:        cache,
 	}
 }
@@ -258,24 +234,12 @@ func nodeContext(cfg Config, n Node, cache *protocol.CacheScope) protocol.Contex
 // coarse utilization — the fleet operator's signal.
 func nodeFactories(scenarios []protocol.Scenario) func(map[string]division.Baseline) []models.Factory {
 	return func(baselines map[string]division.Baseline) []models.Factory {
-		perCore := map[string]units.Watts{}
-		for _, s := range scenarios {
-			for _, a := range s.Apps {
-				base := a.BaseID
-				if base == "" {
-					base = a.ID
-				}
-				if b, ok := baselines[base]; ok {
-					perCore[a.ID] = b.ActivePerCore()
-				}
-			}
-		}
 		return []models.Factory{
 			models.NewScaphandre(),
 			models.NewPowerAPI(models.DefaultPowerAPIConfig()),
 			models.NewKepler(),
 			models.NewSmartWatts(models.DefaultSmartWattsConfig()),
-			models.NewF2(perCore),
+			models.NewF2(protocol.InstancePerCore(scenarios, baselines)),
 			models.NewOracle(),
 			models.NewWattScope(),
 		}
@@ -456,57 +420,35 @@ func Reduce(cfg Config, outcomes []NodeDigest) Result {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		st := ModelStats{Model: name, WorstNodeMeanAE: math.Inf(-1)}
+		// fold takes every scenario of every node, in node order, and worst
+		// each node's mean; the quantiles sort the scored errors.
+		var fold, worst protocol.AEFold
 		var all []float64
-		var covSum float64
-		rows := 0
 		for i := range outcomes {
-			o := &outcomes[i]
-			covs := o.Coverages[name]
-			for _, c := range covs {
-				covSum += c
-			}
-			rows += len(covs)
-			var nodeSum float64
-			nodeScored := 0
-			for k, ae := range o.AEs[name] {
-				if k >= len(covs) || covs[k] == 0 {
-					continue
+			aes, covs := outcomes[i].AEs[name], outcomes[i].Coverages[name]
+			var node protocol.AEFold
+			for k, c := range covs {
+				// Coverage 0 marks an unscored scenario.
+				var ae float64
+				scored := k < len(aes) && c != 0
+				if scored {
+					ae = aes[k]
+					all = append(all, ae)
 				}
-				nodeSum += ae
-				nodeScored++
-				if ae > st.MaxAE {
-					st.MaxAE = ae
-				}
-				all = append(all, ae)
+				node.Add(ae, c, scored)
+				fold.Add(ae, c, scored)
 			}
-			if nodeScored == 0 {
-				continue
-			}
-			if nodeMean := nodeSum / float64(nodeScored); nodeMean > st.WorstNodeMeanAE {
-				st.WorstNodeMeanAE = nodeMean
-				st.WorstNode = o.Node.ID
-			}
+			worst.Add(node.MeanAE(), 0, node.Scored() > 0)
 		}
-		if rows > 0 {
-			st.MeanCoverage = covSum / float64(rows)
+		st := ModelStats{Model: name, MeanAE: fold.MeanAE(), MaxAE: fold.MaxAE(),
+			MeanCoverage: fold.MeanCoverage(), WorstNodeMeanAE: worst.MaxAE(), Scenarios: fold.Scored()}
+		if w := worst.Worst(); w >= 0 {
+			st.WorstNode = outcomes[w].Node.ID
 		}
-		st.Scenarios = len(all)
-		if len(all) == 0 {
-			st.WorstNodeMeanAE = 0
-			res.Models = append(res.Models, st)
-			continue
-		}
-		var sum float64
-		for _, ae := range all {
-			sum += ae
-		}
-		st.MeanAE = sum / float64(len(all))
-		sorted := append([]float64(nil), all...)
-		sort.Float64s(sorted)
-		st.P50 = quantile(sorted, 0.50)
-		st.P90 = quantile(sorted, 0.90)
-		st.P99 = quantile(sorted, 0.99)
+		sort.Float64s(all)
+		st.P50 = quantile(all, 0.50)
+		st.P90 = quantile(all, 0.90)
+		st.P99 = quantile(all, 0.99)
 		res.Models = append(res.Models, st)
 	}
 	return res

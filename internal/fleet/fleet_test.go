@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -183,9 +184,6 @@ func TestConfigValidate(t *testing.T) {
 	if _, err := Campaign(Config{Nodes: 1, RunFor: time.Second, StableWindow: 2 * time.Second}, nil); err == nil {
 		t.Error("accepted a stable window longer than the run")
 	}
-	if _, err := Campaign(Config{Nodes: 1, FreqSkewFrac: 1.5}, nil); err == nil {
-		t.Error("accepted a frequency skew of 150%")
-	}
 	cfg := Config{}.WithDefaults()
 	if cfg.Nodes != defaultNodes || cfg.ScenariosPerNode != 1 {
 		t.Errorf("defaults: %+v", cfg)
@@ -235,5 +233,71 @@ func TestReduceSkipsUnscoredScenarios(t *testing.T) {
 	}
 	if want := 0.5 / 3; math.Abs(st.MeanCoverage-want) > 1e-15 {
 		t.Errorf("MeanCoverage = %v, want %v over every scenario", st.MeanCoverage, want)
+	}
+	// With no positive error the worst node is the first scored one.
+	digests[0].Coverages["m"][1] = 0
+	digests[1].Coverages["m"][0] = 0.5
+	if st := Reduce(testFleet(2, 1), digests).Models[0]; st.WorstNode != "node-00001" || st.WorstNodeMeanAE != 0 {
+		t.Errorf("zero-error worst node %s at %v, want node-00001 at 0", st.WorstNode, st.WorstNodeMeanAE)
+	}
+}
+
+// TestReduceMatchesSummarizeTraffic: a fleet node is a traffic campaign,
+// so Reduce over one node's digest must give, bit for bit, the summary
+// SummarizeTraffic gives over that node's rows from protocol.Evaluate on
+// the same context, scenarios and factories. Churn keeps restarting
+// PowerAPI's learning window, so it scores only some of the scenarios and
+// the rule that an unscored one carries no error is exercised on both
+// sides.
+func TestReduceMatchesSummarizeTraffic(t *testing.T) {
+	t.Parallel()
+	cfg := testFleet(1, 9)
+	cfg.ScenariosPerNode, cfg.Window = 4, 30*time.Second
+	cfg = cfg.WithDefaults()
+	n := NewNode(cfg, 0)
+	scenarios, err := NodeScenarios(cfg, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := protocol.Evaluate(context.Background(), nodeContext(cfg, n, nil), protocol.Campaign{
+		Kind: protocol.TrafficCampaign, Scenarios: scenarios, Factories: nodeFactories(scenarios), Window: cfg.Window,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest, err := EvaluateNode(context.Background(), cfg, n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleetStats := map[string]ModelStats{}
+	for _, st := range Reduce(cfg, []NodeDigest{digest}).Models {
+		fleetStats[st.Model] = st
+	}
+	mixed := false
+	for m, f := range res.Factories {
+		want := protocol.SummarizeTraffic(f.Name, res.Traffic(m))
+		got, ok := fleetStats[f.Name]
+		if !ok {
+			t.Fatalf("%s: no fleet aggregate", f.Name)
+		}
+		mixed = mixed || want.Scored > 0 && want.Scored < len(scenarios)
+		for _, c := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"MeanAE", got.MeanAE, want.MeanAE},
+			{"MaxAE", got.MaxAE, want.MaxAE},
+			{"MeanCoverage", got.MeanCoverage, want.MeanCoverage},
+		} {
+			if math.Float64bits(c.got) != math.Float64bits(c.want) {
+				t.Errorf("%s %s: fleet %v, traffic summary %v", f.Name, c.name, c.got, c.want)
+			}
+		}
+		if got.Scenarios != want.Scored {
+			t.Errorf("%s: fleet counts %d scored scenarios, traffic summary %d", f.Name, got.Scenarios, want.Scored)
+		}
+	}
+	if !mixed {
+		t.Error("no model scored some scenarios but not all; the config no longer covers unscored scenarios")
 	}
 }

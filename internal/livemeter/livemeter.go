@@ -66,15 +66,18 @@ type Config struct {
 	// Retry is the policy for transient zone read errors; the zero value
 	// means retry.Default (3 attempts, 1 ms doubling backoff).
 	Retry retry.Policy
-	// MaxPlausiblePower is the per-zone sanity ceiling: a zone interval
+}
+
+const (
+	// maxPlausiblePower is the per-zone sanity ceiling: a zone interval
 	// implying more average power than this is treated as a counter
 	// anomaly (re-registration), discarded and re-based rather than
-	// reported. 0 = 10 kW, far above any package zone.
-	MaxPlausiblePower units.Watts
-	// VanishAfter is how many consecutive not-exist read failures mark a
-	// zone as vanished (0 = 2).
-	VanishAfter int
-}
+	// reported. 10 kW is far above any package zone.
+	maxPlausiblePower units.Watts = 10_000
+	// vanishAfter is how many consecutive not-exist read failures mark a
+	// zone as vanished.
+	vanishAfter = 2
+)
 
 // Meter is a live process-level power meter.
 type Meter struct {
@@ -87,8 +90,6 @@ type Meter struct {
 	freqRoot  string
 	readFile  func(string) ([]byte, error)
 	retry     retry.Policy
-	maxPower  units.Watts
-	vanishAt  int
 
 	start      time.Time
 	lastAt     time.Duration // last accepted sample timestamp (stall detection)
@@ -179,15 +180,7 @@ func Open(cfg Config) (*Meter, error) {
 		model:    cfg.Model,
 		readFile: cfg.ReadFile,
 		retry:    cfg.Retry,
-		maxPower: cfg.MaxPlausiblePower,
-		vanishAt: cfg.VanishAfter,
 		pending:  map[int]pendingProc{},
-	}
-	if m.maxPower <= 0 {
-		m.maxPower = 10_000 // 10 kW: no package zone gets anywhere near this
-	}
-	if m.vanishAt <= 0 {
-		m.vanishAt = 2
 	}
 	m.zoneState = make([]zoneState, len(zones))
 	for _, z := range zones {
@@ -252,7 +245,7 @@ func (m *Meter) Sample(now time.Time, pids []int) (Attribution, error) {
 			st.lastErr = err
 			if errors.Is(err, iofs.ErrNotExist) {
 				st.misses++
-				if st.misses >= m.vanishAt {
+				if st.misses >= vanishAfter {
 					st.vanished = true
 					m.counters[i].Reset()
 					obsZonesVanished.Inc()
@@ -327,7 +320,7 @@ func (m *Meter) Sample(now time.Time, pids []int) (Attribution, error) {
 			degraded = true
 			continue
 		}
-		if e.Power(dt) > m.maxPower {
+		if e.Power(dt) > maxPlausiblePower {
 			// Counter anomaly: a re-registered counter restarting from an
 			// arbitrary value is indistinguishable from a wrap and would
 			// book an absurd delta. EnergyDelta already re-based the zone

@@ -128,8 +128,20 @@ func TestMultiPhaseScriptTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	firstPhase := run.ProcActiveSeries("p").Slice(0, time.Second).Mean()
-	secondPhase := run.ProcActiveSeries("p").Slice(time.Second, 2*time.Second).Mean()
+	// phaseMean averages the process's active power sampled in [from, to).
+	phaseMean := func(from, to time.Duration) float64 {
+		var sum float64
+		n := 0
+		for _, sm := range run.ProcActiveSeries("p").Samples() {
+			if sm.At >= from && sm.At < to {
+				sum += sm.Value
+				n++
+			}
+		}
+		return sum / float64(n)
+	}
+	firstPhase := phaseMean(0, time.Second)
+	secondPhase := phaseMean(time.Second, 2*time.Second)
 	if math.Abs(firstPhase-18) > 1e-9 || math.Abs(secondPhase-6) > 1e-9 {
 		t.Errorf("phase powers = %v/%v, want 18/6", firstPhase, secondPhase)
 	}

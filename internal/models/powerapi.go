@@ -18,18 +18,11 @@ type PowerAPIConfig struct {
 	// ten seconds of test execution are disregarded by the model,
 	// generating no estimations", so the default is 10 s.
 	LearnWindow time.Duration
-	// Ridge is the regularisation strength of the calibration fit.
-	Ridge float64
-	// ManyCoreThreshold is the logical CPU count at or above which the
-	// calibration instability the paper observed on DAHU (§IV-A, Fig 8)
-	// can occur. SMALL INTEL (12 logical CPUs) stays below the default of
-	// 32; DAHU (64) is above it.
-	ManyCoreThreshold int
 	// InstabilityProb is the per-calibration probability of a degenerate
-	// fit on a many-core machine. The paper reports PowerAPI's DAHU
-	// average error of 16.23 % against ≈3 % on SMALL INTEL, with identical
-	// runs flipping a 90/10 attribution (Fig 8); degenerate calibrations
-	// reproduce that behaviour.
+	// fit on a many-core machine (manyCoreThreshold). The paper reports
+	// PowerAPI's DAHU average error of 16.23 % against ≈3 % on SMALL
+	// INTEL, with identical runs flipping a 90/10 attribution (Fig 8);
+	// degenerate calibrations reproduce that behaviour.
 	InstabilityProb float64
 	// Deterministic disables the instability pathology entirely,
 	// modelling an idealised implementation.
@@ -40,12 +33,15 @@ type PowerAPIConfig struct {
 // observations of PowerAPI 2.1.2.
 func DefaultPowerAPIConfig() PowerAPIConfig {
 	return PowerAPIConfig{
-		LearnWindow:       10 * time.Second,
-		Ridge:             1e-3,
-		ManyCoreThreshold: 32,
-		InstabilityProb:   0.40,
+		LearnWindow:     10 * time.Second,
+		InstabilityProb: 0.40,
 	}
 }
+
+// manyCoreThreshold is the logical CPU count at or above which the
+// calibration instability the paper observed on DAHU (§IV-A, Fig 8) can
+// occur. SMALL INTEL (12 logical CPUs) stays below it; DAHU (64) is above.
+const manyCoreThreshold = 32
 
 // PowerAPI models the PowerAPI/SmartWatts approach: a self-calibrating
 // software power meter that regresses the machine's RAPL power onto
@@ -59,7 +55,7 @@ func DefaultPowerAPIConfig() PowerAPIConfig {
 type PowerAPI struct {
 	cfg PowerAPIConfig
 	// seed defers RNG construction to the first draw: below
-	// ManyCoreThreshold no draw ever happens, so most models never touch a
+	// manyCoreThreshold no draw ever happens, so most models never touch a
 	// register. Laziness cannot shift the sequence — the source
 	// (rng.Source, bit-identical to math/rand's) is a pure function of the
 	// seed. The register comes from registers and goes back through
@@ -95,12 +91,6 @@ type PowerAPI struct {
 func NewPowerAPI(cfg PowerAPIConfig) Factory {
 	if cfg.LearnWindow <= 0 {
 		cfg.LearnWindow = 10 * time.Second
-	}
-	if cfg.Ridge <= 0 {
-		cfg.Ridge = 1e-3
-	}
-	if cfg.ManyCoreThreshold <= 0 {
-		cfg.ManyCoreThreshold = 32
 	}
 	return Factory{
 		Name: "powerapi",
@@ -171,7 +161,7 @@ func (m *PowerAPI) ObserveInto(t Tick, out []units.Watts) bool {
 func (m *PowerAPI) fit(logicalCPUs int) {
 	m.fitted = true
 	if !m.cfg.Deterministic &&
-		logicalCPUs >= m.cfg.ManyCoreThreshold &&
+		logicalCPUs >= manyCoreThreshold &&
 		m.rand().Float64() < m.cfg.InstabilityProb {
 		// Degenerate calibration: with the near-singular feature matrices
 		// of many-core machines the fit lands on an arbitrary point of
@@ -181,7 +171,7 @@ func (m *PowerAPI) fit(logicalCPUs int) {
 		// The favored process is drawn (seeded) at first estimation.
 		m.degenerate = true
 	} else {
-		m.weights, m.scales = m.win.fit(m.cfg.Ridge)
+		m.weights, m.scales = m.win.fit(calibRidge)
 	}
 	m.releaseWindow()
 }

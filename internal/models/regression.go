@@ -80,6 +80,10 @@ func sameRow(a, b [4]float64) bool {
 	return true
 }
 
+// calibRidge is the ridge strength of the PowerAPI and SmartWatts
+// calibration fits.
+const calibRidge = 1e-3
+
 // fit solves the window's ridge problem (see RidgeFit4). Every sum adds
 // the same terms in the same row order as a row-by-row fit, so run-length
 // encoding changes only how often the per-row products are computed: the

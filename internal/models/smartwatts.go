@@ -8,24 +8,19 @@ import (
 
 // SmartWattsConfig tunes the per-frequency-bin calibration.
 type SmartWattsConfig struct {
-	// BinWidth groups core frequencies into calibration bins (default
-	// 100 MHz, the granularity of real DVFS steps).
-	BinWidth units.Hertz
 	// MinSamples is how many ticks a bin collects before its model is
 	// usable (default 20 — 2 s at the default sampling period).
 	MinSamples int
-	// Ridge is the per-bin regularisation strength.
-	Ridge float64
 }
 
 // DefaultSmartWattsConfig returns the reference configuration.
 func DefaultSmartWattsConfig() SmartWattsConfig {
-	return SmartWattsConfig{
-		BinWidth:   100 * units.MHz,
-		MinSamples: 20,
-		Ridge:      1e-3,
-	}
+	return SmartWattsConfig{MinSamples: 20}
 }
+
+// binWidth groups core frequencies into calibration bins: 100 MHz, the
+// granularity of real DVFS steps.
+const binWidth = 100 * units.MHz
 
 // SmartWatts models the self-calibrating power meter of the paper's
 // reference [4] more faithfully than the PowerAPI wrapper: it maintains
@@ -62,14 +57,8 @@ type swBin struct {
 
 // NewSmartWatts returns a SmartWatts factory.
 func NewSmartWatts(cfg SmartWattsConfig) Factory {
-	if cfg.BinWidth <= 0 {
-		cfg.BinWidth = 100 * units.MHz
-	}
 	if cfg.MinSamples <= 0 {
 		cfg.MinSamples = 20
-	}
-	if cfg.Ridge <= 0 {
-		cfg.Ridge = 1e-3
 	}
 	return Factory{
 		Name: "smartwatts",
@@ -85,7 +74,7 @@ func (m *SmartWatts) Name() string { return "smartwatts" }
 // bin returns the calibration bin for a frequency. The pointer is valid
 // until the next call, which may grow bins.
 func (m *SmartWatts) bin(freq units.Hertz) *swBin {
-	key := int64(math.Round(float64(freq) / float64(m.cfg.BinWidth)))
+	key := int64(math.Round(float64(freq) / float64(binWidth)))
 	for i := range m.bins {
 		if m.bins[i].key == key {
 			return &m.bins[i]
@@ -131,7 +120,7 @@ func (m *SmartWatts) calibrateTick(b *swBin, agg [4]float64, degraded bool, powe
 	// Refit periodically as the bin accumulates evidence. A degraded tick
 	// adds no row, so it leaves a fitted bin's weights as they are.
 	if !b.fitted || !degraded && rows%m.cfg.MinSamples == 0 {
-		b.weights, b.scales = b.win.fit(m.cfg.Ridge)
+		b.weights, b.scales = b.win.fit(calibRidge)
 		b.fitted = true
 		refitted = true
 	}

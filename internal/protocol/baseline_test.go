@@ -9,6 +9,7 @@ import (
 	"powerdiv/internal/cpumodel"
 	"powerdiv/internal/division"
 	"powerdiv/internal/machine"
+	"powerdiv/internal/rng"
 	"powerdiv/internal/units"
 )
 
@@ -19,7 +20,7 @@ import (
 func fullRunBaseline(ctx Context, app AppSpec) (division.Baseline, error) {
 	app = app.baselineSpec()
 	cfg := ctx.Machine
-	cfg.Seed = deriveSeed(ctx.Seed, "solo", app.ID)
+	cfg.Seed = rng.Derive(ctx.Seed, "solo", app.ID)
 	return runBaseline(cfg, []machine.Proc{app.proc()}, ctx.RunFor, ctx.StableWindow, app.ID)
 }
 
@@ -195,7 +196,7 @@ func TestSoloBaselineBytesIndependentOfRunLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := ctx.Machine
-	cfg.Seed = deriveSeed(ctx.Seed, "solo", app.ID)
+	cfg.Seed = rng.Derive(ctx.Seed, "solo", app.ID)
 	procs := []machine.Proc{app.proc()}
 	var bytes []int64
 	for _, runFor := range []time.Duration{30 * time.Second, 120 * time.Second} {

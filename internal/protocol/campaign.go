@@ -8,6 +8,7 @@ import (
 	"powerdiv/internal/division"
 	"powerdiv/internal/machine"
 	"powerdiv/internal/models"
+	"powerdiv/internal/rng"
 	"powerdiv/internal/units"
 )
 
@@ -162,7 +163,7 @@ func measureApp(cctx context.Context, ctx *Context, app AppSpec) (division.Basel
 	}
 	app = app.baselineSpec()
 	cfg := ctx.Machine
-	cfg.Seed = deriveSeed(ctx.Seed, "solo", app.ID)
+	cfg.Seed = rng.Derive(ctx.Seed, "solo", app.ID)
 	return ctx.Cache.baselineCached(cfg, []machine.Proc{app.proc()}, ctx.RunFor, ctx.StableWindow, app.ID)
 }
 

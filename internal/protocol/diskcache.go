@@ -96,9 +96,6 @@ func OpenDiskCache(dir string, maxBytes int64) (*DiskCache, error) {
 	return &DiskCache{dir: dir, maxBytes: maxBytes}, nil
 }
 
-// Dir returns the cache's root directory.
-func (d *DiskCache) Dir() string { return d.dir }
-
 // Stats reports hits, misses and writes since the cache was opened.
 func (d *DiskCache) Stats() (hits, misses, writes uint64) { return d.counters() }
 

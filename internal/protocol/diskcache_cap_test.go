@@ -86,7 +86,7 @@ func TestDiskCacheWalksOncePerEighthOfCap(t *testing.T) {
 	if w, most := DiskCacheWalks(d), uint64((written+eighth-1)/eighth); w > most {
 		t.Fatalf("%d walks for %d bytes written, want at most %d", w, written, most)
 	}
-	if got := dirRecordBytes(t, d.Dir()); got > limit {
+	if got := dirRecordBytes(t, d.dir); got > limit {
 		t.Fatalf("directory holds %d bytes, cap %d", got, limit)
 	}
 	if _, ok := d.load(capKey(f, 199), f.stable, f.b.ID); !ok {

@@ -12,6 +12,7 @@ import (
 	"powerdiv/internal/division"
 	"powerdiv/internal/machine"
 	"powerdiv/internal/models"
+	"powerdiv/internal/rng"
 )
 
 // diskFixture is one real solo-run baseline record plus the runKey, stable
@@ -33,7 +34,7 @@ func diskTestRun(t *testing.T) diskFixture {
 		t.Fatal(err)
 	}
 	cfg := ctx.Machine
-	cfg.Seed = deriveSeed(ctx.Seed, "solo", app.ID)
+	cfg.Seed = rng.Derive(ctx.Seed, "solo", app.ID)
 	procs := []machine.Proc{app.proc()}
 	b, err := soloBaseline(cfg, procs, ctx.RunFor, ctx.StableWindow, app.ID)
 	if err != nil {
@@ -208,7 +209,7 @@ func TestDiskCacheEviction(t *testing.T) {
 		t.Fatal("newest entry evicted")
 	}
 	var total int64
-	ents, err := os.ReadDir(d.Dir())
+	ents, err := os.ReadDir(d.dir)
 	if err != nil {
 		t.Fatal(err)
 	}

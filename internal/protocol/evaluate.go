@@ -104,27 +104,21 @@ type Summary struct {
 	// first, as the paper reports).
 	MeanAE float64
 	MaxAE  float64
-	// WorstScenario is the scenario achieving MaxAE.
+	// WorstScenario is the first scenario achieving MaxAE, empty when no
+	// error is positive.
 	WorstScenario string
 	Evaluations   []Evaluation
 }
 
 // Summarize aggregates per-scenario evaluations.
 func Summarize(model string, evs []Evaluation) Summary {
-	s := Summary{Model: model, Evaluations: evs}
-	worst := -1
-	for i, ev := range evs {
-		s.MeanAE += ev.AE
-		if ev.AE > s.MaxAE {
-			s.MaxAE = ev.AE
-			worst = i
-		}
+	var f AEFold
+	for _, ev := range evs {
+		f.Add(ev.AE, 0, true)
 	}
-	if worst >= 0 {
-		s.WorstScenario = evs[worst].Scenario.Label()
-	}
-	if len(evs) > 0 {
-		s.MeanAE /= float64(len(evs))
+	s := Summary{Model: model, MeanAE: f.MeanAE(), MaxAE: f.MaxAE(), Evaluations: evs}
+	if s.MaxAE > 0 {
+		s.WorstScenario = evs[f.Worst()].Scenario.Label()
 	}
 	return s
 }

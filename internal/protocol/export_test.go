@@ -3,6 +3,7 @@ package protocol
 import (
 	"powerdiv/internal/division"
 	"powerdiv/internal/machine"
+	"powerdiv/internal/rng"
 )
 
 // RecordKeyLen reports the length of app's phase 1 record key under ctx and
@@ -10,7 +11,7 @@ import (
 func RecordKeyLen(ctx Context, app AppSpec) (n, buf int) {
 	app = app.baselineSpec()
 	cfg := ctx.Machine
-	cfg.Seed = deriveSeed(ctx.Seed, "solo", app.ID)
+	cfg.Seed = rng.Derive(ctx.Seed, "solo", app.ID)
 	kb := appendRunKey(make([]byte, 0, recordKeyBytes), cfg, []machine.Proc{app.proc()}, ctx.RunFor)
 	return len(appendWindowKey(kb, ctx.StableWindow)), recordKeyBytes
 }

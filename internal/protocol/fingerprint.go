@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"powerdiv/internal/machine"
+	"powerdiv/internal/rng"
 )
 
 // CampaignKind names a campaign's scenario family: how Evaluate seeds and
@@ -65,7 +66,7 @@ func CampaignFingerprint(ctx Context, scenarios []Scenario, kind CampaignKind, r
 			procs = append(procs, a.proc())
 		}
 		h.Write(machineKey)
-		key = appendRunTail(key[:0], deriveSeed(ctx.Seed, string(kind), kind.label(s)), runFor, procs)
+		key = appendRunTail(key[:0], rng.Derive(ctx.Seed, string(kind), kind.label(s)), runFor, procs)
 		h.Write(key)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())

@@ -12,6 +12,7 @@ import (
 	"powerdiv/internal/division"
 	"powerdiv/internal/machine"
 	"powerdiv/internal/models"
+	"powerdiv/internal/rng"
 	"powerdiv/internal/trace"
 	"powerdiv/internal/units"
 )
@@ -82,7 +83,7 @@ func mapTruths(t *testing.T, s Scenario, baselines map[string]division.Baseline,
 // mean estimates and division.AbsoluteError over map shares. The streaming
 // evaluator must reproduce it bit for bit.
 func scoreRunMapReference(ctx Context, s Scenario, run *machine.Run, factory models.Factory, truths []division.Shares) ([]mapEvaluation, error) {
-	model := factory.New(deriveSeed(ctx.Seed, "model", factory.Name, s.Label()))
+	model := factory.New(rng.Derive(ctx.Seed, "model", factory.Name, s.Label()))
 	ests := make([]map[string]units.Watts, len(run.Ticks))
 	tick := models.Tick{
 		Interval:    run.Tick(),
@@ -231,7 +232,7 @@ func TestDenseScoringMatchesMapReference(t *testing.T) {
 			for _, s := range scenarios {
 				truths := mapTruths(t, s, baselines, objectives, 0)
 				cfg := ctx.Machine
-				cfg.Seed = deriveSeed(ctx.Seed, "pair", s.Label())
+				cfg.Seed = rng.Derive(ctx.Seed, "pair", s.Label())
 				procs := make([]machine.Proc, len(s.Apps))
 				for i, a := range s.Apps {
 					procs[i] = a.proc()

@@ -2,21 +2,20 @@ package protocol
 
 import (
 	"slices"
-	"strconv"
 	"strings"
 
 	"powerdiv/internal/division"
 	"powerdiv/internal/machine"
 	"powerdiv/internal/models"
+	"powerdiv/internal/rng"
 	"powerdiv/internal/units"
 )
 
 // A campaignPlan is one Evaluate call's phase 2–3 setup, compiled once so
 // that each scenario pays only for its own work: simulate → observe →
-// score. It holds the campaign's inputs and the deriveSeed state after the
+// score. It holds the campaign's inputs and the rng.Derive state after the
 // campaign seed and each fixed label — (seed, kind) and (seed, "model") —
-// so a scenario's seeds fold in only the factory name and its label;
-// FNV-1a is sequential, so every derived seed equals deriveSeed's. A
+// so a scenario's seeds fold in only the factory name and its label. A
 // one-scenario call compiles a plan of its own, so its rows are
 // bit-identical to the whole campaign's. A plan is read-only once built
 // and is shared by every worker.
@@ -31,20 +30,20 @@ type campaignPlan struct {
 	objectives []Objective
 	r0         units.Watts
 
-	kindSeed, modelSeed seedHash
+	kindSeed, modelSeed rng.SeedHash
 }
 
 // newCampaignPlan compiles the seed state of ctx and kind; Evaluate fills
 // in the rest of the campaign. The plan is a value, so a one-scenario call
 // keeps it on the stack.
 func newCampaignPlan(ctx Context, fs []models.Factory, kind CampaignKind) campaignPlan {
-	seed := newSeedHash(ctx.Seed)
+	seed := rng.NewSeedHash(ctx.Seed)
 	return campaignPlan{
 		ctx:       ctx,
 		fs:        fs,
 		kind:      kind,
-		kindSeed:  seed.part(string(kind)),
-		modelSeed: seed.part("model"),
+		kindSeed:  seed.Part(string(kind)),
+		modelSeed: seed.Part("model"),
 	}
 }
 
@@ -67,7 +66,7 @@ type scenarioRun struct {
 func (p *campaignPlan) run(s Scenario) scenarioRun {
 	label := p.kind.label(s)
 	r := scenarioRun{label: label, cfg: p.ctx.Machine}
-	r.cfg.Seed = p.kindSeed.part(label).seed()
+	r.cfg.Seed = p.kindSeed.Part(label).Seed()
 	v := newScoringView(len(s.Apps), r.cfg.ReservedTicks(p.ctx.RunFor), r.cfg.TickInterval())
 	for _, a := range s.Apps {
 		v.procs = append(v.procs, a.proc())
@@ -82,44 +81,11 @@ func (p *campaignPlan) run(s Scenario) scenarioRun {
 }
 
 // newModels builds every factory's model for the scenario labelled label,
-// each under its deriveSeed(campaign seed, "model", name, label) seed.
+// each under its rng.Derive(campaign seed, "model", name, label) seed.
 func (p *campaignPlan) newModels(label string) []models.Model {
 	ms := make([]models.Model, len(p.fs))
 	for m, f := range p.fs {
-		ms[m] = f.New(p.modelSeed.part(f.Name).part(label).seed())
+		ms[m] = f.New(p.modelSeed.Part(f.Name).Part(label).Seed())
 	}
 	return ms
 }
-
-// seedHash is deriveSeed's FNV-1a (64-bit) state part-way through its
-// input. Folding parts into a saved state gives exactly the hash of the
-// whole input, so a plan derives every scenario's seeds from states it
-// computed once.
-type seedHash uint64
-
-const (
-	fnvOffset64 seedHash = 14695981039346656037
-	fnvPrime64  seedHash = 1099511628211
-)
-
-// newSeedHash starts a derivation from seed's decimal form.
-func newSeedHash(seed int64) seedHash {
-	var buf [20]byte
-	h := fnvOffset64
-	for _, c := range strconv.AppendInt(buf[:0], seed, 10) {
-		h = (h ^ seedHash(c)) * fnvPrime64
-	}
-	return h
-}
-
-// part folds one label part: a zero separator byte, then the part.
-func (h seedHash) part(s string) seedHash {
-	h *= fnvPrime64
-	for i := 0; i < len(s); i++ {
-		h = (h ^ seedHash(s[i])) * fnvPrime64
-	}
-	return h
-}
-
-// seed is the derived seed of the input folded so far.
-func (h seedHash) seed() int64 { return int64(h) }

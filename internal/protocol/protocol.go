@@ -21,7 +21,9 @@ import (
 	"fmt"
 	"time"
 
+	"powerdiv/internal/division"
 	"powerdiv/internal/machine"
+	"powerdiv/internal/rng"
 	"powerdiv/internal/trace"
 	"powerdiv/internal/units"
 	"powerdiv/internal/workload"
@@ -91,6 +93,22 @@ func (a AppSpec) baselineID() string {
 	return a.ID
 }
 
+// InstancePerCore is the F2 reference model's per-core table for
+// scenarios: each instance ID maps to the isolated active power per core
+// of its application type's phase 1 baseline. Instances whose type has no
+// baseline are left out.
+func InstancePerCore(scenarios []Scenario, baselines map[string]division.Baseline) map[string]units.Watts {
+	perCore := map[string]units.Watts{}
+	for _, s := range scenarios {
+		for _, a := range s.Apps {
+			if b, ok := baselines[a.baselineID()]; ok {
+				perCore[a.ID] = b.ActivePerCore()
+			}
+		}
+	}
+	return perCore
+}
+
 // baselineSpec strips the instance down to its application type: the spec
 // phase 1 actually measures, solo and without lifetime offsets. For specs
 // without traffic fields it is the identity, so static campaigns measure —
@@ -141,7 +159,7 @@ func EstimateResidual(ctx Context, probe workload.Workload) (units.Watts, error)
 	p := make([]float64, phys+1)
 	for n := 1; n <= phys; n++ {
 		cfg := ctx.Machine
-		cfg.Seed = deriveSeed(ctx.Seed, "residual-probe", fmt.Sprint(n))
+		cfg.Seed = rng.Derive(ctx.Seed, "residual-probe", fmt.Sprint(n))
 		sum, ticks := 0.0, 0
 		err := machine.Stream(cfg, []machine.Proc{{
 			ID: "probe", Workload: probe, Threads: n,
@@ -174,16 +192,6 @@ func EstimateResidual(ctx Context, probe workload.Workload) (units.Watts, error)
 	slope := (cnt*sxy - sx*sy) / den
 	intercept := (sy - slope*sx) / cnt
 	return units.Watts(intercept), nil
-}
-
-// deriveSeed produces a deterministic per-run seed from the campaign seed
-// and a label.
-func deriveSeed(seed int64, parts ...string) int64 {
-	h := newSeedHash(seed)
-	for _, p := range parts {
-		h = h.part(p)
-	}
-	return h.seed()
 }
 
 // stableScoringWindow picks the scoring window: the least-extreme

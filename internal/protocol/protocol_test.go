@@ -363,20 +363,6 @@ func TestScenarioLabel(t *testing.T) {
 	}
 }
 
-func TestDeriveSeedStable(t *testing.T) {
-	t.Parallel()
-	a := deriveSeed(1, "solo", "x")
-	b := deriveSeed(1, "solo", "x")
-	c := deriveSeed(1, "solo", "y")
-	d := deriveSeed(2, "solo", "x")
-	if a != b {
-		t.Error("same inputs, different seeds")
-	}
-	if a == c || a == d {
-		t.Error("different inputs, same seed")
-	}
-}
-
 func TestStressCombos(t *testing.T) {
 	t.Parallel()
 	fns := []string{"fibonacci", "queens", "int64", "matrixprod"}

@@ -34,7 +34,8 @@ type TrafficSummary struct {
 	// which the model estimated no busy tick has no error, not a zero one.
 	MeanAE float64
 	MaxAE  float64
-	// WorstScenario is the scenario achieving MaxAE.
+	// WorstScenario is the first scenario achieving MaxAE, empty when no
+	// error is positive.
 	WorstScenario string
 	// MeanCoverage is the mean per-scenario estimate coverage, over every
 	// scenario.
@@ -46,24 +47,72 @@ type TrafficSummary struct {
 
 // SummarizeTraffic aggregates per-scenario traffic evaluations.
 func SummarizeTraffic(model string, evs []TrafficEvaluation) TrafficSummary {
-	s := TrafficSummary{Model: model, Evaluations: evs}
+	var f AEFold
 	for _, ev := range evs {
-		s.MeanCoverage += ev.Coverage
-		if ev.ScoredTicks == 0 {
-			continue
-		}
-		s.Scored++
-		s.MeanAE += ev.AE
-		if ev.AE > s.MaxAE {
-			s.MaxAE = ev.AE
-			s.WorstScenario = ev.Scenario.Label()
-		}
+		f.Add(ev.AE, ev.Coverage, ev.ScoredTicks > 0)
 	}
-	if s.Scored > 0 {
-		s.MeanAE /= float64(s.Scored)
-	}
-	if len(evs) > 0 {
-		s.MeanCoverage /= float64(len(evs))
+	s := TrafficSummary{Model: model, MeanAE: f.MeanAE(), MaxAE: f.MaxAE(),
+		MeanCoverage: f.MeanCoverage(), Scored: f.Scored(), Evaluations: evs}
+	if s.MaxAE > 0 {
+		s.WorstScenario = evs[f.Worst()].Scenario.Label()
 	}
 	return s
 }
+
+// AEFold folds per-scenario Eq 5 absolute errors into one model's summary
+// (§III-E, §IV-A): the mean and the largest error over the scored
+// scenarios — a scenario in which the model scored no tick has no error,
+// not a zero one — and the mean coverage over every scenario. Sums run in
+// Add order, so a caller that folds in a fixed order gets bit-reproducible
+// summaries. The zero value is an empty fold.
+type AEFold struct {
+	sumAE, sumCov, max float64
+	n, scored          int
+	// worst is 1 + the Add index of the row holding max, 0 before the
+	// first scored row.
+	worst int
+}
+
+// Add folds one scenario's error and coverage; scored reports whether the
+// model scored any tick of it, and ae counts only if it did.
+func (f *AEFold) Add(ae, coverage float64, scored bool) {
+	f.n++
+	f.sumCov += coverage
+	if !scored {
+		return
+	}
+	f.scored++
+	f.sumAE += ae
+	if ae > f.max || f.worst == 0 && ae >= f.max {
+		f.max, f.worst = ae, f.n
+	}
+}
+
+// MeanAE is the mean error over the scored scenarios, 0 when none is.
+func (f *AEFold) MeanAE() float64 {
+	if f.scored == 0 {
+		return 0
+	}
+	return f.sumAE / float64(f.scored)
+}
+
+// MaxAE is the largest error of a scored scenario, 0 when none is.
+func (f *AEFold) MaxAE() float64 { return f.max }
+
+// Worst is the Add index of the first scored scenario holding MaxAE, -1
+// when none is scored.
+func (f *AEFold) Worst() int { return f.worst - 1 }
+
+// MeanCoverage is the mean coverage over every scenario, 0 when empty.
+func (f *AEFold) MeanCoverage() float64 {
+	if f.n == 0 {
+		return 0
+	}
+	return f.sumCov / float64(f.n)
+}
+
+// Scenarios counts the scenarios folded.
+func (f *AEFold) Scenarios() int { return f.n }
+
+// Scored counts the scored scenarios folded.
+func (f *AEFold) Scored() int { return f.scored }

@@ -219,4 +219,9 @@ func TestSummarizeTrafficSkipsUnscoredRows(t *testing.T) {
 	if none := SummarizeTraffic("m", []TrafficEvaluation{unscored}); none.Scored != 0 || none.MeanAE != 0 || none.WorstScenario != "" {
 		t.Errorf("all-unscored summary %+v, want no scored rows and no AE", none)
 	}
+	exact := scored
+	exact.AE = 0
+	if zero := SummarizeTraffic("m", []TrafficEvaluation{exact, exact}); zero.Scored != 2 || zero.MaxAE != 0 || zero.WorstScenario != "" {
+		t.Errorf("zero-error summary %+v, want 2 scored rows and no worst scenario", zero)
+	}
 }

@@ -81,14 +81,14 @@ func FuzzPowercapLayout(f *testing.F) {
 		if len(zones) != want {
 			dirs := make([]string, len(zones))
 			for i, z := range zones {
-				dirs[i] = z.Dir()
+				dirs[i] = z.dir
 			}
 			t.Fatalf("discovered %d zones %v, want %d (extra=%q)", len(zones), dirs, want, extra)
 		}
 
 		var main *PowercapZone
 		for _, z := range zones {
-			if z.Dir() == mainDir {
+			if z.dir == mainDir {
 				main = z
 			}
 		}

@@ -39,9 +39,6 @@ func (z *PowercapZone) ReadEnergy() (uint64, error) {
 	return readUint(z.readFile, filepath.Join(z.dir, "energy_uj"))
 }
 
-// Dir returns the zone's sysfs directory.
-func (z *PowercapZone) Dir() string { return z.dir }
-
 // OpenZone opens a single powercap zone directory, validating that it has
 // the expected layout (name, energy_uj, max_energy_range_uj).
 func OpenZone(dir string) (*PowercapZone, error) {

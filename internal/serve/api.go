@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"time"
 
 	"powerdiv/internal/cpumodel"
@@ -426,16 +425,16 @@ func compileFleetJob(spec SubmitRequest, opts Options) (*runnable, *APIError) {
 // fleetFingerprint content-addresses a fleet job. The fleet's node specs
 // and shards are pure functions of the defaulted config, so hashing the
 // config's canonical rendering addresses the same simulations
-// CampaignFingerprint addresses for scenario jobs.
+// CampaignFingerprint addresses for scenario jobs. Kernels are hashed in
+// the order given: the generator draws them by index, so order changes
+// the schedules.
 func fleetFingerprint(cfg fleet.Config) string {
 	h := fnv.New64a()
-	kernels := append([]string(nil), cfg.Kernels...)
-	sort.Strings(kernels)
 	fmt.Fprintf(h, "fleet|n:%d|seed:%d|kind:%s|spn:%d|win:%d|run:%d|stable:%d|skew:%g|jitter:%g|noise:%g|prod:%t|base:%d",
 		cfg.Nodes, cfg.Seed, cfg.Kind, cfg.ScenariosPerNode, int64(cfg.Window), int64(cfg.RunFor),
-		int64(cfg.StableWindow), cfg.FreqSkewFrac, cfg.NoiseJitterFrac, float64(cfg.BaseNoise),
+		int64(cfg.StableWindow), fleet.FreqSkewFrac, fleet.NoiseJitterFrac, float64(fleet.BaseNoise),
 		cfg.Production, cfg.Baseload)
-	for _, k := range kernels {
+	for _, k := range cfg.Kernels {
 		h.Write([]byte{0})
 		h.Write([]byte(k))
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"powerdiv/internal/fleet"
+	"powerdiv/internal/protocol"
 )
 
 // State is a job's lifecycle stage. Every job ends in exactly one of the
@@ -307,41 +308,26 @@ func summarize(rn *runnable, rows []*ResultRow) *Summary {
 			break
 		}
 	}
-	byModel := make(map[string]*ModelSummary, len(order))
-	for _, name := range order {
-		byModel[name] = &ModelSummary{Model: name}
+	byModel := make(map[string]int, len(order))
+	for m, name := range order {
+		byModel[name] = m
 	}
+	folds := make([]protocol.AEFold, len(order))
 	for _, r := range rows {
 		if r == nil {
 			continue
 		}
 		for _, ms := range r.Models {
-			agg, ok := byModel[ms.Model]
-			if !ok {
-				continue
-			}
-			agg.MeanCoverage += ms.Coverage
-			agg.Scenarios++
-			if ms.ScoredTicks == 0 {
-				continue
-			}
-			agg.ScoredScenarios++
-			agg.MeanAE += ms.AE
-			if ms.AE > agg.MaxAE {
-				agg.MaxAE = ms.AE
+			if m, ok := byModel[ms.Model]; ok {
+				folds[m].Add(ms.AE, ms.Coverage, ms.ScoredTicks > 0)
 			}
 		}
 	}
-	out := &Summary{Models: make([]ModelSummary, 0, len(order))}
-	for _, name := range order {
-		agg := byModel[name]
-		if agg.ScoredScenarios > 0 {
-			agg.MeanAE /= float64(agg.ScoredScenarios)
-		}
-		if agg.Scenarios > 0 {
-			agg.MeanCoverage /= float64(agg.Scenarios)
-		}
-		out.Models = append(out.Models, *agg)
+	out := &Summary{Models: make([]ModelSummary, len(order))}
+	for m, name := range order {
+		f := &folds[m]
+		out.Models[m] = ModelSummary{Model: name, MeanAE: f.MeanAE(), MaxAE: f.MaxAE(),
+			MeanCoverage: f.MeanCoverage(), Scenarios: f.Scenarios(), ScoredScenarios: f.Scored()}
 	}
 	return out
 }

@@ -86,7 +86,7 @@ func (s *Server) runJob(job *Job) {
 // place, and re-running them would only reproduce the same bits.
 func (s *Server) evaluate(cctx context.Context, job *Job, rn *runnable) error {
 	pctx := rn.pctx
-	pctx.Cache = protocol.NewCacheScope(s.cacheBudget(job.Spec.CacheBytes))
+	pctx.Cache = protocol.NewCacheScope(cacheBudget(job.Spec.CacheBytes))
 	pctx.Cache.AttachDisk(s.disk)
 	defer pctx.Cache.Drop()
 	rn.pctx = pctx
@@ -118,13 +118,13 @@ func (s *Server) evaluate(cctx context.Context, job *Job, rn *runnable) error {
 	return err
 }
 
-// cacheBudget clamps a requested per-job cache budget to the server cap.
-func (s *Server) cacheBudget(requested int64) int64 {
-	budget := requested
-	if budget <= 0 || budget > s.opts.MaxCacheBytes {
-		budget = s.opts.MaxCacheBytes
+// cacheBudget clamps a requested per-job cache budget to
+// protocol.DefaultMemoBytes, each job's cap.
+func cacheBudget(requested int64) int64 {
+	if requested <= 0 || requested > protocol.DefaultMemoBytes {
+		return protocol.DefaultMemoBytes
 	}
-	return budget
+	return requested
 }
 
 // persist writes the job's current snapshot, if snapshots are enabled.

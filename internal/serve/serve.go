@@ -58,9 +58,6 @@ type Options struct {
 	MaxScenarios int
 	MaxNodes     int
 	MaxInstances int
-	// MaxCacheBytes caps each job's private memoization budget. Default
-	// protocol.DefaultMemoBytes.
-	MaxCacheBytes int64
 	// CacheDir, when set, backs every job's baseline tier with one shared
 	// persistent tier: baseline records survive restarts, so resumed and
 	// repeated jobs skip their phase 1 simulations. Jobs stay isolated in
@@ -96,9 +93,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxInstances <= 0 {
 		o.MaxInstances = 4096
-	}
-	if o.MaxCacheBytes <= 0 {
-		o.MaxCacheBytes = protocol.DefaultMemoBytes
 	}
 	return o
 }

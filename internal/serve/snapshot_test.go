@@ -6,7 +6,54 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"powerdiv/internal/fleet"
 )
+
+// TestFleetFingerprintFollowsKernelOrder: the traffic generator draws
+// kernels by index, so a fleet spec's kernel order changes its
+// simulations and must change its fingerprint, or a snapshot would resume
+// under a spec whose rows it does not hold. Fingerprints of specs with no
+// kernel list or a sorted one are pinned at their earlier values, so
+// existing snapshots still resume.
+func TestFleetFingerprintFollowsKernelOrder(t *testing.T) {
+	t.Parallel()
+	compileFleet := func(kernels []string) *runnable {
+		t.Helper()
+		rn, aerr := compile(SubmitRequest{Kind: KindFleet, Seed: 5, Nodes: 2, Kernels: kernels,
+			WindowMS: 3000, RunForMS: 3000, StableWindowMS: 1500}, Options{}.withDefaults())
+		if aerr != nil {
+			t.Fatal(aerr)
+		}
+		return rn
+	}
+	for _, c := range []struct {
+		kernels []string
+		want    string
+	}{
+		{nil, "e340c0484e513372"},
+		{[]string{"fibonacci", "int64", "matrixprod"}, "990b40265b5f312b"},
+	} {
+		if got := compileFleet(c.kernels).fingerprint; got != c.want {
+			t.Errorf("kernels %q: fingerprint %s, pinned %s", c.kernels, got, c.want)
+		}
+	}
+	sorted := compileFleet([]string{"fibonacci", "int64", "matrixprod"})
+	reversed := compileFleet([]string{"matrixprod", "int64", "fibonacci"})
+	label := func(rn *runnable) string {
+		scenarios, err := fleet.NodeScenarios(rn.fleetCfg, rn.nodes[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return scenarios[0].Label()
+	}
+	if a, b := label(sorted), label(reversed); a == b {
+		t.Fatalf("kernel order did not change node 0's first scenario (%q)", a)
+	}
+	if sorted.fingerprint == reversed.fingerprint {
+		t.Errorf("kernel orders with different schedules share fingerprint %s", sorted.fingerprint)
+	}
+}
 
 // TestSnapshotConcurrentPersist has several workers append rows to one job
 // and persist it after every row, the way evaluate's ForEach workers do,

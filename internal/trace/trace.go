@@ -138,27 +138,6 @@ func (s *Series) End() time.Duration {
 	return s.samples[len(s.samples)-1].At
 }
 
-// Slice returns the sub-series with from <= At < to. The returned series
-// shares no storage with s.
-func (s *Series) Slice(from, to time.Duration) *Series {
-	out := &Series{}
-	for _, sm := range s.samples {
-		if sm.At >= from && sm.At < to {
-			out.samples = append(out.samples, sm)
-		}
-	}
-	return out
-}
-
-// Scale returns a copy of the series with all values multiplied by k.
-func (s *Series) Scale(k float64) *Series {
-	out := &Series{samples: make([]Sample, len(s.samples))}
-	for i, sm := range s.samples {
-		out.samples[i] = Sample{At: sm.At, Value: sm.Value * k}
-	}
-	return out
-}
-
 // ValueAt returns the value of the series at time t using zero-order hold
 // (the value of the most recent sample at or before t). ok is false if t is
 // before the first sample or the series is empty.

@@ -16,7 +16,7 @@
 //     rate curve, the day/night load swing of a production fleet.
 //
 // Determinism contract: Generate is a pure function of its Config. Every
-// random draw comes from a per-scenario source seeded by FNV-1a over
+// random draw comes from a per-scenario source seeded by rng.Derive over
 // (Seed, scenario index), draws happen in a fixed order (baseload, then
 // arrival candidates in time order), and rejected arrivals still consume
 // their draws — so schedules are bit-identical across runs, platforms and
@@ -100,15 +100,6 @@ type Config struct {
 	ArrivalsPerMinute float64
 	// MeanLifetime is the mean of the exponential instance lifetime.
 	MeanLifetime time.Duration
-	// BurstFactor multiplies the calm arrival rate during bursts (Bursty).
-	BurstFactor float64
-	// BurstFraction is the long-run fraction of time spent bursting, in
-	// (0, 1) (Bursty).
-	BurstFraction float64
-	// DiurnalPeriods is how many rate peaks the window spans (Diurnal).
-	DiurnalPeriods int
-	// DiurnalDepth is the sinusoidal modulation depth in [0, 1) (Diurnal).
-	DiurnalDepth float64
 	// Kernels is the cohort mix instances draw from — stress function or
 	// phoronix application names. Defaults to the 12 stress functions.
 	Kernels []string
@@ -137,16 +128,24 @@ const NoBaseload = -1
 const (
 	defaultWindow            = 30 * time.Second
 	defaultArrivalsPerMinute = 12.0
-	defaultBurstFactor       = 4.0
-	defaultBurstFraction     = 0.2
-	defaultDiurnalPeriods    = 2
-	defaultDiurnalDepth      = 0.8
 	defaultMaxThreads        = 2
 	defaultMaxCPUs           = 4
 	defaultBaseload          = 2
 	// minLifetime keeps instances alive for at least a few simulator ticks
 	// so that every arrival is observable.
 	minLifetime = 500 * time.Millisecond
+)
+
+// The shapes of the Bursty and Diurnal arrival processes.
+const (
+	// burstFactor multiplies the calm arrival rate during bursts.
+	burstFactor = 4.0
+	// burstFraction is the long-run fraction of time spent bursting.
+	burstFraction = 0.2
+	// diurnalPeriods is how many rate peaks the window spans.
+	diurnalPeriods = 2
+	// diurnalDepth is the sinusoidal modulation depth, in [0, 1).
+	diurnalDepth = 0.8
 )
 
 // WithDefaults fills unset fields with the package defaults.
@@ -162,18 +161,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.MeanLifetime <= 0 {
 		c.MeanLifetime = c.Window / 3
-	}
-	if c.BurstFactor <= 1 {
-		c.BurstFactor = defaultBurstFactor
-	}
-	if c.BurstFraction <= 0 || c.BurstFraction >= 1 {
-		c.BurstFraction = defaultBurstFraction
-	}
-	if c.DiurnalPeriods <= 0 {
-		c.DiurnalPeriods = defaultDiurnalPeriods
-	}
-	if c.DiurnalDepth <= 0 || c.DiurnalDepth >= 1 {
-		c.DiurnalDepth = defaultDiurnalDepth
 	}
 	if len(c.Kernels) == 0 {
 		c.Kernels = workload.StressNames()
@@ -221,25 +208,6 @@ func KernelByName(name string) (workload.Workload, bool) {
 		return w, true
 	}
 	return workload.PhoronixByName(name)
-}
-
-// seedFor derives a deterministic sub-seed by FNV-1a over the seed's
-// decimal form and each label, a zero byte before each (the same
-// construction the protocol package uses), without allocating.
-func seedFor(seed int64, parts ...string) int64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	var buf [20]byte
-	for _, c := range strconv.AppendInt(buf[:0], seed, 10) {
-		h = (h ^ uint64(c)) * prime
-	}
-	for _, p := range parts {
-		h *= prime // the zero separator byte
-		for i := 0; i < len(p); i++ {
-			h = (h ^ uint64(p[i])) * prime
-		}
-	}
-	return int64(h)
 }
 
 // Generate produces the campaign's timed scenarios, deterministically per
@@ -322,7 +290,7 @@ func (c Config) ScenarioKind(idx int) Kind {
 // not matter.
 func (sc *genScratch) generateScenario(cfg Config, idx int) {
 	gen, kernels := sc.gen, sc.kernels
-	gen.Seed(seedFor(cfg.Seed, "scenario", strconv.Itoa(idx)))
+	gen.Seed(rng.Derive(cfg.Seed, "scenario", strconv.Itoa(idx)))
 	kind := cfg.ScenarioKind(idx)
 	first := len(sc.apps)
 	add := func(w workload.Workload, threads int, start, stop time.Duration) {
@@ -405,26 +373,26 @@ func arrivalTimes(cfg Config, kind Kind, rng *rand.Rand, out []time.Duration) []
 		}
 	case Diurnal:
 		// Thinning: candidates at the peak rate, each kept with probability
-		// rate(t)/peak. rate(t) sweeps DiurnalPeriods full sine periods
+		// rate(t)/peak. rate(t) sweeps diurnalPeriods full sine periods
 		// across the window around the base rate.
-		peak := base * (1 + cfg.DiurnalDepth)
+		peak := base * (1 + diurnalDepth)
 		for t := expStep(rng, peak); t < window; t += expStep(rng, peak) {
-			rate := base * (1 + cfg.DiurnalDepth*math.Sin(2*math.Pi*float64(cfg.DiurnalPeriods)*t/window))
+			rate := base * (1 + diurnalDepth*math.Sin(2*math.Pi*diurnalPeriods*t/window))
 			if rng.Float64()*peak <= rate {
 				appendAt(t)
 			}
 		}
 	case Bursty:
 		// Two-state MMPP: exponential sojourns in calm/burst states, the
-		// burst rate BurstFactor times the calm rate, rates chosen so the
+		// burst rate burstFactor times the calm rate, rates chosen so the
 		// long-run mean matches the configured base rate. Crossing a state
 		// boundary redraws the inter-arrival gap — valid because the
 		// exponential is memoryless.
-		calmRate := base / (1 - cfg.BurstFraction + cfg.BurstFraction*cfg.BurstFactor)
-		burstRate := calmRate * cfg.BurstFactor
+		calmRate := base / (1 - burstFraction + burstFraction*burstFactor)
+		burstRate := calmRate * burstFactor
 		cycle := window / 4 // mean calm+burst cycle length
-		meanBurst := cfg.BurstFraction * cycle
-		meanCalm := (1 - cfg.BurstFraction) * cycle
+		meanBurst := burstFraction * cycle
+		meanCalm := (1 - burstFraction) * cycle
 		burst := false
 		t := 0.0
 		stateEnd := expStep(rng, 1/meanCalm)

@@ -93,8 +93,10 @@ var unselectedMethodsAllowed = map[string]string{
 // identifier, never the other way round. It fails likewise on an exported
 // method of an internal/ type whose name no non-test file selects, unless
 // unselectedMethodsAllowed names it. A method counts as referenced when any
-// selector anywhere uses its name, whatever the receiver, so the check
-// never flags a method that is called.
+// selector anywhere uses its name, whatever the receiver, except a
+// package-qualified name such as sort.Slice or filepath.Dir: the check
+// flags no method that is called, unless only through a local variable
+// that shadows an import's name.
 func TestExportedSurface(t *testing.T) {
 	fset := token.NewFileSet()
 	declared := map[string]token.Position{} // "pkg.Name" → declaration
@@ -230,18 +232,20 @@ func topLevelNames(file *ast.File) []*ast.Ident {
 // collectRefs marks in used every "pkg.Name" file refers to: selectors
 // through an import of an internal/ package, and — when the file belongs
 // to internal/<pkg> — bare identifiers other than declaration names. It
-// marks in selected every other selected name: fields and methods.
+// marks in selected every other selected name, fields and methods, but
+// not a package-qualified name such as sort.Slice: a call into another
+// package selects none of this module's methods.
 func collectRefs(file *ast.File, pkg string, used, selected map[string]bool) {
-	imports := map[string]string{} // local name → internal package
+	imports := map[string]string{} // local name → internal package, "" outside internal/
 	for _, imp := range file.Imports {
 		path, _ := strconv.Unquote(imp.Path.Value)
-		rest, ok := strings.CutPrefix(path, "powerdiv/internal/")
-		if !ok {
-			continue
-		}
-		name := filepath.Base(rest)
+		name := filepath.Base(path)
 		if imp.Name != nil {
 			name = imp.Name.Name
+		}
+		rest, ok := strings.CutPrefix(path, "powerdiv/internal/")
+		if !ok {
+			rest = ""
 		}
 		imports[name] = rest
 	}
@@ -260,7 +264,9 @@ func collectRefs(file *ast.File, pkg string, used, selected map[string]bool) {
 		case *ast.SelectorExpr:
 			if x, ok := n.X.(*ast.Ident); ok {
 				if p, ok := imports[x.Name]; ok {
-					used[p+"."+n.Sel.Name] = true
+					if p != "" {
+						used[p+"."+n.Sel.Name] = true
+					}
 					return false
 				}
 			}
